@@ -1,11 +1,28 @@
-"""Brute-force construction of the bi-orthogonal system from determinants.
+"""The bi-orthogonal system, level by level, from the moment sequence.
 
 Everything at level n is derived from the Toeplitz data of the moment
-sequence: I_n = det[w_{i-j}], the two polynomial families phi_n / phibar_n
-from bordered determinants (realised as Toeplitz solves, which is the same
-linear algebra without the O(n^4) cofactor pass), the normalisation
-kappa_n = sqrt(I_n / I_{n+1}) up to a recorded sign gauge, and the
-associated functions as truncated interior expansions
+sequence w_k.  Two routes are kept side by side:
+
+* determinants by LU: I_n = det[w_{i-j}], the normalisation
+  kappa_n = sqrt(I_n / I_{n+1}) up to a recorded sign gauge, and the
+  degeneracy test of each level;
+* the monic families P_n = phi_n / kappa_n and Q_n = phibar_n / kappa_n by
+  Baxter's bi-orthogonal Szego step (J. Math. Anal. Appl. 2 (1961)),
+
+      P_{k+1} = z P_k + a_k Q*_k,      Q_{k+1} = z Q_k + b_k P*_k,
+
+  with Q*_k, P*_k the reversed coefficient lists, h_k = <P_k, k>
+  (= I_{k+1} / I_k), a_k = -<P_k, -1> / h_k and b_k = -sum_j Q_j w_{1+j} / h_k.
+  Each step costs O(k) moment products, against O(k^3) for a Toeplitz solve.
+
+The bordered-determinant forms of the families (``phi_from_determinant``,
+``phibar_from_determinant``, realised as LU Toeplitz solves) are kept as the
+brute-force reference the tests compare the step against.  Because I_n and
+kappa_n stay on LU while the families come from the step, the identities
+that tie them together (I0, l:kappa, tau:I) compare two independent
+computations.
+
+The associated functions are truncated interior expansions
 
     eps_n(z)     =  2 sum_{m>=0} <phi_n, m> z^m,
     epsstar_n(z) = -2 sum_{m>=1} <m-bar, phibar_n> z^{n+m},
@@ -210,8 +227,21 @@ def epsilonstar_from_determinant(moments: MomentSequence, phibar_coeffs,
 # the cached oracle
 # ---------------------------------------------------------------------------
 
+def _ratio_floor() -> mpf:
+    """Relative size below which a determinant ratio counts as vanishing.
+
+    An exactly-zero determinant computes as roundoff noise, so it is
+    compared against the scale set by the neighbouring ratio.
+    """
+    return mpf(2) ** (-(3 * mp.prec // 4))
+
+
 class ToeplitzOracle:
     """Caches determinants, levels and expansions over one moment sequence.
+
+    ``det(n)`` is an LU determinant.  ``level(n)`` takes I_n, I_{n+1} and
+    kappa_n from ``det`` and scales the monic pair of ``monic_pair(n)``,
+    which the Szego step grows upward from the highest cached level.
 
     ``gauge`` maps level -> +-1 and fixes the kappa_n sign; the default is
     the principal branch everywhere.
@@ -222,6 +252,8 @@ class ToeplitzOracle:
         self._gauge = dict(gauge) if gauge else {}
         self._dets = {}
         self._levels = {}
+        self._monic = [([mpc(1)], [mpc(1)])]    # (P_k, Q_k), k = 0, 1, ...
+        self._h = []                            # h_k = I_{k+1} / I_k
         self._eps = {}
         self._epsstar = {}
 
@@ -233,6 +265,37 @@ class ToeplitzOracle:
             self._dets[n] = toeplitz_det(self.moments, n)
         return self._dets[n]
 
+    def monic_pair(self, n: int):
+        """(phi_n, phibar_n) / kappa_n, ascending, by the bi-orthogonal step.
+
+        Raises ``DegenerateDeterminant`` at the first h_k that vanishes to
+        working precision: h_0 == 0, or |h_k| < _ratio_floor() |h_{k-1}|,
+        the same test ``level`` applies to I_{k+1} I_{k-1} / I_k^2.
+        """
+        pairs, hs = self._monic, self._h
+        if n < len(pairs):
+            return pairs[n]
+        floor = _ratio_floor()
+        self.moments.extend(-n, n)
+        with guarded():
+            w = {k: to_mpc(self.moments.w(k)) for k in range(-n, n + 1)}
+            for k in range(len(pairs) - 1, n):
+                P, Q = pairs[k]
+                h = mpmath.fdot(P, [w[k - j] for j in range(k + 1)])
+                if h == 0 or (k and abs(h) < floor * abs(hs[k - 1])):
+                    raise DegenerateDeterminant(
+                        f"determinant at level {k + 1} vanishes to working "
+                        f"precision; the Szego step stops here")
+                a = -mpmath.fdot(P, [w[-1 - j] for j in range(k + 1)]) / h
+                b = -mpmath.fdot(Q, [w[1 + j] for j in range(k + 1)]) / h
+                P_next, Q_next = [mpc(0)] + P, [mpc(0)] + Q
+                for i in range(k + 1):
+                    P_next[i] += a * Q[k - i]
+                    Q_next[i] += b * P[k - i]
+                hs.append(h)
+                pairs.append((P_next, Q_next))
+        return pairs[n]
+
     def level(self, n: int) -> BopsLevel:
         if n in self._levels:
             return self._levels[n]
@@ -240,19 +303,15 @@ class ToeplitzOracle:
         if In == 0 or In1 == 0:
             raise DegenerateDeterminant(f"vanishing determinant at level {n}")
         if n >= 1:
-            # an exactly-zero determinant computes as roundoff noise; compare
-            # against the scale set by the neighbouring ratio
-            floor = mpf(2) ** (-(3 * mp.prec // 4))
             ref = abs(In) ** 2 / max(abs(self.det(n - 1)), mpf(1e-300))
-            if abs(In1) < floor * ref:
+            if abs(In1) < _ratio_floor() * ref:
                 raise DegenerateDeterminant(
                     f"determinant at level {n + 1} vanishes to working "
                     f"precision; the system truncates here")
         kap = self.gauge(n) * mpmath.sqrt(In / In1)
-        phi = [kap * c for c in phi_from_determinant(self.moments, n)]
-        phibar = [kap * c for c in phibar_from_determinant(self.moments, n)]
+        P, Q = self.monic_pair(n)
         lev = BopsLevel(n=n, I=In, I_next=In1, kappa=kap, gauge=self.gauge(n),
-                        phi=phi, phibar=phibar)
+                        phi=[kap * c for c in P], phibar=[kap * c for c in Q])
         self._levels[n] = lev
         return lev
 

@@ -32,7 +32,7 @@ from .moments import build_U
 from .mputil import working_precision
 from .report import failures
 from .spectral import residue_matrices, a_infinity
-from .suites import run_verification
+from .suites import run_verification, state_delta
 from .weights import build_weight, build_poly_pair
 
 EXIT_OK = 0
@@ -335,12 +335,7 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
                "f": jsonout.complex_list(st.f),
                "omega": jsonout.complex_list(st.omega)}
         if args.compare_oracle:
-            oracle_state = dg_from_spectral(ws, st.n)
-            scale = max(max(abs(x) for x in oracle_state.f),
-                        max(abs(x) for x in oracle_state.omega), mpf(1))
-            delta = max(
-                max(abs(a - b) for a, b in zip(st.f, oracle_state.f)),
-                max(abs(a - b) for a, b in zip(st.omega, oracle_state.omega))) / scale
+            delta = state_delta(st, dg_from_spectral(ws, st.n))
             rec["oracle_delta"] = jsonout.real_field(delta)
             worst = max(worst, delta)
         recs.append(rec)

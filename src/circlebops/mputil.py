@@ -158,27 +158,6 @@ def lu_solve(rows, rhs):
 # residual measurement
 # ---------------------------------------------------------------------------
 
-def rel_residual(total, scale) -> mpf:
-    """|total| / scale with a floor guarding against zero scales."""
-    scale = mpf(scale)
-    if scale <= 0:
-        scale = mpf(1)
-    return abs(total) / scale
-
-
-def combo_residual(terms) -> mpf:
-    """Relative residual of a sum that should vanish.
-
-    Measured against the largest participating term so the number is
-    meaningful whether the identity lives at magnitude 1e-30 or 1e+30.
-    """
-    terms = [to_mpc(t) for t in terms]
-    scale = max((abs(t) for t in terms), default=mpf(0))
-    if scale == 0:
-        return mpf(0)
-    return abs(sum(terms)) / scale
-
-
 def vector_residual(vectors) -> mpf:
     """Relative residual of a list of coefficient vectors summing to zero."""
     length = max((len(v) for v in vectors), default=0)

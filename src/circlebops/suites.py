@@ -159,12 +159,12 @@ def oracle_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     st0 = dg_initial(pair, build_U(pair, ms), ms)
     out = []
     spec0 = dg_from_spectral(ws, 0)
-    d0 = _state_delta(st0, spec0)
+    d0 = state_delta(st0, spec0)
     out.append(CheckResult.make("dGarnier:init", d0, tol, 0))
     traj = dg_trajectory(st0, pair, n_max)
     for st in traj[1:]:
         oracle_state = dg_from_spectral(ws, st.n)
-        out.append(CheckResult.make("dGarnier:ab", _state_delta(st, oracle_state),
+        out.append(CheckResult.make("dGarnier:ab", state_delta(st, oracle_state),
                                     tol, st.n))
     hres = dg_hamiltonian_residuals(ws, max(1, n_max // 2))
     out.append(CheckResult.make("dGarnier:ham", hres["advanced"], tol,
@@ -173,7 +173,8 @@ def oracle_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     return out
 
 
-def _state_delta(a, b) -> mpf:
+def state_delta(a, b) -> mpf:
+    """Largest f/omega difference of two recurrence states, relative to b."""
     scale = max(max(abs(x) for x in b.f), max(abs(x) for x in b.omega), mpf(1))
     return max(max(abs(x - y) for x, y in zip(a.f, b.f)),
                max(abs(x - y) for x, y in zip(a.omega, b.omega))) / scale

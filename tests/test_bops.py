@@ -1,9 +1,13 @@
 """Determinant oracle: existence, identities, expansions, recurrence route."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from conftest import make_workspace, standard_case_m3, standard_case_m4
+from conftest import (make_workspace, random_canonical_case, standard_case_m3,
+                      standard_case_m4, standard_case_m5)
+from circlebops import bops
 from circlebops.bops import (ToeplitzOracle, casoratian_residuals,
                              geronimus_step, kappa_from_dets,
                              phi_from_determinant, phibar_from_determinant,
@@ -11,6 +15,7 @@ from circlebops.bops import (ToeplitzOracle, casoratian_residuals,
 from circlebops.errors import DegenerateDeterminant
 from circlebops.exact import det_cofactor, qc
 from circlebops.moments import MomentSequence
+from circlebops.mputil import working_precision
 from circlebops.polys import pmax_abs, psub
 from circlebops.weights import build_poly_pair, build_weight
 
@@ -116,6 +121,9 @@ def test_degenerate_determinant_raises():
     o = ToeplitzOracle(ms)    # w_0 = 0 kills I_1
     with pytest.raises(DegenerateDeterminant):
         o.level(1)
+    # I_3, I_4 are healthy, but the Szego step to level 3 passes level 1
+    with pytest.raises(DegenerateDeterminant, match="level 1 "):
+        o.level(3)
 
 
 def test_associated_function_leading_coefficients():
@@ -177,3 +185,49 @@ def test_geronimus_step_matches_oracle():
         assert rel < mpf(1e-32)
         rel = pmax_abs(psub(phistar_next, nxt.phistar)) / pmax_abs(nxt.phistar)
         assert rel < mpf(1e-32)
+
+
+def _rel(got, want):
+    return pmax_abs(psub(got, want)) / pmax_abs(want)
+
+
+def _assert_levels_match_lu(oracles, ms, n_top, tol):
+    """Each oracle's level families equal kappa_n times the LU solves."""
+    for n in range(n_top + 1):
+        phi, phibar = phi_from_determinant(ms, n), phibar_from_determinant(ms, n)
+        for o in oracles:
+            lev = o.level(n)
+            assert _rel(lev.phi, [lev.kappa * c for c in phi]) < tol, n
+            assert _rel(lev.phibar, [lev.kappa * c for c in phibar]) < tol, n
+
+
+@pytest.mark.parametrize("bits, tol", [(128, mpf(1e-32)), (192, mpf(1e-48))])
+@pytest.mark.parametrize("case", [standard_case_m3, standard_case_m4,
+                                  standard_case_m5])
+def test_szego_step_matches_lu_solves(case, bits, tol):
+    with working_precision(bits):
+        weight, seeds = case()
+        ms = MomentSequence.from_seeds(build_poly_pair(weight), -1, seeds)
+        base = ToeplitzOracle(ms)
+        flipped = ToeplitzOracle(ms, gauge={n: -1 for n in range(1, 25, 2)})
+        _assert_levels_match_lu((base, flipped), ms, 24, tol)
+        for n in range(25):
+            assert flipped.level(n).kappa == \
+                flipped.gauge(n) * base.level(n).kappa
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+@settings(max_examples=8, deadline=None)
+def test_szego_step_matches_lu_on_random_weights(seed, N):
+    weight, seeds = random_canonical_case(seed, N)
+    ms = MomentSequence.from_seeds(build_poly_pair(weight), -1, seeds)
+    _assert_levels_match_lu((ToeplitzOracle(ms),), ms, 14, mpf(1e-32))
+
+
+def test_level_needs_no_lu_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("level() ran an LU solve")
+    monkeypatch.setattr(bops, "lu_solve", refuse)
+    o, _, _ = _oracle_m3()
+    for n in range(12):
+        assert len(o.level(n).phi) == n + 1

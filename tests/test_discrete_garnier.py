@@ -19,14 +19,8 @@ from circlebops.errors import SingularStep
 from circlebops.exact import QC
 from circlebops.moments import MomentSequence, build_U
 from circlebops.spectral import SpectralWorkspace
+from circlebops.suites import state_delta
 from circlebops.weights import build_poly_pair, build_weight
-
-
-def _state_delta(a, b):
-    scale = max(max(abs(x) for x in b.f), max(abs(x) for x in b.omega),
-                mpf(1))
-    return max(max(abs(x - y) for x, y in zip(a.f, b.f)),
-               max(abs(x - y) for x, y in zip(a.omega, b.omega))) / scale
 
 
 def test_initial_state_matches_spectral_route():
@@ -34,7 +28,7 @@ def test_initial_state_matches_spectral_route():
         ws = make_workspace(*case())
         st0 = dg_initial(ws.pair, build_U(ws.pair, ws.oracle.moments),
                          ws.oracle.moments)
-        assert _state_delta(st0, dg_from_spectral(ws, 0)) < mpf(1e-32)
+        assert state_delta(st0, dg_from_spectral(ws, 0)) < mpf(1e-32)
 
 
 def test_initial_state_permutes_with_relabeling():
@@ -57,7 +51,7 @@ def test_trajectory_matches_oracle_everywhere():
                          ws.oracle.moments)
         for state in dg_trajectory(st0, ws.pair, 10):
             oracle_state = dg_from_spectral(ws, state.n)
-            assert _state_delta(state, oracle_state) < mpf(1e-25), state.n
+            assert state_delta(state, oracle_state) < mpf(1e-25), state.n
 
 
 def test_f_values_gauge_invariant():
@@ -68,7 +62,7 @@ def test_f_values_gauge_invariant():
     flip = SpectralWorkspace(ToeplitzOracle(ms, gauge={1: -1, 3: -1}), pair)
     for n in (1, 3):
         a, b = dg_from_spectral(base, n), dg_from_spectral(flip, n)
-        assert _state_delta(a, b) < mpf(1e-30)
+        assert state_delta(a, b) < mpf(1e-30)
 
 
 # -- literal one- and two-variable forms --------------------------------------
