@@ -8,12 +8,10 @@ recurrences in the level index - with every quantity reachable by two
 independent routes so the identity lattice doubles as a test suite.
 """
 
-from .bops import BopsLevel, ToeplitzOracle, kappa_from_dets, toeplitz_det
-from .deform import (deformation_residuals, hamilton_flow_check,
-                     rational_workspace)
-from .discrete_garnier import (DGState, dg_from_spectral,
-                               dg_hamiltonian_form, dg_initial, dg_invert,
-                               dg_step, dg_trajectory, tau_recovery)
+from .bops import BopsLevel, ToeplitzOracle, toeplitz_det
+from .deform import deformation_residuals, rational_workspace
+from .discrete_garnier import (DGState, dg_from_spectral, dg_initial,
+                               dg_invert, dg_step, dg_trajectory, tau_recovery)
 from .garnier import (GarnierPoint, canonical_transform,
                       coordinates_from_spectral, hamiltonian)
 from .moments import (MomentSequence, UPoly, build_U, caratheodory,
@@ -27,12 +25,10 @@ __all__ = [
     "SpectralData", "SpectralWorkspace", "ToeplitzOracle", "UPoly",
     "WeightData", "build_U", "build_poly_pair", "build_weight",
     "canonical_transform", "caratheodory", "coordinates_from_spectral",
-    "deformation_residuals", "dg_from_spectral", "dg_hamiltonian_form",
-    "dg_initial", "dg_invert", "dg_step", "dg_trajectory",
-    "eval_weight_on_circle", "hamilton_flow_check", "hamiltonian",
-    "kappa_from_dets", "moment_quadrature", "moment_step",
-    "rational_workspace", "spectral_from_oracle", "tau_recovery",
-    "toeplitz_det",
+    "deformation_residuals", "dg_from_spectral", "dg_initial", "dg_invert",
+    "dg_step", "dg_trajectory", "eval_weight_on_circle", "hamiltonian",
+    "moment_quadrature", "moment_step", "rational_workspace",
+    "spectral_from_oracle", "tau_recovery", "toeplitz_det",
 ]
 
 __version__ = "0.1.0"

@@ -15,12 +15,16 @@ sequence w_k.  Two routes are kept side by side:
   (= I_{k+1} / I_k), a_k = -<P_k, -1> / h_k and b_k = -sum_j Q_j w_{1+j} / h_k.
   Each step costs O(k) moment products, against O(k^3) for a Toeplitz solve.
 
-The bordered-determinant forms of the families (``phi_from_determinant``,
-``phibar_from_determinant``, realised as LU Toeplitz solves) are kept as the
-brute-force reference the tests compare the step against.  Because I_n and
-kappa_n stay on LU while the families come from the step, the identities
-that tie them together (I0, l:kappa, tau:I) compare two independent
-computations.
+The system is symmetric under reflection of the weight, w_k -> w_{-k}: the
+second family is the first family of the reflected moments
+(``ReflectedMoments``), and the second-kind pairing <m, g> = sum_j g_j w_{j-m}
+is the first-kind pairing over them.  So each route below is written once,
+for the first family.  The bordered-determinant form ``phi_from_determinant``,
+realised as an LU Toeplitz solve and run on the moments or on their
+reflection, is the brute-force reference the tests compare the step against.
+Because I_n and kappa_n stay on LU while the families come from the step, the
+identities that tie them together (I0, l:kappa, tau:I) compare two
+independent computations.
 
 The associated functions are truncated interior expansions
 
@@ -31,9 +35,6 @@ where <phi_n, m> = sum_j c_j w_{m-j} is the moment pairing that also drives
 the orthogonality relations.  At level zero these expansions reduce to the
 defining normalisations kappa_0 [w_0 +- F], which pins the index conventions;
 the test suite verifies the leading coefficients against the closed forms.
-
-This module is the reference path: the recurrence-based routes elsewhere are
-always compared against it.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from .errors import DegenerateDeterminant
-from .moments import MomentSequence
+from .moments import MomentSequence, ReflectedMoments
 from .mputil import guarded, lu_det, lu_solve, to_mpc
-from .polys import OffsetSeries, padd, pscale, pshift
+from .polys import OffsetSeries
 
 
 @dataclass
@@ -125,8 +126,9 @@ def toeplitz_det(moments: MomentSequence, n: int) -> mpc:
         return lu_det(rows)
 
 
-def phi_from_determinant(moments: MomentSequence, n: int) -> list:
-    """Monic coefficients of phi_n/kappa_n.
+def phi_from_determinant(moments, n: int) -> list:
+    """Monic coefficients of phi_n/kappa_n (of phibar_n/kappa_n when
+    ``moments`` is a ``ReflectedMoments`` view).
 
     The bordered determinant with bottom row (1, z, ..., z^n) expands to a
     Toeplitz solve of the orthogonality conditions against monomials below n.
@@ -145,53 +147,19 @@ def phi_from_determinant(moments: MomentSequence, n: int) -> list:
         return low + [mpc(1)]
 
 
-def phibar_from_determinant(moments: MomentSequence, n: int) -> list:
-    """Monic coefficients of phibar_n/kappa_n (second family)."""
-    if n == 0:
-        return [mpc(1)]
-    moments.extend(-n, n)
-    with guarded():
-        rows = [[to_mpc(moments.w(j - m)) for j in range(n)] for m in range(n)]
-        rhs = [-to_mpc(moments.w(n - m)) for m in range(n)]
-        try:
-            low = lu_solve(rows, rhs)
-        except DegenerateDeterminant:
-            raise DegenerateDeterminant(
-                f"I_{n} = 0: system does not exist at level {n}")
-        return low + [mpc(1)]
-
-
-def kappa_from_dets(moments: MomentSequence, n: int, gauge: int = 1) -> mpc:
-    """kappa_n as the principal square root of I_n/I_{n+1}, times the gauge.
-
-    The sign is not fixed by the structure; quantities that are not invariant
-    under kappa_n -> -kappa_n are flagged as gauge dependent in the output
-    layer, and the tests recompute under flipped gauges.
-    """
-    In = toeplitz_det(moments, n)
-    In1 = toeplitz_det(moments, n + 1)
-    if In == 0 or In1 == 0:
-        raise DegenerateDeterminant(f"vanishing determinant near level {n}")
-    return gauge * mpmath.sqrt(In / In1)
-
-
 # ---------------------------------------------------------------------------
 # pairings and associated-function expansions
 # ---------------------------------------------------------------------------
 
-def pairing_first(moments: MomentSequence, coeffs, m: int) -> mpc:
-    """<f, m> = sum_j f_j w_{m-j}: integral of w f(zeta) zeta^{-m}."""
+def pairing_first(moments, coeffs, m: int) -> mpc:
+    """<f, m> = sum_j f_j w_{m-j}: integral of w f(zeta) zeta^{-m}.
+
+    Over ``ReflectedMoments`` this is the second-kind pairing
+    <m, f> = sum_j f_j w_{j-m}.
+    """
     with guarded():
         return mpmath.fsum(
             (to_mpc(c) * to_mpc(moments.w(m - j))
-             for j, c in enumerate(coeffs)), absolute=False)
-
-
-def pairing_second(moments: MomentSequence, coeffs, m: int) -> mpc:
-    """<m, g> = sum_j g_j w_{j-m}: integral of w zeta^m g(1/zeta)."""
-    with guarded():
-        return mpmath.fsum(
-            (to_mpc(c) * to_mpc(moments.w(j - m))
              for j, c in enumerate(coeffs)), absolute=False)
 
 
@@ -217,8 +185,9 @@ def epsilonstar_from_determinant(moments: MomentSequence, phibar_coeffs,
     nterms = truncation - n
     if nterms < 1:
         return OffsetSeries(n + 1, [])
-    moments.extend(0, n + nterms)
-    coeffs = [-2 * pairing_second(moments, phibar_coeffs, -m)
+    reflected = ReflectedMoments(moments)
+    reflected.extend(-(n + nterms), 0)
+    coeffs = [-2 * pairing_first(reflected, phibar_coeffs, -m)
               for m in range(1, nterms + 1)]
     return OffsetSeries(n + 1, coeffs)
 
@@ -333,25 +302,6 @@ class ToeplitzOracle:
 
     # -- residual diagnostics ------------------------------------------------
 
-    def orthogonality_residual(self, n: int) -> mpf:
-        """max over m < n of the first-kind pairing, relative to 1/kappa_n."""
-        lev = self.level(n)
-        scale = abs(pairing_first(self.moments, lev.phi, n))
-        worst = mpf(0)
-        for m in range(n):
-            worst = max(worst, abs(pairing_first(self.moments, lev.phi, m)))
-        return worst / scale if scale > 0 else worst
-
-    def orthogonality_residual_second(self, n: int) -> mpf:
-        """Same for the second family, paired against monomials below n."""
-        lev = self.level(n)
-        scale = abs(pairing_second(self.moments, lev.phibar, n))
-        worst = mpf(0)
-        for m in range(n):
-            worst = max(worst,
-                        abs(pairing_second(self.moments, lev.phibar, m)))
-        return worst / scale if scale > 0 else worst
-
     def orthonormality_residual(self, n: int) -> mpf:
         """| <phi_n phibar_n(1/.)> - 1 | via double moment sums."""
         lev = self.level(n)
@@ -363,26 +313,21 @@ class ToeplitzOracle:
 
 
 # ---------------------------------------------------------------------------
-# recurrence path (the independent route checked against the oracle)
+# residual diagnostics
 # ---------------------------------------------------------------------------
 
-def geronimus_step(level_n: BopsLevel, kappa_next: mpc, phi_next_0: mpc,
-                   phibar_next_0: mpc):
-    """(phi, phistar) at level n+1 from level n data and next-level constants.
+def orthogonality_residual(moments, coeffs) -> mpf:
+    """max over m < n of <f, m> for f of degree n, relative to <f, n>.
 
-    The transfer matrix acts on the column (phi_n, phistar_n):
-
-        kappa_n phi_{n+1}     = kappa_{n+1} z phi_n + phi_{n+1}(0) phistar_n
-        kappa_n phistar_{n+1} = phibar_{n+1}(0) z phi_n + kappa_{n+1} phistar_n
+    Called as (moments, phi_n) for the first family and as
+    (ReflectedMoments(moments), phibar_n) for the second.
     """
-    kn = level_n.kappa
-    phi_next = pscale(
-        padd(pscale(pshift(level_n.phi, 1), kappa_next),
-             pscale(level_n.phistar, phi_next_0)), 1 / kn)
-    phistar_next = pscale(
-        padd(pscale(pshift(level_n.phi, 1), phibar_next_0),
-             pscale(level_n.phistar, kappa_next)), 1 / kn)
-    return phi_next, phistar_next
+    n = len(coeffs) - 1
+    scale = abs(pairing_first(moments, coeffs, n))
+    worst = mpf(0)
+    for m in range(n):
+        worst = max(worst, abs(pairing_first(moments, coeffs, m)))
+    return worst / scale if scale > 0 else worst
 
 
 def casoratian_residuals(oracle: ToeplitzOracle, n: int,

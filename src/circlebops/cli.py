@@ -15,11 +15,12 @@ error, 3 singular or degenerate abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from . import jsonout
 from .config import (RunConfig, build_weight_from_config, build_workspace,
@@ -32,8 +33,8 @@ from .moments import build_U
 from .mputil import working_precision
 from .report import failures
 from .spectral import residue_matrices, a_infinity
-from .suites import run_verification, state_delta
-from .weights import build_weight, build_poly_pair
+from .suites import (run_verification, state_delta, tau_delta,
+                     toeplitz_suite)
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -53,10 +54,8 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--precision", type=int, help="override precision bits")
     ap.add_argument("--tol", type=float, help="override relative tolerance")
     ap.add_argument("--seed", type=int, help="override sample-point seed")
-    ap.add_argument("--out", help="override output path", default=None)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", dest="sub_out", default=None,
-                        help="output path")
+    common.add_argument("--out", default=None, help="output path")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sub.add_parser("verify", parents=[common],
@@ -109,8 +108,6 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out:
             cfg.out = args.out
-        if getattr(args, "sub_out", None):
-            cfg.out = args.sub_out
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -216,6 +213,8 @@ def _cmd_bops(cfg: RunConfig, args, started: float) -> int:
     ws = build_workspace(cfg)
     o = ws.oracle
     tol = cfg.tolerance_mpf()
+    residuals = {(r.label, r.n): r.residual
+                 for r in toeplitz_suite(ws, nmax, tol)}
     levels = []
     for n in range(nmax + 1):
         lev = o.level(n)
@@ -236,12 +235,8 @@ def _cmd_bops(cfg: RunConfig, args, started: float) -> int:
             "gauge_dependent_fields": list(GAUGE_DEPENDENT),
         }
         if n >= 1:
-            prev = o.level(n - 1)
-            i0 = o.det(n + 1) * o.det(n - 1) / o.det(n) ** 2 - \
-                (1 - lev.r * lev.rbar)
-            rec["residual_I0"] = jsonout.real_field(abs(i0))
-            lres = lev.kappa ** 2 - prev.kappa ** 2 - lev.phi0 * lev.phibar0
-            rec["residual_l"] = jsonout.real_field(abs(lres))
+            rec["residual_I0"] = jsonout.real_field(residuals["I0", n])
+            rec["residual_l"] = jsonout.real_field(residuals["l:kappa", n])
         levels.append(rec)
     _emit({"levels": levels, "tolerance": jsonout.real_field(tol)},
           _out_path(cfg, "levels.json"), started)
@@ -281,7 +276,6 @@ def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
 def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
     nmax = args.nmax if args.nmax is not None else cfg.n_max
     ws = build_workspace(cfg)
-    tol = cfg.tolerance_mpf()
     recs = []
     flow_results = []
     for n in range(nmax + 1):
@@ -305,9 +299,9 @@ def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
     if args.flow_check:
         if cfg.mode != "rational":
             raise ConfigInvalid("--flow-check needs mode: rational")
-        from .suites import flow_suite
-        flow_results = flow_suite(ws.pair.weight, max(1, min(nmax, 3)),
-                                  mpf(10) ** (-(mp.prec // 8)))
+        flow_results = run_verification(ws, ["flow"], nmax,
+                                        cfg.tolerance_mpf(),
+                                        weight=ws.pair.weight)
     payload = {"levels": recs,
                "flow": [jsonout.check_field(r) for r in flow_results]}
     _emit(payload, _out_path(cfg, "garnier.json"), started)
@@ -347,8 +341,7 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
         tau_rows = []
         worst_tau = mpf(0)
         for n in range(min(nmax, len(rec["I"]) - 1) + 1):
-            In = ws.oracle.det(n)
-            delta = abs(rec["I"][n] - In) / max(abs(In), mpf(1e-30))
+            delta = tau_delta(ws, rec, n)
             worst_tau = max(worst_tau, delta)
             row = {"n": n, "delta": jsonout.real_field(delta)}
             row.update(jsonout.complex_field(rec["I"][n]))
@@ -384,29 +377,24 @@ def _cmd_sweep(cfg: RunConfig, args, started: float) -> int:
         raise ConfigInvalid(f"bad --grid {args.grid!r}") from exc
     if count < 1:
         raise ConfigInvalid("grid count must be >= 1")
-    base = build_weight_from_config(cfg)
-    kind, idx = _parse_param(args.param, base)
+    kind, idx = _parse_param(args.param, build_weight_from_config(cfg))
     rows = []
-    from .discrete_garnier import dg_step
-    from .moments import MomentSequence
-    from .mputil import to_mpc
     for i in range(count):
         val = a + (b - a) * i / max(count - 1, 1)
-        sing = [list(map(str, (s.re, s.im))) for s in base.singularities]
-        res = [list(map(str, (r.re, r.im))) for r in base.residues]
         if kind == "t":
+            sing = list(cfg.weight_singularities)
             sing[idx] = [repr(val), "0"]
+            point = dataclasses.replace(cfg, weight_singularities=sing)
         else:
+            res = list(cfg.weight_residues)
             res[idx] = [repr(val), "0"]
+            point = dataclasses.replace(cfg, weight_residues=res)
         try:
-            weight = build_weight(sing, res, base.placement)
-            pair = build_poly_pair(weight)
-            seeds = [to_mpc(v) for v in cfg.seed_values]
-            ms = MomentSequence.from_seeds(pair, cfg.seed_start, seeds)
-            st = dg_initial(pair, build_U(pair, ms), ms)
+            ws = build_workspace(point)
+            ms = ws.oracle.moments
+            st0 = dg_initial(ws.pair, build_U(ws.pair, ms), ms)
+            dg_trajectory(st0, ws.pair, cfg.n_max)
             first_singular = -1
-            while st.n < cfg.n_max:
-                st = dg_step(st, pair)
         except SingularStep as exc:
             first_singular = exc.index if exc.index is not None else -2
         except CircleBopsError:

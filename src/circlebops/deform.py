@@ -29,7 +29,7 @@ from .bops import ToeplitzOracle
 from .errors import StepTooLarge
 from .exact import QC
 from .garnier import (coordinates_from_spectral, fd_pass, flow_p_closed,
-                      flow_q_closed)
+                      flow_q_closed, flow_tolerance)
 from .moments import MomentSequence, rational_weight_moments
 from .mputil import match_roots, to_mpc
 from .polys import peval
@@ -66,6 +66,11 @@ def _family_point(weight: WeightData, zdot: list, t: Fraction) -> WeightData:
     return shifted_weight(weight, shifts) if shifts else weight
 
 
+def _flow_step() -> Fraction:
+    """The central-difference step 2^-(prec/4), exact, to shift a singularity."""
+    return Fraction(1, 2 ** (mp.prec // 4))
+
+
 def _order_result(label, res_pair, tol, n, min_order=1.9):
     ok, order = fd_pass(res_pair[0], res_pair[1], min_order)
     note = "roundoff floor" if order is None else f"order {mpmath.nstr(order, 4)}"
@@ -78,16 +83,15 @@ def _order_result(label, res_pair, tol, n, min_order=1.9):
 
 
 def deformation_residuals(weight: WeightData, zdot: list, n: int,
-                          h: Fraction = None, tol=None) -> list:
+                          tol=None) -> list:
     """All deformation-derivative checks at level n along direction zdot.
 
     zdot lists one velocity per finite singularity; the origin and the point
     at 1 must stay fixed (their entries are zero).
     """
-    if h is None:
-        h = Fraction(1, 2 ** (mp.prec // 4))
+    h = _flow_step()
     if tol is None:
-        tol = mpf(10) ** (-(mp.prec // 8))
+        tol = flow_tolerance()
     zdot = [QC(z) if not isinstance(z, QC) else z for z in zdot]
     if len(zdot) != weight.M:
         raise ValueError("need one velocity per finite singularity")
@@ -247,33 +251,16 @@ def _commutator(a, b):
              (b[1][0] * a[0][1] + b[1][1] * a[1][1])]]
 
 
-def hamilton_flow_check(weight: WeightData, n: int, j: int,
-                        h: Fraction = None, tol=None) -> list:
-    """Both halves of the flow verification for one free singularity.
-
-    (a) dq_r/dz_j and dp_r/dz_j by recomputing the pipeline at shifted
-    positions, against the closed forms; (b) the Hamilton equations by
-    central differences of K_j in the phase-space variables.
-    """
-    from .garnier import hamilton_equations_check
-    out = hamilton_flow_pipeline_check(weight, n, j, h=h, tol=tol)
-    ws = rational_workspace(weight)
-    point = coordinates_from_spectral(ws, n)
-    out.extend(hamilton_equations_check(ws, n, point, tol=tol))
-    return out
-
-
 def hamilton_flow_pipeline_check(weight: WeightData, n: int, j: int,
-                                 h: Fraction = None, tol=None) -> list:
+                                 tol=None) -> list:
     """dq_r/dz_j and dp_r/dz_j by recomputing the pipeline at z_j +- h.
 
     Roots of the perturbed coordinate polynomial are matched to the base
     point by nearest-neighbour pairing, never re-sorted.
     """
-    if h is None:
-        h = Fraction(1, 2 ** (mp.prec // 4))
+    h = _flow_step()
     if tol is None:
-        tol = mpf(10) ** (-(mp.prec // 8))
+        tol = flow_tolerance()
     ws0 = rational_workspace(weight)
     point = coordinates_from_spectral(ws0, n, with_hamiltonians=False)
     N = ws0.pair.N

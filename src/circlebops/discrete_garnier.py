@@ -369,15 +369,6 @@ def tau_recovery(states: list, pair: PolyPair, moments: MomentSequence,
 # Hamiltonian-coordinate form of the level recurrence
 # ---------------------------------------------------------------------------
 
-def dg_hamiltonian_form(ws: SpectralWorkspace, n: int) -> mpf:
-    """Residual of the phase-space form of the level recurrence.
-
-    Evaluated at the advanced-level roots, the reading the oracle validates
-    (see `dg_hamiltonian_residuals` for both readings).
-    """
-    return dg_hamiltonian_residuals(ws, n)["advanced"]
-
-
 def dg_hamiltonian_residuals(ws: SpectralWorkspace, n: int) -> dict:
     """Residual of p_{n+1} + p_n = n/q - 2V(q)/W(q) under both level readings.
 

@@ -129,28 +129,3 @@ def det_cofactor(rows):
         term = rows[0][j] * det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
-
-
-def det_fraction_free(rows):
-    """Exact determinant by Bareiss elimination, usable beyond n ~ 8."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return QC(1)
-    sign = 1
-    prev = QC(1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return QC(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d

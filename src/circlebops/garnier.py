@@ -348,8 +348,17 @@ def flow_step_default() -> mpf:
     return mpf(2) ** (-(mp.prec // 4))
 
 
+def flow_tolerance() -> mpf:
+    """Tolerance of the flow and deformation checks: 10^-(prec/8).
+
+    Central differences at ``flow_step_default`` are good to about the step
+    squared, 2^-(prec/2), so these checks use this tolerance, not the run's.
+    """
+    return mpf(10) ** (-(mp.prec // 8))
+
+
 def hamilton_equations_check(ws: SpectralWorkspace, n: int,
-                             point: GarnierPoint, tol=None, h=None) -> list:
+                             point: GarnierPoint, tol=None) -> list:
     """Central differences of K_j in (q, p) against the flow closed forms.
 
     Verifies dK_j/dp_r = dq_r/dz_j and -dK_j/dq_r = dp_r/dz_j; each
@@ -357,10 +366,9 @@ def hamilton_equations_check(ws: SpectralWorkspace, n: int,
     exact up to the roundoff floor (the p-direction is, K being quadratic in
     the momenta).
     """
-    if h is None:
-        h = flow_step_default()
+    h = flow_step_default()
     if tol is None:
-        tol = mpf(10) ** (-(mp.prec // 8))
+        tol = flow_tolerance()
     zs = ws.singularities()
     v2, w = ws.V2(), ws.W()
     m0 = ws.pair.m_mpc()[0]

@@ -226,6 +226,23 @@ class MomentSequence:
         return out
 
 
+class ReflectedMoments:
+    """The moments of the reflected weight, w_k -> w_{-k}, as a view.
+
+    Reads and extends the underlying sequence; the second polynomial family
+    of a weight is the first family of its reflection.
+    """
+
+    def __init__(self, moments: MomentSequence):
+        self.moments = moments
+
+    def w(self, k: int):
+        return self.moments.w(-k)
+
+    def extend(self, kmin: int, kmax: int) -> None:
+        self.moments.extend(-kmax, -kmin)
+
+
 def moment_step(pair: PolyPair, moments: MomentSequence, j: int,
                 direction: str = "forward"):
     """One recurrence step producing the moment at index j.

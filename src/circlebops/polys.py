@@ -86,13 +86,6 @@ def peval(a, z):
     return out
 
 
-def pmonic_from_roots(roots):
-    out = [1]
-    for r in roots:
-        out = pmul(out, [-r, 1])
-    return out
-
-
 def pdivmod_linear(a, root):
     """Divide by the monic linear factor (z - root); returns (quotient, rem)."""
     q = [0] * (len(a) - 1)
@@ -189,7 +182,3 @@ class OffsetSeries:
 
 def pmax_abs(p) -> mpf:
     return max((abs(to_mpc(c)) for c in p), default=mpf(0))
-
-
-def to_mpc_poly(p):
-    return [to_mpc(c) for c in p]

@@ -8,14 +8,14 @@ required.
 
 from __future__ import annotations
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .bops import casoratian_residuals
 from .discrete_garnier import (dg_from_spectral, dg_hamiltonian_residuals,
                                dg_initial, dg_trajectory, tau_recovery)
-from .garnier import (coordinates_from_spectral, hamilton_equations_check,
-                      hamiltonian_from_residues, omega_rep_residual,
-                      v2_rep_residual, w_rep_residual)
+from .garnier import (coordinates_from_spectral, flow_tolerance,
+                      hamilton_equations_check, hamiltonian_from_residues,
+                      omega_rep_residual, v2_rep_residual, w_rep_residual)
 from .moments import build_U
 from .report import CheckResult
 from .spectral import (SpectralWorkspace, check_bilinear,
@@ -180,6 +180,12 @@ def state_delta(a, b) -> mpf:
                max(abs(x - y) for x, y in zip(a.omega, b.omega))) / scale
 
 
+def tau_delta(ws: SpectralWorkspace, rec: dict, n: int) -> mpf:
+    """Relative distance of the recovered I_n from the oracle determinant."""
+    In = ws.oracle.det(n)
+    return abs(rec["I"][n] - In) / max(abs(In), mpf(1e-30))
+
+
 def tau_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     pair = ws.pair
     ms = ws.oracle.moments
@@ -189,17 +195,15 @@ def tau_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     out = [CheckResult.make("tau:lambda-paths", rec["lambda_delta"], tol,
                             note="two recovery recurrences"),
            CheckResult.make("tau:rbar0", rec["rbar0_defect"], tol)]
-    worst = mpf(0)
     top = min(n_max, len(rec["I"]) - 1)
-    for n in range(top + 1):
-        In = ws.oracle.det(n)
-        worst = max(worst, abs(rec["I"][n] - In) / max(abs(In), mpf(1e-30)))
+    worst = max((tau_delta(ws, rec, n) for n in range(top + 1)),
+                default=mpf(0))
     out.append(CheckResult.make("tau:I", worst, tol, top,
                                 note=f"levels 0..{top}"))
     return out
 
 
-def flow_suite(weight, n: int, tol, directions=None) -> list:
+def flow_suite(weight, n: int, tol) -> list:
     """Deformation and flow checks; needs a closed-form moment family."""
     from .deform import (deformation_residuals, hamilton_flow_pipeline_check,
                          rational_workspace)
@@ -238,7 +242,7 @@ def run_verification(ws: SpectralWorkspace, checks, n_max: int, tol,
             if weight is None:
                 raise ValueError("flow checks need the weight data")
             results.extend(flow_suite(weight, max(1, min(n_max, 3)),
-                                      mpf(10) ** (-(mp.prec // 8))))
+                                      flow_tolerance()))
             continue
         builder = SUITE_BUILDERS[name]
         results.extend(builder(ws, n_max, tol, seed))

@@ -1,20 +1,19 @@
-"""Determinant oracle: existence, identities, expansions, recurrence route."""
+"""Determinant oracle: existence, identities, expansions, Szego step."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
-from conftest import (make_workspace, random_canonical_case, standard_case_m3,
+from conftest import (random_canonical_case, standard_case_m3,
                       standard_case_m4, standard_case_m5)
 from circlebops import bops
 from circlebops.bops import (ToeplitzOracle, casoratian_residuals,
-                             geronimus_step, kappa_from_dets,
-                             phi_from_determinant, phibar_from_determinant,
+                             orthogonality_residual, phi_from_determinant,
                              toeplitz_det)
 from circlebops.errors import DegenerateDeterminant
 from circlebops.exact import det_cofactor, qc
-from circlebops.moments import MomentSequence
+from circlebops.moments import MomentSequence, ReflectedMoments
 from circlebops.mputil import working_precision
 from circlebops.polys import pmax_abs, psub
 from circlebops.weights import build_poly_pair, build_weight
@@ -53,7 +52,7 @@ def test_level_one_polynomials_hand_expansion():
     o, ms, _ = _oracle_m3()
     phi1 = phi_from_determinant(ms, 1)
     assert abs(phi1[0] + ms.w(-1) / ms.w(0)) < mpf(1e-35)
-    phibar1 = phibar_from_determinant(ms, 1)
+    phibar1 = phi_from_determinant(ReflectedMoments(ms), 1)
     assert abs(phibar1[0] + ms.w(1) / ms.w(0)) < mpf(1e-35)
 
 
@@ -73,11 +72,23 @@ def test_lu_determinant_vs_exact_cofactor_n6():
 
 
 def test_orthogonality_and_orthonormality():
-    o, _, _ = _oracle_m3()
+    o, ms, _ = _oracle_m3()
     for n in (1, 3, 5, 7):
-        assert o.orthogonality_residual(n) < mpf(1e-34)
-        assert o.orthogonality_residual_second(n) < mpf(1e-34)
+        lev = o.level(n)
+        assert orthogonality_residual(ms, lev.phi) < mpf(1e-34)
+        assert orthogonality_residual(ReflectedMoments(ms), lev.phibar) \
+            < mpf(1e-34)
         assert o.orthonormality_residual(n) < mpf(1e-32)
+
+
+def test_reflected_moments_view():
+    """The view reads w_{-k} and extends the mirrored window."""
+    _, ms, _ = _oracle_m3()
+    view = ReflectedMoments(ms)
+    view.extend(-2, 6)
+    assert (ms.k_min, ms.k_max) == (-6, 2)
+    for k in range(-2, 7):
+        assert view.w(k) == ms.w(-k)
 
 
 def test_determinant_ratio_identity():
@@ -101,7 +112,7 @@ def test_coefficient_difference_identities():
 def test_kappa_square_matches_det_ratio_and_gauge():
     o, ms, _ = _oracle_m3()
     for n in (0, 2, 5):
-        k = kappa_from_dets(ms, n)
+        k = o.level(n).kappa
         assert abs(k ** 2 - o.det(n) / o.det(n + 1)) < mpf(1e-33) * abs(k) ** 2
     flipped = ToeplitzOracle(ms, gauge={2: -1})
     base = ToeplitzOracle(ms)
@@ -173,20 +184,6 @@ def test_casoratian_residuals_small():
             assert res[label] < mpf(1e-25), (label, n)
 
 
-def test_geronimus_step_matches_oracle():
-    weight, seeds = standard_case_m4()
-    ws = make_workspace(weight, seeds)
-    o = ws.oracle
-    for n in (0, 2, 5):
-        lev, nxt = o.level(n), o.level(n + 1)
-        phi_next, phistar_next = geronimus_step(lev, nxt.kappa, nxt.phi0,
-                                                nxt.phibar0)
-        rel = pmax_abs(psub(phi_next, nxt.phi)) / pmax_abs(nxt.phi)
-        assert rel < mpf(1e-32)
-        rel = pmax_abs(psub(phistar_next, nxt.phistar)) / pmax_abs(nxt.phistar)
-        assert rel < mpf(1e-32)
-
-
 def _rel(got, want):
     return pmax_abs(psub(got, want)) / pmax_abs(want)
 
@@ -194,7 +191,8 @@ def _rel(got, want):
 def _assert_levels_match_lu(oracles, ms, n_top, tol):
     """Each oracle's level families equal kappa_n times the LU solves."""
     for n in range(n_top + 1):
-        phi, phibar = phi_from_determinant(ms, n), phibar_from_determinant(ms, n)
+        phi = phi_from_determinant(ms, n)
+        phibar = phi_from_determinant(ReflectedMoments(ms), n)
         for o in oracles:
             lev = o.level(n)
             assert _rel(lev.phi, [lev.kappa * c for c in phi]) < tol, n

@@ -197,6 +197,29 @@ def test_sweep_csv_contract(tmp_path):
         int(tail)
 
 
+RATIONAL_M3 = {
+    "mode": "rational", "precision_bits": 256, "tolerance": 1.0e-20,
+    "n_max": 2, "seed": 1, "checks": ["identities"],
+    "weight": {"placement": "canonical",
+               "singularities": [[0, 0], ["2/5", "1/5"], [1, 0]],
+               "residues": [[-3, 0], [-4, 0], [-5, 0]]},
+}
+
+
+def test_sweep_builds_each_point_in_the_configured_mode(tmp_path):
+    """A rational config has no seed moments; each grid point must get its
+    closed-form moments, as dgarnier does for the base weight."""
+    path = tmp_path / "r.yaml"
+    path.write_text(yaml.safe_dump(RATIONAL_M3))
+    assert main(["--config", str(path), "dgarnier",
+                 "--out", str(tmp_path / "dg.json")]) == 0
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(path), "sweep", "--param", "t1",
+                 "--grid", "0.3:0.5:3", "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert [r.rsplit(",", 1)[1].strip() for r in rows] == ["-1"] * 3
+
+
 def test_rational_mode_flow_verify(tmp_path):
     cfg = {
         "mode": "rational", "precision_bits": 256, "tolerance": 1.0e-20,
@@ -220,15 +243,8 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_garnier_flow_check_cli(tmp_path):
-    cfg = {
-        "mode": "rational", "precision_bits": 256, "tolerance": 1.0e-20,
-        "n_max": 2, "seed": 1, "checks": ["identities"],
-        "weight": {"placement": "canonical",
-                   "singularities": [[0, 0], ["2/5", "1/5"], [1, 0]],
-                   "residues": [[-3, 0], [-4, 0], [-5, 0]]},
-    }
     path = tmp_path / "r.yaml"
-    path.write_text(yaml.safe_dump(cfg))
+    path.write_text(yaml.safe_dump(RATIONAL_M3))
     out = tmp_path / "g.json"
     assert main(["--config", str(path), "garnier", "--nmax", "2",
                  "--flow-check", "--out", str(out)]) == 0
