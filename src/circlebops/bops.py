@@ -3,9 +3,10 @@
 Everything at level n is derived from the Toeplitz data of the moment
 sequence w_k.  Two routes are kept side by side:
 
-* determinants by LU: I_n = det[w_{i-j}], the normalisation
-  kappa_n = sqrt(I_n / I_{n+1}) up to a recorded sign gauge, and the
-  degeneracy test of each level;
+* determinants by one unpivoted LU factorisation of the leading Toeplitz
+  block [w_{i-j}], grown by one border per level in O(n^2): I_{n+1} = I_n d_n
+  with d_n the new pivot, the normalisation kappa_n = sqrt(I_n / I_{n+1}) up
+  to a recorded sign gauge, and the degeneracy test of each level;
 * the monic families P_n = phi_n / kappa_n and Q_n = phibar_n / kappa_n by
   Baxter's bi-orthogonal Szego step (J. Math. Anal. Appl. 2 (1961)),
 
@@ -19,12 +20,13 @@ The system is symmetric under reflection of the weight, w_k -> w_{-k}: the
 second family is the first family of the reflected moments
 (``ReflectedMoments``), and the second-kind pairing <m, g> = sum_j g_j w_{j-m}
 is the first-kind pairing over them.  So each route below is written once,
-for the first family.  The bordered-determinant form ``phi_from_determinant``,
-realised as an LU Toeplitz solve and run on the moments or on their
-reflection, is the brute-force reference the tests compare the step against.
-Because I_n and kappa_n stay on LU while the families come from the step, the
-identities that tie them together (I0, l:kappa, tau:I) compare two
-independent computations.
+for the first family.  The tests compare the factor with ``toeplitz_det``, a
+fresh pivoted LU determinant for each n, and the step with the
+bordered-determinant form ``phi_from_determinant``, realised as an LU Toeplitz
+solve and run on the moments or on their reflection.  The factor is generic
+elimination and uses no Szego coefficient, so the identities that tie the
+determinants to the families (I0, l:kappa, tau:I) compare two independent
+computations.
 
 The associated functions are truncated interior expansions
 
@@ -119,7 +121,7 @@ class BopsLevel:
 # ---------------------------------------------------------------------------
 
 def toeplitz_det(moments: MomentSequence, n: int) -> mpc:
-    """I_n = det[w_{i-j}]_{i,j=0..n-1} by LU; I_0 = 1."""
+    """I_n = det[w_{i-j}]_{i,j=0..n-1} by a fresh pivoted LU; I_0 = 1."""
     moments.extend(-(n - 1) if n else 0, n - 1 if n else 0)
     with guarded():
         rows = [[to_mpc(moments.w(i - j)) for j in range(n)] for i in range(n)]
@@ -208,9 +210,11 @@ def _ratio_floor() -> mpf:
 class ToeplitzOracle:
     """Caches determinants, levels and expansions over one moment sequence.
 
-    ``det(n)`` is an LU determinant.  ``level(n)`` takes I_n, I_{n+1} and
-    kappa_n from ``det`` and scales the monic pair of ``monic_pair(n)``,
-    which the Szego step grows upward from the highest cached level.
+    ``det(n)`` reads I_n off the LU factor of the leading Toeplitz block,
+    which ``_grow_factor`` borders upward from the largest cached size.
+    ``level(n)`` takes I_n, I_{n+1} and kappa_n from ``det`` and scales the
+    monic pair of ``monic_pair(n)``, which the Szego step grows upward from
+    the highest cached level.
 
     ``gauge`` maps level -> +-1 and fixes the kappa_n sign; the default is
     the principal branch everywhere.
@@ -219,7 +223,9 @@ class ToeplitzOracle:
     def __init__(self, moments: MomentSequence, gauge=None):
         self.moments = moments
         self._gauge = dict(gauge) if gauge else {}
-        self._dets = {}
+        self._dets = {0: mpc(1)}                # I_n, n = 0, 1, ...
+        self._lower = []                        # L_{m,0..m-1}, m = 0, 1, ...
+        self._upper = []                        # U_{0..m,m}, ending in d_m
         self._levels = {}
         self._monic = [([mpc(1)], [mpc(1)])]    # (P_k, Q_k), k = 0, 1, ...
         self._h = []                            # h_k = I_{k+1} / I_k
@@ -230,9 +236,44 @@ class ToeplitzOracle:
         return self._gauge.get(n, 1)
 
     def det(self, n: int) -> mpc:
+        """I_n = I_{n-1} d_{n-1}, from the LU factor grown to size n."""
         if n not in self._dets:
-            self._dets[n] = toeplitz_det(self.moments, n)
+            self._grow_factor(n)
         return self._dets[n]
+
+    def _grow_factor(self, n: int) -> None:
+        """Border the unpivoted LU factor of [w_{i-j}] up to size n.
+
+        Leading minors nest only without row swaps, so no pivoting.  Size
+        m + 1 adds the column U_{k,m} (forward substitution against L), the
+        row L_{m,k} (against U) and the pivot d_m = U_{m,m}, in O(m^2).
+        Before stepping past d_k it applies the floor test of
+        ``monic_pair``: d_0 == 0, or |d_k| < _ratio_floor() |d_{k-1}|.
+        """
+        rows, cols = self._lower, self._upper
+        floor = _ratio_floor()
+        self.moments.extend(-(n - 1), n - 1)
+        with guarded():
+            w = {k: to_mpc(self.moments.w(k)) for k in range(1 - n, n)}
+            for m in range(len(cols), n):
+                if m:
+                    d = cols[m - 1][m - 1]
+                    if d == 0 or (m > 1 and
+                                  abs(d) < floor * abs(cols[m - 2][m - 2])):
+                        raise DegenerateDeterminant(
+                            f"determinant at level {m} vanishes to working "
+                            f"precision; the LU factor stops here")
+                col = []
+                for k in range(m):
+                    col.append(w[k - m] - mpmath.fdot(rows[k], col))
+                row = []
+                for k in range(m):
+                    row.append((w[m - k] - mpmath.fdot(row, cols[k][:k]))
+                               / cols[k][k])
+                col.append(w[0] - mpmath.fdot(row, col))
+                rows.append(row)
+                cols.append(col)
+                self._dets[m + 1] = self._dets[m] * col[m]
 
     def monic_pair(self, n: int):
         """(phi_n, phibar_n) / kappa_n, ascending, by the bi-orthogonal step.

@@ -358,14 +358,14 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
 
 
 def _parse_param(param: str, weight):
-    if param.startswith("rho"):
-        idx = int(param[3:])
-        return "rho", idx
-    if param.startswith("t"):
-        idx = int(param[1:])
-        if not 1 <= idx <= weight.M - 2:
-            raise ConfigInvalid(f"t index out of range in {param!r}")
-        return "t", idx
+    """('rho', j) for rho0..rho{M-1}, ('t', j) for t1..t{M-2}."""
+    for kind, lo, hi in (("rho", 0, weight.M - 1), ("t", 1, weight.M - 2)):
+        if param.startswith(kind):
+            idx = param[len(kind):]
+            if not idx.isdecimal() or not lo <= int(idx) <= hi:
+                raise ConfigInvalid(
+                    f"sweep parameter {param!r} needs an index {lo}..{hi}")
+            return kind, int(idx)
     raise ConfigInvalid(f"cannot parse sweep parameter {param!r}")
 
 

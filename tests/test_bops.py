@@ -67,8 +67,8 @@ def test_lu_determinant_vs_exact_cofactor_n6():
                           for i in range(n)])
     ms = MomentSequence.from_seeds(pair, -1,
                                    [s.to_mpc() for s in seeds])
-    approx = toeplitz_det(ms, n)
-    assert abs(exact.to_mpc() - approx) < mpf(1e-32) * abs(approx)
+    for approx in (toeplitz_det(ms, n), ToeplitzOracle(ms).det(n)):
+        assert abs(exact.to_mpc() - approx) < mpf(1e-32) * abs(approx)
 
 
 def test_orthogonality_and_orthonormality():
@@ -132,7 +132,11 @@ def test_degenerate_determinant_raises():
     o = ToeplitzOracle(ms)    # w_0 = 0 kills I_1
     with pytest.raises(DegenerateDeterminant):
         o.level(1)
-    # I_3, I_4 are healthy, but the Szego step to level 3 passes level 1
+    # I_3, I_4 are healthy, but the LU factor and the Szego step to level 3
+    # both pass level 1
+    assert o.det(1) == 0
+    with pytest.raises(DegenerateDeterminant, match="level 1 "):
+        o.det(3)
     with pytest.raises(DegenerateDeterminant, match="level 1 "):
         o.level(3)
 
@@ -189,11 +193,14 @@ def _rel(got, want):
 
 
 def _assert_levels_match_lu(oracles, ms, n_top, tol):
-    """Each oracle's level families equal kappa_n times the LU solves."""
+    """Each oracle's determinants equal the pivoted LU ones, and its level
+    families equal kappa_n times the LU solves."""
     for n in range(n_top + 1):
+        In = toeplitz_det(ms, n)
         phi = phi_from_determinant(ms, n)
         phibar = phi_from_determinant(ReflectedMoments(ms), n)
         for o in oracles:
+            assert abs(o.det(n) - In) < tol * abs(In), n
             lev = o.level(n)
             assert _rel(lev.phi, [lev.kappa * c for c in phi]) < tol, n
             assert _rel(lev.phibar, [lev.kappa * c for c in phibar]) < tol, n
@@ -224,8 +231,10 @@ def test_szego_step_matches_lu_on_random_weights(seed, N):
 
 def test_level_needs_no_lu_solve(monkeypatch):
     def refuse(*args):
-        raise AssertionError("level() ran an LU solve")
+        raise AssertionError("the oracle ran a dense LU")
     monkeypatch.setattr(bops, "lu_solve", refuse)
+    monkeypatch.setattr(bops, "lu_det", refuse)
     o, _, _ = _oracle_m3()
     for n in range(12):
         assert len(o.level(n).phi) == n + 1
+        assert o.det(n) == o.level(n).I

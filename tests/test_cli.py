@@ -220,6 +220,24 @@ def test_sweep_builds_each_point_in_the_configured_mode(tmp_path):
     assert [r.rsplit(",", 1)[1].strip() for r in rows] == ["-1"] * 3
 
 
+def test_bops_truncation_exits_degenerate_code(tmp_path, capsys):
+    """The rational M=3 system truncates at level 6: exit 3, named level."""
+    path = tmp_path / "r.yaml"
+    path.write_text(yaml.safe_dump(RATIONAL_M3))
+    assert main(["--config", str(path), "bops", "--nmax", "30",
+                 "--out", str(tmp_path / "b.json")]) == 3
+    assert "determinant at level 6 vanishes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param", ["rho9", "tx", "rho-1", "t0", "t2"])
+def test_sweep_rejects_bad_param_index(tmp_path, param):
+    path = write_config(tmp_path)
+    assert main(["--config", path, "sweep", "--param", param,
+                 "--grid", "0.25:0.75:2",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_rational_mode_flow_verify(tmp_path):
     cfg = {
         "mode": "rational", "precision_bits": 256, "tolerance": 1.0e-20,
