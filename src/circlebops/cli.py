@@ -96,18 +96,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
+    # a given option replaces its YAML value before validation
+    overrides = {"precision_bits": args.precision, "tolerance": args.tol,
+                 "seed": args.seed, "out": args.out,
+                 "n_max": getattr(args, "nmax", None)}
     try:
-        cfg = load_config(args.config)
-        if args.precision is not None:
-            if args.precision < 53:
-                raise ConfigInvalid("precision below 53 bits")
-            cfg.precision_bits = args.precision
-        if args.tol is not None:
-            cfg.tolerance = args.tol
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out:
-            cfg.out = args.out
+        cfg = load_config(args.config, {k: v for k, v in overrides.items()
+                                        if v is not None})
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -164,10 +159,8 @@ def _cmd_verify(cfg: RunConfig, started: float) -> int:
         raise ConfigInvalid("flow checks need mode: rational "
                             "(a closed-form deformation family)")
     ws = build_workspace(cfg)
-    weight = ws.pair.weight
     tol = cfg.tolerance_mpf()
-    results = run_verification(ws, cfg.checks, cfg.n_max, tol,
-                               seed=cfg.seed, weight=weight)
+    results = run_verification(ws, cfg.checks, cfg.n_max, tol, seed=cfg.seed)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         level = f" n={r.n}" if r.n is not None else ""
@@ -209,14 +202,13 @@ def _cmd_moments(cfg: RunConfig, args, started: float) -> int:
 
 
 def _cmd_bops(cfg: RunConfig, args, started: float) -> int:
-    nmax = args.nmax if args.nmax is not None else cfg.n_max
     ws = build_workspace(cfg)
     o = ws.oracle
     tol = cfg.tolerance_mpf()
     residuals = {(r.label, r.n): r.residual
-                 for r in toeplitz_suite(ws, nmax, tol)}
+                 for r in toeplitz_suite(ws, cfg.n_max, tol)}
     levels = []
-    for n in range(nmax + 1):
+    for n in range(cfg.n_max + 1):
         lev = o.level(n)
         rec = {
             "n": n, "I": jsonout.complex_field(lev.I),
@@ -244,13 +236,12 @@ def _cmd_bops(cfg: RunConfig, args, started: float) -> int:
 
 
 def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
-    nmax = args.nmax if args.nmax is not None else cfg.n_max
     ws = build_workspace(cfg)
     tol = cfg.tolerance_mpf()
     which = args.checks
     records = []
     results = []
-    for n in range(nmax + 1):
+    for n in range(cfg.n_max + 1):
         sd = ws.data(n)
         mats = residue_matrices(ws, n)
         rec = {
@@ -266,7 +257,7 @@ def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
         records.append(rec)
     if which in ("all", "identities"):
         results = run_verification(ws, ["identities", "bilinear", "summation"],
-                                   nmax, tol, seed=cfg.seed)
+                                   cfg.n_max, tol, seed=cfg.seed)
     payload = {"levels": records,
                "residuals": [jsonout.check_field(r) for r in results]}
     _emit(payload, _out_path(cfg, "spectral.json"), started)
@@ -274,11 +265,10 @@ def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
 
 
 def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
-    nmax = args.nmax if args.nmax is not None else cfg.n_max
     ws = build_workspace(cfg)
     recs = []
     flow_results = []
-    for n in range(nmax + 1):
+    for n in range(cfg.n_max + 1):
         pt = coordinates_from_spectral(ws, n)
         info = riemann_exponents(ws, n)
         recs.append({
@@ -299,9 +289,8 @@ def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
     if args.flow_check:
         if cfg.mode != "rational":
             raise ConfigInvalid("--flow-check needs mode: rational")
-        flow_results = run_verification(ws, ["flow"], nmax,
-                                        cfg.tolerance_mpf(),
-                                        weight=ws.pair.weight)
+        flow_results = run_verification(ws, ["flow"], cfg.n_max,
+                                        cfg.tolerance_mpf())
     payload = {"levels": recs,
                "flow": [jsonout.check_field(r) for r in flow_results]}
     _emit(payload, _out_path(cfg, "garnier.json"), started)
@@ -309,7 +298,6 @@ def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
 
 
 def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
-    nmax = args.nmax if args.nmax is not None else cfg.n_max
     ws = build_workspace(cfg)
     pair = ws.pair
     ms = ws.oracle.moments
@@ -317,7 +305,7 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
     singular_report = None
     try:
         st0 = dg_initial(pair, build_U(pair, ms), ms)
-        traj = dg_trajectory(st0, pair, nmax)
+        traj = dg_trajectory(st0, pair, cfg.n_max)
     except SingularStep as exc:
         singular_report = {"index": exc.index, "factor": exc.factor,
                            "message": str(exc)}
@@ -340,7 +328,7 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
         rec = tau_recovery(traj, pair, ms)
         tau_rows = []
         worst_tau = mpf(0)
-        for n in range(min(nmax, len(rec["I"]) - 1) + 1):
+        for n in range(min(cfg.n_max, len(rec["I"]) - 1) + 1):
             delta = tau_delta(ws, rec, n)
             worst_tau = max(worst_tau, delta)
             row = {"n": n, "delta": jsonout.real_field(delta)}

@@ -21,6 +21,7 @@ into the weight data.  A minimal example:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -56,7 +57,8 @@ class RunConfig:
         return mpf(self.tolerance)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: dict) -> RunConfig:
+    """Read the YAML mapping at path, apply overrides, then validate."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -66,7 +68,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigInvalid(f"malformed config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a mapping")
-    return config_from_dict(raw)
+    return config_from_dict({**raw, **overrides})
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -77,8 +79,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(bits, int) or bits < 53:
         raise ConfigInvalid("precision_bits must be an integer >= 53")
     tol = raw.get("tolerance", 1e-20)
-    if not isinstance(tol, (int, float)) or tol < 0:
-        raise ConfigInvalid("tolerance must be a nonnegative number")
+    if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol < 0:
+        raise ConfigInvalid("tolerance must be a finite nonnegative number")
     n_max = raw.get("n_max", 8)
     if not isinstance(n_max, int) or n_max < 1:
         raise ConfigInvalid("n_max must be an integer >= 1")

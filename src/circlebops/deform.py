@@ -16,6 +16,11 @@ Verified against central differences of the recomputed pipeline:
 
 Every comparison reports its observed convergence order under step halving
 and must reach order 1.9 (or sit at the roundoff floor).
+
+The checks build no workspace themselves.  The caller passes the base
+workspace and a stencil (``flow_stencil``): the four workspaces of the
+shifted weights at t = -h, h, -h/2, h/2 along one direction.  One stencil
+along e_j serves both the deformation checks and the flow check of z_j.
 """
 
 from __future__ import annotations
@@ -23,13 +28,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp, mpf, mpc
+from mpmath import mpf, mpc
 
 from .bops import ToeplitzOracle
 from .errors import StepTooLarge
 from .exact import QC
 from .garnier import (coordinates_from_spectral, fd_pass, flow_p_closed,
-                      flow_q_closed, flow_tolerance)
+                      flow_q_closed, flow_step)
 from .moments import MomentSequence, rational_weight_moments
 from .mputil import match_roots, to_mpc
 from .polys import peval
@@ -66,9 +71,17 @@ def _family_point(weight: WeightData, zdot: list, t: Fraction) -> WeightData:
     return shifted_weight(weight, shifts) if shifts else weight
 
 
-def _flow_step() -> Fraction:
-    """The central-difference step 2^-(prec/4), exact, to shift a singularity."""
-    return Fraction(1, 2 ** (mp.prec // 4))
+def flow_stencil(weight: WeightData, zdot: list) -> dict:
+    """Workspaces of the weight moved by t*zdot, for t in -h, h, -h/2, h/2."""
+    h = flow_step()
+    return {t: rational_workspace(_family_point(weight, zdot, t))
+            for t in (-h, h, -h / 2, h / 2)}
+
+
+def _central(at: dict, getter, step: Fraction):
+    """(getter(at[step]) - getter(at[-step])) / (2 step); at is keyed by t."""
+    hstep = to_mpc(mpf(step.numerator) / step.denominator)
+    return (getter(at[step]) - getter(at[-step])) / (2 * hstep)
 
 
 def _order_result(label, res_pair, tol, n, min_order=1.9):
@@ -82,29 +95,22 @@ def _order_result(label, res_pair, tol, n, min_order=1.9):
     return res
 
 
-def deformation_residuals(weight: WeightData, zdot: list, n: int,
-                          tol=None) -> list:
+def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
+                          n: int, tol) -> list:
     """All deformation-derivative checks at level n along direction zdot.
 
-    zdot lists one velocity per finite singularity; the origin and the point
-    at 1 must stay fixed (their entries are zero).
+    ws0 is the workspace of the base weight and stencil is
+    ``flow_stencil(ws0.weight, zdot)``.  zdot lists one velocity per finite
+    singularity; the origin and the point at 1 must stay fixed (their
+    entries are zero).
     """
-    h = _flow_step()
-    if tol is None:
-        tol = flow_tolerance()
+    h = flow_step()
     zdot = [QC(z) if not isinstance(z, QC) else z for z in zdot]
-    if len(zdot) != weight.M:
+    if len(zdot) != ws0.weight.M:
         raise ValueError("need one velocity per finite singularity")
     if not zdot[0].is_zero():
         raise ValueError("the origin cannot move")
-
-    ws0 = rational_workspace(weight)
     zd = [z.to_mpc() for z in zdot]
-
-    # pipeline snapshots at the four stencil points
-    stencil = {}
-    for tt in (-h, h, -h / 2, h / 2):
-        stencil[tt] = rational_workspace(_family_point(weight, zdot, tt))
 
     out = []
     zs = ws0.singularities()
@@ -115,11 +121,6 @@ def deformation_residuals(weight: WeightData, zdot: list, n: int,
     lev_n1 = ws0.level(n + 1)
     kr = ws0.kappa_ratio(n)
     V = ws0.V()
-
-    def fd_quantity(getter, step):
-        lo = getter(stencil[-step])
-        hi = getter(stencil[step])
-        return (hi - lo) / (2 * to_mpc(mpf(step.numerator) / step.denominator))
 
     # -- reflection-coefficient dynamics --------------------------------------
     # carries a 1/z_j weight (derived from the deformation system at the
@@ -139,8 +140,8 @@ def deformation_residuals(weight: WeightData, zdot: list, n: int,
 
     res_r, res_rbar = [], []
     for step in (h, h / 2):
-        fd_r = fd_quantity(lambda w: w.level(n).r, step)
-        fd_rbar = fd_quantity(lambda w: w.level(n).rbar, step)
+        fd_r = _central(stencil, lambda w: w.level(n).r, step)
+        fd_rbar = _central(stencil, lambda w: w.level(n).rbar, step)
         res_r.append(abs(fd_r - want_r) / max(abs(want_r), mpf(1)))
         res_rbar.append(abs(fd_rbar - want_rbar) / max(abs(want_rbar), mpf(1)))
     out.append(_order_result("rdot", res_r, tol, n))
@@ -151,8 +152,8 @@ def deformation_residuals(weight: WeightData, zdot: list, n: int,
     kdot = {}
     pbar_dot = {}
     for step in (h, h / 2):
-        kdot[step] = fd_quantity(lambda w: w.level(n).kappa, step)
-        pbar_dot[step] = fd_quantity(lambda w: w.level(n).phibar0, step)
+        kdot[step] = _central(stencil, lambda w: w.level(n).kappa, step)
+        pbar_dot[step] = _central(stencil, lambda w: w.level(n).phibar0, step)
 
     def theta_at(j):
         return sd_n.theta_at(zs[j])
@@ -169,10 +170,8 @@ def deformation_residuals(weight: WeightData, zdot: list, n: int,
     res_sch = [[], []]
     M = len(zs)
     for si, step in enumerate((h, h / 2)):
-        mats_p = residue_matrices(stencil[step], n)
-        mats_m = residue_matrices(stencil[-step], n)
-        hstep = to_mpc(mpf(step.numerator) / step.denominator)
-        adot = [[[(mats_p[j][a][b] - mats_m[j][a][b]) / (2 * hstep)
+        mats = {t: residue_matrices(stencil[t], n) for t in (step, -step)}
+        adot = [[[_central(mats, lambda m: m[j][a][b], step)
                   for b in range(2)] for a in range(2)] for j in range(M)]
         kd = kdot[step]
         pbcombo = kd * lev_n.phibar0 + lev_n.kappa * pbar_dot[step]
@@ -251,26 +250,23 @@ def _commutator(a, b):
              (b[1][0] * a[0][1] + b[1][1] * a[1][1])]]
 
 
-def hamilton_flow_pipeline_check(weight: WeightData, n: int, j: int,
-                                 tol=None) -> list:
+def hamilton_flow_pipeline_check(ws0: SpectralWorkspace, stencil: dict,
+                                 n: int, j: int, tol) -> list:
     """dq_r/dz_j and dp_r/dz_j by recomputing the pipeline at z_j +- h.
 
-    Roots of the perturbed coordinate polynomial are matched to the base
-    point by nearest-neighbour pairing, never re-sorted.
+    ws0 is the workspace of the base weight and stencil is
+    ``flow_stencil(ws0.weight, e_j)``.  Roots of the perturbed coordinate
+    polynomial are matched to the base point by nearest-neighbour pairing,
+    never re-sorted.
     """
-    h = _flow_step()
-    if tol is None:
-        tol = flow_tolerance()
-    ws0 = rational_workspace(weight)
-    point = coordinates_from_spectral(ws0, n, with_hamiltonians=False)
     N = ws0.pair.N
     if not 1 <= j <= N:
         raise ValueError("j indexes a free singularity")
+    h = flow_step()
+    point = coordinates_from_spectral(ws0, n, with_hamiltonians=False)
     out = []
     qp = {}
-    for tt in (-h, h, -h / 2, h / 2):
-        wdef = shifted_weight(weight, {j: QC(tt)})
-        wsd = rational_workspace(wdef)
+    for tt, wsd in stencil.items():
         pt = coordinates_from_spectral(wsd, n, with_hamiltonians=False)
         matched_q = match_roots(point.q, pt.q)
         perm = [pt.q.index(qm) for qm in matched_q]
@@ -281,9 +277,8 @@ def hamilton_flow_pipeline_check(weight: WeightData, n: int, j: int,
         want_p = flow_p_closed(ws0, n, point, j, r)
         res_q, res_p = [], []
         for step in (h, h / 2):
-            hstep = to_mpc(mpf(step.numerator) / step.denominator)
-            fd_q = (qp[step][0][r] - qp[-step][0][r]) / (2 * hstep)
-            fd_p = (qp[step][1][r] - qp[-step][1][r]) / (2 * hstep)
+            fd_q = _central(qp, lambda c: c[0][r], step)
+            fd_p = _central(qp, lambda c: c[1][r], step)
             res_q.append(abs(fd_q - want_q) / max(abs(want_q), mpf(1)))
             res_p.append(abs(fd_p - want_p) / max(abs(want_p), mpf(1)))
         out.append(_order_result(f"Ham:qDer@z{j},q{r}", res_q, tol, n))

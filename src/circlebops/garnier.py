@@ -17,6 +17,7 @@ and the canonical transformation to the polynomial chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -339,19 +340,21 @@ def fd_pass(res_h: mpf, res_h2: mpf, min_order: float = 1.9):
     return bool(order >= min_order), order
 
 
-def flow_step_default() -> mpf:
-    """Step for order-measuring central differences.
+def flow_step() -> Fraction:
+    """Step for order-measuring central differences: 2^-(prec/4), exact.
 
     Chosen above the truncation/roundoff balance point so that halving the
-    step moves the truncation error visibly.
+    step moves the truncation error visibly.  It is a Fraction so that it
+    can shift a singularity of the exact weight data; as a power of two it
+    converts to mpf without rounding.
     """
-    return mpf(2) ** (-(mp.prec // 4))
+    return Fraction(1, 2 ** (mp.prec // 4))
 
 
 def flow_tolerance() -> mpf:
     """Tolerance of the flow and deformation checks: 10^-(prec/8).
 
-    Central differences at ``flow_step_default`` are good to about the step
+    Central differences at ``flow_step`` are good to about the step
     squared, 2^-(prec/2), so these checks use this tolerance, not the run's.
     """
     return mpf(10) ** (-(mp.prec // 8))
@@ -366,7 +369,8 @@ def hamilton_equations_check(ws: SpectralWorkspace, n: int,
     exact up to the roundoff floor (the p-direction is, K being quadratic in
     the momenta).
     """
-    h = flow_step_default()
+    hq = flow_step()
+    h = mpf(hq.numerator) / hq.denominator
     if tol is None:
         tol = flow_tolerance()
     zs = ws.singularities()

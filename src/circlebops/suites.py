@@ -203,19 +203,23 @@ def tau_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     return out
 
 
-def flow_suite(weight, n: int, tol) -> list:
-    """Deformation and flow checks; needs a closed-form moment family."""
-    from .deform import (deformation_residuals, hamilton_flow_pipeline_check,
-                         rational_workspace)
+def flow_suite(ws: SpectralWorkspace, n: int, tol) -> list:
+    """Deformation and flow checks; needs a closed-form moment family.
+
+    Builds one stencil per free singularity z_j, along e_j; the stencil of
+    z_1 also serves the deformation checks.
+    """
+    from .deform import (deformation_residuals, flow_stencil,
+                         hamilton_flow_pipeline_check)
     from .exact import QC
-    ws = rational_workspace(weight)
-    N = ws.pair.N
     out = []
-    zdot = [QC(0)] * weight.M
-    zdot[1] = QC(1)
-    out.extend(deformation_residuals(weight, zdot, n, tol=tol))
-    for j in range(1, N + 1):
-        out.extend(hamilton_flow_pipeline_check(weight, n, j, tol=tol))
+    for j in range(1, ws.pair.N + 1):
+        zdot = [QC(0)] * ws.weight.M
+        zdot[j] = QC(1)
+        stencil = flow_stencil(ws.weight, zdot)
+        if j == 1:
+            out.extend(deformation_residuals(ws, stencil, zdot, n, tol))
+        out.extend(hamilton_flow_pipeline_check(ws, stencil, n, j, tol))
     point = coordinates_from_spectral(ws, n)
     out.extend(hamilton_equations_check(ws, n, point, tol=tol))
     return out
@@ -235,13 +239,11 @@ SUITE_BUILDERS = {
 
 
 def run_verification(ws: SpectralWorkspace, checks, n_max: int, tol,
-                     seed: int = 1, weight=None) -> list:
+                     seed: int = 1) -> list:
     results = []
     for name in checks:
         if name == "flow":
-            if weight is None:
-                raise ValueError("flow checks need the weight data")
-            results.extend(flow_suite(weight, max(1, min(n_max, 3)),
+            results.extend(flow_suite(ws, max(1, min(n_max, 3)),
                                       flow_tolerance()))
             continue
         builder = SUITE_BUILDERS[name]

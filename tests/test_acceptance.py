@@ -119,15 +119,20 @@ def test_criterion_06_scalar_ode():
 
 
 def test_criterion_07_hamiltonian_flow():
-    from circlebops.deform import (hamilton_flow_pipeline_check,
+    from circlebops.deform import (flow_stencil, hamilton_flow_pipeline_check,
                                    rational_workspace)
+    from circlebops.exact import QC
+    from circlebops.garnier import flow_tolerance
     results = []
     with working_precision(256):
         for weight, n, js in ((rational_case_m3(), 3, (1,)),
                               (rational_case_m4(), 2, (1, 2))):
-            for j in js:
-                results.extend(hamilton_flow_pipeline_check(weight, n, j))
             ws = rational_workspace(weight)
+            for j in js:
+                zdot = [QC(0)] * weight.M
+                zdot[j] = QC(1)
+                results.extend(hamilton_flow_pipeline_check(
+                    ws, flow_stencil(weight, zdot), n, j, flow_tolerance()))
             pt = coordinates_from_spectral(ws, n)
             results.extend(hamilton_equations_check(ws, n, pt))
     orders_ok = all(("order" not in r.note) or
@@ -217,11 +222,16 @@ def test_criterion_09_tau_recovery():
 
 
 def test_criterion_10_deformation_derivatives():
-    from circlebops.deform import deformation_residuals
+    from circlebops.deform import (deformation_residuals, flow_stencil,
+                                   rational_workspace)
     from circlebops.exact import QC
+    from circlebops.garnier import flow_tolerance
     with working_precision(256):
         weight = rational_case_m3()
-        results = deformation_residuals(weight, [QC(0), QC(1), QC(0)], 3)
+        zdot = [QC(0), QC(1), QC(0)]
+        results = deformation_residuals(
+            rational_workspace(weight), flow_stencil(weight, zdot), zdot, 3,
+            flow_tolerance())
     orders_ok = all(("order" not in r.note) or
                     (mpf(r.note.split()[-1]) >= mpf("1.9"))
                     for r in results)

@@ -94,6 +94,24 @@ def test_zero_tolerance_fails(tmp_path):
     assert main(["--config", path, "verify"]) == 1
 
 
+@pytest.mark.parametrize("yaml_overrides, argv", [
+    ({}, ["--tol=-1", "verify"]),
+    ({}, ["--tol", "nan", "verify"]),
+    ({"tolerance": float("inf")}, ["verify"]),
+    ({}, ["bops", "--nmax=-1"]),
+    ({}, ["garnier", "--nmax=-1"]),
+], ids=["tol-negative", "tol-nan", "tolerance-inf", "bops-nmax-negative",
+        "garnier-nmax-negative"])
+def test_invalid_values_exit_config_code(tmp_path, capsys, yaml_overrides,
+                                         argv):
+    """Command-line overrides pass the same validation as the YAML."""
+    out = tmp_path / "out.json"
+    path = write_config(tmp_path, out=str(out), **yaml_overrides)
+    assert main(["--config", path, *argv]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_rejects_empty_checks(tmp_path):
     path = write_config(tmp_path, checks=[])
     assert main(["--config", path, "verify"]) == 2
