@@ -34,9 +34,17 @@ The associated functions are truncated interior expansions
     epsstar_n(z) = -2 sum_{m>=1} <m-bar, phibar_n> z^{n+m},
 
 where <phi_n, m> = sum_j c_j w_{m-j} is the moment pairing that also drives
-the orthogonality relations.  At level zero these expansions reduce to the
-defining normalisations kappa_0 [w_0 +- F], which pins the index conventions;
-the test suite verifies the leading coefficients against the closed forms.
+the orthogonality relations.  All pairings of one series are one convolution
+of the coefficients with the moment window w_{-n} .. w_T (of the reflected
+window for epsstar_n) on the integer-mantissa kernel ``polys.conv_fixed``,
+run under the guard bits; the series keeps that guarded precision.  A
+coefficient is accurate to 2^-(prec+16) of max|c_j| max|w_k| over the
+window (prec including the guard bits), not of itself.  ``pairing_first``
+computes one pairing by an mpmath sum; it is the orthogonality residual and
+the tests' reference for the series.  At level zero these expansions reduce
+to the defining normalisations kappa_0 [w_0 +- F], which pins the index
+conventions; the test suite verifies the leading coefficients against the
+closed forms.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from mpmath import mp, mpf, mpc
 from .errors import DegenerateDeterminant
 from .moments import MomentSequence, ReflectedMoments
 from .mputil import guarded, lu_det, lu_solve, to_mpc
-from .polys import OffsetSeries
+from .polys import OffsetSeries, conv_fixed
 
 
 @dataclass
@@ -165,6 +173,20 @@ def pairing_first(moments, coeffs, m: int) -> mpc:
              for j, c in enumerate(coeffs)), absolute=False)
 
 
+def _pairings(moments, coeffs, lo: int, hi: int, factor: int) -> list:
+    """factor * <f, m> for lo <= m <= hi, kept at the guarded precision.
+
+    One convolution of f with the window w_{lo-n} .. w_hi (n = deg f) on
+    the ``conv_fixed`` kernel.
+    """
+    n = len(coeffs) - 1
+    moments.extend(lo - n, hi)
+    window = [moments.w(k) for k in range(lo - n, hi + 1)]
+    with guarded():
+        return [factor * c
+                for c in conv_fixed(coeffs, window, n, n + hi - lo + 1)]
+
+
 def epsilon_from_determinant(moments: MomentSequence, phi_coeffs,
                              truncation: int) -> OffsetSeries:
     """Interior expansion of eps_n up to z^truncation.
@@ -173,11 +195,7 @@ def epsilon_from_determinant(moments: MomentSequence, phi_coeffs,
     double as a consistency alarm); the m = 0 term carries the level-zero
     normalisation.
     """
-    n = len(phi_coeffs) - 1
-    moments.extend(-n, truncation)
-    coeffs = [2 * pairing_first(moments, phi_coeffs, m)
-              for m in range(truncation + 1)]
-    return OffsetSeries(0, coeffs)
+    return OffsetSeries(0, _pairings(moments, phi_coeffs, 0, truncation, 2))
 
 
 def epsilonstar_from_determinant(moments: MomentSequence, phibar_coeffs,
@@ -187,11 +205,9 @@ def epsilonstar_from_determinant(moments: MomentSequence, phibar_coeffs,
     nterms = truncation - n
     if nterms < 1:
         return OffsetSeries(n + 1, [])
-    reflected = ReflectedMoments(moments)
-    reflected.extend(-(n + nterms), 0)
-    coeffs = [-2 * pairing_first(reflected, phibar_coeffs, -m)
-              for m in range(1, nterms + 1)]
-    return OffsetSeries(n + 1, coeffs)
+    pairs = _pairings(ReflectedMoments(moments), phibar_coeffs, -nterms, -1,
+                      -2)
+    return OffsetSeries(n + 1, pairs[::-1])
 
 
 # ---------------------------------------------------------------------------

@@ -52,15 +52,6 @@ class DGState:
     r_ratio: mpc = None        # (n - rho_0) r_n / r_{n+1}, set by dg_invert
     vartheta: list = None      # interior coordinate-polynomial coefficients
 
-    # two-variable aliases
-    @property
-    def g(self):
-        return self.f[1]
-
-    @property
-    def varpi(self):
-        return self.omega[1]
-
 
 def denominator_floor() -> mpf:
     return mpf(10) ** (-(mp.prec // 2))

@@ -108,11 +108,6 @@ class MomentSequence:
     def k_max(self) -> int:
         return max(self.values)
 
-    @property
-    def order(self) -> int:
-        """Number of free seed values of the difference equation."""
-        return self.pair.M - 1 if _is_canonical_origin(self.pair) else self.pair.M
-
     # -- construction --------------------------------------------------------
 
     @classmethod
@@ -163,10 +158,6 @@ class MomentSequence:
                 self._step_forward()
             while self.k_min > kmin:
                 self._step_backward()
-
-    def window(self, kmin: int, kmax: int):
-        self.extend(kmin, kmax)
-        return [self.values[k] for k in range(kmin, kmax + 1)]
 
     def _step_forward(self) -> None:
         top = self.k_max + 1

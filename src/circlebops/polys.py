@@ -1,20 +1,28 @@
 """Dense polynomial and truncated-series arithmetic.
 
-Coefficient lists are ascending in the variable.  The helpers are written
-against bare field operations (+, -, *, /) so the same code runs over exact
-Gaussian rationals and over mpc; nothing here touches mpmath directly except
-the residual-oriented utilities at the bottom.
+Coefficient lists are ascending in the variable.  The polynomial helpers are
+written against bare field operations (+, -, *, /) so the same code runs over
+exact Gaussian rationals and over mpc.
 
 ``OffsetSeries`` models a truncated expansion  sum_k c[k] z^(offset+k)  used
 for the associated functions, whose expansions start at a level-dependent
-power.
+power.  Its products are mpc-only: ``mul_poly`` is one call of
+``conv_fixed``, which turns each operand into Python-int mantissas on one
+shared binary grid, multiplies and accumulates in ints and rounds each
+output once.  Accuracy rule: an input coefficient is carried to
+2^-(prec+16) of the largest coefficient of its vector, so an output is
+accurate to about len 2^-(prec+16) max|a| max|b|, plus its final rounding to
+the working precision.  A coefficient far below its vector's largest keeps
+only the digits above that grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 
-from mpmath import mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 from .mputil import to_mpc
 
@@ -141,22 +149,8 @@ class OffsetSeries:
 
     def mul_poly(self, p, top: int) -> "OffsetSeries":
         """Multiply by a polynomial, truncating above power ``top``."""
-        p = list(p)
-        off = self.offset
-        out = [0] * (top - off + 1) if top >= off else []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            pw = off + i
-            if pw > top:
-                break
-            for j, q in enumerate(p):
-                t = pw + j
-                if t > top:
-                    break
-                if q:
-                    out[t - off] = out[t - off] + c * q
-        return OffsetSeries(off, out)
+        return OffsetSeries(self.offset, conv_fixed(
+            self.coeffs, p, 0, max(top - self.offset + 1, 0)))
 
     def add(self, other: "OffsetSeries") -> "OffsetSeries":
         off = min(self.offset, other.offset)
@@ -182,3 +176,82 @@ class OffsetSeries:
 
 def pmax_abs(p) -> mpf:
     return max((abs(to_mpc(c)) for c in p), default=mpf(0))
+
+
+# extra bits of the shared integer grid below a vector's largest coefficient
+CONV_GUARD_BITS = 16
+
+
+def _on_grid(vec, bits: int):
+    """(re, im, exp): Python-int mantissas of ``vec`` on the grid 2^exp.
+
+    ``exp`` sits ``bits`` below the top bit of the largest real or imaginary
+    part; each part is rounded to the nearest grid point.  Returns None for
+    an empty or all-zero vector.
+    """
+    parts = []
+    for x in vec:
+        if isinstance(x, mpc):
+            parts.extend(x._mpc_)
+        elif isinstance(x, mpf):
+            parts.extend((x._mpf_, fzero))
+        else:
+            parts.extend(to_mpc(x)._mpc_)
+    tops = []
+    for _, man, e, bc in parts:
+        if man:
+            tops.append(e + bc)
+        elif e:
+            raise ValueError("non-finite coefficient in a series product")
+    if not tops:
+        return None
+    exp = max(tops) - bits
+    ints = []
+    for sign, man, e, _ in parts:
+        shift = e - exp
+        if shift >= 0:
+            v = man << shift
+        else:
+            v = (man + (1 << (-shift - 1))) >> -shift
+        ints.append(-v if sign else v)
+    return ints[0::2], ints[1::2], exp
+
+
+def conv_fixed(a, b, lo: int, hi: int) -> list:
+    """c_t = sum_i a_i b_{t-i} for lo <= t < hi, as mpc.
+
+    Both vectors go onto their own shared integer grid, mp.prec + 16 bits
+    below their largest coefficient (``_on_grid``); every output is
+    accumulated exactly in ints (three real sums per complex product) and
+    rounded once to nearest at mp.prec.
+    """
+    if hi <= lo:
+        return []
+    zero = mpc(0)
+    bits = mp.prec + CONV_GUARD_BITS
+    ga, gb = _on_grid(a, bits), _on_grid(b, bits)
+    if ga is None or gb is None:
+        return [zero] * (hi - lo)
+    ar, ai, ea = ga
+    br, bi, eb = gb
+    asum = list(map(add, ar, ai))
+    # b reversed, so that b_{t-i} over ascending i is a forward slice
+    br, bi, bsum = br[::-1], bi[::-1], list(map(add, br, bi))[::-1]
+    la, lb = len(ar), len(br)
+    exp, prec = ea + eb, mp.prec
+    make = mp.make_mpc
+    out = []
+    for t in range(lo, hi):
+        i0, i1 = max(0, t - lb + 1), min(la, t + 1)
+        if i0 >= i1:
+            out.append(zero)
+            continue
+        j0 = lb - 1 - t + i0
+        j1 = j0 + i1 - i0
+        rr = sum(map(mul, ar[i0:i1], br[j0:j1]))
+        ii = sum(map(mul, ai[i0:i1], bi[j0:j1]))
+        ss = sum(map(mul, asum[i0:i1], bsum[j0:j1]))
+        out.append(make((from_man_exp(rr - ii, exp, prec, round_nearest),
+                         from_man_exp(ss - rr - ii, exp, prec,
+                                      round_nearest))))
+    return out

@@ -17,7 +17,7 @@ precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -48,23 +48,9 @@ class WeightData:
         return self.M - 2
 
     @property
-    def rho0(self) -> QC:
-        return self.residues[0]
-
-    @property
     def free_singularities(self) -> tuple:
         """Canonical placement: the t_j between 0 and 1 in the ordering."""
         return self.singularities[1:-1]
-
-    @property
-    def free_residues(self) -> tuple:
-        return self.residues[1:-1]
-
-    def rho_sum(self) -> QC:
-        total = QC(0)
-        for r in self.residues:
-            total = total + r
-        return total
 
     def singularities_mpc(self):
         return [s.to_mpc() for s in self.singularities]
@@ -81,6 +67,10 @@ class PolyPair:
     (so e_M = 0 whenever the origin is singular) entering W with alternating
     signs, and ``m[l]`` are the coefficients of 2V in the matching
     convention:  [z^(M-l)] W = (-1)^l e_l,  [z^(M-1-l)] 2V = (-1)^l m_l.
+
+    The mpc images (``W_mpc`` ...) are converted once per working precision
+    and kept in ``_images``, which takes no part in equality or hashing;
+    each call returns a fresh list.
     """
 
     weight: WeightData
@@ -88,6 +78,8 @@ class PolyPair:
     V2: tuple                     # exact QC coefficients of 2V, degree <= M-1
     e: tuple                      # e_0..e_M
     m: tuple                      # m_0..m_{M-1}
+    _images: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)  # mp.prec -> (W, V2, e, m) as mpc
 
     @property
     def M(self) -> int:
@@ -97,17 +89,25 @@ class PolyPair:
     def N(self) -> int:
         return self.weight.N
 
+    def _mpc(self) -> tuple:
+        got = self._images.get(mp.prec)
+        if got is None:
+            got = tuple(tuple(c.to_mpc() for c in vec)
+                        for vec in (self.W, self.V2, self.e, self.m))
+            self._images[mp.prec] = got
+        return got
+
     def W_mpc(self):
-        return [c.to_mpc() for c in self.W]
+        return list(self._mpc()[0])
 
     def V2_mpc(self):
-        return [c.to_mpc() for c in self.V2]
+        return list(self._mpc()[1])
 
     def e_mpc(self):
-        return [c.to_mpc() for c in self.e]
+        return list(self._mpc()[2])
 
     def m_mpc(self):
-        return [c.to_mpc() for c in self.m]
+        return list(self._mpc()[3])
 
 
 def _is_nonneg_int(rho: QC) -> bool:

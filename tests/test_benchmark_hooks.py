@@ -1,0 +1,61 @@
+"""The benchmark's layer tracer still finds the functions it wraps.
+
+``perfbench/layers.py`` patches circlebops by name from outside; a rename
+would silently zero its metrics.  The traced CLI run happens in a fresh
+interpreter, because ``install`` rebinds functions in every loaded
+circlebops module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import yaml
+
+import circlebops
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from layers import Tracer, install
+import circlebops.cli as cli
+tracer = Tracer()
+install(tracer)
+code = cli.main(["--config", sys.argv[2], "verify", "--out", sys.argv[3]])
+with open(sys.argv[4], "w") as fh:
+    json.dump({"exit": code, "metrics": tracer.metrics()}, fh)
+"""
+
+CONFIG = {
+    "mode": "formal", "precision_bits": 128, "tolerance": 1.0e-20,
+    "n_max": 4, "seed": 1, "checks": ["identities"],
+    "weight": {"placement": "canonical",
+               "singularities": [[0, 0], ["2/5", 0], [1, 0]],
+               "residues": [["1/3", 0], ["-1/2", 0], ["1/4", 0]]},
+    "seeds": {"start": -1, "values": [[0.31, 0.17], [1, 0]]},
+}
+
+
+def test_layer_tracer_reaches_spectral_polys_and_eps(tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(CONFIG))
+    result = tmp_path / "metrics.json"
+    src = str(Path(circlebops.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(PERFBENCH), str(config),
+         str(tmp_path / "report.json"), str(result)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(result.read_text())
+    assert got["exit"] == 0
+    metrics = got["metrics"]
+    assert metrics["spectral.extract.calls"] > 0
+    assert metrics["polys.mul_poly.calls"] > 0
+    assert metrics["polys.mul_poly.mults"] > 0
+    assert metrics["bops.eps.s"] > 0

@@ -278,6 +278,14 @@ def test_console_script_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_module_entry_point_help():
+    proc = subprocess.run([sys.executable, "-m", "circlebops", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: circlebops")
+    assert "verify" in proc.stdout
+
+
 def test_garnier_flow_check_cli(tmp_path):
     path = tmp_path / "r.yaml"
     path.write_text(yaml.safe_dump(RATIONAL_M3))

@@ -1,0 +1,184 @@
+"""The integer-mantissa convolution kernel and the series built on it."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpc, mpf
+
+from conftest import (random_canonical_case, standard_case_m3,
+                      standard_case_m4, standard_case_m5)
+from circlebops.bops import ToeplitzOracle, pairing_first
+from circlebops.exact import QC
+from circlebops.moments import MomentSequence, ReflectedMoments
+from circlebops.mputil import guarded, to_mpc, working_precision
+from circlebops.polys import OffsetSeries, conv_fixed, pmul
+from circlebops.weights import build_poly_pair
+
+
+def _frac(x: mpf) -> Fraction:
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _parts(x):
+    """Exact (re, im) of an mpc, a QC or an int."""
+    if isinstance(x, QC):
+        return x.re, x.im
+    x = to_mpc(x)
+    return _frac(x.real), _frac(x.imag)
+
+
+def _max_part(vec) -> Fraction:
+    return max((abs(p) for x in vec for p in _parts(x)), default=Fraction(0))
+
+
+def _dyadic(rng, mag: int) -> Fraction:
+    """A random 60-bit dyadic rational of size about 2^mag: exact in mpf."""
+    return Fraction(rng.randrange(-2 ** 60, 2 ** 60)) * Fraction(2) ** (mag - 60)
+
+
+def _vector(rng, length: int, tiny: bool = False) -> list:
+    """QC entries (exact images at >= 64 bits), plain ints and exact zeros;
+    with ``tiny``, one entry sits 2^-133 (about 1e-40) below the rest."""
+    out = []
+    for _ in range(length):
+        kind = rng.random()
+        if kind < 0.15:
+            out.append(0)
+        elif kind < 0.3:
+            out.append(rng.randint(-9, 9))
+        else:
+            out.append(QC(_dyadic(rng, rng.randint(-6, 6)),
+                          _dyadic(rng, rng.randint(-6, 6))))
+    if tiny and out:
+        out[rng.randrange(length)] = QC(_dyadic(rng, -133), _dyadic(rng, -140))
+    return out
+
+
+def _image(vec) -> list:
+    return [x.to_mpc() if isinstance(x, QC) else x for x in vec]
+
+
+def _assert_within_rule(a, b, lo, hi):
+    """|c_t - exact_t| per part <= 4 L 2^-(prec+16) max|a| max|b| (the grid,
+    four products per part, L = the shorter length) + 2^-prec |exact_t|
+    (the one final rounding)."""
+    prec = mp.prec
+    got = conv_fixed(_image(a), _image(b), lo, hi)
+    assert len(got) == max(hi - lo, 0)
+    exact = pmul(list(a), list(b)) if a and b else []
+    grid = (Fraction(401, 100) * min(len(a), len(b)) * _max_part(a)
+            * _max_part(b) / 2 ** (prec + 16))
+    for t, c in zip(range(lo, hi), got):
+        want = exact[t] if 0 <= t < len(exact) else 0
+        for g, w in zip(_parts(c), _parts(want)):
+            assert abs(g - w) <= grid + abs(w) / 2 ** prec, (t, g, w)
+
+
+@pytest.mark.parametrize("bits", [128, 192])
+@pytest.mark.parametrize("seed", range(6))
+def test_conv_fixed_within_the_accuracy_rule(bits, seed):
+    rng = random.Random(seed)
+    with working_precision(bits):
+        for tiny in (False, True):
+            a = _vector(rng, rng.randint(1, 40), tiny)
+            b = _vector(rng, rng.randint(1, 40), tiny)
+            n = len(a) + len(b) - 1
+            _assert_within_rule(a, b, 0, n)
+            _assert_within_rule(b, a, 3, n + 5)        # past the end
+
+
+def test_conv_fixed_small_entries_keep_only_the_grid_digits():
+    with working_precision(128):
+        tiny = mpf(2) ** -140 / 3
+        got = conv_fixed([mpc(tiny), mpc(1)], [mpc(1)], 0, 2)
+        assert got[1] == 1
+        # rounded to the grid 2^-(128+16) below the largest, not to itself
+        assert abs(got[0] - tiny) <= mpf(2) ** -144
+        assert got[0] != tiny
+        assert conv_fixed([tiny], [mpc(1)], 0, 1)[0] == tiny
+
+
+def test_conv_fixed_is_exact_when_the_inputs_fit_the_grid():
+    rng = random.Random(7)
+    a = [mpc(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(17)]
+    b = [rng.randint(-99, 99) for _ in range(9)] + [mpf(3) / 4]
+    got = conv_fixed(a, b, 0, 26)
+    assert got == pmul(a, b)
+    assert all(isinstance(c, mpc) for c in got)
+
+
+def test_conv_fixed_zero_and_empty_vectors():
+    assert conv_fixed([], [mpc(1)], 0, 3) == [0, 0, 0]
+    assert conv_fixed([mpc(1)], [], 0, 2) == [0, 0]
+    assert conv_fixed([0, mpc(0), mpf(0)], [mpc(2, 1)], 0, 4) == [0] * 4
+    assert conv_fixed([mpc(1)], [mpc(1)], 2, 2) == []
+    assert conv_fixed([mpc(1)], [mpc(1)], 3, 1) == []
+    with pytest.raises(ValueError):
+        conv_fixed([mpc(mp.inf)], [mpc(1)], 0, 1)
+
+
+def test_mul_poly_truncation():
+    rng = random.Random(3)
+    coeffs, p = _vector(rng, 12), _vector(rng, 5)
+    s = OffsetSeries(4, _image(coeffs))
+    full = pmul(coeffs, p)
+    assert s.mul_poly(_image(p), 3).coeffs == []           # top < offset
+    assert len(s.mul_poly(_image(p), 4).coeffs) == 1
+    for top in (9, 4 + len(full) - 1, 4 + len(full) + 6):   # top past the end
+        got = s.mul_poly(_image(p), top)
+        assert got.offset == 4 and got.top == top
+        for k, c in enumerate(got.coeffs):
+            want = full[k].to_mpc() if k < len(full) else 0
+            assert abs(c - want) <= mpf(2) ** -120 * (1 + abs(want))
+
+
+# ---------------------------------------------------------------------------
+# the eps-series against one pairing per coefficient
+# ---------------------------------------------------------------------------
+
+def _series_gap(ms, oracle, n, truncation):
+    """Largest eps / epsstar deviation from pairing_first, relative to the
+    series maximum; both sides keep the guarded precision."""
+    lev = oracle.level(n)
+    eps = oracle.eps_series(n, truncation)
+    est = oracle.epsstar_series(n, truncation)
+    reflected = ReflectedMoments(ms)
+    with guarded():
+        ref = [2 * pairing_first(ms, lev.phi, m)
+               for m in range(truncation + 1)]
+        ref_s = [-2 * pairing_first(reflected, lev.phibar, -m)
+                 for m in range(1, truncation - n + 1)]
+    assert est.offset == n + 1 and len(est.coeffs) == len(ref_s)
+    gaps = []
+    for got, want in ((eps.coeffs, ref), (est.coeffs, ref_s)):
+        assert len(got) == len(want)
+        scale = max(abs(c) for c in want)
+        gaps.append(max(abs(g - w) for g, w in zip(got, want)) / scale)
+    return max(gaps)
+
+
+@pytest.mark.parametrize("bits", [128, 192])
+@pytest.mark.parametrize("case", [standard_case_m3, standard_case_m4,
+                                  standard_case_m5])
+def test_eps_series_match_pairings(case, bits):
+    with working_precision(bits):
+        weight, seeds = case()
+        ms = MomentSequence.from_seeds(build_poly_pair(weight), -1, seeds)
+        oracle = ToeplitzOracle(ms)
+        for n in range(25):
+            assert _series_gap(ms, oracle, n, 2 * n + 10) < \
+                mpf(2) ** -(bits + 24), n
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 3))
+@settings(max_examples=8, deadline=None)
+def test_eps_series_match_pairings_on_random_weights(seed, N):
+    weight, seeds = random_canonical_case(seed, N)
+    ms = MomentSequence.from_seeds(build_poly_pair(weight), -1, seeds)
+    oracle = ToeplitzOracle(ms)
+    for n in range(12):
+        assert _series_gap(ms, oracle, n, n + N + 10) < mpf(2) ** -152, n

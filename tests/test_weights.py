@@ -73,6 +73,27 @@ def test_m4_poly_pair_displayed_form():
         assert residue_identity_defect(pair, j).is_zero()
 
 
+def test_mpc_images_follow_the_working_precision():
+    w = build_weight([0, ["1/4", "1/3"], "-3/5", 1],
+                     ["-2/7", "1/5", ["1/3", "1/9"], "1/2"])
+    pair = build_poly_pair(w)
+    for bits in (128, 192, 128):
+        with mp.workprec(bits):
+            for exact, image in ((pair.W, pair.W_mpc()),
+                                 (pair.V2, pair.V2_mpc()),
+                                 (pair.e, pair.e_mpc()),
+                                 (pair.m, pair.m_mpc())):
+                assert image == [c.to_mpc() for c in exact]
+                image[0] = None                      # a fresh list per call
+    with mp.workprec(64):
+        low = pair.V2_mpc()
+    with mp.workprec(256):
+        high = pair.V2_mpc()
+    assert low != high                               # 1/5 is not dyadic
+    assert pair == build_poly_pair(w)
+    assert hash(pair) == hash(build_poly_pair(w))
+
+
 def test_residue_identity_at_origin_two_point():
     w = build_weight([0, 1], ["1/3", "-2/5"])
     pair = build_poly_pair(w)
