@@ -380,6 +380,7 @@ def orthogonality_residual(moments, coeffs) -> mpf:
     (ReflectedMoments(moments), phibar_n) for the second.
     """
     n = len(coeffs) - 1
+    # custom scale: the one pairing that must not vanish
     scale = abs(pairing_first(moments, coeffs, n))
     worst = mpf(0)
     for m in range(n):
@@ -408,6 +409,7 @@ def casoratian_residuals(oracle: ToeplitzOracle, n: int,
     def finish(label, built, mono_pow, mono_coeff):
         target = OffsetSeries(mono_pow, [mono_coeff])
         resid = built.add(target.scale(-1))
+        # custom scale: the largest built coefficient or the monomial
         scale = max((abs(c) for c in built.coeffs), default=mpf(0))
         scale = max(scale, abs(mono_coeff))
         worst = max((abs(c) for c in resid.coeffs), default=mpf(0))

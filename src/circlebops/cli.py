@@ -3,7 +3,7 @@
     circlebops --config run.yaml verify
     circlebops --config run.yaml moments --range -8:8 --out moments.json
     circlebops --config run.yaml bops --nmax 6 --out levels.json
-    circlebops --config run.yaml spectral --nmax 6 --checks all --out spectral.json
+    circlebops --config run.yaml spectral --nmax 6 [--checks none] --out spectral.json
     circlebops --config run.yaml garnier --nmax 4 [--flow-check] --out garnier.json
     circlebops --config run.yaml dgarnier --nmax 8 --compare-oracle --tau --out dg.json
     circlebops --config run.yaml sweep --param t1 --grid 0.2:0.8:13 --out sweep.csv
@@ -25,11 +25,9 @@ from mpmath import mpf
 from . import jsonout
 from .config import (RunConfig, build_weight_from_config, build_workspace,
                      load_config)
-from .discrete_garnier import (dg_from_spectral, dg_initial, dg_trajectory,
-                               tau_recovery)
+from .discrete_garnier import dg_from_spectral, dg_run, tau_recovery
 from .errors import CircleBopsError, ConfigInvalid, SingularStep
 from .garnier import coordinates_from_spectral, riemann_exponents
-from .moments import build_U
 from .mputil import working_precision
 from .report import failures
 from .spectral import residue_matrices, a_infinity
@@ -72,7 +70,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectral", parents=[common],
                        help="emit spectral data and residuals")
     p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--checks", default="all")
+    p.add_argument("--checks", choices=("all", "none"), default="all",
+                   help="run the identity, bilinear and summation suites")
 
     p = sub.add_parser("garnier", parents=[common],
                        help="emit canonical coordinates")
@@ -238,7 +237,6 @@ def _cmd_bops(cfg: RunConfig, args, started: float) -> int:
 def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
     ws = build_workspace(cfg)
     tol = cfg.tolerance_mpf()
-    which = args.checks
     records = []
     results = []
     for n in range(cfg.n_max + 1):
@@ -255,7 +253,7 @@ def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
             "residue_infinity": jsonout.matrix_field(a_infinity(mats)),
         }
         records.append(rec)
-    if which in ("all", "identities"):
+    if args.checks == "all":
         results = run_verification(ws, ["identities", "bilinear", "summation"],
                                    cfg.n_max, tol, seed=cfg.seed)
     payload = {"levels": records,
@@ -304,8 +302,7 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
     tol = cfg.tolerance_mpf()
     singular_report = None
     try:
-        st0 = dg_initial(pair, build_U(pair, ms), ms)
-        traj = dg_trajectory(st0, pair, cfg.n_max)
+        traj = dg_run(pair, ms, cfg.n_max)
     except SingularStep as exc:
         singular_report = {"index": exc.index, "factor": exc.factor,
                            "message": str(exc)}
@@ -379,9 +376,7 @@ def _cmd_sweep(cfg: RunConfig, args, started: float) -> int:
             point = dataclasses.replace(cfg, weight_residues=res)
         try:
             ws = build_workspace(point)
-            ms = ws.oracle.moments
-            st0 = dg_initial(ws.pair, build_U(ws.pair, ms), ms)
-            dg_trajectory(st0, ws.pair, cfg.n_max)
+            dg_run(ws.pair, ws.oracle.moments, cfg.n_max)
             first_singular = -1
         except SingularStep as exc:
             first_singular = exc.index if exc.index is not None else -2

@@ -38,7 +38,7 @@ from .garnier import (coordinates_from_spectral, fd_pass, flow_p_closed,
 from .moments import MomentSequence, rational_weight_moments
 from .mputil import match_roots, to_mpc
 from .polys import peval
-from .report import CheckResult
+from .report import CheckResult, rel_error, rel_residual, vector_residual
 from .spectral import SpectralWorkspace, residue_matrices
 from .weights import WeightData, build_poly_pair, build_weight
 
@@ -142,8 +142,8 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
     for step in (h, h / 2):
         fd_r = _central(stencil, lambda w: w.level(n).r, step)
         fd_rbar = _central(stencil, lambda w: w.level(n).rbar, step)
-        res_r.append(abs(fd_r - want_r) / max(abs(want_r), mpf(1)))
-        res_rbar.append(abs(fd_rbar - want_rbar) / max(abs(want_rbar), mpf(1)))
+        res_r.append(rel_error(fd_r, want_r, 1))
+        res_rbar.append(rel_error(fd_rbar, want_rbar, 1))
     out.append(_order_result("rdot", res_r, tol, n))
     out.append(_order_result("rCdot", res_rbar, tol, n))
 
@@ -192,7 +192,7 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
                 rhs += (1 / ws0.wprime_at(zs[k])) * \
                     ((zd[j] - zd[k]) / (zs[j] - zs[k])) * \
                     (theta_at(k) * brace_term(j) - theta_at(j) * brace_term(k))
-            worst_a = max(worst_a, abs(lhs - rhs) / max(abs(lhs), abs(rhs), mpf(1)))
+            worst_a = max(worst_a, rel_residual([lhs, -rhs], 1))
 
             # component form of the 11 derivative
             lhs = ws0.wprime_at(zs[j]) * adot[j][0][0]
@@ -211,7 +211,7 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
                     ((zd[j] - zd[k]) / (zs[j] - zs[k])) * \
                     ((theta_at(j) / theta_at(k)) * pk * mk -
                      (theta_at(k) / theta_at(j)) * pj * mj)
-            worst_b = max(worst_b, abs(lhs - rhs) / max(abs(lhs), abs(rhs), mpf(1)))
+            worst_b = max(worst_b, rel_residual([lhs, -rhs], 1))
 
             # full matrix Schlesinger equation
             comm = _commutator(binf, mats0[j])
@@ -223,12 +223,9 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
                 for a in range(2):
                     for b in range(2):
                         comm[a][b] += factor * ck[a][b]
-            scale = max(max(abs(adot[j][a][b]) for a in range(2) for b in range(2)),
-                        max(abs(comm[a][b]) for a in range(2) for b in range(2)),
-                        mpf(1))
-            diff = max(abs(adot[j][a][b] - comm[a][b])
-                       for a in range(2) for b in range(2))
-            worst_s = max(worst_s, diff / scale)
+            worst_s = max(worst_s, vector_residual(
+                [adot[j][0] + adot[j][1],
+                 [-c for c in comm[0] + comm[1]]], 1))
         res_a[si] = worst_a
         res_b[si] = worst_b
         res_sch[si] = worst_s
@@ -279,8 +276,8 @@ def hamilton_flow_pipeline_check(ws0: SpectralWorkspace, stencil: dict,
         for step in (h, h / 2):
             fd_q = _central(qp, lambda c: c[0][r], step)
             fd_p = _central(qp, lambda c: c[1][r], step)
-            res_q.append(abs(fd_q - want_q) / max(abs(want_q), mpf(1)))
-            res_p.append(abs(fd_p - want_p) / max(abs(want_p), mpf(1)))
+            res_q.append(rel_error(fd_q, want_q, 1))
+            res_p.append(rel_error(fd_p, want_p, 1))
         out.append(_order_result(f"Ham:qDer@z{j},q{r}", res_q, tol, n))
         out.append(_order_result(f"Ham:pDer@z{j},q{r}", res_p, tol, n))
     return out

@@ -35,9 +35,10 @@ from mpmath import mp, mpf, mpc
 
 from .errors import (InconsistentLambdaPaths, SingularStep,
                      ThetaVanishesAtOne, ZeroDenominator, ZeroRNRatio)
-from .moments import MomentSequence, UPoly
+from .moments import MomentSequence, UPoly, build_U
 from .mputil import to_mpc
 from .polys import elementary_symmetric, peval, pscale, psub
+from .report import rel_error, rel_residual
 from .spectral import SpectralWorkspace
 from .weights import PolyPair
 
@@ -85,27 +86,22 @@ def _t_replaced(T, l):
 def _free_points(pair: PolyPair):
     if pair.weight.placement != "canonical":
         raise ValueError("the recurrences assume canonical placement")
-    return [z.to_mpc() for z in pair.weight.free_singularities]
+    return pair.weight.singularities_mpc()[1:-1]
 
 
-def _inversion_sums(pair: PolyPair, f, weights_e=None):
-    """The three Vandermonde combinations entering the inversion.
+def _inversion_sums(pair: PolyPair, f):
+    """The two Vandermonde combinations entering the inversion.
 
-    Returns (plain, t-weighted, per-coefficient numerators) where the last is
-    a dict l -> (numerator with e_{N-l} weights, numerator with the t factor).
+    Returns (plain, t-weighted): Delta(T) + sum_l (+-) Delta(T_l u {1}) f^l
+    and the same with t_l weights, which is ``_weighted_sum(pair, f, 0)``.
     """
     T = _free_points(pair)
     N = len(T)
-    dT = vandermonde(T)
-    num_plain = dT
-    den_t = dT
+    num_plain = vandermonde(T)
     for l in range(N):
-        repl = _t_replaced(T, l)
-        dl = vandermonde(repl)
         sgn = (-1) ** (N + l)        # list index l is one below the label
-        num_plain += sgn * dl * to_mpc(f[l])
-        den_t += sgn * T[l] * dl * to_mpc(f[l])
-    return num_plain, den_t
+        num_plain += sgn * vandermonde(_t_replaced(T, l)) * to_mpc(f[l])
+    return num_plain, _weighted_sum(pair, f, 0)
 
 
 def _weighted_sum(pair: PolyPair, f, weight_index: int) -> mpc:
@@ -280,6 +276,12 @@ def dg_trajectory(initial: DGState, pair: PolyPair, nmax: int) -> list:
     return out
 
 
+def dg_run(pair: PolyPair, moments: MomentSequence, nmax: int) -> list:
+    """Trajectory of levels 0..nmax from the moments' level-zero state."""
+    return dg_trajectory(dg_initial(pair, build_U(pair, moments), moments),
+                         pair, nmax)
+
+
 # ---------------------------------------------------------------------------
 # recovering the determinant sequence
 # ---------------------------------------------------------------------------
@@ -334,8 +336,7 @@ def tau_recovery(states: list, pair: PolyPair, moments: MomentSequence,
         lam_alt.append(nxt2)
 
     npts = min(len(lam), len(lam_alt))
-    scale = max(max(abs(x) for x in lam[:npts]), mpf(1))
-    delta = max(abs(a - b) for a, b in zip(lam[:npts], lam_alt[:npts])) / scale
+    delta = rel_error(lam_alt[:npts], lam[:npts], 1)
     if delta > lambda_tol:
         raise InconsistentLambdaPaths(
             f"the two recovery recurrences disagree: {mpmath.nstr(delta, 6)}")
@@ -386,8 +387,7 @@ def dg_hamiltonian_residuals(ws: SpectralWorkspace, n: int) -> dict:
         for q in roots:
             lhs = p_fun(sd_n1, q) + p_fun(sd_n, q)
             rhs = mpf(n) / q - peval(V2, q) / peval(W, q)
-            scale = max(abs(lhs), abs(rhs), mpf(1))
-            worst = max(worst, abs(lhs - rhs) / scale)
+            worst = max(worst, rel_residual([lhs, -rhs], 1))
         out[tag] = worst
     return out
 

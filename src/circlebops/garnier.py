@@ -26,7 +26,7 @@ from .errors import (CoordinateOnSingularity, MultipleRoot, SingularTransform)
 from .mputil import to_mpc
 from .polys import (padd, pdiff, peval, pmul, pscale, pshift, psub, ptrim,
                     pmax_abs, pdiv_exact_linear)
-from .report import CheckResult
+from .report import CheckResult, rel_error, vector_residual
 from .spectral import SpectralWorkspace, residue_matrices
 
 
@@ -115,23 +115,12 @@ def coordinates_from_spectral(ws: SpectralWorkspace, n: int,
 
 
 def hamiltonian(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> list:
-    """K_j for each free singularity, from the closed form."""
-    sd = ws.data(n)
+    """K_j for each free singularity, from the closed form ``k_value``."""
+    zs = ws.singularities()
     W, V2 = ws.W(), ws.V2()
-    dtheta = pdiff(sd.theta)
     m0 = ws.pair.m_mpc()[0]
-    out = []
-    for zj in ws.singularities()[1:-1]:
-        pref = sd.theta_at(zj) / ws.wprime_at(zj)
-        total = mpc(0)
-        for qr, pr in zip(point.q, point.p):
-            Wq = peval(W, qr)
-            bracket = pr ** 2 + pr * (peval(V2, qr) / Wq - mpf(n) / qr -
-                                      1 / (zj - qr)) - \
-                mpf(n) * (1 + m0) / (qr * (qr - 1))
-            total += (Wq / peval(dtheta, qr)) / (zj - qr) * bracket
-        out.append(pref * total)
-    return out
+    return [k_value(point.q, point.p, zs, V2, W, n, m0, j)
+            for j in range(1, len(zs) - 1)]
 
 
 def hamiltonian_from_residues(ws: SpectralWorkspace, n: int,
@@ -200,9 +189,7 @@ def omega_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mp
         wr = pr * peval(W, qr) / (qr * peval(dtheta, qr))
         quot = pdiv_exact_linear(theta, qr)       # theta/(z - q_r)
         rhs = psub(rhs, pscale(pshift(quot, 1), wr))
-    diff = psub(lhs, rhs)
-    scale = max(pmax_abs(lhs), pmax_abs(rhs))
-    return pmax_abs(diff) / scale if scale > 0 else pmax_abs(diff)
+    return vector_residual([lhs, pscale(rhs, -1)])
 
 
 def v2_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
@@ -224,9 +211,7 @@ def v2_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
         cr = peval(V2, qr) / (qr * (qr - 1) * peval(dtheta, qr))
         quot = pdiv_exact_linear(theta, qr)
         rhs = padd(rhs, pscale(pmul(quot, [0, -1, 1]), cr))
-    diff = psub(V2, rhs)
-    scale = max(pmax_abs(V2), pmax_abs(rhs))
-    return pmax_abs(diff) / scale if scale > 0 else pmax_abs(diff)
+    return vector_residual([V2, pscale(rhs, -1)])
 
 
 def w_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
@@ -241,9 +226,7 @@ def w_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
         cr = peval(W, qr) / (qr * (qr - 1) * peval(dtheta, qr))
         quot = pdiv_exact_linear(theta, qr)
         rhs = padd(rhs, pscale(pmul(quot, [0, -1, 1]), cr))
-    diff = psub(W, rhs)
-    scale = max(pmax_abs(W), pmax_abs(rhs))
-    return pmax_abs(diff) / scale if scale > 0 else pmax_abs(diff)
+    return vector_residual([W, pscale(rhs, -1)])
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +381,8 @@ def hamilton_equations_check(ws: SpectralWorkspace, n: int,
                 qm = list(point.q)
                 qm[r] = point.q[r] - step
                 dKdq = (kfun(qp, point.p, j) - kfun(qm, point.p, j)) / (2 * step)
-                res_q.append(abs(dKdp - want_q) / max(abs(want_q), mpf(1)))
-                res_p.append(abs(-dKdq - want_p) / max(abs(want_p), mpf(1)))
+                res_q.append(rel_error(dKdp, want_q, 1))
+                res_p.append(rel_error(-dKdq, want_p, 1))
             ok_q, ord_q = fd_pass(res_q[0], res_q[1])
             ok_p, ord_p = fd_pass(res_p[0], res_p[1])
             rq = CheckResult.make(f"Ham:dK/dp@z{j},q{r}", res_q[1], tol, n,

@@ -10,17 +10,15 @@ obtained from exactness of d/dz [ z^{-j} W w ] under the contour integral
 When the origin is singular W_0 = 0 and the equation shortens by one order,
 leaving M - 1 free seed values; otherwise the order is M.
 
-Three ways to populate a sequence:
+Two constructors populate a sequence:
 
 * ``from_seeds``       - formal mode, arbitrary seed values, recurrence both
                          directions (the primary test mode);
-* ``from_quadrature``  - contour integrals of an honest single-valued weight;
-* ``from_rational_weight`` - closed-form Laurent coefficients for weights all
-                         of whose residues are negative integers, expanded in
-                         the annulus between interior and exterior poles.
-                         These are exact functions of the singularity
-                         positions, which makes them the right family for
-                         finite-difference deformation checks.
+* ``from_quadrature``  - contour integrals of an honest single-valued weight.
+
+Weights whose residues are all negative integers also have closed-form
+moments, ``rational_weight_moments``; ``deform.rational_workspace`` seeds a
+sequence from them for the finite-difference deformation checks.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from .errors import (NonConvergent, SingularStep, WindowTooSmall,
 from .exact import QC
 from .mputil import guarded, to_mpc
 from .polys import padd, pdiff, peval, pmul, pscale
+from .report import rel_residual
 from .weights import PolyPair, WeightData, build_poly_pair, \
     eval_weight_on_circle, seam_shielded, single_valuedness_defect
 
@@ -131,13 +130,6 @@ class MomentSequence:
                   for k in range(kmin, kmax + 1)}
         return cls(pair, values, kmin, kmax, provenance="quadrature")
 
-    @classmethod
-    def from_rational_weight(cls, weight: WeightData, kmin: int,
-                             kmax: int) -> "MomentSequence":
-        pair = build_poly_pair(weight)
-        values = rational_weight_moments(weight, kmin, kmax)
-        return cls(pair, values, kmin, kmax, provenance="rational")
-
     # -- access / extension --------------------------------------------------
 
     def w(self, k: int):
@@ -204,10 +196,7 @@ class MomentSequence:
             if idx not in self.values:
                 raise WindowTooSmall(f"moment {idx} not in window")
             terms.append(g * to_mpc(self.values[idx]))
-        scale = max((abs(t) for t in terms), default=mpf(0))
-        if scale == 0:
-            return mpf(0)
-        return abs(sum(terms)) / scale
+        return rel_residual(terms)
 
     def max_residual(self) -> mpf:
         lo = self.k_min + self.pair.M
@@ -512,8 +501,4 @@ def caratheodory_ode_residual(pair: PolyPair, moments: MomentSequence,
     W = peval(pair.W_mpc(), z)
     V2 = peval(pair.V2_mpc(), z)
     U = peval(list(upoly.u), z)
-    terms = [W * Fp, -V2 * F, -U]
-    scale = max(abs(t) for t in terms)
-    if scale == 0:
-        return mpf(0)
-    return abs(sum(terms)) / scale
+    return rel_residual([W * Fp, -V2 * F, -U])

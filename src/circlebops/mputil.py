@@ -3,8 +3,9 @@
 Everything numerical runs on mpmath under a caller-chosen binary precision.
 This module centralises: precision management, conversion of heterogeneous
 inputs (ints, floats, Fractions, '3/8' strings, [re, im] pairs, QC) to mpc,
-dense complex LU decomposition for determinants and Toeplitz solves, relative
-residual measurement, and deterministic pseudo-random sample points.
+dense complex LU decomposition for determinants and Toeplitz solves, and
+deterministic pseudo-random sample points.  Residual measures live in
+``report``.
 """
 
 from __future__ import annotations
@@ -152,27 +153,6 @@ def lu_solve(rows, rhs):
             s -= a[i][j] * x[j]
         x[i] = s / a[i][i]
     return x
-
-
-# ---------------------------------------------------------------------------
-# residual measurement
-# ---------------------------------------------------------------------------
-
-def vector_residual(vectors) -> mpf:
-    """Relative residual of a list of coefficient vectors summing to zero."""
-    length = max((len(v) for v in vectors), default=0)
-    scale = mpf(0)
-    total = [mpc(0)] * length
-    for v in vectors:
-        for k, c in enumerate(v):
-            c = to_mpc(c)
-            total[k] += c
-            a = abs(c)
-            if a > scale:
-                scale = a
-    if scale == 0:
-        return mpf(0)
-    return max((abs(t) for t in total), default=mpf(0)) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,26 @@
 Each verified identity yields a ``CheckResult`` carrying a short code (the
 same code the CLI report and the acceptance suite print), the level it was
 evaluated at, the relative residual and the tolerance it was judged against.
+
+The relative residuals of the checks are measured by three helpers:
+``rel_residual`` (|sum of terms| / max |term|), ``vector_residual`` (the
+same, coefficient-wise over vectors) and ``rel_error`` (|got - want| /
+|want|).  Each takes a floor under its scale, which keeps a tiny scale from
+inflating the measure but makes the check absolute for any quantity below
+the floor.  Floors in use: 1 (I0, l:lambda, the endpoint checks,
+2ODE:p2asym, Ham:dual, the dg state and lambda-path deltas, dGarnier:ham,
+the deformation and flow checks), 1e-30 (tau:I, An:pf), 1e-40 (OTeq); the
+rest pass none.  Checks whose scale is none of these say why at their site.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
-from mpmath import mpf
+from mpmath import mpc, mpf
+
+from .mputil import to_mpc
 
 
 @dataclass
@@ -41,3 +54,52 @@ def all_passed(results) -> bool:
 
 def failures(results):
     return [r for r in results if not r.passed]
+
+
+# ---------------------------------------------------------------------------
+# residual measures
+# ---------------------------------------------------------------------------
+
+def _ratio(err, scale, floor) -> mpf:
+    scale = max(scale, floor)
+    if scale:
+        return err / scale
+    return mpf(0) if not err else mpf("inf")
+
+
+def rel_residual(terms, floor=0) -> mpf:
+    """|sum of terms| / max(|term|.., floor); 0 for no or only zero terms.
+
+    The sum starts from the first term, not from 0, so a term carrying
+    guard bits is not rounded before it meets the others: for the two terms
+    [a, -b] the sum is exactly a - b.
+    """
+    if not terms:
+        return mpf(0)
+    return _ratio(abs(sum(terms[1:], terms[0])), max(map(abs, terms)), floor)
+
+
+def vector_residual(vectors, floor=0) -> mpf:
+    """Largest |sum| over the coefficient positions of vectors summing to
+    zero, against their largest |coefficient| or the floor.
+
+    Vectors may differ in length.  Each position is summed from an mpc zero,
+    so the first vector's coefficients are rounded to the working precision.
+    """
+    cols = [[to_mpc(c) for c in col]
+            for col in zip_longest(*vectors, fillvalue=0)]
+    scale = max((abs(c) for col in cols for c in col), default=mpf(0))
+    err = max((abs(sum(col, mpc(0))) for col in cols), default=mpf(0))
+    return _ratio(err, scale, floor)
+
+
+def rel_error(got, want, floor=0) -> mpf:
+    """|got - want| / max(|want|, floor), inf if that scale is 0 and got is
+    not want; over equal-length lists, the worst difference over the largest
+    |want|."""
+    if not isinstance(want, (list, tuple)):
+        return _ratio(abs(got - want), abs(want), floor)
+    if len(got) != len(want):
+        raise ValueError("rel_error needs lists of equal length")
+    err = max((abs(g - w) for g, w in zip(got, want)), default=mpf(0))
+    return _ratio(err, max((abs(w) for w in want), default=mpf(0)), floor)

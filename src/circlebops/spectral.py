@@ -32,10 +32,10 @@ from mpmath import mp, mpf, mpc
 from .bops import BopsLevel, ToeplitzOracle
 from .errors import (DegreeBoundViolated, EvaluationAtRootOfTheta,
                      SamplePointOnSingularity, SingularityCollision)
-from .mputil import guarded, sample_points, to_mpc, vector_residual
+from .mputil import guarded, sample_points, to_mpc
 from .polys import (OffsetSeries, padd, pdiff, peval, pmul, pscale, pshift,
                     psub, ptrim, pdeg, pmax_abs)
-from .report import CheckResult
+from .report import CheckResult, rel_error, rel_residual, vector_residual
 from .weights import PolyPair
 
 
@@ -76,6 +76,7 @@ def band_tolerance() -> mpf:
 def _extract_band(series: OffsetSeries, lo: int, deg: int, factor: mpc):
     """Divide by the known prefactor and split in-band / out-of-band mass."""
     coeffs = [c / factor for c in series.window(lo, lo + deg)]
+    # custom scale: the out-of-band mass against the whole series' largest
     scale = max((abs(to_mpc(c)) for c in series.coeffs), default=mpf(0))
     worst = mpf(0)
     for p in range(series.offset, series.top + 1):
@@ -110,41 +111,31 @@ def _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm):
     est_n = oracle.epsstar_series(n, top + 1)
     est_n1 = oracle.epsstar_series(n + 1, top + 1)
 
-    phi_n, phi_n1 = lev_n.phi, lev_n1.phi
-    ps_n, ps_n1 = lev_n.phistar, lev_n1.phistar
-    dphi_n = pdiff(phi_n)
-    dps_n = pdiff(ps_n)
+    # 2 (phi0_{n+1}/kappa_n) z^n (Theta_n, Omega_n) = forms(eps, phi) with
+    # W[e0 p0' - e0' p0] + 2V e0 p0 and W[e1 p0' - e0' p1] + V[e1 p0 + e0 p1]
+    def forms(e0, e1, p0, p1):
+        de0 = e0.diff()
+        dp0 = pdiff(p0)
+        theta = e0.mul_poly(dp0, top).add(
+            de0.mul_poly(p0, top).scale(-1)).mul_poly(W, top).add(
+            e0.mul_poly(p0, top).mul_poly(V2, top))
+        omega = e1.mul_poly(dp0, top).add(
+            de0.mul_poly(p1, top).scale(-1)).mul_poly(W, top).add(
+            e1.mul_poly(p0, top).add(
+                e0.mul_poly(p1, top)).mul_poly(V, top))
+        return theta, omega
 
-    # 2 (phi0_{n+1}/kappa_n) z^n Theta_n = W[eps phi' - eps' phi] + 2V eps phi
-    r_theta = eps_n.mul_poly(dphi_n, top).add(
-        eps_n.diff().mul_poly(phi_n, top).scale(-1)).mul_poly(W, top).add(
-        eps_n.mul_poly(phi_n, top).mul_poly(V2, top))
+    r_theta, r_omega = forms(eps_n, eps_n1, lev_n.phi, lev_n1.phi)
     fac = 2 * lev_n1.phi0 / lev_n.kappa
     theta, r1 = _extract_band(r_theta, n, N, fac)
-
-    # 2 (phi0_{n+1}/kappa_n) z^n Omega_n
-    #   = W[eps_{n+1} phi_n' - eps_n' phi_{n+1}] + V[eps_{n+1} phi_n + eps_n phi_{n+1}]
-    r_omega = eps_n1.mul_poly(dphi_n, top).add(
-        eps_n.diff().mul_poly(phi_n1, top).scale(-1)).mul_poly(W, top).add(
-        eps_n1.mul_poly(phi_n, top).add(
-            eps_n.mul_poly(phi_n1, top)).mul_poly(V, top))
     omega, r2 = _extract_band(r_omega, n, N + 1, fac)
 
-    # 2 (phibar0_{n+1}/kappa_n) z^{n+1} Thetastar_n
-    #   = W[epsstar' phistar - epsstar phistar'] - 2V epsstar phistar
-    r_ts = est_n.diff().mul_poly(ps_n, top).add(
-        est_n.mul_poly(dps_n, top).scale(-1)).mul_poly(W, top).add(
-        est_n.mul_poly(ps_n, top).mul_poly(V2, top).scale(-1))
-    fac_s = 2 * lev_n1.phibar0 / lev_n.kappa
+    # the starred pair is the negated pair of forms in (epsstar, phistar):
+    # 2 (phibar0_{n+1}/kappa_n) z^{n+1} (Thetastar_n, Omegastar_n)
+    #   = -forms(epsstar_n, epsstar_{n+1}, phistar_n, phistar_{n+1})
+    r_ts, r_os = forms(est_n, est_n1, lev_n.phistar, lev_n1.phistar)
+    fac_s = -2 * lev_n1.phibar0 / lev_n.kappa
     thetastar, r3 = _extract_band(r_ts, n + 1, N, fac_s)
-
-    # 2 (phibar0_{n+1}/kappa_n) z^{n+1} Omegastar_n
-    #   = W[epsstar_n' phistar_{n+1} - epsstar_{n+1} phistar_n']
-    #     - V[epsstar_{n+1} phistar_n + epsstar_n phistar_{n+1}]
-    r_os = est_n.diff().mul_poly(ps_n1, top).add(
-        est_n1.mul_poly(dps_n, top).scale(-1)).mul_poly(W, top).add(
-        est_n1.mul_poly(ps_n, top).add(
-            est_n.mul_poly(ps_n1, top)).mul_poly(V, top).scale(-1))
     omegastar, r4 = _extract_band(r_os, n + 1, N + 1, fac_s)
 
     band = max(r1, r2, r3, r4)
@@ -285,6 +276,8 @@ def residue_structure_checks(ws: SpectralWorkspace, n: int, tol) -> list:
     ainf = a_infinity(mats)
     zs = ws.singularities()
     rhos = ws.residues()
+    # custom scale for An:res0, An:resInfty and An:trace: the largest entry
+    # of all the level's residue matrices
     scale = max(_mat_scale(mats), mpf(1))
     out = []
 
@@ -316,10 +309,9 @@ def residue_structure_checks(ws: SpectralWorkspace, n: int, tol) -> list:
             for i in range(2):
                 for k in range(2):
                     rec[i][k] += m[i][k] * f
-        dscale = max(_mat_scale([direct]), mpf(1e-30))
-        diff = max(abs(direct[i][k] - rec[i][k])
-                   for i in range(2) for k in range(2))
-        worst_pf = max(worst_pf, diff / dscale)
+        worst_pf = max(worst_pf, rel_error(
+            [rec[i][k] for i in range(2) for k in range(2)],
+            [direct[i][k] for i in range(2) for k in range(2)], 1e-30))
     out.append(CheckResult.make("An:pf", worst_pf, tol, n,
                                 note="partial-fraction reconstruction"))
     return out
@@ -440,8 +432,7 @@ def check_transitions(ws: SpectralWorkspace, n: int, tol, npoints: int = 5,
         terms = [s0.omegastar_at(z), -kr * s0.thetastar_at(z),
                  -s0.omega_at(z), kr * z * s0.theta_at(z),
                  -n * peval(Woz, z)]
-        scale = max(abs(t) for t in terms)
-        worst = max(worst, abs(sum(terms)) / scale if scale > 0 else mpf(0))
+        worst = max(worst, rel_residual(terms))
     out.append(CheckResult.make("rrCf:j@pts", worst, tol, n))
 
     # Tform:a / Tform:b at every finite singularity (origin uses W'(0) as the
@@ -453,16 +444,15 @@ def check_transitions(ws: SpectralWorkspace, n: int, tol, npoints: int = 5,
         Vz = peval(ws.V(), zj)
         th, om = s0.theta_at(zj), s0.omega_at(zj)
         ts, os_ = s0.thetastar_at(zj), s0.omegastar_at(zj)
-        terms_a = [os_, -kr * ts, -om, kr * zj * th, -n * woz]
-        sa = max(abs(t) for t in terms_a)
-        worst_a = max(worst_a, abs(sum(terms_a)) / sa if sa > 0 else mpf(0))
+        worst_a = max(worst_a, rel_residual(
+            [os_, -kr * ts, -om, kr * zj * th, -n * woz]))
         lhs = (ws.level(n + 1).phi0 * ws.level(n + 1).phibar0 /
                ws.level(n).kappa ** 2) * zj * ts
         b1 = om + Vz - kr * zj * th
         b2 = om - Vz - kr * zj * th + n * woz
         rhs = b1 * b2 / th
-        # at the origin both sides vanish by cancellation inside b2; measure
-        # against the pre-cancellation magnitudes
+        # custom scale: at the origin both sides vanish by cancellation
+        # inside b2; measure against the pre-cancellation magnitudes
         s1 = max(abs(om), abs(Vz), abs(kr * zj * th))
         s2 = max(abs(om), abs(Vz), abs(kr * zj * th), abs(n * woz))
         sb = max(abs(lhs), s1 * s2 / abs(th)) if th != 0 else abs(lhs)
@@ -481,10 +471,8 @@ def check_bilinear(ws: SpectralWorkspace, n: int, tol) -> list:
     zs = ws.singularities()[1:]
 
     def addcheck(label, pairs):
-        worst = mpf(0)
-        for lhs, rhs in pairs:
-            scale = max(abs(lhs), abs(rhs), mpf(1e-40))
-            worst = max(worst, abs(lhs - rhs) / scale)
+        worst = max((rel_residual([lhs, -rhs], 1e-40) for lhs, rhs in pairs),
+                    default=mpf(0))
         out.append(CheckResult.make(label, worst, tol, n))
 
     pairs_a, pairs_b, pairs_e = [], [], []
@@ -541,12 +529,8 @@ def _sum_residual(lhs_terms, rhs) -> mpf:
     cancels to zero (e.g. single-coordinate cases of the pairwise sums).
     """
     rhs_parts = rhs if isinstance(rhs, (list, tuple)) else [rhs]
-    terms = [to_mpc(t) for t in lhs_terms] + \
-        [-to_mpc(p) for p in rhs_parts]
-    scale = max((abs(t) for t in terms), default=mpf(0))
-    if scale == 0:
-        return mpf(0)
-    return abs(sum(terms)) / scale
+    return rel_residual([to_mpc(t) for t in lhs_terms] +
+                        [-to_mpc(p) for p in rhs_parts])
 
 
 def check_summation_identities(ws: SpectralWorkspace, n: int, tol,
@@ -862,6 +846,7 @@ def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol, npoints: int = 10,
            abs(sd.thetastar_at(z)) < mpf(10) ** (-mp.prec // 4):
             continue
         d = scalar_ode_data(ws, n, z)
+        # custom scale: p2 judged against its pieces, not their sum
         terms = [peval(ddphi, z), d["p1"] * peval(dphi, z),
                  d["p2"] * peval(phi, z)]
         scale = max(abs(terms[0]), abs(terms[1]),

@@ -12,12 +12,11 @@ from mpmath import mpf
 
 from .bops import casoratian_residuals
 from .discrete_garnier import (dg_from_spectral, dg_hamiltonian_residuals,
-                               dg_initial, dg_trajectory, tau_recovery)
+                               dg_run, tau_recovery)
 from .garnier import (coordinates_from_spectral, flow_tolerance,
                       hamilton_equations_check, hamiltonian_from_residues,
                       omega_rep_residual, v2_rep_residual, w_rep_residual)
-from .moments import build_U
-from .report import CheckResult
+from .report import CheckResult, rel_error, rel_residual
 from .spectral import (SpectralWorkspace, check_bilinear,
                        check_linear_recurrences, check_summation_identities,
                        check_transitions, p2_asymptotic_constant,
@@ -32,14 +31,11 @@ def toeplitz_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
         lev, prev = o.level(n), o.level(n - 1)
         lhs = o.det(n + 1) * o.det(n - 1) / o.det(n) ** 2
         rhs = 1 - lev.r * lev.rbar
-        out.append(CheckResult.make(
-            "I0", abs(lhs - rhs) / max(abs(lhs), abs(rhs), mpf(1)), tol, n))
+        out.append(CheckResult.make("I0", rel_residual([lhs, -rhs], 1), tol, n))
         terms = [lev.kappa ** 2, -prev.kappa ** 2, -lev.phi0 * lev.phibar0]
-        scale = max(abs(t) for t in terms)
-        out.append(CheckResult.make("l:kappa", abs(sum(terms)) / scale, tol, n))
+        out.append(CheckResult.make("l:kappa", rel_residual(terms), tol, n))
         terms = [lev.lam, -prev.lam, -lev.r * prev.rbar]
-        scale = max(max(abs(t) for t in terms), mpf(1))
-        out.append(CheckResult.make("l:lambda", abs(sum(terms)) / scale, tol, n))
+        out.append(CheckResult.make("l:lambda", rel_residual(terms, 1), tol, n))
     return out
 
 
@@ -88,8 +84,8 @@ def endpoint_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
              -sgn * (m[N + 1] / 2 + (n + 1 - rho0) * e[N + 1])),
         ]
         for label, got, want in pairs:
-            scale = max(abs(got), abs(want), mpf(1))
-            out.append(CheckResult.make(label, abs(got - want) / scale, tol, n))
+            out.append(CheckResult.make(label, rel_residual([got, -want], 1),
+                                        tol, n))
     return out
 
 
@@ -127,8 +123,7 @@ def ode_suite(ws: SpectralWorkspace, n_max: int, tol, seed: int = 41) -> list:
         out.extend(scalar_ode_residuals(ws, n, tol, seed=seed))
         got = p2_asymptotic_constant(ws, n)
         want = -mpf(n) * (1 + m0)
-        scale = max(abs(want), mpf(1))
-        out.append(CheckResult.make("2ODE:p2asym", abs(got - want) / scale,
+        out.append(CheckResult.make("2ODE:p2asym", rel_error(got, want, 1),
                                     tol, n))
     return out
 
@@ -145,23 +140,17 @@ def garnier_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
         out.append(CheckResult.make("WRep", w_rep_residual(ws, n, point),
                                     tol, n))
         dual = hamiltonian_from_residues(ws, n, point)
-        worst = mpf(0)
-        for a, b in zip(point.K, dual):
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b), mpf(1)))
+        worst = max((rel_residual([a, -b], 1) for a, b in zip(point.K, dual)),
+                    default=mpf(0))
         out.append(CheckResult.make("Ham:dual", worst, tol, n))
     return out
 
 
 def oracle_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     """Trajectory of the coupled recurrences against spectral values."""
-    pair = ws.pair
-    ms = ws.oracle.moments
-    st0 = dg_initial(pair, build_U(pair, ms), ms)
-    out = []
-    spec0 = dg_from_spectral(ws, 0)
-    d0 = state_delta(st0, spec0)
-    out.append(CheckResult.make("dGarnier:init", d0, tol, 0))
-    traj = dg_trajectory(st0, pair, n_max)
+    traj = dg_run(ws.pair, ws.oracle.moments, n_max)
+    d0 = state_delta(traj[0], dg_from_spectral(ws, 0))
+    out = [CheckResult.make("dGarnier:init", d0, tol, 0)]
     for st in traj[1:]:
         oracle_state = dg_from_spectral(ws, st.n)
         out.append(CheckResult.make("dGarnier:ab", state_delta(st, oracle_state),
@@ -175,23 +164,18 @@ def oracle_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
 
 def state_delta(a, b) -> mpf:
     """Largest f/omega difference of two recurrence states, relative to b."""
-    scale = max(max(abs(x) for x in b.f), max(abs(x) for x in b.omega), mpf(1))
-    return max(max(abs(x - y) for x, y in zip(a.f, b.f)),
-               max(abs(x - y) for x, y in zip(a.omega, b.omega))) / scale
+    return rel_error(a.f + a.omega, b.f + b.omega, 1)
 
 
 def tau_delta(ws: SpectralWorkspace, rec: dict, n: int) -> mpf:
     """Relative distance of the recovered I_n from the oracle determinant."""
-    In = ws.oracle.det(n)
-    return abs(rec["I"][n] - In) / max(abs(In), mpf(1e-30))
+    return rel_error(rec["I"][n], ws.oracle.det(n), 1e-30)
 
 
 def tau_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    pair = ws.pair
     ms = ws.oracle.moments
-    st0 = dg_initial(pair, build_U(pair, ms), ms)
-    traj = dg_trajectory(st0, pair, n_max + 2)
-    rec = tau_recovery(traj, pair, ms)
+    traj = dg_run(ws.pair, ms, n_max + 2)
+    rec = tau_recovery(traj, ws.pair, ms)
     out = [CheckResult.make("tau:lambda-paths", rec["lambda_delta"], tol,
                             note="two recovery recurrences"),
            CheckResult.make("tau:rbar0", rec["rbar0_defect"], tol)]

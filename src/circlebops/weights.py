@@ -36,6 +36,8 @@ class WeightData:
     singularities: tuple          # QC values, ordered
     residues: tuple               # QC values, aligned with singularities
     placement: str                # 'canonical' | 'general'
+    _images: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)  # mp.prec -> (zs, rhos) as mpc
 
     @property
     def M(self) -> int:
@@ -52,11 +54,19 @@ class WeightData:
         """Canonical placement: the t_j between 0 and 1 in the ordering."""
         return self.singularities[1:-1]
 
+    def _mpc(self) -> tuple:
+        got = self._images.get(mp.prec)
+        if got is None:
+            got = (tuple(s.to_mpc() for s in self.singularities),
+                   tuple(r.to_mpc() for r in self.residues))
+            self._images[mp.prec] = got
+        return got
+
     def singularities_mpc(self):
-        return [s.to_mpc() for s in self.singularities]
+        return list(self._mpc()[0])
 
     def residues_mpc(self):
-        return [r.to_mpc() for r in self.residues]
+        return list(self._mpc()[1])
 
 
 @dataclass(frozen=True)

@@ -312,3 +312,16 @@ def test_quadrature_mode_pipeline(tmp_path):
                  "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["levels"][2]["residual_I0"]["f"] < 1e-20
+
+
+def test_spectral_checks_accepts_all_or_none(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "s.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", path, "spectral", "--nmax", "2",
+              "--checks", "nonsense", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert main(["--config", path, "spectral", "--nmax", "2",
+                 "--checks", "none", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["residuals"] == []
