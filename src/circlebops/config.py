@@ -30,9 +30,10 @@ from mpmath import mpf
 from .bops import ToeplitzOracle
 from .errors import ConfigInvalid
 from .moments import MomentSequence
-from .mputil import to_mpc
+from .mputil import parse_exact, to_mpc
 from .spectral import SpectralWorkspace
-from .weights import WeightData, build_poly_pair, build_weight
+from .weights import WeightData, build_poly_pair, build_weight, \
+    is_negative_int
 
 KNOWN_CHECKS = ("identities", "bilinear", "summation", "flow", "oracle", "tau")
 MODES = ("formal", "quadrature", "rational")
@@ -101,6 +102,11 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(sing, list) or not isinstance(res, list) or \
             len(sing) != len(res) or len(sing) < 2:
         raise ConfigInvalid("weight needs matching singularity/residue lists")
+    if mode == "rational" and placement != "canonical":
+        raise ConfigInvalid("rational mode needs placement: canonical "
+                            "(its seed window starts at the origin)")
+    if mode == "rational" and not all(_negative_int(r) for r in res):
+        raise ConfigInvalid("rational mode needs negative integer residues")
     sblock = raw.get("seeds") or {}
     seed_start = sblock.get("start", -1)
     seed_values = sblock.get("values", [])
@@ -112,6 +118,13 @@ def config_from_dict(raw: dict) -> RunConfig:
                      weight_singularities=sing, weight_residues=res,
                      seed_start=int(seed_start), seed_values=seed_values,
                      out=str(raw.get("out", "")))
+
+
+def _negative_int(raw) -> bool:
+    try:
+        return is_negative_int(parse_exact(raw))
+    except (TypeError, ValueError, ZeroDivisionError):
+        return False
 
 
 def build_weight_from_config(cfg: RunConfig) -> WeightData:

@@ -46,10 +46,8 @@ from .weights import WeightData, build_poly_pair, build_weight
 def rational_workspace(weight: WeightData) -> SpectralWorkspace:
     """Pipeline workspace seeded from closed-form moments of the weight."""
     pair = build_poly_pair(weight)
-    order = pair.M - 1
-    vals = rational_weight_moments(weight, -1, order - 2)
-    seeds = [vals[k] for k in range(-1, order - 1)]
-    ms = MomentSequence.from_seeds(pair, -1, seeds)
+    seeds = rational_weight_moments(weight, -1, pair.M - 3)
+    ms = MomentSequence.from_seeds(pair, -1, list(seeds.values()))
     ms.provenance = "rational"
     return SpectralWorkspace(ToeplitzOracle(ms), pair)
 

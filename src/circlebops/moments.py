@@ -16,9 +16,10 @@ Two constructors populate a sequence:
                          directions (the primary test mode);
 * ``from_quadrature``  - contour integrals of an honest single-valued weight.
 
-Weights whose residues are all negative integers also have closed-form
-moments, ``rational_weight_moments``; ``deform.rational_workspace`` seeds a
-sequence from them for the finite-difference deformation checks.
+Weights whose residues are all negative integers have moments that are
+finite residue sums, ``rational_weight_moments``, exact to working precision;
+``deform.rational_workspace`` seeds a sequence from them for the
+finite-difference deformation checks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .mputil import guarded, to_mpc
 from .polys import padd, pdiff, peval, pmul, pscale
 from .report import rel_residual
 from .weights import PolyPair, WeightData, build_poly_pair, \
-    eval_weight_on_circle, seam_shielded, single_valuedness_defect
+    eval_weight_on_circle, is_negative_int, seam_shielded, \
+    single_valuedness_defect
 
 # relative pivot floors for recurrence steps
 BACKWARD_PIVOT_FLOOR = 1e-3
@@ -322,88 +324,68 @@ def moment_quadrature(weight: WeightData, k: int, rel_tol=None,
 def _product_series(factors, nterms: int):
     """Taylor coefficients of prod (1 - x_i u)^(-q_i) up to u^(nterms-1).
 
+    The local Taylor factors of ``rational_weight_moments`` have this form:
+    (z_o - a + t)^(-q) is (z_o - a)^(-q) (1 - x t)^(-q) with x = -1/(z_o - a).
     The product solves P' D = P S with D = prod (1 - x_i u) and
-    S = sum_i q_i x_i prod_{j != i} (1 - x_j u), giving an order-len(factors)
-    coefficient recurrence: linear cost instead of repeated convolutions.
+    S = sum_i q_i x_i prod_{j != i} (1 - x_j u) for any integer q_i, zero
+    and negative included: an order-len(factors) coefficient recurrence.
     """
-    if not factors:
-        return [mpc(1)] * 1 + [mpc(0)] * (nterms - 1)
-    D = [mpc(1)]
-    for x, _ in factors:
-        D = pmul(D, [mpc(1), -x])
-    S = [mpc(0)]
+    D, S = [mpc(1)], [mpc(0)]
     for i, (x, q) in enumerate(factors):
+        D = pmul(D, [mpc(1), -x])
         part = [mpc(q) * x]
-        for jj, (xj, _) in enumerate(factors):
-            if jj != i:
+        for j, (xj, _) in enumerate(factors):
+            if j != i:
                 part = pmul(part, [mpc(1), -xj])
         S = padd(S, part)
     p = [mpc(1)]
-    for m1 in range(1, nterms):
+    for m in range(1, nterms):
         acc = mpc(0)
-        for k, s in enumerate(S):
-            if k <= m1 - 1:
-                acc += s * p[m1 - 1 - k]
-        for k in range(1, len(D)):
-            if k <= m1:
-                acc -= D[k] * (m1 - k) * p[m1 - k]
-        p.append(acc / m1)
+        for k in range(min(len(S), m)):
+            acc += S[k] * p[m - 1 - k]
+        for k in range(1, min(len(D), m + 1)):
+            acc -= D[k] * (m - k) * p[m - k]
+        p.append(acc / m)
     return p
 
 
 def rational_weight_moments(weight: WeightData, kmin: int, kmax: int) -> dict:
     """Laurent coefficients of a weight whose residues are all negative ints.
 
-    Such a weight is a rational function; its expansion in the annulus
-    between the interior poles and the unit circle is a convergent two-sided
-    series whose coefficients are smooth functions of the singularity
-    positions.  Truncation is doubled until the requested window stabilises
-    at working precision.
+    Such a weight w(z) = prod_j (z - z_j)^(-q_j) is rational, and its annulus
+    coefficient w_k (interior poles inside, unit circle outside) is minus the
+    residues of w(z) z^(-k-1) at the poles on or outside the circle and at
+    infinity.  At z_o the residue is the t^(q_o - 1) coefficient of
+    z_o^(-k-1) (1 + t/z_o)^(-k-1) prod_{j != o} (z_o - z_j + t)^(-q_j); at
+    infinity it is nonzero only for k <= -sum_j q_j.  The sum is finite, so
+    nothing is truncated; it is formed with the guard bits and returned at
+    working precision.
     """
-    zs = weight.singularities_mpc()
-    rhos = []
-    for r in weight.residues:
-        if r.im != 0 or r.re.denominator != 1 or r.re >= 0:
-            raise ValueError("closed-form moments need negative integer residues")
-        rhos.append(int(r.re))
-    inside = [(z, -q) for z, q in zip(zs, rhos) if abs(z) < 1]
-    outside = [(z, -q) for z, q in zip(zs, rhos) if abs(z) >= 1]
-    A = sum(-q for _, q in inside)
-
-    tol = mpf(2) ** (-mp.prec + 6)
-    # geometric decay ratio of the cross terms sets the truncation length;
-    # a short extension then certifies it
-    rmax = max((abs(z) for z, _ in inside if z != 0), default=mpf("0.5"))
-    rmax = min(max(rmax, mpf("0.05")), mpf("0.98"))
-    base = int((mp.prec + 60) / -mpmath.log(rmax, 2)) + 32
-    sizes = [base, base + 64, 2 * base, 4 * base, 8 * base]
-
-    def evaluate(nterms):
-        P = _product_series([(z, q) for z, q in inside if z != 0], nterms)
-        qlen = kmax - A + nterms + 1
-        const = mpc(1)
-        for z, q in outside:
-            const *= (-z) ** (-q)
-        Q = _product_series([(1 / z, q) for z, q in outside], qlen)
-        Q = [const * c for c in Q]
-        vals = {}
+    if not all(is_negative_int(r) for r in weight.residues):
+        raise ValueError("closed-form moments need negative integer residues")
+    qs = [-int(r.re) for r in weight.residues]
+    total = sum(qs)
+    outside = [o for o, z in enumerate(weight.singularities)
+               if z.re * z.re + z.im * z.im >= 1]
+    vals = {}
+    with guarded():
+        zs = weight.singularities_mpc()
+        # -Res_inf is the z^(total+k) coefficient of prod (1 - z_j/z)^(-q_j)
+        tail = _product_series([(z, q) for z, q in zip(zs, qs) if z],
+                               max(0, -total - kmin + 1))
         for k in range(kmin, kmax + 1):
-            s = mpc(0)
-            for m_i in range(len(P)):
-                qi = k - A + m_i
-                if 0 <= qi < len(Q):
-                    s += P[m_i] * Q[qi]
-            vals[k] = s
-        return vals
-
-    prev = evaluate(sizes[0])
-    for nterms in sizes[1:]:
-        vals = evaluate(nterms)
-        scale = max(max(abs(v) for v in vals.values()), mpf(1))
-        if all(abs(vals[k] - prev[k]) <= tol * scale for k in vals):
-            return vals
-        prev = vals
-    raise NonConvergent("rational-weight moment series did not stabilise")
+            acc = tail[-total - k] if k <= -total else mpc(0)
+            for o in outside:
+                zo = zs[o]
+                const = zo ** (-k - 1)
+                local = [(-1 / zo, k + 1)]
+                for j, (z, q) in enumerate(zip(zs, qs)):
+                    if j != o:
+                        const *= (zo - z) ** (-q)
+                        local.append((-1 / (zo - z), q))
+                acc -= const * _product_series(local, qs[o])[-1]
+            vals[k] = acc
+    return {k: +v for k, v in vals.items()}
 
 
 # ---------------------------------------------------------------------------

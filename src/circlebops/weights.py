@@ -124,6 +124,11 @@ def _is_nonneg_int(rho: QC) -> bool:
     return rho.im == 0 and rho.re.denominator == 1 and rho.re >= 0
 
 
+def is_negative_int(rho: QC) -> bool:
+    """A residue -q with q a positive integer: a pole of order q."""
+    return rho.im == 0 and rho.re.denominator == 1 and rho.re < 0
+
+
 def build_weight(singularities, residues, placement: str = "canonical",
                  validate: bool = True) -> WeightData:
     """Validate and freeze weight data.

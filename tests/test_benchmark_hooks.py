@@ -40,9 +40,20 @@ CONFIG = {
 }
 
 
-def test_layer_tracer_reaches_spectral_polys_and_eps(tmp_path):
+RATIONAL_M4_FLOW = {
+    "mode": "rational", "precision_bits": 256, "tolerance": 1.0e-20,
+    "n_max": 2, "seed": 1, "checks": ["flow"],
+    "weight": {"placement": "canonical",
+               "singularities": [[0, 0], ["2/5", "1/5"], ["-1/3", "1/2"],
+                                 [1, 0]],
+               "residues": [[-3, 0], [-4, 0], [-4, 0], [-5, 0]]},
+}
+
+
+def _traced_verify(tmp_path, config_data) -> dict:
+    """Layer metrics of one traced ``verify`` run in a fresh interpreter."""
     config = tmp_path / "run.yaml"
-    config.write_text(yaml.safe_dump(CONFIG))
+    config.write_text(yaml.safe_dump(config_data))
     result = tmp_path / "metrics.json"
     src = str(Path(circlebops.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -54,8 +65,20 @@ def test_layer_tracer_reaches_spectral_polys_and_eps(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(result.read_text())
     assert got["exit"] == 0
-    metrics = got["metrics"]
+    return got["metrics"]
+
+
+def test_layer_tracer_reaches_spectral_polys_and_eps(tmp_path):
+    metrics = _traced_verify(tmp_path, CONFIG)
     assert metrics["spectral.extract.calls"] > 0
     assert metrics["polys.mul_poly.calls"] > 0
     assert metrics["polys.mul_poly.mults"] > 0
     assert metrics["bops.eps.s"] > 0
+
+
+def test_layer_tracer_times_rational_moments_per_workspace(tmp_path):
+    """Every rational workspace takes its seeds from one closed-form call."""
+    metrics = _traced_verify(tmp_path, RATIONAL_M4_FLOW)
+    assert metrics["deform.workspaces"] > 0
+    assert metrics["moments.rational.calls"] == metrics["deform.workspaces"]
+    assert metrics["moments.rational.s"] > 0

@@ -270,6 +270,25 @@ def test_rational_mode_flow_verify(tmp_path):
                  str(tmp_path / "flow.json")]) == 0
 
 
+@pytest.mark.parametrize("weight, message", [
+    (BASE["weight"], "negative integer"),
+    ({"placement": "general",
+      "singularities": [["1/5", 0], ["2/5", "1/5"], [1, 0]],
+      "residues": [[-3, 0], [-4, 0], [-5, 0]]}, "placement: canonical"),
+], ids=["fractional-residues", "general-placement"])
+def test_rational_mode_rejects_weights_without_closed_form_seeds(
+        tmp_path, capsys, weight, message):
+    """Bad rational input is a config error, not a crash or a degeneracy."""
+    cfg = {**RATIONAL_M3, "weight": weight}
+    path = tmp_path / "r.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "v.json"
+    assert main(["--config", str(path), "verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
 def test_console_script_entry_point(tmp_path):
     path = write_config(tmp_path, out=str(tmp_path / "v.json"))
     proc = subprocess.run([sys.executable, "-m", "circlebops.cli",

@@ -3,16 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mpc, mpf
+from mpmath import fsum, log, mpc, mpf
 
-from conftest import standard_case_m3
+from conftest import rational_case_m3, rational_case_m4, standard_case_m3
 from circlebops.errors import SingularStep, WindowTooSmall
 from circlebops.exact import QC, qc
-from circlebops.moments import (MomentSequence, build_U, caratheodory,
+from circlebops.moments import (MomentSequence, _product_series, build_U,
+                                caratheodory,
                                 caratheodory_ode_residual,
                                 caratheodory_series, moment_quadrature,
                                 moment_step, rational_weight_moments,
                                 recurrence_row, u_from_series)
+from circlebops.mputil import working_precision
 from circlebops.weights import build_poly_pair, build_weight
 
 
@@ -157,6 +159,82 @@ def test_rational_moments_need_integer_poles():
     w = build_weight([0, "2/5", 1], ["1/3", "-1/2", "1/4"])
     with pytest.raises(ValueError):
         rational_weight_moments(w, 0, 1)
+
+
+def _series_moments(weight, kmin, kmax, nterms):
+    """Annulus Laurent coefficients as a truncated product of two series.
+
+    Reference route for the residue sums: the interior factors
+    (z - z_j)^(-q_j) = z^(-q_j) (1 - z_j/z)^(-q_j) expand in 1/z, cut after
+    nterms terms, and the factors on or outside the circle expand in z.
+    """
+    zs = weight.singularities_mpc()
+    qs = [-int(r.re) for r in weight.residues]
+    inside = [(z, q) for z, q in zip(zs, qs) if abs(z) < 1]
+    outside = [(z, q) for z, q in zip(zs, qs) if abs(z) >= 1]
+    A = sum(q for _, q in inside)
+    P = _product_series([(z, q) for z, q in inside if z], nterms)
+    Q = _product_series([(1 / z, q) for z, q in outside],
+                        kmax + A + nterms + 1)
+    const = mpc(1)
+    for z, q in outside:
+        const *= (-z) ** (-q)
+    return {k: const * fsum(P[m] * Q[k + A + m] for m in range(nterms)
+                            if k + A + m >= 0)
+            for k in range(kmin, kmax + 1)}
+
+
+def _series_reference(weight, kmin, kmax, prec=640):
+    """The series route at prec bits, its truncation checked by 64 more
+    terms."""
+    with working_precision(prec):
+        rmax = max((abs(z) for z in weight.singularities_mpc()
+                    if 0 < abs(z) < 1), default=mpf("0.5"))
+        nterms = int((prec + 60) / -log(rmax, 2)) + 32
+        ref = _series_moments(weight, kmin, kmax, nterms)
+        longer = _series_moments(weight, kmin, kmax, nterms + 64)
+        for k in ref:
+            assert abs(ref[k] - longer[k]) <= \
+                mpf(2) ** (-prec + 16) * abs(ref[k])
+        return ref
+
+
+RESIDUE_CASES = {
+    "m3": (rational_case_m3, -6, 8),
+    "m4": (rational_case_m4, -6, 8),
+    "outside-free": (lambda: build_weight(
+        [0, ["3/2", "1/2"], 1], [-2, -3, -4]), -6, 8),
+    "close-outside-pair": (lambda: build_weight(
+        [0, ["6/5", "1/5"], ["6/5", "9/10"], 1], [-2, -3, -2, -3]), -6, 8),
+    "m5": (lambda: build_weight(
+        [0, ["1/10", 0], ["2/5", "1/5"], ["-1/3", "1/2"], 1],
+        [-2, -3, -2, -3, -4]), -6, 8),
+    "res-infinity": (lambda: build_weight(
+        [0, ["2/5", "1/5"], 1], [-1, -2, -1]), -12, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUE_CASES))
+def test_residue_sums_match_series_reference(case):
+    """Each coefficient is exact to working precision, relative to itself.
+
+    With the origin the only interior pole, w_k vanishes identically below
+    -q_0; the residues then cancel to roundoff, which is measured against
+    the largest coefficient of the window instead.
+    """
+    make, kmin, kmax = RESIDUE_CASES[case]
+    w = make()
+    ref = _series_reference(w, kmin, kmax)
+    top = max(abs(v) for v in ref.values())
+    for prec in (128, 256):
+        with working_precision(prec):
+            got = rational_weight_moments(w, kmin, kmax)
+        assert sorted(got) == list(range(kmin, kmax + 1))
+        with working_precision(640):
+            for k, v in got.items():
+                scale = abs(ref[k]) or top
+                assert abs(v - ref[k]) <= mpf(2) ** (8 - prec) * scale, \
+                    (prec, k)
 
 
 # -- the generating polynomial and function -----------------------------------
