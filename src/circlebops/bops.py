@@ -36,10 +36,13 @@ The associated functions are truncated interior expansions
 where <phi_n, m> = sum_j c_j w_{m-j} is the moment pairing that also drives
 the orthogonality relations.  All pairings of one series are one convolution
 of the coefficients with the moment window w_{-n} .. w_T (of the reflected
-window for epsstar_n) on the integer-mantissa kernel ``polys.conv_fixed``,
-run under the guard bits; the series keeps that guarded precision.  A
-coefficient is accurate to 2^-(prec+16) of max|c_j| max|w_k| over the
-window (prec including the guard bits), not of itself.  ``pairing_first``
+window for epsstar_n) on the integer-mantissa kernel ``polys.conv_fixed``.
+The series stays in integers (the factor +-2 is a sign and an exponent
+shift) on a grid the oracle fixes when it is built, ``eps_prec`` = working
+precision plus twice the guard bits, whatever precision the caller runs at;
+the moments the window adds are extended there too.  A coefficient is
+accurate to 2^-(eps_prec+16) of max|c_j| max|w_k| over the window, not of
+itself, and rounds once, at its reader's precision.  ``pairing_first``
 computes one pairing by an mpmath sum; it is the orthogonality residual and
 the tests' reference for the series.  At level zero these expansions reduce
 to the defining normalisations kappa_0 [w_0 +- F], which pins the index
@@ -56,7 +59,7 @@ from mpmath import mp, mpf, mpc
 
 from .errors import DegenerateDeterminant
 from .moments import MomentSequence, ReflectedMoments
-from .mputil import guarded, lu_det, lu_solve, to_mpc
+from .mputil import GUARD_BITS, guarded, lu_det, lu_solve, to_mpc
 from .polys import OffsetSeries, conv_fixed
 
 
@@ -173,41 +176,46 @@ def pairing_first(moments, coeffs, m: int) -> mpc:
              for j, c in enumerate(coeffs)), absolute=False)
 
 
-def _pairings(moments, coeffs, lo: int, hi: int, factor: int) -> list:
-    """factor * <f, m> for lo <= m <= hi, kept at the guarded precision.
+def _pairings(moments, coeffs, lo: int, hi: int, prec: int) -> OffsetSeries:
+    """<f, lo + k> as coefficient k of a series, for lo + k <= hi.
 
     One convolution of f with the window w_{lo-n} .. w_hi (n = deg f) on
-    the ``conv_fixed`` kernel.
+    the ``conv_fixed`` kernel at ``prec`` bits, whoever asks; its exact sums
+    are rounded once onto the grid prec + 16 bits below the largest.
     """
     n = len(coeffs) - 1
-    moments.extend(lo - n, hi)
-    window = [moments.w(k) for k in range(lo - n, hi + 1)]
-    with guarded():
-        return [factor * c
-                for c in conv_fixed(coeffs, window, n, n + hi - lo + 1)]
+    with mp.workprec(prec):
+        moments.extend(lo - n, hi)
+        window = [moments.w(k) for k in range(lo - n, hi + 1)]
+        return OffsetSeries.from_poly(
+            conv_fixed(coeffs, window, n, n + hi - lo + 1))
 
 
 def epsilon_from_determinant(moments: MomentSequence, phi_coeffs,
-                             truncation: int) -> OffsetSeries:
-    """Interior expansion of eps_n up to z^truncation.
+                             truncation: int, prec: int) -> OffsetSeries:
+    """Interior expansion of eps_n up to z^truncation, on the grid of
+    ``prec`` bits.
 
     For n >= 1 the coefficients below z^n vanish by orthogonality (kept: they
     double as a consistency alarm); the m = 0 term carries the level-zero
     normalisation.
     """
-    return OffsetSeries(0, _pairings(moments, phi_coeffs, 0, truncation, 2))
+    s = _pairings(moments, phi_coeffs, 0, truncation, prec)
+    return OffsetSeries(0, s.re, s.im, s.exp + 1)          # 2 <phi_n, m>
 
 
 def epsilonstar_from_determinant(moments: MomentSequence, phibar_coeffs,
-                                 truncation: int) -> OffsetSeries:
-    """Interior expansion of epsstar_n (starts at z^{n+1}) up to z^truncation."""
+                                 truncation: int, prec: int) -> OffsetSeries:
+    """Interior expansion of epsstar_n (starts at z^{n+1}) up to z^truncation,
+    on the grid of ``prec`` bits."""
     n = len(phibar_coeffs) - 1
     nterms = truncation - n
     if nterms < 1:
-        return OffsetSeries(n + 1, [])
-    pairs = _pairings(ReflectedMoments(moments), phibar_coeffs, -nterms, -1,
-                      -2)
-    return OffsetSeries(n + 1, pairs[::-1])
+        return OffsetSeries(n + 1, [], [])
+    s = _pairings(ReflectedMoments(moments), phibar_coeffs, -nterms, -1, prec)
+    # -2 <m-bar, phibar_n> for m = nterms .. 1, reversed to ascending powers
+    return OffsetSeries(n + 1, [-v for v in reversed(s.re)],
+                        [-v for v in reversed(s.im)], s.exp + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +255,9 @@ class ToeplitzOracle:
         self._h = []                            # h_k = I_{k+1} / I_k
         self._eps = {}
         self._epsstar = {}
+        # the eps-series grid, fixed here so that no caller's precision
+        # reaches it
+        self.eps_prec = mp.prec + 2 * GUARD_BITS
 
     def gauge(self, n: int) -> int:
         return self._gauge.get(n, 1)
@@ -345,7 +356,7 @@ class ToeplitzOracle:
         got = self._eps.get(n)
         if got is None or got.top < truncation:
             got = epsilon_from_determinant(self.moments, self.level(n).phi,
-                                           truncation)
+                                           truncation, self.eps_prec)
             self._eps[n] = got
         return got
 
@@ -353,7 +364,7 @@ class ToeplitzOracle:
         got = self._epsstar.get(n)
         if got is None or got.top < truncation:
             got = epsilonstar_from_determinant(
-                self.moments, self.level(n).phibar, truncation)
+                self.moments, self.level(n).phibar, truncation, self.eps_prec)
             self._epsstar[n] = got
         return got
 
@@ -407,12 +418,12 @@ def casoratian_residuals(oracle: ToeplitzOracle, n: int,
     out = {}
 
     def finish(label, built, mono_pow, mono_coeff):
-        target = OffsetSeries(mono_pow, [mono_coeff])
-        resid = built.add(target.scale(-1))
+        lo, hi = min(built.offset, mono_pow), max(built.top, mono_pow)
+        got = built.window(lo, hi)
         # custom scale: the largest built coefficient or the monomial
-        scale = max((abs(c) for c in built.coeffs), default=mpf(0))
-        scale = max(scale, abs(mono_coeff))
-        worst = max((abs(c) for c in resid.coeffs), default=mpf(0))
+        scale = max(max(map(abs, got)), abs(mono_coeff))
+        got[mono_pow - lo] -= mono_coeff
+        worst = max(map(abs, got))
         out[label] = worst / scale if scale > 0 else worst
 
     a = eps_n.mul_poly(lev_n1.phi, top).add(

@@ -15,7 +15,6 @@ error, 3 singular or degenerate abort.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
@@ -23,8 +22,8 @@ import mpmath
 from mpmath import mpf
 
 from . import jsonout
-from .config import (RunConfig, build_weight_from_config, build_workspace,
-                     load_config)
+from .config import (RunConfig, as_dict, build_weight_from_config,
+                     build_workspace, config_from_dict, load_config)
 from .discrete_garnier import dg_from_spectral, dg_run, tau_recovery
 from .errors import CircleBopsError, ConfigInvalid, SingularStep
 from .garnier import coordinates_from_spectral, riemann_exponents
@@ -160,14 +159,20 @@ def _cmd_verify(cfg: RunConfig, started: float) -> int:
     ws = build_workspace(cfg)
     tol = cfg.tolerance_mpf()
     results = run_verification(ws, cfg.checks, cfg.n_max, tol, seed=cfg.seed)
+    tols = {}                   # tolerance -> (text, JSON field), made once
+    checks = []
     for r in results:
+        if r.tol not in tols:
+            tols[r.tol] = mpmath.nstr(r.tol, 3), jsonout.real_field(r.tol)
+        text, field = tols[r.tol]
         status = "pass" if r.passed else "FAIL"
         level = f" n={r.n}" if r.n is not None else ""
         print(f"[{status}] {r.label}{level}: {mpmath.nstr(r.residual, 6)}"
-              f" < {mpmath.nstr(r.tol, 3)}")
+              f" < {text}")
+        checks.append(jsonout.check_field(r, field))
     bad = failures(results)
     payload = {
-        "checks": [jsonout.check_field(r) for r in results],
+        "checks": checks,
         "summary": {"total": len(results), "failed": len(bad),
                     "tolerance": jsonout.real_field(tol),
                     "n_max": cfg.n_max, "mode": cfg.mode,
@@ -363,17 +368,15 @@ def _cmd_sweep(cfg: RunConfig, args, started: float) -> int:
     if count < 1:
         raise ConfigInvalid("grid count must be >= 1")
     kind, idx = _parse_param(args.param, build_weight_from_config(cfg))
-    rows = []
+    key = "singularities" if kind == "t" else "residues"
+    points = []                 # every grid point validated before any runs
     for i in range(count):
         val = a + (b - a) * i / max(count - 1, 1)
-        if kind == "t":
-            sing = list(cfg.weight_singularities)
-            sing[idx] = [repr(val), "0"]
-            point = dataclasses.replace(cfg, weight_singularities=sing)
-        else:
-            res = list(cfg.weight_residues)
-            res[idx] = [repr(val), "0"]
-            point = dataclasses.replace(cfg, weight_residues=res)
+        raw = as_dict(cfg)
+        raw["weight"][key][idx] = [repr(val), "0"]
+        points.append((val, config_from_dict(raw)))
+    rows = []
+    for val, point in points:
         try:
             ws = build_workspace(point)
             dg_run(ws.pair, ws.oracle.moments, cfg.n_max)

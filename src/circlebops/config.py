@@ -37,6 +37,7 @@ from .weights import WeightData, build_poly_pair, build_weight, \
 
 KNOWN_CHECKS = ("identities", "bilinear", "summation", "flow", "oracle", "tau")
 MODES = ("formal", "quadrature", "rational")
+PLACEMENTS = ("canonical", "general")
 
 
 @dataclass
@@ -97,15 +98,26 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(wblock, dict):
         raise ConfigInvalid("missing weight block")
     placement = wblock.get("placement", "canonical")
+    if placement not in PLACEMENTS:
+        raise ConfigInvalid(f"placement must be one of {PLACEMENTS}, "
+                            f"got {placement!r}")
     sing = wblock.get("singularities")
     res = wblock.get("residues")
     if not isinstance(sing, list) or not isinstance(res, list) or \
             len(sing) != len(res) or len(sing) < 2:
         raise ConfigInvalid("weight needs matching singularity/residue lists")
+    for name, values in (("singularity", sing), ("residue", res)):
+        for raw_value in values:
+            try:
+                parse_exact(raw_value)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ConfigInvalid(f"bad {name} {raw_value!r}: {exc}") \
+                    from exc
     if mode == "rational" and placement != "canonical":
         raise ConfigInvalid("rational mode needs placement: canonical "
                             "(its seed window starts at the origin)")
-    if mode == "rational" and not all(_negative_int(r) for r in res):
+    if mode == "rational" and \
+            not all(is_negative_int(parse_exact(r)) for r in res):
         raise ConfigInvalid("rational mode needs negative integer residues")
     sblock = raw.get("seeds") or {}
     seed_start = sblock.get("start", -1)
@@ -120,11 +132,16 @@ def config_from_dict(raw: dict) -> RunConfig:
                      out=str(raw.get("out", "")))
 
 
-def _negative_int(raw) -> bool:
-    try:
-        return is_negative_int(parse_exact(raw))
-    except (TypeError, ValueError, ZeroDivisionError):
-        return False
+def as_dict(cfg: RunConfig) -> dict:
+    """The mapping ``config_from_dict`` reads back into ``cfg``."""
+    return {"mode": cfg.mode, "precision_bits": cfg.precision_bits,
+            "tolerance": cfg.tolerance, "n_max": cfg.n_max, "seed": cfg.seed,
+            "checks": list(cfg.checks),
+            "weight": {"placement": cfg.weight_placement,
+                       "singularities": list(cfg.weight_singularities),
+                       "residues": list(cfg.weight_residues)},
+            "seeds": {"start": cfg.seed_start, "values": cfg.seed_values},
+            "out": cfg.out}
 
 
 def build_weight_from_config(cfg: RunConfig) -> WeightData:

@@ -43,9 +43,12 @@ def matrix_field(m):
             for i in range(len(m))]
 
 
-def check_field(result):
+def check_field(result, tol_field=None):
+    """A check as JSON; ``tol_field`` is ``real_field(result.tol)`` when the
+    caller has it already."""
     out = {"id": result.label, "residual": real_field(result.residual),
-           "tol": real_field(result.tol), "passed": result.passed,
+           "tol": tol_field or real_field(result.tol),
+           "passed": result.passed,
            "gauge_invariant": result.gauge_invariant}
     if result.n is not None:
         out["n"] = result.n

@@ -6,20 +6,25 @@ exact Gaussian rationals and over mpc.
 
 ``OffsetSeries`` models a truncated expansion  sum_k c[k] z^(offset+k)  used
 for the associated functions, whose expansions start at a level-dependent
-power.  Its products are mpc-only: ``mul_poly`` is one call of
-``conv_fixed``, which turns each operand into Python-int mantissas on one
-shared binary grid, multiplies and accumulates in ints and rounds each
-output once.  Accuracy rule: an input coefficient is carried to
-2^-(prec+16) of the largest coefficient of its vector, so an output is
-accurate to about len 2^-(prec+16) max|a| max|b|, plus its final rounding to
-the working precision.  A coefficient far below its vector's largest keeps
-only the digits above that grid.
+power.  It keeps every c[k] as Python-int real and imaginary mantissas on
+one binary exponent, so ``mul_poly``, ``add``, ``scale`` and ``diff`` are
+exact integer operations, and ``coeff``, ``window`` and ``coeffs`` round to
+mpc once, to nearest at the reader's mp.prec.  A vector goes on a grid in
+three places: ``from_poly``, ``conv_fixed`` (both of its vectors) and
+``mul_poly`` (its polynomial), each time mp.prec + 16 bits below the
+largest coefficient of that vector (``_on_grid``; a series already on a
+coarser grid is kept as it is).  Accuracy rule: one gridded product is off
+by at most about len 2^-(prec+16) max|a| max|b| (prec of the call that
+gridded it); sums, derivatives and integer scalings add nothing, and a read
+adds one rounding at the reader's precision.  A coefficient far below its
+vector's largest keeps only the digits above that grid.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, mul, sub
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, fzero, round_nearest
@@ -120,57 +125,6 @@ def elementary_symmetric(values):
 
 
 # ---------------------------------------------------------------------------
-# truncated series with an offset
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OffsetSeries:
-    """Truncated series  sum_k coeffs[k] * z^(offset + k)."""
-
-    offset: int
-    coeffs: list
-
-    @property
-    def top(self) -> int:
-        """Largest represented power."""
-        return self.offset + len(self.coeffs) - 1
-
-    def coeff(self, power: int):
-        k = power - self.offset
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0 * self.coeffs[0] if self.coeffs else 0
-
-    def diff(self) -> "OffsetSeries":
-        c = [(self.offset + k) * v for k, v in enumerate(self.coeffs)]
-        if self.offset == 0:
-            return OffsetSeries(0, c[1:] if len(c) > 1 else [0 * self.coeffs[0]])
-        return OffsetSeries(self.offset - 1, c)
-
-    def mul_poly(self, p, top: int) -> "OffsetSeries":
-        """Multiply by a polynomial, truncating above power ``top``."""
-        return OffsetSeries(self.offset, conv_fixed(
-            self.coeffs, p, 0, max(top - self.offset + 1, 0)))
-
-    def add(self, other: "OffsetSeries") -> "OffsetSeries":
-        off = min(self.offset, other.offset)
-        top = max(self.top, other.top)
-        out = [0] * (top - off + 1)
-        for k, v in enumerate(self.coeffs):
-            out[self.offset - off + k] = out[self.offset - off + k] + v
-        for k, v in enumerate(other.coeffs):
-            out[other.offset - off + k] = out[other.offset - off + k] + v
-        return OffsetSeries(off, out)
-
-    def scale(self, s) -> "OffsetSeries":
-        return OffsetSeries(self.offset, [c * s for c in self.coeffs])
-
-    def window(self, lo: int, hi: int):
-        """Coefficients of z^lo .. z^hi as a plain list."""
-        return [self.coeff(p) for p in range(lo, hi + 1)]
-
-
-# ---------------------------------------------------------------------------
 # mpc-facing helpers
 # ---------------------------------------------------------------------------
 
@@ -178,17 +132,141 @@ def pmax_abs(p) -> mpf:
     return max((abs(to_mpc(c)) for c in p), default=mpf(0))
 
 
-# extra bits of the shared integer grid below a vector's largest coefficient
+# ---------------------------------------------------------------------------
+# truncated series on an integer grid
+# ---------------------------------------------------------------------------
+
+# extra bits of an integer grid below a vector's largest coefficient
 CONV_GUARD_BITS = 16
+# longest vector that ``_conv`` sweeps across the other
+_SWEEP_MAX = 8
+
+
+@dataclass
+class OffsetSeries:
+    """Truncated series  sum_k (re[k] + i im[k]) 2^exp z^(offset + k).
+
+    ``re`` and ``im`` are Python ints on the one binary exponent ``exp``.
+    """
+
+    offset: int
+    re: list
+    im: list
+    exp: int = 0
+
+    @classmethod
+    def from_poly(cls, coeffs) -> "OffsetSeries":
+        """The polynomial sum_k coeffs[k] z^k on its grid (``_on_grid``,
+        mp.prec + 16 bits)."""
+        grid = _on_grid(coeffs, mp.prec + CONV_GUARD_BITS)
+        if grid is None:
+            return cls(0, [0] * len(coeffs), [0] * len(coeffs))
+        return cls(0, *grid)
+
+    def __len__(self) -> int:
+        return len(self.re)
+
+    @property
+    def top(self) -> int:
+        """Largest represented power."""
+        return self.offset + len(self.re) - 1
+
+    def coeff(self, power: int) -> mpc:
+        """The coefficient of z^power, rounded to nearest at mp.prec."""
+        k = power - self.offset
+        if not 0 <= k < len(self.re):
+            return mpc(0)
+        prec = mp.prec
+        return mp.make_mpc((
+            from_man_exp(self.re[k], self.exp, prec, round_nearest),
+            from_man_exp(self.im[k], self.exp, prec, round_nearest)))
+
+    def window(self, lo: int, hi: int) -> list:
+        """Coefficients of z^lo .. z^hi as mpc, each rounded once."""
+        return [self.coeff(p) for p in range(lo, hi + 1)]
+
+    @property
+    def coeffs(self) -> "Rounded":
+        return Rounded(self)
+
+    def diff(self) -> "OffsetSeries":
+        off = self.offset
+        re = [(off + k) * v for k, v in enumerate(self.re)]
+        im = [(off + k) * v for k, v in enumerate(self.im)]
+        if off == 0:
+            return OffsetSeries(0, re[1:] or [0], im[1:] or [0], self.exp)
+        return OffsetSeries(off - 1, re, im, self.exp)
+
+    def mul_poly(self, p, top: int) -> "OffsetSeries":
+        """Multiply by a polynomial, truncating above power ``top``.
+
+        ``p`` is a coefficient list or a series from z^0; it goes on its
+        grid (``_on_grid``, mp.prec + 16 bits) and the product of the two
+        grids is exact.
+        """
+        count = max(top - self.offset + 1, 0)
+        grid = _on_grid(p, mp.prec + CONV_GUARD_BITS)
+        if grid is None:
+            return OffsetSeries(self.offset, [0] * count, [0] * count,
+                                self.exp)
+        pr, pi, exp = grid
+        return OffsetSeries(self.offset,
+                            *_conv(self.re, self.im, pr, pi, 0, count),
+                            self.exp + exp)
+
+    def add(self, other: "OffsetSeries") -> "OffsetSeries":
+        off = min(self.offset, other.offset)
+        exp = min(self.exp, other.exp)
+        size = max(self.top, other.top) - off + 1
+        re, im = [0] * size, [0] * size
+        for s in (self, other):
+            shift, at = s.exp - exp, s.offset - off
+            for k, (x, y) in enumerate(zip(s.re, s.im), at):
+                re[k] += x << shift
+                im[k] += y << shift
+        return OffsetSeries(off, re, im, exp)
+
+    def scale(self, s: int) -> "OffsetSeries":
+        """Multiply by the integer ``s``."""
+        return OffsetSeries(self.offset, [s * v for v in self.re],
+                            [s * v for v in self.im], self.exp)
+
+
+class Rounded(Sequence):
+    """The coefficients of a series as a sequence of mpc, each rounded when
+    it is read, at the reader's mp.prec (``OffsetSeries.coeff``)."""
+
+    def __init__(self, series: OffsetSeries):
+        self._series = series
+
+    def __len__(self) -> int:
+        return len(self._series)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return self._series.coeff(self._series.offset + range(len(self))[k])
 
 
 def _on_grid(vec, bits: int):
     """(re, im, exp): Python-int mantissas of ``vec`` on the grid 2^exp.
 
-    ``exp`` sits ``bits`` below the top bit of the largest real or imaginary
-    part; each part is rounded to the nearest grid point.  Returns None for
-    an empty or all-zero vector.
+    ``vec`` is a list of scalars or an ``OffsetSeries``.  ``exp`` sits
+    ``bits`` below the top bit of the largest real or imaginary part; each
+    part is rounded to the nearest grid point (a series already on a coarser
+    grid keeps its own).  Returns None for an empty or all-zero vector.
     """
+    if isinstance(vec, OffsetSeries):
+        top = max(map(abs, vec.re + vec.im), default=0).bit_length()
+        if not top:
+            return None
+        shift = top - bits
+        if shift <= 0:
+            return vec.re, vec.im, vec.exp
+        half = 1 << (shift - 1)
+        re, im = ([(v + half) >> shift if v >= 0 else -((half - v) >> shift)
+                   for v in part] for part in (vec.re, vec.im))
+        return re, im, vec.exp + shift
     parts = []
     for x in vec:
         if isinstance(x, mpc):
@@ -217,41 +295,78 @@ def _on_grid(vec, bits: int):
     return ints[0::2], ints[1::2], exp
 
 
-def conv_fixed(a, b, lo: int, hi: int) -> list:
-    """c_t = sum_i a_i b_{t-i} for lo <= t < hi, as mpc.
+def _conv(ar, ai, br, bi, lo: int, hi: int):
+    """(re, im) of c_t = sum_i a_i b_{t-i} for lo <= t < hi, in ints.
 
-    Both vectors go onto their own shared integer grid, mp.prec + 16 bits
-    below their largest coefficient (``_on_grid``); every output is
-    accumulated exactly in ints (three real sums per complex product) and
-    rounded once to nearest at mp.prec.
+    Three real sums per complex product (Gauss).  When the shorter vector
+    has at most ``_SWEEP_MAX`` entries, the longer one is swept once per
+    entry of the shorter (``_sweep``: few Python-level steps); otherwise
+    each output is summed on its own (fewer intermediate ints).
     """
-    if hi <= lo:
-        return []
-    zero = mpc(0)
-    bits = mp.prec + CONV_GUARD_BITS
-    ga, gb = _on_grid(a, bits), _on_grid(b, bits)
-    if ga is None or gb is None:
-        return [zero] * (hi - lo)
-    ar, ai, ea = ga
-    br, bi, eb = gb
+    if len(br) > len(ar):
+        ar, ai, br, bi = br, bi, ar, ai
+    if len(br) <= _SWEEP_MAX:
+        return _sweep(ar, ai, br, bi, lo, hi)
     asum = list(map(add, ar, ai))
     # b reversed, so that b_{t-i} over ascending i is a forward slice
     br, bi, bsum = br[::-1], bi[::-1], list(map(add, br, bi))[::-1]
     la, lb = len(ar), len(br)
-    exp, prec = ea + eb, mp.prec
-    make = mp.make_mpc
-    out = []
+    re, im = [], []
     for t in range(lo, hi):
         i0, i1 = max(0, t - lb + 1), min(la, t + 1)
         if i0 >= i1:
-            out.append(zero)
+            re.append(0)
+            im.append(0)
             continue
         j0 = lb - 1 - t + i0
         j1 = j0 + i1 - i0
         rr = sum(map(mul, ar[i0:i1], br[j0:j1]))
         ii = sum(map(mul, ai[i0:i1], bi[j0:j1]))
         ss = sum(map(mul, asum[i0:i1], bsum[j0:j1]))
-        out.append(make((from_man_exp(rr - ii, exp, prec, round_nearest),
-                         from_man_exp(ss - rr - ii, exp, prec,
-                                      round_nearest))))
-    return out
+        re.append(rr - ii)
+        im.append(ss - rr - ii)
+    return re, im
+
+
+def _sweep(ar, ai, br, bi, lo: int, hi: int):
+    """``_conv`` for a short b: each nonzero b_j = x + iy meets the slice of
+    a that reaches [lo, hi), in two real products when x or y is zero."""
+    la, asum = len(ar), None
+    re, im = [0] * (hi - lo), [0] * (hi - lo)
+    for j, (x, y) in enumerate(zip(br, bi)):
+        i0, i1 = max(0, lo - j), min(la, hi - j)
+        if i0 >= i1 or not (x or y):
+            continue
+        k0, k1 = i0 + j - lo, i1 + j - lo
+        if not y:
+            re[k0:k1] = map(add, re[k0:k1], [x * v for v in ar[i0:i1]])
+            im[k0:k1] = map(add, im[k0:k1], [x * v for v in ai[i0:i1]])
+        elif not x:
+            re[k0:k1] = map(sub, re[k0:k1], [y * v for v in ai[i0:i1]])
+            im[k0:k1] = map(add, im[k0:k1], [y * v for v in ar[i0:i1]])
+        else:
+            if asum is None:
+                asum = list(map(add, ar, ai))
+            t = [x * v for v in asum[i0:i1]]
+            s, d = x + y, y - x
+            re[k0:k1] = map(sub, map(add, re[k0:k1], t),
+                            [s * v for v in ai[i0:i1]])
+            im[k0:k1] = map(add, map(add, im[k0:k1], t),
+                            [d * v for v in ar[i0:i1]])
+    return re, im
+
+
+def conv_fixed(a, b, lo: int, hi: int) -> OffsetSeries:
+    """c_t = sum_i a_i b_{t-i} for lo <= t < hi, as the series
+    sum_t c_t z^t from z^lo.
+
+    Both vectors go onto their own integer grid, mp.prec + 16 bits below
+    their largest coefficient (``_on_grid``); the sums are exact.
+    """
+    count = max(hi - lo, 0)
+    ga, gb = _on_grid(a, mp.prec + CONV_GUARD_BITS), \
+        _on_grid(b, mp.prec + CONV_GUARD_BITS)
+    if ga is None or gb is None:
+        return OffsetSeries(lo, [0] * count, [0] * count)
+    return OffsetSeries(lo, *_conv(ga[0], ga[1], gb[0], gb[1], lo, hi),
+                        ga[2] + gb[2])

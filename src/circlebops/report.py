@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from mpmath import mpc, mpf
+from mpmath import mpf
 
 from .mputil import to_mpc
 
@@ -83,13 +83,14 @@ def vector_residual(vectors, floor=0) -> mpf:
     """Largest |sum| over the coefficient positions of vectors summing to
     zero, against their largest |coefficient| or the floor.
 
-    Vectors may differ in length.  Each position is summed from an mpc zero,
-    so the first vector's coefficients are rounded to the working precision.
+    Vectors may differ in length.  Each position is summed from its first
+    coefficient, as in ``rel_residual``, so coefficients carrying guard bits
+    are not rounded to the working precision before they cancel.
     """
     cols = [[to_mpc(c) for c in col]
             for col in zip_longest(*vectors, fillvalue=0)]
     scale = max((abs(c) for col in cols for c in col), default=mpf(0))
-    err = max((abs(sum(col, mpc(0))) for col in cols), default=mpf(0))
+    err = max((abs(sum(col[1:], col[0])) for col in cols), default=mpf(0))
     return _ratio(err, scale, floor)
 
 

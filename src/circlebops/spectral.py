@@ -13,9 +13,17 @@ Extraction works through the exact series inversions
         = W [eps_n phi_n' - eps_n' phi_n] + 2V eps_n phi_n,
 
 (and three companions), evaluated as truncated-series products of oracle
-data.  Every series coefficient outside the band [z^n, z^(n+deg)] must vanish;
-the out-of-band maximum is recorded and doubles as a correctness alarm for
-the whole pipeline (it is the degree-bound check).
+data, regrouped so that each eps-series meets one polynomial formed first,
+e.g. eps_n (W phi_n' + 2V phi_n) - eps_n' (W phi_n) for the form above.
+The forms stay in the integers of ``polys.OffsetSeries``: W, V and the
+phi-polynomials go on grids once, at the oracle's ``eps_prec`` (the
+eps-series' own), their products are exact, each formed polynomial is put
+on its grid once (``eps_prec`` + 16 bits below its largest coefficient), and
+each output is rounded once, at the guarded precision, when the band is
+read.  Every series coefficient outside the band [z^n, z^(n+deg)] must
+vanish; the out-of-band maximum, measured on exact squared magnitudes
+against the largest coefficient of the form, is recorded and doubles as a
+correctness alarm for the whole pipeline (it is the degree-bound check).
 
 The rest of the module turns the coupled recurrences, transition identities,
 bilinear evaluations, summation identities, scalar ODE data and deformation
@@ -76,14 +84,13 @@ def band_tolerance() -> mpf:
 def _extract_band(series: OffsetSeries, lo: int, deg: int, factor: mpc):
     """Divide by the known prefactor and split in-band / out-of-band mass."""
     coeffs = [c / factor for c in series.window(lo, lo + deg)]
-    # custom scale: the out-of-band mass against the whole series' largest
-    scale = max((abs(to_mpc(c)) for c in series.coeffs), default=mpf(0))
-    worst = mpf(0)
-    for p in range(series.offset, series.top + 1):
-        if lo <= p <= lo + deg:
-            continue
-        worst = max(worst, abs(to_mpc(series.coeff(p))))
-    rel = worst / scale if scale > 0 else worst
+    # custom scale: the out-of-band mass against the whole series' largest,
+    # compared as exact squared magnitudes on the series' grid
+    sq = [x * x + y * y for x, y in zip(series.re, series.im)]
+    band = range(lo - series.offset, lo + deg - series.offset + 1)
+    worst = max((v for k, v in enumerate(sq) if k not in band), default=0)
+    scale = max(sq, default=0)
+    rel = mpmath.sqrt(mpf(worst) / scale) if scale else mpf(0)
     return coeffs, rel
 
 
@@ -99,9 +106,6 @@ def spectral_from_oracle(oracle: ToeplitzOracle, pair: PolyPair, n: int,
 
 def _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm):
     N = pair.N
-    W = pair.W_mpc()
-    V2 = pair.V2_mpc()
-    V = pscale(V2, mpf("0.5"))
     lev_n = oracle.level(n)
     lev_n1 = oracle.level(n + 1)
     top = n + N + 2 + buffer
@@ -112,28 +116,40 @@ def _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm):
     est_n1 = oracle.epsstar_series(n + 1, top + 1)
 
     # 2 (phi0_{n+1}/kappa_n) z^n (Theta_n, Omega_n) = forms(eps, phi) with
-    # W[e0 p0' - e0' p0] + 2V e0 p0 and W[e1 p0' - e0' p1] + V[e1 p0 + e0 p1]
+    # W[e0 p0' - e0' p0] + 2V e0 p0 and W[e1 p0' - e0' p1] + V[e1 p0 + e0 p1],
+    # grouped so that each eps-series meets one polynomial, formed exactly
+    # from W, V and the family on their grids
     def forms(e0, e1, p0, p1):
         de0 = e0.diff()
-        dp0 = pdiff(p0)
-        theta = e0.mul_poly(dp0, top).add(
-            de0.mul_poly(p0, top).scale(-1)).mul_poly(W, top).add(
-            e0.mul_poly(p0, top).mul_poly(V2, top))
-        omega = e1.mul_poly(dp0, top).add(
-            de0.mul_poly(p1, top).scale(-1)).mul_poly(W, top).add(
-            e1.mul_poly(p0, top).add(
-                e0.mul_poly(p1, top)).mul_poly(V, top))
+        p0, p1 = OffsetSeries.from_poly(p0), OffsetSeries.from_poly(p1)
+        Wdp0 = times(Wg, p0.diff())
+        theta = e0.mul_poly(Wdp0.add(times(V2g, p0)), top).add(
+            de0.mul_poly(times(Wg, p0), top).scale(-1))
+        omega = e1.mul_poly(Wdp0.add(times(Vg, p0)), top).add(
+            de0.mul_poly(times(Wg, p1), top).scale(-1)).add(
+            e0.mul_poly(times(Vg, p1), top))
         return theta, omega
 
-    r_theta, r_omega = forms(eps_n, eps_n1, lev_n.phi, lev_n1.phi)
+    def times(a, b):
+        return a.mul_poly(b, len(a) + len(b) - 2)
+
+    # the polynomials go on grids as fine as the eps-series' own: on the
+    # coarser grid of the guarded precision a formed polynomial loses the
+    # digits of its small coefficients, which meet the largest eps
+    # coefficients
+    with mp.workprec(oracle.eps_prec):
+        V2 = pair.V2_mpc()
+        Wg, V2g, Vg = (OffsetSeries.from_poly(p) for p in
+                       (pair.W_mpc(), V2, pscale(V2, mpf("0.5"))))
+        r_theta, r_omega = forms(eps_n, eps_n1, lev_n.phi, lev_n1.phi)
+        # the starred pair is the negated pair of forms in (epsstar,
+        # phistar): 2 (phibar0_{n+1}/kappa_n) z^{n+1} (Thetastar_n,
+        # Omegastar_n) = -forms(epsstar_n, epsstar_{n+1}, phistar_n,
+        # phistar_{n+1})
+        r_ts, r_os = forms(est_n, est_n1, lev_n.phistar, lev_n1.phistar)
     fac = 2 * lev_n1.phi0 / lev_n.kappa
     theta, r1 = _extract_band(r_theta, n, N, fac)
     omega, r2 = _extract_band(r_omega, n, N + 1, fac)
-
-    # the starred pair is the negated pair of forms in (epsstar, phistar):
-    # 2 (phibar0_{n+1}/kappa_n) z^{n+1} (Thetastar_n, Omegastar_n)
-    #   = -forms(epsstar_n, epsstar_{n+1}, phistar_n, phistar_{n+1})
-    r_ts, r_os = forms(est_n, est_n1, lev_n.phistar, lev_n1.phistar)
     fac_s = -2 * lev_n1.phibar0 / lev_n.kappa
     thetastar, r3 = _extract_band(r_ts, n + 1, N, fac_s)
     omegastar, r4 = _extract_band(r_os, n + 1, N + 1, fac_s)

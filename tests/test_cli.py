@@ -238,6 +238,56 @@ def test_sweep_builds_each_point_in_the_configured_mode(tmp_path):
     assert [r.rsplit(",", 1)[1].strip() for r in rows] == ["-1"] * 3
 
 
+def test_rational_sweep_rejects_residues_that_are_not_negative_integers(
+        tmp_path, capsys):
+    """Each grid point is validated like a config file: exit 2 before any
+    point runs, and no CSV."""
+    path = tmp_path / "r.yaml"
+    path.write_text(yaml.safe_dump(RATIONAL_M3))
+    out = tmp_path / "s.csv"
+    assert main(["--config", str(path), "sweep", "--param", "rho1",
+                 "--grid=-4.5:-3.5:3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "negative integer" in err
+    assert not out.exists()
+
+
+QUADRATURE_M3 = {
+    "mode": "quadrature", "precision_bits": 128, "tolerance": 1.0e-18,
+    "n_max": 2, "seed": 1, "checks": ["identities"],
+    "weight": {"placement": "canonical",
+               "singularities": [[0, 0], ["1/2", 0], [1, 0]],
+               "residues": [["-7/12", 0], ["1/3", 0], ["1/2", 0]]},
+    "seeds": {"start": -1},
+}
+
+
+@pytest.mark.parametrize("base", [BASE, QUADRATURE_M3],
+                         ids=["formal", "quadrature"])
+@pytest.mark.parametrize("key, index, value, message", [
+    ("residues", 1, "abc", "bad residue 'abc'"),
+    ("residues", 0, ["1/0", 0], "bad residue"),
+    ("singularities", 1, [1, 2, 3], "bad singularity"),
+    ("singularities", 1, None, "bad singularity None"),
+    ("placement", None, "sideways", "placement must be one of"),
+])
+def test_malformed_weight_scalars_exit_config_code(tmp_path, capsys, base,
+                                                   key, index, value,
+                                                   message):
+    cfg = json.loads(json.dumps(base))
+    if index is None:
+        cfg["weight"][key] = value
+    else:
+        cfg["weight"][key][index] = value
+    path = tmp_path / "w.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "v.json"
+    assert main(["--config", str(path), "verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
 def test_bops_truncation_exits_degenerate_code(tmp_path, capsys):
     """The rational M=3 system truncates at level 6: exit 3, named level."""
     path = tmp_path / "r.yaml"

@@ -1,11 +1,13 @@
-"""The integer-mantissa convolution kernel and the series built on it."""
+"""The integer-mantissa series, its convolution kernel and the eps-series."""
 
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 from mpmath import mp, mpc, mpf
 
 from conftest import (random_canonical_case, standard_case_m3,
@@ -14,7 +16,7 @@ from circlebops.bops import ToeplitzOracle, pairing_first
 from circlebops.exact import QC
 from circlebops.moments import MomentSequence, ReflectedMoments
 from circlebops.mputil import guarded, to_mpc, working_precision
-from circlebops.polys import OffsetSeries, conv_fixed, pmul
+from circlebops.polys import OffsetSeries, _on_grid, conv_fixed, pmul
 from circlebops.weights import build_poly_pair
 
 
@@ -62,12 +64,33 @@ def _image(vec) -> list:
     return [x.to_mpc() if isinstance(x, QC) else x for x in vec]
 
 
+def _exact_series(offset: int, vec) -> OffsetSeries:
+    """The dyadic entries of ``vec`` as a series, exactly."""
+    parts = [p for x in vec for p in _parts(x)]
+    exp = -max((p.denominator.bit_length() - 1 for p in parts), default=0)
+    ints = [int(p * Fraction(2) ** -exp) for p in parts]
+    return OffsetSeries(offset, ints[0::2], ints[1::2], exp)
+
+
+def _values(s: OffsetSeries) -> dict:
+    """power -> exact (re, im) of every coefficient of ``s``."""
+    unit = Fraction(2) ** s.exp
+    return {s.offset + k: (x * unit, y * unit)
+            for k, (x, y) in enumerate(zip(s.re, s.im))}
+
+
+def _want(offset: int, vec, top: int) -> dict:
+    """power -> exact (re, im) of sum_k vec[k] z^(offset + k), up to top."""
+    return {p: _parts(vec[p - offset]) if p - offset < len(vec)
+            else (Fraction(0), Fraction(0)) for p in range(offset, top + 1)}
+
+
 def _assert_within_rule(a, b, lo, hi):
     """|c_t - exact_t| per part <= 4 L 2^-(prec+16) max|a| max|b| (the grid,
     four products per part, L = the shorter length) + 2^-prec |exact_t|
     (the one final rounding)."""
     prec = mp.prec
-    got = conv_fixed(_image(a), _image(b), lo, hi)
+    got = conv_fixed(_image(a), _image(b), lo, hi).coeffs
     assert len(got) == max(hi - lo, 0)
     exact = pmul(list(a), list(b)) if a and b else []
     grid = (Fraction(401, 100) * min(len(a), len(b)) * _max_part(a)
@@ -94,29 +117,31 @@ def test_conv_fixed_within_the_accuracy_rule(bits, seed):
 def test_conv_fixed_small_entries_keep_only_the_grid_digits():
     with working_precision(128):
         tiny = mpf(2) ** -140 / 3
-        got = conv_fixed([mpc(tiny), mpc(1)], [mpc(1)], 0, 2)
+        got = conv_fixed([mpc(tiny), mpc(1)], [mpc(1)], 0, 2).coeffs
         assert got[1] == 1
         # rounded to the grid 2^-(128+16) below the largest, not to itself
         assert abs(got[0] - tiny) <= mpf(2) ** -144
         assert got[0] != tiny
-        assert conv_fixed([tiny], [mpc(1)], 0, 1)[0] == tiny
+        assert conv_fixed([tiny], [mpc(1)], 0, 1).coeff(0) == tiny
 
 
 def test_conv_fixed_is_exact_when_the_inputs_fit_the_grid():
     rng = random.Random(7)
     a = [mpc(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(17)]
     b = [rng.randint(-99, 99) for _ in range(9)] + [mpf(3) / 4]
-    got = conv_fixed(a, b, 0, 26)
+    got = list(conv_fixed(a, b, 0, 26).coeffs)
     assert got == pmul(a, b)
     assert all(isinstance(c, mpc) for c in got)
 
 
 def test_conv_fixed_zero_and_empty_vectors():
-    assert conv_fixed([], [mpc(1)], 0, 3) == [0, 0, 0]
-    assert conv_fixed([mpc(1)], [], 0, 2) == [0, 0]
-    assert conv_fixed([0, mpc(0), mpf(0)], [mpc(2, 1)], 0, 4) == [0] * 4
-    assert conv_fixed([mpc(1)], [mpc(1)], 2, 2) == []
-    assert conv_fixed([mpc(1)], [mpc(1)], 3, 1) == []
+    def conv(*args):
+        return list(conv_fixed(*args).coeffs)
+    assert conv([], [mpc(1)], 0, 3) == [0, 0, 0]
+    assert conv([mpc(1)], [], 0, 2) == [0, 0]
+    assert conv([0, mpc(0), mpf(0)], [mpc(2, 1)], 0, 4) == [0] * 4
+    assert conv([mpc(1)], [mpc(1)], 2, 2) == []
+    assert conv([mpc(1)], [mpc(1)], 3, 1) == []
     with pytest.raises(ValueError):
         conv_fixed([mpc(mp.inf)], [mpc(1)], 0, 1)
 
@@ -124,9 +149,9 @@ def test_conv_fixed_zero_and_empty_vectors():
 def test_mul_poly_truncation():
     rng = random.Random(3)
     coeffs, p = _vector(rng, 12), _vector(rng, 5)
-    s = OffsetSeries(4, _image(coeffs))
+    s = _exact_series(4, coeffs)
     full = pmul(coeffs, p)
-    assert s.mul_poly(_image(p), 3).coeffs == []           # top < offset
+    assert len(s.mul_poly(_image(p), 3).coeffs) == 0       # top < offset
     assert len(s.mul_poly(_image(p), 4).coeffs) == 1
     for top in (9, 4 + len(full) - 1, 4 + len(full) + 6):   # top past the end
         got = s.mul_poly(_image(p), top)
@@ -136,13 +161,79 @@ def test_mul_poly_truncation():
             assert abs(c - want) <= mpf(2) ** -120 * (1 + abs(want))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_series_are_exact_on_dyadic_inputs(seed):
+    """mul_poly, add, scale and diff against exact QC arithmetic, with
+    zeros, offsets and truncation; every input fits its grid, so nothing
+    may round."""
+    rng = random.Random(seed)
+    a, b = _vector(rng, rng.randint(1, 20)), _vector(rng, rng.randint(1, 20))
+    p = _vector(rng, rng.randint(1, 6))
+    oa, ob = rng.randint(0, 5), rng.randint(0, 5)
+    sa, sb = _exact_series(oa, a), _exact_series(ob, b)
+    full = pmul(a, p)
+    for top in (oa - 1, oa, oa + len(full) // 2, oa + len(full) + 3):
+        got = sa.mul_poly(_image(p), top)
+        assert got.offset == oa and got.top == max(top, oa - 1)
+        assert _values(got) == _want(oa, full, top)
+    total = {k: (0, 0) for k in range(min(oa, ob), max(sa.top, sb.top) + 1)}
+    for k, (x, y) in list(_values(sa).items()) + list(_values(sb).items()):
+        total[k] = (total[k][0] + x, total[k][1] + y)
+    assert _values(sa.add(sb)) == total
+    assert _values(sa.scale(-3)) == {k: (-3 * x, -3 * y) for k, (x, y)
+                                     in _values(sa).items()}
+    slope = {k - 1: (k * x, k * y) for k, (x, y) in _values(sa).items() if k}
+    assert _values(sa.diff()) == (slope if oa or len(a) > 1
+                                  else {0: (0, 0)})
+
+
+def test_a_read_rounds_once_at_the_readers_precision():
+    with working_precision(128):
+        a = 1 + mpf(2) ** -70
+        s = OffsetSeries.from_poly([a])
+        built = s.mul_poly([a], 0).add(s.mul_poly([1], 0).scale(-1))
+        # a (a - 1) = 2^-70 + 2^-140 exactly; rounding a^2 first loses 2^-140
+        assert built.coeff(0) == mpf(2) ** -70 + mpf(2) ** -140
+        assert a * a - a == mpf(2) ** -70
+    rng = random.Random(5)
+    re = [rng.getrandbits(400) - 2 ** 399 for _ in range(8)]
+    im = [rng.getrandbits(300) - 2 ** 299 for _ in range(8)]
+    s = OffsetSeries(3, re, im, -450)
+    for bits in (53, 128, 192):
+        with working_precision(bits):
+            want = [mpc(mpmath.ldexp(mpf(x), -450), mpmath.ldexp(mpf(y), -450))
+                    for x, y in zip(re, im)]
+            assert s.window(3, 10) == want == list(s.coeffs)
+            assert [s.coeffs[k] for k in (-1, 0)] == [want[-1], want[0]]
+            assert s.window(1, 2) == [0, 0] and s.coeff(11) == 0
+    with pytest.raises(IndexError):
+        s.coeffs[8]
+
+
+def test_a_series_goes_on_a_grid_by_the_rule_of_its_coefficients():
+    """Regridding a series rounds exactly as gridding its exact mpc images
+    does, and a series already on a coarser grid is kept."""
+    rng = random.Random(11)
+    re = [rng.getrandbits(rng.randint(1, 200)) * rng.choice((-1, 1))
+          for _ in range(9)] + [0]
+    im = [rng.getrandbits(rng.randint(1, 200)) * rng.choice((-1, 1))
+          for _ in range(10)]
+    s = OffsetSeries(2, re, im, -37)
+    with working_precision(400):
+        images = list(s.coeffs)                # exact at 400 bits
+    for bits in (60, 144):
+        assert _on_grid(s, bits) == _on_grid(images, bits)
+    assert _on_grid(s, 250) == (re, im, -37)
+    assert _on_grid(OffsetSeries(0, [0, 0], [0, 0]), 144) is None
+
+
 # ---------------------------------------------------------------------------
 # the eps-series against one pairing per coefficient
 # ---------------------------------------------------------------------------
 
 def _series_gap(ms, oracle, n, truncation):
     """Largest eps / epsstar deviation from pairing_first, relative to the
-    series maximum; both sides keep the guarded precision."""
+    series maximum; both sides are read at the guarded precision."""
     lev = oracle.level(n)
     eps = oracle.eps_series(n, truncation)
     est = oracle.epsstar_series(n, truncation)
@@ -152,9 +243,10 @@ def _series_gap(ms, oracle, n, truncation):
                for m in range(truncation + 1)]
         ref_s = [-2 * pairing_first(reflected, lev.phibar, -m)
                  for m in range(1, truncation - n + 1)]
+        series = list(eps.coeffs), list(est.coeffs)
     assert est.offset == n + 1 and len(est.coeffs) == len(ref_s)
     gaps = []
-    for got, want in ((eps.coeffs, ref), (est.coeffs, ref_s)):
+    for got, want in zip(series, (ref, ref_s)):
         assert len(got) == len(want)
         scale = max(abs(c) for c in want)
         gaps.append(max(abs(g - w) for g, w in zip(got, want)) / scale)
@@ -182,3 +274,21 @@ def test_eps_series_match_pairings_on_random_weights(seed, N):
     oracle = ToeplitzOracle(ms)
     for n in range(12):
         assert _series_gap(ms, oracle, n, n + N + 10) < mpf(2) ** -152, n
+
+
+def test_eps_series_do_not_depend_on_the_callers_precision():
+    """eps_series(n) asked plainly and asked under guarded() give equal
+    series: the oracle fixes their grid, and the precision of the moments
+    they add, when it is built."""
+    weight, seeds = standard_case_m3()
+    got = []
+    for context in (nullcontext, guarded):
+        ms = MomentSequence.from_seeds(build_poly_pair(weight), -1, seeds)
+        oracle = ToeplitzOracle(ms)
+        for n in range(8):
+            oracle.level(n)            # the same levels for both
+        with context():
+            got.append([(oracle.eps_series(n, n + 10),
+                         oracle.epsstar_series(n, n + 10))
+                        for n in range(8)])
+    assert got[0] == got[1]

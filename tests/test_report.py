@@ -21,6 +21,20 @@ def test_first_term_is_not_rounded():
         assert rel_residual([a, -b]) == want
 
 
+def test_vector_residual_keeps_the_first_vectors_guard_bits():
+    """Position by position, as in rel_residual: a 176-bit a against a
+    128-bit b leaves exactly |a - b|, where summing from 0 leaves 0."""
+    with working_precision(176):
+        a = mpc(1) / 3
+    with working_precision(128):
+        b = mpc(1) / 3
+        assert abs(sum([a, -b])) == 0          # plain sum() loses it
+        assert abs(a - b) > 0
+        assert vector_residual([[a, mpc(2)], [-b, mpc(-2)]]) == \
+            abs(a - b) / 2
+        assert vector_residual([[a], [-b]]) == abs(a - b) / abs(a)
+
+
 @pytest.mark.parametrize("floor, want", [
     (0, "0.5"), (1e-30, "0.5"), (1e-40, "0.5"), (1, "0.5e-10")])
 def test_rel_residual_floors(floor, want):

@@ -1,15 +1,18 @@
 """Spectral extraction and the identity lattice."""
 
+import functools
+
 import pytest
 from mpmath import mpc, mpf
 
 from conftest import (make_workspace, random_canonical_case,
-                      standard_case_m3, standard_case_m4)
-from circlebops.bops import ToeplitzOracle
+                      standard_case_m3, standard_case_m4, standard_case_m5)
+from circlebops.bops import ToeplitzOracle, pairing_first
 from circlebops.errors import DegreeBoundViolated, SamplePointOnSingularity
-from circlebops.moments import MomentSequence, build_U
-from circlebops.polys import padd, pmax_abs, pscale, pshift, psub
-from circlebops.report import all_passed, failures
+from circlebops.moments import MomentSequence, ReflectedMoments, build_U
+from circlebops.mputil import working_precision
+from circlebops.polys import padd, pdiff, pmax_abs, pscale, pshift, psub
+from circlebops.report import all_passed, failures, rel_error
 from circlebops.spectral import (SpectralWorkspace, a_matrix, check_bilinear,
                                  check_linear_recurrences,
                                  check_summation_identities, check_transitions,
@@ -198,3 +201,117 @@ def test_ode_coeffs_refuse_coordinate_roots():
     pt = coordinates_from_spectral(ws, 2, with_hamiltonians=False)
     with pytest.raises(EvaluationAtRootOfTheta):
         scalar_ode_coeffs(ws, 2, pt.q[0])
+
+
+# ---------------------------------------------------------------------------
+# the integer series against the former mpc route at 512 bits
+# ---------------------------------------------------------------------------
+
+def _mpc_mul(s, p, top):
+    """(offset, mpc list) times a polynomial, rounded term by term."""
+    off, c = s
+    return off, [sum((c[i] * p[t - i] for i in range(len(c))
+                      if 0 <= t - i < len(p)), mpc(0))
+                 for t in range(top - off + 1)]
+
+
+def _mpc_add(s, t):
+    off = min(s[0], t[0])
+    out = [mpc(0)] * (max(s[0] + len(s[1]), t[0] + len(t[1])) - off)
+    for o, c in (s, t):
+        for k, v in enumerate(c):
+            out[o - off + k] += v
+    return off, out
+
+
+def _mpc_neg(s):
+    return s[0], [-v for v in s[1]]
+
+
+def _mpc_diff(s):
+    off, c = s
+    d = [(off + k) * v for k, v in enumerate(c)]
+    return (0, d[1:]) if off == 0 else (off - 1, d)
+
+
+def _mpc_route(ws, n, buffer=6):
+    """The four spectral polynomials and the band residual at level n by
+    the former route: eps by one mpmath sum per pairing, then the chain of
+    truncated products with every coefficient rounded to mpc."""
+    o, pair = ws.oracle, ws.pair
+    W, V2 = pair.W_mpc(), pair.V2_mpc()
+    V = pscale(V2, mpf("0.5"))
+    lev_n, lev_n1 = o.level(n), o.level(n + 1)
+    top = n + pair.N + 2 + buffer
+    ms, refl = o.moments, ReflectedMoments(o.moments)
+
+    def eps(lev):
+        return 0, [2 * pairing_first(ms, lev.phi, m) for m in range(top + 2)]
+
+    def est(lev):
+        return lev.n + 1, [-2 * pairing_first(refl, lev.phibar, -m)
+                           for m in range(1, top + 2 - lev.n)]
+
+    def forms(e0, e1, p0, p1):
+        de0, dp0 = _mpc_diff(e0), pdiff(p0)
+        theta = _mpc_add(_mpc_mul(_mpc_add(
+            _mpc_mul(e0, dp0, top), _mpc_neg(_mpc_mul(de0, p0, top))), W, top),
+            _mpc_mul(_mpc_mul(e0, p0, top), V2, top))
+        omega = _mpc_add(_mpc_mul(_mpc_add(
+            _mpc_mul(e1, dp0, top), _mpc_neg(_mpc_mul(de0, p1, top))), W, top),
+            _mpc_mul(_mpc_add(_mpc_mul(e1, p0, top), _mpc_mul(e0, p1, top)),
+                     V, top))
+        return theta, omega
+
+    def band(series, lo, deg, factor):
+        off, c = series
+        inside = range(lo - off, lo + deg - off + 1)
+        worst = max(abs(v) for k, v in enumerate(c) if k not in inside)
+        return [c[k] / factor for k in inside], worst / max(map(abs, c))
+
+    out = {}
+    fac = 2 * lev_n1.phi0 / lev_n.kappa
+    theta, omega = forms(eps(lev_n), eps(lev_n1), lev_n.phi, lev_n1.phi)
+    out["theta"], r1 = band(theta, n, pair.N, fac)
+    out["omega"], r2 = band(omega, n, pair.N + 1, fac)
+    fac = -2 * lev_n1.phibar0 / lev_n.kappa
+    theta, omega = forms(est(lev_n), est(lev_n1), lev_n.phistar,
+                         lev_n1.phistar)
+    out["thetastar"], r3 = band(theta, n + 1, pair.N, fac)
+    out["omegastar"], r4 = band(omega, n + 1, pair.N + 1, fac)
+    out["band_residual"] = max(r1, r2, r3, r4)
+    return out
+
+
+LEVELS = (0, 1, 5, 12, 24)
+
+
+@functools.cache
+def _reference(case):
+    """The case's weight and 128-bit seeds, and the mpc route at 512 bits
+    on them, level by level."""
+    with working_precision(128):
+        weight, seeds = case()
+    with working_precision(512):
+        ws = make_workspace(weight, seeds)
+        return weight, seeds, {n: _mpc_route(ws, n) for n in LEVELS}
+
+
+@pytest.mark.parametrize("bits", [128, 192])
+@pytest.mark.parametrize("case", [standard_case_m3, standard_case_m4,
+                                  standard_case_m5])
+def test_spectral_data_match_the_mpc_route_at_512_bits(case, bits):
+    """SpectralData of the integer route at 128 and 192 bits against the
+    former mpc route at 512 bits on the same seeds.  The out-of-band mass
+    vanishes in exact arithmetic (the reference shows 2^-495 or less), so
+    the band residual is the route's own rounding noise."""
+    weight, seeds, want = _reference(case)
+    with working_precision(bits):
+        ws = make_workspace(weight, seeds)
+        for n in LEVELS:
+            sd = ws.data(n)
+            for name in ("theta", "omega", "thetastar", "omegastar"):
+                err = rel_error(getattr(sd, name), want[n][name])
+                assert err < mpf(2) ** -(bits + 28), (n, name, err)
+            assert want[n]["band_residual"] < mpf(2) ** -480
+            assert sd.band_residual < mpf(2) ** -(bits + 28), n
