@@ -181,14 +181,16 @@ def _pairings(moments, coeffs, lo: int, hi: int, prec: int) -> OffsetSeries:
 
     One convolution of f with the window w_{lo-n} .. w_hi (n = deg f) on
     the ``conv_fixed`` kernel at ``prec`` bits, whoever asks; its exact sums
-    are rounded once onto the grid prec + 16 bits below the largest.
+    (from z^n) are rounded once onto the grid prec + 16 bits below the
+    largest and renumbered from k = 0.
     """
     n = len(coeffs) - 1
     with mp.workprec(prec):
         moments.extend(lo - n, hi)
         window = [moments.w(k) for k in range(lo - n, hi + 1)]
+        sums = conv_fixed(coeffs, window, n, n + hi - lo + 1)
         return OffsetSeries.from_poly(
-            conv_fixed(coeffs, window, n, n + hi - lo + 1))
+            OffsetSeries(0, sums.re, sums.im, sums.exp))
 
 
 def epsilon_from_determinant(moments: MomentSequence, phi_coeffs,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import add, mul, sub
+from operator import add, mul
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, fzero, round_nearest
@@ -138,8 +138,6 @@ def pmax_abs(p) -> mpf:
 
 # extra bits of an integer grid below a vector's largest coefficient
 CONV_GUARD_BITS = 16
-# longest vector that ``_conv`` sweeps across the other
-_SWEEP_MAX = 8
 
 
 @dataclass
@@ -157,7 +155,8 @@ class OffsetSeries:
     @classmethod
     def from_poly(cls, coeffs) -> "OffsetSeries":
         """The polynomial sum_k coeffs[k] z^k on its grid (``_on_grid``,
-        mp.prec + 16 bits)."""
+        mp.prec + 16 bits); ``coeffs`` is a coefficient list or a series
+        from z^0."""
         grid = _on_grid(coeffs, mp.prec + CONV_GUARD_BITS)
         if grid is None:
             return cls(0, [0] * len(coeffs), [0] * len(coeffs))
@@ -242,21 +241,24 @@ class Rounded(Sequence):
     def __len__(self) -> int:
         return len(self._series)
 
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self)))]
+    def __getitem__(self, k: int) -> mpc:
         return self._series.coeff(self._series.offset + range(len(self))[k])
 
 
 def _on_grid(vec, bits: int):
     """(re, im, exp): Python-int mantissas of ``vec`` on the grid 2^exp.
 
-    ``vec`` is a list of scalars or an ``OffsetSeries``.  ``exp`` sits
-    ``bits`` below the top bit of the largest real or imaginary part; each
-    part is rounded to the nearest grid point (a series already on a coarser
-    grid keeps its own).  Returns None for an empty or all-zero vector.
+    ``vec`` is a list of scalars or an ``OffsetSeries`` from z^0 (the
+    mantissas carry no powers, so a series elsewhere is refused).  ``exp``
+    sits ``bits`` below the top bit of the largest real or imaginary part;
+    each part is rounded to the nearest grid point (a series already on a
+    coarser grid keeps its own).  Returns None for an empty or all-zero
+    vector.
     """
     if isinstance(vec, OffsetSeries):
+        if vec.offset:
+            raise ValueError(
+                f"a polynomial series starts at z^0, not z^{vec.offset}")
         top = max(map(abs, vec.re + vec.im), default=0).bit_length()
         if not top:
             return None
@@ -298,61 +300,22 @@ def _on_grid(vec, bits: int):
 def _conv(ar, ai, br, bi, lo: int, hi: int):
     """(re, im) of c_t = sum_i a_i b_{t-i} for lo <= t < hi, in ints.
 
-    Three real sums per complex product (Gauss).  When the shorter vector
-    has at most ``_SWEEP_MAX`` entries, the longer one is swept once per
-    entry of the shorter (``_sweep``: few Python-level steps); otherwise
-    each output is summed on its own (fewer intermediate ints).
+    Three real sums per complex product (Gauss), each output summed on its
+    own.
     """
-    if len(br) > len(ar):
-        ar, ai, br, bi = br, bi, ar, ai
-    if len(br) <= _SWEEP_MAX:
-        return _sweep(ar, ai, br, bi, lo, hi)
     asum = list(map(add, ar, ai))
-    # b reversed, so that b_{t-i} over ascending i is a forward slice
+    # b reversed, so that b_{t-i} over ascending i is a forward slice; each
+    # sum stops where the shorter of its two slices ends
     br, bi, bsum = br[::-1], bi[::-1], list(map(add, br, bi))[::-1]
-    la, lb = len(ar), len(br)
+    lb = len(br)
     re, im = [], []
     for t in range(lo, hi):
-        i0, i1 = max(0, t - lb + 1), min(la, t + 1)
-        if i0 >= i1:
-            re.append(0)
-            im.append(0)
-            continue
-        j0 = lb - 1 - t + i0
-        j1 = j0 + i1 - i0
-        rr = sum(map(mul, ar[i0:i1], br[j0:j1]))
-        ii = sum(map(mul, ai[i0:i1], bi[j0:j1]))
-        ss = sum(map(mul, asum[i0:i1], bsum[j0:j1]))
+        i0, j0 = (t - lb + 1, 0) if t >= lb else (0, lb - 1 - t)
+        rr = sum(map(mul, ar[i0:t + 1], br[j0:]))
+        ii = sum(map(mul, ai[i0:t + 1], bi[j0:]))
+        ss = sum(map(mul, asum[i0:t + 1], bsum[j0:]))
         re.append(rr - ii)
         im.append(ss - rr - ii)
-    return re, im
-
-
-def _sweep(ar, ai, br, bi, lo: int, hi: int):
-    """``_conv`` for a short b: each nonzero b_j = x + iy meets the slice of
-    a that reaches [lo, hi), in two real products when x or y is zero."""
-    la, asum = len(ar), None
-    re, im = [0] * (hi - lo), [0] * (hi - lo)
-    for j, (x, y) in enumerate(zip(br, bi)):
-        i0, i1 = max(0, lo - j), min(la, hi - j)
-        if i0 >= i1 or not (x or y):
-            continue
-        k0, k1 = i0 + j - lo, i1 + j - lo
-        if not y:
-            re[k0:k1] = map(add, re[k0:k1], [x * v for v in ar[i0:i1]])
-            im[k0:k1] = map(add, im[k0:k1], [x * v for v in ai[i0:i1]])
-        elif not x:
-            re[k0:k1] = map(sub, re[k0:k1], [y * v for v in ai[i0:i1]])
-            im[k0:k1] = map(add, im[k0:k1], [y * v for v in ar[i0:i1]])
-        else:
-            if asum is None:
-                asum = list(map(add, ar, ai))
-            t = [x * v for v in asum[i0:i1]]
-            s, d = x + y, y - x
-            re[k0:k1] = map(sub, map(add, re[k0:k1], t),
-                            [s * v for v in ai[i0:i1]])
-            im[k0:k1] = map(add, map(add, im[k0:k1], t),
-                            [d * v for v in ar[i0:i1]])
     return re, im
 
 

@@ -83,7 +83,8 @@ def band_tolerance() -> mpf:
 
 def _extract_band(series: OffsetSeries, lo: int, deg: int, factor: mpc):
     """Divide by the known prefactor and split in-band / out-of-band mass."""
-    coeffs = [c / factor for c in series.window(lo, lo + deg)]
+    inv = 1 / factor
+    coeffs = [c * inv for c in series.window(lo, lo + deg)]
     # custom scale: the out-of-band mass against the whole series' largest,
     # compared as exact squared magnitudes on the series' grid
     sq = [x * x + y * y for x, y in zip(series.re, series.im)]
@@ -118,14 +119,17 @@ def _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm):
     # 2 (phi0_{n+1}/kappa_n) z^n (Theta_n, Omega_n) = forms(eps, phi) with
     # W[e0 p0' - e0' p0] + 2V e0 p0 and W[e1 p0' - e0' p1] + V[e1 p0 + e0 p1],
     # grouped so that each eps-series meets one polynomial, formed exactly
-    # from W, V and the family on their grids
+    # from W, V and the family on their grids: with D = 2V - W',
+    # W p0' + 2V p0 = (W p0)' + D p0 and W p0' + V p0 = that - V p0
     def forms(e0, e1, p0, p1):
         de0 = e0.diff()
         p0, p1 = OffsetSeries.from_poly(p0), OffsetSeries.from_poly(p1)
-        Wdp0 = times(Wg, p0.diff())
-        theta = e0.mul_poly(Wdp0.add(times(V2g, p0)), top).add(
-            de0.mul_poly(times(Wg, p0), top).scale(-1))
-        omega = e1.mul_poly(Wdp0.add(times(Vg, p0)), top).add(
+        Wp0 = times(Wg, p0)
+        f_theta = Wp0.diff().add(times(Dg, p0))
+        f_omega = f_theta.add(times(Vg, p0).scale(-1))
+        theta = e0.mul_poly(f_theta, top).add(
+            de0.mul_poly(Wp0, top).scale(-1))
+        omega = e1.mul_poly(f_omega, top).add(
             de0.mul_poly(times(Wg, p1), top).scale(-1)).add(
             e0.mul_poly(times(Vg, p1), top))
         return theta, omega
@@ -139,8 +143,9 @@ def _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm):
     # coefficients
     with mp.workprec(oracle.eps_prec):
         V2 = pair.V2_mpc()
-        Wg, V2g, Vg = (OffsetSeries.from_poly(p) for p in
-                       (pair.W_mpc(), V2, pscale(V2, mpf("0.5"))))
+        Wg, Vg = (OffsetSeries.from_poly(p) for p in
+                  (pair.W_mpc(), pscale(V2, mpf("0.5"))))
+        Dg = OffsetSeries.from_poly(V2).add(Wg.diff().scale(-1))
         r_theta, r_omega = forms(eps_n, eps_n1, lev_n.phi, lev_n1.phi)
         # the starred pair is the negated pair of forms in (epsstar,
         # phistar): 2 (phibar0_{n+1}/kappa_n) z^{n+1} (Thetastar_n,

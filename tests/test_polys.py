@@ -212,19 +212,24 @@ def test_a_read_rounds_once_at_the_readers_precision():
 
 def test_a_series_goes_on_a_grid_by_the_rule_of_its_coefficients():
     """Regridding a series rounds exactly as gridding its exact mpc images
-    does, and a series already on a coarser grid is kept."""
+    does, a series already on a coarser grid is kept, and a series that does
+    not start at z^0 is refused as a polynomial."""
     rng = random.Random(11)
     re = [rng.getrandbits(rng.randint(1, 200)) * rng.choice((-1, 1))
           for _ in range(9)] + [0]
     im = [rng.getrandbits(rng.randint(1, 200)) * rng.choice((-1, 1))
           for _ in range(10)]
-    s = OffsetSeries(2, re, im, -37)
+    s = OffsetSeries(0, re, im, -37)
     with working_precision(400):
         images = list(s.coeffs)                # exact at 400 bits
     for bits in (60, 144):
         assert _on_grid(s, bits) == _on_grid(images, bits)
     assert _on_grid(s, 250) == (re, im, -37)
     assert _on_grid(OffsetSeries(0, [0, 0], [0, 0]), 144) is None
+    shifted = OffsetSeries(2, re, im, -37)
+    for use in (OffsetSeries.from_poly, lambda p: s.mul_poly(p, 20)):
+        with pytest.raises(ValueError, match="z\\^0"):
+            use(shifted)
 
 
 # ---------------------------------------------------------------------------
