@@ -38,11 +38,9 @@ the orthogonality relations.  All pairings of one series are one convolution
 of the coefficients with the moment window w_{-n} .. w_T (of the reflected
 window for epsstar_n) on the integer-mantissa kernel ``polys.conv_fixed``.
 The series stays in integers (the factor +-2 is a sign and an exponent
-shift) on a grid the oracle fixes when it is built, ``eps_prec`` = working
-precision plus twice the guard bits, whatever precision the caller runs at;
-the moments the window adds are extended there too.  A coefficient is
-accurate to 2^-(eps_prec+16) of max|c_j| max|w_k| over the window, not of
-itself, and rounds once, at its reader's precision.  ``pairing_first``
+shift) on the grid of the oracle's precision.  A coefficient is accurate to
+2^-(prec+16) of max|c_j| max|w_k| over the window, not of itself, and
+rounds once, at its reader's precision.  ``pairing_first``
 computes one pairing by an mpmath sum; it is the orthogonality residual and
 the tests' reference for the series.  At level zero these expansions reduce
 to the defining normalisations kappa_0 [w_0 +- F], which pins the index
@@ -53,13 +51,14 @@ closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 
 import mpmath
 from mpmath import mp, mpf, mpc
 
 from .errors import DegenerateDeterminant
 from .moments import MomentSequence, ReflectedMoments
-from .mputil import GUARD_BITS, guarded, lu_det, lu_solve, to_mpc
+from .mputil import guarded, lu_det, lu_solve, to_mpc
 from .polys import OffsetSeries, conv_fixed
 
 
@@ -176,45 +175,42 @@ def pairing_first(moments, coeffs, m: int) -> mpc:
              for j, c in enumerate(coeffs)), absolute=False)
 
 
-def _pairings(moments, coeffs, lo: int, hi: int, prec: int) -> OffsetSeries:
+def _pairings(moments, coeffs, lo: int, hi: int) -> OffsetSeries:
     """<f, lo + k> as coefficient k of a series, for lo + k <= hi.
 
     One convolution of f with the window w_{lo-n} .. w_hi (n = deg f) on
-    the ``conv_fixed`` kernel at ``prec`` bits, whoever asks; its exact sums
-    (from z^n) are rounded once onto the grid prec + 16 bits below the
-    largest and renumbered from k = 0.
+    the ``conv_fixed`` kernel; its exact sums (from z^n) are rounded once
+    onto the grid mp.prec + 16 bits below the largest and renumbered from
+    k = 0.
     """
     n = len(coeffs) - 1
-    with mp.workprec(prec):
-        moments.extend(lo - n, hi)
-        window = [moments.w(k) for k in range(lo - n, hi + 1)]
-        sums = conv_fixed(coeffs, window, n, n + hi - lo + 1)
-        return OffsetSeries.from_poly(
-            OffsetSeries(0, sums.re, sums.im, sums.exp))
+    moments.extend(lo - n, hi)
+    window = [moments.w(k) for k in range(lo - n, hi + 1)]
+    sums = conv_fixed(coeffs, window, n, n + hi - lo + 1)
+    return OffsetSeries.from_poly(OffsetSeries(0, sums.re, sums.im, sums.exp))
 
 
 def epsilon_from_determinant(moments: MomentSequence, phi_coeffs,
-                             truncation: int, prec: int) -> OffsetSeries:
-    """Interior expansion of eps_n up to z^truncation, on the grid of
-    ``prec`` bits.
+                             truncation: int) -> OffsetSeries:
+    """Interior expansion of eps_n up to z^truncation.
 
     For n >= 1 the coefficients below z^n vanish by orthogonality (kept: they
     double as a consistency alarm); the m = 0 term carries the level-zero
     normalisation.
     """
-    s = _pairings(moments, phi_coeffs, 0, truncation, prec)
+    s = _pairings(moments, phi_coeffs, 0, truncation)
     return OffsetSeries(0, s.re, s.im, s.exp + 1)          # 2 <phi_n, m>
 
 
 def epsilonstar_from_determinant(moments: MomentSequence, phibar_coeffs,
-                                 truncation: int, prec: int) -> OffsetSeries:
-    """Interior expansion of epsstar_n (starts at z^{n+1}) up to z^truncation,
-    on the grid of ``prec`` bits."""
+                                 truncation: int) -> OffsetSeries:
+    """Interior expansion of epsstar_n (starts at z^{n+1}) up to
+    z^truncation."""
     n = len(phibar_coeffs) - 1
     nterms = truncation - n
     if nterms < 1:
         return OffsetSeries(n + 1, [], [])
-    s = _pairings(ReflectedMoments(moments), phibar_coeffs, -nterms, -1, prec)
+    s = _pairings(ReflectedMoments(moments), phibar_coeffs, -nterms, -1)
     # -2 <m-bar, phibar_n> for m = nterms .. 1, reversed to ascending powers
     return OffsetSeries(n + 1, [-v for v in reversed(s.re)],
                         [-v for v in reversed(s.im)], s.exp + 1)
@@ -224,13 +220,13 @@ def epsilonstar_from_determinant(moments: MomentSequence, phibar_coeffs,
 # the cached oracle
 # ---------------------------------------------------------------------------
 
-def _ratio_floor() -> mpf:
-    """Relative size below which a determinant ratio counts as vanishing.
-
-    An exactly-zero determinant computes as roundoff noise, so it is
-    compared against the scale set by the neighbouring ratio.
-    """
-    return mpf(2) ** (-(3 * mp.prec // 4))
+def _query(method):
+    """A public oracle query: one ``precision()`` context around it."""
+    @functools.wraps(method)
+    def run(self, *args):
+        with self.precision():
+            return method(self, *args)
+    return run
 
 
 class ToeplitzOracle:
@@ -242,12 +238,26 @@ class ToeplitzOracle:
     monic pair of ``monic_pair(n)``, which the Szego step grows upward from
     the highest cached level.
 
+    The oracle adopts the precision ``prec`` of its moment sequence.  Every
+    value it caches is computed there, inside the one context that each
+    public query enters, so no value depends on which query reached it
+    first.  A query at a working precision other than the one the oracle
+    was built at raises ``ValueError``; the oracle's own calls, already at
+    ``prec``, pass.  The degeneracy floors are judged at the working
+    precision.
+
     ``gauge`` maps level -> +-1 and fixes the kappa_n sign; the default is
     the principal branch everywhere.
     """
 
     def __init__(self, moments: MomentSequence, gauge=None):
         self.moments = moments
+        self.prec = moments.prec
+        self.working_prec = mp.prec
+        # the relative size below which a determinant ratio counts as
+        # vanishing: an exactly-zero determinant computes as roundoff noise,
+        # so it is compared against the scale set by the neighbouring ratio
+        self._floor = mpf(2) ** (-(3 * mp.prec // 4))
         self._gauge = dict(gauge) if gauge else {}
         self._dets = {0: mpc(1)}                # I_n, n = 0, 1, ...
         self._lower = []                        # L_{m,0..m-1}, m = 0, 1, ...
@@ -257,13 +267,20 @@ class ToeplitzOracle:
         self._h = []                            # h_k = I_{k+1} / I_k
         self._eps = {}
         self._epsstar = {}
-        # the eps-series grid, fixed here so that no caller's precision
-        # reaches it
-        self.eps_prec = mp.prec + 2 * GUARD_BITS
+
+    def precision(self):
+        """The context of ``prec``, refused to a caller at another working
+        precision."""
+        if mp.prec not in (self.working_prec, self.prec):
+            raise ValueError(
+                f"oracle built at {self.working_prec} bits queried at "
+                f"{mp.prec} bits")
+        return mp.workprec(self.prec)
 
     def gauge(self, n: int) -> int:
         return self._gauge.get(n, 1)
 
+    @_query
     def det(self, n: int) -> mpc:
         """I_n = I_{n-1} d_{n-1}, from the LU factor grown to size n."""
         if n not in self._dets:
@@ -277,64 +294,62 @@ class ToeplitzOracle:
         m + 1 adds the column U_{k,m} (forward substitution against L), the
         row L_{m,k} (against U) and the pivot d_m = U_{m,m}, in O(m^2).
         Before stepping past d_k it applies the floor test of
-        ``monic_pair``: d_0 == 0, or |d_k| < _ratio_floor() |d_{k-1}|.
+        ``monic_pair``: d_0 == 0, or |d_k| < floor |d_{k-1}|.
         """
         rows, cols = self._lower, self._upper
-        floor = _ratio_floor()
         self.moments.extend(-(n - 1), n - 1)
-        with guarded():
-            w = {k: to_mpc(self.moments.w(k)) for k in range(1 - n, n)}
-            for m in range(len(cols), n):
-                if m:
-                    d = cols[m - 1][m - 1]
-                    if d == 0 or (m > 1 and
-                                  abs(d) < floor * abs(cols[m - 2][m - 2])):
-                        raise DegenerateDeterminant(
-                            f"determinant at level {m} vanishes to working "
-                            f"precision; the LU factor stops here")
-                col = []
-                for k in range(m):
-                    col.append(w[k - m] - mpmath.fdot(rows[k], col))
-                row = []
-                for k in range(m):
-                    row.append((w[m - k] - mpmath.fdot(row, cols[k][:k]))
-                               / cols[k][k])
-                col.append(w[0] - mpmath.fdot(row, col))
-                rows.append(row)
-                cols.append(col)
-                self._dets[m + 1] = self._dets[m] * col[m]
+        w = {k: to_mpc(self.moments.w(k)) for k in range(1 - n, n)}
+        for m in range(len(cols), n):
+            if m:
+                d = cols[m - 1][m - 1]
+                if d == 0 or (m > 1 and
+                              abs(d) < self._floor * abs(cols[m - 2][m - 2])):
+                    raise DegenerateDeterminant(
+                        f"determinant at level {m} vanishes to working "
+                        f"precision; the LU factor stops here")
+            col = []
+            for k in range(m):
+                col.append(w[k - m] - mpmath.fdot(rows[k], col))
+            row = []
+            for k in range(m):
+                row.append((w[m - k] - mpmath.fdot(row, cols[k][:k]))
+                           / cols[k][k])
+            col.append(w[0] - mpmath.fdot(row, col))
+            rows.append(row)
+            cols.append(col)
+            self._dets[m + 1] = self._dets[m] * col[m]
 
+    @_query
     def monic_pair(self, n: int):
         """(phi_n, phibar_n) / kappa_n, ascending, by the bi-orthogonal step.
 
         Raises ``DegenerateDeterminant`` at the first h_k that vanishes to
-        working precision: h_0 == 0, or |h_k| < _ratio_floor() |h_{k-1}|,
-        the same test ``level`` applies to I_{k+1} I_{k-1} / I_k^2.
+        working precision: h_0 == 0, or |h_k| < floor |h_{k-1}|, the same
+        test ``level`` applies to I_{k+1} I_{k-1} / I_k^2.
         """
         pairs, hs = self._monic, self._h
         if n < len(pairs):
             return pairs[n]
-        floor = _ratio_floor()
         self.moments.extend(-n, n)
-        with guarded():
-            w = {k: to_mpc(self.moments.w(k)) for k in range(-n, n + 1)}
-            for k in range(len(pairs) - 1, n):
-                P, Q = pairs[k]
-                h = mpmath.fdot(P, [w[k - j] for j in range(k + 1)])
-                if h == 0 or (k and abs(h) < floor * abs(hs[k - 1])):
-                    raise DegenerateDeterminant(
-                        f"determinant at level {k + 1} vanishes to working "
-                        f"precision; the Szego step stops here")
-                a = -mpmath.fdot(P, [w[-1 - j] for j in range(k + 1)]) / h
-                b = -mpmath.fdot(Q, [w[1 + j] for j in range(k + 1)]) / h
-                P_next, Q_next = [mpc(0)] + P, [mpc(0)] + Q
-                for i in range(k + 1):
-                    P_next[i] += a * Q[k - i]
-                    Q_next[i] += b * P[k - i]
-                hs.append(h)
-                pairs.append((P_next, Q_next))
+        w = {k: to_mpc(self.moments.w(k)) for k in range(-n, n + 1)}
+        for k in range(len(pairs) - 1, n):
+            P, Q = pairs[k]
+            h = mpmath.fdot(P, [w[k - j] for j in range(k + 1)])
+            if h == 0 or (k and abs(h) < self._floor * abs(hs[k - 1])):
+                raise DegenerateDeterminant(
+                    f"determinant at level {k + 1} vanishes to working "
+                    f"precision; the Szego step stops here")
+            a = -mpmath.fdot(P, [w[-1 - j] for j in range(k + 1)]) / h
+            b = -mpmath.fdot(Q, [w[1 + j] for j in range(k + 1)]) / h
+            P_next, Q_next = [mpc(0)] + P, [mpc(0)] + Q
+            for i in range(k + 1):
+                P_next[i] += a * Q[k - i]
+                Q_next[i] += b * P[k - i]
+            hs.append(h)
+            pairs.append((P_next, Q_next))
         return pairs[n]
 
+    @_query
     def level(self, n: int) -> BopsLevel:
         if n in self._levels:
             return self._levels[n]
@@ -343,7 +358,7 @@ class ToeplitzOracle:
             raise DegenerateDeterminant(f"vanishing determinant at level {n}")
         if n >= 1:
             ref = abs(In) ** 2 / max(abs(self.det(n - 1)), mpf(1e-300))
-            if abs(In1) < _ratio_floor() * ref:
+            if abs(In1) < self._floor * ref:
                 raise DegenerateDeterminant(
                     f"determinant at level {n + 1} vanishes to working "
                     f"precision; the system truncates here")
@@ -354,19 +369,21 @@ class ToeplitzOracle:
         self._levels[n] = lev
         return lev
 
+    @_query
     def eps_series(self, n: int, truncation: int) -> OffsetSeries:
         got = self._eps.get(n)
         if got is None or got.top < truncation:
             got = epsilon_from_determinant(self.moments, self.level(n).phi,
-                                           truncation, self.eps_prec)
+                                           truncation)
             self._eps[n] = got
         return got
 
+    @_query
     def epsstar_series(self, n: int, truncation: int) -> OffsetSeries:
         got = self._epsstar.get(n)
         if got is None or got.top < truncation:
             got = epsilonstar_from_determinant(
-                self.moments, self.level(n).phibar, truncation, self.eps_prec)
+                self.moments, self.level(n).phibar, truncation)
             self._epsstar[n] = got
         return got
 
@@ -407,37 +424,38 @@ def casoratian_residuals(oracle: ToeplitzOracle, n: int,
 
     Each combination of polynomial and associated-function series collapses
     to a single monomial; every other coefficient up to the truncation must
-    vanish.
+    vanish.  The products are formed at the oracle's precision.
     """
-    lev_n = oracle.level(n)
-    lev_n1 = oracle.level(n + 1)
-    top = 2 * n + 2 + extra_terms
-    eps_n = oracle.eps_series(n, top)
-    eps_n1 = oracle.eps_series(n + 1, top)
-    est_n = oracle.epsstar_series(n, top)
-    est_n1 = oracle.epsstar_series(n + 1, top)
+    with oracle.precision():
+        lev_n = oracle.level(n)
+        lev_n1 = oracle.level(n + 1)
+        top = 2 * n + 2 + extra_terms
+        eps_n = oracle.eps_series(n, top)
+        eps_n1 = oracle.eps_series(n + 1, top)
+        est_n = oracle.epsstar_series(n, top)
+        est_n1 = oracle.epsstar_series(n + 1, top)
 
-    out = {}
+        out = {}
 
-    def finish(label, built, mono_pow, mono_coeff):
-        lo, hi = min(built.offset, mono_pow), max(built.top, mono_pow)
-        got = built.window(lo, hi)
-        # custom scale: the largest built coefficient or the monomial
-        scale = max(max(map(abs, got)), abs(mono_coeff))
-        got[mono_pow - lo] -= mono_coeff
-        worst = max(map(abs, got))
-        out[label] = worst / scale if scale > 0 else worst
+        def finish(label, built, mono_pow, mono_coeff):
+            lo, hi = min(built.offset, mono_pow), max(built.top, mono_pow)
+            got = built.window(lo, hi)
+            # custom scale: the largest built coefficient or the monomial
+            scale = max(max(map(abs, got)), abs(mono_coeff))
+            got[mono_pow - lo] -= mono_coeff
+            worst = max(map(abs, got))
+            out[label] = worst / scale if scale > 0 else worst
 
-    a = eps_n.mul_poly(lev_n1.phi, top).add(
-        eps_n1.mul_poly(lev_n.phi, top).scale(-1))
-    finish("Cas:a", a, n, 2 * lev_n1.phi0 / lev_n.kappa)
+        a = eps_n.mul_poly(lev_n1.phi, top).add(
+            eps_n1.mul_poly(lev_n.phi, top).scale(-1))
+        finish("Cas:a", a, n, 2 * lev_n1.phi0 / lev_n.kappa)
 
-    b = est_n.mul_poly(lev_n1.phistar, top).add(
-        est_n1.mul_poly(lev_n.phistar, top).scale(-1))
-    finish("Cas:b", b, n + 1, 2 * lev_n1.phibar0 / lev_n.kappa)
+        b = est_n.mul_poly(lev_n1.phistar, top).add(
+            est_n1.mul_poly(lev_n.phistar, top).scale(-1))
+        finish("Cas:b", b, n + 1, 2 * lev_n1.phibar0 / lev_n.kappa)
 
-    c = est_n.mul_poly(lev_n.phi, top).add(
-        eps_n.mul_poly(lev_n.phistar, top))
-    finish("Cas:c", c, n, mpc(2))
+        c = est_n.mul_poly(lev_n.phi, top).add(
+            eps_n.mul_poly(lev_n.phistar, top))
+        finish("Cas:c", c, n, mpc(2))
 
-    return out
+        return out

@@ -50,7 +50,6 @@ class DGState:
     n: int
     f: list
     omega: list
-    r_ratio: mpc = None        # (n - rho_0) r_n / r_{n+1}, set by dg_invert
     vartheta: list = None      # interior coordinate-polynomial coefficients
 
 
@@ -250,7 +249,7 @@ def dg_invert(state: DGState, pair: PolyPair, n: int = None):
     """Reflection-ratio and interior coordinate coefficients from (f, omega).
 
     Returns ((n - rho_0) r_n/r_{n+1}, [vartheta^1 .. vartheta^{N-1}]) and
-    caches them on the state.
+    caches the vartheta on the state.
     """
     if n is None:
         n = state.n
@@ -264,7 +263,6 @@ def dg_invert(state: DGState, pair: PolyPair, n: int = None):
     for j in range(1, N):
         numj = _weighted_sum(pair, state.f, N - j)
         vartheta.append((-1) ** (N + j) * (n + 1 + m0) * numj / den_t)
-    state.r_ratio = scaled_ratio
     state.vartheta = vartheta
     return scaled_ratio, vartheta
 
@@ -390,26 +388,3 @@ def dg_hamiltonian_residuals(ws: SpectralWorkspace, n: int) -> dict:
             worst = max(worst, rel_residual([lhs, -rhs], 1))
         out[tag] = worst
     return out
-
-
-# ---------------------------------------------------------------------------
-# parameter bookkeeping for the one-variable specialisation
-# ---------------------------------------------------------------------------
-
-def dpv_parameters(pair: PolyPair, n: int) -> dict:
-    """Parameter tuple of the standard one-variable discrete system (N = 1).
-
-    Pure bookkeeping: the affine change of the omega variable and the
-    five-parameter tuple the M = 3 recurrence maps onto.
-    """
-    if pair.N != 1:
-        raise ValueError("parameter map defined for one deformation variable")
-    rho = pair.weight.residues_mpc()
-    rho0, rho_t, rho1 = rho[0], rho[1], rho[2]
-    t = pair.weight.free_singularities[0].to_mpc()
-    alphas = (rho_t, n - rho0, -n - rho_t - rho1, rho1,
-              n + 1 + rho0 + rho_t + rho1)
-    # omega -> (1-t) omega - n t + 1 + rho0 (t+1) + rho_t + rho1,  t -> 1/t
-    omega_map = ((1 - t), -n * t + 1 + rho0 * (t + 1) + rho_t + rho1)
-    return {"alpha": alphas, "t_image": 1 / t, "omega_scale": omega_map[0],
-            "omega_shift": omega_map[1]}

@@ -24,7 +24,7 @@ finite-difference deformation checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -32,7 +32,7 @@ from mpmath import mp, mpf, mpc
 from .errors import (NonConvergent, SingularStep, WindowTooSmall,
                      NotSingleValued)
 from .exact import QC
-from .mputil import guarded, to_mpc
+from .mputil import GUARD_BITS, guarded, to_mpc
 from .polys import padd, pdiff, peval, pmul, pscale
 from .report import rel_residual
 from .weights import PolyPair, WeightData, build_poly_pair, \
@@ -92,7 +92,12 @@ def _solve_step(row, known, pivot_index, j, floor_rel):
 
 @dataclass
 class MomentSequence:
-    """Contiguous window of moments with its generating recurrence."""
+    """Contiguous window of moments with its generating recurrence.
+
+    ``prec`` is fixed when the sequence is built: the working precision plus
+    twice the guard bits.  Every moment the recurrence adds is computed at
+    it, whoever asks, and the oracle over the sequence adopts it.
+    """
 
     pair: PolyPair
     values: dict
@@ -100,6 +105,7 @@ class MomentSequence:
     seed_hi: int
     provenance: str = "seeded"
     exact: bool = False
+    prec: int = field(default_factory=lambda: mp.prec + 2 * GUARD_BITS)
 
     @property
     def k_min(self) -> int:
@@ -141,13 +147,7 @@ class MomentSequence:
 
     def extend(self, kmin: int, kmax: int) -> None:
         """Grow the window by recurrence steps (never recomputes seeds)."""
-        if self.exact:
-            while self.k_max < kmax:
-                self._step_forward()
-            while self.k_min > kmin:
-                self._step_backward()
-            return
-        with guarded():
+        with mp.workprec(self.prec):
             while self.k_max < kmax:
                 self._step_forward()
             while self.k_min > kmin:

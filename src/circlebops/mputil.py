@@ -21,9 +21,10 @@ from .errors import DegenerateDeterminant, RootMatchingAmbiguous
 from .exact import QC
 
 
-# extra bits used inside cancellation-prone kernels (determinant solves,
-# orthogonality pairings, series extraction) so that delivered values are
-# honest at the configured precision even for badly scaled moment windows
+# extra bits over the working precision: a moment sequence, and the oracle
+# over it, computes everything it caches at the working precision plus twice
+# these (``MomentSequence.prec``), so that delivered values are honest at the
+# working precision even for badly scaled moment windows
 GUARD_BITS = 48
 
 
@@ -37,7 +38,8 @@ def working_precision(bits: int):
 
 
 def guarded():
-    """Context manager adding the internal guard bits."""
+    """Context manager adding the guard bits to the caller's precision (the
+    test references and the residue sums of rational weights)."""
     return mp.extraprec(GUARD_BITS)
 
 

@@ -16,14 +16,16 @@ Extraction works through the exact series inversions
 data, regrouped so that each eps-series meets one polynomial formed first,
 e.g. eps_n (W phi_n' + 2V phi_n) - eps_n' (W phi_n) for the form above.
 The forms stay in the integers of ``polys.OffsetSeries``: W, V and the
-phi-polynomials go on grids once, at the oracle's ``eps_prec`` (the
+phi-polynomials go on grids once, at the oracle's precision ``prec`` (the
 eps-series' own), their products are exact, each formed polynomial is put
-on its grid once (``eps_prec`` + 16 bits below its largest coefficient), and
-each output is rounded once, at the guarded precision, when the band is
-read.  Every series coefficient outside the band [z^n, z^(n+deg)] must
-vanish; the out-of-band maximum, measured on exact squared magnitudes
-against the largest coefficient of the form, is recorded and doubles as a
-correctness alarm for the whole pipeline (it is the degree-bound check).
+on its grid once (``prec`` + 16 bits below its largest coefficient), and
+each output is rounded once, at ``prec``, when the band is read: the whole
+extraction runs in the oracle's one context (``ToeplitzOracle.precision``).
+Every series coefficient outside the band [z^n, z^(n+deg)] must vanish; the
+out-of-band maximum, measured on exact squared magnitudes against the
+largest coefficient of the form, is recorded and doubles as a correctness
+alarm for the whole pipeline (it is the degree-bound check), judged at the
+working precision.
 
 The rest of the module turns the coupled recurrences, transition identities,
 bilinear evaluations, summation identities, scalar ODE data and deformation
@@ -40,7 +42,7 @@ from mpmath import mp, mpf, mpc
 from .bops import BopsLevel, ToeplitzOracle
 from .errors import (DegreeBoundViolated, EvaluationAtRootOfTheta,
                      SamplePointOnSingularity, SingularityCollision)
-from .mputil import guarded, sample_points, to_mpc
+from .mputil import sample_points, to_mpc
 from .polys import (OffsetSeries, padd, pdiff, peval, pmul, pscale, pshift,
                     psub, ptrim, pdeg, pmax_abs)
 from .report import CheckResult, rel_error, rel_residual, vector_residual
@@ -100,8 +102,8 @@ def spectral_from_oracle(oracle: ToeplitzOracle, pair: PolyPair, n: int,
     """Spectral polynomials at level n from oracle data at levels n, n+1."""
     if pair.weight.placement != "canonical":
         raise ValueError("spectral extraction assumes canonical placement")
-    alarm = band_tolerance()          # judged at the delivered precision
-    with guarded():
+    alarm = band_tolerance()          # judged at the working precision
+    with oracle.precision():
         return _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm)
 
 
@@ -137,21 +139,15 @@ def _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm):
     def times(a, b):
         return a.mul_poly(b, len(a) + len(b) - 2)
 
-    # the polynomials go on grids as fine as the eps-series' own: on the
-    # coarser grid of the guarded precision a formed polynomial loses the
-    # digits of its small coefficients, which meet the largest eps
-    # coefficients
-    with mp.workprec(oracle.eps_prec):
-        V2 = pair.V2_mpc()
-        Wg, Vg = (OffsetSeries.from_poly(p) for p in
-                  (pair.W_mpc(), pscale(V2, mpf("0.5"))))
-        Dg = OffsetSeries.from_poly(V2).add(Wg.diff().scale(-1))
-        r_theta, r_omega = forms(eps_n, eps_n1, lev_n.phi, lev_n1.phi)
-        # the starred pair is the negated pair of forms in (epsstar,
-        # phistar): 2 (phibar0_{n+1}/kappa_n) z^{n+1} (Thetastar_n,
-        # Omegastar_n) = -forms(epsstar_n, epsstar_{n+1}, phistar_n,
-        # phistar_{n+1})
-        r_ts, r_os = forms(est_n, est_n1, lev_n.phistar, lev_n1.phistar)
+    V2 = pair.V2_mpc()
+    Wg, Vg = (OffsetSeries.from_poly(p) for p in
+              (pair.W_mpc(), pscale(V2, mpf("0.5"))))
+    Dg = OffsetSeries.from_poly(V2).add(Wg.diff().scale(-1))
+    r_theta, r_omega = forms(eps_n, eps_n1, lev_n.phi, lev_n1.phi)
+    # the starred pair is the negated pair of forms in (epsstar, phistar):
+    # 2 (phibar0_{n+1}/kappa_n) z^{n+1} (Thetastar_n, Omegastar_n)
+    #   = -forms(epsstar_n, epsstar_{n+1}, phistar_n, phistar_{n+1})
+    r_ts, r_os = forms(est_n, est_n1, lev_n.phistar, lev_n1.phistar)
     fac = 2 * lev_n1.phi0 / lev_n.kappa
     theta, r1 = _extract_band(r_theta, n, N, fac)
     omega, r2 = _extract_band(r_omega, n, N + 1, fac)
@@ -842,12 +838,6 @@ def scalar_ode_data(ws: SpectralWorkspace, n: int, z):
     return {"p1": p1, "p2": p2, "p1s": p1s, "p2s": p2s,
             "p2_scale": max(abs(t) for t in p2_parts),
             "p2s_scale": max(abs(t) for t in p2s_parts)}
-
-
-def scalar_ode_coeffs(ws: SpectralWorkspace, n: int, z):
-    """(p1, p2, p1*, p2*) of the two second-order scalar equations at z."""
-    d = scalar_ode_data(ws, n, z)
-    return d["p1"], d["p2"], d["p1s"], d["p2s"]
 
 
 def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol, npoints: int = 10,

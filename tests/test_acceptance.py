@@ -102,9 +102,9 @@ def test_criterion_06_scalar_ode():
         zs = ws.singularities()
         for n in (2, 5):
             pt = coordinates_from_spectral(ws, n, with_hamiltonians=False)
-            from circlebops.spectral import scalar_ode_coeffs
+            from circlebops.spectral import scalar_ode_data
             for z in (mpc("1.37", "0.53"), mpc("-1.21", "0.64")):
-                p1 = scalar_ode_coeffs(ws, n, z)[0]
+                p1 = scalar_ode_data(ws, n, z)["p1"]
                 want = (rhos[0] + 1 - n) / z + (rhos[-1] + 1) / (z - 1)
                 for zj, rj in zip(zs[1:-1], rhos[1:-1]):
                     want += (rj + 1) / (z - zj)

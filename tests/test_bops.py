@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from conftest import (random_canonical_case, standard_case_m3,
                       standard_case_m4, standard_case_m5)
@@ -217,8 +217,9 @@ def test_szego_step_matches_lu_solves(case, bits, tol):
         flipped = ToeplitzOracle(ms, gauge={n: -1 for n in range(1, 25, 2)})
         _assert_levels_match_lu((base, flipped), ms, 24, tol)
         for n in range(25):
-            assert flipped.level(n).kappa == \
-                flipped.gauge(n) * base.level(n).kappa
+            kappa, base_kappa = flipped.level(n).kappa, base.level(n).kappa
+            with mp.workprec(base.prec):       # kappa carries base.prec bits
+                assert kappa == flipped.gauge(n) * base_kappa
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 3))
@@ -227,6 +228,25 @@ def test_szego_step_matches_lu_on_random_weights(seed, N):
     weight, seeds = random_canonical_case(seed, N)
     ms = MomentSequence.from_seeds(build_poly_pair(weight), -1, seeds)
     _assert_levels_match_lu((ToeplitzOracle(ms),), ms, 14, mpf(1e-32))
+
+
+def test_an_oracle_answers_only_at_the_precision_it_was_built_at():
+    """An oracle that reached level 10 at 128 bits refuses monic_pair(12),
+    and every other query, at 256 bits, naming both precisions, and
+    computes nothing there; at 128 bits it goes on."""
+    o, _, _ = _oracle_m3()
+    o.level(10)
+    with working_precision(256):
+        for query, args in ((o.monic_pair, (12,)), (o.det, (12,)),
+                            (o.level, (12,)), (o.eps_series, (12, 20)),
+                            (o.epsstar_series, (12, 20))):
+            with pytest.raises(ValueError, match="built at 128 bits "
+                                                 "queried at 256 bits"):
+                query(*args)
+        with pytest.raises(ValueError, match="built at 128 bits"):
+            casoratian_residuals(o, 2)
+    assert len(o._monic) == 11                 # nothing computed at 256
+    assert len(o.monic_pair(12)[0]) == 13
 
 
 def test_level_needs_no_lu_solve(monkeypatch):

@@ -14,7 +14,7 @@ from circlebops.bops import ToeplitzOracle
 from circlebops.discrete_garnier import (DGState, dg_from_spectral,
                                          dg_hamiltonian_residuals, dg_initial,
                                          dg_invert, dg_step, dg_trajectory,
-                                         dpv_parameters, tau_recovery)
+                                         tau_recovery)
 from circlebops.errors import SingularStep
 from circlebops.exact import QC
 from circlebops.moments import MomentSequence, build_U
@@ -310,24 +310,7 @@ def test_hamiltonian_form_gauge_invariant():
     assert res["advanced"] < mpf(1e-28)
 
 
-# -- parameter bookkeeping and aborts ------------------------------------------
-
-def test_dpv_parameter_tuple():
-    ws = make_workspace(*standard_case_m3())
-    rho = ws.residues()
-    info = dpv_parameters(ws.pair, 4)
-    a = info["alpha"]
-    assert abs(a[0] - rho[1]) == 0
-    assert abs(a[1] - (4 - rho[0])) == 0
-    assert abs(a[2] + 4 + rho[1] + rho[2]) == 0
-    assert abs(a[3] - rho[2]) == 0
-    assert abs(a[4] - (4 + 1 + rho[0] + rho[1] + rho[2])) == 0
-    t = ws.weight.free_singularities[0].to_mpc()
-    assert abs(info["t_image"] - 1 / t) < mpf(1e-33)
-    assert abs(info["omega_scale"] - (1 - t)) < mpf(1e-33)
-    assert abs(info["omega_shift"] -
-               (-4 * t + 1 + rho[0] * (t + 1) + rho[1] + rho[2])) < mpf(1e-33)
-
+# -- aborts -------------------------------------------------------------------
 
 def test_singular_step_reports_factor():
     ws = make_workspace(*standard_case_m3())

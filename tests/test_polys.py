@@ -1,7 +1,6 @@
 """The integer-mantissa series, its convolution kernel and the eps-series."""
 
 import random
-from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -282,18 +281,16 @@ def test_eps_series_match_pairings_on_random_weights(seed, N):
 
 
 def test_eps_series_do_not_depend_on_the_callers_precision():
-    """eps_series(n) asked plainly and asked under guarded() give equal
-    series: the oracle fixes their grid, and the precision of the moments
-    they add, when it is built."""
+    """The oracle answers only at the working precision it was built at:
+    asked under guarded(), eps_series and epsstar_series raise, naming both
+    precisions, and the series cached before are kept as they were."""
     weight, seeds = standard_case_m3()
-    got = []
-    for context in (nullcontext, guarded):
-        ms = MomentSequence.from_seeds(build_poly_pair(weight), -1, seeds)
-        oracle = ToeplitzOracle(ms)
-        for n in range(8):
-            oracle.level(n)            # the same levels for both
-        with context():
-            got.append([(oracle.eps_series(n, n + 10),
-                         oracle.epsstar_series(n, n + 10))
-                        for n in range(8)])
-    assert got[0] == got[1]
+    ms = MomentSequence.from_seeds(build_poly_pair(weight), -1, seeds)
+    oracle = ToeplitzOracle(ms)
+    got = [oracle.eps_series(4, 14), oracle.epsstar_series(4, 14)]
+    for query in (oracle.eps_series, oracle.epsstar_series):
+        with guarded(), pytest.raises(ValueError,
+                                      match="built at 128 bits queried at "
+                                            "176 bits"):
+            query(4, 14)
+    assert [oracle.eps_series(4, 14), oracle.epsstar_series(4, 14)] == got

@@ -3,21 +3,25 @@
 import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpc, mpf
 
 from conftest import (make_workspace, random_canonical_case,
-                      standard_case_m3, standard_case_m4, standard_case_m5)
+                      rational_case_m4, standard_case_m3, standard_case_m4,
+                      standard_case_m5)
 from circlebops.bops import ToeplitzOracle, pairing_first
+from circlebops.deform import rational_workspace
 from circlebops.errors import DegreeBoundViolated, SamplePointOnSingularity
 from circlebops.moments import MomentSequence, ReflectedMoments, build_U
 from circlebops.mputil import working_precision
 from circlebops.polys import padd, pdiff, pmax_abs, pscale, pshift, psub
 from circlebops.report import all_passed, failures, rel_error
-from circlebops.spectral import (SpectralWorkspace, a_matrix, check_bilinear,
-                                 check_linear_recurrences,
+from circlebops.spectral import (SpectralWorkspace, a_matrix, band_tolerance,
+                                 check_bilinear, check_linear_recurrences,
                                  check_summation_identities, check_transitions,
                                  p2_asymptotic_constant,
-                                 residue_structure_checks, scalar_ode_coeffs,
+                                 residue_structure_checks, scalar_ode_data,
                                  scalar_ode_residuals)
 from circlebops.weights import build_poly_pair, build_weight
 
@@ -33,6 +37,41 @@ def test_band_residual_is_tiny():
     ws = _ws()
     for n in range(0, 8):
         assert ws.data(n).band_residual < mpf(1e-30)
+
+
+def test_deep_levels_stay_in_band_at_128_bits():
+    """The README weight at 128 bits reaches level 48 inside the band
+    alarm: kappa and the level families keep the oracle's precision, also
+    when the levels are reached first, as verify's suites reach them."""
+    ws = _ws()
+    for n in range(50):
+        ws.level(n)
+    assert ws.data(48).band_residual < band_tolerance()
+
+
+def _same_bits_in_either_query_order(make, n):
+    """data(n) after level(n), and data(n) alone, on two fresh workspaces
+    give the same moments, level and spectral data, bit for bit."""
+    first, second = make(), make()
+    first.level(n)
+    assert first.data(n) == second.data(n)
+    assert first.level(n) == second.level(n)
+    assert first.oracle.moments.values == second.oracle.moments.values
+
+
+def test_cached_values_do_not_depend_on_the_first_query():
+    with working_precision(256):
+        weight = rational_case_m4()
+        _same_bits_in_either_query_order(lambda: rational_workspace(weight),
+                                         3)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(0, 8))
+@settings(max_examples=8, deadline=None)
+def test_cached_values_do_not_depend_on_the_first_query_on_random_weights(
+        seed, N, n):
+    weight, seeds = random_canonical_case(seed, N)
+    _same_bits_in_either_query_order(lambda: make_workspace(weight, seeds), n)
 
 
 def test_degree_alarm_on_corrupted_moments():
@@ -162,7 +201,7 @@ def test_scalar_ode_residuals_and_structure():
         zs = ws.singularities()
         rhos = ws.residues()
         for z in (mpc("1.37", "0.41"), mpc("-0.9", "1.1")):
-            p1, _, _, _ = scalar_ode_coeffs(ws, n, z)
+            p1 = scalar_ode_data(ws, n, z)["p1"]
             want = (rhos[0] + 1 - n) / z + (rhos[-1] + 1) / (z - 1)
             for zj, rj in zip(zs[1:-1], rhos[1:-1]):
                 want += (rj + 1) / (z - zj)
@@ -200,7 +239,7 @@ def test_ode_coeffs_refuse_coordinate_roots():
     ws = make_workspace(*standard_case_m3())
     pt = coordinates_from_spectral(ws, 2, with_hamiltonians=False)
     with pytest.raises(EvaluationAtRootOfTheta):
-        scalar_ode_coeffs(ws, 2, pt.q[0])
+        scalar_ode_data(ws, 2, pt.q[0])
 
 
 # ---------------------------------------------------------------------------
