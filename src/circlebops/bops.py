@@ -60,6 +60,7 @@ from .errors import DegenerateDeterminant
 from .moments import MomentSequence, ReflectedMoments
 from .mputil import guarded, lu_det, lu_solve, to_mpc
 from .polys import OffsetSeries, conv_fixed
+from .report import largest_abs
 
 
 @dataclass
@@ -441,9 +442,9 @@ def casoratian_residuals(oracle: ToeplitzOracle, n: int,
             lo, hi = min(built.offset, mono_pow), max(built.top, mono_pow)
             got = built.window(lo, hi)
             # custom scale: the largest built coefficient or the monomial
-            scale = max(max(map(abs, got)), abs(mono_coeff))
+            scale = max(largest_abs(got), abs(mono_coeff))
             got[mono_pow - lo] -= mono_coeff
-            worst = max(map(abs, got))
+            worst = largest_abs(got)
             out[label] = worst / scale if scale > 0 else worst
 
         a = eps_n.mul_poly(lev_n1.phi, top).add(

@@ -15,6 +15,7 @@ error, 3 singular or degenerate abort.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -189,6 +190,8 @@ def _cmd_moments(cfg: RunConfig, args, started: float) -> int:
         lo, hi = (int(x) for x in args.range.split(":"))
     except ValueError as exc:
         raise ConfigInvalid(f"bad --range {args.range!r}") from exc
+    if lo > hi:
+        raise ConfigInvalid(f"bad --range {args.range!r}: kmin > kmax")
     ws = build_workspace(cfg)
     ms = ws.oracle.moments
     ms.extend(lo, hi)
@@ -324,8 +327,10 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
             worst = max(worst, delta)
         recs.append(rec)
     payload = {"levels": recs, "singular": singular_report}
+    judged = []                 # the residuals the exit code is judged on
     if args.compare_oracle:
         payload["max_oracle_delta"] = jsonout.real_field(worst)
+        judged.append(worst)
     if args.tau and traj:
         rec = tau_recovery(traj, pair, ms)
         tau_rows = []
@@ -340,11 +345,11 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
                           "lambda_paths": jsonout.real_field(
                               rec["lambda_delta"]),
                           "max_delta": jsonout.real_field(worst_tau)}
+        judged += [worst_tau, rec["lambda_delta"]]
     _emit(payload, _out_path(cfg, "dg.json"), started)
     if singular_report is not None:
         return EXIT_SINGULAR
-    ok = (not args.compare_oracle) or worst < tol
-    return EXIT_OK if ok else EXIT_RESIDUAL
+    return EXIT_OK if all(r < tol for r in judged) else EXIT_RESIDUAL
 
 
 def _parse_param(param: str, weight):
@@ -365,6 +370,8 @@ def _cmd_sweep(cfg: RunConfig, args, started: float) -> int:
         a, b, count = float(a), float(b), int(count)
     except ValueError as exc:
         raise ConfigInvalid(f"bad --grid {args.grid!r}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ConfigInvalid(f"bad --grid {args.grid!r}: bounds must be finite")
     if count < 1:
         raise ConfigInvalid("grid count must be >= 1")
     kind, idx = _parse_param(args.param, build_weight_from_config(cfg))

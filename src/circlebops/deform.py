@@ -37,7 +37,6 @@ from .garnier import (coordinates_from_spectral, fd_pass, flow_p_closed,
                       flow_q_closed, flow_step)
 from .moments import MomentSequence, rational_weight_moments
 from .mputil import match_roots, to_mpc
-from .polys import peval
 from .report import CheckResult, rel_error, rel_residual, vector_residual
 from .spectral import SpectralWorkspace, residue_matrices
 from .weights import WeightData, build_poly_pair, build_weight
@@ -112,13 +111,14 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
 
     out = []
     zs = ws0.singularities()
-    Woz = ws0.W_over_z()
     sd_nm1 = ws0.data(n - 1)
     sd_n = ws0.data(n)
     lev_n = ws0.level(n)
     lev_n1 = ws0.level(n + 1)
     kr = ws0.kappa_ratio(n)
-    V = ws0.V()
+
+    def V(j):
+        return ws0.at("V", zs[j])
 
     # -- reflection-coefficient dynamics --------------------------------------
     # carries a 1/z_j weight (derived from the deformation system at the
@@ -129,9 +129,9 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
     for j in range(len(zs)):
         if zd[j] == 0:
             continue
-        want_r += zd[j] * (sd_nm1.omega_at(zs[j]) - peval(V, zs[j])) / \
+        want_r += zd[j] * (sd_nm1.at("omega", zs[j]) - V(j)) / \
             (zs[j] * ws0.wprime_at(zs[j]))
-        want_rbar += zd[j] * (sd_nm1.omegastar_at(zs[j]) + peval(V, zs[j])) / \
+        want_rbar += zd[j] * (sd_nm1.at("omegastar", zs[j]) + V(j)) / \
             (zs[j] * ws0.wprime_at(zs[j]))
     want_r *= lev_n.r
     want_rbar *= lev_n.rbar
@@ -154,14 +154,14 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
         pbar_dot[step] = _central(stencil, lambda w: w.level(n).phibar0, step)
 
     def theta_at(j):
-        return sd_n.theta_at(zs[j])
+        return sd_n.at("theta", zs[j])
 
     def omega_at(j):
-        return sd_n.omega_at(zs[j])
+        return sd_n.at("omega", zs[j])
 
     def brace_term(j):
         return 2 * omega_at(j) - 2 * kr * zs[j] * theta_at(j) + \
-            n * peval(Woz, zs[j])
+            n * ws0.at("Woz", zs[j])
 
     res_a = [[], []]
     res_b = [[], []]
@@ -199,12 +199,12 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
             for k in range(M):
                 if k == j:
                     continue
-                pj = omega_at(j) + peval(V, zs[j]) - kr * zs[j] * theta_at(j)
-                mj = omega_at(j) - peval(V, zs[j]) - kr * zs[j] * theta_at(j) + \
-                    n * peval(Woz, zs[j])
-                pk = omega_at(k) + peval(V, zs[k]) - kr * zs[k] * theta_at(k)
-                mk = omega_at(k) - peval(V, zs[k]) - kr * zs[k] * theta_at(k) + \
-                    n * peval(Woz, zs[k])
+                pj = omega_at(j) + V(j) - kr * zs[j] * theta_at(j)
+                mj = omega_at(j) - V(j) - kr * zs[j] * theta_at(j) + \
+                    n * ws0.at("Woz", zs[j])
+                pk = omega_at(k) + V(k) - kr * zs[k] * theta_at(k)
+                mk = omega_at(k) - V(k) - kr * zs[k] * theta_at(k) + \
+                    n * ws0.at("Woz", zs[k])
                 rhs += (1 / ws0.wprime_at(zs[k])) * \
                     ((zd[j] - zd[k]) / (zs[j] - zs[k])) * \
                     ((theta_at(j) / theta_at(k)) * pk * mk -

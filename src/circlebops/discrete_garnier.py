@@ -126,12 +126,12 @@ def dg_from_spectral(ws: SpectralWorkspace, n: int) -> DGState:
     N = pair.N
     sd = ws.data(n)
     m = pair.m_mpc()
-    th1 = sd.theta_at(mpc(1))
+    th1 = sd.at("theta", mpc(1))
     if abs(th1) < denominator_floor() * max(abs(c) for c in sd.theta):
         raise ThetaVanishesAtOne(f"coordinate polynomial vanished at 1, n={n}")
     f = []
     for t in _free_points(pair):
-        f.append(sd.theta_at(t) / (t * th1))
+        f.append(sd.at("theta", t) / (t * th1))
     omega = [(-1) ** N * sd.omega[j] - (-1) ** j * m[N + 1 - j] / 2
              for j in range(1, N + 1)]
     return DGState(n=n, f=f, omega=omega)
@@ -369,14 +369,11 @@ def dg_hamiltonian_residuals(ws: SpectralWorkspace, n: int) -> dict:
     record.
     """
     from .garnier import polynomial_roots, _sorted_roots
-    from .polys import peval
 
-    W, V = ws.W(), ws.V()
-    V2 = ws.V2()
     sd_n, sd_n1 = ws.data(n), ws.data(n + 1)
 
     def p_fun(sd, z):
-        return -(peval(sd.omega, z) + peval(V, z)) / peval(W, z)
+        return -(sd.at("omega", z) + ws.at("V", z)) / ws.at("W", z)
 
     out = {}
     for tag, sd_roots in (("advanced", sd_n1), ("lagging", sd_n)):
@@ -384,7 +381,7 @@ def dg_hamiltonian_residuals(ws: SpectralWorkspace, n: int) -> dict:
         worst = mpf(0)
         for q in roots:
             lhs = p_fun(sd_n1, q) + p_fun(sd_n, q)
-            rhs = mpf(n) / q - peval(V2, q) / peval(W, q)
+            rhs = mpf(n) / q - ws.at("V2", q) / ws.at("W", q)
             worst = max(worst, rel_residual([lhs, -rhs], 1))
         out[tag] = worst
     return out

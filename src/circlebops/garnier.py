@@ -89,7 +89,18 @@ def degeneracy_floor() -> mpf:
 
 def coordinates_from_spectral(ws: SpectralWorkspace, n: int,
                               with_hamiltonians: bool = True) -> GarnierPoint:
-    """Extract (q, p, K) from the spectral data at level n."""
+    """Extract (q, p, K) from the spectral data at level n.
+
+    The workspace keeps the point per level and precision; K is added to it
+    when first asked for.
+    """
+    point = ws.memo(("garnier", n), lambda: _garnier_point(ws, n))
+    if with_hamiltonians and not point.K:
+        point.K = hamiltonian(ws, n, point)
+    return point
+
+
+def _garnier_point(ws: SpectralWorkspace, n: int) -> GarnierPoint:
     sd = ws.data(n)
     theta = sd.theta
     N = ws.pair.N
@@ -97,30 +108,23 @@ def coordinates_from_spectral(ws: SpectralWorkspace, n: int,
     if len(roots) != N:
         raise MultipleRoot(f"degree of the coordinate polynomial dropped "
                            f"below {N} at level {n}")
-    dtheta = pdiff(theta)
     floor = degeneracy_floor() * pmax_abs(theta)
     zs = ws.singularities()
     for qr in roots:
-        if abs(peval(dtheta, qr)) < floor:
+        if abs(sd.at("dtheta", qr)) < floor:
             raise MultipleRoot(f"near-multiple root at {mpmath.nstr(qr, 8)}")
         if min(abs(qr - z) for z in zs) < degeneracy_floor():
             raise CoordinateOnSingularity(
                 f"coordinate {mpmath.nstr(qr, 8)} hit a singularity")
-    W, V = ws.W(), ws.V()
-    p = [-(sd.omega_at(qr) + peval(V, qr)) / peval(W, qr) for qr in roots]
-    point = GarnierPoint(n=n, q=roots, p=p, K=[], theta_inf=sd.theta[-1])
-    if with_hamiltonians:
-        point.K = hamiltonian(ws, n, point)
-    return point
+    p = [-(sd.at("omega", qr) + ws.at("V", qr)) / ws.at("W", qr)
+         for qr in roots]
+    return GarnierPoint(n=n, q=roots, p=p, K=[], theta_inf=sd.theta[-1])
 
 
 def hamiltonian(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> list:
     """K_j for each free singularity, from the closed form ``k_value``."""
-    zs = ws.singularities()
-    W, V2 = ws.W(), ws.V2()
-    m0 = ws.pair.m_mpc()[0]
-    return [k_value(point.q, point.p, zs, V2, W, n, m0, j)
-            for j in range(1, len(zs) - 1)]
+    return [k_value(ws, point.q, point.p, n, j)
+            for j in range(1, len(ws.singularities()) - 1)]
 
 
 def hamiltonian_from_residues(ws: SpectralWorkspace, n: int,
@@ -171,10 +175,8 @@ def omega_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mp
     Omega_n + V - (kappa ratio) z Theta_n in terms of (q, p)."""
     sd = ws.data(n)
     kr = ws.kappa_ratio(n)
-    V = ws.V()
-    W = ws.W()
+    V = ws.poly("V")
     theta = sd.theta
-    dtheta = pdiff(theta)
     e = ws.pair.e_mpc()
     N = ws.pair.N
     rho0 = ws.residues()[0]
@@ -182,11 +184,11 @@ def omega_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mp
     # target polynomial
     lhs = psub(padd(sd.omega, V), pscale(pshift(theta, 1), kr))
     # bracket: -n z / theta_inf + const - sum_r z/(z-q_r) * w_r
-    const = (-1) ** N * (mpf(n) - rho0) * e[N + 1] / peval(theta, mpc(0))
+    const = (-1) ** N * (mpf(n) - rho0) * e[N + 1] / sd.at("theta", mpc(0))
     rhs = padd(pscale(pshift(theta, 1), -mpf(n) / theta_inf),
                pscale(theta, const))
     for qr, pr in zip(point.q, point.p):
-        wr = pr * peval(W, qr) / (qr * peval(dtheta, qr))
+        wr = pr * ws.at("W", qr) / (qr * sd.at("dtheta", qr))
         quot = pdiv_exact_linear(theta, qr)       # theta/(z - q_r)
         rhs = psub(rhs, pscale(pshift(quot, 1), wr))
     return vector_residual([lhs, pscale(rhs, -1)])
@@ -197,18 +199,16 @@ def v2_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
     {0, q_r, 1}."""
     sd = ws.data(n)
     theta = sd.theta
-    dtheta = pdiff(theta)
-    V2 = ws.V2()
-    W = ws.W()
+    V2 = ws.poly("V2")
     rho0, rho1 = ws.residues()[0], ws.residues()[-1]
-    wp0 = peval(pdiff(W), mpc(0))
-    wp1 = peval(pdiff(W), mpc(1))
-    th0 = peval(theta, mpc(0))
-    th1 = peval(theta, mpc(1))
+    wp0 = ws.at("dW", mpc(0))
+    wp1 = ws.at("dW", mpc(1))
+    th0 = sd.at("theta", mpc(0))
+    th1 = sd.at("theta", mpc(1))
     rhs = padd(pscale(pmul(theta, [-1, 1]), -rho0 * wp0 / th0),
                pscale(pshift(theta, 1), rho1 * wp1 / th1))
     for qr in point.q:
-        cr = peval(V2, qr) / (qr * (qr - 1) * peval(dtheta, qr))
+        cr = ws.at("V2", qr) / (qr * (qr - 1) * sd.at("dtheta", qr))
         quot = pdiv_exact_linear(theta, qr)
         rhs = padd(rhs, pscale(pmul(quot, [0, -1, 1]), cr))
     return vector_residual([V2, pscale(rhs, -1)])
@@ -218,12 +218,11 @@ def w_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
     """Residual of the interpolation representation of W."""
     sd = ws.data(n)
     theta = sd.theta
-    dtheta = pdiff(theta)
-    W = ws.W()
+    W = ws.poly("W")
     theta_inf = theta[-1]
     rhs = pscale(pmul(theta, [0, -1, 1]), 1 / theta_inf)
     for qr in point.q:
-        cr = peval(W, qr) / (qr * (qr - 1) * peval(dtheta, qr))
+        cr = ws.at("W", qr) / (qr * (qr - 1) * sd.at("dtheta", qr))
         quot = pdiv_exact_linear(theta, qr)
         rhs = padd(rhs, pscale(pmul(quot, [0, -1, 1]), cr))
     return vector_residual([W, pscale(rhs, -1)])
@@ -233,22 +232,23 @@ def w_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
 # Hamiltonian as an explicit function of (q, p) and the flow closed forms
 # ---------------------------------------------------------------------------
 
-def k_value(q, p, zs, v2, w, n: int, m0, j: int) -> mpc:
+def k_value(ws: SpectralWorkspace, q, p, n: int, j: int) -> mpc:
     """K_j evaluated as a rational function of coordinate/momentum lists.
 
     The leading-coefficient normalisation of the coordinate polynomial
     cancels between numerator and denominator, so only the root set enters.
     """
-    zj = to_mpc(zs[j])
-    wp = peval(pdiff(w), zj)
+    zj = ws.singularities()[j]
+    m0 = ws.pair.m_mpc()[0]
+    wp = ws.at("dW", zj)
     theta_zj = mpmath.fprod(zj - to_mpc(qs) for qs in q)
     total = mpc(0)
     for r, (qr, pr) in enumerate(zip(q, p)):
         qr = to_mpc(qr)
         pr = to_mpc(pr)
         dth = mpmath.fprod(qr - to_mpc(q[s]) for s in range(len(q)) if s != r)
-        Wq = peval(w, qr)
-        bracket = pr ** 2 + pr * (peval(v2, qr) / Wq - mpf(n) / qr -
+        Wq = ws.at("W", qr)
+        bracket = pr ** 2 + pr * (ws.at("V2", qr) / Wq - mpf(n) / qr -
                                   1 / (zj - qr)) - \
             mpf(n) * (1 + m0) / (qr * (qr - 1))
         total += (Wq / dth) / (zj - qr) * bracket
@@ -261,11 +261,9 @@ def flow_q_closed(ws: SpectralWorkspace, n: int, point: GarnierPoint,
     sd = ws.data(n)
     zj = ws.singularities()[j]
     qr, pr = point.q[r], point.p[r]
-    W, V2 = ws.W(), ws.V2()
-    dtheta = pdiff(sd.theta)
-    Wq = peval(W, qr)
-    lead = sd.theta_at(zj) * Wq / (peval(dtheta, qr) * ws.wprime_at(zj))
-    bracket = 2 * pr + peval(V2, qr) / Wq - mpf(n) / qr - 1 / (zj - qr)
+    Wq = ws.at("W", qr)
+    lead = sd.at("theta", zj) * Wq / (sd.at("dtheta", qr) * ws.wprime_at(zj))
+    bracket = 2 * pr + ws.at("V2", qr) / Wq - mpf(n) / qr - 1 / (zj - qr)
     return lead * bracket / (zj - qr)
 
 
@@ -274,22 +272,16 @@ def flow_p_closed(ws: SpectralWorkspace, n: int, point: GarnierPoint,
     """Closed form of dp_r/dz_j."""
     sd = ws.data(n)
     zj = ws.singularities()[j]
-    W, V2 = ws.W(), ws.V2()
-    dW = pdiff(W)
-    dV2 = pdiff(V2)
-    theta = sd.theta
-    dtheta = pdiff(theta)
-    ddtheta = pdiff(dtheta)
     m0 = ws.pair.m_mpc()[0]
     qr, pr = point.q[r], point.p[r]
-    Wq = peval(W, qr)
-    V2q = peval(V2, qr)
-    thp = peval(dtheta, qr)
-    half_lder = peval(ddtheta, qr) / (2 * thp)
-    wl = peval(dW, qr) / Wq
+    Wq = ws.at("W", qr)
+    V2q = ws.at("V2", qr)
+    thp = sd.at("dtheta", qr)
+    half_lder = sd.at("ddtheta", qr) / (2 * thp)
+    wl = ws.at("dW", qr) / Wq
 
     main = pr ** 2 * (wl - half_lder)
-    main += pr * (V2q / Wq) * (peval(dV2, qr) / V2q - half_lder)
+    main += pr * (V2q / Wq) * (ws.at("dV2", qr) / V2q - half_lder)
     main -= mpf(n) * (pr / qr) * (wl - half_lder - 1 / qr)
     main -= (pr / (zj - qr)) * (wl - half_lder + 1 / (zj - qr))
     main += mpf(n) * (1 + m0) / (qr * (qr - 1) * (zj - qr))
@@ -297,12 +289,12 @@ def flow_p_closed(ws: SpectralWorkspace, n: int, point: GarnierPoint,
     for s, (qs, ps) in enumerate(zip(point.q, point.p)):
         if s == r:
             continue
-        Ws = peval(W, qs)
-        br = ps ** 2 + ps * peval(V2, qs) / Ws - mpf(n) * ps / qs \
+        Ws = ws.at("W", qs)
+        br = ps ** 2 + ps * ws.at("V2", qs) / Ws - mpf(n) * ps / qs \
             - ps / (zj - qs) + mpf(n) * (1 + m0) * (qs - qr) / \
             (qs * (qs - 1) * (zj - qs))
-        total -= (Ws / peval(dtheta, qs)) / (qs - qr) * br
-    return total * sd.theta_at(zj) / ((zj - qr) * ws.wprime_at(zj))
+        total -= (Ws / sd.at("dtheta", qs)) / (qs - qr) * br
+    return total * sd.at("theta", zj) / ((zj - qr) * ws.wprime_at(zj))
 
 
 def fd_pass(res_h: mpf, res_h2: mpf, min_order: float = 1.9):
@@ -356,14 +348,11 @@ def hamilton_equations_check(ws: SpectralWorkspace, n: int,
     h = mpf(hq.numerator) / hq.denominator
     if tol is None:
         tol = flow_tolerance()
-    zs = ws.singularities()
-    v2, w = ws.V2(), ws.W()
-    m0 = ws.pair.m_mpc()[0]
     N = ws.pair.N
     out = []
 
     def kfun(q, p, j):
-        return k_value(q, p, zs, v2, w, n, m0, j)
+        return k_value(ws, q, p, n, j)
 
     for j in range(1, N + 1):
         for r in range(N):
@@ -404,20 +393,17 @@ def hamilton_equations_check(ws: SpectralWorkspace, n: int,
 def canonical_transform(ws: SpectralWorkspace, n: int, point: GarnierPoint):
     """(t_j, Q_j, P_j) per free singularity; undefined if some z_j = 1."""
     sd = ws.data(n)
-    theta = sd.theta
-    dtheta = pdiff(theta)
-    theta_inf = theta[-1]
-    W = ws.W()
+    theta_inf = sd.theta[-1]
     out = []
     for zj in ws.singularities()[1:-1]:
         if zj == 1:
             raise SingularTransform("free singularity at 1")
         tj = zj / (zj - 1)
-        Qj = zj * sd.theta_at(zj) / (theta_inf * ws.wprime_at(zj))
+        Qj = zj * sd.at("theta", zj) / (theta_inf * ws.wprime_at(zj))
         Pj = mpc(0)
         for qr, pr in zip(point.q, point.p):
-            Pj += pr / (qr * (qr - 1)) * \
-                (theta_inf * peval(W, qr)) / ((qr - zj) * peval(dtheta, qr))
+            Pj += pr / (qr * (qr - 1)) * (theta_inf * ws.at("W", qr)) / \
+                ((qr - zj) * sd.at("dtheta", qr))
         Pj *= -(zj - 1)
         out.append((tj, Qj, Pj))
     return out

@@ -30,6 +30,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 from .mputil import to_mpc
+from .report import largest_abs
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +130,7 @@ def elementary_symmetric(values):
 # ---------------------------------------------------------------------------
 
 def pmax_abs(p) -> mpf:
-    return max((abs(to_mpc(c)) for c in p), default=mpf(0))
+    return largest_abs([to_mpc(c) for c in p])
 
 
 # ---------------------------------------------------------------------------

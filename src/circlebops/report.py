@@ -13,6 +13,9 @@ the floor.  Floors in use: 1 (I0, l:lambda, the endpoint checks,
 2ODE:p2asym, Ham:dual, the dg state and lambda-path deltas, dGarnier:ham,
 the deformation and flow checks), 1e-30 (tau:I, An:pf), 1e-40 (OTeq); the
 rest pass none.  Checks whose scale is none of these say why at their site.
+Their scales, and most custom ones, are a ``largest_abs``: exact squared
+magnitudes find the largest term, and abs() is taken only of that term and
+its near-ties, which gives max(abs(t) for t in terms) bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from mpmath import mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_int
 
 from .mputil import to_mpc
 
@@ -60,6 +64,38 @@ def failures(results):
 # residual measures
 # ---------------------------------------------------------------------------
 
+def _square(t):
+    """|t|^2 = m 2^e exactly, as (m, e), for a finite mpc, mpf or int."""
+    if isinstance(t, mpc):
+        (_, a, ea, _), (_, b, eb, _) = t._mpc_
+    else:
+        (_, a, ea, _), b, eb = (t._mpf_ if isinstance(t, mpf)
+                                else from_int(t)), 0, 0
+    if not b:
+        return a * a, 2 * ea
+    if not a:
+        return b * b, 2 * eb
+    e = min(ea, eb)
+    return (a * a << 2 * (ea - e)) + (b * b << 2 * (eb - e)), 2 * e
+
+
+def largest_abs(terms) -> mpf:
+    """max(abs(t) for t in terms), or 0, with abs() of few terms.
+
+    Exact squares on one integer grid find the largest term.  abs() rounds
+    (an mpc's through ``mpf_hypot``, which truncates the square to prec + 4
+    bits first) monotonically in the exact square, so only terms whose
+    square is within a relative 2^-prec of the largest can round to the
+    maximum: abs() is taken of those alone.
+    """
+    sq = [_square(t) for t in terms]
+    e0 = min((e for _, e in sq), default=0)
+    sq = [m << (e - e0) for m, e in sq]
+    top, prec = max(sq, default=0), mp.prec
+    return max((abs(t) for t, s in zip(terms, sq) if (top - s) << prec <= top),
+               default=mpf(0))
+
+
 def _ratio(err, scale, floor) -> mpf:
     scale = max(scale, floor)
     if scale:
@@ -76,7 +112,7 @@ def rel_residual(terms, floor=0) -> mpf:
     """
     if not terms:
         return mpf(0)
-    return _ratio(abs(sum(terms[1:], terms[0])), max(map(abs, terms)), floor)
+    return _ratio(abs(sum(terms[1:], terms[0])), largest_abs(terms), floor)
 
 
 def vector_residual(vectors, floor=0) -> mpf:
@@ -89,8 +125,8 @@ def vector_residual(vectors, floor=0) -> mpf:
     """
     cols = [[to_mpc(c) for c in col]
             for col in zip_longest(*vectors, fillvalue=0)]
-    scale = max((abs(c) for col in cols for c in col), default=mpf(0))
-    err = max((abs(sum(col[1:], col[0])) for col in cols), default=mpf(0))
+    scale = largest_abs([c for col in cols for c in col])
+    err = largest_abs([sum(col[1:], col[0]) for col in cols])
     return _ratio(err, scale, floor)
 
 
@@ -102,5 +138,5 @@ def rel_error(got, want, floor=0) -> mpf:
         return _ratio(abs(got - want), abs(want), floor)
     if len(got) != len(want):
         raise ValueError("rel_error needs lists of equal length")
-    err = max((abs(g - w) for g, w in zip(got, want)), default=mpf(0))
-    return _ratio(err, max((abs(w) for w in want), default=mpf(0)), floor)
+    err = largest_abs([g - w for g, w in zip(got, want)])
+    return _ratio(err, largest_abs(want), floor)

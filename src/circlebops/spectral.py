@@ -29,12 +29,16 @@ working precision.
 
 The rest of the module turns the coupled recurrences, transition identities,
 bilinear evaluations, summation identities, scalar ODE data and deformation
-(Schlesinger) equations into residual reports.
+(Schlesinger) equations into residual reports.  The checks read point values
+from tables: ``SpectralData`` (per level) and ``SpectralWorkspace`` (for W,
+V and their derivatives) form each polynomial once and evaluate it once per
+point, and every entry is keyed by the working precision, so a value cached
+at one precision never serves another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -45,12 +49,34 @@ from .errors import (DegreeBoundViolated, EvaluationAtRootOfTheta,
 from .mputil import sample_points, to_mpc
 from .polys import (OffsetSeries, padd, pdiff, peval, pmul, pscale, pshift,
                     psub, ptrim, pdeg, pmax_abs)
-from .report import CheckResult, rel_error, rel_residual, vector_residual
+from .report import (CheckResult, largest_abs, rel_error, rel_residual,
+                     vector_residual)
 from .weights import PolyPair
 
 
+class _PointTable:
+    """Named polynomials ("ddW" is W'') and their values at points, each
+    formed or evaluated once per working precision: keys carry mp.prec."""
+
+    def memo(self, what, make):
+        """make(), computed once per key and working precision."""
+        key = (what, mp.prec)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = make()
+        return got
+
+    def poly(self, name: str) -> list:
+        return self.memo(name, lambda: pdiff(self.poly(name[1:]))
+                         if name[0] == "d" else self._base(name))
+
+    def at(self, name: str, z) -> mpc:
+        z = to_mpc(z)
+        return self.memo((name, z._mpc_), lambda: peval(self.poly(name), z))
+
+
 @dataclass
-class SpectralData:
+class SpectralData(_PointTable):
     """Coefficient vectors of the four spectral polynomials at one level."""
 
     n: int
@@ -59,18 +85,11 @@ class SpectralData:
     thetastar: list      # ascending, length N+1
     omegastar: list      # ascending, length N+2
     band_residual: mpf   # worst out-of-band series coefficient, relative
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
-    def theta_at(self, z):
-        return peval(self.theta, to_mpc(z))
-
-    def omega_at(self, z):
-        return peval(self.omega, to_mpc(z))
-
-    def thetastar_at(self, z):
-        return peval(self.thetastar, to_mpc(z))
-
-    def omegastar_at(self, z):
-        return peval(self.omegastar, to_mpc(z))
+    def _base(self, name):
+        return getattr(self, name)
 
 
 def band_tolerance() -> mpf:
@@ -163,13 +182,15 @@ def _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm):
                         omegastar=omegastar, band_residual=band)
 
 
-class SpectralWorkspace:
-    """Cache of spectral data over one oracle, with shared weight data."""
+class SpectralWorkspace(_PointTable):
+    """Cache of spectral data over one oracle, with shared weight data; its
+    table also keeps each level's residue matrices and Garnier point."""
 
     def __init__(self, oracle: ToeplitzOracle, pair: PolyPair):
         self.oracle = oracle
         self.pair = pair
         self._data = {}
+        self._memo = {}
 
     @property
     def weight(self):
@@ -187,28 +208,17 @@ class SpectralWorkspace:
         """kappa_{n+1}/kappa_n."""
         return self.level(n + 1).kappa / self.level(n).kappa
 
-    # -- polynomial shorthands -------------------------------------------------
+    # -- W, 2V, V, W/z and their derivatives, by name -------------------------
 
-    def W(self):
-        return self.pair.W_mpc()
-
-    def V2(self):
-        return self.pair.V2_mpc()
-
-    def V(self):
-        return pscale(self.pair.V2_mpc(), mpf("0.5"))
-
-    def W_over_z(self):
-        W = self.pair.W_mpc()
-        if W[0] != 0:
+    def _base(self, name):
+        W, V2 = self.pair.W_mpc(), self.pair.V2_mpc()
+        if name == "Woz" and W[0] != 0:
             raise ValueError("W/z needs the origin singular")
-        return W[1:]
-
-    def Wp(self):
-        return pdiff(self.pair.W_mpc())
+        return {"W": W, "V2": V2, "V": pscale(V2, mpf("0.5")),
+                "Woz": W[1:]}[name]
 
     def wprime_at(self, z) -> mpc:
-        v = peval(self.Wp(), to_mpc(z))
+        v = self.at("dW", z)
         if v == 0:
             raise SingularityCollision("W' vanished at a singularity")
         return v
@@ -230,15 +240,15 @@ def a_matrix(ws: SpectralWorkspace, n: int, z) -> list:
     sd = ws.data(n)
     lev_n, lev_n1 = ws.level(n), ws.level(n + 1)
     kr = ws.kappa_ratio(n)
-    W = ws.W()
-    Wz = peval(W, z)
+    W = ws.poly("W")
+    Wz = ws.at("W", z)
     floor = mpf(2) ** (-mp.prec + 8) * pmax_abs(W) * \
         max(abs(z), mpf(1)) ** len(W)
     if abs(Wz) <= floor:
         raise SamplePointOnSingularity("A_n evaluated at a zero of W")
-    Vz = peval(ws.V(), z)
-    th, om = sd.theta_at(z), sd.omega_at(z)
-    ts, os_ = sd.thetastar_at(z), sd.omegastar_at(z)
+    Vz = ws.at("V", z)
+    th, om = sd.at("theta", z), sd.at("omega", z)
+    ts, os_ = sd.at("thetastar", z), sd.at("omegastar", z)
     a11 = -(om + Vz - kr * z * th) / Wz
     a12 = (lev_n1.phi0 / lev_n.kappa) * th / Wz
     a21 = -(lev_n1.phibar0 / lev_n.kappa) * z * ts / Wz
@@ -252,22 +262,25 @@ def residue_matrices(ws: SpectralWorkspace, n: int) -> list:
     The origin entry is computed from the same generic formula with the
     z*Theta terms dropping out; its displayed special form and the explicit
     infinity matrix are verified separately by `residue_structure_checks`.
+    The workspace keeps them per level and precision.
     """
-    sd = ws.data(n)
-    lev_n, lev_n1 = ws.level(n), ws.level(n + 1)
-    kr = ws.kappa_ratio(n)
-    out = []
-    for z in ws.singularities():
-        wp = ws.wprime_at(z)
-        Vz = peval(ws.V(), z)
-        th, om = sd.theta_at(z), sd.omega_at(z)
-        ts, os_ = sd.thetastar_at(z), sd.omegastar_at(z)
-        a11 = (-(om + Vz) + kr * z * th) / wp
-        a12 = (lev_n1.phi0 / lev_n.kappa) * th / wp
-        a21 = -(lev_n1.phibar0 / lev_n.kappa) * z * ts / wp
-        a22 = (os_ - Vz - kr * ts) / wp
-        out.append([[a11, a12], [a21, a22]])
-    return out
+    def make():
+        sd = ws.data(n)
+        lev_n, lev_n1 = ws.level(n), ws.level(n + 1)
+        kr = ws.kappa_ratio(n)
+        out = []
+        for z in ws.singularities():
+            wp = ws.wprime_at(z)
+            Vz = ws.at("V", z)
+            th, om = sd.at("theta", z), sd.at("omega", z)
+            ts, os_ = sd.at("thetastar", z), sd.at("omegastar", z)
+            a11 = (-(om + Vz) + kr * z * th) / wp
+            a12 = (lev_n1.phi0 / lev_n.kappa) * th / wp
+            a21 = -(lev_n1.phibar0 / lev_n.kappa) * z * ts / wp
+            a22 = (os_ - Vz - kr * ts) / wp
+            out.append([[a11, a12], [a21, a22]])
+        return out
+    return ws.memo(("residues", n), make)
 
 
 def a_infinity(residues: list) -> list:
@@ -281,8 +294,7 @@ def a_infinity(residues: list) -> list:
 
 
 def _mat_scale(mats) -> mpf:
-    return max((abs(m[i][j]) for m in mats for i in range(2) for j in range(2)),
-               default=mpf(0))
+    return largest_abs([x for m in mats for row in m for x in row])
 
 
 def residue_structure_checks(ws: SpectralWorkspace, n: int, tol) -> list:
@@ -300,19 +312,19 @@ def residue_structure_checks(ws: SpectralWorkspace, n: int, tol) -> list:
 
     rho0 = rhos[0]
     want0 = [[(n - rho0), -(n - rho0) * lev.r], [mpc(0), mpc(0)]]
-    d0 = max(abs(mats[0][i][j] - want0[i][j]) for i in range(2) for j in range(2))
+    d0 = largest_abs([mats[0][i][j] - want0[i][j]
+                      for i in range(2) for j in range(2)])
     out.append(CheckResult.make("An:res0", d0 / scale, tol, n))
 
     rho_sum = sum(rhos)
     wantinf = [[mpc(-n), mpc(0)],
                [-(n + rho_sum) * lev.rbar, rho_sum]]
-    dinf = max(abs(ainf[i][j] - wantinf[i][j]) for i in range(2) for j in range(2))
+    dinf = largest_abs([ainf[i][j] - wantinf[i][j]
+                        for i in range(2) for j in range(2)])
     out.append(CheckResult.make("An:resInfty", dinf / scale, tol, n))
 
-    worst_tr = mpf(0)
-    for j in range(1, len(zs)):
-        tr = mats[j][0][0] + mats[j][1][1]
-        worst_tr = max(worst_tr, abs(tr + rhos[j]))
+    worst_tr = largest_abs([mats[j][0][0] + mats[j][1][1] + rhos[j]
+                            for j in range(1, len(zs))])
     out.append(CheckResult.make("An:trace", worst_tr / scale, tol, n,
                                 note="Tr A_{n,j} = -rho_j at nonzero points"))
 
@@ -349,7 +361,7 @@ def check_linear_recurrences(ws: SpectralWorkspace, n: int, tol) -> list:
     sm1, s0, s1 = ws.data(n - 1), ws.data(n), ws.data(n + 1)
     lm1, l0, l1, l2 = (ws.level(n - 1), ws.level(n), ws.level(n + 1),
                        ws.level(n + 2))
-    Woz = ws.W_over_z()
+    Woz = ws.poly("Woz")
     kr = l1.kappa / l0.kappa          # kappa_{n+1}/kappa_n
     kr2 = l2.kappa / l1.kappa         # kappa_{n+2}/kappa_{n+1}
     out = []
@@ -416,7 +428,7 @@ def check_transitions(ws: SpectralWorkspace, n: int, tol, npoints: int = 5,
     s0 = ws.data(n)
     l0, l1 = ws.level(n), ws.level(n + 1)
     kr = l1.kappa / l0.kappa
-    Woz = ws.W_over_z()
+    Woz = ws.poly("Woz")
     out = []
 
     if n >= 1:
@@ -446,9 +458,9 @@ def check_transitions(ws: SpectralWorkspace, n: int, tol, npoints: int = 5,
     pts = sample_points(npoints, avoid=ws.singularities(), seed=seed + n)
     worst = mpf(0)
     for z in pts:
-        terms = [s0.omegastar_at(z), -kr * s0.thetastar_at(z),
-                 -s0.omega_at(z), kr * z * s0.theta_at(z),
-                 -n * peval(Woz, z)]
+        terms = [s0.at("omegastar", z), -kr * s0.at("thetastar", z),
+                 -s0.at("omega", z), kr * z * s0.at("theta", z),
+                 -n * ws.at("Woz", z)]
         worst = max(worst, rel_residual(terms))
     out.append(CheckResult.make("rrCf:j@pts", worst, tol, n))
 
@@ -456,22 +468,23 @@ def check_transitions(ws: SpectralWorkspace, n: int, tol, npoints: int = 5,
     # limit of W(z)/z)
     worst_a = mpf(0)
     worst_b = mpf(0)
+    coupling = l1.phi0 * l1.phibar0 / l0.kappa ** 2
     for zj in ws.singularities():
-        woz = peval(Woz, zj)
-        Vz = peval(ws.V(), zj)
-        th, om = s0.theta_at(zj), s0.omega_at(zj)
-        ts, os_ = s0.thetastar_at(zj), s0.omegastar_at(zj)
+        woz = ws.at("Woz", zj)
+        Vz = ws.at("V", zj)
+        th, om = s0.at("theta", zj), s0.at("omega", zj)
+        ts, os_ = s0.at("thetastar", zj), s0.at("omegastar", zj)
+        kzth = kr * zj * th
         worst_a = max(worst_a, rel_residual(
-            [os_, -kr * ts, -om, kr * zj * th, -n * woz]))
-        lhs = (ws.level(n + 1).phi0 * ws.level(n + 1).phibar0 /
-               ws.level(n).kappa ** 2) * zj * ts
-        b1 = om + Vz - kr * zj * th
-        b2 = om - Vz - kr * zj * th + n * woz
+            [os_, -kr * ts, -om, kzth, -n * woz]))
+        lhs = coupling * zj * ts
+        b1 = om + Vz - kzth
+        b2 = om - Vz - kzth + n * woz
         rhs = b1 * b2 / th
         # custom scale: at the origin both sides vanish by cancellation
         # inside b2; measure against the pre-cancellation magnitudes
-        s1 = max(abs(om), abs(Vz), abs(kr * zj * th))
-        s2 = max(abs(om), abs(Vz), abs(kr * zj * th), abs(n * woz))
+        s1 = largest_abs([om, Vz, kzth])
+        s2 = max(s1, abs(n * woz))
         sb = max(abs(lhs), s1 * s2 / abs(th)) if th != 0 else abs(lhs)
         worst_b = max(worst_b, abs(lhs - rhs) / sb if sb > 0 else mpf(0))
     out.append(CheckResult.make("Tform:a", worst_a, tol, n))
@@ -492,42 +505,39 @@ def check_bilinear(ws: SpectralWorkspace, n: int, tol) -> list:
                     default=mpf(0))
         out.append(CheckResult.make(label, worst, tol, n))
 
+    ca = l0.kappa * l2.phi0 / (l1.kappa * l1.phi0)
+    cb = l0.kappa * l2.phibar0 / (l1.kappa * l1.phibar0)
+    ce = l1.phi0 * l1.phibar0 / l0.kappa ** 2
     pairs_a, pairs_b, pairs_e = [], [], []
     for zj in zs:
-        Vz = peval(ws.V(), zj)
-        pairs_a.append((s0.omega_at(zj) ** 2,
-                        (l0.kappa * l2.phi0 / (l1.kappa * l1.phi0)) * zj *
-                        s0.theta_at(zj) * s1.theta_at(zj) + Vz ** 2))
-        pairs_b.append((s0.omegastar_at(zj) ** 2,
-                        (l0.kappa * l2.phibar0 / (l1.kappa * l1.phibar0)) * zj *
-                        s0.thetastar_at(zj) * s1.thetastar_at(zj) + Vz ** 2))
-        pairs_e.append(((l1.phi0 * l1.phibar0 / l0.kappa ** 2) * zj *
-                        s0.theta_at(zj) * s0.thetastar_at(zj),
-                        (s0.omega_at(zj) + Vz - kr * zj * s0.theta_at(zj)) *
-                        (s0.omegastar_at(zj) - Vz - kr * s0.thetastar_at(zj))))
+        Vz = ws.at("V", zj)
+        th, om = s0.at("theta", zj), s0.at("omega", zj)
+        ts, os_ = s0.at("thetastar", zj), s0.at("omegastar", zj)
+        pairs_a.append((om ** 2, ca * zj * th * s1.at("theta", zj) + Vz ** 2))
+        pairs_b.append((os_ ** 2,
+                        cb * zj * ts * s1.at("thetastar", zj) + Vz ** 2))
+        pairs_e.append((ce * zj * th * ts,
+                        (om + Vz - kr * zj * th) * (os_ - Vz - kr * ts)))
     addcheck("OTeq:a", pairs_a)
     addcheck("OTeq:b", pairs_b)
 
     if n >= 1:
         sm1 = ws.data(n - 1)
         lm1 = ws.level(n - 1)
+        # the coupling constant carries kappa_{n-1}/kappa_n (required for
+        # gauge invariance, confirmed numerically against the oracle)
+        cc = (lm1.kappa ** 2 / l0.kappa ** 2) * (l1.phi0 / l0.phi0)
+        cd = (lm1.kappa ** 2 / l0.kappa ** 2) * (l1.phibar0 / l0.phibar0)
+        rc = lm1.kappa * l1.phi0 * l0.phibar0 / l0.kappa ** 3
+        rd = lm1.kappa * l1.phibar0 * l0.phi0 / l0.kappa ** 3
         pairs_c, pairs_d = [], []
         for zj in zs:
-            Vz = peval(ws.V(), zj)
-            # the coupling constant carries kappa_{n-1}/kappa_n (required for
-            # gauge invariance, confirmed numerically against the oracle)
-            lhs_c = (sm1.omega_at(zj) -
-                     (lm1.kappa ** 2 / l0.kappa ** 2) * (l1.phi0 / l0.phi0) *
-                     s0.theta_at(zj)) ** 2
-            rhs_c = (lm1.kappa * l1.phi0 * l0.phibar0 / l0.kappa ** 3) * \
-                s0.theta_at(zj) * sm1.thetastar_at(zj) + Vz ** 2
-            pairs_c.append((lhs_c, rhs_c))
-            lhs_d = (sm1.omegastar_at(zj) -
-                     (lm1.kappa ** 2 / l0.kappa ** 2) * (l1.phibar0 / l0.phibar0) *
-                     zj * s0.thetastar_at(zj)) ** 2
-            rhs_d = (lm1.kappa * l1.phibar0 * l0.phi0 / l0.kappa ** 3) * \
-                zj ** 2 * s0.thetastar_at(zj) * sm1.theta_at(zj) + Vz ** 2
-            pairs_d.append((lhs_d, rhs_d))
+            Vz = ws.at("V", zj)
+            th, ts = s0.at("theta", zj), s0.at("thetastar", zj)
+            pairs_c.append(((sm1.at("omega", zj) - cc * th) ** 2,
+                            rc * th * sm1.at("thetastar", zj) + Vz ** 2))
+            pairs_d.append(((sm1.at("omegastar", zj) - cd * zj * ts) ** 2,
+                            rd * zj ** 2 * ts * sm1.at("theta", zj) + Vz ** 2))
         addcheck("OTeq:c", pairs_c)
         addcheck("OTeq:d", pairs_d)
     addcheck("OTeq:e", pairs_e)
@@ -567,53 +577,49 @@ def check_summation_identities(ws: SpectralWorkspace, n: int, tol,
     out = []
 
     wp = [ws.wprime_at(z) for z in zs]
-    V = ws.V()
+    th = [sd.at("theta", z) for z in zs]
+    th_w = [t / w for t, w in zip(th, wp)]
+    Vz = [ws.at("V", z) for z in zs]
 
-    out.append(CheckResult.make(
-        "sum2:a",
-        _sum_residual([sd.theta_at(z) / w for z, w in zip(zs, wp)], 0),
-        tol, n))
+    out.append(CheckResult.make("sum2:a", _sum_residual(th_w, 0), tol, n))
     # leading coefficient of Thetastar via the residue sum; the z_j weight
     # restores consistency with the infinity residue matrix
     out.append(CheckResult.make(
         "sum2:b",
-        _sum_residual([z * sd.thetastar_at(z) / w for z, w in zip(zs, wp)],
+        _sum_residual([z * sd.at("thetastar", z) / w for z, w in zip(zs, wp)],
                       -(n + rho_sum) * l0.phibar0 / l1.phibar0),
         tol, n, note="with z_j weight"))
     out.append(CheckResult.make(
         "sum2:c",
-        _sum_residual([(sd.omega_at(z) - peval(V, z) - kr * z * sd.theta_at(z)) / w
-                       for z, w in zip(zs, wp)], -(n + rho_sum)),
+        _sum_residual([(sd.at("omega", z) - v - kr * z * t) / w
+                       for z, t, v, w in zip(zs, th, Vz, wp)], -(n + rho_sum)),
         tol, n))
     out.append(CheckResult.make(
         "sum2:d",
-        _sum_residual([(sd.omegastar_at(z) - peval(V, z) - kr * sd.thetastar_at(z)) / w
-                       for z, w in zip(zs, wp)], -rho_sum),
+        _sum_residual([(sd.at("omegastar", z) - v - kr * sd.at("thetastar", z))
+                       / w for z, v, w in zip(zs, Vz, wp)], -rho_sum),
         tol, n))
 
     # singularity-only sums
-    Wpp = pdiff(ws.Wp())
-    V2p = pdiff(ws.V2())
-    thp = pdiff(sd.theta)
     worst_a = worst_b = worst_c = mpf(0)
     for j in range(1, len(zs) - 1):
         zj = zs[j]
-        lhs = [1 / (zj - zk) for k, zk in enumerate(zs) if k != j]
+        dz = [(k, zj - zk) for k, zk in enumerate(zs) if k != j]
+        wpp = ws.at("ddW", zj)
         worst_a = max(worst_a, _sum_residual(
-            lhs, peval(Wpp, zj) / (2 * wp[j])))
-        lhs = [rhos[k] / (zj - zk) for k, zk in enumerate(zs) if k != j]
-        rhs = peval(V2p, zj) / wp[j] - \
-            peval(V, zj) * peval(Wpp, zj) / wp[j] ** 2
-        worst_b = max(worst_b, _sum_residual(lhs, rhs))
-        lhs = [sd.theta_at(zk) / wp[k] / (zj - zk)
-               for k, zk in enumerate(zs) if k != j]
-        rhs = peval(thp, zj) / wp[j] - \
-            sd.theta_at(zj) * peval(Wpp, zj) / (2 * wp[j] ** 2)
-        worst_c = max(worst_c, _sum_residual(lhs, rhs))
+            [1 / d for _, d in dz], wpp / (2 * wp[j])))
+        rhs = ws.at("dV2", zj) / wp[j] - Vz[j] * wpp / wp[j] ** 2
+        worst_b = max(worst_b, _sum_residual(
+            [rhos[k] / d for k, d in dz], rhs))
+        rhs = sd.at("dtheta", zj) / wp[j] - th[j] * wpp / (2 * wp[j] ** 2)
+        worst_c = max(worst_c, _sum_residual(
+            [th_w[k] / d for k, d in dz], rhs))
     out.append(CheckResult.make("Ssum:a", worst_a, tol, n))
     out.append(CheckResult.make("Ssum:b", worst_b, tol, n))
     out.append(CheckResult.make("Ssum:c", worst_c, tol, n))
 
+    # theta(z_k) z_k^sigma, the numerators of every Ssum:d-g term
+    thz = [[t * z ** sigma for sigma in range(5)] for z, t in zip(zs, th)]
     theta_inf = sd.theta[-1]
     zsum = sum(zs[1:-1])
     qsum_coeff = -sd.theta[-2] / sd.theta[-1]
@@ -622,42 +628,44 @@ def check_summation_identities(ws: SpectralWorkspace, n: int, tol,
     worst = mpf(0)
     for sigma, want in vals.items():
         worst = max(worst, _sum_residual(
-            [sd.theta_at(z) * z ** sigma / w for z, w in zip(zs, wp)], want))
+            [tz[sigma] / w for tz, w in zip(thz, wp)], want))
     out.append(CheckResult.make("Ssum:d", worst, tol, n))
 
     if garnier_point is not None:
-        out.extend(_coordinate_sums(ws, n, tol, garnier_point))
+        out.extend(_coordinate_sums(ws, n, tol, garnier_point, wp, thz))
     return out
 
 
-def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point) -> list:
-    """The coordinate-sum families needing the roots of Theta_n."""
+def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
+                     thz) -> list:
+    """The coordinate-sum families needing the roots of Theta_n; wp and thz
+    are W'(z_k) and the Ssum numerators of ``check_summation_identities``."""
     sd = ws.data(n)
     zs = ws.singularities()
     q = list(point.q)
     N = len(q)
-    wp = [ws.wprime_at(z) for z in zs]
     theta_inf = sd.theta[-1]
-    thp = pdiff(sd.theta)
-    thpp = pdiff(thp)
-    W = ws.W()
-    V2 = ws.V2()
-    V2p = pdiff(V2)
     rho0 = ws.residues()[0]
     rho1 = ws.residues()[-1]
     zsum = sum(zs[1:-1])
     qsum = sum(q)
     out = []
-
-    def theta_at(z):
-        return sd.theta_at(z)
+    # values at the roots, and the denominators shared by the Ssum families
+    thq = [sd.at("dtheta", qr) for qr in q]
+    thppq = [sd.at("ddtheta", qr) for qr in q]
+    Wq = [ws.at("W", qr) for qr in q]
+    dWq = [ws.at("dW", qr) for qr in q]
+    V2q = [ws.at("V2", qr) for qr in q]
+    zq = [[z - qr for qr in q] for z in zs]
+    den1 = [[w * d[r] for w, d in zip(wp, zq)] for r in range(N)]
+    den2 = [[[d1 * d[s] for d1, d in zip(den1[r], zq)] for s in range(N)]
+            for r in range(N)]
 
     # Ssum:e
     worst = mpf(0)
     for r in range(N):
         for sigma in range(4):
-            lhs = [theta_at(z) * z ** sigma / (w * (z - q[r]))
-                   for z, w in zip(zs, wp)]
+            lhs = [tz[sigma] / d for tz, d in zip(thz, den1[r])]
             if sigma <= 1:
                 want = mpc(0)
             elif sigma == 2:
@@ -672,11 +680,10 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point) -> list:
     for r in range(N):
         for s in range(N):
             for sigma in range(5):
-                lhs = [theta_at(z) * z ** sigma / (w * (z - q[r]) * (z - q[s]))
-                       for z, w in zip(zs, wp)]
+                lhs = [tz[sigma] / d for tz, d in zip(thz, den2[r][s])]
                 want = mpc(0)
                 if r == s:
-                    want -= q[r] ** sigma * peval(thp, q[r]) / peval(W, q[r])
+                    want -= q[r] ** sigma * thq[r] / Wq[r]
                 if sigma == 3:
                     want += theta_inf
                 elif sigma == 4:
@@ -689,64 +696,63 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point) -> list:
     for r in range(N):
         for s in range(N):
             for t in range(N):
+                den3 = [d2 * d[t] for d2, d in zip(den2[r][s], zq)]
                 for sigma in range(4):
-                    lhs = [theta_at(z) * z ** sigma /
-                           (w * (z - q[r]) * (z - q[s]) * (z - q[t]))
-                           for z, w in zip(zs, wp)]
+                    lhs = [tz[sigma] / d for tz, d in zip(thz, den3)]
                     want = mpc(0)
                     if r == s and s != t:
-                        want -= q[s] ** sigma * peval(thp, q[s]) / \
-                            ((q[r] - q[t]) * peval(W, q[s]))
+                        want -= q[s] ** sigma * thq[s] / \
+                            ((q[r] - q[t]) * Wq[s])
                     if t == r and s != r:
-                        want -= q[r] ** sigma * peval(thp, q[r]) / \
-                            ((q[t] - q[s]) * peval(W, q[r]))
+                        want -= q[r] ** sigma * thq[r] / \
+                            ((q[t] - q[s]) * Wq[r])
                     if s == t and r != t:
-                        want -= q[t] ** sigma * peval(thp, q[t]) / \
-                            ((q[s] - q[r]) * peval(W, q[t]))
+                        want -= q[t] ** sigma * thq[t] / \
+                            ((q[s] - q[r]) * Wq[t])
                     if r == s and s == t:
-                        want += q[r] ** sigma * peval(thp, q[r]) / peval(W, q[r]) * \
-                            (peval(pdiff(W), q[r]) / peval(W, q[r]) -
-                             peval(thpp, q[r]) / (2 * peval(thp, q[r])) -
+                        want += q[r] ** sigma * thq[r] / Wq[r] * \
+                            (dWq[r] / Wq[r] - thppq[r] / (2 * thq[r]) -
                              sigma / q[r])
                     worst = max(worst, _sum_residual(lhs, want))
     out.append(CheckResult.make("Ssum:g", worst, tol, n))
 
     # Tsum family
-    thq = [peval(thp, qr) for qr in q]
-    th0 = theta_at(mpc(0))
-    th1 = theta_at(mpc(1))
-    wp0 = peval(pdiff(W), mpc(0))
-    wp1 = peval(pdiff(W), mpc(1))
+    th0 = sd.at("theta", mpc(0))
+    th1 = sd.at("theta", mpc(1))
+    wp0 = ws.at("dW", mpc(0))
+    wp1 = ws.at("dW", mpc(1))
     m0 = ws.pair.m_mpc()[0]
+    qq1 = [qr * (qr - 1) for qr in q]
+    qq1t = [a * tq for a, tq in zip(qq1, thq)]
 
     worst = mpf(0)
     for r in range(N):
         lhs = [1 / (q[r] - q[s]) for s in range(N) if s != r]
-        worst = max(worst, _sum_residual(
-            lhs, peval(thpp, q[r]) / (2 * thq[r])))
+        worst = max(worst, _sum_residual(lhs, thppq[r] / (2 * thq[r])))
     out.append(CheckResult.make("Tsum:a", worst, tol, n))
 
     res = _sum_residual(
-        [peval(V2, qr) / (qr * (qr - 1) * tq) for qr, tq in zip(q, thq)],
+        [v / d for v, d in zip(V2q, qq1t)],
         [m0 / theta_inf, rho0 * wp0 / th0, -rho1 * wp1 / th1])
     out.append(CheckResult.make("Tsum:b", res, tol, n))
 
     worst_c = worst_d = worst_h = mpf(0)
     for j in range(1, len(zs) - 1):
         zj = zs[j]
-        thzj = theta_at(zj)
-        lhs = [peval(V2, qr) / ((zj - qr) ** 2 * tq) for qr, tq in zip(q, thq)]
-        rhs = [m0 / theta_inf, -peval(V2p, zj) / thzj,
-               peval(V2, zj) * peval(thp, zj) / thzj ** 2]
+        thzj = sd.at("theta", zj)
+        v2zj = ws.at("V2", zj)
+        lhs = [v / ((zj - qr) ** 2 * tq) for qr, v, tq in zip(q, V2q, thq)]
+        rhs = [m0 / theta_inf, -ws.at("dV2", zj) / thzj,
+               v2zj * sd.at("dtheta", zj) / thzj ** 2]
         worst_c = max(worst_c, _sum_residual(lhs, rhs))
-        lhs = [peval(V2, qr) / ((zj - qr) * qr * tq) for qr, tq in zip(q, thq)]
-        rhs = [-m0 / theta_inf, -peval(V2, mpc(0)) / (zj * th0),
-               peval(V2, zj) / (zj * thzj)]
+        lhs = [v / ((zj - qr) * qr * tq) for qr, v, tq in zip(q, V2q, thq)]
+        rhs = [-m0 / theta_inf, -ws.at("V2", mpc(0)) / (zj * th0),
+               v2zj / (zj * thzj)]
         worst_d = max(worst_d, _sum_residual(lhs, rhs))
-        lhs = [zj * (zj - 1) * peval(V2, qr) / (qr * (qr - 1) * tq * (zj - qr))
-               for qr, tq in zip(q, thq)]
+        lhs = [zj * (zj - 1) * v / (d * (zj - qr))
+               for qr, v, d in zip(q, V2q, qq1t)]
         rhs = [rho0 * (wp0 / th0) * (zj - 1), -rho1 * (wp1 / th1) * zj,
-               peval(V2, zj) / thzj]
+               v2zj / thzj]
         worst_h = max(worst_h, _sum_residual(lhs, rhs))
     out.append(CheckResult.make("Tsum:c", worst_c, tol, n))
     out.append(CheckResult.make(
@@ -757,35 +763,31 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point) -> list:
     worst = mpf(0)
     for r in range(N):
         qr = q[r]
-        lhs = [qr * (qr - 1) * peval(V2, q[s]) /
-               (q[s] * (q[s] - 1) * thq[s] * (qr - q[s]))
+        lhs = [qq1[r] * V2q[s] / (qq1t[s] * (qr - q[s]))
                for s in range(N) if s != r]
-        v2q = peval(V2, qr)
         rhs = [rho0 * (wp0 / th0) * (qr - 1), -rho1 * (wp1 / th1) * qr,
-               peval(V2p, qr) / thq[r],
-               -v2q * peval(thpp, qr) / (2 * thq[r] ** 2),
-               -v2q * (2 * qr - 1) / (qr * (qr - 1) * thq[r])]
+               ws.at("dV2", qr) / thq[r],
+               -V2q[r] * thppq[r] / (2 * thq[r] ** 2),
+               -V2q[r] * (2 * qr - 1) / qq1t[r]]
         worst = max(worst, _sum_residual(lhs, rhs))
     out.append(CheckResult.make("Tsum:e", worst, tol, n))
 
     worst = mpf(0)
     for j in range(1, len(zs) - 1):
         zj = zs[j]
-        lhs = [peval(W, qr) / ((zj - qr) * qr * (qr - 1) * tq)
-               for qr, tq in zip(q, thq)]
+        lhs = [w / ((zj - qr) * qr * (qr - 1) * tq)
+               for qr, w, tq in zip(q, Wq, thq)]
         worst = max(worst, _sum_residual(lhs, -1 / theta_inf))
     out.append(CheckResult.make("Tsum:f", worst, tol, n))
 
     worst = mpf(0)
     for r in range(N):
         qr = q[r]
-        lhs = [peval(W, q[s]) / (q[s] * (q[s] - 1) * thq[s] * (qr - q[s]))
-               for s in range(N) if s != r]
-        wq = peval(W, qr)
-        cr = wq / (qr * (qr - 1) * thq[r])
-        rhs = [-1 / theta_inf, cr * peval(pdiff(W), qr) / wq,
-               -cr * peval(thpp, qr) / (2 * thq[r]),
-               -cr * (2 * qr - 1) / (qr * (qr - 1))]
+        lhs = [Wq[s] / (qq1t[s] * (qr - q[s])) for s in range(N) if s != r]
+        cr = Wq[r] / qq1t[r]
+        rhs = [-1 / theta_inf, cr * dWq[r] / Wq[r],
+               -cr * thppq[r] / (2 * thq[r]),
+               -cr * (2 * qr - 1) / qq1[r]]
         worst = max(worst, _sum_residual(lhs, rhs))
     out.append(CheckResult.make("Tsum:g", worst, tol, n))
     return out
@@ -806,24 +808,23 @@ def scalar_ode_data(ws: SpectralWorkspace, n: int, z):
     sd = ws.data(n)
     l0, l1 = ws.level(n), ws.level(n + 1)
     kr = l1.kappa / l0.kappa
-    W, V2 = ws.W(), ws.V2()
-    Wz = peval(W, z)
+    Wz = ws.at("W", z)
     if Wz == 0 or z == 0:
         raise SamplePointOnSingularity("ODE coefficients at a singular point")
-    th = sd.theta_at(z)
-    ts = sd.thetastar_at(z)
+    th = sd.at("theta", z)
+    ts = sd.at("thetastar", z)
     zfac = max(abs(z), mpf(1)) ** len(sd.theta)
     if abs(th) <= mpf(2) ** (-mp.prec + 12) * pmax_abs(sd.theta) * zfac or \
        abs(ts) <= mpf(2) ** (-mp.prec + 12) * pmax_abs(sd.thetastar) * zfac:
         raise EvaluationAtRootOfTheta("z is a root of a spectral polynomial")
-    thp = peval(pdiff(sd.theta), z)
-    tsp = peval(pdiff(sd.thetastar), z)
-    om, os_ = sd.omega_at(z), sd.omegastar_at(z)
-    omp = peval(pdiff(sd.omega), z)
-    osp = peval(pdiff(sd.omegastar), z)
-    Vz = peval(V2, z) / 2
-    Vp = peval(pdiff(V2), z) / 2
-    Wp = peval(pdiff(W), z)
+    thp = sd.at("dtheta", z)
+    tsp = sd.at("dthetastar", z)
+    om, os_ = sd.at("omega", z), sd.at("omegastar", z)
+    omp = sd.at("domega", z)
+    osp = sd.at("domegastar", z)
+    Vz = ws.at("V2", z) / 2
+    Vp = ws.at("dV2", z) / 2
+    Wp = ws.at("dW", z)
 
     p1 = Wp / Wz - thp / th + 2 * Vz / Wz - mpf(n) / z
     cross = ((om + Vz - kr * z * th) * (os_ - Vz - kr * ts)) / Wz ** 2
@@ -836,8 +837,8 @@ def scalar_ode_data(ws: SpectralWorkspace, n: int, z):
                  -kr * ts / (z * Wz), -cross, tail]
     p2s = sum(p2s_parts)
     return {"p1": p1, "p2": p2, "p1s": p1s, "p2s": p2s,
-            "p2_scale": max(abs(t) for t in p2_parts),
-            "p2s_scale": max(abs(t) for t in p2s_parts)}
+            "p2_scale": largest_abs(p2_parts),
+            "p2s_scale": largest_abs(p2s_parts)}
 
 
 def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol, npoints: int = 10,
@@ -847,27 +848,30 @@ def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol, npoints: int = 10,
     sd = ws.data(n)
     avoid = list(ws.singularities())
     pts = sample_points(npoints, avoid=avoid, seed=seed + n)
-    phi, phis = l0.phi, l0.phistar
-    dphi, dphis = pdiff(phi), pdiff(phis)
-    ddphi, ddphis = pdiff(dphi), pdiff(dphis)
+    fam = [l0.phi, l0.phistar]
+    fam += [pdiff(p) for p in fam]
+    fam += [pdiff(p) for p in fam[2:]]
+    # each distinct list once per point: at level 0 phi = phistar, and the
+    # derivatives of constants vanish
+    keys = [tuple(to_mpc(c)._mpc_ for c in p) for p in fam]
+    first = [keys.index(k) for k in keys]
     worst = mpf(0)
     worst_s = mpf(0)
     for z in pts:
-        if abs(sd.theta_at(z)) < mpf(10) ** (-mp.prec // 4) or \
-           abs(sd.thetastar_at(z)) < mpf(10) ** (-mp.prec // 4):
+        if abs(sd.at("theta", z)) < mpf(10) ** (-mp.prec // 4) or \
+           abs(sd.at("thetastar", z)) < mpf(10) ** (-mp.prec // 4):
             continue
         d = scalar_ode_data(ws, n, z)
+        vals = [peval(p, z) if i == k else None
+                for i, (p, k) in enumerate(zip(fam, first))]
+        v, vs, dv, dvs, ddv, ddvs = (vals[k] for k in first)
         # custom scale: p2 judged against its pieces, not their sum
-        terms = [peval(ddphi, z), d["p1"] * peval(dphi, z),
-                 d["p2"] * peval(phi, z)]
-        scale = max(abs(terms[0]), abs(terms[1]),
-                    d["p2_scale"] * abs(peval(phi, z)))
+        terms = [ddv, d["p1"] * dv, d["p2"] * v]
+        scale = max(largest_abs(terms[:2]), d["p2_scale"] * abs(v))
         if scale > 0:
             worst = max(worst, abs(sum(terms)) / scale)
-        terms = [peval(ddphis, z), d["p1s"] * peval(dphis, z),
-                 d["p2s"] * peval(phis, z)]
-        scale = max(abs(terms[0]), abs(terms[1]),
-                    d["p2s_scale"] * abs(peval(phis, z)))
+        terms = [ddvs, d["p1s"] * dvs, d["p2s"] * vs]
+        scale = max(largest_abs(terms[:2]), d["p2s_scale"] * abs(vs))
         if scale > 0:
             worst_s = max(worst_s, abs(sum(terms)) / scale)
     return [CheckResult.make("2ODE:a", worst, tol, n),
@@ -879,7 +883,7 @@ def p2_asymptotic_constant(ws: SpectralWorkspace, n: int) -> mpc:
     sd = ws.data(n)
     l0, l1 = ws.level(n), ws.level(n + 1)
     kr = l1.kappa / l0.kappa
-    W, V2 = ws.W(), ws.V2()
+    W, V2 = ws.poly("W"), ws.poly("V2")
     V = pscale(V2, mpf("0.5"))
     th, om = sd.theta, sd.omega
     ts, os_ = sd.thetastar, sd.omegastar

@@ -82,3 +82,42 @@ def test_layer_tracer_times_rational_moments_per_workspace(tmp_path):
     assert metrics["deform.workspaces"] > 0
     assert metrics["moments.rational.calls"] == metrics["deform.workspaces"]
     assert metrics["moments.rational.s"] > 0
+
+
+def test_checks_evaluate_each_polynomial_once_per_point(tmp_path,
+                                                        monkeypatch):
+    """identities, bilinear and summation evaluate no (coefficients, point,
+    precision) triple twice, and find the roots of Theta_n once per level."""
+    from collections import Counter
+
+    from mpmath import mp
+
+    from circlebops import garnier, polys
+    from circlebops.cli import main
+    from circlebops.mputil import to_mpc
+
+    peval, roots = polys.peval, garnier.polynomial_roots
+    evaluated, rooted = Counter(), []
+
+    def counted_peval(a, z):
+        key = tuple(to_mpc(c)._mpc_ for c in a), to_mpc(z)._mpc_, mp.prec
+        evaluated[key] += 1
+        return peval(a, z)
+
+    def counted_roots(coeffs):
+        rooted.append(coeffs)
+        return roots(coeffs)
+
+    wrap = {peval: counted_peval, roots: counted_roots}
+    for name, mod in list(sys.modules.items()):
+        if name == "circlebops" or name.startswith("circlebops."):
+            for attr, val in list(vars(mod).items()):
+                if callable(val) and val in wrap:
+                    monkeypatch.setattr(mod, attr, wrap[val])
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(
+        {**CONFIG, "checks": ["identities", "bilinear", "summation"]}))
+    assert main(["--config", str(config), "verify",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert evaluated and max(evaluated.values()) == 1
+    assert len(rooted) == CONFIG["n_max"] + 1

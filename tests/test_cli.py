@@ -202,6 +202,29 @@ def test_dgarnier_compare_and_tau(tmp_path):
     assert data["singular"] is None
 
 
+def test_dgarnier_tau_residuals_set_the_exit_code(tmp_path):
+    """--tau judges tau.max_delta and tau.lambda_paths against the
+    tolerance, as --compare-oracle judges its deltas."""
+    path = write_config(tmp_path)
+    out = tmp_path / "dg.json"
+    assert main(["--config", path, "--tol", "0", "dgarnier", "--nmax", "6",
+                 "--tau", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["tau"]["max_delta"]["f"] > 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "--range=5:2"], "bad --range '5:2'"),
+    (["sweep", "--param", "t1", "--grid=0.2:inf:2"], "bad --grid"),
+    (["sweep", "--param", "t1", "--grid=nan:0.5:2"], "bad --grid"),
+], ids=["moments-range-reversed", "sweep-grid-inf", "sweep-grid-nan"])
+def test_bad_ranges_exit_config_code(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    path = write_config(tmp_path)
+    assert main(["--config", path, *argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_csv_contract(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "sweep.csv"

@@ -14,7 +14,8 @@ from circlebops.garnier import (canonical_transform,
                                 v2_rep_residual, w_rep_residual)
 from circlebops.mputil import match_roots
 from circlebops.report import all_passed, failures
-from circlebops.spectral import residue_matrices
+from circlebops.spectral import (SpectralData, SpectralWorkspace,
+                                 residue_matrices)
 
 TOL = mpf(1e-25)
 
@@ -148,26 +149,15 @@ def test_deterministic_ordering_and_matching():
 
 def test_multiple_root_guard():
     """A coordinate polynomial with a double root must be refused."""
-    from types import SimpleNamespace
     ws = make_workspace(*standard_case_m4())
 
-    class Stub:
-        pair = ws.pair
-
+    class Stub(SpectralWorkspace):
         def data(self, n):
             # (z - 1/3)^2 has a double root
-            return SimpleNamespace(
-                theta=[mpc(1) / 9, mpc(-2) / 3, mpc(1)],
-                omega_at=lambda z: mpc(0))
-
-        def singularities(self):
-            return ws.singularities()
-
-        def W(self):
-            return ws.W()
-
-        def V(self):
-            return ws.V()
+            theta = [mpc(1) / 9, mpc(-2) / 3, mpc(1)]
+            return SpectralData(n, theta, [mpc(0)] * 4, theta, [mpc(0)] * 4,
+                                mpf(0))
 
     with pytest.raises(MultipleRoot):
-        coordinates_from_spectral(Stub(), 1, with_hamiltonians=False)
+        coordinates_from_spectral(Stub(ws.oracle, ws.pair), 1,
+                                  with_hamiltonians=False)

@@ -1,10 +1,17 @@
 """The three residual measures of ``report``."""
 
-import pytest
-from mpmath import mp, mpc, mpf
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_float, from_int
+
+from circlebops import report
 from circlebops.mputil import working_precision
-from circlebops.report import rel_error, rel_residual, vector_residual
+from circlebops.report import (largest_abs, rel_error, rel_residual,
+                               vector_residual)
 
 
 def test_first_term_is_not_rounded():
@@ -76,3 +83,95 @@ def test_rel_error_scales_by_want_only():
         assert rel_error([mpf(1), mpf(10)], [mpf(2), mpf(4)]) == mpf("1.5")
         with pytest.raises(ValueError):
             rel_error([mpf(1)], [mpf(1), mpf(2)])
+
+
+# -- scales by exact squared magnitudes --------------------------------------
+
+def _old_scale(terms):
+    return max((abs(t) for t in terms), default=mpf(0))
+
+
+def _bits(x):
+    """The exact binary value of a result, whatever its type."""
+    if isinstance(x, mpf):
+        return x._mpf_
+    return from_float(x) if isinstance(x, float) else from_int(x)
+
+
+@st.composite
+def _scalars(draw):
+    """mpc, mpf or int, the mp types rounded at 128 or 176 bits, with
+    zero parts and exponents far apart."""
+    kind = draw(st.sampled_from(("mpc", "mpc", "mpf", "int", "zero")))
+    if kind == "int":
+        return draw(st.integers(-2 ** 70, 2 ** 70))
+    if kind == "zero":
+        return draw(st.sampled_from((0, mpf(0), mpc(0))))
+    parts = draw(st.lists(st.tuples(st.integers(-2 ** 200, 2 ** 200),
+                                    st.integers(-260, 60)),
+                          min_size=2, max_size=2))
+    with working_precision(draw(st.sampled_from((128, 176)))):
+        re, im = (mpf(m) * mpf(2) ** e for m, e in parts)
+        return re if kind == "mpf" else mpc(re, im)
+
+
+def _straddle(x, k):
+    """A real b just above the midpoint between x and the next 128-bit
+    number, and c = b + i b 2^-k: |c|^2 > b^2, yet abs(c) often rounds below
+    abs(b), because mpf_hypot truncates the square to prec + 4 bits first."""
+    _, _, exp, bc = x._mpf_
+    b = (x + mpf(2) ** (exp + bc - 129)) * (1 + mpf(2) ** -150)
+    return [b, mpc(b, b * mpf(2) ** -k)]
+
+
+@st.composite
+def _term_lists(draw):
+    """Scalars plus exact ties (negated, conjugated, swapped, turned by i)
+    and near-ties (relative nudges near 2^-128, a complex term against its
+    modulus, a pair whose exact squares and abs() disagree in order) of
+    some of them."""
+    terms = draw(st.lists(_scalars(), max_size=6))
+    for t in list(terms):
+        how = draw(st.sampled_from(("none", "neg", "conj", "swap", "i",
+                                    "nudge", "modulus", "straddle")))
+        if how == "none" or isinstance(t, int) or not t:
+            continue
+        t = mpc(t)
+        with working_precision(128):
+            modulus = abs(t)
+        with working_precision(176):
+            if how == "nudge":
+                k = draw(st.integers(120, 180))
+                new = [t * (1 + draw(st.sampled_from((1, -1))) * mpf(2) ** -k)]
+            elif how == "modulus":
+                new = [abs(t)]
+            elif how == "straddle":
+                new = draw(st.permutations(
+                    _straddle(modulus, draw(st.integers(66, 80)))))
+            else:
+                new = [{"neg": -t, "conj": t.conjugate(),
+                        "swap": mpc(t.imag, t.real), "i": t * 1j}[how]]
+        for x in new:
+            terms.insert(draw(st.integers(0, len(terms))), x)
+    return terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(_term_lists(), st.integers(1, 3))
+def test_scales_equal_the_largest_abs_bit_for_bit(terms, cut):
+    """largest_abs is max(abs(t) for t in terms) bit for bit, and so are
+    the three measures that use it."""
+    with working_precision(128):
+        assert _bits(largest_abs(terms)) == _bits(_old_scale(terms))
+        vectors = [terms[k::cut] for k in range(cut)]     # unequal lengths
+        half = len(terms) // 2
+        got = [rel_residual(terms) if terms else None,
+               vector_residual(vectors),
+               rel_error(terms[:half], terms[half:2 * half])]
+        with mock.patch.object(report, "largest_abs", _old_scale):
+            want = [rel_residual(terms) if terms else None,
+                    vector_residual(vectors),
+                    rel_error(terms[:half], terms[half:2 * half])]
+        for g, w in zip(got, want):
+            if g is not None:
+                assert _bits(g) == _bits(w)

@@ -15,7 +15,8 @@ from circlebops.deform import rational_workspace
 from circlebops.errors import DegreeBoundViolated, SamplePointOnSingularity
 from circlebops.moments import MomentSequence, ReflectedMoments, build_U
 from circlebops.mputil import working_precision
-from circlebops.polys import padd, pdiff, pmax_abs, pscale, pshift, psub
+from circlebops.polys import (padd, pdiff, peval, pmax_abs, pscale, pshift,
+                             psub)
 from circlebops.report import all_passed, failures, rel_error
 from circlebops.spectral import (SpectralWorkspace, a_matrix, band_tolerance,
                                  check_bilinear, check_linear_recurrences,
@@ -354,3 +355,20 @@ def test_spectral_data_match_the_mpc_route_at_512_bits(case, bits):
                 assert err < mpf(2) ** -(bits + 28), (n, name, err)
             assert want[n]["band_residual"] < mpf(2) ** -480
             assert sd.band_residual < mpf(2) ** -(bits + 28), n
+
+
+def test_point_tables_keep_one_entry_per_precision():
+    """A point read at 128 bits does not serve a read at 192 bits: the
+    192-bit read equals a fresh 192-bit evaluation, in the level's table
+    (Theta_n, Theta_n') and in the workspace's (W')."""
+    ws = _ws()
+    sd = ws.data(2)
+    z = mpc("0.3", "0.7")
+    low = [sd.at("theta", z), sd.at("dtheta", z), ws.at("dW", z)]
+    with working_precision(192):
+        got = [sd.at("theta", z), sd.at("dtheta", z), ws.at("dW", z)]
+        want = [peval(sd.theta, z), peval(pdiff(sd.theta), z),
+                peval(pdiff(ws.pair.W_mpc()), z)]
+    assert [g._mpc_ for g in got] == [w._mpc_ for w in want]
+    assert all(a._mpc_ != g._mpc_ for a, g in zip(low, got))
+    assert sd.at("theta", z) is low[0] and ws.at("dW", z) is low[2]
