@@ -269,13 +269,18 @@ class ToeplitzOracle:
         self._eps = {}
         self._epsstar = {}
 
-    def precision(self):
-        """The context of ``prec``, refused to a caller at another working
-        precision."""
+    def check_precision(self) -> None:
+        """Refuse a caller at a precision other than the working one (or
+        ``prec``, inside the oracle's own context)."""
         if mp.prec not in (self.working_prec, self.prec):
             raise ValueError(
                 f"oracle built at {self.working_prec} bits queried at "
                 f"{mp.prec} bits")
+
+    def precision(self):
+        """The context of ``prec``, refused to a caller at another working
+        precision."""
+        self.check_precision()
         return mp.workprec(self.prec)
 
     def gauge(self, n: int) -> int:

@@ -310,7 +310,7 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
     tol = cfg.tolerance_mpf()
     singular_report = None
     try:
-        traj = dg_run(pair, ms, cfg.n_max)
+        traj = dg_run(ws, cfg.n_max)
     except SingularStep as exc:
         singular_report = {"index": exc.index, "factor": exc.factor,
                            "message": str(exc)}
@@ -386,7 +386,7 @@ def _cmd_sweep(cfg: RunConfig, args, started: float) -> int:
     for val, point in points:
         try:
             ws = build_workspace(point)
-            dg_run(ws.pair, ws.oracle.moments, cfg.n_max)
+            dg_run(ws, cfg.n_max)
             first_singular = -1
         except SingularStep as exc:
             first_singular = exc.index if exc.index is not None else -2

@@ -37,7 +37,8 @@ from .garnier import (coordinates_from_spectral, fd_pass, flow_p_closed,
                       flow_q_closed, flow_step)
 from .moments import MomentSequence, rational_weight_moments
 from .mputil import match_roots, to_mpc
-from .report import CheckResult, rel_error, rel_residual, vector_residual
+from .report import (CheckResult, Grid, add_grids, product, rel_error,
+                     rel_residual, vector_residual)
 from .spectral import SpectralWorkspace, residue_matrices
 from .weights import WeightData, build_poly_pair, build_weight
 
@@ -167,6 +168,11 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
     res_b = [[], []]
     res_sch = [[], []]
     M = len(zs)
+    # the step-free part of each Schlesinger right side,
+    # sum_k (zdot_j - zdot_k)/(z_j - z_k) [A_k, A_j], formed exactly
+    sch = [add_grids([product((zd[j] - zd[k]) / (zs[j] - zs[k]),
+                              _commutator(mats0[k], mats0[j]))
+                      for k in range(M) if k != j]) for j in range(M)]
     for si, step in enumerate((h, h / 2)):
         mats = {t: residue_matrices(stencil[t], n) for t in (step, -step)}
         adot = [[[_central(mats, lambda m: m[j][a][b], step)
@@ -212,18 +218,9 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
             worst_b = max(worst_b, rel_residual([lhs, -rhs], 1))
 
             # full matrix Schlesinger equation
-            comm = _commutator(binf, mats0[j])
-            for k in range(M):
-                if k == j:
-                    continue
-                factor = (zd[j] - zd[k]) / (zs[j] - zs[k])
-                ck = _commutator(mats0[k], mats0[j])
-                for a in range(2):
-                    for b in range(2):
-                        comm[a][b] += factor * ck[a][b]
+            comm = Grid.of(_commutator(binf, mats0[j])) + sch[j]
             worst_s = max(worst_s, vector_residual(
-                [adot[j][0] + adot[j][1],
-                 [-c for c in comm[0] + comm[1]]], 1))
+                [adot[j][0] + adot[j][1], -comm], 1))
         res_a[si] = worst_a
         res_b[si] = worst_b
         res_sch[si] = worst_s
@@ -235,14 +232,15 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
 
 
 def _commutator(a, b):
-    return [[a[0][0] * b[0][0] + a[0][1] * b[1][0] -
-             (b[0][0] * a[0][0] + b[0][1] * a[1][0]),
-             a[0][0] * b[0][1] + a[0][1] * b[1][1] -
-             (b[0][0] * a[0][1] + b[0][1] * a[1][1])],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0] -
-             (b[1][0] * a[0][0] + b[1][1] * a[1][0]),
-             a[1][0] * b[0][1] + a[1][1] * b[1][1] -
-             (b[1][0] * a[0][1] + b[1][1] * a[1][1])]]
+    """[a, b] of 2x2 matrices, flattened row by row."""
+    return [a[0][0] * b[0][0] + a[0][1] * b[1][0] -
+            (b[0][0] * a[0][0] + b[0][1] * a[1][0]),
+            a[0][0] * b[0][1] + a[0][1] * b[1][1] -
+            (b[0][0] * a[0][1] + b[0][1] * a[1][1]),
+            a[1][0] * b[0][0] + a[1][1] * b[1][0] -
+            (b[1][0] * a[0][0] + b[1][1] * a[1][0]),
+            a[1][0] * b[0][1] + a[1][1] * b[1][1] -
+            (b[1][0] * a[0][1] + b[1][1] * a[1][1])]
 
 
 def hamilton_flow_pipeline_check(ws0: SpectralWorkspace, stencil: dict,

@@ -274,10 +274,17 @@ def dg_trajectory(initial: DGState, pair: PolyPair, nmax: int) -> list:
     return out
 
 
-def dg_run(pair: PolyPair, moments: MomentSequence, nmax: int) -> list:
-    """Trajectory of levels 0..nmax from the moments' level-zero state."""
-    return dg_trajectory(dg_initial(pair, build_U(pair, moments), moments),
-                         pair, nmax)
+def dg_run(ws: SpectralWorkspace, nmax: int) -> list:
+    """Trajectory of levels 0..nmax from the moments' level-zero state.
+
+    The workspace keeps one trajectory per precision and extends it on
+    demand, so the suites and the CLI step each level once.
+    """
+    pair, ms = ws.pair, ws.oracle.moments
+    traj = ws.memo("dg", lambda: [dg_initial(pair, build_U(pair, ms), ms)])
+    if traj[-1].n < nmax:
+        traj += dg_trajectory(traj[-1], pair, nmax)[1:]
+    return traj[:nmax + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from mpmath import mp, mpf, mpc
 
 from .errors import (CoordinateOnSingularity, MultipleRoot, SingularTransform)
 from .mputil import to_mpc
-from .polys import (padd, pdiff, peval, pmul, pscale, pshift, psub, ptrim,
-                    pmax_abs, pdiv_exact_linear)
-from .report import CheckResult, rel_error, vector_residual
+from .polys import pdiff, peval, ptrim, pmax_abs, pdiv_exact_linear
+from .report import (CheckResult, Grid, add_grids, product, rel_error,
+                     vector_residual)
 from .spectral import SpectralWorkspace, residue_matrices
 
 
@@ -172,60 +172,66 @@ def riemann_exponents(ws: SpectralWorkspace, n: int) -> dict:
 
 def omega_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
     """Coefficient-wise residual of the interpolation representation of
-    Omega_n + V - (kappa ratio) z Theta_n in terms of (q, p)."""
+    Omega_n + V - (kappa ratio) z Theta_n in terms of (q, p).
+
+    Each side is summed exactly on a grid and enters the measure as one
+    vector.
+    """
     sd = ws.data(n)
     kr = ws.kappa_ratio(n)
-    V = ws.poly("V")
-    theta = sd.theta
+    theta, ztheta = sd.grid("theta"), sd.grid("theta").shift(1)
     e = ws.pair.e_mpc()
     N = ws.pair.N
     rho0 = ws.residues()[0]
-    theta_inf = theta[-1]
+    theta_inf = sd.theta[-1]
     # target polynomial
-    lhs = psub(padd(sd.omega, V), pscale(pshift(theta, 1), kr))
+    lhs = sd.grid("omega") + ws.grid("V") - product(kr, ztheta)
     # bracket: -n z / theta_inf + const - sum_r z/(z-q_r) * w_r
     const = (-1) ** N * (mpf(n) - rho0) * e[N + 1] / sd.at("theta", mpc(0))
-    rhs = padd(pscale(pshift(theta, 1), -mpf(n) / theta_inf),
-               pscale(theta, const))
+    rhs = [product(-mpf(n) / theta_inf, ztheta), product(const, theta)]
     for qr, pr in zip(point.q, point.p):
         wr = pr * ws.at("W", qr) / (qr * sd.at("dtheta", qr))
-        quot = pdiv_exact_linear(theta, qr)       # theta/(z - q_r)
-        rhs = psub(rhs, pscale(pshift(quot, 1), wr))
-    return vector_residual([lhs, pscale(rhs, -1)])
+        quot = pdiv_exact_linear(sd.theta, qr)       # theta/(z - q_r)
+        rhs.append(product(-wr, Grid.of(quot).shift(1)))
+    return vector_residual([lhs, -add_grids(rhs)])
+
+
+def _rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint,
+                  target: str, ends: list) -> mpf:
+    """Residual of the interpolation representation of the polynomial
+    ``target`` (2V or W) at the nodes {0, q_r, 1}: the end terms ``ends``
+    plus, per root, target(q_r)/(q_r (q_r - 1) Theta_n'(q_r)) times
+    z (z - 1) Theta_n/(z - q_r), summed exactly on grids."""
+    sd = ws.data(n)
+    rhs = list(ends)
+    for qr in point.q:
+        cr = ws.at(target, qr) / (qr * (qr - 1) * sd.at("dtheta", qr))
+        quot = pdiv_exact_linear(sd.theta, qr)
+        rhs.append(product(cr, [0, -1, 1], quot))
+    return vector_residual([ws.grid(target), -add_grids(rhs)])
 
 
 def v2_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
     """Residual of the interpolation representation of 2V at the nodes
     {0, q_r, 1}."""
     sd = ws.data(n)
-    theta = sd.theta
-    V2 = ws.poly("V2")
+    theta = sd.grid("theta")
     rho0, rho1 = ws.residues()[0], ws.residues()[-1]
     wp0 = ws.at("dW", mpc(0))
     wp1 = ws.at("dW", mpc(1))
     th0 = sd.at("theta", mpc(0))
     th1 = sd.at("theta", mpc(1))
-    rhs = padd(pscale(pmul(theta, [-1, 1]), -rho0 * wp0 / th0),
-               pscale(pshift(theta, 1), rho1 * wp1 / th1))
-    for qr in point.q:
-        cr = ws.at("V2", qr) / (qr * (qr - 1) * sd.at("dtheta", qr))
-        quot = pdiv_exact_linear(theta, qr)
-        rhs = padd(rhs, pscale(pmul(quot, [0, -1, 1]), cr))
-    return vector_residual([V2, pscale(rhs, -1)])
+    return _rep_residual(ws, n, point, "V2",
+                         [product(-rho0 * wp0 / th0, [-1, 1], theta),
+                          product(rho1 * wp1 / th1, theta.shift(1))])
 
 
 def w_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
     """Residual of the interpolation representation of W."""
     sd = ws.data(n)
-    theta = sd.theta
-    W = ws.poly("W")
-    theta_inf = theta[-1]
-    rhs = pscale(pmul(theta, [0, -1, 1]), 1 / theta_inf)
-    for qr in point.q:
-        cr = ws.at("W", qr) / (qr * (qr - 1) * sd.at("dtheta", qr))
-        quot = pdiv_exact_linear(theta, qr)
-        rhs = padd(rhs, pscale(pmul(quot, [0, -1, 1]), cr))
-    return vector_residual([W, pscale(rhs, -1)])
+    return _rep_residual(ws, n, point, "W",
+                         [product(1 / sd.theta[-1], [0, -1, 1],
+                                  sd.grid("theta"))])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import random
 
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_int
 
 from .errors import DegenerateDeterminant, RootMatchingAmbiguous
 from .exact import QC
@@ -95,6 +96,34 @@ def _frac(v) -> Fraction:
     raise TypeError(f"cannot interpret {v!r} as an exact rational")
 
 
+def abs_square(t) -> tuple:
+    """|t|^2 = m 2^e exactly, as (m, e), for a finite mpc, mpf or int."""
+    if isinstance(t, mpc):
+        (_, a, ea, _), (_, b, eb, _) = t._mpc_
+    else:
+        (_, a, ea, _), b, eb = (t._mpf_ if isinstance(t, mpf)
+                                else from_int(t)), 0, 0
+    if not b:
+        return a * a, 2 * ea
+    if not a:
+        return b * b, 2 * eb
+    e = min(ea, eb)
+    return (a * a << 2 * (ea - e)) + (b * b << 2 * (eb - e)), 2 * e
+
+
+def exceeds(x: tuple, y: tuple) -> bool:
+    """m 2^e > m' 2^e' for the pairs x = (m, e), y = (m', e'), m, m' >= 0,
+    exactly."""
+    (m1, e1), (m2, e2) = x, y
+    if not m1 or not m2:
+        return m1 > m2
+    t1, t2 = m1.bit_length() + e1, m2.bit_length() + e2
+    if t1 != t2:
+        return t1 > t2
+    e = min(e1, e2)
+    return m1 << (e1 - e) > m2 << (e2 - e)
+
+
 # ---------------------------------------------------------------------------
 # dense complex linear algebra (lists of lists of mpc)
 # ---------------------------------------------------------------------------
@@ -167,15 +196,18 @@ def sample_points(count: int, avoid=(), radius: float = 1.37, seed: int = 1,
 
     The radius is an arbitrary but frozen choice off the unit circle; points
     colliding with singularities or roots are replaced deterministically.
+    Distances are compared as exact squares.
     """
     rng = random.Random(seed)
     avoid = [to_mpc(a) for a in avoid]
     pts = []
     r = mpf(radius)
+    two_pi = 2 * mp.pi
+    near = abs_square(mpf(min_dist))
     while len(pts) < count:
-        theta = mpf(rng.random()) * 2 * mp.pi
+        theta = mpf(rng.random()) * two_pi
         z = r * mpmath.exp(mpc(0, 1) * theta)
-        if all(abs(z - a) > min_dist for a in avoid):
+        if all(exceeds(abs_square(z - a), near) for a in avoid):
             pts.append(z)
     return pts
 

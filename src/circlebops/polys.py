@@ -18,6 +18,12 @@ by at most about len 2^-(prec+16) max|a| max|b| (prec of the call that
 gridded it); sums, derivatives and integer scalings add nothing, and a read
 adds one rounding at the reader's precision.  A coefficient far below its
 vector's largest keeps only the digits above that grid.
+
+``peval_grid`` evaluates a polynomial held exactly on a ``report.Grid`` at a
+point by Horner's rule in integers, and rounds the real and imaginary parts
+of the exact value once each; the checks' point tables use it.  ``peval``
+remains the field-generic evaluator (root polishing, exact Gaussian
+rationals).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 from .mputil import to_mpc
-from .report import largest_abs
+from .report import Grid, largest_abs
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +104,30 @@ def peval(a, z):
     for c in reversed(a):
         out = out * z + c
     return out
+
+
+def peval_grid(g: Grid, z) -> mpc:
+    """The polynomial with the exact coefficients ``g`` at the point z.
+
+    Horner's rule runs in integers on the grids of g and z, so the value is
+    exact; its real and imaginary parts are then rounded once each, to
+    nearest at mp.prec.
+    """
+    zg = Grid.of([z])
+    if g.exp is None or zg.exp is None:
+        return mpc(mpf("nan"), mpf("nan"))
+    zr, zi, ez = zg.re[0], zg.im[0], zg.exp
+    if ez > 0:
+        zr, zi, ez = zr << ez, zi << ez, 0
+    # sum_k c_k z^k 2^(-d ez) = Horner over c_k 2^((d-k)(-ez)), d = deg
+    re, im, d = g.re[-1], g.im[-1], len(g) - 1
+    for k in range(d - 1, -1, -1):
+        s = (d - k) * -ez
+        re, im = (re * zr - im * zi + (g.re[k] << s),
+                  re * zi + im * zr + (g.im[k] << s))
+    exp, prec = g.exp + d * ez, mp.prec
+    return mp.make_mpc((from_man_exp(re, exp, prec, round_nearest),
+                        from_man_exp(im, exp, prec, round_nearest)))
 
 
 def pdivmod_linear(a, root):

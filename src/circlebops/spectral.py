@@ -31,9 +31,13 @@ The rest of the module turns the coupled recurrences, transition identities,
 bilinear evaluations, summation identities, scalar ODE data and deformation
 (Schlesinger) equations into residual reports.  The checks read point values
 from tables: ``SpectralData`` (per level) and ``SpectralWorkspace`` (for W,
-V and their derivatives) form each polynomial once and evaluate it once per
-point, and every entry is keyed by the working precision, so a value cached
-at one precision never serves another.
+V and their derivatives) put each polynomial on its exact grid
+(``report.Grid``, derivatives taken on the grid) once and evaluate it once
+per point by ``polys.peval_grid``, Horner's rule in integers with one
+rounding per part.  Every entry is keyed by the working precision, so a
+value cached at one precision never serves another.  The coefficient
+identities (rrCf:a-k) hand their multiplier products to ``vector_residual``
+as factor tuples, which it forms exactly.
 """
 
 from __future__ import annotations
@@ -47,16 +51,17 @@ from .bops import BopsLevel, ToeplitzOracle
 from .errors import (DegreeBoundViolated, EvaluationAtRootOfTheta,
                      SamplePointOnSingularity, SingularityCollision)
 from .mputil import sample_points, to_mpc
-from .polys import (OffsetSeries, padd, pdiff, peval, pmul, pscale, pshift,
-                    psub, ptrim, pdeg, pmax_abs)
-from .report import (CheckResult, largest_abs, rel_error, rel_residual,
+from .polys import (OffsetSeries, padd, pdiff, peval_grid, pmul, pscale,
+                    pshift, psub, ptrim, pdeg, pmax_abs)
+from .report import (CheckResult, Grid, largest_abs, rel_error, rel_residual,
                      vector_residual)
 from .weights import PolyPair
 
 
 class _PointTable:
-    """Named polynomials ("ddW" is W'') and their values at points, each
-    formed or evaluated once per working precision: keys carry mp.prec."""
+    """Named polynomials, their exact grids ("ddW" is the grid of W'') and
+    their values at points, each formed or evaluated once per working
+    precision: keys carry mp.prec."""
 
     def memo(self, what, make):
         """make(), computed once per key and working precision."""
@@ -67,12 +72,20 @@ class _PointTable:
         return got
 
     def poly(self, name: str) -> list:
-        return self.memo(name, lambda: pdiff(self.poly(name[1:]))
-                         if name[0] == "d" else self._base(name))
+        return self.memo(name, lambda: self._base(name))
+
+    def grid(self, name: str) -> Grid:
+        """The coefficients of ``name`` as an exact ``Grid``; a derivative
+        is taken on the grid, exactly."""
+        return self.memo(("grid", name), lambda: self.grid(name[1:]).diff()
+                         if name[0] == "d" else Grid.of(self._base(name)))
 
     def at(self, name: str, z) -> mpc:
+        """The polynomial at z, by ``peval_grid``: exact, then rounded once
+        per part."""
         z = to_mpc(z)
-        return self.memo((name, z._mpc_), lambda: peval(self.poly(name), z))
+        return self.memo((name, z._mpc_),
+                         lambda: peval_grid(self.grid(name), z))
 
 
 @dataclass
@@ -197,6 +210,9 @@ class SpectralWorkspace(_PointTable):
         return self.pair.weight
 
     def data(self, n: int) -> SpectralData:
+        """Spectral data at level n; refused, cached or not, at a precision
+        the oracle refuses."""
+        self.oracle.check_precision()
         if n not in self._data:
             self._data[n] = spectral_from_oracle(self.oracle, self.pair, n)
         return self._data[n]
@@ -242,17 +258,18 @@ def a_matrix(ws: SpectralWorkspace, n: int, z) -> list:
     kr = ws.kappa_ratio(n)
     W = ws.poly("W")
     Wz = ws.at("W", z)
-    floor = mpf(2) ** (-mp.prec + 8) * pmax_abs(W) * \
-        max(abs(z), mpf(1)) ** len(W)
+    floor = ws.memo("W floor", lambda: mpf(2) ** (-mp.prec + 8) *
+                    pmax_abs(W)) * max(abs(z), mpf(1)) ** len(W)
     if abs(Wz) <= floor:
         raise SamplePointOnSingularity("A_n evaluated at a zero of W")
+    inv = 1 / Wz
     Vz = ws.at("V", z)
     th, om = sd.at("theta", z), sd.at("omega", z)
     ts, os_ = sd.at("thetastar", z), sd.at("omegastar", z)
-    a11 = -(om + Vz - kr * z * th) / Wz
-    a12 = (lev_n1.phi0 / lev_n.kappa) * th / Wz
-    a21 = -(lev_n1.phibar0 / lev_n.kappa) * z * ts / Wz
-    a22 = (os_ - Vz - kr * ts) / Wz
+    a11 = -(om + Vz - kr * z * th) * inv
+    a12 = (lev_n1.phi0 / lev_n.kappa) * th * inv
+    a21 = -(lev_n1.phibar0 / lev_n.kappa) * z * ts * inv
+    a22 = (os_ - Vz - kr * ts) * inv
     return [[a11, a12], [a21, a22]]
 
 
@@ -270,14 +287,14 @@ def residue_matrices(ws: SpectralWorkspace, n: int) -> list:
         kr = ws.kappa_ratio(n)
         out = []
         for z in ws.singularities():
-            wp = ws.wprime_at(z)
+            inv = 1 / ws.wprime_at(z)
             Vz = ws.at("V", z)
             th, om = sd.at("theta", z), sd.at("omega", z)
             ts, os_ = sd.at("thetastar", z), sd.at("omegastar", z)
-            a11 = (-(om + Vz) + kr * z * th) / wp
-            a12 = (lev_n1.phi0 / lev_n.kappa) * th / wp
-            a21 = -(lev_n1.phibar0 / lev_n.kappa) * z * ts / wp
-            a22 = (os_ - Vz - kr * ts) / wp
+            a11 = (-(om + Vz) + kr * z * th) * inv
+            a12 = (lev_n1.phi0 / lev_n.kappa) * th * inv
+            a21 = -(lev_n1.phibar0 / lev_n.kappa) * z * ts * inv
+            a22 = (os_ - Vz - kr * ts) * inv
             out.append([[a11, a12], [a21, a22]])
         return out
     return ws.memo(("residues", n), make)
@@ -350,20 +367,27 @@ def residue_structure_checks(ws: SpectralWorkspace, n: int, tol) -> list:
 # linear recurrences, transitions, bilinear evaluations
 # ---------------------------------------------------------------------------
 
-def _zpoly(coeffs):
-    return pshift(coeffs, 1)
-
-
 def check_linear_recurrences(ws: SpectralWorkspace, n: int, tol) -> list:
-    """Residuals of the eight coupled recurrences centred at level n (n >= 1)."""
+    """Residuals of the eight coupled recurrences centred at level n (n >= 1).
+
+    Each vector is a spectral polynomial's exact grid, or a tuple of
+    factors whose product ``vector_residual`` forms exactly; z Theta is the
+    grid shifted by one.
+    """
     if n < 1:
         raise ValueError("linear recurrences need n >= 1")
     sm1, s0, s1 = ws.data(n - 1), ws.data(n), ws.data(n + 1)
     lm1, l0, l1, l2 = (ws.level(n - 1), ws.level(n), ws.level(n + 1),
                        ws.level(n + 2))
-    Woz = ws.poly("Woz")
+    Woz = ws.grid("Woz")
     kr = l1.kappa / l0.kappa          # kappa_{n+1}/kappa_n
     kr2 = l2.kappa / l1.kappa         # kappa_{n+2}/kappa_{n+1}
+    om0, om1, omm1 = s0.grid("omega"), s1.grid("omega"), sm1.grid("omega")
+    os0, os1, osm1 = (s0.grid("omegastar"), s1.grid("omegastar"),
+                      sm1.grid("omegastar"))
+    th0, th1, thm1 = s0.grid("theta"), s1.grid("theta"), sm1.grid("theta")
+    ts0, ts1, tsm1 = (s0.grid("thetastar"), s1.grid("thetastar"),
+                      sm1.grid("thetastar"))
     out = []
 
     def rescheck(label, vectors):
@@ -371,54 +395,46 @@ def check_linear_recurrences(ws: SpectralWorkspace, n: int, tol) -> list:
 
     # a
     aa = l1.phi0 / l0.phi0
-    rescheck("rrCf:a", [s0.omega, sm1.omega,
-                        pscale(pmul([aa, kr], s0.theta), -1),
-                        pscale(Woz, n - 1)])
+    rescheck("rrCf:a", [om0, omm1, (-1, [aa, kr], th0), (n - 1, Woz)])
     # b
-    rescheck("rrCf:b", [pmul([aa, kr], psub(sm1.omega, s0.omega)),
-                        pscale(_zpoly(s1.theta),
-                               l0.kappa * l2.phi0 / (l1.kappa * l1.phi0)),
-                        pscale(_zpoly(sm1.theta),
-                               -lm1.kappa * l1.phi0 / (l0.kappa * l0.phi0)),
-                        pscale(Woz, -aa)])
+    rescheck("rrCf:b", [([aa, kr], omm1 - om0),
+                        (l0.kappa * l2.phi0 / (l1.kappa * l1.phi0),
+                         th1.shift(1)),
+                        (-lm1.kappa * l1.phi0 / (l0.kappa * l0.phi0),
+                         thm1.shift(1)),
+                        (-aa, Woz)])
     # c
     bb = l1.phibar0 / l0.phibar0
-    rescheck("rrCf:c", [s0.omegastar, sm1.omegastar,
-                        pscale(pmul([kr, bb], s0.thetastar), -1),
-                        pscale(Woz, -n)])
+    rescheck("rrCf:c", [os0, osm1, (-1, [kr, bb], ts0), (-n, Woz)])
     # d
-    rescheck("rrCf:d", [pmul([kr, bb], psub(sm1.omegastar, s0.omegastar)),
-                        pscale(_zpoly(s1.thetastar),
-                               l0.kappa * l2.phibar0 / (l1.kappa * l1.phibar0)),
-                        pscale(_zpoly(sm1.thetastar),
-                               -lm1.kappa * l1.phibar0 / (l0.kappa * l0.phibar0)),
-                        pscale(Woz, kr)])
+    rescheck("rrCf:d", [([kr, bb], osm1 - os0),
+                        (l0.kappa * l2.phibar0 / (l1.kappa * l1.phibar0),
+                         ts1.shift(1)),
+                        (-lm1.kappa * l1.phibar0 / (l0.kappa * l0.phibar0),
+                         tsm1.shift(1)),
+                        (kr, Woz)])
     # e
     aa2 = l2.phi0 / l1.phi0
-    rescheck("rrCf:e", [s1.omega, s0.omegastar,
-                        pscale(pmul([aa2, kr2], s1.theta), -1),
-                        pscale(psub(_zpoly(s0.theta), s0.thetastar), kr)])
+    rescheck("rrCf:e", [om1, os0, (-1, [aa2, kr2], th1),
+                        (kr, th0.shift(1) - ts0)])
     # f
-    rescheck("rrCf:f", [s0.omega, pscale(s1.omega, -1),
-                        pscale(pmul([l1.phibar0 * l2.phi0 / (l1.kappa * l2.kappa), 1],
-                                    s1.theta), kr2),
-                        pscale(s0.thetastar,
-                               l1.phi0 * l1.phibar0 / (l1.kappa * l0.kappa)),
-                        pscale(_zpoly(s0.theta), -kr),
-                        pscale(Woz, -1)])
+    rescheck("rrCf:f", [om0, -om1,
+                        (kr2, [l1.phibar0 * l2.phi0 / (l1.kappa * l2.kappa),
+                               1], th1),
+                        (l1.phi0 * l1.phibar0 / (l1.kappa * l0.kappa), ts0),
+                        (-kr, th0.shift(1)),
+                        -Woz])
     # g
     bb2 = l2.phibar0 / l1.phibar0
-    rescheck("rrCf:g", [s1.omegastar, s0.omega,
-                        pscale(pmul([kr2, bb2], s1.thetastar), -1),
-                        pscale(psub(_zpoly(s0.theta), s0.thetastar), -kr),
-                        pscale(Woz, -1)])
+    rescheck("rrCf:g", [os1, om0, (-1, [kr2, bb2], ts1),
+                        (-kr, th0.shift(1) - ts0), -Woz])
     # h
-    rescheck("rrCf:h", [s0.omegastar, pscale(s1.omegastar, -1),
-                        pscale(pmul([1, l1.phi0 * l2.phibar0 / (l1.kappa * l2.kappa)],
-                                    s1.thetastar), kr2),
-                        pscale(_zpoly(s0.theta),
-                               l1.phi0 * l1.phibar0 / (l1.kappa * l0.kappa)),
-                        pscale(s0.thetastar, -kr)])
+    rescheck("rrCf:h", [os0, -os1,
+                        (kr2, [1, l1.phi0 * l2.phibar0 /
+                               (l1.kappa * l2.kappa)], ts1),
+                        (l1.phi0 * l1.phibar0 / (l1.kappa * l0.kappa),
+                         th0.shift(1)),
+                        (-kr, ts0)])
     return out
 
 
@@ -428,30 +444,29 @@ def check_transitions(ws: SpectralWorkspace, n: int, tol, npoints: int = 5,
     s0 = ws.data(n)
     l0, l1 = ws.level(n), ws.level(n + 1)
     kr = l1.kappa / l0.kappa
-    Woz = ws.poly("Woz")
+    Woz = ws.grid("Woz")
+    th0, ts0 = s0.grid("theta"), s0.grid("thetastar")
     out = []
 
     if n >= 1:
         sm1 = ws.data(n - 1)
         lm1 = ws.level(n - 1)
-        vecs_i = [pscale(_zpoly(s0.thetastar), l1.phibar0 / l0.phibar0),
-                  pscale(sm1.thetastar, -l0.kappa / lm1.kappa),
-                  pscale(s0.theta, -l1.phi0 / l0.phi0),
-                  pscale(_zpoly(sm1.theta), l0.kappa / lm1.kappa)]
+        vecs_i = [(l1.phibar0 / l0.phibar0, ts0.shift(1)),
+                  (-l0.kappa / lm1.kappa, sm1.grid("thetastar")),
+                  (-l1.phi0 / l0.phi0, th0),
+                  (l0.kappa / lm1.kappa, sm1.grid("theta").shift(1))]
         out.append(CheckResult.make("rrCf:i", vector_residual(vecs_i), tol, n))
 
-    vecs_j = [s0.omegastar, pscale(s0.thetastar, -kr),
-              pscale(s0.omega, -1), pscale(_zpoly(s0.theta), kr),
-              pscale(Woz, -n)]
+    vecs_j = [s0.grid("omegastar"), (-kr, ts0), -s0.grid("omega"),
+              (kr, th0.shift(1)), (-n, Woz)]
     out.append(CheckResult.make("rrCf:j", vector_residual(vecs_j), tol, n))
 
     s1 = ws.data(n + 1)
     l2 = ws.level(n + 2)
-    vecs_k = [s0.omegastar, s0.omega,
-              pscale(s1.theta,
-                     -(l0.kappa ** 2 / l1.kappa ** 2) * (l2.phi0 / l1.phi0)),
-              pscale(s0.thetastar, -(l0.kappa / l1.kappa)),
-              pscale(Woz, -1)]
+    vecs_k = [s0.grid("omegastar"), s0.grid("omega"),
+              (-(l0.kappa ** 2 / l1.kappa ** 2) * (l2.phi0 / l1.phi0),
+               s1.grid("theta")),
+              (-(l0.kappa / l1.kappa), ts0), -Woz]
     out.append(CheckResult.make("rrCf:k", vector_residual(vecs_k), tol, n))
 
     # pointwise spot checks of rrCf:j on the sample circle
@@ -556,8 +571,7 @@ def _sum_residual(lhs_terms, rhs) -> mpf:
     cancels to zero (e.g. single-coordinate cases of the pairwise sums).
     """
     rhs_parts = rhs if isinstance(rhs, (list, tuple)) else [rhs]
-    return rel_residual([to_mpc(t) for t in lhs_terms] +
-                        [-to_mpc(p) for p in rhs_parts])
+    return rel_residual(list(lhs_terms) + [-p for p in rhs_parts])
 
 
 def check_summation_identities(ws: SpectralWorkspace, n: int, tol,
@@ -797,6 +811,23 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
 # scalar ODE data
 # ---------------------------------------------------------------------------
 
+def _ode_level(ws: SpectralWorkspace, n: int) -> dict:
+    """The per-level constants of the scalar ODE, once per precision: the
+    kappa ratio, the coupling, the root floors of Theta_n and Thetastar_n
+    (before their |z| factor) and the skip threshold 10^(-prec/4)."""
+    sd = ws.data(n)
+
+    def make():
+        l0, l1 = ws.level(n), ws.level(n + 1)
+        unit = mpf(2) ** (-mp.prec + 12)
+        return {"kr": l1.kappa / l0.kappa,
+                "coupling": l1.phi0 * l1.phibar0 / l0.kappa ** 2,
+                "theta_floor": unit * pmax_abs(sd.theta),
+                "thetastar_floor": unit * pmax_abs(sd.thetastar),
+                "skip": mpf(10) ** (-mp.prec // 4)}
+    return sd.memo("ode", make)
+
+
 def scalar_ode_data(ws: SpectralWorkspace, n: int, z):
     """ODE coefficients plus the magnitude scales of their additive pieces.
 
@@ -806,16 +837,16 @@ def scalar_ode_data(ws: SpectralWorkspace, n: int, z):
     """
     z = to_mpc(z)
     sd = ws.data(n)
-    l0, l1 = ws.level(n), ws.level(n + 1)
-    kr = l1.kappa / l0.kappa
+    lv = _ode_level(ws, n)
+    kr = lv["kr"]
     Wz = ws.at("W", z)
     if Wz == 0 or z == 0:
         raise SamplePointOnSingularity("ODE coefficients at a singular point")
     th = sd.at("theta", z)
     ts = sd.at("thetastar", z)
     zfac = max(abs(z), mpf(1)) ** len(sd.theta)
-    if abs(th) <= mpf(2) ** (-mp.prec + 12) * pmax_abs(sd.theta) * zfac or \
-       abs(ts) <= mpf(2) ** (-mp.prec + 12) * pmax_abs(sd.thetastar) * zfac:
+    if abs(th) <= lv["theta_floor"] * zfac or \
+       abs(ts) <= lv["thetastar_floor"] * zfac:
         raise EvaluationAtRootOfTheta("z is a root of a spectral polynomial")
     thp = sd.at("dtheta", z)
     tsp = sd.at("dthetastar", z)
@@ -825,16 +856,18 @@ def scalar_ode_data(ws: SpectralWorkspace, n: int, z):
     Vz = ws.at("V2", z) / 2
     Vp = ws.at("dV2", z) / 2
     Wp = ws.at("dW", z)
+    inv = 1 / Wz
+    inv2 = inv * inv
 
-    p1 = Wp / Wz - thp / th + 2 * Vz / Wz - mpf(n) / z
-    cross = ((om + Vz - kr * z * th) * (os_ - Vz - kr * ts)) / Wz ** 2
-    tail = (l1.phi0 * l1.phibar0 / l0.kappa ** 2) * z * th * ts / Wz ** 2
-    p2_parts = [(th * (omp + Vp) - thp * (om + Vz)) / (Wz * th),
-                -kr * th / Wz, -cross, tail]
+    p1 = (Wp + 2 * Vz) * inv - thp / th - mpf(n) / z
+    cross = ((om + Vz - kr * z * th) * (os_ - Vz - kr * ts)) * inv2
+    tail = lv["coupling"] * z * th * ts * inv2
+    p2_parts = [(th * (omp + Vp) - thp * (om + Vz)) * inv / th,
+                -kr * th * inv, -cross, tail]
     p2 = sum(p2_parts)
-    p1s = Wp / Wz - tsp / ts + 2 * Vz / Wz - mpf(n + 1) / z
-    p2s_parts = [((ts / z + tsp) * (os_ - Vz) - ts * (osp - Vp)) / (Wz * ts),
-                 -kr * ts / (z * Wz), -cross, tail]
+    p1s = (Wp + 2 * Vz) * inv - tsp / ts - mpf(n + 1) / z
+    p2s_parts = [((ts / z + tsp) * (os_ - Vz) - ts * (osp - Vp)) * inv / ts,
+                 -kr * ts * inv / z, -cross, tail]
     p2s = sum(p2s_parts)
     return {"p1": p1, "p2": p2, "p1s": p1s, "p2s": p2s,
             "p2_scale": largest_abs(p2_parts),
@@ -846,24 +879,24 @@ def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol, npoints: int = 10,
     """|phi'' + p1 phi' + p2 phi| (and starred) at sample points, relative."""
     l0 = ws.level(n)
     sd = ws.data(n)
+    skip = _ode_level(ws, n)["skip"]
     avoid = list(ws.singularities())
     pts = sample_points(npoints, avoid=avoid, seed=seed + n)
-    fam = [l0.phi, l0.phistar]
-    fam += [pdiff(p) for p in fam]
-    fam += [pdiff(p) for p in fam[2:]]
-    # each distinct list once per point: at level 0 phi = phistar, and the
+    fam = [Grid.of(l0.phi), Grid.of(l0.phistar)]
+    fam += [g.diff() for g in fam]
+    fam += [g.diff() for g in fam[2:]]
+    # each distinct grid once per point: at level 0 phi = phistar, and the
     # derivatives of constants vanish
-    keys = [tuple(to_mpc(c)._mpc_ for c in p) for p in fam]
+    keys = [(tuple(g.re), tuple(g.im), g.exp) for g in fam]
     first = [keys.index(k) for k in keys]
     worst = mpf(0)
     worst_s = mpf(0)
     for z in pts:
-        if abs(sd.at("theta", z)) < mpf(10) ** (-mp.prec // 4) or \
-           abs(sd.at("thetastar", z)) < mpf(10) ** (-mp.prec // 4):
+        if abs(sd.at("theta", z)) < skip or abs(sd.at("thetastar", z)) < skip:
             continue
         d = scalar_ode_data(ws, n, z)
-        vals = [peval(p, z) if i == k else None
-                for i, (p, k) in enumerate(zip(fam, first))]
+        vals = [peval_grid(g, z) if i == k else None
+                for i, (g, k) in enumerate(zip(fam, first))]
         v, vs, dv, dvs, ddv, ddvs = (vals[k] for k in first)
         # custom scale: p2 judged against its pieces, not their sum
         terms = [ddv, d["p1"] * dv, d["p2"] * v]

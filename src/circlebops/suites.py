@@ -148,7 +148,7 @@ def garnier_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
 
 def oracle_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     """Trajectory of the coupled recurrences against spectral values."""
-    traj = dg_run(ws.pair, ws.oracle.moments, n_max)
+    traj = dg_run(ws, n_max)
     d0 = state_delta(traj[0], dg_from_spectral(ws, 0))
     out = [CheckResult.make("dGarnier:init", d0, tol, 0)]
     for st in traj[1:]:
@@ -173,9 +173,8 @@ def tau_delta(ws: SpectralWorkspace, rec: dict, n: int) -> mpf:
 
 
 def tau_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    ms = ws.oracle.moments
-    traj = dg_run(ws.pair, ms, n_max + 2)
-    rec = tau_recovery(traj, ws.pair, ms)
+    traj = dg_run(ws, n_max + 2)
+    rec = tau_recovery(traj, ws.pair, ws.oracle.moments)
     out = [CheckResult.make("tau:lambda-paths", rec["lambda_delta"], tol,
                             note="two recovery recurrences"),
            CheckResult.make("tau:rbar0", rec["rbar0_defect"], tol)]

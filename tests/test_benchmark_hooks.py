@@ -87,7 +87,9 @@ def test_layer_tracer_times_rational_moments_per_workspace(tmp_path):
 def test_checks_evaluate_each_polynomial_once_per_point(tmp_path,
                                                         monkeypatch):
     """identities, bilinear and summation evaluate no (coefficients, point,
-    precision) triple twice, and find the roots of Theta_n once per level."""
+    precision) triple twice, and find the roots of Theta_n once per level.
+    Every point value of the checks comes from the integer evaluator
+    ``peval_grid``, which is wrapped here."""
     from collections import Counter
 
     from mpmath import mp
@@ -96,13 +98,13 @@ def test_checks_evaluate_each_polynomial_once_per_point(tmp_path,
     from circlebops.cli import main
     from circlebops.mputil import to_mpc
 
-    peval, roots = polys.peval, garnier.polynomial_roots
+    peval, roots = polys.peval_grid, garnier.polynomial_roots
     evaluated, rooted = Counter(), []
 
-    def counted_peval(a, z):
-        key = tuple(to_mpc(c)._mpc_ for c in a), to_mpc(z)._mpc_, mp.prec
+    def counted_peval(g, z):
+        key = (tuple(g.re), tuple(g.im), g.exp), to_mpc(z)._mpc_, mp.prec
         evaluated[key] += 1
-        return peval(a, z)
+        return peval(g, z)
 
     def counted_roots(coeffs):
         rooted.append(coeffs)
@@ -121,3 +123,28 @@ def test_checks_evaluate_each_polynomial_once_per_point(tmp_path,
                  "--out", str(tmp_path / "report.json")]) == 0
     assert evaluated and max(evaluated.values()) == 1
     assert len(rooted) == CONFIG["n_max"] + 1
+
+
+def test_one_discrete_garnier_trajectory_per_workspace(tmp_path,
+                                                       monkeypatch):
+    """The oracle suite (to n_max) and the tau suite (to n_max + 2) read one
+    trajectory: n_max + 2 steps in all."""
+    from circlebops import discrete_garnier
+    from circlebops.cli import main
+
+    step, steps = discrete_garnier.dg_step, []
+
+    def counted_step(state, pair):
+        steps.append(state.n)
+        return step(state, pair)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "circlebops" or name.startswith("circlebops."):
+            for attr, val in list(vars(mod).items()):
+                if val is step:
+                    monkeypatch.setattr(mod, attr, counted_step)
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump({**CONFIG, "checks": ["oracle", "tau"]}))
+    assert main(["--config", str(config), "verify",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert steps == list(range(CONFIG["n_max"] + 2))

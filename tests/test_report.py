@@ -1,6 +1,6 @@
 """The three residual measures of ``report``."""
 
-from unittest import mock
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_float, from_int
 
-from circlebops import report
 from circlebops.mputil import working_precision
-from circlebops.report import (largest_abs, rel_error, rel_residual,
-                               vector_residual)
+from circlebops.report import (CheckResult, Grid, largest_abs, rel_error,
+                               rel_residual, vector_residual)
 
 
 def test_first_term_is_not_rounded():
@@ -157,21 +156,144 @@ def _term_lists(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_term_lists(), st.integers(1, 3))
-def test_scales_equal_the_largest_abs_bit_for_bit(terms, cut):
-    """largest_abs is max(abs(t) for t in terms) bit for bit, and so are
-    the three measures that use it."""
+@given(_term_lists())
+def test_scales_equal_the_largest_abs_bit_for_bit(terms):
+    """largest_abs, the custom scales' helper, is max(abs(t) for t in
+    terms) bit for bit."""
     with working_precision(128):
         assert _bits(largest_abs(terms)) == _bits(_old_scale(terms))
-        vectors = [terms[k::cut] for k in range(cut)]     # unequal lengths
-        half = len(terms) // 2
-        got = [rel_residual(terms) if terms else None,
-               vector_residual(vectors),
-               rel_error(terms[:half], terms[half:2 * half])]
-        with mock.patch.object(report, "largest_abs", _old_scale):
-            want = [rel_residual(terms) if terms else None,
-                    vector_residual(vectors),
-                    rel_error(terms[:half], terms[half:2 * half])]
-        for g, w in zip(got, want):
-            if g is not None:
-                assert _bits(g) == _bits(w)
+
+
+# -- the measures are the exact value, rounded once ---------------------------
+
+CAP = 2 * 128 + 64          # the grid cap at the 128-bit measures below
+
+
+@st.composite
+def _window_scalars(draw):
+    """mpc, mpf or int, the mp types rounded at 128 or 176 bits, with top
+    bits anywhere in [-60, 60]: far apart, yet every part of every term
+    lies within the 128-bit grid cap of the largest."""
+    kind = draw(st.sampled_from(("mpc", "mpc", "mpf", "int", "zero")))
+    if kind == "int":
+        return draw(st.integers(-2 ** 70, 2 ** 70))
+    if kind == "zero":
+        return draw(st.sampled_from((0, mpf(0), mpc(0))))
+    parts = []
+    for _ in range(2):
+        man = draw(st.integers(-2 ** 200, 2 ** 200))
+        top = draw(st.integers(-60, 60))
+        parts.append(mpf(man) * mpf(2) ** (top - abs(man).bit_length()))
+    with working_precision(draw(st.sampled_from((128, 176)))):
+        re, im = (+x for x in parts)
+        return re if kind == "mpf" else mpc(re, im)
+
+
+@st.composite
+def _window_terms(draw):
+    """Window scalars plus exact ties (negated, conjugated, swapped, turned
+    by i) of some of them, which make sums cancel."""
+    terms = draw(st.lists(_window_scalars(), max_size=7))
+    for t in list(terms):
+        how = draw(st.sampled_from(("none", "none", "neg", "conj", "i")))
+        if how != "none" and not isinstance(t, int):
+            t = mpc(t)
+            tie = {"neg": -t, "conj": t.conjugate(), "i": t * 1j}[how]
+            terms.insert(draw(st.integers(0, len(terms))), tie)
+    return terms
+
+
+def _spread(terms) -> int:
+    """Top bit of the largest part minus the lowest bit of any part."""
+    bits = [(e, e + bc) for t in terms for _, man, e, bc in
+            (mpc(t)._mpc_ if not isinstance(t, int) else
+             (from_int(t), from_int(0))) if man]
+    return max(t for _, t in bits) - min(e for e, _ in bits) if bits else 0
+
+
+def _rounded_once(make):
+    """The values of make() at 4000 bits, where every sum and product of
+    the terms is exact and each square root lies far closer than 2^-3000 to
+    the true value, each rounded to nearest at 128 bits."""
+    with working_precision(4000):
+        values = make()
+    with working_precision(128):
+        return [+v for v in values]
+
+
+def _exact_measure(errs, scales, floor):
+    """max|err| / max(max|scale|, floor) at 4000 bits."""
+    scale = max([abs(mpc(s)) for s in scales] + [abs(mpf(floor))])
+    err = max([abs(mpc(e)) for e in errs], default=mpf(0))
+    if not err:
+        return mpf(0)
+    return err / scale if scale else mpf("inf")
+
+
+_FLOORS = st.sampled_from((0, 1, 1e-30, 1e-40, mpf(2) ** -70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_terms(), _FLOORS, st.integers(1, 3),
+       st.integers(-2 ** 20, 2 ** 20))
+def test_measures_are_the_exact_value_rounded_once(terms, floor, cut, mult):
+    """rel_residual, vector_residual (with unequal lengths and a multiplier
+    product) and rel_error, at 128 bits, equal the exact value computed at
+    4000 bits and rounded once, bit for bit."""
+    vectors = [terms[k::cut] for k in range(cut)]
+    half = len(terms) // 2
+    got_list, want_list = terms[:half], terms[half:2 * half]
+    assert _spread(terms + [t * mult for t in terms]) <= CAP
+    with working_precision(128):
+        got = [rel_residual(terms, floor),
+               vector_residual(vectors, floor),
+               vector_residual([(mult, vectors[0])] + vectors[1:], floor),
+               rel_error(got_list, want_list, floor)]
+        if half:
+            got.append(rel_error(got_list[0], want_list[0], floor))
+
+    def columns(vecs):
+        return [sum(col) for col in zip_longest(*vecs, fillvalue=0)]
+
+    def expected():
+        scaled = [[mult * t for t in vectors[0]]] + vectors[1:]
+        out = [_exact_measure([sum(terms, mpc(0))], terms, floor),
+               _exact_measure(columns(vectors), terms, floor),
+               _exact_measure(columns(scaled),
+                              [t for v in scaled for t in v], floor),
+               _exact_measure([g - w for g, w in zip(got_list, want_list)],
+                              want_list, floor)]
+        if half:
+            out.append(_exact_measure([got_list[0] - want_list[0]],
+                                      [want_list[0]], floor))
+        return out
+    want = _rounded_once(expected)
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w)
+
+
+def test_non_finite_terms_fail_their_check():
+    with working_precision(128):
+        for bad in (mpf("nan"), mpf("inf"), mpc(1, mpf("-inf"))):
+            for resid in (rel_residual([mpc(1), bad]),
+                          vector_residual([[mpc(1)], [0, bad]]),
+                          vector_residual([(bad, [mpc(1)]), [mpc(-1)]]),
+                          rel_error(bad, mpc(1)), rel_error([mpc(1)], [bad])):
+                assert resid == mpf("inf")
+                assert not CheckResult.make("x", resid, 1e-20).passed
+
+
+def test_a_grid_is_capped_below_its_largest_term():
+    """A term more than 2 prec + 64 bits below the largest goes onto that
+    coarser grid first: the mantissas stay that short, and the residual
+    moves by at most the rounding of that grid."""
+    with working_precision(128):
+        tiny = mpf(2) ** -100000
+        g = Grid.of([mpc(1, 1), tiny])
+        assert max(abs(v) for v in g.re + g.im).bit_length() <= CAP + 1
+        assert rel_residual([mpf(1), tiny]) == 1
+        # 2^-400 lies below the grid of the 1s, whose cancellation it decides
+        assert rel_residual([mpf(1), mpf(-1), mpf(2) ** -400]) <= \
+            mpf(2) ** -(CAP - 1)
+        assert rel_residual([mpf(1), mpf(-1), mpf(2) ** -300]) == \
+            mpf(2) ** -300

@@ -50,6 +50,19 @@ def test_deep_levels_stay_in_band_at_128_bits():
     assert ws.data(48).band_residual < band_tolerance()
 
 
+def test_data_refuses_another_precision_cached_or_not():
+    """A workspace built at 128 bits refuses data(n) at 192 bits for a
+    cached level as for a new one, with the oracle's own message."""
+    ws = _ws()
+    ws.data(2)
+    with working_precision(192):
+        for n in (2, 3):
+            with pytest.raises(ValueError,
+                               match="oracle built at 128 bits queried at "
+                                     "192 bits"):
+                ws.data(n)
+
+
 def _same_bits_in_either_query_order(make, n):
     """data(n) after level(n), and data(n) alone, on two fresh workspaces
     give the same moments, level and spectral data, bit for bit."""
@@ -357,18 +370,33 @@ def test_spectral_data_match_the_mpc_route_at_512_bits(case, bits):
             assert sd.band_residual < mpf(2) ** -(bits + 28), n
 
 
+def _rounded_once(coeffs, z, bits):
+    """The polynomial at z, evaluated exactly at 4000 bits, then each part
+    rounded once, to nearest at ``bits``."""
+    with working_precision(4000):
+        exact = peval(pdiff(coeffs[1]) if coeffs[0] else coeffs[1], z)
+    with working_precision(bits):
+        return mpc(exact)
+
+
 def test_point_tables_keep_one_entry_per_precision():
-    """A point read at 128 bits does not serve a read at 192 bits: the
-    192-bit read equals a fresh 192-bit evaluation, in the level's table
-    (Theta_n, Theta_n') and in the workspace's (W')."""
+    """A point read at 128 bits does not serve a read at 192 bits: each read
+    is the exact value rounded once, to nearest, at its own precision, in
+    the level's table (Theta_n, Theta_n') and in the workspace's (W', from
+    W at the reader's precision)."""
     ws = _ws()
     sd = ws.data(2)
     z = mpc("0.3", "0.7")
-    low = [sd.at("theta", z), sd.at("dtheta", z), ws.at("dW", z)]
-    with working_precision(192):
-        got = [sd.at("theta", z), sd.at("dtheta", z), ws.at("dW", z)]
-        want = [peval(sd.theta, z), peval(pdiff(sd.theta), z),
-                peval(pdiff(ws.pair.W_mpc()), z)]
-    assert [g._mpc_ for g in got] == [w._mpc_ for w in want]
-    assert all(a._mpc_ != g._mpc_ for a, g in zip(low, got))
-    assert sd.at("theta", z) is low[0] and ws.at("dW", z) is low[2]
+    got, want = {}, {}
+    for bits in (128, 192):
+        with working_precision(bits):
+            got[bits] = [sd.at("theta", z), sd.at("dtheta", z),
+                         ws.at("dW", z)]
+            polys = [(False, sd.theta), (True, sd.theta),
+                     (True, ws.poly("W"))]
+        want[bits] = [_rounded_once(p, z, bits) for p in polys]
+        assert [g._mpc_ for g in got[bits]] == \
+            [w._mpc_ for w in want[bits]], bits
+    assert all(a._mpc_ != g._mpc_ for a, g in zip(got[128], got[192]))
+    assert sd.at("theta", z) is got[128][0] and \
+        ws.at("dW", z) is got[128][2]
