@@ -36,11 +36,12 @@ The associated functions are truncated interior expansions
 where <phi_n, m> = sum_j c_j w_{m-j} is the moment pairing that also drives
 the orthogonality relations.  All pairings of one series are one convolution
 of the coefficients with the moment window w_{-n} .. w_T (of the reflected
-window for epsstar_n) on the integer-mantissa kernel ``polys.conv_fixed``.
-The series stays in integers (the factor +-2 is a sign and an exponent
-shift) on the grid of the oracle's precision.  A coefficient is accurate to
-2^-(prec+16) of max|c_j| max|w_k| over the window, not of itself, and
-rounds once, at its reader's precision.  ``pairing_first``
+window for epsstar_n) by ``polys.conv_fixed``, on the one integer-mantissa
+product kernel ``report.Grid.conv``.  The series stays in integers (the
+factor +-2 is a sign and an exponent shift) on the spectral grid of the
+oracle's precision.  A coefficient is accurate to 2^-(prec+16) of
+max|c_j| max|w_k| over the window, not of itself, and rounds once, at its
+reader's precision.  ``pairing_first``
 computes one pairing by an mpmath sum; it is the orthogonality residual and
 the tests' reference for the series.  At level zero these expansions reduce
 to the defining normalisations kappa_0 [w_0 +- F], which pins the index
@@ -59,8 +60,8 @@ from mpmath import mp, mpf, mpc
 from .errors import DegenerateDeterminant
 from .moments import MomentSequence, ReflectedMoments
 from .mputil import guarded, lu_det, lu_solve, to_mpc
-from .polys import OffsetSeries, conv_fixed
-from .report import largest_abs
+from .polys import conv_fixed
+from .report import Grid, largest_abs
 
 
 @dataclass
@@ -176,23 +177,23 @@ def pairing_first(moments, coeffs, m: int) -> mpc:
              for j, c in enumerate(coeffs)), absolute=False)
 
 
-def _pairings(moments, coeffs, lo: int, hi: int) -> OffsetSeries:
+def _pairings(moments, coeffs, lo: int, hi: int) -> Grid:
     """<f, lo + k> as coefficient k of a series, for lo + k <= hi.
 
-    One convolution of f with the window w_{lo-n} .. w_hi (n = deg f) on
-    the ``conv_fixed`` kernel; its exact sums (from z^n) are rounded once
-    onto the grid mp.prec + 16 bits below the largest and renumbered from
-    k = 0.
+    One convolution of f with the window w_{lo-n} .. w_hi (n = deg f) by
+    ``conv_fixed``; its exact sums (from z^n) are renumbered from k = 0
+    and rounded once onto the spectral grid, mp.prec + 16 bits below the
+    largest (``Grid.from_poly``).
     """
     n = len(coeffs) - 1
     moments.extend(lo - n, hi)
     window = [moments.w(k) for k in range(lo - n, hi + 1)]
     sums = conv_fixed(coeffs, window, n, n + hi - lo + 1)
-    return OffsetSeries.from_poly(OffsetSeries(0, sums.re, sums.im, sums.exp))
+    return Grid.from_poly(Grid(sums.re, sums.im, sums.exp))
 
 
 def epsilon_from_determinant(moments: MomentSequence, phi_coeffs,
-                             truncation: int) -> OffsetSeries:
+                             truncation: int) -> Grid:
     """Interior expansion of eps_n up to z^truncation.
 
     For n >= 1 the coefficients below z^n vanish by orthogonality (kept: they
@@ -200,21 +201,21 @@ def epsilon_from_determinant(moments: MomentSequence, phi_coeffs,
     normalisation.
     """
     s = _pairings(moments, phi_coeffs, 0, truncation)
-    return OffsetSeries(0, s.re, s.im, s.exp + 1)          # 2 <phi_n, m>
+    return Grid(s.re, s.im, s.exp + 1)                 # 2 <phi_n, m>
 
 
 def epsilonstar_from_determinant(moments: MomentSequence, phibar_coeffs,
-                                 truncation: int) -> OffsetSeries:
+                                 truncation: int) -> Grid:
     """Interior expansion of epsstar_n (starts at z^{n+1}) up to
     z^truncation."""
     n = len(phibar_coeffs) - 1
     nterms = truncation - n
     if nterms < 1:
-        return OffsetSeries(n + 1, [], [])
+        return Grid([], [], 0, n + 1)
     s = _pairings(ReflectedMoments(moments), phibar_coeffs, -nterms, -1)
     # -2 <m-bar, phibar_n> for m = nterms .. 1, reversed to ascending powers
-    return OffsetSeries(n + 1, [-v for v in reversed(s.re)],
-                        [-v for v in reversed(s.im)], s.exp + 1)
+    return Grid([-v for v in reversed(s.re)], [-v for v in reversed(s.im)],
+                s.exp + 1, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +377,7 @@ class ToeplitzOracle:
         return lev
 
     @_query
-    def eps_series(self, n: int, truncation: int) -> OffsetSeries:
+    def eps_series(self, n: int, truncation: int) -> Grid:
         got = self._eps.get(n)
         if got is None or got.top < truncation:
             got = epsilon_from_determinant(self.moments, self.level(n).phi,
@@ -385,7 +386,7 @@ class ToeplitzOracle:
         return got
 
     @_query
-    def epsstar_series(self, n: int, truncation: int) -> OffsetSeries:
+    def epsstar_series(self, n: int, truncation: int) -> Grid:
         got = self._epsstar.get(n)
         if got is None or got.top < truncation:
             got = epsilonstar_from_determinant(
@@ -452,16 +453,16 @@ def casoratian_residuals(oracle: ToeplitzOracle, n: int,
             worst = largest_abs(got)
             out[label] = worst / scale if scale > 0 else worst
 
-        a = eps_n.mul_poly(lev_n1.phi, top).add(
-            eps_n1.mul_poly(lev_n.phi, top).scale(-1))
+        a = eps_n.mul_poly(lev_n1.phi, top) - \
+            eps_n1.mul_poly(lev_n.phi, top)
         finish("Cas:a", a, n, 2 * lev_n1.phi0 / lev_n.kappa)
 
-        b = est_n.mul_poly(lev_n1.phistar, top).add(
-            est_n1.mul_poly(lev_n.phistar, top).scale(-1))
+        b = est_n.mul_poly(lev_n1.phistar, top) - \
+            est_n1.mul_poly(lev_n.phistar, top)
         finish("Cas:b", b, n + 1, 2 * lev_n1.phibar0 / lev_n.kappa)
 
-        c = est_n.mul_poly(lev_n.phi, top).add(
-            eps_n.mul_poly(lev_n.phistar, top))
+        c = est_n.mul_poly(lev_n.phi, top) + \
+            eps_n.mul_poly(lev_n.phistar, top)
         finish("Cas:c", c, n, mpc(2))
 
         return out

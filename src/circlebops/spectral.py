@@ -15,24 +15,25 @@ Extraction works through the exact series inversions
 (and three companions), evaluated as truncated-series products of oracle
 data, regrouped so that each eps-series meets one polynomial formed first,
 e.g. eps_n (W phi_n' + 2V phi_n) - eps_n' (W phi_n) for the form above.
-The forms stay in the integers of ``polys.OffsetSeries``: W, V and the
-phi-polynomials go on grids once, at the oracle's precision ``prec`` (the
-eps-series' own), their products are exact, each formed polynomial is put
-on its grid once (``prec`` + 16 bits below its largest coefficient), and
-each output is rounded once, at ``prec``, when the band is read: the whole
-extraction runs in the oracle's one context (``ToeplitzOracle.precision``).
-Every series coefficient outside the band [z^n, z^(n+deg)] must vanish; the
-out-of-band maximum, measured on exact squared magnitudes against the
-largest coefficient of the form, is recorded and doubles as a correctness
-alarm for the whole pipeline (it is the degree-bound check), judged at the
-working precision.
+The forms stay in the integers of ``report.Grid`` on its spectral policy:
+W, V and the phi-polynomials go on grids once, at the oracle's precision
+``prec`` (the eps-series' own), their products are exact, each formed
+polynomial is put on its grid once (``prec`` + 16 bits below its largest
+coefficient, ``Grid.from_poly``), and each output is rounded once, at
+``prec``, when the band is read: the whole extraction runs in the oracle's
+one context (``ToeplitzOracle.precision``).  Every series coefficient
+outside the band [z^n, z^(n+deg)] must vanish; the out-of-band maximum,
+measured on exact squared magnitudes against the largest coefficient of the
+form and rounded once (``report.sqrt_ratio``), is recorded and doubles as a
+correctness alarm for the whole pipeline (it is the degree-bound check),
+judged at the working precision.
 
 The rest of the module turns the coupled recurrences, transition identities,
 bilinear evaluations, summation identities, scalar ODE data and deformation
 (Schlesinger) equations into residual reports.  The checks read point values
 from tables: ``SpectralData`` (per level) and ``SpectralWorkspace`` (for W,
 V and their derivatives) put each polynomial on its exact grid
-(``report.Grid``, derivatives taken on the grid) once and evaluate it once
+(``Grid.of``, derivatives taken on the grid) once and evaluate it once
 per point by ``polys.peval_grid``, Horner's rule in integers with one
 rounding per part.  Every entry is keyed by the working precision, so a
 value cached at one precision never serves another.  The coefficient
@@ -51,10 +52,10 @@ from .bops import BopsLevel, ToeplitzOracle
 from .errors import (DegreeBoundViolated, EvaluationAtRootOfTheta,
                      SamplePointOnSingularity, SingularityCollision)
 from .mputil import sample_points, to_mpc
-from .polys import (OffsetSeries, padd, pdiff, peval_grid, pmul, pscale,
-                    pshift, psub, ptrim, pdeg, pmax_abs)
+from .polys import (padd, pdiff, peval_grid, pmul, pscale, pshift, psub,
+                    ptrim, pdeg, pmax_abs)
 from .report import (CheckResult, Grid, largest_abs, rel_error, rel_residual,
-                     vector_residual)
+                     sqrt_ratio, vector_residual)
 from .weights import PolyPair
 
 
@@ -115,18 +116,17 @@ def band_tolerance() -> mpf:
     return mpf(10) ** (-(mp.prec // 4) + 2)
 
 
-def _extract_band(series: OffsetSeries, lo: int, deg: int, factor: mpc):
+def _extract_band(series: Grid, lo: int, deg: int, factor: mpc):
     """Divide by the known prefactor and split in-band / out-of-band mass."""
     inv = 1 / factor
     coeffs = [c * inv for c in series.window(lo, lo + deg)]
     # custom scale: the out-of-band mass against the whole series' largest,
-    # compared as exact squared magnitudes on the series' grid
+    # compared as exact squared magnitudes on the series' grid and rounded
+    # once
     sq = [x * x + y * y for x, y in zip(series.re, series.im)]
     band = range(lo - series.offset, lo + deg - series.offset + 1)
     worst = max((v for k, v in enumerate(sq) if k not in band), default=0)
-    scale = max(sq, default=0)
-    rel = mpmath.sqrt(mpf(worst) / scale) if scale else mpf(0)
-    return coeffs, rel
+    return coeffs, sqrt_ratio(worst, max(sq, default=0), 0)
 
 
 def spectral_from_oracle(oracle: ToeplitzOracle, pair: PolyPair, n: int,
@@ -157,24 +157,22 @@ def _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm):
     # W p0' + 2V p0 = (W p0)' + D p0 and W p0' + V p0 = that - V p0
     def forms(e0, e1, p0, p1):
         de0 = e0.diff()
-        p0, p1 = OffsetSeries.from_poly(p0), OffsetSeries.from_poly(p1)
+        p0, p1 = Grid.from_poly(p0), Grid.from_poly(p1)
         Wp0 = times(Wg, p0)
-        f_theta = Wp0.diff().add(times(Dg, p0))
-        f_omega = f_theta.add(times(Vg, p0).scale(-1))
-        theta = e0.mul_poly(f_theta, top).add(
-            de0.mul_poly(Wp0, top).scale(-1))
-        omega = e1.mul_poly(f_omega, top).add(
-            de0.mul_poly(times(Wg, p1), top).scale(-1)).add(
-            e0.mul_poly(times(Vg, p1), top))
+        f_theta = Wp0.diff() + times(Dg, p0)
+        f_omega = f_theta - times(Vg, p0)
+        theta = e0.mul_poly(f_theta, top) - de0.mul_poly(Wp0, top)
+        omega = e1.mul_poly(f_omega, top) - \
+            de0.mul_poly(times(Wg, p1), top) + e0.mul_poly(times(Vg, p1), top)
         return theta, omega
 
     def times(a, b):
         return a.mul_poly(b, len(a) + len(b) - 2)
 
     V2 = pair.V2_mpc()
-    Wg, Vg = (OffsetSeries.from_poly(p) for p in
+    Wg, Vg = (Grid.from_poly(p) for p in
               (pair.W_mpc(), pscale(V2, mpf("0.5"))))
-    Dg = OffsetSeries.from_poly(V2).add(Wg.diff().scale(-1))
+    Dg = Grid.from_poly(V2) - Wg.diff()
     r_theta, r_omega = forms(eps_n, eps_n1, lev_n.phi, lev_n1.phi)
     # the starred pair is the negated pair of forms in (epsstar, phistar):
     # 2 (phibar0_{n+1}/kappa_n) z^{n+1} (Thetastar_n, Omegastar_n)

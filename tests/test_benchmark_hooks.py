@@ -69,10 +69,13 @@ def _traced_verify(tmp_path, config_data) -> dict:
 
 
 def test_layer_tracer_reaches_spectral_polys_and_eps(tmp_path):
+    """The spectral work of CONFIG, counted exactly: the extraction's and
+    the Casoratian checks' series products, and the products that
+    ``_mul_poly_mults`` reads from the lengths of their operands."""
     metrics = _traced_verify(tmp_path, CONFIG)
-    assert metrics["spectral.extract.calls"] > 0
-    assert metrics["polys.mul_poly.calls"] > 0
-    assert metrics["polys.mul_poly.mults"] > 0
+    assert metrics["spectral.extract.calls"] == 6
+    assert metrics["polys.mul_poly.calls"] == 150
+    assert metrics["polys.mul_poly.mults"] == 5169
     assert metrics["bops.eps.s"] > 0
 
 

@@ -1,4 +1,5 @@
-"""The integer-mantissa series, its convolution kernel and the eps-series."""
+"""The integer-mantissa series (``polys.OffsetSeries``, which is
+``report.Grid``), its convolution kernel and the eps-series."""
 
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero
 
 from conftest import (random_canonical_case, standard_case_m3,
                       standard_case_m4, standard_case_m5)
@@ -15,7 +17,7 @@ from circlebops.bops import ToeplitzOracle, pairing_first
 from circlebops.exact import QC
 from circlebops.moments import MomentSequence, ReflectedMoments
 from circlebops.mputil import guarded, to_mpc, working_precision
-from circlebops.polys import OffsetSeries, _on_grid, conv_fixed, pmul
+from circlebops.polys import OffsetSeries, conv_fixed, pmul
 from circlebops.weights import build_poly_pair
 
 
@@ -68,7 +70,7 @@ def _exact_series(offset: int, vec) -> OffsetSeries:
     parts = [p for x in vec for p in _parts(x)]
     exp = -max((p.denominator.bit_length() - 1 for p in parts), default=0)
     ints = [int(p * Fraction(2) ** -exp) for p in parts]
-    return OffsetSeries(offset, ints[0::2], ints[1::2], exp)
+    return OffsetSeries(ints[0::2], ints[1::2], exp, offset)
 
 
 def _values(s: OffsetSeries) -> dict:
@@ -162,7 +164,7 @@ def test_mul_poly_truncation():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_integer_series_are_exact_on_dyadic_inputs(seed):
-    """mul_poly, add, scale and diff against exact QC arithmetic, with
+    """mul_poly, +, -, shift and diff against exact QC arithmetic, with
     zeros, offsets and truncation; every input fits its grid, so nothing
     may round."""
     rng = random.Random(seed)
@@ -178,9 +180,11 @@ def test_integer_series_are_exact_on_dyadic_inputs(seed):
     total = {k: (0, 0) for k in range(min(oa, ob), max(sa.top, sb.top) + 1)}
     for k, (x, y) in list(_values(sa).items()) + list(_values(sb).items()):
         total[k] = (total[k][0] + x, total[k][1] + y)
-    assert _values(sa.add(sb)) == total
-    assert _values(sa.scale(-3)) == {k: (-3 * x, -3 * y) for k, (x, y)
-                                     in _values(sa).items()}
+    assert _values(sa + sb) == total
+    assert _values(-sa) == {k: (-x, -y) for k, (x, y) in _values(sa).items()}
+    assert _values(sa.shift(2)) == {**{oa: (0, 0), oa + 1: (0, 0)},
+                                    **{k + 2: v for k, v in
+                                       _values(sa).items()}}
     slope = {k - 1: (k * x, k * y) for k, (x, y) in _values(sa).items() if k}
     assert _values(sa.diff()) == (slope if oa or len(a) > 1
                                   else {0: (0, 0)})
@@ -190,14 +194,14 @@ def test_a_read_rounds_once_at_the_readers_precision():
     with working_precision(128):
         a = 1 + mpf(2) ** -70
         s = OffsetSeries.from_poly([a])
-        built = s.mul_poly([a], 0).add(s.mul_poly([1], 0).scale(-1))
+        built = s.mul_poly([a], 0) - s.mul_poly([1], 0)
         # a (a - 1) = 2^-70 + 2^-140 exactly; rounding a^2 first loses 2^-140
         assert built.coeff(0) == mpf(2) ** -70 + mpf(2) ** -140
         assert a * a - a == mpf(2) ** -70
     rng = random.Random(5)
     re = [rng.getrandbits(400) - 2 ** 399 for _ in range(8)]
     im = [rng.getrandbits(300) - 2 ** 299 for _ in range(8)]
-    s = OffsetSeries(3, re, im, -450)
+    s = OffsetSeries(re, im, -450, 3)
     for bits in (53, 128, 192):
         with working_precision(bits):
             want = [mpc(mpmath.ldexp(mpf(x), -450), mpmath.ldexp(mpf(y), -450))
@@ -218,17 +222,135 @@ def test_a_series_goes_on_a_grid_by_the_rule_of_its_coefficients():
           for _ in range(9)] + [0]
     im = [rng.getrandbits(rng.randint(1, 200)) * rng.choice((-1, 1))
           for _ in range(10)]
-    s = OffsetSeries(0, re, im, -37)
+    s = OffsetSeries(re, im, -37)
     with working_precision(400):
         images = list(s.coeffs)                # exact at 400 bits
-    for bits in (60, 144):
-        assert _on_grid(s, bits) == _on_grid(images, bits)
-    assert _on_grid(s, 250) == (re, im, -37)
-    assert _on_grid(OffsetSeries(0, [0, 0], [0, 0]), 144) is None
-    shifted = OffsetSeries(2, re, im, -37)
+    for prec in (60, 128):
+        with working_precision(prec):
+            assert _values(OffsetSeries.from_poly(s)) == \
+                _values(OffsetSeries.from_poly(images))
+    with working_precision(234):            # a grid 250 bits deep
+        kept = OffsetSeries.from_poly(s)
+        assert (kept.re, kept.im, kept.exp) == (re, im, -37)
+        zero = OffsetSeries.from_poly(OffsetSeries([0, 0], [0, 0], 0))
+        assert _values(zero) == {0: (0, 0), 1: (0, 0)}
+    shifted = OffsetSeries(re, im, -37, 2)
     for use in (OffsetSeries.from_poly, lambda p: s.mul_poly(p, 20)):
         with pytest.raises(ValueError, match="z\\^0"):
             use(shifted)
+
+
+# -- the one grid type against frozen copies of the two it replaced -----------
+
+def _old_on_grid(vec, bits: int):
+    """Frozen reference: the former spectral converter's rule for a list of
+    finite scalars, (re, im, exp) with exp ``bits`` below the top bit of the
+    largest part and each part rounded to nearest, ties away from zero; None
+    for an all-zero vector."""
+    parts = []
+    for x in vec:
+        if isinstance(x, mpc):
+            parts.extend(x._mpc_)
+        elif isinstance(x, mpf):
+            parts.extend((x._mpf_, fzero))
+        else:
+            parts.extend(to_mpc(x)._mpc_)
+    tops = [e + bc for _, man, e, bc in parts if man]
+    if not tops:
+        return None
+    exp = max(tops) - bits
+    ints = []
+    for sign, man, e, _ in parts:
+        shift = e - exp
+        if shift >= 0:
+            v = man << shift
+        else:
+            v = (man + (1 << (-shift - 1))) >> -shift
+        ints.append(-v if sign else v)
+    return ints[0::2], ints[1::2], exp
+
+
+def _old_add(a, b):
+    """Frozen reference: the former exact sum of two series, each given as
+    (offset, re, im, exp)."""
+    off, exp = min(a[0], b[0]), min(a[3], b[3])
+    size = max(s[0] + len(s[1]) for s in (a, b)) - off
+    re, im = [0] * size, [0] * size
+    for offset, sre, sim, sexp in (a, b):
+        shift = sexp - exp
+        for k, (x, y) in enumerate(zip(sre, sim), offset - off):
+            re[k] += x << shift
+            im[k] += y << shift
+    return OffsetSeries(re, im, exp, off)
+
+
+def _part(draw, top: int) -> mpf:
+    man = draw(st.integers(-2 ** 200, 2 ** 200))
+    with working_precision(256):
+        return mpf(man) * mpf(2) ** (top - abs(man).bit_length())
+
+
+@st.composite
+def _spread_vectors(draw):
+    """mpc, mpf, int and zero entries whose parts have top bits from about
+    2^60 down to 2^-520: more than 2 prec + 64 bits apart at 192 bits."""
+    vec = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("mpc", "mpc", "mpf", "int", "zero")))
+        if kind == "int":
+            vec.append(draw(st.integers(-2 ** 100, 2 ** 100)))
+        elif kind == "zero":
+            vec.append(draw(st.sampled_from((0, mpf(0), mpc(0)))))
+        else:
+            re, im = (_part(draw, draw(st.integers(-520, 60)))
+                      for _ in range(2))
+            vec.append(re if kind == "mpf" else mpc(re, im))
+    for top in (draw(st.integers(40, 60)), draw(st.integers(-520, -460))):
+        vec.insert(draw(st.integers(0, len(vec))),
+                   mpc(_part(draw, top), _part(draw, top - 3)))
+    return vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spread_vectors())
+def test_the_spectral_grid_rounds_as_the_former_converter(vec):
+    """``from_poly`` (exact ``Grid.of``, whose cap may round a far part
+    first, then the regrid prec + 16 bits below the largest) gives the
+    former converter's values bit for bit."""
+    for bits in (128, 192):
+        with working_precision(bits):
+            got = OffsetSeries.from_poly(vec)
+            old = _old_on_grid(vec, bits + 16)
+        want = (OffsetSeries(*old) if old else
+                OffsetSeries([0] * len(vec), [0] * len(vec), 0))
+        assert _values(got) == _values(want)
+
+
+@st.composite
+def _series_pairs(draw):
+    """Two series at offsets 0..6, of up to 200-bit mantissas on exponents
+    at most 100 apart: their top bits lie less than 2 prec + 64 = 320 bits
+    apart at 128 bits."""
+    exp = draw(st.integers(-600, 100))
+    out = []
+    for _ in range(2):
+        size = draw(st.integers(0, 8))
+        mans = st.lists(st.one_of(st.just(0),
+                                  st.integers(-2 ** 200, 2 ** 200)),
+                        min_size=size, max_size=size)
+        out.append((draw(st.integers(0, 6)), draw(mans), draw(mans),
+                    exp + draw(st.integers(-50, 50))))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_series_pairs())
+def test_series_sums_equal_the_former_exact_add(pair):
+    a, b = pair
+    with working_precision(128):
+        got = (OffsetSeries(a[1], a[2], a[3], a[0]) +
+               OffsetSeries(b[1], b[2], b[3], b[0]))
+    assert _values(got) == _values(_old_add(a, b))
 
 
 # ---------------------------------------------------------------------------

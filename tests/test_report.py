@@ -278,7 +278,8 @@ def test_non_finite_terms_fail_their_check():
             for resid in (rel_residual([mpc(1), bad]),
                           vector_residual([[mpc(1)], [0, bad]]),
                           vector_residual([(bad, [mpc(1)]), [mpc(-1)]]),
-                          rel_error(bad, mpc(1)), rel_error([mpc(1)], [bad])):
+                          rel_error(bad, mpc(1)), rel_error([mpc(1)], [bad]),
+                          largest_abs([mpc(1), bad])):
                 assert resid == mpf("inf")
                 assert not CheckResult.make("x", resid, 1e-20).passed
 
