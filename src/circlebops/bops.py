@@ -61,7 +61,7 @@ from .errors import DegenerateDeterminant
 from .moments import MomentSequence, ReflectedMoments
 from .mputil import guarded, lu_det, lu_solve, to_mpc
 from .polys import conv_fixed
-from .report import Grid, largest_abs
+from .report import Grid, largest_abs, ratio
 
 
 @dataclass
@@ -448,10 +448,9 @@ def casoratian_residuals(oracle: ToeplitzOracle, n: int,
             lo, hi = min(built.offset, mono_pow), max(built.top, mono_pow)
             got = built.window(lo, hi)
             # custom scale: the largest built coefficient or the monomial
-            scale = max(largest_abs(got), abs(mono_coeff))
+            scale = largest_abs(got)
             got[mono_pow - lo] -= mono_coeff
-            worst = largest_abs(got)
-            out[label] = worst / scale if scale > 0 else worst
+            out[label] = ratio(largest_abs(got), scale, abs(mono_coeff))
 
         a = eps_n.mul_poly(lev_n1.phi, top) - \
             eps_n1.mul_poly(lev_n.phi, top)

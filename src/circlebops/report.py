@@ -48,7 +48,9 @@ max(scale^2, floor^2)) is rounded once, to nearest at mp.prec
 Custom scales are mostly a ``largest_abs``: exact squared magnitudes on one
 grid find the largest term, and abs() is taken only of that term and its
 near-ties, which gives max(abs(t) for t in terms) bit for bit; a
-non-finite term gives +inf.
+non-finite term gives +inf.  ``ratio`` divides a residual by such a scale
+and gives +inf when either is not finite, where inf/inf would be a nan that
+max() and the tolerance comparisons drop.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import add, mul, sub
 
-from mpmath import mp, mpc, mpf
+from mpmath import isfinite, mp, mpc, mpf
 from mpmath.libmp import from_int, from_man_exp, fzero, round_nearest
 
 from .mputil import exceeds, to_mpc
@@ -368,6 +370,19 @@ def largest_abs(terms) -> mpf:
     top, prec = max(sq, default=0), mp.prec
     return max((abs(t) for t, s in zip(terms, sq) if (top - s) << prec <= top),
                default=mpf(0))
+
+
+def ratio(x, *scales) -> mpf:
+    """x / max(scales), a residual against a custom scale, or 0 when every
+    scale vanishes; +inf if x or a scale is not finite.
+
+    A non-finite scale (from ``largest_abs``) would otherwise give inf/inf
+    = nan, which max() and the comparisons silently drop.
+    """
+    if not all(map(isfinite, (x,) + scales)):
+        return mpf("inf")
+    scale = max(scales)
+    return x / scale if scale > 0 else mpf(0)
 
 
 def _sq(x: int, y: int) -> int:

@@ -54,8 +54,8 @@ from .errors import (DegreeBoundViolated, EvaluationAtRootOfTheta,
 from .mputil import sample_points, to_mpc
 from .polys import (padd, pdiff, peval_grid, pmul, pscale, pshift, psub,
                     ptrim, pdeg, pmax_abs)
-from .report import (CheckResult, Grid, largest_abs, rel_error, rel_residual,
-                     sqrt_ratio, vector_residual)
+from .report import (CheckResult, Grid, largest_abs, ratio, rel_error,
+                     rel_residual, sqrt_ratio, vector_residual)
 from .weights import PolyPair
 
 
@@ -321,26 +321,26 @@ def residue_structure_checks(ws: SpectralWorkspace, n: int, tol) -> list:
     zs = ws.singularities()
     rhos = ws.residues()
     # custom scale for An:res0, An:resInfty and An:trace: the largest entry
-    # of all the level's residue matrices
-    scale = max(_mat_scale(mats), mpf(1))
+    # of all the level's residue matrices, at least 1
+    scale = (_mat_scale(mats), mpf(1))
     out = []
 
     rho0 = rhos[0]
     want0 = [[(n - rho0), -(n - rho0) * lev.r], [mpc(0), mpc(0)]]
     d0 = largest_abs([mats[0][i][j] - want0[i][j]
                       for i in range(2) for j in range(2)])
-    out.append(CheckResult.make("An:res0", d0 / scale, tol, n))
+    out.append(CheckResult.make("An:res0", ratio(d0, *scale), tol, n))
 
     rho_sum = sum(rhos)
     wantinf = [[mpc(-n), mpc(0)],
                [-(n + rho_sum) * lev.rbar, rho_sum]]
     dinf = largest_abs([ainf[i][j] - wantinf[i][j]
                         for i in range(2) for j in range(2)])
-    out.append(CheckResult.make("An:resInfty", dinf / scale, tol, n))
+    out.append(CheckResult.make("An:resInfty", ratio(dinf, *scale), tol, n))
 
     worst_tr = largest_abs([mats[j][0][0] + mats[j][1][1] + rhos[j]
                             for j in range(1, len(zs))])
-    out.append(CheckResult.make("An:trace", worst_tr / scale, tol, n,
+    out.append(CheckResult.make("An:trace", ratio(worst_tr, *scale), tol, n,
                                 note="Tr A_{n,j} = -rho_j at nonzero points"))
 
     pts = sample_points(3, avoid=zs, seed=17 + n)
@@ -498,8 +498,8 @@ def check_transitions(ws: SpectralWorkspace, n: int, tol, npoints: int = 5,
         # inside b2; measure against the pre-cancellation magnitudes
         s1 = largest_abs([om, Vz, kzth])
         s2 = max(s1, abs(n * woz))
-        sb = max(abs(lhs), s1 * s2 / abs(th)) if th != 0 else abs(lhs)
-        worst_b = max(worst_b, abs(lhs - rhs) / sb if sb > 0 else mpf(0))
+        sb = (abs(lhs), s1 * s2 / abs(th)) if th != 0 else (abs(lhs),)
+        worst_b = max(worst_b, ratio(abs(lhs - rhs), *sb))
     out.append(CheckResult.make("Tform:a", worst_a, tol, n))
     out.append(CheckResult.make("Tform:b", worst_b, tol, n))
     return out
@@ -898,13 +898,11 @@ def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol, npoints: int = 10,
         v, vs, dv, dvs, ddv, ddvs = (vals[k] for k in first)
         # custom scale: p2 judged against its pieces, not their sum
         terms = [ddv, d["p1"] * dv, d["p2"] * v]
-        scale = max(largest_abs(terms[:2]), d["p2_scale"] * abs(v))
-        if scale > 0:
-            worst = max(worst, abs(sum(terms)) / scale)
+        worst = max(worst, ratio(abs(sum(terms)), largest_abs(terms[:2]),
+                                 d["p2_scale"] * abs(v)))
         terms = [ddvs, d["p1s"] * dvs, d["p2s"] * vs]
-        scale = max(largest_abs(terms[:2]), d["p2s_scale"] * abs(vs))
-        if scale > 0:
-            worst_s = max(worst_s, abs(sum(terms)) / scale)
+        worst_s = max(worst_s, ratio(abs(sum(terms)), largest_abs(terms[:2]),
+                                     d["p2s_scale"] * abs(vs)))
     return [CheckResult.make("2ODE:a", worst, tol, n),
             CheckResult.make("2ODE:b", worst_s, tol, n)]
 
@@ -931,7 +929,7 @@ def p2_asymptotic_constant(ws: SpectralWorkspace, n: int) -> mpc:
     num = ptrim(num)
     den = ptrim(den)
     if pdeg(num) > pdeg(den) - 2:
-        extra = pmax_abs(num[pdeg(den) - 1:]) / pmax_abs(num)
+        extra = ratio(pmax_abs(num[pdeg(den) - 1:]), pmax_abs(num))
         if extra > band_tolerance():
             raise DegreeBoundViolated("p2 does not decay like z^-2")
         num = num[:pdeg(den) - 1]

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_float, from_int
 
+from conftest import make_workspace, standard_case_m3
+from circlebops import spectral
 from circlebops.mputil import working_precision
-from circlebops.report import (CheckResult, Grid, largest_abs, rel_error,
-                               rel_residual, vector_residual)
+from circlebops.report import (CheckResult, Grid, largest_abs, ratio,
+                               rel_error, rel_residual, vector_residual)
 
 
 def test_first_term_is_not_rounded():
@@ -272,16 +274,31 @@ def test_measures_are_the_exact_value_rounded_once(terms, floor, cut, mult):
         assert _bits(g) == _bits(w)
 
 
-def test_non_finite_terms_fail_their_check():
+def test_non_finite_terms_fail_their_check(monkeypatch):
     with working_precision(128):
         for bad in (mpf("nan"), mpf("inf"), mpc(1, mpf("-inf"))):
             for resid in (rel_residual([mpc(1), bad]),
                           vector_residual([[mpc(1)], [0, bad]]),
                           vector_residual([(bad, [mpc(1)]), [mpc(-1)]]),
                           rel_error(bad, mpc(1)), rel_error([mpc(1)], [bad]),
-                          largest_abs([mpc(1), bad])):
+                          largest_abs([mpc(1), bad]),
+                          ratio(mpf(1), largest_abs([mpc(1), bad])),
+                          ratio(abs(bad), mpf(1))):
                 assert resid == mpf("inf")
                 assert not CheckResult.make("x", resid, 1e-20).passed
+        # checks with a custom scale: an infinite term makes the scale
+        # infinite too, and inf/inf = nan must not pass as a residual
+        ws = make_workspace(*standard_case_m3())
+        data, at = spectral.scalar_ode_data, spectral.SpectralWorkspace.at
+        monkeypatch.setattr(spectral, "scalar_ode_data", lambda *a: {
+            **data(*a), "p1": mpf("inf")})
+        monkeypatch.setattr(spectral.SpectralWorkspace, "at", lambda ws, f, z:
+                            mpf("inf") if f == "V" else at(ws, f, z))
+        for check, label in ((spectral.scalar_ode_residuals, "2ODE:a"),
+                             (spectral.check_transitions, "Tform:b")):
+            got, = [r for r in check(ws, 2, 1e-25) if r.label == label]
+            assert got.residual == mpf("inf")
+            assert not got.passed
 
 
 def test_a_grid_is_capped_below_its_largest_term():
