@@ -437,10 +437,12 @@ def casoratian_residuals(oracle: ToeplitzOracle, n: int,
         lev_n = oracle.level(n)
         lev_n1 = oracle.level(n + 1)
         top = 2 * n + 2 + extra_terms
+        # level n+1's series at that level's truncation, as the extraction
+        # asks for them: one formation per level
         eps_n = oracle.eps_series(n, top)
-        eps_n1 = oracle.eps_series(n + 1, top)
+        eps_n1 = oracle.eps_series(n + 1, top + 2)
         est_n = oracle.epsstar_series(n, top)
-        est_n1 = oracle.epsstar_series(n + 1, top)
+        est_n1 = oracle.epsstar_series(n + 1, top + 2)
 
         out = {}
 

@@ -152,13 +152,13 @@ def build_weight_from_config(cfg: RunConfig) -> WeightData:
 def build_workspace(cfg: RunConfig) -> SpectralWorkspace:
     """Weight + moments + oracle assembled per the configured mode."""
     weight = build_weight_from_config(cfg)
+    if cfg.mode == "rational":
+        from .deform import rational_workspace
+        return rational_workspace(weight)
     pair = build_poly_pair(weight)
     if cfg.mode == "formal":
         seeds = [to_mpc(v) for v in cfg.seed_values]
         ms = MomentSequence.from_seeds(pair, cfg.seed_start, seeds)
-    elif cfg.mode == "rational":
-        from .deform import rational_workspace
-        return rational_workspace(weight)
     else:
         order = pair.M - 1 if not pair.W[0] else pair.M
         kmin = cfg.seed_start

@@ -10,6 +10,16 @@ obtained from exactness of d/dz [ z^{-j} W w ] under the contour integral
 When the origin is singular W_0 = 0 and the equation shortens by one order,
 leaving M - 1 free seed values; otherwise the order is M.
 
+A sequence puts the exact W and 2V on one common denominator D once
+(``integer_rows``), so the row at j is D g_k(j) = a_k - j b_k with a_k,
+b_k Gaussian integers; the equation is homogeneous and D cancels from each
+step.  A step then refuses a pivot at or below its relative floor,
+|g_pivot| <= floor max_k |g_k|, compared as exact integer squares, forms
+the sum of the row against the window as one exact dot product in
+integers, and divides once, rounding each part of the quotient once at the
+sequence's precision.  The exact (Gaussian-rational) path uses the same
+integer rows.
+
 Two constructors populate a sequence:
 
 * ``from_seeds``       - formal mode, arbitrary seed values, recurrence both
@@ -19,15 +29,21 @@ Two constructors populate a sequence:
 Weights whose residues are all negative integers have moments that are
 finite residue sums, ``rational_weight_moments``, exact to working precision;
 ``deform.rational_workspace`` seeds a sequence from them for the
-finite-difference deformation checks.
+finite-difference deformation checks.  Per pole on or outside the circle,
+the constant and the local Taylor series of the other factors do not depend
+on k and are formed once; each k then costs O(q) with an exact integer
+binomial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .errors import (NonConvergent, SingularStep, WindowTooSmall,
                      NotSingleValued)
@@ -44,50 +60,69 @@ BACKWARD_PIVOT_FLOOR = 1e-3
 FORWARD_PIVOT_FLOOR = 1e-12
 
 
+def integer_rows(pair: PolyPair) -> tuple:
+    """(D, a, b): the rows of the difference equation on one denominator.
+
+    D is the least common denominator of the exact coefficients of W and
+    2V, and D g_k(j) = a_k - j b_k with a_k = k D W_k + D (2V)_{k-1} and
+    b_k = D W_k Gaussian integers, each given as its (re, im) int lists.
+    The equation is homogeneous, so D cancels from every step.
+    """
+    D = math.lcm(*(x.denominator for c in pair.W + pair.V2
+                   for x in (c.re, c.im)))
+
+    def scaled(parts):
+        return [int(x * D) for x in parts]
+
+    br, bi = scaled(c.re for c in pair.W), scaled(c.im for c in pair.W)
+    vr = [0] + scaled(c.re for c in pair.V2)
+    vi = [0] + scaled(c.im for c in pair.V2)
+    return (D, [k * b + v for k, (b, v) in enumerate(zip(br, vr))],
+            [k * b + v for k, (b, v) in enumerate(zip(bi, vi))], br, bi)
+
+
 def recurrence_row(pair: PolyPair, j, exact: bool = False):
-    """Coefficients g_0..g_M of the difference equation at index j.
+    """Coefficients g_0..g_M of the difference equation at index j, from
+    the integer rows.
 
     Works over mpc (default) or exactly over Gaussian rationals.
     """
-    W = list(pair.W) if exact else pair.W_mpc()
-    V2 = list(pair.V2) if exact else pair.V2_mpc()
-    M = pair.M
-    row = []
-    for k in range(M + 1):
-        g = (k - j) * W[k]
-        if k >= 1:
-            g = g + V2[k - 1]
-        row.append(g)
-    return row
+    D, ar, ai, br, bi = integer_rows(pair)
+    row = [QC(Fraction(x - j * u, D), Fraction(y - j * v, D))
+           for x, y, u, v in zip(ar, ai, br, bi)]
+    return row if exact else [to_mpc(g) for g in row]
 
 
 def _is_canonical_origin(pair: PolyPair) -> bool:
     return not pair.W[0]
 
 
-def _solve_step(row, known, pivot_index, j, floor_rel):
-    """Solve the equation sum_k row[k] * w_{j-k} = 0 for the pivot moment."""
-    exact = isinstance(row[pivot_index], QC)
-    if exact:
-        if row[pivot_index].is_zero():
-            raise SingularStep("exact resonance: pivot vanished", index=j,
-                               factor=f"g_{pivot_index}", value=0)
-    else:
-        scale = max(abs(g) for g in row)
-        if abs(row[pivot_index]) <= floor_rel * scale:
-            raise SingularStep(
-                f"resonant step at j={j}: pivot g_{pivot_index} below floor",
-                index=j, factor=f"g_{pivot_index}",
-                value=row[pivot_index])
-    acc = None
-    for k, g in enumerate(row):
-        if k == pivot_index or not g:
-            continue
-        term = g * known[k]
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = 0 * row[pivot_index]
-    return -acc / row[pivot_index]
+def _rounded_quotient(terms, pr: int, pi: int) -> mpc:
+    """-(sum_k g_k v_k) / (pr + i pi) for Gaussian-integer g_k and mpc v_k.
+
+    The sum is exact in integers, on the finest binary exponent of the
+    v_k; the quotient N / p = N conj(p) / |p|^2 is then rounded once per
+    part, to nearest at mp.prec.  A non-finite v_k takes the mpc route.
+    """
+    parts = [(gr, gi, *v._mpc_) for gr, gi, v in terms]
+    fields = [f for *_, x, y in parts for f in (x, y)]
+    if any(not man and e for _, man, e, _ in fields):     # inf or nan
+        return -mpmath.fsum(mpc(gr, gi) * mp.make_mpc((x, y))
+                            for gr, gi, x, y in parts) / mpc(pr, pi)
+    lo = min((e for _, man, e, _ in fields if man), default=0)
+    sr = si = 0
+    for gr, gi, (s1, m1, e1, _), (s2, m2, e2, _) in parts:
+        x = (-m1 if s1 else m1) << (e1 - lo) if m1 else 0
+        y = (-m2 if s2 else m2) << (e2 - lo) if m2 else 0
+        sr += gr * x - gi * y
+        si += gr * y + gi * x
+    den = from_int(pr * pr + pi * pi)
+    prec = mp.prec
+    return mp.make_mpc((
+        mpf_div(from_man_exp(-(sr * pr + si * pi), lo), den, prec,
+                round_nearest),
+        mpf_div(from_man_exp(sr * pi - si * pr, lo), den, prec,
+                round_nearest)))
 
 
 @dataclass
@@ -106,6 +141,10 @@ class MomentSequence:
     provenance: str = "seeded"
     exact: bool = False
     prec: int = field(default_factory=lambda: mp.prec + 2 * GUARD_BITS)
+    _rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._rows = integer_rows(self.pair)
 
     @property
     def k_min(self) -> int:
@@ -157,33 +196,47 @@ class MomentSequence:
         top = self.k_max + 1
         canonical = _is_canonical_origin(self.pair)
         j = top + 1 if canonical else top
-        pivot = 1 if canonical else 0
-        row = recurrence_row(self.pair, j, exact=self.exact)
-        known = {}
-        for k in range(len(row)):
-            if k == pivot or not row[k]:
-                continue
-            idx = j - k
-            if idx not in self.values:
-                raise WindowTooSmall(f"moment {idx} unavailable for step")
-            known[k] = self.values[idx]
-        self.values[top] = _solve_step(row, known, pivot, j,
+        self.values[top] = self._solve(j, 1 if canonical else 0,
                                        FORWARD_PIVOT_FLOOR)
 
     def _step_backward(self) -> None:
         bot = self.k_min - 1
         M = self.pair.M
-        j = bot + M
-        row = recurrence_row(self.pair, j, exact=self.exact)
-        known = {}
-        for k in range(len(row)):
-            if k == M or not row[k]:
+        self.values[bot] = self._solve(bot + M, M, BACKWARD_PIVOT_FLOOR)
+
+    def _solve(self, j: int, pivot: int, floor: float):
+        """The moment w_{j-pivot} from sum_k g_k(j) w_{j-k} = 0, on the
+        integer row D g_k(j) = a_k - j b_k.
+
+        A float sequence refuses a pivot with |g_pivot| <= floor max_k |g_k|,
+        compared as exact squares; an exact one refuses only a zero pivot.
+        """
+        D, ar, ai, br, bi = self._rows
+        row = [(x - j * u, y - j * v) for x, y, u, v in zip(ar, ai, br, bi)]
+        pr, pi = row[pivot]
+        if self.exact:
+            if not (pr or pi):
+                raise SingularStep("exact resonance: pivot vanished",
+                                   index=j, factor=f"g_{pivot}", value=0)
+        else:
+            num, den = floor.as_integer_ratio()
+            if (pr * pr + pi * pi) * den * den <= \
+                    max(x * x + y * y for x, y in row) * num * num:
+                raise SingularStep(
+                    f"resonant step at j={j}: pivot g_{pivot} below floor",
+                    index=j, factor=f"g_{pivot}",
+                    value=QC(Fraction(pr, D), Fraction(pi, D)))
+        terms = []
+        for k, (x, y) in enumerate(row):
+            if k == pivot or not (x or y):
                 continue
-            idx = j - k
-            if idx not in self.values:
-                raise WindowTooSmall(f"moment {idx} unavailable for step")
-            known[k] = self.values[idx]
-        self.values[bot] = _solve_step(row, known, M, j, BACKWARD_PIVOT_FLOOR)
+            if j - k not in self.values:
+                raise WindowTooSmall(f"moment {j - k} unavailable for step")
+            terms.append((x, y, self.values[j - k]))
+        if self.exact:
+            acc = sum((v * QC(x, y) for x, y, v in terms), QC(0))
+            return -acc / QC(pr, pi)
+        return _rounded_quotient(terms, pr, pi)
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -356,10 +409,15 @@ def rational_weight_moments(weight: WeightData, kmin: int, kmax: int) -> dict:
     coefficient w_k (interior poles inside, unit circle outside) is minus the
     residues of w(z) z^(-k-1) at the poles on or outside the circle and at
     infinity.  At z_o the residue is the t^(q_o - 1) coefficient of
-    z_o^(-k-1) (1 + t/z_o)^(-k-1) prod_{j != o} (z_o - z_j + t)^(-q_j); at
-    infinity it is nonzero only for k <= -sum_j q_j.  The sum is finite, so
-    nothing is truncated; it is formed with the guard bits and returned at
-    working precision.
+    z_o^(-k-1) (1 + t/z_o)^(-k-1) C_o B_o(t), with the constant
+    C_o = prod_{j != o} (z_o - z_j)^(-q_j) and the local series
+    B_o(t) = prod_{j != o} (1 + t/(z_o - z_j))^(-q_j), neither of which
+    depends on k: both are formed once per pole, and each k then costs
+    O(q_o), sum_m C(k+m, m) (-1/z_o)^m b_{q_o-1-m} with the binomial an
+    exact integer (a polynomial in k, so k + 1 <= 0 is covered).  At
+    infinity the residue is nonzero only for k <= -sum_j q_j.  The sum is
+    finite, so nothing is truncated; it is formed with the guard bits and
+    returned at working precision.
     """
     if not all(is_negative_int(r) for r in weight.residues):
         raise ValueError("closed-form moments need negative integer residues")
@@ -373,17 +431,31 @@ def rational_weight_moments(weight: WeightData, kmin: int, kmax: int) -> dict:
         # -Res_inf is the z^(total+k) coefficient of prod (1 - z_j/z)^(-q_j)
         tail = _product_series([(z, q) for z, q in zip(zs, qs) if z],
                                max(0, -total - kmin + 1))
+        # per pole: z_o and the terms c_m = C_o (-1/z_o)^m b_{q_o-1-m}
+        local = []
+        for o in outside:
+            zo = zs[o]
+            const = mpc(1)
+            factors = []
+            for j, (z, q) in enumerate(zip(zs, qs)):
+                if j != o:
+                    const *= (zo - z) ** (-q)
+                    factors.append((-1 / (zo - z), q))
+            b = _product_series(factors, qs[o])
+            step = -1 / zo
+            c, terms = const, []
+            for m in range(qs[o]):
+                terms.append(c * b[qs[o] - 1 - m])
+                c *= step
+            local.append((zo, terms))
         for k in range(kmin, kmax + 1):
             acc = tail[-total - k] if k <= -total else mpc(0)
-            for o in outside:
-                zo = zs[o]
-                const = zo ** (-k - 1)
-                local = [(-1 / zo, k + 1)]
-                for j, (z, q) in enumerate(zip(zs, qs)):
-                    if j != o:
-                        const *= (zo - z) ** (-q)
-                        local.append((-1 / (zo - z), q))
-                acc -= const * _product_series(local, qs[o])[-1]
+            for zo, terms in local:
+                binom, res = 1, terms[0]
+                for m in range(1, len(terms)):
+                    binom = binom * (k + m) // m         # C(k+m, m)
+                    res += binom * terms[m]
+                acc -= zo ** (-k - 1) * res
             vals[k] = acc
     return {k: +v for k, v in vals.items()}
 

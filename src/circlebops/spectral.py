@@ -145,9 +145,14 @@ def _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm):
     lev_n1 = oracle.level(n + 1)
     top = n + N + 2 + buffer
 
-    eps_n = oracle.eps_series(n, top + 1)
+    # every series is read up to z^top: the term z^(top+1) of an eps-series
+    # enters only through its derivative, times the constant term of W p,
+    # which is zero (W(0) = 0).  Level n+1's series are asked for at that
+    # level's truncation, top + 1, so that the extraction there finds them
+    # cached: one formation per level, and no moment beyond w_(top+1).
+    eps_n = oracle.eps_series(n, top)
     eps_n1 = oracle.eps_series(n + 1, top + 1)
-    est_n = oracle.epsstar_series(n, top + 1)
+    est_n = oracle.epsstar_series(n, top)
     est_n1 = oracle.epsstar_series(n + 1, top + 1)
 
     # 2 (phi0_{n+1}/kappa_n) z^n (Theta_n, Omega_n) = forms(eps, phi) with

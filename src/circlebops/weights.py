@@ -26,7 +26,7 @@ from .errors import (DuplicateSingularity, MissingCanonicalPoint,
                      NonnegativeIntegerResidue, NotSingleValued)
 from .exact import QC
 from .mputil import parse_exact
-from .polys import padd, pmul, pscale, peval, pdiff
+from .polys import padd, pdiff, pdiv_exact_linear, peval, pmul, pscale
 
 
 @dataclass(frozen=True)
@@ -167,23 +167,20 @@ def build_weight(singularities, residues, placement: str = "canonical",
 
 
 def build_poly_pair(weight: WeightData) -> PolyPair:
-    """Expand W = prod (z - z_j) and 2V = W * sum rho_j/(z - z_j) exactly."""
+    """Expand W = prod (z - z_j) and 2V = W * sum rho_j/(z - z_j) exactly.
+
+    Each W/(z - z_j) is the quotient of W by synthetic division, exact
+    because z_j is a root: O(M) per singularity.
+    """
     zs = weight.singularities
     M = weight.M
     W = [QC(1)]
     for z in zs:
         W = pmul(W, [-z, QC(1)])
-    V2 = [QC(0)]
-    for j, z in enumerate(zs):
-        # W/(z - z_j) by rebuilding the product without the j-th factor
-        part = [QC(1)]
-        for k, zk in enumerate(zs):
-            if k != j:
-                part = pmul(part, [-zk, QC(1)])
-        V2 = padd(V2, pscale(part, weight.residues[j]))
-    V2 = V2 + [QC(0)] * (M - len(V2))      # pad to M slots (degree <= M-1)
     W = [c if isinstance(c, QC) else QC(c) for c in W]
-    V2 = [c if isinstance(c, QC) else QC(c) for c in V2]
+    V2 = [QC(0)] * M                       # degree <= M-1, padded to M slots
+    for z, rho in zip(zs, weight.residues):
+        V2 = padd(V2, pscale(pdiv_exact_linear(W, z), rho))
     e = tuple((QC(-1) ** l) * W[M - l] for l in range(M + 1))
     m = tuple((QC(-1) ** l) * V2[M - 1 - l] for l in range(M))
     return PolyPair(weight, tuple(W), tuple(V2), e, m)

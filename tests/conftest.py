@@ -110,3 +110,20 @@ def rational_case_m3():
 def rational_case_m4():
     return build_weight([0, ["2/5", "1/5"], ["-1/3", "1/2"], 1],
                         [-3, -4, -4, -5])
+
+
+# weights whose residues are all negative integers, with the moment range the
+# residue sums are checked over
+RESIDUE_CASES = {
+    "m3": (rational_case_m3, -6, 8),
+    "m4": (rational_case_m4, -6, 8),
+    "outside-free": (lambda: build_weight(
+        [0, ["3/2", "1/2"], 1], [-2, -3, -4]), -6, 8),
+    "close-outside-pair": (lambda: build_weight(
+        [0, ["6/5", "1/5"], ["6/5", "9/10"], 1], [-2, -3, -2, -3]), -6, 8),
+    "m5": (lambda: build_weight(
+        [0, ["1/10", 0], ["2/5", "1/5"], ["-1/3", "1/2"], 1],
+        [-2, -3, -2, -3, -4]), -6, 8),
+    "res-infinity": (lambda: build_weight(
+        [0, ["2/5", "1/5"], 1], [-1, -2, -1]), -12, 4),
+}

@@ -80,11 +80,49 @@ def test_layer_tracer_reaches_spectral_polys_and_eps(tmp_path):
 
 
 def test_layer_tracer_times_rational_moments_per_workspace(tmp_path):
-    """Every rational workspace takes its seeds from one closed-form call."""
+    """Every rational workspace takes its seeds from one closed-form call,
+    and every recurrence step is one wrapped ``_step_forward`` or
+    ``_step_backward`` call: the counts of RATIONAL_M4_FLOW, exactly."""
     metrics = _traced_verify(tmp_path, RATIONAL_M4_FLOW)
-    assert metrics["deform.workspaces"] > 0
+    assert metrics["deform.workspaces"] == 9
     assert metrics["moments.rational.calls"] == metrics["deform.workspaces"]
     assert metrics["moments.rational.s"] > 0
+    assert metrics["moments.steps"] == 126
+    assert metrics["moments.window"] == 17
+
+
+def test_each_eps_series_is_formed_once_per_level(tmp_path, monkeypatch):
+    """The Casoratian checks and the extraction ask for level n+1's series
+    at that level's truncation, so no series is formed twice: CONFIG forms
+    eps_n and epsstar_n once each for n = 0 .. n_max + 2."""
+    from collections import Counter
+
+    from circlebops import bops
+    from circlebops.cli import main
+
+    formed = {"eps": Counter(), "epsstar": Counter()}
+
+    def counting(original, key):
+        def run(moments, coeffs, truncation):
+            formed[key][len(coeffs) - 1] += 1
+            return original(moments, coeffs, truncation)
+        return run
+
+    wrap = {bops.epsilon_from_determinant:
+            counting(bops.epsilon_from_determinant, "eps"),
+            bops.epsilonstar_from_determinant:
+            counting(bops.epsilonstar_from_determinant, "epsstar")}
+    for name, mod in list(sys.modules.items()):
+        if name == "circlebops" or name.startswith("circlebops."):
+            for attr, val in list(vars(mod).items()):
+                if callable(val) and val in wrap:
+                    monkeypatch.setattr(mod, attr, wrap[val])
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(CONFIG))
+    assert main(["--config", str(config), "verify",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    levels = dict.fromkeys(range(CONFIG["n_max"] + 3), 1)
+    assert formed == {"eps": levels, "epsstar": levels}
 
 
 def test_checks_evaluate_each_polynomial_once_per_point(tmp_path,

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 from mpmath import fsum, log, mpc, mpf
 
-from conftest import rational_case_m3, rational_case_m4, standard_case_m3
+from conftest import RESIDUE_CASES, standard_case_m3, standard_case_m4
 from circlebops.errors import SingularStep, WindowTooSmall
 from circlebops.exact import QC, qc
-from circlebops.moments import (MomentSequence, _product_series, build_U,
+from circlebops.moments import (BACKWARD_PIVOT_FLOOR, MomentSequence,
+                                _product_series, build_U,
                                 caratheodory,
                                 caratheodory_ode_residual,
                                 caratheodory_series, moment_quadrature,
@@ -115,6 +116,63 @@ def test_backward_resonance_raises():
         ms.extend(0, 3)     # stepping below k = m0 = 1 is resonant
 
 
+# the standard cases' weights with dyadic seeds, which both routes hold
+# exactly
+DYADIC_SEEDS = {
+    "m3": (standard_case_m3, [qc("5/16", "11/64"), qc(1)]),
+    "m4": (standard_case_m4, [qc("13/64", "-7/64"), qc(1),
+                              qc("13/32", "21/64")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DYADIC_SEEDS))
+def test_integer_row_steps_match_the_exact_recurrence(case):
+    """Each float step is one exact dot product and one division, rounded
+    once; over k = -8..14 the moments agree with the Gaussian-rational
+    recurrence to 2^-(prec-8), relative, at the sequence's precision."""
+    make, seeds = DYADIC_SEEDS[case]
+    pair = build_poly_pair(make()[0])
+    ms = MomentSequence.from_seeds(pair, -1, [s.to_mpc() for s in seeds])
+    ex = MomentSequence.from_seeds(pair, -1, seeds, exact=True)
+    ms.extend(-8, 14)
+    ex.extend(-8, 14)
+    with working_precision(2 * ms.prec):
+        for k in range(-8, 15):
+            want = ex.values[k].to_mpc()
+            assert abs(ms.values[k] - want) <= \
+                mpf(2) ** (8 - ms.prec) * abs(want), k
+
+
+def _floor_pair(delta: Fraction):
+    """M = 2 at +-1/2 with rho_1 = rho_2 = 1 + delta/2: at j = 4 the row is
+    (g_0, g_1, g_2) = (1, 0, delta), so the backward pivot g_2 sits at
+    delta times the row's largest entry."""
+    rho = str(1 + delta / 2)
+    w = build_weight(["1/2", "-1/2"], [rho, rho], placement="general")
+    return build_poly_pair(w)
+
+
+def test_pivot_floor_is_an_exact_comparison():
+    """Stepping down to w_2 puts the pivot g_2(4) = delta against the floor
+    |g_2| <= BACKWARD_PIVOT_FLOOR max |g_k|, compared as exact squares: a
+    pivot 2^-80 above the floor steps, one at or below it raises."""
+    floor = Fraction(BACKWARD_PIVOT_FLOOR)
+    for delta, steps in ((floor + Fraction(1, 2 ** 80), True),
+                         (floor, False),
+                         (floor - Fraction(1, 2 ** 80), False)):
+        pair = _floor_pair(delta)
+        row = recurrence_row(pair, 4, exact=True)
+        assert row == [QC(1), QC(0), QC(delta)]
+        ms = MomentSequence.from_seeds(pair, 3, [mpc("0.3", "0.1"), mpc(1)])
+        if steps:
+            ms.extend(2, 4)
+            assert ms.equation_residual(4) < mpf(2) ** (12 - ms.prec)
+        else:
+            with pytest.raises(SingularStep) as err:
+                ms.extend(2, 4)
+            assert err.value.index == 4 and err.value.factor == "g_2"
+
+
 # -- quadrature ---------------------------------------------------------------
 
 def test_quadrature_unit_weight():
@@ -197,21 +255,6 @@ def _series_reference(weight, kmin, kmax, prec=640):
             assert abs(ref[k] - longer[k]) <= \
                 mpf(2) ** (-prec + 16) * abs(ref[k])
         return ref
-
-
-RESIDUE_CASES = {
-    "m3": (rational_case_m3, -6, 8),
-    "m4": (rational_case_m4, -6, 8),
-    "outside-free": (lambda: build_weight(
-        [0, ["3/2", "1/2"], 1], [-2, -3, -4]), -6, 8),
-    "close-outside-pair": (lambda: build_weight(
-        [0, ["6/5", "1/5"], ["6/5", "9/10"], 1], [-2, -3, -2, -3]), -6, 8),
-    "m5": (lambda: build_weight(
-        [0, ["1/10", 0], ["2/5", "1/5"], ["-1/3", "1/2"], 1],
-        [-2, -3, -2, -3, -4]), -6, 8),
-    "res-infinity": (lambda: build_weight(
-        [0, ["2/5", "1/5"], 1], [-1, -2, -1]), -12, 4),
-}
 
 
 @pytest.mark.parametrize("case", sorted(RESIDUE_CASES))

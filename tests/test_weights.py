@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from conftest import RESIDUE_CASES, rational_case_m4
+from circlebops.deform import shifted_weight
 from circlebops.errors import (DuplicateSingularity, MissingCanonicalPoint,
                                NonnegativeIntegerResidue, NotSingleValued)
 from circlebops.exact import QC
+from circlebops.garnier import flow_step
 from circlebops.polys import pdiff, peval, pmul
 from circlebops.weights import (build_poly_pair, build_weight,
                                 eval_weight_on_circle,
@@ -129,6 +132,48 @@ def test_rebuild_from_symmetric_functions(points):
         direct = pmul(direct, [-z, QC(1)])
     direct = [c if isinstance(c, QC) else QC(c) for c in direct]
     assert rebuilt == direct
+
+
+def _expanded_pair(weight):
+    """W, 2V, e and m by products alone, O(M^3): 2V = sum_j rho_j
+    prod_{k != j} (z - z_k), each product rebuilt from its factors."""
+    zs, M = weight.singularities, weight.M
+    W = [QC(1)]
+    for z in zs:
+        W = pmul(W, [-z, QC(1)])
+    V2 = [QC(0)] * M
+    for j, rho in enumerate(weight.residues):
+        part = [QC(1)]
+        for k, zk in enumerate(zs):
+            if k != j:
+                part = pmul(part, [-zk, QC(1)])
+        V2 = [a + rho * b for a, b in zip(V2, part)]
+    W = [QC(0) + c for c in W]
+    e = tuple((QC(-1) ** l) * W[M - l] for l in range(M + 1))
+    m = tuple((QC(-1) ** l) * V2[M - 1 - l] for l in range(M))
+    return tuple(W), tuple(V2), e, m
+
+
+def _stencil_weight():
+    """The M = 4 rational weight with z_1 moved by the flow step."""
+    return shifted_weight(rational_case_m4(), {1: QC(flow_step())})
+
+
+PAIR_CASES = {**{name: make for name, (make, _, _) in RESIDUE_CASES.items()},
+              "stencil": _stencil_weight}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_poly_pair_by_synthetic_division_equals_the_product_expansion(case):
+    """2V = sum_j rho_j W/(z - z_j) with each quotient by exact synthetic
+    division is the product expansion, coefficient for coefficient, and
+    satisfies 2V(z_j) = rho_j W'(z_j) exactly at every singularity."""
+    w = PAIR_CASES[case]()
+    pair = build_poly_pair(w)
+    assert (pair.W, pair.V2, pair.e, pair.m) == _expanded_pair(w)
+    assert all(isinstance(c, QC) for c in pair.W + pair.V2 + pair.e + pair.m)
+    for j in range(w.M):
+        assert residue_identity_defect(pair, j).is_zero()
 
 
 # -- circle evaluation -------------------------------------------------------
