@@ -16,6 +16,15 @@ sequence w_k.  Two routes are kept side by side:
   (= I_{k+1} / I_k), a_k = -<P_k, -1> / h_k and b_k = -sum_j Q_j w_{1+j} / h_k.
   Each step costs O(k) moment products, against O(k^3) for a Toeplitz solve.
 
+Both routes form every dot product exactly in integers and round it once
+per part (``report.Grid.dot``): the factor keeps each row of L and column
+of U as Gaussian-int mantissas on one exponent, and each Szego step pairs
+its polynomials with one grid of the moment window.  That is the value
+``mpmath.fdot`` gives, which forms the products exactly and sums them with
+``mpf_sum``, dropping only terms more than 2 prec bits below its running
+sum, before its one rounding.  The subtractions and divisions around the
+dot products are mpc operations.
+
 The system is symmetric under reflection of the weight, w_k -> w_{-k}: the
 second family is the first family of the reflected moments
 (``ReflectedMoments``), and the second-kind pairing <m, g> = sum_j g_j w_{j-m}
@@ -231,6 +240,23 @@ def _query(method):
     return run
 
 
+def _cached_query(cache: str):
+    """A public oracle query by level whose answers stay in the dict
+    ``cache``: a cached answer passes ``check_precision()`` and is returned
+    without entering the context."""
+    def wrap(method):
+        @functools.wraps(method)
+        def run(self, n: int):
+            got = getattr(self, cache).get(n)
+            if got is None:
+                with self.precision():
+                    return method(self, n)
+            self.check_precision()
+            return got
+        return run
+    return wrap
+
+
 class ToeplitzOracle:
     """Caches determinants, levels and expansions over one moment sequence.
 
@@ -238,13 +264,16 @@ class ToeplitzOracle:
     which ``_grow_factor`` borders upward from the largest cached size.
     ``level(n)`` takes I_n, I_{n+1} and kappa_n from ``det`` and scales the
     monic pair of ``monic_pair(n)``, which the Szego step grows upward from
-    the highest cached level.
+    the highest cached level.  Both routes form their dot products exactly
+    in integers and round each once (``report.Grid.dot``), which gives
+    ``mpmath.fdot``'s value.
 
     The oracle adopts the precision ``prec`` of its moment sequence.  Every
     value it caches is computed there, inside the one context that each
-    public query enters, so no value depends on which query reached it
-    first.  A query at a working precision other than the one the oracle
-    was built at raises ``ValueError``; the oracle's own calls, already at
+    public query enters (a cached ``det`` or ``level`` is returned without
+    it), so no value depends on which query reached it first.  A query at a
+    working precision other than the one the oracle was built at raises
+    ``ValueError``, cached or not; the oracle's own calls, already at
     ``prec``, pass.  The degeneracy floors are judged at the working
     precision.
 
@@ -262,8 +291,11 @@ class ToeplitzOracle:
         self._floor = mpf(2) ** (-(3 * mp.prec // 4))
         self._gauge = dict(gauge) if gauge else {}
         self._dets = {0: mpc(1)}                # I_n, n = 0, 1, ...
-        self._lower = []                        # L_{m,0..m-1}, m = 0, 1, ...
-        self._upper = []                        # U_{0..m,m}, ending in d_m
+        # the LU factor: row m of L and column m of U above the diagonal as
+        # grids, and the pivot d_m = U_{m,m}, m = 0, 1, ...
+        self._lower = []
+        self._upper = []
+        self._pivots = []
         self._levels = {}
         self._monic = [([mpc(1)], [mpc(1)])]    # (P_k, Q_k), k = 0, 1, ...
         self._h = []                            # h_k = I_{k+1} / I_k
@@ -287,11 +319,10 @@ class ToeplitzOracle:
     def gauge(self, n: int) -> int:
         return self._gauge.get(n, 1)
 
-    @_query
+    @_cached_query("_dets")
     def det(self, n: int) -> mpc:
         """I_n = I_{n-1} d_{n-1}, from the LU factor grown to size n."""
-        if n not in self._dets:
-            self._grow_factor(n)
+        self._grow_factor(n)
         return self._dets[n]
 
     def _grow_factor(self, n: int) -> None:
@@ -300,54 +331,63 @@ class ToeplitzOracle:
         Leading minors nest only without row swaps, so no pivoting.  Size
         m + 1 adds the column U_{k,m} (forward substitution against L), the
         row L_{m,k} (against U) and the pivot d_m = U_{m,m}, in O(m^2).
-        Before stepping past d_k it applies the floor test of
-        ``monic_pair``: d_0 == 0, or |d_k| < floor |d_{k-1}|.
+        The row and the column under construction grow entry by entry on
+        their grids, and each entry takes its dot product from the grids
+        exactly, rounded once (``Grid.dot``).  Before stepping past d_k it
+        applies the floor test of ``monic_pair``: d_0 == 0, or
+        |d_k| < floor |d_{k-1}|.
         """
-        rows, cols = self._lower, self._upper
+        rows, cols, pivots = self._lower, self._upper, self._pivots
         self.moments.extend(-(n - 1), n - 1)
         w = {k: to_mpc(self.moments.w(k)) for k in range(1 - n, n)}
         for m in range(len(cols), n):
             if m:
-                d = cols[m - 1][m - 1]
+                d = pivots[m - 1]
                 if d == 0 or (m > 1 and
-                              abs(d) < self._floor * abs(cols[m - 2][m - 2])):
+                              abs(d) < self._floor * abs(pivots[m - 2])):
                     raise DegenerateDeterminant(
                         f"determinant at level {m} vanishes to working "
                         f"precision; the LU factor stops here")
-            col = []
+            col = Grid([], [], 0)
             for k in range(m):
-                col.append(w[k - m] - mpmath.fdot(rows[k], col))
-            row = []
+                col.append(w[k - m] - rows[k].dot(col))
+            row = Grid([], [], 0)
             for k in range(m):
-                row.append((w[m - k] - mpmath.fdot(row, cols[k][:k]))
-                           / cols[k][k])
-            col.append(w[0] - mpmath.fdot(row, col))
+                row.append((w[m - k] - row.dot(cols[k])) / pivots[k])
+            d = w[0] - row.dot(col)
             rows.append(row)
             cols.append(col)
-            self._dets[m + 1] = self._dets[m] * col[m]
+            pivots.append(d)
+            self._dets[m + 1] = self._dets[m] * d
 
     @_query
     def monic_pair(self, n: int):
         """(phi_n, phibar_n) / kappa_n, ascending, by the bi-orthogonal step.
 
-        Raises ``DegenerateDeterminant`` at the first h_k that vanishes to
-        working precision: h_0 == 0, or |h_k| < floor |h_{k-1}|, the same
-        test ``level`` applies to I_{k+1} I_{k-1} / I_k^2.
+        The three pairings of a step are dot products (``Grid.dot``) with
+        one grid of the moment window w_{-n} .. w_n, formed once per call
+        by ``Grid.of`` (exact up to its cap, 2 prec + 64 bits below the
+        largest moment), and with its reversal.  Raises ``DegenerateDeterminant`` at the
+        first h_k that vanishes to working precision: h_0 == 0, or
+        |h_k| < floor |h_{k-1}|, the same test ``level`` applies to
+        I_{k+1} I_{k-1} / I_k^2.
         """
         pairs, hs = self._monic, self._h
         if n < len(pairs):
             return pairs[n]
         self.moments.extend(-n, n)
-        w = {k: to_mpc(self.moments.w(k)) for k in range(-n, n + 1)}
+        window = Grid.of([self.moments.w(k) for k in range(-n, n + 1)])
+        rev = Grid(window.re[::-1], window.im[::-1], window.exp)
         for k in range(len(pairs) - 1, n):
             P, Q = pairs[k]
-            h = mpmath.fdot(P, [w[k - j] for j in range(k + 1)])
+            Pg, Qg = Grid.of(P), Grid.of(Q)
+            h = Pg.dot(rev, n - k)                  # w_{k-j}: rev[n-k+j]
             if h == 0 or (k and abs(h) < self._floor * abs(hs[k - 1])):
                 raise DegenerateDeterminant(
                     f"determinant at level {k + 1} vanishes to working "
                     f"precision; the Szego step stops here")
-            a = -mpmath.fdot(P, [w[-1 - j] for j in range(k + 1)]) / h
-            b = -mpmath.fdot(Q, [w[1 + j] for j in range(k + 1)]) / h
+            a = -Pg.dot(rev, n + 1) / h             # w_{-1-j}: rev[n+1+j]
+            b = -Qg.dot(window, n + 1) / h          # w_{1+j}: window[n+1+j]
             P_next, Q_next = [mpc(0)] + P, [mpc(0)] + Q
             for i in range(k + 1):
                 P_next[i] += a * Q[k - i]
@@ -356,10 +396,8 @@ class ToeplitzOracle:
             pairs.append((P_next, Q_next))
         return pairs[n]
 
-    @_query
+    @_cached_query("_levels")
     def level(self, n: int) -> BopsLevel:
-        if n in self._levels:
-            return self._levels[n]
         In, In1 = self.det(n), self.det(n + 1)
         if In == 0 or In1 == 0:
             raise DegenerateDeterminant(f"vanishing determinant at level {n}")

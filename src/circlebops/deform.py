@@ -28,14 +28,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
-from mpmath import mpf, mpc
+from mpmath import mp, mpf, mpc
 
 from .bops import ToeplitzOracle
 from .errors import StepTooLarge
 from .exact import QC
 from .garnier import (coordinates_from_spectral, fd_pass, flow_p_closed,
                       flow_q_closed, flow_step)
-from .moments import MomentSequence, rational_weight_moments
+from .moments import (MomentSequence, rational_weight_moments,
+                      sequence_precision)
 from .mputil import match_roots, to_mpc
 from .report import (CheckResult, Grid, add_grids, product, rel_error,
                      rel_residual, vector_residual)
@@ -44,9 +45,11 @@ from .weights import WeightData, build_poly_pair, build_weight
 
 
 def rational_workspace(weight: WeightData) -> SpectralWorkspace:
-    """Pipeline workspace seeded from closed-form moments of the weight."""
+    """Pipeline workspace seeded from closed-form moments of the weight,
+    evaluated and rounded at the precision of the sequence they seed."""
     pair = build_poly_pair(weight)
-    seeds = rational_weight_moments(weight, -1, pair.M - 3)
+    with mp.workprec(sequence_precision()):
+        seeds = rational_weight_moments(weight, -1, pair.M - 3)
     ms = MomentSequence.from_seeds(pair, -1, list(seeds.values()))
     ms.provenance = "rational"
     return SpectralWorkspace(ToeplitzOracle(ms), pair)

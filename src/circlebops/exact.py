@@ -14,6 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
+from mpmath import mp
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 
 class QC:
@@ -95,13 +97,39 @@ class QC:
         return QC(self.re, -self.im)
 
     def to_mpc(self) -> mpmath.mpc:
-        return mpmath.mpc(
-            mpmath.mpf(self.re.numerator) / self.re.denominator,
-            mpmath.mpf(self.im.numerator) / self.im.denominator,
-        )
+        """The value with each part correctly rounded, to nearest at
+        mp.prec (``round_rational``): one rounding of the exact quotient,
+        the same as mpf(p) / q whenever the numerator p fits in mp.prec
+        bits."""
+        prec = mp.prec
+        return mp.make_mpc((
+            round_rational(self.re.numerator, self.re.denominator, prec),
+            round_rational(self.im.numerator, self.im.denominator, prec)))
 
     def __repr__(self):
         return f"QC({self.re!r}, {self.im!r})"
+
+
+def round_rational(p: int, q: int, prec: int) -> tuple:
+    """p / q for q > 0 as a raw mpf, correctly rounded to nearest at prec:
+    the value of ``libmp.from_rational``.
+
+    The quotient is taken to prec + 2 bits or more, with a sticky bit for
+    a nonzero remainder, which decides every rounding as the exact value
+    would.  (``from_rational`` strips the trailing zero bits of p and q
+    eight at a time first, and exact sums over a power-of-two denominator
+    carry thousands of them.)
+    """
+    if not p:
+        return fzero
+    shift = prec + 2 - p.bit_length() + q.bit_length()
+    if shift >= 0:
+        quo, rem = divmod(abs(p) << shift, q)
+    else:
+        quo, rem = divmod(abs(p), q << -shift)
+    man = 2 * quo + (1 if rem else 0)
+    return from_man_exp(-man if p < 0 else man, -shift - 1, prec,
+                        round_nearest)
 
 
 def _coerce(x) -> QC:

@@ -27,12 +27,13 @@ Two constructors populate a sequence:
 * ``from_quadrature``  - contour integrals of an honest single-valued weight.
 
 Weights whose residues are all negative integers have moments that are
-finite residue sums, ``rational_weight_moments``, exact to working precision;
-``deform.rational_workspace`` seeds a sequence from them for the
-finite-difference deformation checks.  Per pole on or outside the circle,
-the constant and the local Taylor series of the other factors do not depend
-on k and are formed once; each k then costs O(q) with an exact integer
-binomial.
+finite residue sums, ``rational_weight_moments``;
+``deform.rational_workspace`` seeds a sequence from them, evaluated at the
+sequence's precision, for the finite-difference deformation checks.  The
+sums are exact in Gaussian integers, and each moment is rounded once.  Per
+pole on or outside the circle, the constant and the local Taylor series of
+the other factors do not depend on k and are formed once; each k then
+costs O(q) with an exact integer binomial.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .errors import (NonConvergent, SingularStep, WindowTooSmall,
                      NotSingleValued)
-from .exact import QC
-from .mputil import GUARD_BITS, guarded, to_mpc
+from .exact import QC, round_rational
+from .mputil import GUARD_BITS, to_mpc
 from .polys import padd, pdiff, peval, pmul, pscale
-from .report import rel_residual
+from .report import Grid, rel_residual
 from .weights import PolyPair, WeightData, build_poly_pair, \
     eval_weight_on_circle, is_negative_int, seam_shielded, \
     single_valuedness_defect
@@ -125,6 +126,12 @@ def _rounded_quotient(terms, pr: int, pi: int) -> mpc:
                 round_nearest)))
 
 
+def sequence_precision() -> int:
+    """The precision of a sequence built now: working plus twice the guard
+    bits."""
+    return mp.prec + 2 * GUARD_BITS
+
+
 @dataclass
 class MomentSequence:
     """Contiguous window of moments with its generating recurrence.
@@ -140,7 +147,7 @@ class MomentSequence:
     seed_hi: int
     provenance: str = "seeded"
     exact: bool = False
-    prec: int = field(default_factory=lambda: mp.prec + 2 * GUARD_BITS)
+    prec: int = field(default_factory=sequence_precision)
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -374,36 +381,36 @@ def moment_quadrature(weight: WeightData, k: int, rel_tol=None,
 # closed-form moments for integer-pole weights
 # ---------------------------------------------------------------------------
 
-def _product_series(factors, nterms: int):
-    """Taylor coefficients of prod (1 - x_i u)^(-q_i) up to u^(nterms-1).
+def _gmul(a: tuple, b: tuple) -> tuple:
+    """The product of two Gaussian integers given as (re, im)."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
-    The local Taylor factors of ``rational_weight_moments`` have this form:
-    (z_o - a + t)^(-q) is (z_o - a)^(-q) (1 - x t)^(-q) with x = -1/(z_o - a).
-    The product solves P' D = P S with D = prod (1 - x_i u) and
-    S = sum_i q_i x_i prod_{j != i} (1 - x_j u) for any integer q_i, zero
-    and negative included: an order-len(factors) coefficient recurrence.
-    """
-    D, S = [mpc(1)], [mpc(0)]
-    for i, (x, q) in enumerate(factors):
-        D = pmul(D, [mpc(1), -x])
-        part = [mpc(q) * x]
-        for j, (xj, _) in enumerate(factors):
-            if j != i:
-                part = pmul(part, [mpc(1), -xj])
-        S = padd(S, part)
-    p = [mpc(1)]
-    for m in range(1, nterms):
-        acc = mpc(0)
-        for k in range(min(len(S), m)):
-            acc += S[k] * p[m - 1 - k]
-        for k in range(1, min(len(D), m + 1)):
-            acc -= D[k] * (m - k) * p[m - k]
-        p.append(acc / m)
-    return p
+
+def _gpow(a: tuple, n: int) -> tuple:
+    out = (1, 0)
+    for _ in range(n):
+        out = _gmul(out, a)
+    return out
+
+
+def _binomial_series(factors, nterms: int) -> Grid:
+    """The integer coefficients of prod (1 - y_i u)^(-q_i) up to
+    u^(nterms-1), for Gaussian integers y_i and positive q_i: the product
+    of the series sum_s C(q_i + s - 1, s) y_i^s u^s, exactly."""
+    out = Grid([1] + [0] * (nterms - 1), [0] * nterms, 0)
+    for y, q in factors:
+        re, im, power, c = [1], [0], (1, 0), 1
+        for s in range(1, nterms):
+            power, c = _gmul(power, y), c * (q + s - 1) // s
+            re.append(c * power[0])
+            im.append(c * power[1])
+        out = out.conv(Grid(re, im, 0), 0, nterms)
+    return out
 
 
 def rational_weight_moments(weight: WeightData, kmin: int, kmax: int) -> dict:
-    """Laurent coefficients of a weight whose residues are all negative ints.
+    """Laurent coefficients of a weight whose residues are all negative ints,
+    exact up to one rounding per part, to nearest at mp.prec.
 
     Such a weight w(z) = prod_j (z - z_j)^(-q_j) is rational, and its annulus
     coefficient w_k (interior poles inside, unit circle outside) is minus the
@@ -411,53 +418,87 @@ def rational_weight_moments(weight: WeightData, kmin: int, kmax: int) -> dict:
     infinity.  At z_o the residue is the t^(q_o - 1) coefficient of
     z_o^(-k-1) (1 + t/z_o)^(-k-1) C_o B_o(t), with the constant
     C_o = prod_{j != o} (z_o - z_j)^(-q_j) and the local series
-    B_o(t) = prod_{j != o} (1 + t/(z_o - z_j))^(-q_j), neither of which
-    depends on k: both are formed once per pole, and each k then costs
-    O(q_o), sum_m C(k+m, m) (-1/z_o)^m b_{q_o-1-m} with the binomial an
-    exact integer (a polynomial in k, so k + 1 <= 0 is covered).  At
-    infinity the residue is nonzero only for k <= -sum_j q_j.  The sum is
-    finite, so nothing is truncated; it is formed with the guard bits and
-    returned at working precision.
+    B_o(t) = prod_{j != o} (1 - x_j t)^(-q_j), x_j = -1/(z_o - z_j),
+    neither of which depends on k: both are formed once per pole, and each
+    k then costs O(q_o), sum_m C(k+m, m) (-1/z_o)^m b_{q_o-1-m} with the
+    binomial an exact integer (a polynomial in k, so k + 1 <= 0 is
+    covered).  At infinity the residue is nonzero only for k <= -sum_j q_j,
+    and its series is formed only when the range reaches that far.
+
+    The sum is finite, and it is formed exactly: with D the common
+    denominator of the singularities, Z_j = D z_j are Gaussian integers,
+    each x_j is a Gaussian integer over one common integer L_o, and every
+    term is a Gaussian integer over a positive integer.  Each w_k is one
+    such fraction, rounded once.
     """
     if not all(is_negative_int(r) for r in weight.residues):
         raise ValueError("closed-form moments need negative integer residues")
     qs = [-int(r.re) for r in weight.residues]
     total = sum(qs)
-    outside = [o for o, z in enumerate(weight.singularities)
-               if z.re * z.re + z.im * z.im >= 1]
-    vals = {}
-    with guarded():
-        zs = weight.singularities_mpc()
-        # -Res_inf is the z^(total+k) coefficient of prod (1 - z_j/z)^(-q_j)
-        tail = _product_series([(z, q) for z, q in zip(zs, qs) if z],
-                               max(0, -total - kmin + 1))
-        # per pole: z_o and the terms c_m = C_o (-1/z_o)^m b_{q_o-1-m}
-        local = []
-        for o in outside:
-            zo = zs[o]
-            const = mpc(1)
-            factors = []
-            for j, (z, q) in enumerate(zip(zs, qs)):
-                if j != o:
-                    const *= (zo - z) ** (-q)
-                    factors.append((-1 / (zo - z), q))
-            b = _product_series(factors, qs[o])
-            step = -1 / zo
-            c, terms = const, []
-            for m in range(qs[o]):
-                terms.append(c * b[qs[o] - 1 - m])
-                c *= step
-            local.append((zo, terms))
-        for k in range(kmin, kmax + 1):
-            acc = tail[-total - k] if k <= -total else mpc(0)
-            for zo, terms in local:
-                binom, res = 1, terms[0]
-                for m in range(1, len(terms)):
-                    binom = binom * (k + m) // m         # C(k+m, m)
-                    res += binom * terms[m]
-                acc -= zo ** (-k - 1) * res
-            vals[k] = acc
-    return {k: +v for k, v in vals.items()}
+    D = math.lcm(*(x.denominator for z in weight.singularities
+                   for x in (z.re, z.im)))
+    Zs = [(z.re.numerator * (D // z.re.denominator),
+           z.im.numerator * (D // z.im.denominator))
+          for z in weight.singularities]
+    # w_k = sum of fractions (re, im, den), summed on one denominator
+    terms = {k: [] for k in range(kmin, kmax + 1)}
+    if kmin <= -total:
+        # -Res_inf is the z^(total+k) coefficient of prod (1 - z_j/z)^(-q_j):
+        # alpha_r / D^r with alpha the integer series in Z_j
+        tail = _binomial_series(
+            [(Z, q) for Z, q in zip(Zs, qs) if Z != (0, 0)], -total - kmin + 1)
+        for k in range(kmin, min(kmax, -total) + 1):
+            r = -total - k
+            terms[k].append((tail.re[r], tail.im[r], D ** r))
+    for o, (Zo, qo) in enumerate(zip(Zs, qs)):
+        mu = Zo[0] * Zo[0] + Zo[1] * Zo[1]             # |Z_o|^2
+        if mu < D * D:                                 # inside the circle
+            continue
+        # 1/(z_o - z_j) = D conj(Delta_j) / |Delta_j|^2, Delta_j = Z_o - Z_j
+        others = [((Zo[0] - Z[0], Z[1] - Zo[1]), q)
+                  for j, (Z, q) in enumerate(zip(Zs, qs)) if j != o]
+        sq = [d[0] * d[0] + d[1] * d[1] for d, _ in others]
+        L = math.prod(sq)
+        # C_o = gamma / G, and x_j = y_j / L
+        gamma, G = (1, 0), 1
+        factors = []
+        for (d, q), m2 in zip(others, sq):
+            gamma = _gmul(gamma, _gpow((D * d[0], D * d[1]), q))
+            G *= m2 ** q
+            factors.append(((-D * d[0] * (L // m2), -D * d[1] * (L // m2)),
+                            q))
+        beta = _binomial_series(factors, qo)           # b_r = beta_r / L^r
+        # -1/z_o = -omega / mu; c_m = (-omega)^m mu^(q-1-m) L^m beta_{q-1-m}
+        omega = (D * Zo[0], -D * Zo[1])
+        cs, step = [], (1, 0)
+        for m in range(qo):
+            scale = mu ** (qo - 1 - m) * L ** m
+            b = beta.re[qo - 1 - m], beta.im[qo - 1 - m]
+            cs.append(_gmul(step, (scale * b[0], scale * b[1])))
+            step = _gmul(step, (-omega[0], -omega[1]))
+        den0 = G * (mu * L) ** (qo - 1)
+        for k in terms:
+            binom, (tr, ti) = 1, cs[0]
+            for m in range(1, qo):
+                binom = binom * (k + m) // m           # C(k+m, m)
+                tr += binom * cs[m][0]
+                ti += binom * cs[m][1]
+            # z_o^(-k-1) = (omega / mu)^(k+1) = (Z_o / D)^(-k-1)
+            if k + 1 >= 0:
+                p, den = _gpow(omega, k + 1), den0 * mu ** (k + 1)
+            else:
+                p, den = _gpow(Zo, -k - 1), den0 * D ** (-k - 1)
+            nr, ni = _gmul(gamma, _gmul((tr, ti), p))
+            terms[k].append((-nr, -ni, den))
+    prec = mp.prec
+    out = {}
+    for k, fracs in terms.items():
+        nr, ni, den = 0, 0, 1
+        for x, y, d in fracs:
+            nr, ni, den = nr * d + x * den, ni * d + y * den, den * d
+        out[k] = mp.make_mpc((round_rational(nr, den, prec),
+                              round_rational(ni, den, prec)))
+    return out
 
 
 # ---------------------------------------------------------------------------

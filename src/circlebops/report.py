@@ -21,7 +21,10 @@ a check's terms, a polynomial or a truncated series (``polys.OffsetSeries``
 is this class).  Sums (aligned in offset and exponent), the product (one
 kernel, ``Grid.conv``), derivatives, negation and shifts are exact, and
 ``coeff``, ``window`` and ``coeffs`` round a coefficient to mpc once, to
-nearest at the reader's mp.prec.  Two policies put a vector on a grid:
+nearest at the reader's mp.prec.  ``append`` extends a vector under
+construction by one mpc, exactly, and ``dot`` is an exact dot product
+rounded once per part (the Toeplitz oracle's).  Two policies put a vector
+on a grid:
 
 - the checks' path, ``Grid.of``, is exact up to the cap: a part more than
   2 mp.prec + 64 bits below the largest goes onto that coarser grid first
@@ -245,6 +248,47 @@ class Grid:
             im.append(ss - rr - ii)
         return Grid(re, im, self.exp + other.exp,
                     self.offset + other.offset + lo)
+
+    def append(self, z: mpc) -> None:
+        """Extend the grid by the finite mpc z as its next coefficient,
+        exactly: the grid moves to z's exponent if that is finer."""
+        (s1, m1, e1, _), (s2, m2, e2, _) = z._mpc_
+        if (not m1 and e1) or (not m2 and e2):
+            raise ValueError("non-finite value on an exact grid")
+        if m1 or m2:
+            lo = min(e for e, m in ((e1, m1), (e2, m2)) if m)
+            if not self.re:
+                self.exp = lo
+            elif lo < self.exp:
+                s = self.exp - lo
+                self.re = [v << s for v in self.re]
+                self.im = [v << s for v in self.im]
+                self.exp = lo
+        x = m1 << (e1 - self.exp) if m1 else 0
+        y = m2 << (e2 - self.exp) if m2 else 0
+        self.re.append(-x if s1 else x)
+        self.im.append(-y if s2 else y)
+
+    def dot(self, other: "Grid", start: int = 0) -> mpc:
+        """sum_k a_k b_(start+k) over the coefficients both grids hold
+        there (b the other grid's), summed exactly in integers and rounded
+        once per part, to nearest at mp.prec.
+
+        This is ``mpmath.fdot``'s value of the same products: fdot forms
+        them exactly and sums them with ``mpf_sum``, which drops only terms
+        more than 2 prec bits below its running sum, then rounds once.
+        """
+        if self.exp is None or other.exp is None:
+            raise ValueError("non-finite value on an exact grid")
+        br, bi = other.re, other.im
+        if start:
+            br, bi = br[start:], bi[start:]
+        ar, ai = self.re, self.im
+        rr, ii = sum(map(mul, ar, br)), sum(map(mul, ai, bi))
+        ri, ir = sum(map(mul, ar, bi)), sum(map(mul, ai, br))
+        exp, prec = self.exp + other.exp, mp.prec
+        return mp.make_mpc((from_man_exp(rr - ii, exp, prec, round_nearest),
+                            from_man_exp(ri + ir, exp, prec, round_nearest)))
 
     def mul_poly(self, p, top: int) -> "Grid":
         """Multiply by the polynomial p (``from_poly``), truncating above

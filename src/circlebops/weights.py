@@ -17,7 +17,9 @@ precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -26,7 +28,7 @@ from .errors import (DuplicateSingularity, MissingCanonicalPoint,
                      NonnegativeIntegerResidue, NotSingleValued)
 from .exact import QC
 from .mputil import parse_exact
-from .polys import padd, pdiff, pdiv_exact_linear, peval, pmul, pscale
+from .polys import pdiff, peval
 
 
 @dataclass(frozen=True)
@@ -169,21 +171,46 @@ def build_weight(singularities, residues, placement: str = "canonical",
 def build_poly_pair(weight: WeightData) -> PolyPair:
     """Expand W = prod (z - z_j) and 2V = W * sum rho_j/(z - z_j) exactly.
 
-    Each W/(z - z_j) is the quotient of W by synthetic division, exact
-    because z_j is a root: O(M) per singularity.
+    The work is in Gaussian integers.  With D the common denominator of the
+    singularities, Z_j = D z_j, the product P(u) = prod (u - Z_j) is
+    D^M W(u/D), and its quotient by u - Z_j (exact integer synthetic
+    division, O(M) per singularity) is D^(M-1) W/(z - z_j) at z = u/D.
+    With R the common denominator of the residues, r_j = R rho_j, so
+
+        W_k = P_k / D^(M-k),   (2V)_k = sum_j r_j Q_{j,k} / (R D^(M-1-k)),
+
+    one Fraction per part of each coefficient.  e and m take their signs
+    from the parity of l.
     """
-    zs = weight.singularities
-    M = weight.M
-    W = [QC(1)]
-    for z in zs:
-        W = pmul(W, [-z, QC(1)])
-    W = [c if isinstance(c, QC) else QC(c) for c in W]
-    V2 = [QC(0)] * M                       # degree <= M-1, padded to M slots
-    for z, rho in zip(zs, weight.residues):
-        V2 = padd(V2, pscale(pdiv_exact_linear(W, z), rho))
-    e = tuple((QC(-1) ** l) * W[M - l] for l in range(M + 1))
-    m = tuple((QC(-1) ** l) * V2[M - 1 - l] for l in range(M))
-    return PolyPair(weight, tuple(W), tuple(V2), e, m)
+    zs, rhos, M = weight.singularities, weight.residues, weight.M
+    D = math.lcm(*(x.denominator for z in zs for x in (z.re, z.im)))
+    R = math.lcm(*(x.denominator for r in rhos for x in (r.re, r.im)))
+    roots = [(z.re.numerator * (D // z.re.denominator),
+              z.im.numerator * (D // z.im.denominator)) for z in zs]
+    pr, pi = [1], [0]                      # P, ascending
+    for zr, zi in roots:                   # P (u - Z)
+        nr, ni = [0] + pr, [0] + pi
+        for k, (x, y) in enumerate(zip(pr, pi)):
+            nr[k] -= zr * x - zi * y
+            ni[k] -= zr * y + zi * x
+        pr, pi = nr, ni
+    sr, si = [0] * M, [0] * M              # R D^(M-1-k) (2V)_k
+    for (zr, zi), rho in zip(roots, rhos):
+        rr = rho.re.numerator * (R // rho.re.denominator)
+        ri = rho.im.numerator * (R // rho.im.denominator)
+        qr, qi = pr[M], pi[M]              # Q = P / (u - Z), from the top
+        for k in range(M - 1, -1, -1):
+            sr[k] += rr * qr - ri * qi
+            si[k] += rr * qi + ri * qr
+            qr, qi = pr[k] + zr * qr - zi * qi, pi[k] + zr * qi + zi * qr
+    W = tuple(QC(Fraction(x, D ** (M - k)), Fraction(y, D ** (M - k)))
+              for k, (x, y) in enumerate(zip(pr, pi)))
+    V2 = tuple(QC(Fraction(x, R * D ** (M - 1 - k)),
+                  Fraction(y, R * D ** (M - 1 - k)))
+               for k, (x, y) in enumerate(zip(sr, si)))
+    e = tuple(-W[M - l] if l % 2 else W[M - l] for l in range(M + 1))
+    m = tuple(-V2[M - 1 - l] if l % 2 else V2[M - 1 - l] for l in range(M))
+    return PolyPair(weight, W, V2, e, m)
 
 
 def residue_identity_defect(pair: PolyPair, j: int) -> QC:

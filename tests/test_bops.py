@@ -1,16 +1,18 @@
 """Determinant oracle: existence, identities, expansions, Szego step."""
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from conftest import (random_canonical_case, standard_case_m3,
-                      standard_case_m4, standard_case_m5)
+from conftest import (random_canonical_case, rational_case_m4,
+                      standard_case_m3, standard_case_m4, standard_case_m5)
 from circlebops import bops
 from circlebops.bops import (ToeplitzOracle, casoratian_residuals,
                              orthogonality_residual, phi_from_determinant,
                              toeplitz_det)
+from circlebops.deform import rational_workspace
 from circlebops.errors import DegenerateDeterminant
 from circlebops.exact import det_cofactor, qc
 from circlebops.moments import MomentSequence, ReflectedMoments
@@ -258,3 +260,127 @@ def test_level_needs_no_lu_solve(monkeypatch):
     for n in range(12):
         assert len(o.level(n).phi) == n + 1
         assert o.det(n) == o.level(n).I
+
+
+# -- the exact dot products against the fdot references ----------------------
+
+def _fdot_dets(moments, n):
+    """I_0..I_n by the unpivoted LU border with ``mpmath.fdot`` dot
+    products, each entry of L and U held as mpc, at the sequence's
+    precision: the reference for ``ToeplitzOracle.det``."""
+    with mp.workprec(moments.prec):
+        w = {k: moments.w(k) for k in range(-n, n + 1)}
+        rows, cols, dets = [], [], [mpc(1)]
+        for m in range(n):
+            col = []
+            for k in range(m):
+                col.append(w[k - m] - mpmath.fdot(rows[k], col))
+            row = []
+            for k in range(m):
+                row.append((w[m - k] - mpmath.fdot(row, cols[k][:k]))
+                           / cols[k][k])
+            col.append(w[0] - mpmath.fdot(row, col))
+            rows.append(row)
+            cols.append(col)
+            dets.append(dets[-1] * col[m])
+        return dets
+
+
+def _fdot_monic_pairs(moments, n):
+    """(P_k, Q_k), k = 0..n, by the bi-orthogonal Szego step with
+    ``mpmath.fdot`` pairings: the reference for
+    ``ToeplitzOracle.monic_pair``."""
+    with mp.workprec(moments.prec):
+        w = {k: moments.w(k) for k in range(-n, n + 1)}
+        pairs = [([mpc(1)], [mpc(1)])]
+        for k in range(n):
+            P, Q = pairs[k]
+            h = mpmath.fdot(P, [w[k - j] for j in range(k + 1)])
+            a = -mpmath.fdot(P, [w[-1 - j] for j in range(k + 1)]) / h
+            b = -mpmath.fdot(Q, [w[1 + j] for j in range(k + 1)]) / h
+            P_next, Q_next = [mpc(0)] + P, [mpc(0)] + Q
+            for i in range(k + 1):
+                P_next[i] += a * Q[k - i]
+                Q_next[i] += b * P[k - i]
+            pairs.append((P_next, Q_next))
+        return pairs
+
+
+def _formal_oracle(case):
+    weight, seeds = case()
+    return ToeplitzOracle(MomentSequence.from_seeds(build_poly_pair(weight),
+                                                    -1, seeds))
+
+
+ORACLE_CASES = {
+    "readme": lambda: _formal_oracle(standard_case_m3),
+    "rational-m4": lambda: rational_workspace(rational_case_m4()).oracle,
+    **{f"random-{seed}-{N}": (lambda seed=seed, N=N: _formal_oracle(
+        lambda: random_canonical_case(seed, N)))
+       for seed, N in ((0, 1), (1, 2), (2, 3))},
+}
+
+# the rational M = 4 weight truncates: its determinant at level 6 vanishes
+TRUNCATES_AT = {"rational-m4": 6}
+
+
+def _bits(z):
+    return z._mpc_ if isinstance(z, mpc) else mpc(z)._mpc_
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_exact_dots_equal_the_fdot_references_bit_for_bit(case, bits):
+    """det(n) and monic_pair(n), n <= 30, equal the fdot border and the
+    fdot Szego step exactly; a truncating weight stops where it did."""
+    with working_precision(bits):
+        oracle = ORACLE_CASES[case]()
+        stop = TRUNCATES_AT.get(case, 31)
+        dets = _fdot_dets(oracle.moments, min(stop, 30))
+        pairs = _fdot_monic_pairs(oracle.moments, min(stop, 31) - 1)
+        for n in range(min(stop, 30) + 1):
+            assert _bits(oracle.det(n)) == _bits(dets[n]), n
+        for n in range(min(stop, 31)):
+            P, Q = oracle.monic_pair(n)
+            assert [_bits(c) for c in P] == [_bits(c) for c in pairs[n][0]]
+            assert [_bits(c) for c in Q] == [_bits(c) for c in pairs[n][1]]
+        if case in TRUNCATES_AT:
+            with pytest.raises(DegenerateDeterminant,
+                               match=f"level {stop} vanishes"):
+                oracle.det(stop + 1)
+            with pytest.raises(DegenerateDeterminant,
+                               match=f"level {stop} vanishes"):
+                oracle.monic_pair(stop)
+
+
+def test_rational_m3_truncates_at_level_six_with_the_same_messages():
+    """The M = 3 rational weight of the CLI tests (residues -3, -4, -5)
+    at 256 bits: each route stops at level 6, with its own message."""
+    w = build_weight([0, ["2/5", "1/5"], 1], [-3, -4, -5])
+    with working_precision(256):
+        for query, last, route in (
+                ("det", 6, "the LU factor stops here"),
+                ("monic_pair", 5, "the Szego step stops here"),
+                ("level", 4, "the system truncates here")):
+            oracle = rational_workspace(w).oracle
+            for n in range(last + 1):
+                getattr(oracle, query)(n)
+            with pytest.raises(DegenerateDeterminant) as err:
+                getattr(oracle, query)(last + 1)
+            assert str(err.value) == (
+                "determinant at level 6 vanishes to working precision; "
+                + route)
+
+
+def test_cached_queries_refuse_another_precision():
+    """A cached det or level, answered without entering the oracle's
+    context, is still refused at another working precision."""
+    o, _, _ = _oracle_m3()
+    lev, d = o.level(5), o.det(5)
+    for bits in (64, 256):
+        with working_precision(bits):
+            for query in (o.level, o.det):
+                with pytest.raises(ValueError, match="built at 128 bits "
+                                   f"queried at {bits} bits"):
+                    query(5)
+    assert o.level(5) is lev and o.det(5) == d

@@ -5,9 +5,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
+from mpmath.libmp import from_rational, round_nearest
 
-from circlebops.exact import QC, det_cofactor, qc
-from circlebops.mputil import lu_det
+from circlebops.exact import QC, det_cofactor, qc, round_rational
+from circlebops.mputil import lu_det, working_precision
 
 small = st.integers(min_value=-6, max_value=6)
 
@@ -48,3 +49,47 @@ def test_exact_determinant_vs_lu(vals):
 def test_singular_matrix_detected():
     row = [qc(1), qc(2)]
     assert det_cofactor([row, row]).is_zero()
+
+
+def _exact(x: mpf) -> Fraction:
+    _, man, exp, _ = x._mpf_
+    return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
+
+
+def _is_nearest(x: mpf, v: Fraction, prec: int) -> bool:
+    """x is v rounded to nearest at prec bits: x has at most prec bits and
+    lies within half a unit in the last place of v's binade."""
+    if not v:
+        return x == 0
+    _, man, _, bc = x._mpf_
+    top = abs(v.numerator).bit_length() - v.denominator.bit_length()
+    top += abs(v) >= Fraction(2) ** top            # 2^(top-1) <= |v| < 2^top
+    return bc <= prec and \
+        abs(_exact(x) - v) <= Fraction(2) ** (top - prec - 1)
+
+
+# numerators of every size, with many too long for the precision, where one
+# rounding and mpf(p) / q (two roundings) part
+numerators = st.integers(-2 ** 700, 2 ** 700) | \
+    st.builds(lambda top, low, sign: sign * (2 ** top + low),
+              st.integers(260, 700), st.integers(0, 2 ** 259),
+              st.sampled_from([-1, 1]))
+denominators = st.integers(min_value=1, max_value=2 ** 400)
+
+
+@given(numerators, denominators, numerators, denominators,
+       st.sampled_from([53, 128, 256]))
+@settings(max_examples=200, deadline=None)
+def test_to_mpc_is_correctly_rounded(p1, q1, p2, q2, prec):
+    """Each part is the exact quotient rounded once, to nearest, which is
+    ``libmp.from_rational``'s value; with a numerator that fits in prec
+    bits it is also mpf(p) / q."""
+    z = QC(Fraction(p1, q1), Fraction(p2, q2))
+    with working_precision(prec):
+        got = z.to_mpc()
+        for part, v in ((got.real, z.re), (got.imag, z.im)):
+            assert _is_nearest(part, v, prec), (v, prec)
+            assert part._mpf_ == from_rational(v.numerator, v.denominator,
+                                               prec, round_nearest)
+            if abs(v.numerator).bit_length() <= prec:
+                assert part == mpf(v.numerator) / v.denominator

@@ -5,17 +5,20 @@ from fractions import Fraction
 import pytest
 from mpmath import fsum, log, mpc, mpf
 
-from conftest import RESIDUE_CASES, standard_case_m3, standard_case_m4
+from conftest import (RESIDUE_CASES, rational_case_m4, standard_case_m3,
+                      standard_case_m4)
+from circlebops.deform import rational_workspace
 from circlebops.errors import SingularStep, WindowTooSmall
 from circlebops.exact import QC, qc
 from circlebops.moments import (BACKWARD_PIVOT_FLOOR, MomentSequence,
-                                _product_series, build_U,
+                                build_U,
                                 caratheodory,
                                 caratheodory_ode_residual,
                                 caratheodory_series, moment_quadrature,
                                 moment_step, rational_weight_moments,
                                 recurrence_row, u_from_series)
 from circlebops.mputil import working_precision
+from circlebops.polys import padd, pmul
 from circlebops.weights import build_poly_pair, build_weight
 
 
@@ -219,6 +222,32 @@ def test_rational_moments_need_integer_poles():
         rational_weight_moments(w, 0, 1)
 
 
+def _product_series(factors, nterms: int):
+    """Taylor coefficients of prod (1 - x_i u)^(-q_i) up to u^(nterms-1).
+
+    The product solves P' D = P S with D = prod (1 - x_i u) and
+    S = sum_i q_i x_i prod_{j != i} (1 - x_j u): an order-len(factors)
+    coefficient recurrence, in mpmath at the caller's precision.
+    """
+    D, S = [mpc(1)], [mpc(0)]
+    for i, (x, q) in enumerate(factors):
+        D = pmul(D, [mpc(1), -x])
+        part = [mpc(q) * x]
+        for j, (xj, _) in enumerate(factors):
+            if j != i:
+                part = pmul(part, [mpc(1), -xj])
+        S = padd(S, part)
+    p = [mpc(1)]
+    for m in range(1, nterms):
+        acc = mpc(0)
+        for k in range(min(len(S), m)):
+            acc += S[k] * p[m - 1 - k]
+        for k in range(1, min(len(D), m + 1)):
+            acc -= D[k] * (m - k) * p[m - k]
+        p.append(acc / m)
+    return p
+
+
 def _series_moments(weight, kmin, kmax, nterms):
     """Annulus Laurent coefficients as a truncated product of two series.
 
@@ -278,6 +307,36 @@ def test_residue_sums_match_series_reference(case):
                 scale = abs(ref[k]) or top
                 assert abs(v - ref[k]) <= mpf(2) ** (8 - prec) * scale, \
                     (prec, k)
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUE_CASES))
+def test_residue_sums_skip_the_tail_bit_for_bit(case):
+    """A range that stays above -sum q forms no series at infinity, and its
+    moments equal those of a range that reaches below, which does."""
+    make, _, kmax = RESIDUE_CASES[case]
+    w = make()
+    total = -sum(int(r.re) for r in w.residues)
+    for prec in (128, 256):
+        with working_precision(prec):
+            long = rational_weight_moments(w, -total - 2, kmax)
+            short = rational_weight_moments(w, -total + 1, kmax)
+        assert short == {k: long[k] for k in short}
+        assert all(v._mpc_ == long[k]._mpc_ for k, v in short.items())
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_rational_seeds_carry_the_sequence_precision(bits):
+    """The seeds of a rational workspace are its moments to the sequence's
+    precision (working + 96 bits), against the 800-bit series route."""
+    w = rational_case_m4()
+    with working_precision(bits):
+        ms = rational_workspace(w).oracle.moments
+        seeds = {k: ms.values[k] for k in range(ms.seed_lo, ms.seed_hi + 1)}
+    assert ms.prec == bits + 96 and sorted(seeds) == [-1, 0, 1]
+    ref = _series_reference(w, -1, 1, prec=800)
+    with working_precision(800):
+        for k, v in seeds.items():
+            assert abs(v - ref[k]) <= mpf(2) ** (8 - ms.prec) * abs(ref[k]), k
 
 
 # -- the generating polynomial and function -----------------------------------

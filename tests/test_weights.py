@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from conftest import RESIDUE_CASES, rational_case_m4
+from conftest import (RESIDUE_CASES, rational_case_m4, standard_case_m4,
+                      standard_case_m5)
 from circlebops.deform import shifted_weight
 from circlebops.errors import (DuplicateSingularity, MissingCanonicalPoint,
                                NonnegativeIntegerResidue, NotSingleValued)
@@ -159,15 +160,25 @@ def _stencil_weight():
     return shifted_weight(rational_case_m4(), {1: QC(flow_step())})
 
 
+def _complex_stencil_weight(case):
+    """A weight with complex residues, its first free point moved by the
+    flow step along 1 + i."""
+    h = flow_step()
+    return lambda: shifted_weight(case()[0], {1: QC(h, h)})
+
+
 PAIR_CASES = {**{name: make for name, (make, _, _) in RESIDUE_CASES.items()},
-              "stencil": _stencil_weight}
+              "stencil": _stencil_weight,
+              "stencil-complex-m4": _complex_stencil_weight(standard_case_m4),
+              "stencil-complex-m5": _complex_stencil_weight(standard_case_m5)}
 
 
 @pytest.mark.parametrize("case", sorted(PAIR_CASES))
 def test_poly_pair_by_synthetic_division_equals_the_product_expansion(case):
-    """2V = sum_j rho_j W/(z - z_j) with each quotient by exact synthetic
-    division is the product expansion, coefficient for coefficient, and
-    satisfies 2V(z_j) = rho_j W'(z_j) exactly at every singularity."""
+    """2V = sum_j rho_j W/(z - z_j) with each quotient by exact integer
+    synthetic division on one denominator is the product expansion,
+    coefficient for coefficient, and satisfies 2V(z_j) = rho_j W'(z_j)
+    exactly at every singularity."""
     w = PAIR_CASES[case]()
     pair = build_poly_pair(w)
     assert (pair.W, pair.V2, pair.e, pair.m) == _expanded_pair(w)
