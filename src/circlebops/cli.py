@@ -42,6 +42,10 @@ EXIT_SINGULAR = 3
 # quantities whose sign flips under a kappa gauge flip
 GAUGE_DEPENDENT = ("kappa", "phi", "phibar", "theta", "thetastar", "eps")
 
+# commands that read the spectral data or the level recurrences, both built
+# on the canonical placement {0, t_1..t_N, 1}
+CANONICAL_ONLY = ("verify", "spectral", "garnier", "dgarnier", "sweep")
+
 
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -134,6 +138,9 @@ def _emit(payload: dict, path: str, started: float) -> None:
 def _dispatch(args, cfg: RunConfig) -> int:
     started = time.time()
     cmd = args.command
+    if cmd in CANONICAL_ONLY and cfg.weight_placement != "canonical":
+        raise ConfigInvalid(f"{cmd} needs placement: canonical; moments and "
+                            "bops take any placement")
     if cmd == "verify":
         return _cmd_verify(cfg, started)
     if cmd == "moments":

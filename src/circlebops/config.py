@@ -106,30 +106,47 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(sing, list) or not isinstance(res, list) or \
             len(sing) != len(res) or len(sing) < 2:
         raise ConfigInvalid("weight needs matching singularity/residue lists")
-    for name, values in (("singularity", sing), ("residue", res)):
-        for raw_value in values:
-            try:
-                parse_exact(raw_value)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ConfigInvalid(f"bad {name} {raw_value!r}: {exc}") \
-                    from exc
+    zs = _exact_values("singularity", sing)
+    rhos = _exact_values("residue", res)
     if mode == "rational" and placement != "canonical":
         raise ConfigInvalid("rational mode needs placement: canonical "
                             "(its seed window starts at the origin)")
-    if mode == "rational" and \
-            not all(is_negative_int(parse_exact(r)) for r in res):
+    if mode == "rational" and not all(is_negative_int(r) for r in rhos):
         raise ConfigInvalid("rational mode needs negative integer residues")
     sblock = raw.get("seeds") or {}
+    if not isinstance(sblock, dict):
+        raise ConfigInvalid("seeds must be a mapping")
     seed_start = sblock.get("start", -1)
     seed_values = sblock.get("values", [])
-    if mode == "formal" and not seed_values:
-        raise ConfigInvalid("formal mode needs seed moments")
+    if not isinstance(seed_start, int) or not isinstance(seed_values, list):
+        raise ConfigInvalid("seeds need an integer start and a values list")
+    if mode == "formal":
+        _exact_values("seed", seed_values)
+        # the moment difference equation leaves M - 1 consecutive moments
+        # free when the origin is singular, M otherwise
+        free = len(zs) - 1 if any(z.is_zero() for z in zs) else len(zs)
+        if len(seed_values) != free:
+            raise ConfigInvalid(f"formal mode needs {free} seed moments, "
+                                f"got {len(seed_values)}")
     return RunConfig(mode=mode, precision_bits=bits, tolerance=float(tol),
                      n_max=n_max, seed=seed, checks=list(checks),
                      weight_placement=placement,
                      weight_singularities=sing, weight_residues=res,
-                     seed_start=int(seed_start), seed_values=seed_values,
+                     seed_start=seed_start, seed_values=seed_values,
                      out=str(raw.get("out", "")))
+
+
+def _exact_values(name: str, values: list) -> list:
+    """Each scalar as an exact rational, or ConfigInvalid naming it; a
+    non-finite float has no exact value."""
+    out = []
+    for raw_value in values:
+        try:
+            out.append(parse_exact(raw_value))
+        except (TypeError, ValueError, ZeroDivisionError,
+                OverflowError) as exc:
+            raise ConfigInvalid(f"bad {name} {raw_value!r}: {exc}") from exc
+    return out
 
 
 def as_dict(cfg: RunConfig) -> dict:

@@ -5,20 +5,26 @@ moments that are explicit functions of the singularity positions.  Arbitrary
 seed values do not give that (they pin one solution at one position only);
 weights whose residues are all negative integers do: they are rational
 functions whose annulus Laurent coefficients are closed forms in the
-positions.  All checks here therefore run on that family.
+positions.  The pipeline checks therefore run on that family.
 
 Verified against central differences of the recomputed pipeline:
 
 * the logarithmic derivative formulas for the reflection coefficients,
 * the component forms of the residue-matrix deformation derivatives,
 * the full matrix Schlesinger equations,
-* the canonical-coordinate flow (dq_r/dz_j, dp_r/dz_j).
+* the canonical-coordinate flow (dq_r/dz_j, dp_r/dz_j);
 
-Every comparison reports its observed convergence order under step halving
-and must reach order 1.9 (or sit at the roundoff floor).
+and against central differences of K_j in (q, p), with no recomputation,
+Hamilton's equations dK_j/dp_r = dq_r/dz_j and -dK_j/dq_r = dp_r/dz_j.
 
-The checks build no workspace themselves.  The caller passes the base
-workspace and a stencil (``flow_stencil``): the four workspaces of the
+One rule judges every one of these checks, ``judged_difference``: each is a
+central difference at the steps h = ``flow_step()`` and h/2, and it passes
+when its residual at h/2 is below the tolerance and either converges at
+order >= ``MIN_ORDER`` under step halving or sits at the roundoff floor.  A
+lower order fails the check, and its note names the order.
+
+The pipeline checks build no workspace themselves.  The caller passes the
+base workspace and a stencil (``flow_stencil``): the four workspaces of the
 shifted weights at t = -h, h, -h/2, h/2 along one direction.  One stencil
 along e_j serves both the deformation checks and the flow check of z_j.
 """
@@ -31,10 +37,9 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from .bops import ToeplitzOracle
-from .errors import StepTooLarge
 from .exact import QC
-from .garnier import (coordinates_from_spectral, fd_pass, flow_p_closed,
-                      flow_q_closed, flow_step)
+from .garnier import (GarnierPoint, coordinates_from_spectral, flow_p_closed,
+                      flow_q_closed, k_value)
 from .moments import (MomentSequence, rational_weight_moments,
                       sequence_precision)
 from .mputil import match_roots, to_mpc
@@ -42,6 +47,69 @@ from .report import (CheckResult, Grid, add_grids, product, rel_error,
                      rel_residual, vector_residual)
 from .spectral import SpectralWorkspace, residue_matrices
 from .weights import WeightData, build_poly_pair, build_weight
+
+# least convergence order under step halving that a central difference,
+# good to O(h^2), must show
+MIN_ORDER = 1.9
+
+
+def flow_step() -> Fraction:
+    """Step for order-measuring central differences: 2^-(prec/4), exact.
+
+    Chosen above the truncation/roundoff balance point so that halving the
+    step moves the truncation error visibly.  It is a Fraction so that it
+    can shift a singularity of the exact weight data; as a power of two it
+    converts to mpf without rounding.
+    """
+    return Fraction(1, 2 ** (mp.prec // 4))
+
+
+def flow_tolerance() -> mpf:
+    """Tolerance of the flow and deformation checks: 10^-(prec/8).
+
+    Central differences at ``flow_step`` are good to about the step
+    squared, 2^-(prec/2), so these checks use this tolerance, not the run's.
+    """
+    return mpf(10) ** (-(mp.prec // 8))
+
+
+def judged_difference(label: str, residuals, n: int, tol,
+                      floor_note: str = "roundoff floor") -> CheckResult:
+    """The check of one central difference, from its residuals at the steps
+    h and h/2 (in that order).
+
+    The residual reported is the one at h/2.  When it sits at the floor
+    2^-(3 prec/4 - 24), the difference quotient is exact up to roundoff
+    over the step (the function is polynomial of degree <= 2 along the
+    probed direction), halving the step cannot show an order, and the note
+    is ``floor_note``: a stronger statement than order two.  Otherwise the
+    observed order log2(res(h) / res(h/2)) must reach ``MIN_ORDER``.
+    """
+    res_h, res_h2 = residuals
+    if res_h2 <= mpf(2) ** (-(3 * mp.prec // 4) + 24) or res_h <= 0:
+        ok, note = True, floor_note
+    else:
+        order = mpmath.log(res_h / res_h2) / mpmath.log(2)
+        ok, note = order >= MIN_ORDER, f"order {mpmath.nstr(order, 4)}"
+    res = CheckResult.make(label, res_h2, tol, n, note=note)
+    res.passed = res.passed and ok
+    return res
+
+
+def _steps():
+    """The two steps of every judged difference, h and h/2."""
+    h = flow_step()
+    return h, h / 2
+
+
+def _as_mpf(t: Fraction) -> mpf:
+    """A dyadic step as an mpf, without rounding."""
+    return mpf(t.numerator) / t.denominator
+
+
+def _central(f, step: Fraction):
+    """(f(step) - f(-step)) / (2 step), f taking the displacement t."""
+    return (f(step) - f(-step)) / (2 * to_mpc(_as_mpf(step)))
 
 
 def rational_workspace(weight: WeightData) -> SpectralWorkspace:
@@ -74,26 +142,8 @@ def _family_point(weight: WeightData, zdot: list, t: Fraction) -> WeightData:
 
 def flow_stencil(weight: WeightData, zdot: list) -> dict:
     """Workspaces of the weight moved by t*zdot, for t in -h, h, -h/2, h/2."""
-    h = flow_step()
     return {t: rational_workspace(_family_point(weight, zdot, t))
-            for t in (-h, h, -h / 2, h / 2)}
-
-
-def _central(at: dict, getter, step: Fraction):
-    """(getter(at[step]) - getter(at[-step])) / (2 step); at is keyed by t."""
-    hstep = to_mpc(mpf(step.numerator) / step.denominator)
-    return (getter(at[step]) - getter(at[-step])) / (2 * hstep)
-
-
-def _order_result(label, res_pair, tol, n, min_order=1.9):
-    ok, order = fd_pass(res_pair[0], res_pair[1], min_order)
-    note = "roundoff floor" if order is None else f"order {mpmath.nstr(order, 4)}"
-    res = CheckResult.make(label, res_pair[1], tol, n, note=note)
-    res.passed = ok and res_pair[1] < tol
-    if order is not None and order < 1.5:
-        raise StepTooLarge(
-            f"{label}: observed order {mpmath.nstr(order, 4)} below 1.5")
-    return res
+            for step in _steps() for t in (-step, step)}
 
 
 def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
@@ -103,9 +153,9 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
     ws0 is the workspace of the base weight and stencil is
     ``flow_stencil(ws0.weight, zdot)``.  zdot lists one velocity per finite
     singularity; the origin and the point at 1 must stay fixed (their
-    entries are zero).
+    entries are zero).  Every term that does not depend on the step is
+    formed once; one pass over the two steps then forms the differences.
     """
-    h = flow_step()
     zdot = [QC(z) if not isinstance(z, QC) else z for z in zdot]
     if len(zdot) != ws0.weight.M:
         raise ValueError("need one velocity per finite singularity")
@@ -113,16 +163,18 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
         raise ValueError("the origin cannot move")
     zd = [z.to_mpc() for z in zdot]
 
-    out = []
     zs = ws0.singularities()
+    M = len(zs)
     sd_nm1 = ws0.data(n - 1)
     sd_n = ws0.data(n)
     lev_n = ws0.level(n)
     lev_n1 = ws0.level(n + 1)
     kr = ws0.kappa_ratio(n)
-
-    def V(j):
-        return ws0.at("V", zs[j])
+    wp = [ws0.wprime_at(z) for z in zs]
+    V = [ws0.at("V", z) for z in zs]
+    woz = [ws0.at("Woz", z) for z in zs]
+    theta = [sd_n.at("theta", z) for z in zs]
+    omega = [sd_n.at("omega", z) for z in zs]
 
     # -- reflection-coefficient dynamics --------------------------------------
     # carries a 1/z_j weight (derived from the deformation system at the
@@ -130,108 +182,80 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
     # are never at the origin so the weight is finite
     want_r = mpc(0)
     want_rbar = mpc(0)
-    for j in range(len(zs)):
+    for j in range(M):
         if zd[j] == 0:
             continue
-        want_r += zd[j] * (sd_nm1.at("omega", zs[j]) - V(j)) / \
-            (zs[j] * ws0.wprime_at(zs[j]))
-        want_rbar += zd[j] * (sd_nm1.at("omegastar", zs[j]) + V(j)) / \
-            (zs[j] * ws0.wprime_at(zs[j]))
+        want_r += zd[j] * (sd_nm1.at("omega", zs[j]) - V[j]) / \
+            (zs[j] * wp[j])
+        want_rbar += zd[j] * (sd_nm1.at("omegastar", zs[j]) + V[j]) / \
+            (zs[j] * wp[j])
     want_r *= lev_n.r
     want_rbar *= lev_n.rbar
 
-    res_r, res_rbar = [], []
-    for step in (h, h / 2):
-        fd_r = _central(stencil, lambda w: w.level(n).r, step)
-        fd_rbar = _central(stencil, lambda w: w.level(n).rbar, step)
-        res_r.append(rel_error(fd_r, want_r, 1))
-        res_rbar.append(rel_error(fd_rbar, want_rbar, 1))
-    out.append(_order_result("rdot", res_r, tol, n))
-    out.append(_order_result("rCdot", res_rbar, tol, n))
-
-    # -- residue-matrix derivatives -------------------------------------------
+    # -- residue-matrix derivatives: the step-free parts ----------------------
     mats0 = residue_matrices(ws0, n)
-    kdot = {}
-    pbar_dot = {}
-    for step in (h, h / 2):
-        kdot[step] = _central(stencil, lambda w: w.level(n).kappa, step)
-        pbar_dot[step] = _central(stencil, lambda w: w.level(n).phibar0, step)
-
-    def theta_at(j):
-        return sd_n.at("theta", zs[j])
-
-    def omega_at(j):
-        return sd_n.at("omega", zs[j])
-
-    def brace_term(j):
-        return 2 * omega_at(j) - 2 * kr * zs[j] * theta_at(j) + \
-            n * ws0.at("Woz", zs[j])
-
-    res_a = [[], []]
-    res_b = [[], []]
-    res_sch = [[], []]
-    M = len(zs)
+    brace = [2 * omega[j] - 2 * kr * zs[j] * theta[j] + n * woz[j]
+             for j in range(M)]
+    # the two brackets of each 11 component form
+    p = [omega[j] + V[j] - kr * zs[j] * theta[j] for j in range(M)]
+    m = [omega[j] - V[j] - kr * zs[j] * theta[j] + n * woz[j]
+         for j in range(M)]
+    # the k-sums of the 12 and 11 component forms, term by term
+    sum_a, sum_b = [], []
+    for j in range(M):
+        sum_a.append([])
+        sum_b.append([])
+        for k in range(M):
+            if k == j:
+                continue
+            c = (1 / wp[k]) * ((zd[j] - zd[k]) / (zs[j] - zs[k]))
+            sum_a[j].append(c * (theta[k] * brace[j] - theta[j] * brace[k]))
+            sum_b[j].append(c * ((theta[j] / theta[k]) * p[k] * m[k] -
+                                 (theta[k] / theta[j]) * p[j] * m[j]))
     # the step-free part of each Schlesinger right side,
     # sum_k (zdot_j - zdot_k)/(z_j - z_k) [A_k, A_j], formed exactly
     sch = [add_grids([product((zd[j] - zd[k]) / (zs[j] - zs[k]),
                               _commutator(mats0[k], mats0[j]))
                       for k in range(M) if k != j]) for j in range(M)]
-    for si, step in enumerate((h, h / 2)):
-        mats = {t: residue_matrices(stencil[t], n) for t in (step, -step)}
-        adot = [[[_central(mats, lambda m: m[j][a][b], step)
+    lead_a = [(lev_n.kappa / lev_n1.phi0) * wp[j] for j in range(M)]
+
+    labels = ("rdot", "rCdot", "AnSE:a", "AnSE:b", "SchlesingerEqn")
+    res = {label: [] for label in labels}
+    for step in _steps():
+        def rate(getter):
+            """d/dt of getter(workspace) along the stencil, at this step."""
+            return _central(lambda t: getter(stencil[t]), step)
+
+        res["rdot"].append(rel_error(rate(lambda w: w.level(n).r),
+                                     want_r, 1))
+        res["rCdot"].append(rel_error(rate(lambda w: w.level(n).rbar),
+                                      want_rbar, 1))
+        kd = rate(lambda w: w.level(n).kappa)
+        pbcombo = kd * lev_n.phibar0 + \
+            lev_n.kappa * rate(lambda w: w.level(n).phibar0)
+        adot = [[[rate(lambda w: residue_matrices(w, n)[j][a][b])
                   for b in range(2)] for a in range(2)] for j in range(M)]
-        kd = kdot[step]
-        pbcombo = kd * lev_n.phibar0 + lev_n.kappa * pbar_dot[step]
         # lower-left carries kappa^-2, forced by the evolution of the
         # infinity residue matrix (and matching the component forms)
         binf = [[kd / lev_n.kappa, mpc(0)],
                 [pbcombo / lev_n.kappa ** 2, -kd / lev_n.kappa]]
-
-        worst_a = worst_b = worst_s = mpf(0)
+        worst_a, worst_b, worst_s = [], [], []
         for j in range(M):
             # component form of the 12 derivative
-            lhs = (lev_n.kappa / lev_n1.phi0) * ws0.wprime_at(zs[j]) * \
-                adot[j][0][1]
-            rhs = 2 * (kd / lev_n.kappa) * theta_at(j)
-            for k in range(M):
-                if k == j:
-                    continue
-                rhs += (1 / ws0.wprime_at(zs[k])) * \
-                    ((zd[j] - zd[k]) / (zs[j] - zs[k])) * \
-                    (theta_at(k) * brace_term(j) - theta_at(j) * brace_term(k))
-            worst_a = max(worst_a, rel_residual([lhs, -rhs], 1))
-
+            rhs = sum(sum_a[j], 2 * (kd / lev_n.kappa) * theta[j])
+            worst_a.append(rel_residual([lead_a[j] * adot[j][0][1], -rhs], 1))
             # component form of the 11 derivative
-            lhs = ws0.wprime_at(zs[j]) * adot[j][0][0]
-            rhs = -(lev_n1.phi0 / lev_n.kappa) * \
-                (pbcombo / lev_n.kappa ** 2) * theta_at(j)
-            for k in range(M):
-                if k == j:
-                    continue
-                pj = omega_at(j) + V(j) - kr * zs[j] * theta_at(j)
-                mj = omega_at(j) - V(j) - kr * zs[j] * theta_at(j) + \
-                    n * ws0.at("Woz", zs[j])
-                pk = omega_at(k) + V(k) - kr * zs[k] * theta_at(k)
-                mk = omega_at(k) - V(k) - kr * zs[k] * theta_at(k) + \
-                    n * ws0.at("Woz", zs[k])
-                rhs += (1 / ws0.wprime_at(zs[k])) * \
-                    ((zd[j] - zd[k]) / (zs[j] - zs[k])) * \
-                    ((theta_at(j) / theta_at(k)) * pk * mk -
-                     (theta_at(k) / theta_at(j)) * pj * mj)
-            worst_b = max(worst_b, rel_residual([lhs, -rhs], 1))
-
+            rhs = sum(sum_b[j], -(lev_n1.phi0 / lev_n.kappa) *
+                      (pbcombo / lev_n.kappa ** 2) * theta[j])
+            worst_b.append(rel_residual([wp[j] * adot[j][0][0], -rhs], 1))
             # full matrix Schlesinger equation
             comm = Grid.of(_commutator(binf, mats0[j])) + sch[j]
-            worst_s = max(worst_s, vector_residual(
+            worst_s.append(vector_residual(
                 [adot[j][0] + adot[j][1], -comm], 1))
-        res_a[si] = worst_a
-        res_b[si] = worst_b
-        res_sch[si] = worst_s
-
-    out.append(_order_result("AnSE:a", res_a, tol, n))
-    out.append(_order_result("AnSE:b", res_b, tol, n))
-    out.append(_order_result("SchlesingerEqn", res_sch, tol, n))
-    return out
+        res["AnSE:a"].append(max(worst_a))
+        res["AnSE:b"].append(max(worst_b))
+        res["SchlesingerEqn"].append(max(worst_s))
+    return [judged_difference(label, res[label], n, tol) for label in labels]
 
 
 def _commutator(a, b):
@@ -258,7 +282,6 @@ def hamilton_flow_pipeline_check(ws0: SpectralWorkspace, stencil: dict,
     N = ws0.pair.N
     if not 1 <= j <= N:
         raise ValueError("j indexes a free singularity")
-    h = flow_step()
     point = coordinates_from_spectral(ws0, n, with_hamiltonians=False)
     out = []
     qp = {}
@@ -271,12 +294,47 @@ def hamilton_flow_pipeline_check(ws0: SpectralWorkspace, stencil: dict,
     for r in range(N):
         want_q = flow_q_closed(ws0, n, point, j, r)
         want_p = flow_p_closed(ws0, n, point, j, r)
-        res_q, res_p = [], []
-        for step in (h, h / 2):
-            fd_q = _central(qp, lambda c: c[0][r], step)
-            fd_p = _central(qp, lambda c: c[1][r], step)
-            res_q.append(rel_error(fd_q, want_q, 1))
-            res_p.append(rel_error(fd_p, want_p, 1))
-        out.append(_order_result(f"Ham:qDer@z{j},q{r}", res_q, tol, n))
-        out.append(_order_result(f"Ham:pDer@z{j},q{r}", res_p, tol, n))
+        res_q = [rel_error(_central(lambda t: qp[t][0][r], step), want_q, 1)
+                 for step in _steps()]
+        res_p = [rel_error(_central(lambda t: qp[t][1][r], step), want_p, 1)
+                 for step in _steps()]
+        out.append(judged_difference(f"Ham:qDer@z{j},q{r}", res_q, n, tol))
+        out.append(judged_difference(f"Ham:pDer@z{j},q{r}", res_p, n, tol))
+    return out
+
+
+def _moved_entry(values: list, r: int, t: Fraction) -> list:
+    """values with entry r moved by t."""
+    out = list(values)
+    out[r] = values[r] + _as_mpf(t)
+    return out
+
+
+def hamilton_equations_check(ws: SpectralWorkspace, n: int,
+                             point: GarnierPoint, tol) -> list:
+    """Central differences of K_j in (q, p) against the flow closed forms.
+
+    Verifies dK_j/dp_r = dq_r/dz_j and -dK_j/dq_r = dp_r/dz_j.  K_j is
+    quadratic in the momenta, so the p-differences are exact and sit at the
+    roundoff floor ("exact in p"); a q-difference that does is at the
+    "deep floor".
+    """
+    N = ws.pair.N
+    out = []
+    for j in range(1, N + 1):
+        for r in range(N):
+            want_q = flow_q_closed(ws, n, point, j, r)
+            want_p = flow_p_closed(ws, n, point, j, r)
+            res_q, res_p = [], []
+            for step in _steps():
+                dKdp = _central(lambda t: k_value(
+                    ws, point.q, _moved_entry(point.p, r, t), n, j), step)
+                dKdq = _central(lambda t: k_value(
+                    ws, _moved_entry(point.q, r, t), point.p, n, j), step)
+                res_q.append(rel_error(dKdp, want_q, 1))
+                res_p.append(rel_error(-dKdq, want_p, 1))
+            out.append(judged_difference(f"Ham:dK/dp@z{j},q{r}", res_q, n,
+                                         tol, floor_note="exact in p"))
+            out.append(judged_difference(f"Ham:dK/dq@z{j},q{r}", res_p, n,
+                                         tol, floor_note="deep floor"))
     return out

@@ -79,10 +79,6 @@ class EvaluationAtRootOfTheta(CircleBopsError):
     """Scalar ODE coefficients requested at a zero of the off-diagonal entry."""
 
 
-class StepTooLarge(CircleBopsError):
-    """Finite-difference convergence order fell below the acceptance floor."""
-
-
 # -- canonical coordinates ---------------------------------------------------
 
 class MultipleRoot(CircleBopsError):

@@ -7,17 +7,17 @@ roots,
     p_r = -(Omega_n(q_r) + V(q_r)) / W(q_r),
 
 and each free singularity z_j carries a Hamiltonian K_j rational in (q, p).
-This module extracts the coordinates (companion-matrix eigenvalues plus one
-Newton polish, deterministically ordered), evaluates K_j both from its
-closed form and from the residue-matrix trace formula, provides the closed
-forms of dq_r/dz_j and dp_r/dz_j used by the finite-difference flow checks,
-and the canonical transformation to the polynomial chart.
+This module holds closed forms only: it extracts the coordinates
+(companion-matrix eigenvalues plus one Newton polish, deterministically
+ordered), evaluates K_j both from its closed form and from the
+residue-matrix trace formula, gives the closed forms of dq_r/dz_j and
+dp_r/dz_j, and the canonical transformation to the polynomial chart.  The
+finite differences that check the flow against them live in ``deform``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -25,8 +25,7 @@ from mpmath import mp, mpf, mpc
 from .errors import (CoordinateOnSingularity, MultipleRoot, SingularTransform)
 from .mputil import to_mpc
 from .polys import pdiff, peval, ptrim, pmax_abs, pdiv_exact_linear
-from .report import (CheckResult, Grid, add_grids, product, rel_error,
-                     vector_residual)
+from .report import Grid, add_grids, product, vector_residual
 from .spectral import SpectralWorkspace, residue_matrices
 
 
@@ -301,95 +300,6 @@ def flow_p_closed(ws: SpectralWorkspace, n: int, point: GarnierPoint,
             (qs * (qs - 1) * (zj - qs))
         total -= (Ws / sd.at("dtheta", qs)) / (qs - qr) * br
     return total * sd.at("theta", zj) / ((zj - qr) * ws.wprime_at(zj))
-
-
-def fd_pass(res_h: mpf, res_h2: mpf, min_order: float = 1.9):
-    """Judge a central-difference comparison by convergence order.
-
-    Returns (passed, order).  When the difference quotient is exact (the
-    function is polynomial of degree <= 2 along the probed direction) both
-    residuals sit at the roundoff-over-step floor and halving the step cannot
-    show an order; such comparisons pass through the deep-floor branch, which
-    is a stronger statement than order two.
-    """
-    floor = mpf(2) ** (-(3 * mp.prec // 4) + 24)
-    if res_h2 <= floor:
-        return True, None
-    if res_h <= 0 or res_h2 <= 0:
-        return True, None
-    order = mpmath.log(res_h / res_h2) / mpmath.log(2)
-    return bool(order >= min_order), order
-
-
-def flow_step() -> Fraction:
-    """Step for order-measuring central differences: 2^-(prec/4), exact.
-
-    Chosen above the truncation/roundoff balance point so that halving the
-    step moves the truncation error visibly.  It is a Fraction so that it
-    can shift a singularity of the exact weight data; as a power of two it
-    converts to mpf without rounding.
-    """
-    return Fraction(1, 2 ** (mp.prec // 4))
-
-
-def flow_tolerance() -> mpf:
-    """Tolerance of the flow and deformation checks: 10^-(prec/8).
-
-    Central differences at ``flow_step`` are good to about the step
-    squared, 2^-(prec/2), so these checks use this tolerance, not the run's.
-    """
-    return mpf(10) ** (-(mp.prec // 8))
-
-
-def hamilton_equations_check(ws: SpectralWorkspace, n: int,
-                             point: GarnierPoint, tol=None) -> list:
-    """Central differences of K_j in (q, p) against the flow closed forms.
-
-    Verifies dK_j/dp_r = dq_r/dz_j and -dK_j/dq_r = dp_r/dz_j; each
-    comparison must either converge at order >= 1.9 under step halving or be
-    exact up to the roundoff floor (the p-direction is, K being quadratic in
-    the momenta).
-    """
-    hq = flow_step()
-    h = mpf(hq.numerator) / hq.denominator
-    if tol is None:
-        tol = flow_tolerance()
-    N = ws.pair.N
-    out = []
-
-    def kfun(q, p, j):
-        return k_value(ws, q, p, n, j)
-
-    for j in range(1, N + 1):
-        for r in range(N):
-            want_q = flow_q_closed(ws, n, point, j, r)
-            want_p = flow_p_closed(ws, n, point, j, r)
-            res_q, res_p = [], []
-            for step in (h, h / 2):
-                pp = list(point.p)
-                pp[r] = point.p[r] + step
-                pm = list(point.p)
-                pm[r] = point.p[r] - step
-                dKdp = (kfun(point.q, pp, j) - kfun(point.q, pm, j)) / (2 * step)
-                qp = list(point.q)
-                qp[r] = point.q[r] + step
-                qm = list(point.q)
-                qm[r] = point.q[r] - step
-                dKdq = (kfun(qp, point.p, j) - kfun(qm, point.p, j)) / (2 * step)
-                res_q.append(rel_error(dKdp, want_q, 1))
-                res_p.append(rel_error(-dKdq, want_p, 1))
-            ok_q, ord_q = fd_pass(res_q[0], res_q[1])
-            ok_p, ord_p = fd_pass(res_p[0], res_p[1])
-            rq = CheckResult.make(f"Ham:dK/dp@z{j},q{r}", res_q[1], tol, n,
-                                  note="exact in p" if ord_q is None
-                                  else f"order {mpmath.nstr(ord_q, 4)}")
-            rq.passed = ok_q and res_q[1] < tol
-            rp = CheckResult.make(f"Ham:dK/dq@z{j},q{r}", res_p[1], tol, n,
-                                  note="deep floor" if ord_p is None
-                                  else f"order {mpmath.nstr(ord_p, 4)}")
-            rp.passed = ok_p and res_p[1] < tol
-            out.extend([rq, rp])
-    return out
 
 
 # ---------------------------------------------------------------------------

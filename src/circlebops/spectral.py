@@ -253,27 +253,35 @@ class SpectralWorkspace(_PointTable):
 # the spectral matrix and its residue matrices
 # ---------------------------------------------------------------------------
 
-def a_matrix(ws: SpectralWorkspace, n: int, z) -> list:
-    """A_n(z) entries from the spectral parameterisation."""
-    z = to_mpc(z)
+def _a_entries(ws: SpectralWorkspace, n: int, points) -> list:
+    """A_n at each (z, inv) of points: the four entry numerators of the
+    spectral parameterisation, each times inv (1/W(z), or 1/W'(z_j) for
+    the residue matrix at z_j)."""
     sd = ws.data(n)
     lev_n, lev_n1 = ws.level(n), ws.level(n + 1)
     kr = ws.kappa_ratio(n)
+    out = []
+    for z, inv in points:
+        Vz = ws.at("V", z)
+        th, om = sd.at("theta", z), sd.at("omega", z)
+        ts, os_ = sd.at("thetastar", z), sd.at("omegastar", z)
+        out.append([[-(om + Vz - kr * z * th) * inv,
+                     (lev_n1.phi0 / lev_n.kappa) * th * inv],
+                    [-(lev_n1.phibar0 / lev_n.kappa) * z * ts * inv,
+                     (os_ - Vz - kr * ts) * inv]])
+    return out
+
+
+def a_matrix(ws: SpectralWorkspace, n: int, z) -> list:
+    """A_n(z) entries from the spectral parameterisation."""
+    z = to_mpc(z)
     W = ws.poly("W")
     Wz = ws.at("W", z)
     floor = ws.memo("W floor", lambda: mpf(2) ** (-mp.prec + 8) *
                     pmax_abs(W)) * max(abs(z), mpf(1)) ** len(W)
     if abs(Wz) <= floor:
         raise SamplePointOnSingularity("A_n evaluated at a zero of W")
-    inv = 1 / Wz
-    Vz = ws.at("V", z)
-    th, om = sd.at("theta", z), sd.at("omega", z)
-    ts, os_ = sd.at("thetastar", z), sd.at("omegastar", z)
-    a11 = -(om + Vz - kr * z * th) * inv
-    a12 = (lev_n1.phi0 / lev_n.kappa) * th * inv
-    a21 = -(lev_n1.phibar0 / lev_n.kappa) * z * ts * inv
-    a22 = (os_ - Vz - kr * ts) * inv
-    return [[a11, a12], [a21, a22]]
+    return _a_entries(ws, n, [(z, 1 / Wz)])[0]
 
 
 def residue_matrices(ws: SpectralWorkspace, n: int) -> list:
@@ -284,23 +292,8 @@ def residue_matrices(ws: SpectralWorkspace, n: int) -> list:
     infinity matrix are verified separately by `residue_structure_checks`.
     The workspace keeps them per level and precision.
     """
-    def make():
-        sd = ws.data(n)
-        lev_n, lev_n1 = ws.level(n), ws.level(n + 1)
-        kr = ws.kappa_ratio(n)
-        out = []
-        for z in ws.singularities():
-            inv = 1 / ws.wprime_at(z)
-            Vz = ws.at("V", z)
-            th, om = sd.at("theta", z), sd.at("omega", z)
-            ts, os_ = sd.at("thetastar", z), sd.at("omegastar", z)
-            a11 = (-(om + Vz) + kr * z * th) * inv
-            a12 = (lev_n1.phi0 / lev_n.kappa) * th * inv
-            a21 = -(lev_n1.phibar0 / lev_n.kappa) * z * ts * inv
-            a22 = (os_ - Vz - kr * ts) * inv
-            out.append([[a11, a12], [a21, a22]])
-        return out
-    return ws.memo(("residues", n), make)
+    return ws.memo(("residues", n), lambda: _a_entries(
+        ws, n, [(z, 1 / ws.wprime_at(z)) for z in ws.singularities()]))
 
 
 def a_infinity(residues: list) -> list:
@@ -383,8 +376,8 @@ def check_linear_recurrences(ws: SpectralWorkspace, n: int, tol) -> list:
     lm1, l0, l1, l2 = (ws.level(n - 1), ws.level(n), ws.level(n + 1),
                        ws.level(n + 2))
     Woz = ws.grid("Woz")
-    kr = l1.kappa / l0.kappa          # kappa_{n+1}/kappa_n
-    kr2 = l2.kappa / l1.kappa         # kappa_{n+2}/kappa_{n+1}
+    kr = ws.kappa_ratio(n)            # kappa_{n+1}/kappa_n
+    kr2 = ws.kappa_ratio(n + 1)       # kappa_{n+2}/kappa_{n+1}
     om0, om1, omm1 = s0.grid("omega"), s1.grid("omega"), sm1.grid("omega")
     os0, os1, osm1 = (s0.grid("omegastar"), s1.grid("omegastar"),
                       sm1.grid("omegastar"))
@@ -446,7 +439,7 @@ def check_transitions(ws: SpectralWorkspace, n: int, tol, npoints: int = 5,
     """The three transition identities, as coefficient vectors and at points."""
     s0 = ws.data(n)
     l0, l1 = ws.level(n), ws.level(n + 1)
-    kr = l1.kappa / l0.kappa
+    kr = ws.kappa_ratio(n)
     Woz = ws.grid("Woz")
     th0, ts0 = s0.grid("theta"), s0.grid("thetastar")
     out = []
@@ -514,7 +507,7 @@ def check_bilinear(ws: SpectralWorkspace, n: int, tol) -> list:
     """The five bilinear evaluations at every nonzero finite singularity."""
     s0, s1 = ws.data(n), ws.data(n + 1)
     l0, l1, l2 = ws.level(n), ws.level(n + 1), ws.level(n + 2)
-    kr = l1.kappa / l0.kappa
+    kr = ws.kappa_ratio(n)
     out = []
     zs = ws.singularities()[1:]
 
@@ -587,7 +580,7 @@ def check_summation_identities(ws: SpectralWorkspace, n: int, tol,
     """
     sd = ws.data(n)
     l0, l1 = ws.level(n), ws.level(n + 1)
-    kr = l1.kappa / l0.kappa
+    kr = ws.kappa_ratio(n)
     zs = ws.singularities()
     rhos = ws.residues()
     rho_sum = sum(rhos)
@@ -823,7 +816,7 @@ def _ode_level(ws: SpectralWorkspace, n: int) -> dict:
     def make():
         l0, l1 = ws.level(n), ws.level(n + 1)
         unit = mpf(2) ** (-mp.prec + 12)
-        return {"kr": l1.kappa / l0.kappa,
+        return {"kr": ws.kappa_ratio(n),
                 "coupling": l1.phi0 * l1.phibar0 / l0.kappa ** 2,
                 "theta_floor": unit * pmax_abs(sd.theta),
                 "thetastar_floor": unit * pmax_abs(sd.thetastar),
@@ -916,7 +909,7 @@ def p2_asymptotic_constant(ws: SpectralWorkspace, n: int) -> mpc:
     """Exact limit of z(z-1) p_2 as z -> infinity, by polynomial algebra."""
     sd = ws.data(n)
     l0, l1 = ws.level(n), ws.level(n + 1)
-    kr = l1.kappa / l0.kappa
+    kr = ws.kappa_ratio(n)
     W, V2 = ws.poly("W"), ws.poly("V2")
     V = pscale(V2, mpf("0.5"))
     th, om = sd.theta, sd.omega

@@ -11,10 +11,12 @@ from __future__ import annotations
 from mpmath import mpf
 
 from .bops import casoratian_residuals
+from .deform import (deformation_residuals, flow_stencil, flow_tolerance,
+                     hamilton_equations_check, hamilton_flow_pipeline_check)
 from .discrete_garnier import (dg_from_spectral, dg_hamiltonian_residuals,
                                dg_run, tau_recovery)
-from .garnier import (coordinates_from_spectral, flow_tolerance,
-                      hamilton_equations_check, hamiltonian_from_residues,
+from .exact import QC
+from .garnier import (coordinates_from_spectral, hamiltonian_from_residues,
                       omega_rep_residual, v2_rep_residual, w_rep_residual)
 from .report import CheckResult, rel_error, rel_residual
 from .spectral import (SpectralWorkspace, check_bilinear,
@@ -190,11 +192,9 @@ def flow_suite(ws: SpectralWorkspace, n: int, tol) -> list:
     """Deformation and flow checks; needs a closed-form moment family.
 
     Builds one stencil per free singularity z_j, along e_j; the stencil of
-    z_1 also serves the deformation checks.
+    z_1 also serves the deformation checks.  Every check is judged by
+    ``deform.judged_difference``.
     """
-    from .deform import (deformation_residuals, flow_stencil,
-                         hamilton_flow_pipeline_check)
-    from .exact import QC
     out = []
     for j in range(1, ws.pair.N + 1):
         zdot = [QC(0)] * ws.weight.M
@@ -204,7 +204,7 @@ def flow_suite(ws: SpectralWorkspace, n: int, tol) -> list:
             out.extend(deformation_residuals(ws, stencil, zdot, n, tol))
         out.extend(hamilton_flow_pipeline_check(ws, stencil, n, j, tol))
     point = coordinates_from_spectral(ws, n)
-    out.extend(hamilton_equations_check(ws, n, point, tol=tol))
+    out.extend(hamilton_equations_check(ws, n, point, tol))
     return out
 
 

@@ -18,8 +18,7 @@ from conftest import (make_workspace, random_canonical_case, rational_case_m3,
 from circlebops.discrete_garnier import (DGState, dg_from_spectral,
                                          dg_initial, dg_step, dg_trajectory,
                                          tau_recovery)
-from circlebops.garnier import (coordinates_from_spectral,
-                                hamilton_equations_check)
+from circlebops.garnier import coordinates_from_spectral
 from circlebops.moments import build_U
 from circlebops.mputil import working_precision
 from circlebops.report import failures, worst
@@ -119,10 +118,11 @@ def test_criterion_06_scalar_ode():
 
 
 def test_criterion_07_hamiltonian_flow():
-    from circlebops.deform import (flow_stencil, hamilton_flow_pipeline_check,
+    from circlebops.deform import (flow_stencil, flow_tolerance,
+                                   hamilton_equations_check,
+                                   hamilton_flow_pipeline_check,
                                    rational_workspace)
     from circlebops.exact import QC
-    from circlebops.garnier import flow_tolerance
     results = []
     with working_precision(256):
         for weight, n, js in ((rational_case_m3(), 3, (1,)),
@@ -134,7 +134,8 @@ def test_criterion_07_hamiltonian_flow():
                 results.extend(hamilton_flow_pipeline_check(
                     ws, flow_stencil(weight, zdot), n, j, flow_tolerance()))
             pt = coordinates_from_spectral(ws, n)
-            results.extend(hamilton_equations_check(ws, n, pt))
+            results.extend(hamilton_equations_check(ws, n, pt,
+                                                    flow_tolerance()))
     orders_ok = all(("order" not in r.note) or
                     (mpf(r.note.split()[-1]) >= mpf("1.9"))
                     for r in results)
@@ -223,9 +224,8 @@ def test_criterion_09_tau_recovery():
 
 def test_criterion_10_deformation_derivatives():
     from circlebops.deform import (deformation_residuals, flow_stencil,
-                                   rational_workspace)
+                                   flow_tolerance, rational_workspace)
     from circlebops.exact import QC
-    from circlebops.garnier import flow_tolerance
     with working_precision(256):
         weight = rational_case_m3()
         zdot = [QC(0), QC(1), QC(0)]

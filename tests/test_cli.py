@@ -122,6 +122,58 @@ def test_flow_requires_rational_mode(tmp_path):
     assert main(["--config", path, "verify"]) == 2
 
 
+@pytest.mark.parametrize("values, message", [
+    ([float("inf"), 0.17], "bad seed inf"),
+    ([[0.31, float("nan")], [1, 0]], "bad seed"),
+    (["abc", 0.17], "bad seed 'abc'"),
+    ([0.17], "formal mode needs 2 seed moments, got 1"),
+    ([0.17, 0.2, 0.3], "formal mode needs 2 seed moments, got 3"),
+], ids=["inf", "nan", "not-a-number", "too-few", "too-many"])
+def test_bad_seed_moments_exit_config_code(tmp_path, capsys, values,
+                                           message):
+    """Formal-mode seeds are exact finite rationals, M - 1 of them when the
+    origin is singular, checked with the rest of the configuration."""
+    out = tmp_path / "v.json"
+    path = write_config(tmp_path, seeds={"values": values})
+    assert main(["--config", path, "verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
+def test_general_placement_seeds_count_every_singularity(tmp_path):
+    """Without a singular origin the formal window holds M seeds."""
+    weight = {"placement": "general",
+              "singularities": [["1/2", 0], ["2/5", "1/3"], [2, 0]]}
+    path = write_config(tmp_path, weight=weight)
+    assert main(["--config", path, "moments"]) == 2
+    path = write_config(tmp_path, weight=weight,
+                        seeds={"values": [[0.31, 0.17], [1, 0], [0.5, 0]]})
+    assert main(["--config", path, "moments",
+                 "--out", str(tmp_path / "m.json")]) == 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify"], 2),
+    (["spectral", "--nmax", "2"], 2),
+    (["garnier", "--nmax", "2"], 2),
+    (["dgarnier", "--nmax", "2"], 2),
+    (["sweep", "--param", "t1", "--grid", "0.2:0.4:2"], 2),
+    (["moments"], 0),
+    (["bops", "--nmax", "2"], 0),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_general_placement_commands(tmp_path, capsys, argv, code):
+    """Spectral data and the level recurrences need the canonical
+    placement: those commands refuse a general one as a config error;
+    moments and bops work in any placement."""
+    out = tmp_path / "out.txt"
+    path = write_config(tmp_path, weight={"placement": "general"})
+    assert main(["--config", path, *argv, "--out", str(out)]) == code
+    if code:
+        assert "needs placement: canonical" in capsys.readouterr().err
+    assert out.exists() == (code == 0)
+
+
 def _canonical_bytes(path):
     data = json.loads(path.read_text())
     data.pop("timing_s", None)
@@ -292,6 +344,7 @@ QUADRATURE_M3 = {
     ("residues", 0, ["1/0", 0], "bad residue"),
     ("singularities", 1, [1, 2, 3], "bad singularity"),
     ("singularities", 1, None, "bad singularity None"),
+    ("singularities", 1, [float("inf"), 0], "bad singularity [inf, 0]"),
     ("placement", None, "sideways", "placement must be one of"),
 ])
 def test_malformed_weight_scalars_exit_config_code(tmp_path, capsys, base,

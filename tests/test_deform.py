@@ -2,17 +2,19 @@
 
 from fractions import Fraction
 
-import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from conftest import rational_case_m3, rational_case_m4
+from conftest import (make_workspace, rational_case_m3, rational_case_m4,
+                      standard_case_m4)
 from circlebops import deform
-from circlebops.deform import (deformation_residuals, flow_stencil,
+from circlebops.deform import (MIN_ORDER, deformation_residuals,
+                               flow_stencil, flow_tolerance,
+                               hamilton_equations_check,
                                hamilton_flow_pipeline_check,
-                               rational_workspace, shifted_weight)
-from circlebops.errors import StepTooLarge
+                               judged_difference, rational_workspace,
+                               shifted_weight)
 from circlebops.exact import QC
-from circlebops.garnier import flow_tolerance
+from circlebops.garnier import coordinates_from_spectral
 from circlebops.moments import rational_weight_moments
 from circlebops.mputil import working_precision
 from circlebops.report import all_passed, failures
@@ -81,12 +83,63 @@ def test_flow_pipeline_matches_closed_forms():
                                          for c in failures(res)]
 
 
-def test_step_too_large_detected():
-    from circlebops.deform import _order_result
-    # halving the step barely moved the residual: order near zero
-    with pytest.raises(StepTooLarge):
-        _order_result("probe", [mpf("1e-10"), mpf("0.9e-10")],
-                      mpf("1e-5"), 1)
+def test_judged_difference_logic():
+    res = judged_difference("probe", [mpf(1e-10), mpf("2.5e-11")], 1,
+                            mpf("1e-5"))
+    assert res.passed and res.note == "order 2.0"
+    assert res.residual == mpf("2.5e-11")
+    # at the roundoff floor no order can show: the floor note, a pass
+    res = judged_difference("probe", [mpf(1e-50),
+                                      mpf(2) ** (-(3 * mp.prec // 4))], 1,
+                            mpf("1e-5"), floor_note="deep floor")
+    assert res.passed and res.note == "deep floor"
+    # converging at order two, but above the tolerance
+    res = judged_difference("probe", [mpf(1e-4), mpf("2.5e-5")], 1,
+                            mpf("1e-5"))
+    assert not res.passed and res.note == "order 2.0"
+
+
+def _off_by(monkeypatch, relative):
+    """Make the closed form of dq_r/dz_j wrong by a fixed relative amount."""
+    closed = deform.flow_q_closed
+    monkeypatch.setattr(deform, "flow_q_closed",
+                        lambda *args: closed(*args) * (1 + mpf(relative)))
+
+
+def _slow(results, prefix):
+    """The checks labelled prefix*: each fails below its tolerance, with an
+    order under MIN_ORDER in its note."""
+    slow = [c for c in results if c.label.startswith(prefix)]
+    assert slow
+    for c in slow:
+        assert not c.passed and c.residual < c.tol
+        assert c.note.startswith("order ")
+        assert mpf(c.note.split()[-1]) < MIN_ORDER
+
+
+def test_slow_convergence_fails_with_its_order(monkeypatch):
+    """A difference whose residual barely moves when the step halves fails
+    its check, and its note names the order; nothing aborts.  The probe is
+    a closed form off by a fixed relative amount far above the truncation
+    error, in a pipeline (deform) check and in a Ham:dK check."""
+    _slow([judged_difference("probe", [mpf("1e-10"), mpf("0.9e-10")], 1,
+                             mpf("1e-5"))], "probe")
+    with working_precision(256):
+        _off_by(monkeypatch, "1e-36")
+        w = rational_case_m3()
+        zdot = [QC(0), QC(1), QC(0)]
+        res = hamilton_flow_pipeline_check(
+            rational_workspace(w), flow_stencil(w, zdot), 3, 1,
+            flow_tolerance())
+    _slow(res, "Ham:qDer")
+    assert all_passed(c for c in res if c.label.startswith("Ham:pDer"))
+    monkeypatch.undo()
+    _off_by(monkeypatch, "1e-15")
+    ws = make_workspace(*standard_case_m4())
+    res = hamilton_equations_check(ws, 2, coordinates_from_spectral(ws, 2),
+                                   mpf(1e-10))
+    _slow(res, "Ham:dK/dp")
+    assert all_passed(c for c in res if c.label.startswith("Ham:dK/dq"))
 
 
 def test_flow_suite_builds_one_stencil_per_free_singularity(monkeypatch):

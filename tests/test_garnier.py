@@ -2,13 +2,13 @@
 
 import mpmath
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import mpc, mpf
 
 from conftest import make_workspace, standard_case_m3, standard_case_m4
+from circlebops.deform import hamilton_equations_check
 from circlebops.errors import MultipleRoot, RootMatchingAmbiguous
 from circlebops.garnier import (canonical_transform,
-                                coordinates_from_spectral, fd_pass,
-                                hamilton_equations_check,
+                                coordinates_from_spectral,
                                 hamiltonian_from_residues, omega_rep_residual,
                                 polynomial_roots, riemann_exponents,
                                 v2_rep_residual, w_rep_residual)
@@ -84,7 +84,7 @@ def test_exponent_table_and_accessory():
 def test_hamilton_equations_fd():
     ws = make_workspace(*standard_case_m4())
     pt = coordinates_from_spectral(ws, 2)
-    res = hamilton_equations_check(ws, 2, pt, tol=mpf(1e-10))
+    res = hamilton_equations_check(ws, 2, pt, mpf(1e-10))
     assert all_passed(res), [(r.label, r.note) for r in failures(res)]
     # q-direction comparisons must state a genuine order
     orders = [r.note for r in res if "dK/dq" in r.label]
@@ -95,17 +95,8 @@ def test_hamilton_equations_fd_three_coordinates():
     from conftest import standard_case_m5
     ws = make_workspace(*standard_case_m5())
     pt = coordinates_from_spectral(ws, 2)
-    res = hamilton_equations_check(ws, 2, pt, tol=mpf(1e-10))
+    res = hamilton_equations_check(ws, 2, pt, mpf(1e-10))
     assert all_passed(res), [(r.label, r.note) for r in failures(res)]
-
-
-def test_fd_pass_logic():
-    ok, order = fd_pass(mpf(1e-10), mpf("2.5e-11"))
-    assert ok and abs(order - 2) < 0.1
-    ok, order = fd_pass(mpf(1e-10), mpf("0.9e-10"))
-    assert not ok
-    ok, order = fd_pass(mpf(1e-50), mpf(2) ** (-(3 * mp.prec // 4)))
-    assert ok and order is None
 
 
 def test_canonical_transform_roundtrip_and_gauge():

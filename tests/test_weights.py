@@ -10,11 +10,10 @@ from mpmath import mp, mpc, mpf
 
 from conftest import (RESIDUE_CASES, rational_case_m4, standard_case_m4,
                       standard_case_m5)
-from circlebops.deform import shifted_weight
+from circlebops.deform import flow_step, shifted_weight
 from circlebops.errors import (DuplicateSingularity, MissingCanonicalPoint,
                                NonnegativeIntegerResidue, NotSingleValued)
 from circlebops.exact import QC
-from circlebops.garnier import flow_step
 from circlebops.polys import pdiff, peval, pmul
 from circlebops.weights import (build_poly_pair, build_weight,
                                 eval_weight_on_circle,
