@@ -19,8 +19,8 @@ import math
 import sys
 import time
 
-import mpmath
 from mpmath import mpf
+from mpmath.libmp import to_str
 
 from . import jsonout
 from .config import (RunConfig, as_dict, build_weight_from_config,
@@ -158,6 +158,14 @@ def _dispatch(args, cfg: RunConfig) -> int:
     raise ConfigInvalid(f"unknown command {cmd!r}")
 
 
+def check_line(r, tol_text: str) -> str:
+    """The stdout line of a check; its residual to 6 digits."""
+    status = "pass" if r.passed else "FAIL"
+    level = f" n={r.n}" if r.n is not None else ""
+    return (f"[{status}] {r.label}{level}: {to_str(r.residual._mpf_, 6)}"
+            f" < {tol_text}")
+
+
 def _cmd_verify(cfg: RunConfig, started: float) -> int:
     if not cfg.checks:
         raise ConfigInvalid("verify needs a nonempty checks list")
@@ -167,20 +175,15 @@ def _cmd_verify(cfg: RunConfig, started: float) -> int:
     ws = build_workspace(cfg)
     tol = cfg.tolerance_mpf()
     results = run_verification(ws, cfg.checks, cfg.n_max, tol, seed=cfg.seed)
-    tols = {}                   # tolerance -> (text, JSON field), made once
-    checks = []
+    tols = {}                   # tolerance -> its text, made once
     for r in results:
-        if r.tol not in tols:
-            tols[r.tol] = mpmath.nstr(r.tol, 3), jsonout.real_field(r.tol)
-        text, field = tols[r.tol]
-        status = "pass" if r.passed else "FAIL"
-        level = f" n={r.n}" if r.n is not None else ""
-        print(f"[{status}] {r.label}{level}: {mpmath.nstr(r.residual, 6)}"
-              f" < {text}")
-        checks.append(jsonout.check_field(r, field))
+        tol_text = tols.get(r.tol._mpf_)
+        if tol_text is None:
+            tol_text = tols[r.tol._mpf_] = to_str(r.tol._mpf_, 3)
+        print(check_line(r, tol_text))
     bad = failures(results)
     payload = {
-        "checks": checks,
+        "checks": results,
         "summary": {"total": len(results), "failed": len(bad),
                     "tolerance": jsonout.real_field(tol),
                     "n_max": cfg.n_max, "mode": cfg.mode,
@@ -272,7 +275,7 @@ def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
         results = run_verification(ws, ["identities", "bilinear", "summation"],
                                    cfg.n_max, tol, seed=cfg.seed)
     payload = {"levels": records,
-               "residuals": [jsonout.check_field(r) for r in results]}
+               "residuals": results}
     _emit(payload, _out_path(cfg, "spectral.json"), started)
     return EXIT_OK if all(r.passed for r in results) else EXIT_RESIDUAL
 
@@ -305,7 +308,7 @@ def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
         flow_results = run_verification(ws, ["flow"], cfg.n_max,
                                         cfg.tolerance_mpf())
     payload = {"levels": recs,
-               "flow": [jsonout.check_field(r) for r in flow_results]}
+               "flow": flow_results}
     _emit(payload, _out_path(cfg, "garnier.json"), started)
     return EXIT_OK if all(r.passed for r in flow_results) else EXIT_RESIDUAL
 

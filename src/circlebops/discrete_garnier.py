@@ -307,7 +307,6 @@ def tau_recovery(states: list, pair: PolyPair, moments: MomentSequence,
     e = pair.e_mpc()
     e1 = e[1]
     rho0 = pair.weight.residues_mpc()[0]
-    nmax = states[-1].n
     if lambda_tol is None:
         lambda_tol = mpf(10) ** (-(mp.prec // 8))
 

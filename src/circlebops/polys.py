@@ -20,10 +20,11 @@ Gaussian rationals).
 
 from __future__ import annotations
 
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .mputil import to_mpc
-from .report import Grid, largest_abs
+from .report import Grid, _cap, largest_abs
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +99,21 @@ def peval_grid(g: Grid, z) -> mpc:
 
     Horner's rule runs in integers on the grids of g and z, so the value is
     exact; its real and imaginary parts are then rounded once each, to
-    nearest at mp.prec (``Grid.coeff``).
+    nearest at mp.prec, as ``Grid.coeff`` rounds.  z goes onto its grid
+    as ``Grid.of([z])`` puts it; that call itself runs only in the cap
+    case, where z's parts lie so far apart that the smaller is rounded.
     """
-    zg = Grid.of([z])
-    if g.exp is None or zg.exp is None:
+    z = to_mpc(z)
+    (s1, m1, e1, b1), (s2, m2, e2, b2) = z._mpc_
+    if g.exp is None or (not m1 and e1) or (not m2 and e2):
         return mpc(mpf("nan"), mpf("nan"))
-    zr, zi, ez = zg.re[0], zg.im[0], zg.exp
+    if m1 and m2 and abs(e1 + b1 - e2 - b2) >= _cap():
+        zg = Grid.of([z])
+        zr, zi, ez = zg.re[0], zg.im[0], zg.exp
+    else:
+        ez = min(e1 if m1 else e2, e2 if m2 else e1)
+        zr = (-m1 if s1 else m1) << (e1 - ez) if m1 else 0
+        zi = (-m2 if s2 else m2) << (e2 - ez) if m2 else 0
     if ez > 0:
         zr, zi, ez = zr << ez, zi << ez, 0
     # sum_k c_k z^k 2^(-d ez) = Horner over c_k 2^((d-k)(-ez)), d = deg
@@ -112,7 +122,9 @@ def peval_grid(g: Grid, z) -> mpc:
         s = (d - k) * -ez
         re, im = (re * zr - im * zi + (g.re[k] << s),
                   re * zi + im * zr + (g.im[k] << s))
-    return Grid([re], [im], g.exp + d * ez).coeff(0)
+    exp, prec = g.exp + d * ez, mp.prec
+    return mp.make_mpc((from_man_exp(re, exp, prec, round_nearest),
+                        from_man_exp(im, exp, prec, round_nearest)))
 
 
 def pdivmod_linear(a, root):

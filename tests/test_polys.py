@@ -17,7 +17,7 @@ from circlebops.bops import ToeplitzOracle, pairing_first
 from circlebops.exact import QC
 from circlebops.moments import MomentSequence, ReflectedMoments
 from circlebops.mputil import guarded, to_mpc, working_precision
-from circlebops.polys import OffsetSeries, conv_fixed, pmul
+from circlebops.polys import OffsetSeries, conv_fixed, peval_grid, pmul
 from circlebops.weights import build_poly_pair
 
 
@@ -351,6 +351,75 @@ def test_series_sums_equal_the_former_exact_add(pair):
         got = (OffsetSeries(a[1], a[2], a[3], a[0]) +
                OffsetSeries(b[1], b[2], b[3], b[0]))
     assert _values(got) == _values(_old_add(a, b))
+
+
+# ---------------------------------------------------------------------------
+# point evaluation on the exact grid
+# ---------------------------------------------------------------------------
+
+def _peval_by_grid_of(g, z):
+    """``peval_grid`` with the point put on its grid by ``Grid.of`` and
+    the value rounded by ``Grid.coeff``: the route it takes in the cap
+    case, and took everywhere before."""
+    zg = OffsetSeries.of([z])
+    if g.exp is None or zg.exp is None:
+        return mpc(mpf("nan"), mpf("nan"))
+    zr, zi, ez = zg.re[0], zg.im[0], zg.exp
+    if ez > 0:
+        zr, zi, ez = zr << ez, zi << ez, 0
+    re, im, d = g.re[-1], g.im[-1], len(g) - 1
+    for k in range(d - 1, -1, -1):
+        s = (d - k) * -ez
+        re, im = (re * zr - im * zi + (g.re[k] << s),
+                  re * zi + im * zr + (g.im[k] << s))
+    return OffsetSeries([re], [im], g.exp + d * ez).coeff(0)
+
+
+_SPECIAL = st.sampled_from((mpf(0), mpf("inf"), mpf("-inf"), mpf("nan")))
+
+
+@st.composite
+def _points(draw):
+    """Points whose parts are random, zero or non-finite, with top bits up
+    to 2 prec + 64 = 320 bits (at 128 bits) and more apart."""
+    top = draw(st.integers(-400, 400))
+    parts = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(("near", "near", "far", "special")))
+        if kind == "special":
+            parts.append(draw(_SPECIAL))
+        else:
+            gap = draw(st.integers(0, 40) if kind == "near"
+                       else st.integers(300, 340))
+            parts.append(_part(draw, top - gap))
+    return mpc(*parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_points(), st.integers(0, 6), st.integers(-300, 300),
+       st.randoms(use_true_random=False))
+def test_point_evaluation_equals_the_grid_of_route(z, deg, exp, rng):
+    mans = [[rng.choice((0, rng.randint(-2 ** 150, 2 ** 150)))
+             for _ in range(deg + 1)] for _ in range(2)]
+    g = OffsetSeries(mans[0], mans[1], exp)
+    for bits in (53, 128):
+        with working_precision(bits):
+            assert peval_grid(g, z)._mpc_ == _peval_by_grid_of(g, z)._mpc_
+    assert peval_grid(OffsetSeries.nonfinite(deg + 1), z)._mpc_ == \
+        _peval_by_grid_of(OffsetSeries.nonfinite(deg + 1), z)._mpc_
+
+
+def test_point_evaluation_at_the_cap():
+    """Parts exactly 2 prec + 64 bits apart take the ``Grid.of`` route,
+    which rounds the smaller onto the coarser grid; one bit closer they
+    stay exact.  With real coefficients and no constant term the smaller
+    part carries over to the value at full relative precision."""
+    for g in (OffsetSeries([0, 3], [0, 0], -4),
+              OffsetSeries([0, 3, -2], [0, 0, 0], -4)):
+        for gap in (319, 320, 321):
+            big, small = mpf(3) * 2 ** 10, mpf(3) * 2 ** (10 - gap)
+            for z in (mpc(big, small), mpc(small, -big)):
+                assert peval_grid(g, z)._mpc_ == _peval_by_grid_of(g, z)._mpc_
 
 
 # ---------------------------------------------------------------------------
