@@ -60,7 +60,6 @@ closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import functools
 
 import mpmath
@@ -70,20 +69,24 @@ from .errors import DegenerateDeterminant
 from .moments import MomentSequence, ReflectedMoments
 from .mputil import guarded, lu_det, lu_solve, to_mpc
 from .polys import conv_fixed
+from .record import Record
 from .report import Grid, largest_abs, ratio
 
 
-@dataclass
-class BopsLevel:
+class BopsLevel(Record):
     """All scalar and polynomial data of one level of the system."""
 
-    n: int
-    I: mpc                  # Toeplitz determinant at this level
-    I_next: mpc
-    kappa: mpc              # gauge * sqrt(I_n / I_{n+1})
-    gauge: int
-    phi: list               # coefficients of phi_n, ascending, length n+1
-    phibar: list            # coefficients of phibar_n
+    _fields = ("n", "I", "I_next", "kappa", "gauge", "phi", "phibar")
+
+    def __init__(self, n: int, I: mpc, I_next: mpc, kappa: mpc, gauge: int,
+                 phi: list, phibar: list):
+        self.n = n
+        self.I = I                  # Toeplitz determinant at this level
+        self.I_next = I_next
+        self.kappa = kappa          # gauge * sqrt(I_n / I_{n+1})
+        self.gauge = gauge
+        self.phi = phi              # phi_n, ascending, length n+1
+        self.phibar = phibar        # phibar_n, ascending
 
     @property
     def phistar(self) -> list:

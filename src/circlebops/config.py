@@ -22,7 +22,6 @@ into the weight data.  A minimal example:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import yaml
 from mpmath import mpf
@@ -31,6 +30,7 @@ from .bops import ToeplitzOracle
 from .errors import ConfigInvalid
 from .moments import MomentSequence
 from .mputil import parse_exact, to_mpc
+from .record import Record
 from .spectral import SpectralWorkspace
 from .weights import WeightData, build_poly_pair, build_weight, \
     is_negative_int
@@ -40,20 +40,28 @@ MODES = ("formal", "quadrature", "rational")
 PLACEMENTS = ("canonical", "general")
 
 
-@dataclass
-class RunConfig:
-    mode: str
-    precision_bits: int
-    tolerance: float
-    n_max: int
-    seed: int
-    checks: list
-    weight_placement: str
-    weight_singularities: list
-    weight_residues: list
-    seed_start: int = -1
-    seed_values: list = field(default_factory=list)
-    out: str = ""
+class RunConfig(Record):
+    _fields = ("mode", "precision_bits", "tolerance", "n_max", "seed",
+               "checks", "weight_placement", "weight_singularities",
+               "weight_residues", "seed_start", "seed_values", "out")
+
+    def __init__(self, mode: str, precision_bits: int, tolerance: float,
+                 n_max: int, seed: int, checks: list, weight_placement: str,
+                 weight_singularities: list, weight_residues: list,
+                 seed_start: int = -1, seed_values: list | None = None,
+                 out: str = ""):
+        self.mode = mode
+        self.precision_bits = precision_bits
+        self.tolerance = tolerance
+        self.n_max = n_max
+        self.seed = seed
+        self.checks = checks
+        self.weight_placement = weight_placement
+        self.weight_singularities = weight_singularities
+        self.weight_residues = weight_residues
+        self.seed_start = seed_start
+        self.seed_values = [] if seed_values is None else seed_values
+        self.out = out
 
     def tolerance_mpf(self) -> mpf:
         return mpf(self.tolerance)

@@ -28,8 +28,6 @@ recurrences (cross-checked), and rebuilds the determinant sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import mpmath
 from mpmath import mp, mpf, mpc
 
@@ -38,19 +36,24 @@ from .errors import (InconsistentLambdaPaths, SingularStep,
 from .moments import MomentSequence, UPoly, build_U
 from .mputil import to_mpc
 from .polys import elementary_symmetric, peval, pscale, psub
+from .record import Record
 from .report import rel_error, rel_residual
 from .spectral import SpectralWorkspace
 from .weights import PolyPair
 
 
-@dataclass
-class DGState:
+class DGState(Record):
     """Recurrence variables at one level, plus cached inversion data."""
 
-    n: int
-    f: list
-    omega: list
-    vartheta: list = None      # interior coordinate-polynomial coefficients
+    _fields = ("n", "f", "omega", "vartheta")
+
+    def __init__(self, n: int, f: list, omega: list,
+                 vartheta: list | None = None):
+        self.n = n
+        self.f = f
+        self.omega = omega
+        # interior coordinate-polynomial coefficients
+        self.vartheta = vartheta
 
 
 def denominator_floor() -> mpf:

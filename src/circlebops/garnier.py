@@ -17,14 +17,13 @@ finite differences that check the flow against them live in ``deform``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import mpmath
 from mpmath import mp, mpf, mpc
 
 from .errors import (CoordinateOnSingularity, MultipleRoot, SingularTransform)
 from .mputil import to_mpc
 from .polys import pdiff, peval, ptrim, pmax_abs, pdiv_exact_linear
+from .record import Record
 from .report import Grid, add_grids, product, vector_residual
 from .spectral import SpectralWorkspace, residue_matrices
 
@@ -71,15 +70,17 @@ def _sorted_roots(roots):
     return sorted(roots, key=lambda z: (mpmath.re(z), mpmath.im(z)))
 
 
-@dataclass
-class GarnierPoint:
+class GarnierPoint(Record):
     """Coordinates, momenta and Hamiltonian values at one level."""
 
-    n: int
-    q: list
-    p: list
-    K: list
-    theta_inf: mpc
+    _fields = ("n", "q", "p", "K", "theta_inf")
+
+    def __init__(self, n: int, q: list, p: list, K: list, theta_inf: mpc):
+        self.n = n
+        self.q = q
+        self.p = p
+        self.K = K
+        self.theta_inf = theta_inf
 
 
 def degeneracy_floor() -> mpf:

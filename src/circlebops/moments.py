@@ -39,7 +39,6 @@ costs O(q) with an exact integer binomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -51,6 +50,7 @@ from .errors import (NonConvergent, SingularStep, WindowTooSmall,
 from .exact import QC, round_rational
 from .mputil import GUARD_BITS, to_mpc
 from .polys import padd, pdiff, peval, pmul, pscale
+from .record import FrozenRecord, Record
 from .report import Grid, rel_residual
 from .weights import PolyPair, WeightData, build_poly_pair, \
     eval_weight_on_circle, is_negative_int, seam_shielded, \
@@ -132,26 +132,29 @@ def sequence_precision() -> int:
     return mp.prec + 2 * GUARD_BITS
 
 
-@dataclass
-class MomentSequence:
+class MomentSequence(Record):
     """Contiguous window of moments with its generating recurrence.
 
-    ``prec`` is fixed when the sequence is built: the working precision plus
-    twice the guard bits.  Every moment the recurrence adds is computed at
-    it, whoever asks, and the oracle over the sequence adopts it.
+    ``prec`` is fixed when the sequence is built: by default the working
+    precision plus twice the guard bits.  Every moment the recurrence adds
+    is computed at it, whoever asks, and the oracle over the sequence
+    adopts it.
     """
 
-    pair: PolyPair
-    values: dict
-    seed_lo: int
-    seed_hi: int
-    provenance: str = "seeded"
-    exact: bool = False
-    prec: int = field(default_factory=sequence_precision)
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("pair", "values", "seed_lo", "seed_hi", "provenance", "exact",
+               "prec")
 
-    def __post_init__(self):
-        self._rows = integer_rows(self.pair)
+    def __init__(self, pair: PolyPair, values: dict, seed_lo: int,
+                 seed_hi: int, provenance: str = "seeded",
+                 exact: bool = False, prec: int | None = None):
+        self.pair = pair
+        self.values = values
+        self.seed_lo = seed_lo
+        self.seed_hi = seed_hi
+        self.provenance = provenance
+        self.exact = exact
+        self.prec = sequence_precision() if prec is None else prec
+        self._rows = integer_rows(pair)
 
     @property
     def k_min(self) -> int:
@@ -505,11 +508,13 @@ def rational_weight_moments(weight: WeightData, kmin: int, kmax: int) -> dict:
 # the U polynomial and the moment generating function
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UPoly:
+class UPoly(FrozenRecord):
     """Coefficients u_0..u_{N+1} of U = W F' - 2V F."""
 
-    u: tuple
+    _fields = ("u",)
+
+    def __init__(self, u: tuple):
+        self._init(u=u)
 
     def coeffs(self):
         return list(self.u)

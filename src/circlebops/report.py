@@ -60,24 +60,29 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import add, mul, sub
 
 from mpmath import isfinite, mp, mpc, mpf
 from mpmath.libmp import from_int, from_man_exp, fzero, round_nearest
 
 from .mputil import exceeds, to_mpc
+from .record import Record
 
 
-@dataclass
-class CheckResult:
-    label: str                 # identity code, e.g. "rrCf:a"
-    residual: mpf
-    tol: mpf
-    n: int | None = None
-    passed: bool = True
-    gauge_invariant: bool = True
-    note: str = ""
+class CheckResult(Record):
+    _fields = ("label", "residual", "tol", "n", "passed", "gauge_invariant",
+               "note")
+
+    def __init__(self, label: str, residual: mpf, tol: mpf,
+                 n: int | None = None, passed: bool = True,
+                 gauge_invariant: bool = True, note: str = ""):
+        self.label = label          # identity code, e.g. "rrCf:a"
+        self.residual = residual
+        self.tol = tol
+        self.n = n
+        self.passed = passed
+        self.gauge_invariant = gauge_invariant
+        self.note = note
 
     @classmethod
     def make(cls, label, residual, tol, n=None, gauge_invariant=True, note=""):

@@ -43,8 +43,6 @@ as factor tuples, which it forms exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import mpmath
 from mpmath import mp, mpf, mpc
 
@@ -54,6 +52,7 @@ from .errors import (DegreeBoundViolated, EvaluationAtRootOfTheta,
 from .mputil import sample_points, to_mpc
 from .polys import (padd, pdiff, peval_grid, pmul, pscale, pshift, psub,
                     ptrim, pdeg, pmax_abs)
+from .record import Record
 from .report import (CheckResult, Grid, largest_abs, ratio, rel_error,
                      rel_residual, sqrt_ratio, vector_residual)
 from .weights import PolyPair
@@ -89,18 +88,21 @@ class _PointTable:
                          lambda: peval_grid(self.grid(name), z))
 
 
-@dataclass
-class SpectralData(_PointTable):
+class SpectralData(_PointTable, Record):
     """Coefficient vectors of the four spectral polynomials at one level."""
 
-    n: int
-    theta: list          # ascending, length N+1
-    omega: list          # ascending, length N+2
-    thetastar: list      # ascending, length N+1
-    omegastar: list      # ascending, length N+2
-    band_residual: mpf   # worst out-of-band series coefficient, relative
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _fields = ("n", "theta", "omega", "thetastar", "omegastar",
+               "band_residual")
+
+    def __init__(self, n: int, theta: list, omega: list, thetastar: list,
+                 omegastar: list, band_residual: mpf):
+        self.n = n
+        self.theta = theta              # ascending, length N+1
+        self.omega = omega              # ascending, length N+2
+        self.thetastar = thetastar      # ascending, length N+1
+        self.omegastar = omegastar      # ascending, length N+2
+        self.band_residual = band_residual  # worst out-of-band coefficient
+        self._memo = {}
 
     def _base(self, name):
         return getattr(self, name)

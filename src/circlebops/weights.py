@@ -18,7 +18,6 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -29,17 +28,24 @@ from .errors import (DuplicateSingularity, MissingCanonicalPoint,
 from .exact import QC
 from .mputil import parse_exact
 from .polys import pdiff, peval
+from .record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class WeightData:
-    """Validated singularity/residue data.  Immutable after construction."""
+class WeightData(FrozenRecord):
+    """Validated singularity/residue data.  Immutable after construction.
 
-    singularities: tuple          # QC values, ordered
-    residues: tuple               # QC values, aligned with singularities
-    placement: str                # 'canonical' | 'general'
-    _images: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)  # mp.prec -> (zs, rhos) as mpc
+    The mpc images are converted once per working precision and kept in
+    ``_images``, which takes no part in equality or hashing.
+    """
+
+    _fields = ("singularities", "residues", "placement")
+
+    def __init__(self, singularities: tuple, residues: tuple,
+                 placement: str):
+        self._init(singularities=singularities,     # QC values, ordered
+                   residues=residues,      # QC values, aligned with them
+                   placement=placement,    # 'canonical' | 'general'
+                   _images={})             # mp.prec -> (zs, rhos) as mpc
 
     @property
     def M(self) -> int:
@@ -71,8 +77,7 @@ class WeightData:
         return list(self._mpc()[1])
 
 
-@dataclass(frozen=True)
-class PolyPair:
+class PolyPair(FrozenRecord):
     """Coefficient data of W and 2V plus their symmetric-function vectors.
 
     ``e[l]`` are the elementary symmetric functions of all singularities
@@ -85,13 +90,16 @@ class PolyPair:
     each call returns a fresh list.
     """
 
-    weight: WeightData
-    W: tuple                      # exact QC coefficients, ascending, degree M
-    V2: tuple                     # exact QC coefficients of 2V, degree <= M-1
-    e: tuple                      # e_0..e_M
-    m: tuple                      # m_0..m_{M-1}
-    _images: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)  # mp.prec -> (W, V2, e, m) as mpc
+    _fields = ("weight", "W", "V2", "e", "m")
+
+    def __init__(self, weight: WeightData, W: tuple, V2: tuple, e: tuple,
+                 m: tuple):
+        self._init(weight=weight,
+                   W=W,        # exact QC coefficients, ascending, degree M
+                   V2=V2,      # exact QC coefficients of 2V, degree <= M-1
+                   e=e,        # e_0..e_M
+                   m=m,        # m_0..m_{M-1}
+                   _images={})  # mp.prec -> (W, V2, e, m) as mpc
 
     @property
     def M(self) -> int:

@@ -1,9 +1,22 @@
 """The package's public surface and the hygiene of its modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+from mpmath import mpc, mpf
+
 import circlebops
+from circlebops import (BopsLevel, DGState, GarnierPoint, MomentSequence,
+                        PolyPair, SpectralData, UPoly, WeightData,
+                        build_poly_pair, build_weight)
+from circlebops.config import RunConfig
+from circlebops.moments import sequence_precision
+from circlebops.mputil import GUARD_BITS, working_precision
+from circlebops.report import CheckResult
 
 
 def test_every_export_imports():
@@ -70,3 +83,142 @@ def test_no_src_function_stores_a_local_it_never_reads():
                        if name not in read | outer
                        and not name.startswith("_")]
     assert not unread, unread
+
+
+# -- record classes ------------------------------------------------------------
+
+def _pair():
+    return build_poly_pair(build_weight([0, "2/5", 1],
+                                        ["1/3", "-1/2", "1/4"]))
+
+
+def _samples():
+    """Each record class: its fields in order with sample values, then its
+    defaults."""
+    pair = _pair()
+    weight = pair.weight
+    ones = [mpc(1), mpc(2)]
+    return {
+        BopsLevel: (dict(n=1, I=mpc(2), I_next=mpc(3), kappa=mpc(1),
+                         gauge=1, phi=ones, phibar=ones), {}),
+        RunConfig: (dict(mode="formal", precision_bits=128, tolerance=1e-20,
+                         n_max=4, seed=1, checks=["identities"],
+                         weight_placement="canonical",
+                         weight_singularities=[[0, 0], [1, 0]],
+                         weight_residues=[["1/3", 0], ["1/4", 0]]),
+                    dict(seed_start=-1, seed_values=[], out="")),
+        DGState: (dict(n=2, f=[mpc(1)], omega=[mpc(2)]),
+                  dict(vartheta=None)),
+        GarnierPoint: (dict(n=1, q=[mpc(1)], p=[mpc(2)], K=[],
+                            theta_inf=mpc(3)), {}),
+        MomentSequence: (dict(pair=pair, values={-1: mpc(1), 0: mpc(2)},
+                              seed_lo=-1, seed_hi=0),
+                         dict(provenance="seeded", exact=False,
+                              prec=sequence_precision())),
+        UPoly: (dict(u=(mpc(1), mpc(2))), {}),
+        CheckResult: (dict(label="rrCf:a", residual=mpf(1), tol=mpf(2)),
+                      dict(n=None, passed=True, gauge_invariant=True,
+                           note="")),
+        SpectralData: (dict(n=1, theta=ones, omega=ones, thetastar=ones,
+                            omegastar=ones, band_residual=mpf(0)), {}),
+        WeightData: (dict(singularities=weight.singularities,
+                          residues=weight.residues,
+                          placement=weight.placement), {}),
+        PolyPair: (dict(weight=weight, W=pair.W, V2=pair.V2, e=pair.e,
+                        m=pair.m), {}),
+    }
+
+
+FROZEN = (UPoly, WeightData, PolyPair)
+MUTABLE = (BopsLevel, RunConfig, DGState, GarnierPoint, MomentSequence,
+           CheckResult, SpectralData)
+
+
+def _build(cls):
+    return cls(**_samples()[cls][0])
+
+
+@pytest.mark.parametrize("cls", MUTABLE + FROZEN,
+                         ids=lambda cls: cls.__name__)
+def test_records_build_from_positional_and_keyword_arguments(cls):
+    given, defaults = _samples()[cls]
+    by_position = cls(*given.values())
+    by_keyword = cls(**given)
+    assert by_position == by_keyword
+    for name, value in {**given, **defaults}.items():
+        assert getattr(by_position, name) == value, name
+    assert cls(*given.values(), *defaults.values()) == by_position
+    assert by_position != "not a record"
+
+
+def test_sequence_precision_is_taken_when_the_sequence_is_built():
+    pair = _pair()
+    with working_precision(200):
+        ms = MomentSequence(pair, {0: mpc(1)}, 0, 0)
+    assert ms.prec == 200 + 2 * GUARD_BITS
+    assert MomentSequence(pair, {0: mpc(1)}, 0, 0).prec == \
+        128 + 2 * GUARD_BITS
+
+
+def test_run_configs_do_not_share_seed_values():
+    a, b = _build(RunConfig), _build(RunConfig)
+    a.seed_values.append(1)
+    assert b.seed_values == []
+
+
+def test_record_equality_ignores_the_caches():
+    p, q = _pair(), _pair()
+    assert p is not q and p == q and hash(p) == hash(q)
+    with working_precision(200):
+        p.W_mpc()
+        p.weight.residues_mpc()
+    assert p._images and not q._images
+    assert p == q and hash(p) == hash(q)
+    assert p.weight == q.weight and hash(p.weight) == hash(q.weight)
+    sd, other = _build(SpectralData), _build(SpectralData)
+    sd.at("theta", mpc("0.5"))
+    assert sd._memo and sd == other
+
+
+def test_frozen_records_refuse_assignment():
+    pair = _pair()
+    u = UPoly((mpc(1),))
+    for obj, name in ((pair.weight, "placement"), (pair.weight, "_images"),
+                      (pair, "W"), (u, "u")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert u == UPoly((mpc(1),)) and hash(u) == hash(UPoly((mpc(1),)))
+
+
+def test_mutable_records_take_assignment_and_are_unhashable():
+    records = {cls: _build(cls) for cls in MUTABLE}
+    records[CheckResult].passed = False
+    records[GarnierPoint].K = [mpc(4)]
+    assert not records[CheckResult].passed
+    assert records[GarnierPoint].K == [mpc(4)]
+    for cls in MUTABLE:
+        with pytest.raises(TypeError):
+            hash(records[cls])
+
+
+# modules that ``dataclasses`` imports and the CLI has no use for
+COLD_START_EXCLUDED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every command is a fresh interpreter, so what importing the CLI
+    loads is paid by every process.  The modules a ``site`` hook already
+    loaded are not counted."""
+    script = ("import sys; before = set(sys.modules); "
+              "import circlebops.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    src = Path(circlebops.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "circlebops.cli" in added
+    assert not added & COLD_START_EXCLUDED, added & COLD_START_EXCLUDED
