@@ -398,7 +398,7 @@ def check_linear_recurrences(ws: SpectralWorkspace, n: int, tol) -> list:
     rescheck("rrCf:b", [([aa, kr], omm1 - om0),
                         (l0.kappa * l2.phi0 / (l1.kappa * l1.phi0),
                          th1.shift(1)),
-                        (-lm1.kappa * l1.phi0 / (l0.kappa * l0.phi0),
+                        (-(lm1.kappa * l1.phi0 / (l0.kappa * l0.phi0)),
                          thm1.shift(1)),
                         (-aa, Woz)])
     # c
@@ -408,7 +408,8 @@ def check_linear_recurrences(ws: SpectralWorkspace, n: int, tol) -> list:
     rescheck("rrCf:d", [([kr, bb], osm1 - os0),
                         (l0.kappa * l2.phibar0 / (l1.kappa * l1.phibar0),
                          ts1.shift(1)),
-                        (-lm1.kappa * l1.phibar0 / (l0.kappa * l0.phibar0),
+                        (-(lm1.kappa * l1.phibar0 /
+                           (l0.kappa * l0.phibar0)),
                          tsm1.shift(1)),
                         (kr, Woz)])
     # e
@@ -448,11 +449,11 @@ def check_transitions(ws: SpectralWorkspace, n: int, tol, npoints: int = 5,
 
     if n >= 1:
         sm1 = ws.data(n - 1)
-        lm1 = ws.level(n - 1)
+        krm1 = ws.kappa_ratio(n - 1)
         vecs_i = [(l1.phibar0 / l0.phibar0, ts0.shift(1)),
-                  (-l0.kappa / lm1.kappa, sm1.grid("thetastar")),
-                  (-l1.phi0 / l0.phi0, th0),
-                  (l0.kappa / lm1.kappa, sm1.grid("theta").shift(1))]
+                  (-krm1, sm1.grid("thetastar")),
+                  (-(l1.phi0 / l0.phi0), th0),
+                  (krm1, sm1.grid("theta").shift(1))]
         out.append(CheckResult.make("rrCf:i", vector_residual(vecs_i), tol, n))
 
     vecs_j = [s0.grid("omegastar"), (-kr, ts0), -s0.grid("omega"),
@@ -634,7 +635,7 @@ def check_summation_identities(ws: SpectralWorkspace, n: int, tol,
     thz = [[t * z ** sigma for sigma in range(5)] for z, t in zip(zs, th)]
     theta_inf = sd.theta[-1]
     zsum = sum(zs[1:-1])
-    qsum_coeff = -sd.theta[-2] / sd.theta[-1]
+    qsum_coeff = -(sd.theta[-2] / sd.theta[-1])
     vals = {0: mpc(0), 1: theta_inf,
             2: theta_inf * (1 + zsum - qsum_coeff)}
     worst = mpf(0)

@@ -34,7 +34,7 @@ def toeplitz_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
         lhs = o.det(n + 1) * o.det(n - 1) / o.det(n) ** 2
         rhs = 1 - lev.r * lev.rbar
         out.append(CheckResult.make("I0", rel_residual([lhs, -rhs], 1), tol, n))
-        terms = [lev.kappa ** 2, -prev.kappa ** 2, -lev.phi0 * lev.phibar0]
+        terms = [lev.kappa ** 2, -prev.kappa ** 2, -(lev.phi0 * lev.phibar0)]
         out.append(CheckResult.make("l:kappa", rel_residual(terms), tol, n))
         terms = [lev.lam, -prev.lam, -lev.r * prev.rbar]
         out.append(CheckResult.make("l:lambda", rel_residual(terms, 1), tol, n))
