@@ -466,18 +466,18 @@ def orthogonality_residual(moments, coeffs) -> mpf:
     return worst / scale if scale > 0 else worst
 
 
-def casoratian_residuals(oracle: ToeplitzOracle, n: int,
-                         extra_terms: int = 8) -> dict:
+def casoratian_residuals(oracle: ToeplitzOracle, n: int) -> dict:
     """Relative residuals of the three cross-product identities at level n.
 
     Each combination of polynomial and associated-function series collapses
-    to a single monomial; every other coefficient up to the truncation must
-    vanish.  The products are formed at the oracle's precision.
+    to a single monomial; every other coefficient up to the truncation,
+    z^(2n+10), must vanish.  The products are formed at the oracle's
+    precision.
     """
     with oracle.precision():
         lev_n = oracle.level(n)
         lev_n1 = oracle.level(n + 1)
-        top = 2 * n + 2 + extra_terms
+        top = 2 * n + 10
         # level n+1's series at that level's truncation, as the extraction
         # asks for them: one formation per level
         eps_n = oracle.eps_series(n, top)

@@ -315,8 +315,6 @@ def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
 
 def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
     ws = build_workspace(cfg)
-    pair = ws.pair
-    ms = ws.oracle.moments
     tol = cfg.tolerance_mpf()
     singular_report = None
     try:
@@ -342,7 +340,7 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
         payload["max_oracle_delta"] = jsonout.real_field(worst)
         judged.append(worst)
     if args.tau and traj:
-        rec = tau_recovery(traj, pair, ms)
+        rec = tau_recovery(traj, ws.oracle.moments)
         tau_rows = []
         worst_tau = mpf(0)
         for n in range(min(cfg.n_max, len(rec["I"]) - 1) + 1):

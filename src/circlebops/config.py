@@ -28,7 +28,7 @@ from mpmath import mpf
 
 from .bops import ToeplitzOracle
 from .errors import ConfigInvalid
-from .moments import MomentSequence
+from .moments import MomentSequence, moment_quadrature
 from .mputil import parse_exact, to_mpc
 from .record import Record
 from .spectral import SpectralWorkspace
@@ -187,9 +187,8 @@ def build_workspace(cfg: RunConfig) -> SpectralWorkspace:
     else:
         order = pair.M - 1 if not pair.W[0] else pair.M
         kmin = cfg.seed_start
-        ms_quad = MomentSequence.from_quadrature(weight, kmin,
-                                                 kmin + order - 1)
         ms = MomentSequence.from_seeds(
-            pair, kmin, [ms_quad.w(k) for k in range(kmin, kmin + order)])
+            pair, kmin, [moment_quadrature(weight, k)
+                         for k in range(kmin, kmin + order)])
         ms.provenance = "quadrature"
-    return SpectralWorkspace(ToeplitzOracle(ms), pair)
+    return SpectralWorkspace(ToeplitzOracle(ms))

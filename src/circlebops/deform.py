@@ -120,7 +120,7 @@ def rational_workspace(weight: WeightData) -> SpectralWorkspace:
         seeds = rational_weight_moments(weight, -1, pair.M - 3)
     ms = MomentSequence.from_seeds(pair, -1, list(seeds.values()))
     ms.provenance = "rational"
-    return SpectralWorkspace(ToeplitzOracle(ms), pair)
+    return SpectralWorkspace(ToeplitzOracle(ms))
 
 
 def shifted_weight(weight: WeightData, shifts: dict) -> WeightData:

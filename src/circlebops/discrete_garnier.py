@@ -33,7 +33,7 @@ from mpmath import mp, mpf, mpc
 
 from .errors import (InconsistentLambdaPaths, SingularStep,
                      ThetaVanishesAtOne, ZeroDenominator, ZeroRNRatio)
-from .moments import MomentSequence, UPoly, build_U
+from .moments import MomentSequence, build_U
 from .mputil import to_mpc
 from .polys import elementary_symmetric, peval, pscale, psub
 from .record import Record
@@ -43,17 +43,14 @@ from .weights import PolyPair
 
 
 class DGState(Record):
-    """Recurrence variables at one level, plus cached inversion data."""
+    """Recurrence variables at one level."""
 
-    _fields = ("n", "f", "omega", "vartheta")
+    _fields = ("n", "f", "omega")
 
-    def __init__(self, n: int, f: list, omega: list,
-                 vartheta: list | None = None):
+    def __init__(self, n: int, f: list, omega: list):
         self.n = n
         self.f = f
         self.omega = omega
-        # interior coordinate-polynomial coefficients
-        self.vartheta = vartheta
 
 
 def denominator_floor() -> mpf:
@@ -140,14 +137,16 @@ def dg_from_spectral(ws: SpectralWorkspace, n: int) -> DGState:
     return DGState(n=n, f=f, omega=omega)
 
 
-def dg_initial(pair: PolyPair, upoly: UPoly, moments: MomentSequence) -> DGState:
-    """Level-zero state from the generating-function polynomial."""
+def dg_initial(moments: MomentSequence) -> DGState:
+    """Level-zero state from the generating-function polynomial U of the
+    moments (``build_U``)."""
+    pair = moments.pair
     N = pair.N
     w0 = to_mpc(moments.w(0))
     wm1 = to_mpc(moments.w(-1))
     k02 = 1 / w0
     V2 = pair.V2_mpc()
-    U = [to_mpc(u) for u in upoly.u]
+    U = [to_mpc(u) for u in build_U(moments).u]
     minus = psub(V2, pscale(U, k02))          # 2V - k0^2 U
     den = peval(minus, mpc(1))
     if abs(den) < denominator_floor():
@@ -248,14 +247,13 @@ def dg_step(state: DGState, pair: PolyPair) -> DGState:
     return DGState(n=np1, f=f_next, omega=omega_next)
 
 
-def dg_invert(state: DGState, pair: PolyPair, n: int = None):
-    """Reflection-ratio and interior coordinate coefficients from (f, omega).
+def dg_invert(state: DGState, pair: PolyPair):
+    """Reflection-ratio and interior coordinate coefficients from (f, omega)
+    at the state's level n.
 
-    Returns ((n - rho_0) r_n/r_{n+1}, [vartheta^1 .. vartheta^{N-1}]) and
-    caches the vartheta on the state.
+    Returns ((n - rho_0) r_n/r_{n+1}, [vartheta^1 .. vartheta^{N-1}]).
     """
-    if n is None:
-        n = state.n
+    n = state.n
     N = pair.N
     m0 = pair.m_mpc()[0]
     num_plain, den_t = _inversion_sums(pair, state.f)
@@ -266,7 +264,6 @@ def dg_invert(state: DGState, pair: PolyPair, n: int = None):
     for j in range(1, N):
         numj = _weighted_sum(pair, state.f, N - j)
         vartheta.append((-1) ** (N + j) * (n + 1 + m0) * numj / den_t)
-    state.vartheta = vartheta
     return scaled_ratio, vartheta
 
 
@@ -283,10 +280,9 @@ def dg_run(ws: SpectralWorkspace, nmax: int) -> list:
     The workspace keeps one trajectory per precision and extends it on
     demand, so the suites and the CLI step each level once.
     """
-    pair, ms = ws.pair, ws.oracle.moments
-    traj = ws.memo("dg", lambda: [dg_initial(pair, build_U(pair, ms), ms)])
+    traj = ws.memo("dg", lambda: [dg_initial(ws.oracle.moments)])
     if traj[-1].n < nmax:
-        traj += dg_trajectory(traj[-1], pair, nmax)[1:]
+        traj += dg_trajectory(traj[-1], ws.pair, nmax)[1:]
     return traj[:nmax + 1]
 
 
@@ -294,42 +290,43 @@ def dg_run(ws: SpectralWorkspace, nmax: int) -> list:
 # recovering the determinant sequence
 # ---------------------------------------------------------------------------
 
-def tau_recovery(states: list, pair: PolyPair, moments: MomentSequence,
-                 lambda_tol=None) -> dict:
+def tau_recovery(states: list, moments: MomentSequence) -> dict:
     """Determinants from the recurrence variables alone.
 
     The reflection coefficients come from the inversion ratio, the sub-leading
-    coefficients along two independent recurrences (which must agree), the
-    second-family reflections via the difference identity, and the
-    determinants from the product identity.  Needs the trajectory up to some
-    n_max; returns determinants up to index n_max - 1.
+    coefficients along two independent recurrences (which must agree to
+    10^(-prec/8) relative), the second-family reflections via the difference
+    identity, and the determinants from the product identity.  Needs the
+    trajectory of the moments' weight up to some n_max; returns determinants
+    up to index n_max - 1.
     """
+    pair = moments.pair
     N = pair.N
     m = pair.m_mpc()
     m0, m1 = m[0], m[1]
     e = pair.e_mpc()
     e1 = e[1]
     rho0 = pair.weight.residues_mpc()[0]
-    if lambda_tol is None:
-        lambda_tol = mpf(10) ** (-(mp.prec // 8))
 
     r = [mpc(1)]
+    varthetas = []
     for st in states:
-        ratio, _ = dg_invert(st, pair, st.n)
+        ratio, vartheta = dg_invert(st, pair)
         if abs(ratio) == 0:
             raise ZeroRNRatio(f"reflection ratio vanished at n={st.n}")
         # (n - rho0) r_n / r_{n+1} = ratio
         r.append((st.n - rho0) * r[-1] / ratio)
+        varthetas.append(vartheta)
 
     lam = [mpc(0), r[1]]            # lambda_0, lambda_1
     lam_alt = [mpc(0), r[1]]
-    for st in states:
+    for st, vartheta in zip(states, varthetas):
         n = st.n
         if n + 2 >= len(r):
             break
         # route one: the top interior coordinate coefficient
         if N >= 2:
-            vt = st.vartheta[N - 2]
+            vt = vartheta[N - 2]
         else:
             vt = (-1) ** N * (n * e[N + 1] - m[N + 1]) * r[n] / r[n + 1]
         nxt = (-(n + 1) * e1 - m1 + (n + 2 + m0) * r[n + 2] / r[n + 1] +
@@ -344,7 +341,7 @@ def tau_recovery(states: list, pair: PolyPair, moments: MomentSequence,
 
     npts = min(len(lam), len(lam_alt))
     delta = rel_error(lam_alt[:npts], lam[:npts], 1)
-    if delta > lambda_tol:
+    if delta > mpf(10) ** (-(mp.prec // 8)):
         raise InconsistentLambdaPaths(
             f"the two recovery recurrences disagree: {mpmath.nstr(delta, 6)}")
 

@@ -20,11 +20,10 @@ integers, and divides once, rounding each part of the quotient once at the
 sequence's precision.  The exact (Gaussian-rational) path uses the same
 integer rows.
 
-Two constructors populate a sequence:
-
-* ``from_seeds``       - formal mode, arbitrary seed values, recurrence both
-                         directions (the primary test mode);
-* ``from_quadrature``  - contour integrals of an honest single-valued weight.
+``from_seeds`` populates a sequence from M - 1 (or M) consecutive seed
+values and runs the recurrence in both directions.  In formal mode the
+seeds are arbitrary; in quadrature mode they are contour integrals of an
+honest single-valued weight, ``moment_quadrature``.
 
 Weights whose residues are all negative integers have moments that are
 finite residue sums, ``rational_weight_moments``;
@@ -52,8 +51,7 @@ from .mputil import GUARD_BITS, to_mpc
 from .polys import padd, pdiff, peval, pmul, pscale
 from .record import FrozenRecord, Record
 from .report import Grid, rel_residual
-from .weights import PolyPair, WeightData, build_poly_pair, \
-    eval_weight_on_circle, is_negative_int, seam_shielded, \
+from .weights import PolyPair, WeightData, eval_weight_on_circle, is_negative_int, seam_shielded, \
     single_valuedness_defect
 
 # relative pivot floors for recurrence steps
@@ -135,8 +133,8 @@ def sequence_precision() -> int:
 class MomentSequence(Record):
     """Contiguous window of moments with its generating recurrence.
 
-    ``prec`` is fixed when the sequence is built: by default the working
-    precision plus twice the guard bits.  Every moment the recurrence adds
+    ``prec`` is fixed when the sequence is built: the working precision
+    plus twice the guard bits (``sequence_precision``).  Every moment the recurrence adds
     is computed at it, whoever asks, and the oracle over the sequence
     adopts it.
     """
@@ -146,14 +144,14 @@ class MomentSequence(Record):
 
     def __init__(self, pair: PolyPair, values: dict, seed_lo: int,
                  seed_hi: int, provenance: str = "seeded",
-                 exact: bool = False, prec: int | None = None):
+                 exact: bool = False):
         self.pair = pair
         self.values = values
         self.seed_lo = seed_lo
         self.seed_hi = seed_hi
         self.provenance = provenance
         self.exact = exact
-        self.prec = sequence_precision() if prec is None else prec
+        self.prec = sequence_precision()
         self._rows = integer_rows(pair)
 
     @property
@@ -178,14 +176,6 @@ class MomentSequence(Record):
         values = {start + i: conv(v) for i, v in enumerate(seeds)}
         return cls(pair, values, start, start + len(seeds) - 1,
                    provenance="seeded", exact=exact)
-
-    @classmethod
-    def from_quadrature(cls, weight: WeightData, kmin: int, kmax: int,
-                        rel_tol=None) -> "MomentSequence":
-        pair = build_poly_pair(weight)
-        values = {k: moment_quadrature(weight, k, rel_tol=rel_tol)
-                  for k in range(kmin, kmax + 1)}
-        return cls(pair, values, kmin, kmax, provenance="quadrature")
 
     # -- access / extension --------------------------------------------------
 
@@ -288,14 +278,13 @@ class ReflectedMoments:
         self.moments.extend(-kmax, -kmin)
 
 
-def moment_step(pair: PolyPair, moments: MomentSequence, j: int,
-                direction: str = "forward"):
+def moment_step(moments: MomentSequence, j: int, direction: str = "forward"):
     """One recurrence step producing the moment at index j.
 
     Forward solves for w_j from the window below it, backward from the window
     above; the sequence itself is not modified.
     """
-    probe = MomentSequence(pair, dict(moments.values), moments.seed_lo,
+    probe = MomentSequence(moments.pair, dict(moments.values), moments.seed_lo,
                            moments.seed_hi, moments.provenance, moments.exact)
     if direction == "forward":
         if j != moments.k_max + 1:
@@ -314,17 +303,15 @@ def moment_step(pair: PolyPair, moments: MomentSequence, j: int,
 # quadrature
 # ---------------------------------------------------------------------------
 
-def moment_quadrature(weight: WeightData, k: int, rel_tol=None,
-                      max_level: int = 16) -> mpc:
+def moment_quadrature(weight: WeightData, k: int, max_level: int = 16) -> mpc:
     """w_k by contour quadrature of a single-valued weight.
 
     Smooth weights (no singularity on the circle) use the periodic trapezoid
-    rule with grid doubling until two successive grids agree; weights with
-    circle singularities are integrated by tanh-sinh panels split at the
-    singular angles.
+    rule with grid doubling until two successive grids agree to 2^(12-prec)
+    relative; weights with circle singularities are integrated by tanh-sinh
+    panels split at the singular angles.
     """
-    if rel_tol is None:
-        rel_tol = mpf(2) ** (-mp.prec + 12)
+    rel_tol = mpf(2) ** (-mp.prec + 12)
     # a singular point at 1 shields the contour seam; otherwise the interior
     # windings must close up for the moments to be well defined
     if not seam_shielded(weight):
@@ -520,13 +507,14 @@ class UPoly(FrozenRecord):
         return list(self.u)
 
 
-def build_U(pair: PolyPair, moments: MomentSequence) -> UPoly:
+def build_U(moments: MomentSequence) -> UPoly:
     """U from the seed window, canonical placement.
 
     The endpoints collapse to u_0 = (-1)^N w_0 m_{N+1} and u_{N+1} = w_0 m_0;
     interior coefficients combine the seed moments with the recurrence
     weights.
     """
+    pair = moments.pair
     if not _is_canonical_origin(pair):
         raise ValueError("closed-form U needs the origin among singularities")
     N = pair.N
@@ -545,12 +533,13 @@ def build_U(pair: PolyPair, moments: MomentSequence) -> UPoly:
     return UPoly(tuple(u))
 
 
-def u_from_series(pair: PolyPair, moments: MomentSequence) -> UPoly:
+def u_from_series(moments: MomentSequence) -> UPoly:
     """U extracted coefficient-by-coefficient from W F' - 2V F.
 
     Works in either placement; used as the independent route for testing the
     closed-form construction.
     """
+    pair = moments.pair
     M = pair.M
     T = 2 * M + 4
     F = caratheodory_series(moments, T)
@@ -591,11 +580,13 @@ def caratheodory(moments: MomentSequence, z, truncation: int):
     return val, tail
 
 
-def caratheodory_ode_residual(pair: PolyPair, moments: MomentSequence,
-                              upoly: UPoly, z, truncation: int = 80) -> mpf:
-    """Relative residual of W F' = 2V F + U at an interior point."""
+def caratheodory_ode_residual(moments: MomentSequence, upoly: UPoly,
+                              z) -> mpf:
+    """Relative residual of W F' = 2V F + U at an interior point, on the
+    series of F truncated after 80 terms."""
+    pair = moments.pair
     z = to_mpc(z)
-    coeffs = caratheodory_series(moments, truncation)
+    coeffs = caratheodory_series(moments, 80)
     F = peval(coeffs, z)
     Fp = peval(pdiff(coeffs), z)
     W = peval(pair.W_mpc(), z)

@@ -190,20 +190,20 @@ def lu_solve(rows, rhs):
 # sample points and root matching
 # ---------------------------------------------------------------------------
 
-def sample_points(count: int, avoid=(), radius: float = 1.37, seed: int = 1,
-                  min_dist: float = 1e-6):
-    """Deterministic points on a fixed circle, redrawn away from ``avoid``.
+def sample_points(count: int, avoid, seed: int):
+    """Deterministic points on the circle |z| = 1.37, redrawn away from
+    ``avoid``.
 
     The radius is an arbitrary but frozen choice off the unit circle; points
-    colliding with singularities or roots are replaced deterministically.
+    within 1e-6 of a singularity or root are replaced deterministically.
     Distances are compared as exact squares.
     """
     rng = random.Random(seed)
     avoid = [to_mpc(a) for a in avoid]
     pts = []
-    r = mpf(radius)
+    r = mpf(1.37)
     two_pi = 2 * mp.pi
-    near = abs_square(mpf(min_dist))
+    near = abs_square(mpf(1e-6))
     while len(pts) < count:
         theta = mpf(rng.random()) * two_pi
         z = r * mpmath.exp(mpc(0, 1) * theta)
@@ -212,11 +212,12 @@ def sample_points(count: int, avoid=(), radius: float = 1.37, seed: int = 1,
     return pts
 
 
-def match_roots(reference, perturbed, ambiguity_ratio: float = 0.25):
+def match_roots(reference, perturbed):
     """Pair each reference root with its nearest perturbed partner.
 
     Keeps labels stable across a perturbed recomputation (sorting would swap
-    them).  Raises if the assignment is not clearly one-to-one.
+    them).  Raises if the assignment is not clearly one-to-one: when the
+    nearest partner is more than a quarter as far as the second nearest.
     """
     if len(reference) != len(perturbed):
         raise RootMatchingAmbiguous("root sets differ in size")
@@ -228,7 +229,7 @@ def match_roots(reference, perturbed, ambiguity_ratio: float = 0.25):
         if len(dists) > 1:
             d0 = abs(perturbed[best] - q)
             d1 = abs(perturbed[dists[1]] - q)
-            if d1 > 0 and d0 / d1 > ambiguity_ratio and d0 > 0:
+            if d1 > 0 and d0 / d1 > 0.25 and d0 > 0:
                 raise RootMatchingAmbiguous(
                     f"ambiguous pairing near {q}: {d0} vs {d1}")
         out.append(perturbed[best])

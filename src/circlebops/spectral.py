@@ -55,7 +55,10 @@ from .polys import (padd, pdiff, peval_grid, pmul, pscale, pshift, psub,
 from .record import Record
 from .report import (CheckResult, Grid, largest_abs, ratio, rel_error,
                      rel_residual, sqrt_ratio, vector_residual)
-from .weights import PolyPair
+
+# series terms read past the top of the band, z^(n+N+2): the out-of-band
+# mass they carry is the degree-bound check
+SERIES_BUFFER = 6
 
 
 class _PointTable:
@@ -131,21 +134,22 @@ def _extract_band(series: Grid, lo: int, deg: int, factor: mpc):
     return coeffs, sqrt_ratio(worst, max(sq, default=0), 0)
 
 
-def spectral_from_oracle(oracle: ToeplitzOracle, pair: PolyPair, n: int,
-                         buffer: int = 6) -> SpectralData:
-    """Spectral polynomials at level n from oracle data at levels n, n+1."""
-    if pair.weight.placement != "canonical":
+def spectral_from_oracle(oracle: ToeplitzOracle, n: int) -> SpectralData:
+    """Spectral polynomials at level n from oracle data at levels n, n+1,
+    for the weight of the oracle's moments."""
+    if oracle.moments.pair.weight.placement != "canonical":
         raise ValueError("spectral extraction assumes canonical placement")
     alarm = band_tolerance()          # judged at the working precision
     with oracle.precision():
-        return _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm)
+        return _spectral_from_oracle_impl(oracle, n, alarm)
 
 
-def _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm):
+def _spectral_from_oracle_impl(oracle, n, alarm):
+    pair = oracle.moments.pair
     N = pair.N
     lev_n = oracle.level(n)
     lev_n1 = oracle.level(n + 1)
-    top = n + N + 2 + buffer
+    top = n + N + 2 + SERIES_BUFFER
 
     # every series is read up to z^top: the term z^(top+1) of an eps-series
     # enters only through its derivative, times the constant term of W p,
@@ -201,12 +205,13 @@ def _spectral_from_oracle_impl(oracle, pair, n, buffer, alarm):
 
 
 class SpectralWorkspace(_PointTable):
-    """Cache of spectral data over one oracle, with shared weight data; its
-    table also keeps each level's residue matrices and Garnier point."""
+    """Cache of spectral data over one oracle, with the weight data of its
+    moments; its table also keeps each level's residue matrices and Garnier
+    point."""
 
-    def __init__(self, oracle: ToeplitzOracle, pair: PolyPair):
+    def __init__(self, oracle: ToeplitzOracle):
         self.oracle = oracle
-        self.pair = pair
+        self.pair = oracle.moments.pair
         self._data = {}
         self._memo = {}
 
@@ -219,7 +224,7 @@ class SpectralWorkspace(_PointTable):
         the oracle refuses."""
         self.oracle.check_precision()
         if n not in self._data:
-            self._data[n] = spectral_from_oracle(self.oracle, self.pair, n)
+            self._data[n] = spectral_from_oracle(self.oracle, n)
         return self._data[n]
 
     def level(self, n: int) -> BopsLevel:
@@ -437,9 +442,9 @@ def check_linear_recurrences(ws: SpectralWorkspace, n: int, tol) -> list:
     return out
 
 
-def check_transitions(ws: SpectralWorkspace, n: int, tol, npoints: int = 5,
-                      seed: int = 23) -> list:
-    """The three transition identities, as coefficient vectors and at points."""
+def check_transitions(ws: SpectralWorkspace, n: int, tol, seed: int) -> list:
+    """The three transition identities, as coefficient vectors and at five
+    points drawn from ``seed + n``."""
     s0 = ws.data(n)
     l0, l1 = ws.level(n), ws.level(n + 1)
     kr = ws.kappa_ratio(n)
@@ -469,7 +474,7 @@ def check_transitions(ws: SpectralWorkspace, n: int, tol, npoints: int = 5,
     out.append(CheckResult.make("rrCf:k", vector_residual(vecs_k), tol, n))
 
     # pointwise spot checks of rrCf:j on the sample circle
-    pts = sample_points(npoints, avoid=ws.singularities(), seed=seed + n)
+    pts = sample_points(5, avoid=ws.singularities(), seed=seed + n)
     worst = mpf(0)
     for z in pts:
         terms = [s0.at("omegastar", z), -kr * s0.at("thetastar", z),
@@ -873,14 +878,15 @@ def scalar_ode_data(ws: SpectralWorkspace, n: int, z):
             "p2s_scale": largest_abs(p2s_parts)}
 
 
-def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol, npoints: int = 10,
-                         seed: int = 41) -> list:
-    """|phi'' + p1 phi' + p2 phi| (and starred) at sample points, relative."""
+def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol,
+                         seed: int) -> list:
+    """|phi'' + p1 phi' + p2 phi| (and starred) at ten sample points drawn
+    from ``seed + n``, relative."""
     l0 = ws.level(n)
     sd = ws.data(n)
     skip = _ode_level(ws, n)["skip"]
     avoid = list(ws.singularities())
-    pts = sample_points(npoints, avoid=avoid, seed=seed + n)
+    pts = sample_points(10, avoid=avoid, seed=seed + n)
     fam = [Grid.of(l0.phi), Grid.of(l0.phistar)]
     fam += [g.diff() for g in fam]
     fam += [g.diff() for g in fam[2:]]

@@ -91,13 +91,13 @@ def endpoint_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     return out
 
 
-def lattice_suite(ws: SpectralWorkspace, n_max: int, tol, seed: int = 23) -> list:
+def lattice_suite(ws: SpectralWorkspace, n_max: int, tol, seed: int) -> list:
     """Linear recurrences and transition identities."""
     out = []
     for n in range(1, n_max + 1):
         out.extend(check_linear_recurrences(ws, n, tol))
     for n in range(0, n_max + 1):
-        out.extend(check_transitions(ws, n, tol, seed=seed))
+        out.extend(check_transitions(ws, n, tol, seed))
     for n in range(0, n_max + 1):
         out.extend(residue_structure_checks(ws, n, tol))
     return out
@@ -118,11 +118,11 @@ def summation_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     return out
 
 
-def ode_suite(ws: SpectralWorkspace, n_max: int, tol, seed: int = 41) -> list:
+def ode_suite(ws: SpectralWorkspace, n_max: int, tol, seed: int) -> list:
     out = []
     m0 = ws.pair.m_mpc()[0]
     for n in range(0, n_max + 1):
-        out.extend(scalar_ode_residuals(ws, n, tol, seed=seed))
+        out.extend(scalar_ode_residuals(ws, n, tol, seed))
         got = p2_asymptotic_constant(ws, n)
         want = -mpf(n) * (1 + m0)
         out.append(CheckResult.make("2ODE:p2asym", rel_error(got, want, 1),
@@ -176,7 +176,7 @@ def tau_delta(ws: SpectralWorkspace, rec: dict, n: int) -> mpf:
 
 def tau_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     traj = dg_run(ws, n_max + 2)
-    rec = tau_recovery(traj, ws.pair, ws.oracle.moments)
+    rec = tau_recovery(traj, ws.oracle.moments)
     out = [CheckResult.make("tau:lambda-paths", rec["lambda_delta"], tol,
                             note="two recovery recurrences"),
            CheckResult.make("tau:rbar0", rec["rbar0_defect"], tol)]

@@ -304,20 +304,16 @@ def seam_shielded(weight: WeightData) -> bool:
     return any(z == QC(1) for z in weight.singularities)
 
 
-def eval_weight_on_circle(weight: WeightData, theta, tol=None) -> mpc:
-    """Continuous-branch evaluation; optionally enforce single-valuedness.
+def eval_weight_on_circle(weight: WeightData, theta) -> mpc:
+    """Continuous-branch evaluation of an integrable weight.
 
     The circle-singular residues must satisfy Re rho > -1 for the contour
     integral to exist; this is checked here because only the quadrature path
-    calls this routine.
+    calls this routine.  Single-valuedness is the caller's to check
+    (``single_valuedness_defect``).
     """
     for z, rho in zip(weight.singularities_mpc(), weight.residues_mpc()):
         if abs(z) == 1 and mpmath.re(rho) <= -1:
             raise NotSingleValued(
                 "circle singularity with Re rho <= -1 is not integrable")
-    if tol is not None:
-        defect = single_valuedness_defect(weight)
-        if defect > tol:
-            raise NotSingleValued(
-                f"weight is not single-valued: defect {mpmath.nstr(defect, 8)}")
     return weight_on_circle(weight, theta)

@@ -79,7 +79,7 @@ def random_canonical_case(seed: int, N: int, n_guard: int = 14):
 def make_workspace(weight, seeds) -> SpectralWorkspace:
     pair = build_poly_pair(weight)
     ms = MomentSequence.from_seeds(pair, -1, list(seeds))
-    return SpectralWorkspace(ToeplitzOracle(ms), pair)
+    return SpectralWorkspace(ToeplitzOracle(ms))
 
 
 def standard_case_m3():

@@ -19,7 +19,6 @@ from circlebops.discrete_garnier import (DGState, dg_from_spectral,
                                          dg_initial, dg_step, dg_trajectory,
                                          tau_recovery)
 from circlebops.garnier import coordinates_from_spectral
-from circlebops.moments import build_U
 from circlebops.mputil import working_precision
 from circlebops.report import failures, worst
 from circlebops.suites import (bilinear_suite, casoratian_suite, degree_suite,
@@ -79,7 +78,7 @@ def test_criterion_03_degree_bounds():
 def test_criterion_04_linear_transition_bilinear_lattice():
     results = []
     for ws in cases().values():
-        results.extend(lattice_suite(ws, 8, TOL))
+        results.extend(lattice_suite(ws, 8, TOL, 23))
         results.extend(bilinear_suite(ws, 8, TOL))
     _report(4, "recurrence / transition / bilinear lattice", results)
 
@@ -95,7 +94,7 @@ def test_criterion_06_scalar_ode():
     results = []
     worst_struct = mpf(0)
     for ws in cases().values():
-        results.extend(ode_suite(ws, 6, mpf(1e-18)))
+        results.extend(ode_suite(ws, 6, mpf(1e-18), 41))
         # first-coefficient structure against the exponent table
         rhos = ws.residues()
         zs = ws.singularities()
@@ -149,7 +148,7 @@ def test_criterion_08_discrete_recurrence_oracle_equivalence():
     for ws in cases().values():
         pair = ws.pair
         ms = ws.oracle.moments
-        st0 = dg_initial(pair, build_U(pair, ms), ms)
+        st0 = dg_initial(ms)
         for state in dg_trajectory(st0, pair, 10):
             oracle_state = dg_from_spectral(ws, state.n)
             scale = max(max(abs(x) for x in oracle_state.f),
@@ -209,9 +208,9 @@ def test_criterion_09_tau_recovery():
     for ws in cases().values():
         pair = ws.pair
         ms = ws.oracle.moments
-        st0 = dg_initial(pair, build_U(pair, ms), ms)
+        st0 = dg_initial(ms)
         traj = dg_trajectory(st0, pair, 12)
-        rec = tau_recovery(traj, pair, ms)
+        rec = tau_recovery(traj, ms)
         for n in range(11):
             In = ws.oracle.det(n)
             worst_delta = max(worst_delta,

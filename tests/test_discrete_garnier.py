@@ -17,7 +17,7 @@ from circlebops.discrete_garnier import (DGState, dg_from_spectral,
                                          tau_recovery)
 from circlebops.errors import SingularStep
 from circlebops.exact import QC
-from circlebops.moments import MomentSequence, build_U
+from circlebops.moments import MomentSequence
 from circlebops.spectral import SpectralWorkspace
 from circlebops.suites import state_delta
 from circlebops.weights import build_poly_pair, build_weight
@@ -26,8 +26,7 @@ from circlebops.weights import build_poly_pair, build_weight
 def test_initial_state_matches_spectral_route():
     for case in (standard_case_m3, standard_case_m4, standard_case_m5):
         ws = make_workspace(*case())
-        st0 = dg_initial(ws.pair, build_U(ws.pair, ws.oracle.moments),
-                         ws.oracle.moments)
+        st0 = dg_initial(ws.oracle.moments)
         assert state_delta(st0, dg_from_spectral(ws, 0)) < mpf(1e-32)
 
 
@@ -47,8 +46,7 @@ def test_initial_state_permutes_with_relabeling():
 def test_trajectory_matches_oracle_everywhere():
     for case in (standard_case_m3, standard_case_m4, standard_case_m5):
         ws = make_workspace(*case())
-        st0 = dg_initial(ws.pair, build_U(ws.pair, ws.oracle.moments),
-                         ws.oracle.moments)
+        st0 = dg_initial(ws.oracle.moments)
         for state in dg_trajectory(st0, ws.pair, 10):
             oracle_state = dg_from_spectral(ws, state.n)
             assert state_delta(state, oracle_state) < mpf(1e-25), state.n
@@ -58,8 +56,8 @@ def test_f_values_gauge_invariant():
     weight, seeds = standard_case_m3()
     pair = build_poly_pair(weight)
     ms = MomentSequence.from_seeds(pair, -1, seeds)
-    base = SpectralWorkspace(ToeplitzOracle(ms), pair)
-    flip = SpectralWorkspace(ToeplitzOracle(ms, gauge={1: -1, 3: -1}), pair)
+    base = SpectralWorkspace(ToeplitzOracle(ms))
+    flip = SpectralWorkspace(ToeplitzOracle(ms, gauge={1: -1, 3: -1}))
     for n in (1, 3):
         a, b = dg_from_spectral(base, n), dg_from_spectral(flip, n)
         assert state_delta(a, b) < mpf(1e-30)
@@ -194,7 +192,7 @@ def test_inversion_single_variable_moebius():
     m0 = ws.pair.m_mpc()[0]
     for n in (0, 2, 5):
         state = dg_from_spectral(ws, n)
-        ratio, vth = dg_invert(state, ws.pair, n)
+        ratio, vth = dg_invert(state, ws.pair)
         f = state.f[0]
         want = (n + 1 + m0) * (1 - f) / (1 - t * f)
         assert abs(ratio - want) < mpf(1e-28) * max(abs(want), mpf(1))
@@ -208,7 +206,7 @@ def test_inversion_two_variable_displayed_forms():
     for n in (1, 3):
         state = dg_from_spectral(ws, n)
         f, g = state.f
-        ratio, vth = dg_invert(state, ws.pair, n)
+        ratio, vth = dg_invert(state, ws.pair)
         want_ratio = (n + 1 + m0) * \
             (t - s + (1 - t) * f - (1 - s) * g) / \
             (t - s + (1 - t) * s * f - (1 - s) * t * g)
@@ -225,7 +223,7 @@ def test_inversion_recovers_spectral_ratios():
         rho0 = ws.residues()[0]
         for n in (1, 4):
             state = dg_from_spectral(ws, n)
-            ratio, vth = dg_invert(state, ws.pair, n)
+            ratio, vth = dg_invert(state, ws.pair)
             l0, l1 = ws.level(n), ws.level(n + 1)
             want = (n - rho0) * l0.r / l1.r
             assert abs(ratio - want) < mpf(1e-26) * max(abs(want), mpf(1))
@@ -260,10 +258,9 @@ def test_vandermonde_column_identity(vals):
 def test_tau_recovery_matches_determinants():
     for case in (standard_case_m3, standard_case_m4, standard_case_m5):
         ws = make_workspace(*case())
-        st0 = dg_initial(ws.pair, build_U(ws.pair, ws.oracle.moments),
-                         ws.oracle.moments)
+        st0 = dg_initial(ws.oracle.moments)
         traj = dg_trajectory(st0, ws.pair, 12)
-        rec = tau_recovery(traj, ws.pair, ws.oracle.moments)
+        rec = tau_recovery(traj, ws.oracle.moments)
         assert abs(rec["I"][0] - 1) == 0
         assert rec["lambda_delta"] < mpf(1e-30)
         assert rec["rbar0_defect"] < mpf(1e-30)
@@ -280,7 +277,7 @@ def test_m4_subleading_coefficient_relation():
     m0, m1 = ws.pair.m_mpc()[0], ws.pair.m_mpc()[1]
     for n in (1, 3):
         state = dg_from_spectral(ws, n)
-        _, vth = dg_invert(state, ws.pair, n)
+        _, vth = dg_invert(state, ws.pair)
         l = {k: ws.level(k) for k in (n, n + 1, n + 2)}
         want = (-(n + 1) * e1 - m1 +
                 (n + 2 + m0) * (l[n + 2].r / l[n + 1].r -
@@ -305,7 +302,7 @@ def test_hamiltonian_form_gauge_invariant():
     weight, seeds = standard_case_m3()
     pair = build_poly_pair(weight)
     ms = MomentSequence.from_seeds(pair, -1, seeds)
-    flip = SpectralWorkspace(ToeplitzOracle(ms, gauge={2: -1}), pair)
+    flip = SpectralWorkspace(ToeplitzOracle(ms, gauge={2: -1}))
     res = dg_hamiltonian_residuals(flip, 2)
     assert res["advanced"] < mpf(1e-28)
 

@@ -115,7 +115,7 @@ def test_canonical_transform_roundtrip_and_gauge():
     from circlebops.weights import build_poly_pair
     pair = build_poly_pair(weight)
     ms = MomentSequence.from_seeds(pair, -1, seeds)
-    flip = SpectralWorkspace(ToeplitzOracle(ms, gauge={2: -1}), pair)
+    flip = SpectralWorkspace(ToeplitzOracle(ms, gauge={2: -1}))
     pt2 = coordinates_from_spectral(flip, n, with_hamiltonians=False)
     triples2 = canonical_transform(flip, n, pt2)
     for (a, b, c), (a2, b2, c2) in zip(triples, triples2):
@@ -150,5 +150,5 @@ def test_multiple_root_guard():
                                 mpf(0))
 
     with pytest.raises(MultipleRoot):
-        coordinates_from_spectral(Stub(ws.oracle, ws.pair), 1,
+        coordinates_from_spectral(Stub(ws.oracle), 1,
                                   with_hamiltonians=False)

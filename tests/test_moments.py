@@ -103,8 +103,8 @@ def test_moment_step_directions():
     pair, seeds = _pair_m3()
     ms = MomentSequence.from_seeds(pair, -1, seeds)
     ms.extend(-5, 5)
-    fwd = moment_step(pair, ms, 6, "forward")
-    bwd = moment_step(pair, ms, -6, "backward")
+    fwd = moment_step(ms, 6, "forward")
+    bwd = moment_step(ms, -6, "backward")
     ms.extend(-6, 6)
     assert abs(fwd - ms.w(6)) < mpf(1e-30)
     assert abs(bwd - ms.w(-6)) < mpf(1e-30)
@@ -198,12 +198,12 @@ def test_quadrature_vs_seeded_propagation():
     # single-valued canonical weight: 2(rho0 + rho_t) + rho_1 is an even integer
     w = build_weight([0, ["1/2", 0], 1], ["-7/12", "1/3", "1/2"])
     pair = build_poly_pair(w)
-    qm = MomentSequence.from_quadrature(w, -1, 4)
-    ms = MomentSequence.from_seeds(pair, -1, [qm.w(-1), qm.w(0)])
+    quad = {k: moment_quadrature(w, k) for k in range(-1, 5)}
+    ms = MomentSequence.from_seeds(pair, -1, [quad[-1], quad[0]])
     ms.extend(-1, 4)
     for k in range(1, 5):
-        scale = max(abs(qm.w(k)), mpf(1))
-        assert abs(qm.w(k) - ms.w(k)) / scale < mpf(1e-10)
+        scale = max(abs(quad[k]), mpf(1))
+        assert abs(quad[k] - ms.w(k)) / scale < mpf(1e-10)
 
 
 # -- closed-form rational moments ---------------------------------------------
@@ -344,7 +344,7 @@ def test_rational_seeds_carry_the_sequence_precision(bits):
 def test_u_endpoints():
     pair, seeds = _pair_m3()
     ms = MomentSequence.from_seeds(pair, -1, seeds)
-    U = build_U(pair, ms)
+    U = build_U(ms)
     N = pair.N
     m = pair.m_mpc()
     w0 = ms.w(0)
@@ -356,7 +356,7 @@ def test_u_interior_reduces_without_residues():
     w = build_weight([0, "1/3", 1], [0, 0, 0], validate=False)
     pair = build_poly_pair(w)
     ms = MomentSequence.from_seeds(pair, -1, [mpc(0), mpc(1)])
-    U = build_U(pair, ms)
+    U = build_U(ms)
     e = pair.e_mpc()
     N = pair.N
     # with 2V = 0 only the pure moment sum survives; delta moments kill all
@@ -370,8 +370,8 @@ def test_u_interior_reduces_without_residues():
 def test_u_closed_form_vs_series():
     pair, seeds = _pair_m3()
     ms = MomentSequence.from_seeds(pair, -1, seeds)
-    U1 = build_U(pair, ms)
-    U2 = u_from_series(pair, ms)
+    U1 = build_U(ms)
+    U2 = u_from_series(ms)
     for a, b in zip(U1.u, U2.u):
         assert abs(a - b) < mpf(1e-35)
 
@@ -392,13 +392,13 @@ def test_caratheodory_basics():
 def test_caratheodory_ode_residual():
     pair, seeds = _pair_m3()
     ms = MomentSequence.from_seeds(pair, -1, seeds)
-    U = build_U(pair, ms)
-    res = caratheodory_ode_residual(pair, ms, U, mpc("0.1", "0.05"))
+    U = build_U(ms)
+    res = caratheodory_ode_residual(ms, U, mpc("0.1", "0.05"))
     assert res < mpf(1e-30)
     # and at a handful of random-ish interior points
     for k in range(10):
         z = mpc("0.12", "0.03") * (k + 1) / 11
-        assert caratheodory_ode_residual(pair, ms, U, z) < mpf(1e-28)
+        assert caratheodory_ode_residual(ms, U, z) < mpf(1e-28)
 
 
 def test_series_convention_pinned_by_level_zero_normalisation():

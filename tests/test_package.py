@@ -14,7 +14,6 @@ from circlebops import (BopsLevel, DGState, GarnierPoint, MomentSequence,
                         PolyPair, SpectralData, UPoly, WeightData,
                         build_poly_pair, build_weight)
 from circlebops.config import RunConfig
-from circlebops.moments import sequence_precision
 from circlebops.mputil import GUARD_BITS, working_precision
 from circlebops.report import CheckResult
 
@@ -107,14 +106,12 @@ def _samples():
                          weight_singularities=[[0, 0], [1, 0]],
                          weight_residues=[["1/3", 0], ["1/4", 0]]),
                     dict(seed_start=-1, seed_values=[], out="")),
-        DGState: (dict(n=2, f=[mpc(1)], omega=[mpc(2)]),
-                  dict(vartheta=None)),
+        DGState: (dict(n=2, f=[mpc(1)], omega=[mpc(2)]), {}),
         GarnierPoint: (dict(n=1, q=[mpc(1)], p=[mpc(2)], K=[],
                             theta_inf=mpc(3)), {}),
         MomentSequence: (dict(pair=pair, values={-1: mpc(1), 0: mpc(2)},
                               seed_lo=-1, seed_hi=0),
-                         dict(provenance="seeded", exact=False,
-                              prec=sequence_precision())),
+                         dict(provenance="seeded", exact=False)),
         UPoly: (dict(u=(mpc(1), mpc(2))), {}),
         CheckResult: (dict(label="rrCf:a", residual=mpf(1), tol=mpf(2)),
                       dict(n=None, passed=True, gauge_invariant=True,
