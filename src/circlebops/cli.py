@@ -146,7 +146,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
     if cmd == "moments":
         return _cmd_moments(cfg, args, started)
     if cmd == "bops":
-        return _cmd_bops(cfg, args, started)
+        return _cmd_bops(cfg, started)
     if cmd == "spectral":
         return _cmd_spectral(cfg, args, started)
     if cmd == "garnier":
@@ -218,7 +218,7 @@ def _cmd_moments(cfg: RunConfig, args, started: float) -> int:
     return EXIT_OK
 
 
-def _cmd_bops(cfg: RunConfig, args, started: float) -> int:
+def _cmd_bops(cfg: RunConfig, started: float) -> int:
     ws = build_workspace(cfg)
     o = ws.oracle
     tol = cfg.tolerance_mpf()

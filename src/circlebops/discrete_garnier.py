@@ -33,6 +33,7 @@ from mpmath import mp, mpf, mpc
 
 from .errors import (InconsistentLambdaPaths, SingularStep,
                      ThetaVanishesAtOne, ZeroDenominator, ZeroRNRatio)
+from .garnier import coordinates_from_spectral
 from .moments import MomentSequence, build_U
 from .mputil import to_mpc
 from .polys import elementary_symmetric, peval, pscale, psub
@@ -369,21 +370,20 @@ def dg_hamiltonian_residuals(ws: SpectralWorkspace, n: int) -> dict:
     """Residual of p_{n+1} + p_n = n/q - 2V(q)/W(q) under both level readings.
 
     The momentum functions p_m(z) = -(Omega_m(z) + V(z))/W(z) of levels n and
-    n+1 are summed at the roots of either level's coordinate polynomial.  The
-    advanced-level roots satisfy the identity (this follows from the coupled
-    recurrences); the lagging-level reading is reported alongside for the
-    record.
+    n+1 are summed at the roots of either level's coordinate polynomial, the
+    coordinates of ``coordinates_from_spectral``.  The advanced-level roots
+    satisfy the identity (this follows from the coupled recurrences); the
+    lagging-level reading is reported alongside for the record.
     """
-    from .garnier import polynomial_roots, _sorted_roots
-
     sd_n, sd_n1 = ws.data(n), ws.data(n + 1)
 
     def p_fun(sd, z):
         return -(sd.at("omega", z) + ws.at("V", z)) / ws.at("W", z)
 
     out = {}
-    for tag, sd_roots in (("advanced", sd_n1), ("lagging", sd_n)):
-        roots = _sorted_roots(polynomial_roots(sd_roots.theta))
+    for tag, level in (("advanced", n + 1), ("lagging", n)):
+        roots = coordinates_from_spectral(ws, level,
+                                          with_hamiltonians=False).q
         worst = mpf(0)
         for q in roots:
             lhs = p_fun(sd_n1, q) + p_fun(sd_n, q)

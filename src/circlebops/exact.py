@@ -140,11 +140,6 @@ def _coerce(x) -> QC:
     raise TypeError(f"cannot coerce {type(x).__name__} into QC")
 
 
-def qc(re, im=0) -> QC:
-    """Build a QC from ints, Fractions or fraction strings like '3/8'."""
-    return QC(Fraction(re), Fraction(im))
-
-
 def det_cofactor(rows):
     """Determinant by cofactor expansion.  O(n!) - the small-n micro-oracle."""
     n = len(rows)

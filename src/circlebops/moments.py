@@ -101,13 +101,12 @@ def _rounded_quotient(terms, pr: int, pi: int) -> mpc:
 
     The sum is exact in integers, on the finest binary exponent of the
     v_k; the quotient N / p = N conj(p) / |p|^2 is then rounded once per
-    part, to nearest at mp.prec.  A non-finite v_k takes the mpc route.
+    part, to nearest at mp.prec.  A non-finite v_k raises ``ValueError``.
     """
     parts = [(gr, gi, *v._mpc_) for gr, gi, v in terms]
     fields = [f for *_, x, y in parts for f in (x, y)]
     if any(not man and e for _, man, e, _ in fields):     # inf or nan
-        return -mpmath.fsum(mpc(gr, gi) * mp.make_mpc((x, y))
-                            for gr, gi, x, y in parts) / mpc(pr, pi)
+        raise ValueError("non-finite moment in a recurrence step")
     lo = min((e for _, man, e, _ in fields if man), default=0)
     sr = si = 0
     for gr, gi, (s1, m1, e1, _), (s2, m2, e2, _) in parts:

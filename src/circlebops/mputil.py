@@ -45,55 +45,32 @@ def guarded():
 
 
 def to_mpc(x) -> mpc:
-    """Coerce supported scalar encodings to mpc at current precision."""
+    """Coerce supported scalar encodings to mpc at current precision.
+
+    An exact encoding (a QC, a Fraction, a fraction string or an [re, im]
+    pair of them) is rounded once per part, from its exact value.
+    """
     if isinstance(x, mpc):
         return x
-    if isinstance(x, QC):
-        return x.to_mpc()
-    if isinstance(x, Fraction):
-        return mpc(mpf(x.numerator) / x.denominator)
-    if isinstance(x, str):
-        f = Fraction(x)
-        return mpc(mpf(f.numerator) / f.denominator)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return mpc(_to_mpf(x[0]), _to_mpf(x[1]))
+    if isinstance(x, (QC, Fraction, str, list, tuple)):
+        return parse_exact(x).to_mpc()
     if isinstance(x, complex):
         return mpc(x.real, x.imag)
     return mpc(x)
 
 
-def _to_mpf(x) -> mpf:
-    if isinstance(x, str):
-        f = Fraction(x)
-        return mpf(f.numerator) / f.denominator
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
-
-
-def parse_exact(x):
-    """Parse a scalar encoding into an exact QC where possible.
+def parse_exact(x) -> QC:
+    """Parse a scalar encoding into an exact QC.
 
     Accepts ints, Fractions, fraction strings, [re, im] pairs of the same,
-    and floats (which are taken at their exact binary value).
+    and floats (which are taken at their exact binary value); anything
+    else raises ``Fraction``'s TypeError or ValueError.
     """
     if isinstance(x, QC):
         return x
     if isinstance(x, (list, tuple)) and len(x) == 2:
-        return QC(_frac(x[0]), _frac(x[1]))
-    return QC(_frac(x))
-
-
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(v)
-    raise TypeError(f"cannot interpret {v!r} as an exact rational")
+        return QC(*x)
+    return QC(x)
 
 
 def abs_square(t) -> tuple:

@@ -127,8 +127,9 @@ def test_each_eps_series_is_formed_once_per_level(tmp_path, monkeypatch):
 
 def test_checks_evaluate_each_polynomial_once_per_point(tmp_path,
                                                         monkeypatch):
-    """identities, bilinear and summation evaluate no (coefficients, point,
-    precision) triple twice, and find the roots of Theta_n once per level.
+    """identities, bilinear, summation and oracle evaluate no
+    (coefficients, point, precision) triple twice, and find the roots of
+    Theta_n once per level.
     Every point value of the checks comes from the integer evaluator
     ``peval_grid``, which is wrapped here."""
     from collections import Counter
@@ -159,7 +160,8 @@ def test_checks_evaluate_each_polynomial_once_per_point(tmp_path,
                     monkeypatch.setattr(mod, attr, wrap[val])
     config = tmp_path / "run.yaml"
     config.write_text(yaml.safe_dump(
-        {**CONFIG, "checks": ["identities", "bilinear", "summation"]}))
+        {**CONFIG, "checks": ["identities", "bilinear", "summation",
+                              "oracle"]}))
     assert main(["--config", str(config), "verify",
                  "--out", str(tmp_path / "report.json")]) == 0
     assert evaluated and max(evaluated.values()) == 1

@@ -14,7 +14,7 @@ from circlebops.bops import (ToeplitzOracle, casoratian_residuals,
                              toeplitz_det)
 from circlebops.deform import rational_workspace
 from circlebops.errors import DegenerateDeterminant
-from circlebops.exact import det_cofactor, qc
+from circlebops.exact import QC, det_cofactor
 from circlebops.moments import MomentSequence, ReflectedMoments
 from circlebops.mputil import working_precision
 from circlebops.polys import pmax_abs, psub
@@ -61,7 +61,7 @@ def test_level_one_polynomials_hand_expansion():
 def test_lu_determinant_vs_exact_cofactor_n6():
     weight, _ = standard_case_m3()
     pair = build_poly_pair(weight)
-    seeds = [qc("31/100", "17/100"), qc(1)]
+    seeds = [QC("31/100", "17/100"), QC(1)]
     msx = MomentSequence.from_seeds(pair, -1, seeds, exact=True)
     msx.extend(-5, 5)
     n = 6

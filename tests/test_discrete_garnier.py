@@ -13,8 +13,8 @@ from conftest import (make_workspace, standard_case_m3, standard_case_m4,
 from circlebops.bops import ToeplitzOracle
 from circlebops.discrete_garnier import (DGState, dg_from_spectral,
                                          dg_hamiltonian_residuals, dg_initial,
-                                         dg_invert, dg_step, dg_trajectory,
-                                         tau_recovery)
+                                         dg_invert, dg_run, dg_step,
+                                         dg_trajectory, tau_recovery)
 from circlebops.errors import SingularStep
 from circlebops.exact import QC
 from circlebops.moments import MomentSequence
@@ -267,6 +267,21 @@ def test_tau_recovery_matches_determinants():
         for n in range(11):
             In = ws.oracle.det(n)
             assert abs(rec["I"][n] - In) < mpf(1e-25) * max(abs(In), mpf(1))
+
+
+def test_inversion_leaves_the_state_unchanged():
+    ws = make_workspace(*standard_case_m4())
+    state, twin = dg_from_spectral(ws, 2), dg_from_spectral(ws, 2)
+    dg_invert(state, ws.pair)
+    assert state == twin
+
+
+def test_tau_recovery_leaves_the_cached_trajectory_unchanged():
+    ws = make_workspace(*standard_case_m4())
+    traj = dg_run(ws, 6)
+    tau_recovery(traj, ws.oracle.moments)
+    assert dg_run(ws, 6) == dg_trajectory(dg_initial(ws.oracle.moments),
+                                          ws.pair, 6)
 
 
 def test_m4_subleading_coefficient_relation():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mpf
 from mpmath.libmp import from_rational, round_nearest
 
-from circlebops.exact import QC, det_cofactor, qc, round_rational
+from circlebops.exact import QC, det_cofactor, round_rational
 from circlebops.mputil import lu_det, working_precision
 
 small = st.integers(min_value=-6, max_value=6)
@@ -20,9 +20,9 @@ def qc_mat(vals, n):
 
 
 def test_field_operations():
-    a = qc("3/8", "-1/2")
-    b = qc(2, "1/3")
-    assert a + b == qc(Fraction(19, 8), Fraction(-1, 6))
+    a = QC("3/8", "-1/2")
+    b = QC(2, "1/3")
+    assert a + b == QC(Fraction(19, 8), Fraction(-1, 6))
     assert a * b - b * a == QC(0)
     assert (a / b) * b == a
     assert a ** 3 == a * a * a
@@ -32,7 +32,7 @@ def test_field_operations():
 
 
 def test_to_mpc_matches_parts():
-    z = qc("3/7", "-2/5").to_mpc()
+    z = QC("3/7", "-2/5").to_mpc()
     assert abs(z.real - mpf(3) / 7) < mpf(2) ** -120
     assert abs(z.imag + mpf(2) / 5) < mpf(2) ** -120
 
@@ -47,7 +47,7 @@ def test_exact_determinant_vs_lu(vals):
 
 
 def test_singular_matrix_detected():
-    row = [qc(1), qc(2)]
+    row = [QC(1), QC(2)]
     assert det_cofactor([row, row]).is_zero()
 
 

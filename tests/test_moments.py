@@ -9,7 +9,7 @@ from conftest import (RESIDUE_CASES, rational_case_m4, standard_case_m3,
                       standard_case_m4)
 from circlebops.deform import rational_workspace
 from circlebops.errors import SingularStep, WindowTooSmall
-from circlebops.exact import QC, qc
+from circlebops.exact import QC
 from circlebops.moments import (BACKWARD_PIVOT_FLOOR, MomentSequence,
                                 build_U,
                                 caratheodory,
@@ -63,7 +63,7 @@ def test_zero_residue_weight_keeps_delta_moments():
 
 def test_exact_round_trip():
     pair, _ = _pair_m3()
-    seeds = [qc("31/100", "17/100"), qc(1)]
+    seeds = [QC("31/100", "17/100"), QC(1)]
     ms = MomentSequence.from_seeds(pair, -1, seeds, exact=True)
     ms.extend(-10, 10)
     back = MomentSequence.from_seeds(pair, 9, [ms.values[9], ms.values[10]],
@@ -122,9 +122,9 @@ def test_backward_resonance_raises():
 # the standard cases' weights with dyadic seeds, which both routes hold
 # exactly
 DYADIC_SEEDS = {
-    "m3": (standard_case_m3, [qc("5/16", "11/64"), qc(1)]),
-    "m4": (standard_case_m4, [qc("13/64", "-7/64"), qc(1),
-                              qc("13/32", "21/64")]),
+    "m3": (standard_case_m3, [QC("5/16", "11/64"), QC(1)]),
+    "m4": (standard_case_m4, [QC("13/64", "-7/64"), QC(1),
+                              QC("13/32", "21/64")]),
 }
 
 
@@ -174,6 +174,13 @@ def test_pivot_floor_is_an_exact_comparison():
             with pytest.raises(SingularStep) as err:
                 ms.extend(2, 4)
             assert err.value.index == 4 and err.value.factor == "g_2"
+
+
+def test_non_finite_seed_refuses_to_step():
+    pair, _ = _pair_m3()
+    ms = MomentSequence.from_seeds(pair, -1, [mpc("inf"), mpc(1)])
+    with pytest.raises(ValueError):
+        ms.extend(-3, 3)
 
 
 # -- quadrature ---------------------------------------------------------------

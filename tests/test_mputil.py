@@ -1,10 +1,13 @@
 """Shared arbitrary-precision helpers."""
 
 import random
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_rational, round_nearest
 
+from circlebops.config import build_workspace, config_from_dict
 from circlebops.mputil import sample_points, to_mpc, working_precision
 
 
@@ -39,3 +42,31 @@ def test_sample_points_are_bit_identical_to_the_frozen_function():
                 assert [z._mpc_ for z in got] == [z._mpc_ for z in want]
                 assert first[0]._mpc_ not in [z._mpc_ for z in got]
                 assert first[2]._mpc_ in [z._mpc_ for z in got]
+
+
+# p / 485 with p of 139 bits: rounding p to 128 bits before the division
+# lands 0.67 ulp from p / 485, one rounding of the quotient 0.38 ulp
+WITNESS = "626718779602557076557859293516794212135997/485"
+
+
+def _nearest(text: str) -> mpf:
+    f = Fraction(text)
+    return mp.make_mpf(from_rational(f.numerator, f.denominator, mp.prec,
+                                     round_nearest))
+
+
+def test_exact_encodings_are_rounded_once():
+    want = _nearest(WITNESS)
+    assert to_mpc(WITNESS) == mpc(want)
+    assert to_mpc(Fraction(WITNESS)) == mpc(want)
+    assert to_mpc([WITNESS, "-" + WITNESS]) == mpc(want, -want)
+    assert to_mpc((Fraction(WITNESS), 0)) == mpc(want)
+
+
+def test_config_seeds_are_rounded_once():
+    raw = {"mode": "formal", "precision_bits": 128,
+           "weight": {"singularities": [[0, 0], ["2/5", 0], [1, 0]],
+                      "residues": [["1/3", 0], ["-1/2", 0], ["1/4", 0]]},
+           "seeds": {"start": -1, "values": [[WITNESS, 0], [1, 0]]}}
+    ws = build_workspace(config_from_dict(raw))
+    assert ws.oracle.moments.values[-1] == mpc(_nearest(WITNESS))

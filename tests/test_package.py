@@ -84,6 +84,33 @@ def test_no_src_function_stores_a_local_it_never_reads():
     assert not unread, unread
 
 
+def test_no_src_function_takes_a_parameter_it_never_reads():
+    """Every parameter of a function is read somewhere in it.
+
+    A parameter that is never read is an input the caller must give and
+    the function ignores.  Lambdas are exempt, because the entries of
+    ``suites.SUITE_BUILDERS`` share one signature, and so are dunder
+    methods, whose signatures their protocols fix.  A read in a nested
+    function counts.
+    """
+    unread = []
+    for path in sorted(Path(circlebops.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    or fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args +
+                      args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name)
+                    and not isinstance(node.ctx, ast.Store)}
+            unread += [f"{path.name}:{fn.lineno} {name} in {fn.name}"
+                       for name in params if name not in read]
+    assert not unread, unread
+
+
 # -- record classes ------------------------------------------------------------
 
 def _pair():
