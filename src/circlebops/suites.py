@@ -99,7 +99,7 @@ def lattice_suite(ws: SpectralWorkspace, n_max: int, tol, seed: int) -> list:
     for n in range(0, n_max + 1):
         out.extend(check_transitions(ws, n, tol, seed))
     for n in range(0, n_max + 1):
-        out.extend(residue_structure_checks(ws, n, tol))
+        out.extend(residue_structure_checks(ws, n, tol, seed))
     return out
 
 

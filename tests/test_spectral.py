@@ -25,6 +25,7 @@ from circlebops.spectral import (SERIES_BUFFER, SpectralWorkspace, a_matrix,
                                  p2_asymptotic_constant,
                                  residue_structure_checks, scalar_ode_data,
                                  scalar_ode_residuals)
+from circlebops.suites import run_verification
 from circlebops.weights import build_poly_pair, build_weight
 
 TOL = mpf(1e-25)
@@ -191,12 +192,25 @@ def test_summation_identities_with_coordinates():
 def test_residue_matrices_structure():
     ws = _ws(standard_case_m4)
     for n in (0, 2):
-        res = residue_structure_checks(ws, n, TOL)
+        res = residue_structure_checks(ws, n, TOL, 17)
         assert all_passed(res)
     from circlebops.spectral import residue_matrices
     mats0 = residue_matrices(ws, 1)
     # upper-triangular origin residue: second row identically zero
     assert abs(mats0[0][1][0]) < TOL and abs(mats0[0][1][1]) < TOL
+
+
+def test_partial_fraction_points_follow_the_run_seed():
+    """An:pf draws its points from the run's seed, as rrCf:j@pts and the
+    scalar ODE checks do."""
+    def an_pf(seed):
+        ws = _ws(standard_case_m4)
+        return [r.residual for r in
+                run_verification(ws, ["identities"], 2, TOL, seed=seed)
+                if r.label == "An:pf"]
+    one, two = an_pf(1), an_pf(2)
+    assert len(one) == len(two) == 3
+    assert all(a != b for a, b in zip(one, two))
 
 
 def test_a_matrix_rejects_singularities():
