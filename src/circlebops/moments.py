@@ -51,8 +51,8 @@ from .mputil import GUARD_BITS, to_mpc
 from .polys import padd, pdiff, peval, pmul, pscale
 from .record import FrozenRecord, Record
 from .report import Grid, rel_residual
-from .weights import PolyPair, WeightData, eval_weight_on_circle, is_negative_int, seam_shielded, \
-    single_valuedness_defect
+from .weights import PolyPair, WeightData, eval_weight_on_circle, \
+    is_negative_int, seam_shielded, single_valuedness_defect
 
 # relative pivot floors for recurrence steps
 BACKWARD_PIVOT_FLOOR = 1e-3
@@ -133,9 +133,9 @@ class MomentSequence(Record):
     """Contiguous window of moments with its generating recurrence.
 
     ``prec`` is fixed when the sequence is built: the working precision
-    plus twice the guard bits (``sequence_precision``).  Every moment the recurrence adds
-    is computed at it, whoever asks, and the oracle over the sequence
-    adopts it.
+    plus twice the guard bits (``sequence_precision``).  Every moment the
+    recurrence adds is computed at it, whoever asks, and the oracle over
+    the sequence adopts it.
     """
 
     _fields = ("pair", "values", "seed_lo", "seed_hi", "provenance", "exact",
