@@ -16,6 +16,10 @@ Verified against central differences of the recomputed pipeline:
 
 and against central differences of K_j in (q, p), with no recomputation,
 Hamilton's equations dK_j/dp_r = dq_r/dz_j and -dK_j/dq_r = dp_r/dz_j.
+K_j is quadratic in the momenta, so the p-differences evaluate one
+quadratic form per j (``garnier.k_form``) at the shifted momenta; both
+kinds of check read the same flow closed forms, which the workspace keeps
+per level.
 
 One rule judges every one of these checks, ``judged_difference``: each is a
 central difference at the steps h = ``flow_step()`` and h/2, and it passes
@@ -38,8 +42,8 @@ from mpmath import mp, mpf, mpc
 
 from .bops import ToeplitzOracle
 from .exact import QC
-from .garnier import (GarnierPoint, coordinates_from_spectral, flow_p_closed,
-                      flow_q_closed, k_value)
+from .garnier import (coordinates_from_spectral, flow_p_closed, flow_q_closed,
+                      k_at, k_form, k_value)
 from .moments import (MomentSequence, rational_weight_moments,
                       sequence_precision)
 from .mputil import match_roots, to_mpc
@@ -292,8 +296,8 @@ def hamilton_flow_pipeline_check(ws0: SpectralWorkspace, stencil: dict,
         qp[tt] = (matched_q, [pt.p[i] for i in perm])
 
     for r in range(N):
-        want_q = flow_q_closed(ws0, n, point, j, r)
-        want_p = flow_p_closed(ws0, n, point, j, r)
+        want_q = flow_q_closed(ws0, n, j, r)
+        want_p = flow_p_closed(ws0, n, j, r)
         res_q = [rel_error(_central(lambda t: qp[t][0][r], step), want_q, 1)
                  for step in _steps()]
         res_p = [rel_error(_central(lambda t: qp[t][1][r], step), want_p, 1)
@@ -310,25 +314,29 @@ def _moved_entry(values: list, r: int, t: Fraction) -> list:
     return out
 
 
-def hamilton_equations_check(ws: SpectralWorkspace, n: int,
-                             point: GarnierPoint, tol) -> list:
-    """Central differences of K_j in (q, p) against the flow closed forms.
+def hamilton_equations_check(ws: SpectralWorkspace, n: int, tol) -> list:
+    """Central differences of K_j in (q, p) at the level-n point against the
+    flow closed forms.
 
     Verifies dK_j/dp_r = dq_r/dz_j and -dK_j/dq_r = dp_r/dz_j.  K_j is
-    quadratic in the momenta, so the p-differences are exact and sit at the
-    roundoff floor ("exact in p"); a q-difference that does is at the
+    quadratic in the momenta: the p-differences evaluate one quadratic form
+    per j, built once at the base coordinates, and they are exact and sit
+    at the roundoff floor ("exact in p").  The q-differences form K_j anew
+    at each shifted coordinate set; one that sits at the floor is at the
     "deep floor".
     """
     N = ws.pair.N
+    point = coordinates_from_spectral(ws, n, with_hamiltonians=False)
     out = []
     for j in range(1, N + 1):
+        form = k_form(ws, point.q, n, j)
         for r in range(N):
-            want_q = flow_q_closed(ws, n, point, j, r)
-            want_p = flow_p_closed(ws, n, point, j, r)
+            want_q = flow_q_closed(ws, n, j, r)
+            want_p = flow_p_closed(ws, n, j, r)
             res_q, res_p = [], []
             for step in _steps():
-                dKdp = _central(lambda t: k_value(
-                    ws, point.q, _moved_entry(point.p, r, t), n, j), step)
+                dKdp = _central(lambda t: k_at(
+                    form, _moved_entry(point.p, r, t)), step)
                 dKdq = _central(lambda t: k_value(
                     ws, _moved_entry(point.q, r, t), point.p, n, j), step)
                 res_q.append(rel_error(dKdp, want_q, 1))

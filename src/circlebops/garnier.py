@@ -12,7 +12,11 @@ This module holds closed forms only: it extracts the coordinates
 ordered), evaluates K_j both from its closed form and from the
 residue-matrix trace formula, gives the closed forms of dq_r/dz_j and
 dp_r/dz_j, and the canonical transformation to the polynomial chart.  The
-finite differences that check the flow against them live in ``deform``.
+closed form of K_j is quadratic in the momenta with coefficients that
+depend on q alone: ``k_form`` builds them once per coordinate set, and
+``k_at`` evaluates them at any momenta.  The workspace keeps each flow
+closed form per (level, j, r).  The finite differences that check the flow
+against them live in ``deform``.
 """
 
 from __future__ import annotations
@@ -238,32 +242,56 @@ def w_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
 # Hamiltonian as an explicit function of (q, p) and the flow closed forms
 # ---------------------------------------------------------------------------
 
-def k_value(ws: SpectralWorkspace, q, p, n: int, j: int) -> mpc:
-    """K_j evaluated as a rational function of coordinate/momentum lists.
+def k_form(ws: SpectralWorkspace, q, n: int, j: int):
+    """K_j at the coordinates q as a quadratic form in the momenta,
+    ``(lead, [(c_r, b_r, a_r)])`` with
 
-    The leading-coefficient normalisation of the coordinate polynomial
-    cancels between numerator and denominator, so only the root set enters.
+        K_j = lead * sum_r c_r (p_r^2 + b_r p_r - a_r),
+
+    lead = Theta(z_j)/W'(z_j), c_r = (W(q_r)/prod_{s != r}(q_r - q_s))
+    /(z_j - q_r), b_r = 2V(q_r)/W(q_r) - n/q_r - 1/(z_j - q_r) and
+    a_r = n(1 + m_0)/(q_r (q_r - 1)).  Theta is the monic polynomial with
+    roots q: its leading coefficient cancels between numerator and
+    denominator, so only the root set enters.
     """
     zj = ws.singularities()[j]
     m0 = ws.pair.m_mpc()[0]
     wp = ws.at("dW", zj)
     theta_zj = mpmath.fprod(zj - to_mpc(qs) for qs in q)
-    total = mpc(0)
-    for r, (qr, pr) in enumerate(zip(q, p)):
+    terms = []
+    for r, qr in enumerate(q):
         qr = to_mpc(qr)
-        pr = to_mpc(pr)
         dth = mpmath.fprod(qr - to_mpc(q[s]) for s in range(len(q)) if s != r)
         Wq = ws.at("W", qr)
-        bracket = pr ** 2 + pr * (ws.at("V2", qr) / Wq - mpf(n) / qr -
-                                  1 / (zj - qr)) - \
-            mpf(n) * (1 + m0) / (qr * (qr - 1))
-        total += (Wq / dth) / (zj - qr) * bracket
-    return (theta_zj / wp) * total
+        terms.append(((Wq / dth) / (zj - qr),
+                      ws.at("V2", qr) / Wq - mpf(n) / qr - 1 / (zj - qr),
+                      mpf(n) * (1 + m0) / (qr * (qr - 1))))
+    return theta_zj / wp, terms
 
 
-def flow_q_closed(ws: SpectralWorkspace, n: int, point: GarnierPoint,
-                  j: int, r: int) -> mpc:
-    """Closed form of dq_r/dz_j (j indexes the free singularities from 1)."""
+def k_at(form, p) -> mpc:
+    """The quadratic form ``k_form`` evaluated at the momenta p."""
+    lead, terms = form
+    total = mpc(0)
+    for (c, b, a), pr in zip(terms, p):
+        pr = to_mpc(pr)
+        total += c * (pr ** 2 + pr * b - a)
+    return lead * total
+
+
+def k_value(ws: SpectralWorkspace, q, p, n: int, j: int) -> mpc:
+    """K_j as a rational function of coordinate/momentum lists."""
+    return k_at(k_form(ws, q, n, j), p)
+
+
+def flow_q_closed(ws: SpectralWorkspace, n: int, j: int, r: int) -> mpc:
+    """Closed form of dq_r/dz_j (j indexes the free singularities from 1) at
+    the level-n point; the workspace keeps it per (n, j, r)."""
+    return ws.memo(("flow q", n, j, r), lambda: _flow_q(ws, n, j, r))
+
+
+def _flow_q(ws: SpectralWorkspace, n: int, j: int, r: int) -> mpc:
+    point = coordinates_from_spectral(ws, n, with_hamiltonians=False)
     sd = ws.data(n)
     zj = ws.singularities()[j]
     qr, pr = point.q[r], point.p[r]
@@ -273,9 +301,14 @@ def flow_q_closed(ws: SpectralWorkspace, n: int, point: GarnierPoint,
     return lead * bracket / (zj - qr)
 
 
-def flow_p_closed(ws: SpectralWorkspace, n: int, point: GarnierPoint,
-                  j: int, r: int) -> mpc:
-    """Closed form of dp_r/dz_j."""
+def flow_p_closed(ws: SpectralWorkspace, n: int, j: int, r: int) -> mpc:
+    """Closed form of dp_r/dz_j at the level-n point; the workspace keeps it
+    per (n, j, r)."""
+    return ws.memo(("flow p", n, j, r), lambda: _flow_p(ws, n, j, r))
+
+
+def _flow_p(ws: SpectralWorkspace, n: int, j: int, r: int) -> mpc:
+    point = coordinates_from_spectral(ws, n, with_hamiltonians=False)
     sd = ws.data(n)
     zj = ws.singularities()[j]
     m0 = ws.pair.m_mpc()[0]

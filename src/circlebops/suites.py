@@ -203,8 +203,7 @@ def flow_suite(ws: SpectralWorkspace, n: int, tol) -> list:
         if j == 1:
             out.extend(deformation_residuals(ws, stencil, zdot, n, tol))
         out.extend(hamilton_flow_pipeline_check(ws, stencil, n, j, tol))
-    point = coordinates_from_spectral(ws, n)
-    out.extend(hamilton_equations_check(ws, n, point, tol))
+    out.extend(hamilton_equations_check(ws, n, tol))
     return out
 
 

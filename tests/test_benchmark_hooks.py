@@ -91,6 +91,26 @@ def test_layer_tracer_times_rational_moments_per_workspace(tmp_path):
     assert metrics["moments.window"] == 17
 
 
+def _wrap_everywhere(monkeypatch, wrap: dict) -> None:
+    """Rebind each function of ``wrap`` to its replacement in every loaded
+    circlebops module."""
+    for name, mod in list(sys.modules.items()):
+        if name == "circlebops" or name.startswith("circlebops."):
+            for attr, val in list(vars(mod).items()):
+                if callable(val) and val in wrap:
+                    monkeypatch.setattr(mod, attr, wrap[val])
+
+
+def _verify(tmp_path, config_data) -> None:
+    """One in-process ``verify`` run of config_data, which must pass."""
+    from circlebops.cli import main
+
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml.safe_dump(config_data))
+    assert main(["--config", str(config), "verify",
+                 "--out", str(tmp_path / "report.json")]) == 0
+
+
 def test_each_eps_series_is_formed_once_per_level(tmp_path, monkeypatch):
     """The Casoratian checks and the extraction ask for level n+1's series
     at that level's truncation, so no series is formed twice: CONFIG forms
@@ -98,7 +118,6 @@ def test_each_eps_series_is_formed_once_per_level(tmp_path, monkeypatch):
     from collections import Counter
 
     from circlebops import bops
-    from circlebops.cli import main
 
     formed = {"eps": Counter(), "epsstar": Counter()}
 
@@ -108,28 +127,19 @@ def test_each_eps_series_is_formed_once_per_level(tmp_path, monkeypatch):
             return original(moments, coeffs, truncation)
         return run
 
-    wrap = {bops.epsilon_from_determinant:
+    _wrap_everywhere(monkeypatch, {
+        bops.epsilon_from_determinant:
             counting(bops.epsilon_from_determinant, "eps"),
-            bops.epsilonstar_from_determinant:
-            counting(bops.epsilonstar_from_determinant, "epsstar")}
-    for name, mod in list(sys.modules.items()):
-        if name == "circlebops" or name.startswith("circlebops."):
-            for attr, val in list(vars(mod).items()):
-                if callable(val) and val in wrap:
-                    monkeypatch.setattr(mod, attr, wrap[val])
-    config = tmp_path / "run.yaml"
-    config.write_text(yaml.safe_dump(CONFIG))
-    assert main(["--config", str(config), "verify",
-                 "--out", str(tmp_path / "report.json")]) == 0
+        bops.epsilonstar_from_determinant:
+            counting(bops.epsilonstar_from_determinant, "epsstar")})
+    _verify(tmp_path, CONFIG)
     levels = dict.fromkeys(range(CONFIG["n_max"] + 3), 1)
     assert formed == {"eps": levels, "epsstar": levels}
 
 
-def test_checks_evaluate_each_polynomial_once_per_point(tmp_path,
-                                                        monkeypatch):
-    """identities, bilinear, summation and oracle evaluate no
-    (coefficients, point, precision) triple twice, and find the roots of
-    Theta_n once per level.
+def _point_evaluations(tmp_path, monkeypatch, config_data):
+    """The (coefficients, point, precision) triples that one ``verify`` run
+    of config_data evaluates, counted, and the number of root findings.
     Every point value of the checks comes from the integer evaluator
     ``peval_grid``, which is wrapped here."""
     from collections import Counter
@@ -137,7 +147,6 @@ def test_checks_evaluate_each_polynomial_once_per_point(tmp_path,
     from mpmath import mp
 
     from circlebops import garnier, polys
-    from circlebops.cli import main
     from circlebops.mputil import to_mpc
 
     peval, roots = polys.peval_grid, garnier.polynomial_roots
@@ -152,20 +161,73 @@ def test_checks_evaluate_each_polynomial_once_per_point(tmp_path,
         rooted.append(coeffs)
         return roots(coeffs)
 
-    wrap = {peval: counted_peval, roots: counted_roots}
-    for name, mod in list(sys.modules.items()):
-        if name == "circlebops" or name.startswith("circlebops."):
-            for attr, val in list(vars(mod).items()):
-                if callable(val) and val in wrap:
-                    monkeypatch.setattr(mod, attr, wrap[val])
-    config = tmp_path / "run.yaml"
-    config.write_text(yaml.safe_dump(
+    _wrap_everywhere(monkeypatch, {peval: counted_peval,
+                                   roots: counted_roots})
+    _verify(tmp_path, config_data)
+    return evaluated, len(rooted)
+
+
+def test_checks_evaluate_each_polynomial_once_per_point(tmp_path,
+                                                        monkeypatch):
+    """identities, bilinear, summation and oracle evaluate no
+    (coefficients, point, precision) triple twice, and find the roots of
+    Theta_n once per level."""
+    evaluated, rooted = _point_evaluations(
+        tmp_path, monkeypatch,
         {**CONFIG, "checks": ["identities", "bilinear", "summation",
-                              "oracle"]}))
-    assert main(["--config", str(config), "verify",
-                 "--out", str(tmp_path / "report.json")]) == 0
+                              "oracle"]})
     assert evaluated and max(evaluated.values()) == 1
-    assert len(rooted) == CONFIG["n_max"] + 1
+    assert rooted == CONFIG["n_max"] + 1
+
+
+def test_flow_checks_evaluate_each_polynomial_once_per_point(tmp_path,
+                                                             monkeypatch):
+    """The flow suite evaluates no (coefficients, point, precision) triple
+    twice either, and finds the roots of Theta_n once in each of its nine
+    workspaces: the base and the two four-point stencils."""
+    evaluated, rooted = _point_evaluations(tmp_path, monkeypatch,
+                                           RATIONAL_M4_FLOW)
+    assert evaluated and max(evaluated.values()) == 1
+    assert rooted == 9
+
+
+def test_each_flow_quantity_is_formed_once(tmp_path, monkeypatch):
+    """The pipeline and Hamilton checks share each closed form dq_r/dz_j
+    and dp_r/dz_j, computed once per (n, j, r).  K_j is formed once per
+    coordinate set: one quadratic form per j at the base coordinates, and
+    one per shifted coordinate set of the q-differences (2 steps, 2 signs,
+    N coordinates)."""
+    from collections import Counter
+
+    from mpmath import mp
+
+    from circlebops import garnier
+    from circlebops.mputil import to_mpc
+
+    formed = Counter()
+
+    def counting_closed(original, kind):
+        def run(ws, n, j, r):
+            formed[kind, n, j, r, mp.prec] += 1
+            return original(ws, n, j, r)
+        return run
+
+    def counting_form(ws, q, n, j):
+        formed["K", tuple(to_mpc(x)._mpc_ for x in q), n, j, mp.prec] += 1
+        return k_form(ws, q, n, j)
+
+    k_form = garnier.k_form
+    _wrap_everywhere(monkeypatch, {
+        garnier._flow_q: counting_closed(garnier._flow_q, "q"),
+        garnier._flow_p: counting_closed(garnier._flow_p, "p"),
+        k_form: counting_form})
+    _verify(tmp_path, RATIONAL_M4_FLOW)
+    N, n = 2, RATIONAL_M4_FLOW["n_max"]
+    closed = {(kind, n, j, r, 256): 1 for kind in "qp"
+              for j in range(1, N + 1) for r in range(N)}
+    assert {k: v for k, v in formed.items() if k[0] != "K"} == closed
+    forms = [v for k, v in formed.items() if k[0] == "K"]
+    assert forms == [1] * (N * (1 + 2 * 2 * N))
 
 
 def test_one_discrete_garnier_trajectory_per_workspace(tmp_path,
@@ -173,7 +235,6 @@ def test_one_discrete_garnier_trajectory_per_workspace(tmp_path,
     """The oracle suite (to n_max) and the tau suite (to n_max + 2) read one
     trajectory: n_max + 2 steps in all."""
     from circlebops import discrete_garnier
-    from circlebops.cli import main
 
     step, steps = discrete_garnier.dg_step, []
 
@@ -181,13 +242,6 @@ def test_one_discrete_garnier_trajectory_per_workspace(tmp_path,
         steps.append(state.n)
         return step(state, pair)
 
-    for name, mod in list(sys.modules.items()):
-        if name == "circlebops" or name.startswith("circlebops."):
-            for attr, val in list(vars(mod).items()):
-                if val is step:
-                    monkeypatch.setattr(mod, attr, counted_step)
-    config = tmp_path / "run.yaml"
-    config.write_text(yaml.safe_dump({**CONFIG, "checks": ["oracle", "tau"]}))
-    assert main(["--config", str(config), "verify",
-                 "--out", str(tmp_path / "report.json")]) == 0
+    _wrap_everywhere(monkeypatch, {step: counted_step})
+    _verify(tmp_path, {**CONFIG, "checks": ["oracle", "tau"]})
     assert steps == list(range(CONFIG["n_max"] + 2))

@@ -14,7 +14,6 @@ from circlebops.deform import (MIN_ORDER, deformation_residuals,
                                judged_difference, rational_workspace,
                                shifted_weight)
 from circlebops.exact import QC
-from circlebops.garnier import coordinates_from_spectral
 from circlebops.moments import rational_weight_moments
 from circlebops.mputil import working_precision
 from circlebops.report import all_passed, failures
@@ -136,8 +135,7 @@ def test_slow_convergence_fails_with_its_order(monkeypatch):
     monkeypatch.undo()
     _off_by(monkeypatch, "1e-15")
     ws = make_workspace(*standard_case_m4())
-    res = hamilton_equations_check(ws, 2, coordinates_from_spectral(ws, 2),
-                                   mpf(1e-10))
+    res = hamilton_equations_check(ws, 2, mpf(1e-10))
     _slow(res, "Ham:dK/dp")
     assert all_passed(c for c in res if c.label.startswith("Ham:dK/dq"))
 

@@ -83,8 +83,7 @@ def test_exponent_table_and_accessory():
 
 def test_hamilton_equations_fd():
     ws = make_workspace(*standard_case_m4())
-    pt = coordinates_from_spectral(ws, 2)
-    res = hamilton_equations_check(ws, 2, pt, mpf(1e-10))
+    res = hamilton_equations_check(ws, 2, mpf(1e-10))
     assert all_passed(res), [(r.label, r.note) for r in failures(res)]
     # q-direction comparisons must state a genuine order
     orders = [r.note for r in res if "dK/dq" in r.label]
@@ -94,8 +93,7 @@ def test_hamilton_equations_fd():
 def test_hamilton_equations_fd_three_coordinates():
     from conftest import standard_case_m5
     ws = make_workspace(*standard_case_m5())
-    pt = coordinates_from_spectral(ws, 2)
-    res = hamilton_equations_check(ws, 2, pt, mpf(1e-10))
+    res = hamilton_equations_check(ws, 2, mpf(1e-10))
     assert all_passed(res), [(r.label, r.note) for r in failures(res)]
 
 
