@@ -87,17 +87,21 @@ def judged_difference(label: str, residuals, n: int, tol,
     over the step (the function is polynomial of degree <= 2 along the
     probed direction), halving the step cannot show an order, and the note
     is ``floor_note``: a stronger statement than order two.  Otherwise the
-    observed order log2(res(h) / res(h/2)) must reach ``MIN_ORDER``.
+    observed order log2(res(h) / res(h/2)) must reach ``MIN_ORDER``.  A
+    non-finite residual at either step fails the check.
     """
+    residuals = [mpf(x) for x in residuals]
     res_h, res_h2 = residuals
-    if res_h2 <= mpf(2) ** (-(3 * mp.prec // 4) + 24) or res_h <= 0:
+    tol = mpf(tol)
+    if not all(map(mpmath.isfinite, residuals)):
+        ok, note = False, "non-finite residual"
+    elif res_h2 <= mpf(2) ** (-(3 * mp.prec // 4) + 24) or res_h <= 0:
         ok, note = True, floor_note
     else:
         order = mpmath.log(res_h / res_h2) / mpmath.log(2)
         ok, note = order >= MIN_ORDER, f"order {mpmath.nstr(order, 4)}"
-    res = CheckResult.make(label, res_h2, tol, n, note=note)
-    res.passed = res.passed and ok
-    return res
+    return CheckResult(label, res_h2, tol, n, passed=ok and res_h2 < tol,
+                       note=note)
 
 
 def _steps():

@@ -95,13 +95,16 @@ def coordinates_from_spectral(ws: SpectralWorkspace, n: int,
                               with_hamiltonians: bool = True) -> GarnierPoint:
     """Extract (q, p, K) from the spectral data at level n.
 
-    The workspace keeps the point per level and precision; K is added to it
-    when first asked for.
+    The workspace keeps the point per level and precision, without K, and K
+    beside it when first asked for.  A point with K is a new record, so no
+    caller's point ever changes.
     """
     point = ws.memo(("garnier", n), lambda: _garnier_point(ws, n))
-    if with_hamiltonians and not point.K:
-        point.K = hamiltonian(ws, n, point)
-    return point
+    if not with_hamiltonians:
+        return point
+    K = ws.memo(("garnier K", n), lambda: hamiltonian(ws, n, point))
+    return GarnierPoint(n=n, q=point.q, p=point.p, K=K,
+                        theta_inf=point.theta_inf)
 
 
 def _garnier_point(ws: SpectralWorkspace, n: int) -> GarnierPoint:

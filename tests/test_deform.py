@@ -96,6 +96,11 @@ def test_judged_difference_logic():
     res = judged_difference("probe", [mpf(1e-4), mpf("2.5e-5")], 1,
                             mpf("1e-5"))
     assert not res.passed and res.note == "order 2.0"
+    # a non-finite residual at either step fails, whatever the other says
+    for residuals in ([mpf("inf"), mpf("1e-40")], [mpf("inf"), mpf("1e-80")],
+                      [mpf("nan"), mpf("1e-80")]):
+        res = judged_difference("probe", residuals, 1, flow_tolerance())
+        assert not res.passed and res.note == "non-finite residual"
 
 
 def _off_by(monkeypatch, relative):

@@ -7,7 +7,7 @@ from mpmath import mpc, mpf
 from conftest import make_workspace, standard_case_m3, standard_case_m4
 from circlebops.deform import hamilton_equations_check
 from circlebops.errors import MultipleRoot, RootMatchingAmbiguous
-from circlebops.garnier import (canonical_transform,
+from circlebops.garnier import (GarnierPoint, canonical_transform,
                                 coordinates_from_spectral,
                                 hamiltonian_from_residues, omega_rep_residual,
                                 polynomial_roots, riemann_exponents,
@@ -66,6 +66,20 @@ def test_hamiltonian_dual_formula():
             dual = hamiltonian_from_residues(ws, n, pt)
             for a, b in zip(pt.K, dual):
                 assert abs(a - b) < TOL * max(abs(a), mpf(1))
+
+
+def test_hamiltonians_leave_the_cached_point_alone():
+    """Asking for K returns a new point: one a caller already holds does
+    not change."""
+    ws = make_workspace(*standard_case_m4())
+    p = coordinates_from_spectral(ws, 2, with_hamiltonians=False)
+    copy = GarnierPoint(n=p.n, q=list(p.q), p=list(p.p), K=list(p.K),
+                        theta_inf=p.theta_inf)
+    assert p == copy
+    with_k = coordinates_from_spectral(ws, 2)
+    assert p == copy and not p.K
+    assert with_k.K and with_k.q == p.q and with_k.p == p.p
+    assert coordinates_from_spectral(ws, 2).K is with_k.K
 
 
 def test_exponent_table_and_accessory():
