@@ -132,8 +132,7 @@ def test_criterion_07_hamiltonian_flow():
                 zdot[j] = QC(1)
                 results.extend(hamilton_flow_pipeline_check(
                     ws, flow_stencil(weight, zdot), n, j, flow_tolerance()))
-            results.extend(hamilton_equations_check(ws, n,
-                                                    flow_tolerance()))
+            results.extend(hamilton_equations_check(ws, n, flow_tolerance()))
     orders_ok = all(("order" not in r.note) or
                     (mpf(r.note.split()[-1]) >= mpf("1.9"))
                     for r in results)
