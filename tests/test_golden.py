@@ -37,6 +37,15 @@ CASES = {
                    "residues": [["1/3", 0], ["-1/2", 0], ["1/4", 0]]},
         "seeds": {"start": -1, "values": [[0.31, 0.17], [1, 0]]},
     },
+    # the README weight with its moments taken by contour quadrature
+    "readme-quadrature": {
+        "mode": "quadrature", "precision_bits": 128, "tolerance": 1.0e-20,
+        "n_max": 8, "seed": 1,
+        "checks": ["identities", "bilinear", "summation", "oracle", "tau"],
+        "weight": {"placement": "canonical",
+                   "singularities": [[0, 0], ["2/5", 0], [1, 0]],
+                   "residues": [["1/3", 0], ["-1/2", 0], ["1/4", 0]]},
+    },
     # tests/conftest.rational_case_m4 under the flow checks
     "rational-m4-flow": {
         "mode": "rational", "precision_bits": 256, "tolerance": 1.0e-20,
