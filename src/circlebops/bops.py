@@ -275,10 +275,10 @@ class ToeplitzOracle:
     value it caches is computed there, inside the one context that each
     public query enters (a cached ``det`` or ``level`` is returned without
     it), so no value depends on which query reached it first.  A query at a
-    working precision other than the one the oracle was built at raises
+    working precision other than the sequence's plan's ``working`` raises
     ``ValueError``, cached or not; the oracle's own calls, already at
-    ``prec``, pass.  The degeneracy floors are judged at the working
-    precision.
+    ``prec``, pass.  A determinant ratio below the plan's ``lu_floor``
+    times its neighbour counts as vanishing (zero computes as noise).
 
     ``gauge`` maps level -> +-1 and fixes the kappa_n sign; the default is
     the principal branch everywhere.
@@ -287,11 +287,6 @@ class ToeplitzOracle:
     def __init__(self, moments: MomentSequence, gauge=None):
         self.moments = moments
         self.prec = moments.prec
-        self.working_prec = mp.prec
-        # the relative size below which a determinant ratio counts as
-        # vanishing: an exactly-zero determinant computes as roundoff noise,
-        # so it is compared against the scale set by the neighbouring ratio
-        self._floor = mpf(2) ** (-(3 * mp.prec // 4))
         self._gauge = dict(gauge) if gauge else {}
         self._dets = {0: mpc(1)}                # I_n, n = 0, 1, ...
         # the LU factor: row m of L and column m of U above the diagonal as
@@ -308,10 +303,10 @@ class ToeplitzOracle:
     def check_precision(self) -> None:
         """Refuse a caller at a precision other than the working one (or
         ``prec``, inside the oracle's own context)."""
-        if mp.prec not in (self.working_prec, self.prec):
+        working = self.moments.plan.working
+        if mp.prec not in (working, self.prec):
             raise ValueError(
-                f"oracle built at {self.working_prec} bits queried at "
-                f"{mp.prec} bits")
+                f"oracle built at {working} bits queried at {mp.prec} bits")
 
     def precision(self):
         """The context of ``prec``, refused to a caller at another working
@@ -341,13 +336,14 @@ class ToeplitzOracle:
         |d_k| < floor |d_{k-1}|.
         """
         rows, cols, pivots = self._lower, self._upper, self._pivots
+        floor = self.moments.plan.lu_floor
         self.moments.extend(-(n - 1), n - 1)
         w = {k: to_mpc(self.moments.w(k)) for k in range(1 - n, n)}
         for m in range(len(cols), n):
             if m:
                 d = pivots[m - 1]
                 if d == 0 or (m > 1 and
-                              abs(d) < self._floor * abs(pivots[m - 2])):
+                              abs(d) < floor * abs(pivots[m - 2])):
                     raise DegenerateDeterminant(
                         f"determinant at level {m} vanishes to working "
                         f"precision; the LU factor stops here")
@@ -369,15 +365,16 @@ class ToeplitzOracle:
 
         The three pairings of a step are dot products (``Grid.dot``) with
         one grid of the moment window w_{-n} .. w_n, formed once per call
-        by ``Grid.of`` (exact up to its cap, 2 prec + 64 bits below the
-        largest moment), and with its reversal.  Raises ``DegenerateDeterminant`` at the
-        first h_k that vanishes to working precision: h_0 == 0, or
+        by ``Grid.of`` (exact up to its cap), and with its reversal.
+        Raises ``DegenerateDeterminant`` at the first h_k that vanishes to
+        working precision: h_0 == 0, or
         |h_k| < floor |h_{k-1}|, the same test ``level`` applies to
         I_{k+1} I_{k-1} / I_k^2.
         """
         pairs, hs = self._monic, self._h
         if n < len(pairs):
             return pairs[n]
+        floor = self.moments.plan.lu_floor
         self.moments.extend(-n, n)
         window = Grid.of([self.moments.w(k) for k in range(-n, n + 1)])
         rev = Grid(window.re[::-1], window.im[::-1], window.exp)
@@ -385,7 +382,7 @@ class ToeplitzOracle:
             P, Q = pairs[k]
             Pg, Qg = Grid.of(P), Grid.of(Q)
             h = Pg.dot(rev, n - k)                  # w_{k-j}: rev[n-k+j]
-            if h == 0 or (k and abs(h) < self._floor * abs(hs[k - 1])):
+            if h == 0 or (k and abs(h) < floor * abs(hs[k - 1])):
                 raise DegenerateDeterminant(
                     f"determinant at level {k + 1} vanishes to working "
                     f"precision; the Szego step stops here")
@@ -406,7 +403,7 @@ class ToeplitzOracle:
             raise DegenerateDeterminant(f"vanishing determinant at level {n}")
         if n >= 1:
             ref = abs(In) ** 2 / max(abs(self.det(n - 1)), mpf(1e-300))
-            if abs(In1) < self._floor * ref:
+            if abs(In1) < self.moments.plan.lu_floor * ref:
                 raise DegenerateDeterminant(
                     f"determinant at level {n + 1} vanishes to working "
                     f"precision; the system truncates here")

@@ -22,10 +22,10 @@ kinds of check read the same flow closed forms, which the workspace keeps
 per level.
 
 One rule judges every one of these checks, ``judged_difference``: each is a
-central difference at the steps h = ``flow_step()`` and h/2, and it passes
-when its residual at h/2 is below the tolerance and either converges at
-order >= ``MIN_ORDER`` under step halving or sits at the roundoff floor.  A
-lower order fails the check, and its note names the order.
+central difference at the steps h = ``Plan.flow_step`` and h/2, and it
+passes when its residual at h/2 is below the tolerance and either converges
+at order >= ``MIN_ORDER`` under step halving or sits at the roundoff floor.
+A lower order fails the check, and its note names the order.
 
 The pipeline checks build no workspace themselves.  The caller passes the
 base workspace and a stencil (``flow_stencil``): the four workspaces of the
@@ -44,9 +44,9 @@ from .bops import ToeplitzOracle
 from .exact import QC
 from .garnier import (coordinates_from_spectral, flow_p_closed, flow_q_closed,
                       k_at, k_form, k_value)
-from .moments import (MomentSequence, rational_weight_moments,
-                      sequence_precision)
+from .moments import MomentSequence, rational_weight_moments
 from .mputil import match_roots, to_mpc
+from .plan import Plan
 from .report import (CheckResult, Grid, add_grids, product, rel_error,
                      rel_residual, vector_residual)
 from .spectral import SpectralWorkspace, residue_matrices
@@ -57,33 +57,13 @@ from .weights import WeightData, build_poly_pair, build_weight
 MIN_ORDER = 1.9
 
 
-def flow_step() -> Fraction:
-    """Step for order-measuring central differences: 2^-(prec/4), exact.
-
-    Chosen above the truncation/roundoff balance point so that halving the
-    step moves the truncation error visibly.  It is a Fraction so that it
-    can shift a singularity of the exact weight data; as a power of two it
-    converts to mpf without rounding.
-    """
-    return Fraction(1, 2 ** (mp.prec // 4))
-
-
-def flow_tolerance() -> mpf:
-    """Tolerance of the flow and deformation checks: 10^-(prec/8).
-
-    Central differences at ``flow_step`` are good to about the step
-    squared, 2^-(prec/2), so these checks use this tolerance, not the run's.
-    """
-    return mpf(10) ** (-(mp.prec // 8))
-
-
 def judged_difference(label: str, residuals, n: int, tol,
                       floor_note: str = "roundoff floor") -> CheckResult:
     """The check of one central difference, from its residuals at the steps
     h and h/2 (in that order).
 
-    The residual reported is the one at h/2.  When it sits at the floor
-    2^-(3 prec/4 - 24), the difference quotient is exact up to roundoff
+    The residual reported is the one at h/2.  When it sits at the plan's
+    ``flow_floor``, the difference quotient is exact up to roundoff
     over the step (the function is polynomial of degree <= 2 along the
     probed direction), halving the step cannot show an order, and the note
     is ``floor_note``: a stronger statement than order two.  Otherwise the
@@ -95,7 +75,7 @@ def judged_difference(label: str, residuals, n: int, tol,
     tol = mpf(tol)
     if not all(map(mpmath.isfinite, residuals)):
         ok, note = False, "non-finite residual"
-    elif res_h2 <= mpf(2) ** (-(3 * mp.prec // 4) + 24) or res_h <= 0:
+    elif res_h2 <= Plan.of(mp.prec).flow_floor or res_h <= 0:
         ok, note = True, floor_note
     else:
         order = mpmath.log(res_h / res_h2) / mpmath.log(2)
@@ -106,7 +86,7 @@ def judged_difference(label: str, residuals, n: int, tol,
 
 def _steps():
     """The two steps of every judged difference, h and h/2."""
-    h = flow_step()
+    h = Plan.of(mp.prec).flow_step
     return h, h / 2
 
 
@@ -124,7 +104,7 @@ def rational_workspace(weight: WeightData) -> SpectralWorkspace:
     """Pipeline workspace seeded from closed-form moments of the weight,
     evaluated and rounded at the precision of the sequence they seed."""
     pair = build_poly_pair(weight)
-    with mp.workprec(sequence_precision()):
+    with mp.workprec(Plan.of(mp.prec).sequence):
         seeds = rational_weight_moments(weight, -1, pair.M - 3)
     ms = MomentSequence.from_seeds(pair, -1, list(seeds.values()))
     ms.provenance = "rational"

@@ -28,14 +28,14 @@ recurrences (cross-checked), and rebuilds the determinant sequence.
 
 from __future__ import annotations
 
-import mpmath
 from mpmath import mp, mpf, mpc
 
-from .errors import (InconsistentLambdaPaths, SingularStep,
-                     ThetaVanishesAtOne, ZeroDenominator, ZeroRNRatio)
+from .errors import (SingularStep, ThetaVanishesAtOne, ZeroDenominator,
+                     ZeroRNRatio)
 from .garnier import coordinates_from_spectral
 from .moments import MomentSequence, build_U
 from .mputil import to_mpc
+from .plan import Plan
 from .polys import elementary_symmetric, peval, pscale, psub
 from .record import Record
 from .report import rel_error, rel_residual
@@ -52,10 +52,6 @@ class DGState(Record):
         self.n = n
         self.f = f
         self.omega = omega
-
-
-def denominator_floor() -> mpf:
-    return mpf(10) ** (-(mp.prec // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +124,7 @@ def dg_from_spectral(ws: SpectralWorkspace, n: int) -> DGState:
     sd = ws.data(n)
     m = pair.m_mpc()
     th1 = sd.at("theta", mpc(1))
-    if abs(th1) < denominator_floor() * max(abs(c) for c in sd.theta):
+    if abs(th1) < ws.plan.denominator_floor * max(abs(c) for c in sd.theta):
         raise ThetaVanishesAtOne(f"coordinate polynomial vanished at 1, n={n}")
     f = []
     for t in _free_points(pair):
@@ -150,7 +146,7 @@ def dg_initial(moments: MomentSequence) -> DGState:
     U = [to_mpc(u) for u in build_U(moments).u]
     minus = psub(V2, pscale(U, k02))          # 2V - k0^2 U
     den = peval(minus, mpc(1))
-    if abs(den) < denominator_floor():
+    if abs(den) < moments.plan.denominator_floor:
         raise ZeroDenominator("2V(1) = k0^2 U(1): initial f undefined")
     f = [peval(minus, t) / (t * den) for t in _free_points(pair)]
     sign = mpf((-1) ** N)
@@ -207,7 +203,7 @@ def dg_step(state: DGState, pair: PolyPair) -> DGState:
     n = state.n
     N = pair.N
     T = _free_points(pair)
-    floor = denominator_floor()
+    floor = Plan.of(mp.prec).denominator_floor
     bplus, bminus = _omega_brackets(pair, state, n)
     A1 = bplus(mpc(1), True)
     B1 = bminus(mpc(1), True)
@@ -258,7 +254,8 @@ def dg_invert(state: DGState, pair: PolyPair):
     N = pair.N
     m0 = pair.m_mpc()[0]
     num_plain, den_t = _inversion_sums(pair, state.f)
-    if abs(den_t) < denominator_floor() * max(abs(num_plain), mpf(1)):
+    if abs(den_t) < Plan.of(mp.prec).denominator_floor * \
+            max(abs(num_plain), mpf(1)):
         raise ZeroDenominator("inversion denominator vanished")
     scaled_ratio = (n + 1 + m0) * num_plain / den_t
     vartheta = []
@@ -295,9 +292,10 @@ def tau_recovery(states: list, moments: MomentSequence) -> dict:
     """Determinants from the recurrence variables alone.
 
     The reflection coefficients come from the inversion ratio, the sub-leading
-    coefficients along two independent recurrences (which must agree to
-    10^(-prec/8) relative), the second-family reflections via the difference
-    identity, and the determinants from the product identity.  Needs the
+    coefficients along two independent recurrences (their relative
+    disagreement is returned as ``lambda_delta``, for the caller to judge),
+    the second-family reflections via the difference identity, and the
+    determinants from the product identity.  Needs the
     trajectory of the moments' weight up to some n_max; returns determinants
     up to index n_max - 1.
     """
@@ -342,9 +340,6 @@ def tau_recovery(states: list, moments: MomentSequence) -> dict:
 
     npts = min(len(lam), len(lam_alt))
     delta = rel_error(lam_alt[:npts], lam[:npts], 1)
-    if delta > mpf(10) ** (-(mp.prec // 8)):
-        raise InconsistentLambdaPaths(
-            f"the two recovery recurrences disagree: {mpmath.nstr(delta, 6)}")
 
     # lambda_{k+1} - lambda_k = r_{k+1} rbar_k
     rbar = [mpc(1)]

@@ -109,7 +109,3 @@ class ThetaVanishesAtOne(CircleBopsError):
 
 class ZeroRNRatio(CircleBopsError):
     """Reflection-coefficient ratio vanished during tau recovery."""
-
-
-class InconsistentLambdaPaths(CircleBopsError):
-    """The two recovery recurrences for the sub-leading coefficient disagree."""

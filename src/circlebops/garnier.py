@@ -22,7 +22,7 @@ against them live in ``deform``.
 from __future__ import annotations
 
 import mpmath
-from mpmath import mp, mpf, mpc
+from mpmath import mpf, mpc
 
 from .errors import (CoordinateOnSingularity, MultipleRoot, SingularTransform)
 from .mputil import to_mpc
@@ -87,10 +87,6 @@ class GarnierPoint(Record):
         self.theta_inf = theta_inf
 
 
-def degeneracy_floor() -> mpf:
-    return mpf(10) ** (-(mp.prec // 3))
-
-
 def coordinates_from_spectral(ws: SpectralWorkspace, n: int,
                               with_hamiltonians: bool = True) -> GarnierPoint:
     """Extract (q, p, K) from the spectral data at level n.
@@ -115,12 +111,13 @@ def _garnier_point(ws: SpectralWorkspace, n: int) -> GarnierPoint:
     if len(roots) != N:
         raise MultipleRoot(f"degree of the coordinate polynomial dropped "
                            f"below {N} at level {n}")
-    floor = degeneracy_floor() * pmax_abs(theta)
+    unit = ws.plan.degeneracy_floor
+    floor = unit * pmax_abs(theta)
     zs = ws.singularities()
     for qr in roots:
         if abs(sd.at("dtheta", qr)) < floor:
             raise MultipleRoot(f"near-multiple root at {mpmath.nstr(qr, 8)}")
-        if min(abs(qr - z) for z in zs) < degeneracy_floor():
+        if min(abs(qr - z) for z in zs) < unit:
             raise CoordinateOnSingularity(
                 f"coordinate {mpmath.nstr(qr, 8)} hit a singularity")
     p = [-(sd.at("omega", qr) + ws.at("V", qr)) / ws.at("W", qr)

@@ -47,7 +47,8 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 from .errors import (NonConvergent, SingularStep, WindowTooSmall,
                      NotSingleValued)
 from .exact import QC, round_rational
-from .mputil import GUARD_BITS, to_mpc
+from .mputil import to_mpc
+from .plan import Plan
 from .polys import padd, pdiff, peval, pmul, pscale
 from .record import FrozenRecord, Record
 from .report import Grid, rel_residual
@@ -123,23 +124,17 @@ def _rounded_quotient(terms, pr: int, pi: int) -> mpc:
                 round_nearest)))
 
 
-def sequence_precision() -> int:
-    """The precision of a sequence built now: working plus twice the guard
-    bits."""
-    return mp.prec + 2 * GUARD_BITS
-
-
 class MomentSequence(Record):
     """Contiguous window of moments with its generating recurrence.
 
-    ``prec`` is fixed when the sequence is built: the working precision
-    plus twice the guard bits (``sequence_precision``).  Every moment the
-    recurrence adds is computed at it, whoever asks, and the oracle over
-    the sequence adopts it.
+    The precision ``plan`` is fixed when the sequence is built, from the
+    working precision then in force.  Every moment the recurrence adds is
+    computed at its sequence precision ``prec``, whoever asks, and the
+    oracle over the sequence adopts it.
     """
 
     _fields = ("pair", "values", "seed_lo", "seed_hi", "provenance", "exact",
-               "prec")
+               "plan")
 
     def __init__(self, pair: PolyPair, values: dict, seed_lo: int,
                  seed_hi: int, provenance: str = "seeded",
@@ -150,8 +145,12 @@ class MomentSequence(Record):
         self.seed_hi = seed_hi
         self.provenance = provenance
         self.exact = exact
-        self.prec = sequence_precision()
+        self.plan = Plan.of(mp.prec)
         self._rows = integer_rows(pair)
+
+    @property
+    def prec(self) -> int:
+        return self.plan.sequence
 
     @property
     def k_min(self) -> int:
@@ -306,16 +305,16 @@ def moment_quadrature(weight: WeightData, k: int, max_level: int = 16) -> mpc:
     """w_k by contour quadrature of a single-valued weight.
 
     Smooth weights (no singularity on the circle) use the periodic trapezoid
-    rule with grid doubling until two successive grids agree to 2^(12-prec)
-    relative; weights with circle singularities are integrated by tanh-sinh
-    panels split at the singular angles.
+    rule with grid doubling until two successive grids agree to the plan's
+    ``quadrature_tolerance``, relative; weights with circle singularities
+    are integrated by tanh-sinh panels split at the singular angles.
     """
-    rel_tol = mpf(2) ** (-mp.prec + 12)
+    plan = Plan.of(mp.prec)
     # a singular point at 1 shields the contour seam; otherwise the interior
     # windings must close up for the moments to be well defined
     if not seam_shielded(weight):
         defect = single_valuedness_defect(weight)
-        if defect > mpf(2) ** (-mp.prec // 2):
+        if defect > plan.closure_tolerance:
             raise NotSingleValued(
                 f"weight not single-valued (defect {mpmath.nstr(defect, 6)})")
 
@@ -338,7 +337,7 @@ def moment_quadrature(weight: WeightData, k: int, max_level: int = 16) -> mpc:
             total /= npts
             if prev is not None:
                 scale = max(abs(total), mpf(1))
-                if abs(total - prev) <= rel_tol * scale:
+                if abs(total - prev) <= plan.quadrature_tolerance * scale:
                     return total
             prev = total
             npts *= 2
@@ -360,7 +359,7 @@ def moment_quadrature(weight: WeightData, k: int, max_level: int = 16) -> mpc:
     val, err = mpmath.quad(f, mids, error=True)
     val /= 2 * mp.pi
     err /= 2 * mp.pi
-    if err > mpf(10) ** 6 * rel_tol * max(abs(val), mpf(1)):
+    if err > plan.quadrature_acceptance * max(abs(val), mpf(1)):
         raise NonConvergent(
             f"tanh-sinh error estimate too large for moment {k}")
     return val

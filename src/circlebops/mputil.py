@@ -20,13 +20,7 @@ from mpmath.libmp import from_int
 
 from .errors import DegenerateDeterminant, RootMatchingAmbiguous
 from .exact import QC
-
-
-# extra bits over the working precision: a moment sequence, and the oracle
-# over it, computes everything it caches at the working precision plus twice
-# these (``MomentSequence.prec``), so that delivered values are honest at the
-# working precision even for badly scaled moment windows
-GUARD_BITS = 48
+from .plan import GUARD_BITS
 
 
 @contextmanager
@@ -40,7 +34,7 @@ def working_precision(bits: int):
 
 def guarded():
     """Context manager adding the guard bits to the caller's precision (the
-    test references and the residue sums of rational weights)."""
+    dense-LU and pairing references of ``bops``)."""
     return mp.extraprec(GUARD_BITS)
 
 

@@ -24,7 +24,8 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .mputil import to_mpc
-from .report import Grid, _cap, largest_abs
+from .plan import grid_cap
+from .report import Grid, largest_abs
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,7 @@ def peval_grid(g: Grid, z) -> mpc:
     (s1, m1, e1, b1), (s2, m2, e2, b2) = z._mpc_
     if g.exp is None or (not m1 and e1) or (not m2 and e2):
         return mpc(mpf("nan"), mpf("nan"))
-    if m1 and m2 and abs(e1 + b1 - e2 - b2) >= _cap():
+    if m1 and m2 and abs(e1 + b1 - e2 - b2) >= grid_cap():
         zg = Grid.of([z])
         zr, zi, ez = zg.re[0], zg.im[0], zg.exp
     else:

@@ -27,15 +27,15 @@ rounded once per part (the Toeplitz oracle's).  Two policies put a vector
 on a grid:
 
 - the checks' path, ``Grid.of``, is exact up to the cap: a part more than
-  2 mp.prec + 64 bits below the largest goes onto that coarser grid first
-  (in a sum, so does an addend wholly that far below), so a grid cannot
-  blow up; a non-finite term gives a grid whose ``exp`` is None, and the
-  measures give it an infinite residual.
+  ``plan.grid_cap()`` bits below the largest goes onto that coarser grid
+  first (in a sum, so does an addend wholly that far below), so a grid
+  cannot blow up; a non-finite term gives a grid whose ``exp`` is None,
+  and the measures give it an infinite residual.
 - the spectral path, ``Grid.from_poly`` (``from_poly``, both vectors of
   ``polys.conv_fixed`` and the polynomial of ``mul_poly``), puts the vector
-  mp.prec + 16 bits below its largest coefficient (a grid already coarser
-  is kept as it is) and refuses a non-finite coefficient with
-  ``ValueError``.  Accuracy rule: one gridded product is off by at most
+  ``plan.spectral_depth()`` bits below its largest coefficient (a grid
+  already coarser is kept as it is) and refuses a non-finite coefficient
+  with ``ValueError``.  Accuracy rule: one gridded product is off by at most
   about len 2^-(prec+16) max|a| max|b| (prec of the call that gridded it);
   sums, derivatives and negation add nothing, and a read adds one rounding
   at the reader's precision.  A coefficient far below its vector's largest
@@ -66,6 +66,7 @@ from mpmath import isfinite, mp, mpc, mpf
 from mpmath.libmp import from_int, from_man_exp, fzero, round_nearest
 
 from .mputil import exceeds, to_mpc
+from .plan import grid_cap, spectral_depth
 from .record import Record
 
 
@@ -108,10 +109,6 @@ def failures(results):
 # ---------------------------------------------------------------------------
 # the exact grid
 # ---------------------------------------------------------------------------
-
-# extra bits of a spectral grid below its vector's largest coefficient
-CONV_GUARD_BITS = 16
-
 
 def _round_shift(v: int, shift: int) -> int:
     """v 2^-shift rounded to the nearest integer (ties away from zero)."""
@@ -156,7 +153,7 @@ class Grid:
                 return cls.nonfinite(len(parts) // 2)
         if top is None:
             return cls([0] * (len(parts) // 2), [0] * (len(parts) // 2), 0)
-        coarse = top - _cap()
+        coarse = top - grid_cap()
         lo = min(e if e + bc > coarse else coarse
                  for _, man, e, bc in parts if man)
         ints = []
@@ -173,9 +170,9 @@ class Grid:
     @classmethod
     def from_poly(cls, p) -> "Grid":
         """The polynomial p, a coefficient list or a grid from z^0, on the
-        spectral grid: mp.prec + 16 bits below the top bit of its largest
-        part, each part rounded to nearest (a grid already coarser keeps
-        its own).  A non-finite coefficient raises ``ValueError``."""
+        spectral grid (``spectral_depth``), each part rounded to nearest (a
+        grid already coarser keeps its own).  A non-finite coefficient
+        raises ``ValueError``."""
         g = p if isinstance(p, Grid) else cls.of(p)
         if g.offset:
             raise ValueError(
@@ -185,7 +182,7 @@ class Grid:
         top = g.top_bit()
         if top is None:
             return g
-        return g.to(max(g.exp, top - mp.prec - CONV_GUARD_BITS))
+        return g.to(max(g.exp, top - spectral_depth()))
 
     @classmethod
     def nonfinite(cls, size: int) -> "Grid":
@@ -347,12 +344,6 @@ class Rounded(Sequence):
         return self._grid.coeff(self._grid.offset + range(len(self))[k])
 
 
-def _cap() -> int:
-    """How far below the largest part's top bit a part must lie to go onto
-    the coarser grid."""
-    return 2 * mp.prec + 64
-
-
 def _common(grids) -> list:
     """The grids on one exponent, the finest of those not all zero, after
     a grid whose largest part lies at or below the cap has gone onto the
@@ -365,7 +356,7 @@ def _common(grids) -> list:
     tops = [g.top_bit() for g in grids]
     if all(t is None for t in tops):
         return [g.to(exps[0]) for g in grids]
-    coarse = max(t for t in tops if t is not None) - _cap()
+    coarse = max(t for t in tops if t is not None) - grid_cap()
     grids = [g.to(coarse) if t is not None and t <= coarse else g
              for g, t in zip(grids, tops)]
     lo = min(g.exp for g, t in zip(grids, tops) if t is not None)

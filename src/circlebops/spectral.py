@@ -26,7 +26,7 @@ outside the band [z^n, z^(n+deg)] must vanish; the out-of-band maximum,
 measured on exact squared magnitudes against the largest coefficient of the
 form and rounded once (``report.sqrt_ratio``), is recorded and doubles as a
 correctness alarm for the whole pipeline (it is the degree-bound check),
-judged at the working precision.
+judged against the plan's ``band_alarm``.
 
 The rest of the module turns the coupled recurrences, transition identities,
 bilinear evaluations, summation identities, scalar ODE data and deformation
@@ -111,16 +111,6 @@ class SpectralData(_PointTable, Record):
         return getattr(self, name)
 
 
-def band_tolerance() -> mpf:
-    """Out-of-band alarm threshold at P bits of precision.
-
-    10^(-P/4) with two decades of headroom: roundoff amplification through
-    the series products can lift the noise floor a little above 10^(-P/4)
-    itself, and the acceptance bound at 128 bits is 1e-30.
-    """
-    return mpf(10) ** (-(mp.prec // 4) + 2)
-
-
 def _extract_band(series: Grid, lo: int, deg: int, factor: mpc):
     """Divide by the known prefactor and split in-band / out-of-band mass."""
     inv = 1 / factor
@@ -139,12 +129,11 @@ def spectral_from_oracle(oracle: ToeplitzOracle, n: int) -> SpectralData:
     for the weight of the oracle's moments."""
     if oracle.moments.pair.weight.placement != "canonical":
         raise ValueError("spectral extraction assumes canonical placement")
-    alarm = band_tolerance()          # judged at the working precision
     with oracle.precision():
-        return _spectral_from_oracle_impl(oracle, n, alarm)
+        return _spectral_from_oracle_impl(oracle, n)
 
 
-def _spectral_from_oracle_impl(oracle, n, alarm):
+def _spectral_from_oracle_impl(oracle, n):
     pair = oracle.moments.pair
     N = pair.N
     lev_n = oracle.level(n)
@@ -197,7 +186,7 @@ def _spectral_from_oracle_impl(oracle, n, alarm):
     omegastar, r4 = _extract_band(r_os, n + 1, N + 1, fac_s)
 
     band = max(r1, r2, r3, r4)
-    if band > alarm:
+    if band > oracle.moments.plan.band_alarm:
         raise DegreeBoundViolated(
             f"out-of-band mass {mpmath.nstr(band, 6)} at level {n}")
     return SpectralData(n=n, theta=theta, omega=omega, thetastar=thetastar,
@@ -212,6 +201,7 @@ class SpectralWorkspace(_PointTable):
     def __init__(self, oracle: ToeplitzOracle):
         self.oracle = oracle
         self.pair = oracle.moments.pair
+        self.plan = oracle.moments.plan
         self._data = {}
         self._memo = {}
 
@@ -284,7 +274,7 @@ def a_matrix(ws: SpectralWorkspace, n: int, z) -> list:
     z = to_mpc(z)
     W = ws.poly("W")
     Wz = ws.at("W", z)
-    floor = ws.memo("W floor", lambda: mpf(2) ** (-mp.prec + 8) *
+    floor = ws.memo("W floor", lambda: ws.plan.w_floor_unit *
                     pmax_abs(W)) * max(abs(z), mpf(1)) ** len(W)
     if abs(Wz) <= floor:
         raise SamplePointOnSingularity("A_n evaluated at a zero of W")
@@ -819,18 +809,17 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
 
 def _ode_level(ws: SpectralWorkspace, n: int) -> dict:
     """The per-level constants of the scalar ODE, once per precision: the
-    kappa ratio, the coupling, the root floors of Theta_n and Thetastar_n
-    (before their |z| factor) and the skip threshold 10^(-prec/4)."""
+    kappa ratio, the coupling and the root floors of Theta_n and
+    Thetastar_n (before their |z| factor)."""
     sd = ws.data(n)
 
     def make():
         l0, l1 = ws.level(n), ws.level(n + 1)
-        unit = mpf(2) ** (-mp.prec + 12)
+        unit = ws.plan.root_floor_unit
         return {"kr": ws.kappa_ratio(n),
                 "coupling": l1.phi0 * l1.phibar0 / l0.kappa ** 2,
                 "theta_floor": unit * pmax_abs(sd.theta),
-                "thetastar_floor": unit * pmax_abs(sd.thetastar),
-                "skip": mpf(10) ** (-mp.prec // 4)}
+                "thetastar_floor": unit * pmax_abs(sd.thetastar)}
     return sd.memo("ode", make)
 
 
@@ -886,7 +875,7 @@ def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol,
     from ``seed + n``, relative."""
     l0 = ws.level(n)
     sd = ws.data(n)
-    skip = _ode_level(ws, n)["skip"]
+    skip = ws.plan.ode_skip
     avoid = list(ws.singularities())
     pts = sample_points(10, avoid=avoid, seed=seed + n)
     fam = [Grid.of(l0.phi), Grid.of(l0.phistar)]
@@ -939,7 +928,7 @@ def p2_asymptotic_constant(ws: SpectralWorkspace, n: int) -> mpc:
     den = ptrim(den)
     if pdeg(num) > pdeg(den) - 2:
         extra = ratio(pmax_abs(num[pdeg(den) - 1:]), pmax_abs(num))
-        if extra > band_tolerance():
+        if extra > ws.plan.band_alarm:
             raise DegreeBoundViolated("p2 does not decay like z^-2")
         num = num[:pdeg(den) - 1]
     return num[-1] / den[-1] if pdeg(num) == pdeg(den) - 2 else mpc(0)

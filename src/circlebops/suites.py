@@ -11,7 +11,7 @@ from __future__ import annotations
 from mpmath import mpf
 
 from .bops import casoratian_residuals
-from .deform import (deformation_residuals, flow_stencil, flow_tolerance,
+from .deform import (deformation_residuals, flow_stencil,
                      hamilton_equations_check, hamilton_flow_pipeline_check)
 from .discrete_garnier import (dg_from_spectral, dg_hamiltonian_residuals,
                                dg_run, tau_recovery)
@@ -226,7 +226,7 @@ def run_verification(ws: SpectralWorkspace, checks, n_max: int, tol,
     for name in checks:
         if name == "flow":
             results.extend(flow_suite(ws, max(1, min(n_max, 3)),
-                                      flow_tolerance()))
+                                      ws.plan.flow_tolerance))
             continue
         builder = SUITE_BUILDERS[name]
         results.extend(builder(ws, n_max, tol, seed))

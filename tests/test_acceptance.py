@@ -117,8 +117,7 @@ def test_criterion_06_scalar_ode():
 
 
 def test_criterion_07_hamiltonian_flow():
-    from circlebops.deform import (flow_stencil, flow_tolerance,
-                                   hamilton_equations_check,
+    from circlebops.deform import (flow_stencil, hamilton_equations_check,
                                    hamilton_flow_pipeline_check,
                                    rational_workspace)
     from circlebops.exact import QC
@@ -131,8 +130,10 @@ def test_criterion_07_hamiltonian_flow():
                 zdot = [QC(0)] * weight.M
                 zdot[j] = QC(1)
                 results.extend(hamilton_flow_pipeline_check(
-                    ws, flow_stencil(weight, zdot), n, j, flow_tolerance()))
-            results.extend(hamilton_equations_check(ws, n, flow_tolerance()))
+                    ws, flow_stencil(weight, zdot), n, j,
+                    ws.plan.flow_tolerance))
+            results.extend(hamilton_equations_check(ws, n,
+                                                    ws.plan.flow_tolerance))
     orders_ok = all(("order" not in r.note) or
                     (mpf(r.note.split()[-1]) >= mpf("1.9"))
                     for r in results)
@@ -221,14 +222,14 @@ def test_criterion_09_tau_recovery():
 
 def test_criterion_10_deformation_derivatives():
     from circlebops.deform import (deformation_residuals, flow_stencil,
-                                   flow_tolerance, rational_workspace)
+                                   rational_workspace)
     from circlebops.exact import QC
     with working_precision(256):
         weight = rational_case_m3()
         zdot = [QC(0), QC(1), QC(0)]
+        ws = rational_workspace(weight)
         results = deformation_residuals(
-            rational_workspace(weight), flow_stencil(weight, zdot), zdot, 3,
-            flow_tolerance())
+            ws, flow_stencil(weight, zdot), zdot, 3, ws.plan.flow_tolerance)
     orders_ok = all(("order" not in r.note) or
                     (mpf(r.note.split()[-1]) >= mpf("1.9"))
                     for r in results)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 import yaml
+from mpmath import mpf
 
 from circlebops.cli import main
 from circlebops.config import config_from_dict
@@ -262,6 +263,41 @@ def test_dgarnier_tau_residuals_set_the_exit_code(tmp_path):
     assert main(["--config", path, "--tol", "0", "dgarnier", "--nmax", "6",
                  "--tau", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["tau"]["max_delta"]["f"] > 0
+
+
+def _perturbed_f1_at_level_7(monkeypatch):
+    """Scale f^1_7 of every trajectory by 1 + 1e-12, so that the two
+    lambda recurrences of tau recovery disagree at about 2e-13."""
+    from circlebops import discrete_garnier
+
+    step = discrete_garnier.dg_step
+
+    def perturbed(state, pair):
+        out = step(state, pair)
+        if out.n == 7:
+            out.f[0] *= 1 + mpf(10) ** -12
+        return out
+    monkeypatch.setattr(discrete_garnier, "dg_step", perturbed)
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["dgarnier", "--tau"]],
+                         ids=["verify", "dgarnier"])
+def test_disagreeing_lambda_paths_fail_a_check(tmp_path, monkeypatch, argv):
+    """Two recovery routes that disagree are a failed check (exit 1),
+    judged against the run's tolerance, not an abort."""
+    _perturbed_f1_at_level_7(monkeypatch)
+    path = write_config(tmp_path, n_max=12, checks=["tau"])
+    out = tmp_path / "out.json"
+    assert main(["--config", path] + argv + ["--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    if argv == ["verify"]:
+        (paths,) = [c for c in data["checks"]
+                    if c["id"] == "tau:lambda-paths"]
+        assert not paths["passed"]
+        delta = paths["residual"]["f"]
+    else:
+        delta = data["tau"]["lambda_paths"]["f"]
+    assert 1e-14 < delta < 1e-11
 
 
 @pytest.mark.parametrize("argv, message", [

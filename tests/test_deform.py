@@ -8,21 +8,22 @@ from conftest import (make_workspace, rational_case_m3, rational_case_m4,
                       standard_case_m4)
 from circlebops import deform
 from circlebops.deform import (MIN_ORDER, deformation_residuals,
-                               flow_stencil, flow_tolerance,
-                               hamilton_equations_check,
+                               flow_stencil, hamilton_equations_check,
                                hamilton_flow_pipeline_check,
                                judged_difference, rational_workspace,
                                shifted_weight)
 from circlebops.exact import QC
 from circlebops.moments import rational_weight_moments
 from circlebops.mputil import working_precision
+from circlebops.plan import Plan
 from circlebops.report import all_passed, failures
 from circlebops.suites import run_verification
 
 
 def _deformation(w, zdot, n):
-    return deformation_residuals(rational_workspace(w), flow_stencil(w, zdot),
-                                 zdot, n, flow_tolerance())
+    ws = rational_workspace(w)
+    return deformation_residuals(ws, flow_stencil(w, zdot), zdot, n,
+                                 ws.plan.flow_tolerance)
 
 
 def test_closed_form_agrees_with_recurrence_extension():
@@ -77,7 +78,7 @@ def test_flow_pipeline_matches_closed_forms():
                 zdot = [QC(0)] * w.M
                 zdot[j] = QC(1)
                 res = hamilton_flow_pipeline_check(
-                    ws, flow_stencil(w, zdot), n, j, flow_tolerance())
+                    ws, flow_stencil(w, zdot), n, j, ws.plan.flow_tolerance)
                 assert all_passed(res), [(c.label, c.note)
                                          for c in failures(res)]
 
@@ -99,7 +100,8 @@ def test_judged_difference_logic():
     # a non-finite residual at either step fails, whatever the other says
     for residuals in ([mpf("inf"), mpf("1e-40")], [mpf("inf"), mpf("1e-80")],
                       [mpf("nan"), mpf("1e-80")]):
-        res = judged_difference("probe", residuals, 1, flow_tolerance())
+        res = judged_difference("probe", residuals, 1,
+                                Plan.of(mp.prec).flow_tolerance)
         assert not res.passed and res.note == "non-finite residual"
 
 
@@ -132,9 +134,9 @@ def test_slow_convergence_fails_with_its_order(monkeypatch):
         _off_by(monkeypatch, "1e-36")
         w = rational_case_m3()
         zdot = [QC(0), QC(1), QC(0)]
+        ws = rational_workspace(w)
         res = hamilton_flow_pipeline_check(
-            rational_workspace(w), flow_stencil(w, zdot), 3, 1,
-            flow_tolerance())
+            ws, flow_stencil(w, zdot), 3, 1, ws.plan.flow_tolerance)
     _slow(res, "Ham:qDer")
     assert all_passed(c for c in res if c.label.startswith("Ham:pDer"))
     monkeypatch.undo()
@@ -158,6 +160,6 @@ def test_flow_suite_builds_one_stencil_per_free_singularity(monkeypatch):
             return rational_workspace(weight)
 
         monkeypatch.setattr(deform, "rational_workspace", counting)
-        res = run_verification(ws, ["flow"], 2, flow_tolerance())
+        res = run_verification(ws, ["flow"], 2, ws.plan.flow_tolerance)
         assert len(built) == 4 * ws.pair.N == 8
         assert all_passed(res), [(c.label, c.note) for c in failures(res)]

@@ -6,15 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 import circlebops
 from circlebops import (BopsLevel, DGState, GarnierPoint, MomentSequence,
                         PolyPair, SpectralData, UPoly, WeightData,
                         build_poly_pair, build_weight)
 from circlebops.config import RunConfig
-from circlebops.mputil import GUARD_BITS, working_precision
+from circlebops.mputil import working_precision
+from circlebops.plan import GUARD_BITS, Plan
 from circlebops.report import CheckResult
 
 
@@ -111,6 +114,36 @@ def test_no_src_function_takes_a_parameter_it_never_reads():
     assert not unread, unread
 
 
+def _is_mp_prec(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "prec" and \
+        isinstance(node.value, ast.Name) and node.value.id == "mp"
+
+
+def test_no_src_module_but_the_plan_does_arithmetic_on_mp_prec():
+    """Every precision rule is written once, in ``plan``.
+
+    Elsewhere mp.prec may be read as it is, to round at the reader's
+    precision or to key a cache, but it is never an operand of arithmetic:
+    a threshold or guard derived from it belongs to the plan.
+    """
+    found = []
+    for path in sorted(Path(circlebops.__file__).parent.glob("*.py")):
+        if path.name == "plan.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp):
+                operands = (node.left, node.right)
+            elif isinstance(node, ast.UnaryOp):
+                operands = (node.operand,)
+            elif isinstance(node, ast.AugAssign):
+                operands = (node.target, node.value)
+            else:
+                continue
+            if any(map(_is_mp_prec, operands)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 # -- record classes ------------------------------------------------------------
 
 def _pair():
@@ -175,13 +208,49 @@ def test_records_build_from_positional_and_keyword_arguments(cls):
     assert by_position != "not a record"
 
 
-def test_sequence_precision_is_taken_when_the_sequence_is_built():
+def _parent_rules() -> dict:
+    """Each precision rule as its own formula of the ambient precision."""
+    p = mp.prec
+    return dict(
+        working=p, sequence=p + 2 * 48,
+        lu_floor=mpf(2) ** (-(3 * mp.prec // 4)),
+        denominator_floor=mpf(10) ** (-(mp.prec // 2)),
+        degeneracy_floor=mpf(10) ** (-(mp.prec // 3)),
+        band_alarm=mpf(10) ** (-(mp.prec // 4) + 2),
+        ode_skip=mpf(10) ** (-mp.prec // 4),
+        root_floor_unit=mpf(2) ** (-mp.prec + 12),
+        w_floor_unit=mpf(2) ** (-mp.prec + 8),
+        flow_step=Fraction(1, 2 ** (mp.prec // 4)),
+        flow_tolerance=mpf(10) ** (-(mp.prec // 8)),
+        flow_floor=mpf(2) ** (-(3 * mp.prec // 4) + 24),
+        quadrature_tolerance=mpf(2) ** (-mp.prec + 12),
+        quadrature_acceptance=mpf(10) ** 6 * mpf(2) ** (-mp.prec + 12),
+        closure_tolerance=mpf(2) ** (-mp.prec // 2))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 131])
+def test_a_plan_holds_each_rule_at_its_working_precision(bits):
+    """Every field equals its formula evaluated at the working precision,
+    also when the plan is built at another one; 131 bits tells -(p // 4)
+    from (-p) // 4."""
+    with working_precision(bits):
+        want = _parent_rules()
+    assert list(want) == list(Plan._fields)
+    with working_precision(53):
+        fresh = Plan(bits)
+    for plan in (Plan.of(bits), fresh):
+        assert {name: getattr(plan, name) for name in want} == want
+    assert Plan.of(bits) is Plan.of(bits) and Plan.of(bits) == fresh
+    assert isinstance(fresh.flow_step, Fraction)
+
+
+def test_a_sequence_carries_the_plan_of_the_precision_it_was_built_at():
     pair = _pair()
     with working_precision(200):
         ms = MomentSequence(pair, {0: mpc(1)}, 0, 0)
-    assert ms.prec == 200 + 2 * GUARD_BITS
-    assert MomentSequence(pair, {0: mpc(1)}, 0, 0).prec == \
-        128 + 2 * GUARD_BITS
+    assert ms.plan == Plan.of(200) and ms.prec == 200 + 2 * GUARD_BITS
+    ms = MomentSequence(pair, {0: mpc(1)}, 0, 0)
+    assert ms.plan == Plan.of(128) and ms.prec == 128 + 2 * GUARD_BITS
 
 
 def test_run_configs_do_not_share_seed_values():

@@ -19,8 +19,7 @@ from circlebops.polys import (padd, pdiff, peval, pmax_abs, pscale, pshift,
                              psub)
 from circlebops.report import all_passed, failures, rel_error
 from circlebops.spectral import (SERIES_BUFFER, SpectralWorkspace, a_matrix,
-                                 band_tolerance, check_bilinear,
-                                 check_linear_recurrences,
+                                 check_bilinear, check_linear_recurrences,
                                  check_summation_identities, check_transitions,
                                  p2_asymptotic_constant,
                                  residue_structure_checks, scalar_ode_data,
@@ -49,7 +48,7 @@ def test_deep_levels_stay_in_band_at_128_bits():
     ws = _ws()
     for n in range(50):
         ws.level(n)
-    assert ws.data(48).band_residual < band_tolerance()
+    assert ws.data(48).band_residual < ws.plan.band_alarm
 
 
 def test_data_refuses_another_precision_cached_or_not():

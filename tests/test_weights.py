@@ -10,10 +10,11 @@ from mpmath import mp, mpc, mpf
 
 from conftest import (RESIDUE_CASES, rational_case_m4, standard_case_m4,
                       standard_case_m5)
-from circlebops.deform import flow_step, shifted_weight
+from circlebops.deform import shifted_weight
 from circlebops.errors import (DuplicateSingularity, MissingCanonicalPoint,
                                NonnegativeIntegerResidue, NotSingleValued)
 from circlebops.exact import QC
+from circlebops.plan import Plan
 from circlebops.polys import pdiff, peval, pmul
 from circlebops.weights import (build_poly_pair, build_weight,
                                 eval_weight_on_circle,
@@ -156,13 +157,14 @@ def _expanded_pair(weight):
 
 def _stencil_weight():
     """The M = 4 rational weight with z_1 moved by the flow step."""
-    return shifted_weight(rational_case_m4(), {1: QC(flow_step())})
+    return shifted_weight(rational_case_m4(),
+                          {1: QC(Plan.of(mp.prec).flow_step)})
 
 
 def _complex_stencil_weight(case):
     """A weight with complex residues, its first free point moved by the
     flow step along 1 + i."""
-    h = flow_step()
+    h = Plan.of(mp.prec).flow_step
     return lambda: shifted_weight(case()[0], {1: QC(h, h)})
 
 
