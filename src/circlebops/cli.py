@@ -222,8 +222,8 @@ def _cmd_bops(cfg: RunConfig, started: float) -> int:
     ws = build_workspace(cfg)
     o = ws.oracle
     tol = cfg.tolerance_mpf()
-    residuals = {(r.label, r.n): r.residual
-                 for r in toeplitz_suite(ws, cfg.n_max, tol)}
+    results = toeplitz_suite(ws, cfg.n_max, tol)
+    residuals = {(r.label, r.n): r.residual for r in results}
     levels = []
     for n in range(cfg.n_max + 1):
         lev = o.level(n)
@@ -249,7 +249,7 @@ def _cmd_bops(cfg: RunConfig, started: float) -> int:
         levels.append(rec)
     _emit({"levels": levels, "tolerance": jsonout.real_field(tol)},
           _out_path(cfg, "levels.json"), started)
-    return EXIT_OK
+    return EXIT_RESIDUAL if failures(results) else EXIT_OK
 
 
 def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:

@@ -174,20 +174,20 @@ def _omega_brackets(pair: PolyPair, state: DGState, n: int):
         prod_all *= t
     sgn = mpf((-1) ** N)
 
-    def bracket_plus(x, at_one):
-        base = (n - rho0) * (prod_all if at_one else prod_all / x)
+    def bracket_plus(x):
+        base = (n - rho0) * (prod_all / x)
         s = mpc(0)
         for l in range(1, N + 1):
-            s += (mpc(1) if at_one else x ** (l - 1)) * state.omega[l - 1]
-        return base + s + sgn * (1 + m0) * (mpc(1) if at_one else x ** N)
+            s += x ** (l - 1) * state.omega[l - 1]
+        return base + s + sgn * (1 + m0) * x ** N
 
-    def bracket_minus(x, at_one):
-        base = mpf(n) * (prod_all if at_one else prod_all / x)
+    def bracket_minus(x):
+        base = mpf(n) * (prod_all / x)
         s = mpc(0)
         for l in range(1, N + 1):
             wl = state.omega[l - 1] + (-1) ** l * m[N + 1 - l]
-            s += (mpc(1) if at_one else x ** (l - 1)) * wl
-        return base + s + sgn * (mpc(1) if at_one else x ** N)
+            s += x ** (l - 1) * wl
+        return base + s + sgn * x ** N
 
     return bracket_plus, bracket_minus
 
@@ -205,8 +205,8 @@ def dg_step(state: DGState, pair: PolyPair) -> DGState:
     T = _free_points(pair)
     floor = Plan.of(mp.prec).denominator_floor
     bplus, bminus = _omega_brackets(pair, state, n)
-    A1 = bplus(mpc(1), True)
-    B1 = bminus(mpc(1), True)
+    A1 = bplus(mpc(1))
+    B1 = bminus(mpc(1))
     scale = max(abs(A1), abs(B1), mpf(1))
     for label, val in (("bracket_plus@1", A1), ("bracket_minus@1", B1)):
         if abs(val) < floor * scale:
@@ -214,8 +214,8 @@ def dg_step(state: DGState, pair: PolyPair) -> DGState:
                                index=n, factor=label, value=val)
     f_next = []
     for j, t in enumerate(T):
-        Aj = bplus(t, False)
-        Bj = bminus(t, False)
+        Aj = bplus(t)
+        Bj = bminus(t)
         fj = to_mpc(state.f[j])
         if abs(fj) < floor:
             raise SingularStep(f"movable singularity at n={n}: f^{j + 1} = 0",

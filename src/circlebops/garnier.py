@@ -13,10 +13,9 @@ ordered), evaluates K_j both from its closed form and from the
 residue-matrix trace formula, gives the closed forms of dq_r/dz_j and
 dp_r/dz_j, and the canonical transformation to the polynomial chart.  The
 closed form of K_j is quadratic in the momenta with coefficients that
-depend on q alone: ``k_form`` builds them once per coordinate set, and
-``k_at`` evaluates them at any momenta.  The workspace keeps each flow
-closed form per (level, j, r).  The finite differences that check the flow
-against them live in ``deform``.
+depend on q alone: ``k_form`` builds them once per coordinate set.  The
+workspace keeps each flow closed form per (level, j, r).  The derivatives
+that check the flow against them live in ``deform``.
 """
 
 from __future__ import annotations
@@ -269,19 +268,15 @@ def k_form(ws: SpectralWorkspace, q, n: int, j: int):
     return theta_zj / wp, terms
 
 
-def k_at(form, p) -> mpc:
-    """The quadratic form ``k_form`` evaluated at the momenta p."""
-    lead, terms = form
+def k_value(ws: SpectralWorkspace, q, p, n: int, j: int) -> mpc:
+    """K_j as a rational function of coordinate/momentum lists: the
+    quadratic form ``k_form`` evaluated at the momenta p."""
+    lead, terms = k_form(ws, q, n, j)
     total = mpc(0)
     for (c, b, a), pr in zip(terms, p):
         pr = to_mpc(pr)
         total += c * (pr ** 2 + pr * b - a)
     return lead * total
-
-
-def k_value(ws: SpectralWorkspace, q, p, n: int, j: int) -> mpc:
-    """K_j as a rational function of coordinate/momentum lists."""
-    return k_at(k_form(ws, q, n, j), p)
 
 
 def flow_q_closed(ws: SpectralWorkspace, n: int, j: int, r: int) -> mpc:

@@ -28,7 +28,7 @@ honest single-valued weight, ``moment_quadrature``.
 Weights whose residues are all negative integers have moments that are
 finite residue sums, ``rational_weight_moments``;
 ``deform.rational_workspace`` seeds a sequence from them, evaluated at the
-sequence's precision, for the finite-difference deformation checks.  The
+sequence's precision, for the deformation checks.  The
 sums are exact in Gaussian integers, and each moment is rounded once.  Per
 pole on or outside the circle, the constant and the local Taylor series of
 the other factors do not depend on k and are formed once; each k then
@@ -280,20 +280,18 @@ def moment_step(moments: MomentSequence, j: int, direction: str = "forward"):
     """One recurrence step producing the moment at index j.
 
     Forward solves for w_j from the window below it, backward from the window
-    above; the sequence itself is not modified.
+    above, at the sequence's precision; the sequence itself is not modified.
     """
-    probe = MomentSequence(moments.pair, dict(moments.values), moments.seed_lo,
-                           moments.seed_hi, moments.provenance, moments.exact)
     if direction == "forward":
-        if j != moments.k_max + 1:
-            probe.values = {k: v for k, v in probe.values.items() if k < j}
-        probe._step_forward()
+        window = {k: v for k, v in moments.values.items() if k < j}
     elif direction == "backward":
-        if j != moments.k_min - 1:
-            probe.values = {k: v for k, v in probe.values.items() if k > j}
-        probe._step_backward()
+        window = {k: v for k, v in moments.values.items() if k > j}
     else:
         raise ValueError("direction must be 'forward' or 'backward'")
+    probe = MomentSequence(moments.pair, window, moments.seed_lo,
+                           moments.seed_hi, moments.provenance, moments.exact)
+    probe.plan = moments.plan
+    probe.extend(j, j)
     return probe.values[j]
 
 

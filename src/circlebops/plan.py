@@ -39,8 +39,8 @@ class Plan(FrozenRecord):
 
     _fields = ("working", "sequence", "lu_floor", "denominator_floor",
                "degeneracy_floor", "band_alarm", "ode_skip",
-               "root_floor_unit", "w_floor_unit", "flow_step",
-               "flow_tolerance", "flow_floor", "quadrature_tolerance",
+               "root_floor_unit", "w_floor_unit", "flow_radius",
+               "flow_tolerance", "quadrature_tolerance",
                "quadrature_acceptance", "closure_tolerance")
 
     def __init__(self, working: int):
@@ -55,10 +55,10 @@ class Plan(FrozenRecord):
                 ode_skip=ten ** (-p // 4),              # ODE sample points
                 root_floor_unit=two ** (-p + 12),       # roots of Theta_n
                 w_floor_unit=two ** (-p + 8),           # roots of W
-                # deform: steps h, h/2 (exact), errors near h^2, the floor
-                flow_step=Fraction(1, 2 ** (p // 4)),
-                flow_tolerance=ten ** (-(p // 8)),
-                flow_floor=two ** (-(3 * p // 4) + 24),
+                # deform: the circle radius r (exact); the four-point rule
+                # errs near r^4 = 2^-(3p/4), roundoff near 2^-p / r
+                flow_radius=Fraction(1, 2 ** (3 * p // 16)),
+                flow_tolerance=two ** (-(3 * p // 4) + 32),
                 # moment_quadrature: trapezoid, tanh-sinh, single-valuedness
                 quadrature_tolerance=two ** (-p + 12),
                 quadrature_acceptance=ten ** 6 * two ** (-p + 12),

@@ -191,9 +191,11 @@ def tau_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
 def flow_suite(ws: SpectralWorkspace, n: int, tol) -> list:
     """Deformation and flow checks; needs a closed-form moment family.
 
-    Builds one stencil per free singularity z_j, along e_j; the stencil of
-    z_1 also serves the deformation checks.  Every check is judged by
-    ``deform.judged_difference``.
+    Builds one stencil per free singularity z_j: the four workspaces of
+    z_j moved to the plan's circle about it, at +-r and +-ir.  The stencil
+    of z_1 also serves the deformation checks.  Every derivative is the
+    four-point circle rule of ``deform``, and every check passes when its
+    residual is below ``tol``, the plan's ``flow_tolerance``.
     """
     out = []
     for j in range(1, ws.pair.N + 1):

@@ -221,6 +221,16 @@ def test_bops_output_marks_gauge_dependence(tmp_path):
     assert lev["residual_l"]["f"] < 1e-25
 
 
+def test_bops_residuals_set_the_exit_code(tmp_path):
+    """bops judges the Toeplitz residuals it writes against the tolerance,
+    as spectral judges its checks."""
+    path = write_config(tmp_path)
+    for command in ("bops", "spectral"):
+        out = tmp_path / f"{command}.json"
+        assert main(["--config", path, "--tol", "0", command, "--nmax", "4",
+                     "--out", str(out)]) == 1
+
+
 def test_spectral_output(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "s.json"

@@ -1,21 +1,20 @@
-"""Deformation family and finite-difference dynamics checks."""
+"""Deformation family and the flow checks by the circle derivative."""
 
 from fractions import Fraction
 
-from mpmath import mp, mpf
+import pytest
+from mpmath import mpc, mpf
 
 from conftest import (make_workspace, rational_case_m3, rational_case_m4,
                       standard_case_m4)
 from circlebops import deform
-from circlebops.deform import (MIN_ORDER, deformation_residuals,
-                               flow_stencil, hamilton_equations_check,
+from circlebops.deform import (deformation_residuals, flow_stencil,
+                               hamilton_equations_check,
                                hamilton_flow_pipeline_check,
-                               judged_difference, rational_workspace,
-                               shifted_weight)
+                               rational_workspace, shifted_weight)
 from circlebops.exact import QC
 from circlebops.moments import rational_weight_moments
 from circlebops.mputil import working_precision
-from circlebops.plan import Plan
 from circlebops.report import all_passed, failures
 from circlebops.suites import run_verification
 
@@ -83,28 +82,6 @@ def test_flow_pipeline_matches_closed_forms():
                                          for c in failures(res)]
 
 
-def test_judged_difference_logic():
-    res = judged_difference("probe", [mpf(1e-10), mpf("2.5e-11")], 1,
-                            mpf("1e-5"))
-    assert res.passed and res.note == "order 2.0"
-    assert res.residual == mpf("2.5e-11")
-    # at the roundoff floor no order can show: the floor note, a pass
-    res = judged_difference("probe", [mpf(1e-50),
-                                      mpf(2) ** (-(3 * mp.prec // 4))], 1,
-                            mpf("1e-5"), floor_note="deep floor")
-    assert res.passed and res.note == "deep floor"
-    # converging at order two, but above the tolerance
-    res = judged_difference("probe", [mpf(1e-4), mpf("2.5e-5")], 1,
-                            mpf("1e-5"))
-    assert not res.passed and res.note == "order 2.0"
-    # a non-finite residual at either step fails, whatever the other says
-    for residuals in ([mpf("inf"), mpf("1e-40")], [mpf("inf"), mpf("1e-80")],
-                      [mpf("nan"), mpf("1e-80")]):
-        res = judged_difference("probe", residuals, 1,
-                                Plan.of(mp.prec).flow_tolerance)
-        assert not res.passed and res.note == "non-finite residual"
-
-
 def _off_by(monkeypatch, relative):
     """Make the closed form of dq_r/dz_j wrong by a fixed relative amount."""
     closed = deform.flow_q_closed
@@ -112,24 +89,29 @@ def _off_by(monkeypatch, relative):
                         lambda *args: closed(*args) * (1 + mpf(relative)))
 
 
-def _slow(results, prefix):
-    """The checks labelled prefix*: each fails below its tolerance, with an
-    order under MIN_ORDER in its note."""
-    slow = [c for c in results if c.label.startswith(prefix)]
-    assert slow
-    for c in slow:
-        assert not c.passed and c.residual < c.tol
-        assert c.note.startswith("order ")
-        assert mpf(c.note.split()[-1]) < MIN_ORDER
+def _caught(results, prefix):
+    """The checks labelled prefix* all fail, none below its tolerance."""
+    wrong = [c for c in results if c.label.startswith(prefix)]
+    assert wrong
+    for c in wrong:
+        assert not c.passed and not c.residual < c.tol
 
 
-def test_slow_convergence_fails_with_its_order(monkeypatch):
-    """A difference whose residual barely moves when the step halves fails
-    its check, and its note names the order; nothing aborts.  The probe is
-    a closed form off by a fixed relative amount far above the truncation
-    error, in a pipeline (deform) check and in a Ham:dK check."""
-    _slow([judged_difference("probe", [mpf("1e-10"), mpf("0.9e-10")], 1,
-                             mpf("1e-5"))], "probe")
+def test_a_non_finite_residual_fails_a_flow_check(monkeypatch):
+    """A flow check passes only when its residual is below the tolerance,
+    so a closed form that comes out nan or inf fails the checks that read
+    it; nothing aborts."""
+    ws = make_workspace(*standard_case_m4())
+    for bad in (mpc("nan"), mpc("inf")):
+        monkeypatch.setattr(deform, "flow_q_closed", lambda *args: bad)
+        res = hamilton_equations_check(ws, 2, ws.plan.flow_tolerance)
+        _caught(res, "Ham:dK/dp")
+
+
+def test_a_planted_error_in_a_closed_form_fails_its_checks(monkeypatch):
+    """A closed form of dq_r/dz_j off by a small relative amount fails the
+    checks that read it, in a pipeline (deform) check and in a Ham:dK check;
+    the checks that do not read it still pass, and nothing aborts."""
     with working_precision(256):
         _off_by(monkeypatch, "1e-36")
         w = rational_case_m3()
@@ -137,14 +119,26 @@ def test_slow_convergence_fails_with_its_order(monkeypatch):
         ws = rational_workspace(w)
         res = hamilton_flow_pipeline_check(
             ws, flow_stencil(w, zdot), 3, 1, ws.plan.flow_tolerance)
-    _slow(res, "Ham:qDer")
+    _caught(res, "Ham:qDer")
     assert all_passed(c for c in res if c.label.startswith("Ham:pDer"))
     monkeypatch.undo()
     _off_by(monkeypatch, "1e-15")
     ws = make_workspace(*standard_case_m4())
-    res = hamilton_equations_check(ws, 2, mpf(1e-10))
-    _slow(res, "Ham:dK/dp")
+    res = hamilton_equations_check(ws, 2, ws.plan.flow_tolerance)
+    _caught(res, "Ham:dK/dp")
     assert all_passed(c for c in res if c.label.startswith("Ham:dK/dq"))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_flow_residuals_sit_far_below_the_flow_tolerance(bits):
+    """On the rational M = 4 case every flow residual sits at least 2^25
+    below the plan's flow tolerance 2^-(3p/4 - 32): the circle rule at
+    r = 2^-(3p/16) errs near r^4.  At 256 bits that bound is 2.0e-56."""
+    with working_precision(bits):
+        ws = rational_workspace(rational_case_m4())
+        res = run_verification(ws, ["flow"], 3, ws.plan.flow_tolerance)
+        assert len(res) == 21 and all_passed(res)
+        assert max(c.residual for c in res) < ws.plan.flow_tolerance / 2 ** 25
 
 
 def test_flow_suite_builds_one_stencil_per_free_singularity(monkeypatch):

@@ -110,6 +110,18 @@ def test_moment_step_directions():
     assert abs(bwd - ms.w(-6)) < mpf(1e-30)
 
 
+def test_moment_step_is_the_sequence_step_bit_for_bit():
+    """The probe steps at the sequence's precision, as the sequence does,
+    not at the caller's."""
+    pair, seeds = _pair_m3()
+    with working_precision(128):
+        ms = MomentSequence.from_seeds(pair, -1, seeds)
+        ms.extend(-8, 8)
+        for j, direction in ((6, "forward"), (9, "forward"),
+                             (-6, "backward"), (-9, "backward")):
+            assert moment_step(ms, j, direction) == ms.w(j), j
+
+
 def test_backward_resonance_raises():
     # integer residue total puts the trailing pivot at zero at index m0
     w = build_weight([0, "1/2", 1], ["1/3", "1/3", "1/3"])

@@ -144,6 +144,22 @@ def test_no_src_module_but_the_plan_does_arithmetic_on_mp_prec():
     assert not found, found
 
 
+def test_every_check_is_judged_by_check_result_make():
+    """One judgement rule: a check passes when its residual is below its
+    tolerance.  Only ``report`` may build a ``CheckResult`` directly; every
+    other module goes through ``CheckResult.make``."""
+    found = []
+    for path in sorted(Path(circlebops.__file__).parent.glob("*.py")):
+        if path.name == "report.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name) and \
+                    node.func.id == "CheckResult":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 # -- record classes ------------------------------------------------------------
 
 def _pair():
@@ -220,9 +236,8 @@ def _parent_rules() -> dict:
         ode_skip=mpf(10) ** (-mp.prec // 4),
         root_floor_unit=mpf(2) ** (-mp.prec + 12),
         w_floor_unit=mpf(2) ** (-mp.prec + 8),
-        flow_step=Fraction(1, 2 ** (mp.prec // 4)),
-        flow_tolerance=mpf(10) ** (-(mp.prec // 8)),
-        flow_floor=mpf(2) ** (-(3 * mp.prec // 4) + 24),
+        flow_radius=Fraction(1, 2 ** (3 * mp.prec // 16)),
+        flow_tolerance=mpf(2) ** (-(3 * mp.prec // 4) + 32),
         quadrature_tolerance=mpf(2) ** (-mp.prec + 12),
         quadrature_acceptance=mpf(10) ** 6 * mpf(2) ** (-mp.prec + 12),
         closure_tolerance=mpf(2) ** (-mp.prec // 2))
@@ -241,7 +256,7 @@ def test_a_plan_holds_each_rule_at_its_working_precision(bits):
     for plan in (Plan.of(bits), fresh):
         assert {name: getattr(plan, name) for name in want} == want
     assert Plan.of(bits) is Plan.of(bits) and Plan.of(bits) == fresh
-    assert isinstance(fresh.flow_step, Fraction)
+    assert isinstance(fresh.flow_radius, Fraction)
 
 
 def test_a_sequence_carries_the_plan_of_the_precision_it_was_built_at():

@@ -156,15 +156,15 @@ def _expanded_pair(weight):
 
 
 def _stencil_weight():
-    """The M = 4 rational weight with z_1 moved by the flow step."""
+    """The M = 4 rational weight with z_1 moved by the flow radius."""
     return shifted_weight(rational_case_m4(),
-                          {1: QC(Plan.of(mp.prec).flow_step)})
+                          {1: QC(Plan.of(mp.prec).flow_radius)})
 
 
 def _complex_stencil_weight(case):
     """A weight with complex residues, its first free point moved by the
-    flow step along 1 + i."""
-    h = Plan.of(mp.prec).flow_step
+    flow radius along 1 + i."""
+    h = Plan.of(mp.prec).flow_radius
     return lambda: shifted_weight(case()[0], {1: QC(h, h)})
 
 
