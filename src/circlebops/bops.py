@@ -65,7 +65,7 @@ import functools
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from .errors import DegenerateDeterminant
+from .errors import Degenerate
 from .moments import MomentSequence, ReflectedMoments
 from .mputil import guarded, lu_det, lu_solve, to_mpc
 from .polys import conv_fixed
@@ -167,8 +167,8 @@ def phi_from_determinant(moments, n: int) -> list:
         rhs = [-to_mpc(moments.w(m - n)) for m in range(n)]
         try:
             low = lu_solve(rows, rhs)
-        except DegenerateDeterminant:
-            raise DegenerateDeterminant(
+        except Degenerate:
+            raise Degenerate(
                 f"I_{n} = 0: system does not exist at level {n}")
         return low + [mpc(1)]
 
@@ -344,7 +344,7 @@ class ToeplitzOracle:
                 d = pivots[m - 1]
                 if d == 0 or (m > 1 and
                               abs(d) < floor * abs(pivots[m - 2])):
-                    raise DegenerateDeterminant(
+                    raise Degenerate(
                         f"determinant at level {m} vanishes to working "
                         f"precision; the LU factor stops here")
             col = Grid([], [], 0)
@@ -366,7 +366,7 @@ class ToeplitzOracle:
         The three pairings of a step are dot products (``Grid.dot``) with
         one grid of the moment window w_{-n} .. w_n, formed once per call
         by ``Grid.of`` (exact up to its cap), and with its reversal.
-        Raises ``DegenerateDeterminant`` at the first h_k that vanishes to
+        Raises ``Degenerate`` at the first h_k that vanishes to
         working precision: h_0 == 0, or
         |h_k| < floor |h_{k-1}|, the same test ``level`` applies to
         I_{k+1} I_{k-1} / I_k^2.
@@ -383,7 +383,7 @@ class ToeplitzOracle:
             Pg, Qg = Grid.of(P), Grid.of(Q)
             h = Pg.dot(rev, n - k)                  # w_{k-j}: rev[n-k+j]
             if h == 0 or (k and abs(h) < floor * abs(hs[k - 1])):
-                raise DegenerateDeterminant(
+                raise Degenerate(
                     f"determinant at level {k + 1} vanishes to working "
                     f"precision; the Szego step stops here")
             a = -Pg.dot(rev, n + 1) / h             # w_{-1-j}: rev[n+1+j]
@@ -400,11 +400,11 @@ class ToeplitzOracle:
     def level(self, n: int) -> BopsLevel:
         In, In1 = self.det(n), self.det(n + 1)
         if In == 0 or In1 == 0:
-            raise DegenerateDeterminant(f"vanishing determinant at level {n}")
+            raise Degenerate(f"vanishing determinant at level {n}")
         if n >= 1:
             ref = abs(In) ** 2 / max(abs(self.det(n - 1)), mpf(1e-300))
             if abs(In1) < self.moments.plan.lu_floor * ref:
-                raise DegenerateDeterminant(
+                raise Degenerate(
                     f"determinant at level {n + 1} vanishes to working "
                     f"precision; the system truncates here")
         kap = self.gauge(n) * mpmath.sqrt(In / In1)

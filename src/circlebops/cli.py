@@ -9,7 +9,8 @@
     circlebops --config run.yaml sweep --param t1 --grid 0.2:0.8:13 --out sweep.csv
 
 Exit codes: 0 all residuals below tolerance, 1 residual failure, 2 config
-error, 3 singular or degenerate abort.
+error (``ConfigInvalid``: bad configuration, argument or weight data), 3
+singular or degenerate abort (any other ``CircleBopsError``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .discrete_garnier import dg_from_spectral, dg_run, tau_recovery
 from .errors import CircleBopsError, ConfigInvalid, SingularStep
 from .garnier import coordinates_from_spectral, riemann_exponents
 from .mputil import working_precision
-from .report import failures
+from .report import CheckResult, failures
 from .spectral import residue_matrices, a_infinity
 from .suites import (run_verification, state_delta, tau_delta,
                      toeplitz_suite)
@@ -106,10 +107,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, {k: v for k, v in overrides.items()
                                         if v is not None})
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         with working_precision(cfg.precision_bits):
             return _dispatch(args, cfg)
     except ConfigInvalid as exc:
@@ -121,6 +118,11 @@ def main(argv=None) -> int:
     except CircleBopsError as exc:
         print(f"degenerate abort: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
+
+
+def _verdict(results) -> int:
+    """The exit code of a run whose judged checks are ``results``."""
+    return EXIT_RESIDUAL if failures(results) else EXIT_OK
 
 
 def _out_path(cfg: RunConfig, default: str) -> str:
@@ -192,7 +194,7 @@ def _cmd_verify(cfg: RunConfig, started: float) -> int:
     path = _out_path(cfg, "verify.json")
     _emit(payload, path, started)
     print(f"{len(results) - len(bad)}/{len(results)} checks passed")
-    return EXIT_OK if not bad else EXIT_RESIDUAL
+    return _verdict(results)
 
 
 def _cmd_moments(cfg: RunConfig, args, started: float) -> int:
@@ -249,7 +251,7 @@ def _cmd_bops(cfg: RunConfig, started: float) -> int:
         levels.append(rec)
     _emit({"levels": levels, "tolerance": jsonout.real_field(tol)},
           _out_path(cfg, "levels.json"), started)
-    return EXIT_RESIDUAL if failures(results) else EXIT_OK
+    return _verdict(results)
 
 
 def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
@@ -277,7 +279,7 @@ def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
     payload = {"levels": records,
                "residuals": results}
     _emit(payload, _out_path(cfg, "spectral.json"), started)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_RESIDUAL
+    return _verdict(results)
 
 
 def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
@@ -310,7 +312,7 @@ def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
     payload = {"levels": recs,
                "flow": flow_results}
     _emit(payload, _out_path(cfg, "garnier.json"), started)
-    return EXIT_OK if all(r.passed for r in flow_results) else EXIT_RESIDUAL
+    return _verdict(flow_results)
 
 
 def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
@@ -335,10 +337,10 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
             worst = max(worst, delta)
         recs.append(rec)
     payload = {"levels": recs, "singular": singular_report}
-    judged = []                 # the residuals the exit code is judged on
+    judged = []                 # the checks the exit code is judged on
     if args.compare_oracle:
         payload["max_oracle_delta"] = jsonout.real_field(worst)
-        judged.append(worst)
+        judged.append(CheckResult.make("dGarnier:ab", worst, tol))
     if args.tau and traj:
         rec = tau_recovery(traj, ws.oracle.moments)
         tau_rows = []
@@ -353,11 +355,13 @@ def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
                           "lambda_paths": jsonout.real_field(
                               rec["lambda_delta"]),
                           "max_delta": jsonout.real_field(worst_tau)}
-        judged += [worst_tau, rec["lambda_delta"]]
+        judged += [CheckResult.make("tau:I", worst_tau, tol),
+                   CheckResult.make("tau:lambda-paths", rec["lambda_delta"],
+                                    tol)]
     _emit(payload, _out_path(cfg, "dg.json"), started)
     if singular_report is not None:
         return EXIT_SINGULAR
-    return EXIT_OK if all(r < tol for r in judged) else EXIT_RESIDUAL
+    return _verdict(judged)
 
 
 def _parse_param(param: str, weight):

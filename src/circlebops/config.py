@@ -28,7 +28,7 @@ from mpmath import mpf
 
 from .bops import ToeplitzOracle
 from .errors import ConfigInvalid
-from .moments import MomentSequence, moment_quadrature
+from .moments import MomentSequence, free_moments, moment_quadrature
 from .mputil import parse_exact, to_mpc
 from .record import Record
 from .spectral import SpectralWorkspace
@@ -130,9 +130,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigInvalid("seeds need an integer start and a values list")
     if mode == "formal":
         _exact_values("seed", seed_values)
-        # the moment difference equation leaves M - 1 consecutive moments
-        # free when the origin is singular, M otherwise
-        free = len(zs) - 1 if any(z.is_zero() for z in zs) else len(zs)
+        free = free_moments(zs)
         if len(seed_values) != free:
             raise ConfigInvalid(f"formal mode needs {free} seed moments, "
                                 f"got {len(seed_values)}")
@@ -185,10 +183,9 @@ def build_workspace(cfg: RunConfig) -> SpectralWorkspace:
         seeds = [to_mpc(v) for v in cfg.seed_values]
         ms = MomentSequence.from_seeds(pair, cfg.seed_start, seeds)
     else:
-        order = pair.M - 1 if not pair.W[0] else pair.M
         kmin = cfg.seed_start
+        ks = range(kmin, kmin + free_moments(weight.singularities))
         ms = MomentSequence.from_seeds(
-            pair, kmin, [moment_quadrature(weight, k)
-                         for k in range(kmin, kmin + order)])
+            pair, kmin, [moment_quadrature(weight, k) for k in ks])
         ms.provenance = "quadrature"
     return SpectralWorkspace(ToeplitzOracle(ms))

@@ -46,7 +46,8 @@ from .bops import ToeplitzOracle
 from .exact import QC
 from .garnier import (coordinates_from_spectral, flow_p_closed, flow_q_closed,
                       k_form, k_value)
-from .moments import MomentSequence, rational_weight_moments
+from .moments import (MomentSequence, free_moments,
+                      rational_weight_moments)
 from .mputil import match_roots, to_mpc
 from .plan import Plan
 from .report import (CheckResult, Grid, add_grids, product, rel_error,
@@ -73,7 +74,8 @@ def rational_workspace(weight: WeightData) -> SpectralWorkspace:
     evaluated and rounded at the precision of the sequence they seed."""
     pair = build_poly_pair(weight)
     with mp.workprec(Plan.of(mp.prec).sequence):
-        seeds = rational_weight_moments(weight, -1, pair.M - 3)
+        seeds = rational_weight_moments(
+            weight, -1, free_moments(weight.singularities) - 2)
     ms = MomentSequence.from_seeds(pair, -1, list(seeds.values()))
     ms.provenance = "rational"
     return SpectralWorkspace(ToeplitzOracle(ms))

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf, mpc
 
-from .errors import (SingularStep, ThetaVanishesAtOne, ZeroDenominator,
-                     ZeroRNRatio)
+from .errors import Degenerate, SingularStep
 from .garnier import coordinates_from_spectral
 from .moments import MomentSequence, build_U
 from .mputil import to_mpc
@@ -55,7 +54,7 @@ class DGState(Record):
 
 
 # ---------------------------------------------------------------------------
-# Vandermonde helpers
+# Vandermonde data of the inversion
 # ---------------------------------------------------------------------------
 
 def vandermonde(values) -> mpc:
@@ -68,48 +67,44 @@ def vandermonde(values) -> mpc:
     return out
 
 
-def esym(values, l: int) -> mpc:
-    if l < 0 or l > len(values):
-        return mpc(0)
-    return to_mpc(elementary_symmetric([to_mpc(v) for v in values])[l])
-
-
-def _t_replaced(T, l):
-    """T with t_l removed and the fixed point 1 appended last."""
-    return [T[i] for i in range(len(T)) if i != l] + [mpc(1)]
-
-
 def _free_points(pair: PolyPair):
     if pair.weight.placement != "canonical":
         raise ValueError("the recurrences assume canonical placement")
     return pair.weight.singularities_mpc()[1:-1]
 
 
-def _inversion_sums(pair: PolyPair, f):
-    """The two Vandermonde combinations entering the inversion.
+def _inversion_table(pair: PolyPair) -> tuple:
+    """The inversion data that depends on neither the level nor f.
 
-    Returns (plain, t-weighted): Delta(T) + sum_l (+-) Delta(T_l u {1}) f^l
-    and the same with t_l weights, which is ``_weighted_sum(pair, f, 0)``.
+    Returns (sums, e_TU).  Each entry of ``sums`` is a pair (a, c) whose
+    sum is a + sum_l c_l f^l: ``sums[None]`` is the plain sum, a = Delta(T)
+    and c_l = (+-) Delta(T_l u {1}); ``sums[w]``, w = 0..N, is the weighted
+    one, a = Delta(T) e_w(T) and c_l = (+-) t_l Delta(T_l u {1})
+    e_w(T_l u {1}).  T_l is T without t_l, and the list index l is one
+    below the label.  ``e_TU`` is e_0..e_{N+1} of T u {1}.
     """
     T = _free_points(pair)
     N = len(T)
-    num_plain = vandermonde(T)
+    base = vandermonde(T)
+    e_T = elementary_symmetric(T)
+    sides = []
     for l in range(N):
-        sgn = (-1) ** (N + l)        # list index l is one below the label
-        num_plain += sgn * vandermonde(_t_replaced(T, l)) * to_mpc(f[l])
-    return num_plain, _weighted_sum(pair, f, 0)
+        repl = T[:l] + T[l + 1:] + [mpc(1)]
+        sides.append(((-1) ** (N + l), vandermonde(repl),
+                      elementary_symmetric(repl)))
+    sums = {None: (base, [sgn * v for sgn, v, _ in sides])}
+    for w in range(N + 1):
+        sums[w] = (base * to_mpc(e_T[w]),
+                   [sgn * t * v * to_mpc(e[w])
+                    for t, (sgn, v, e) in zip(T, sides)])
+    return sums, [to_mpc(e) for e in elementary_symmetric(T + [mpc(1)])]
 
 
-def _weighted_sum(pair: PolyPair, f, weight_index: int) -> mpc:
-    """Delta(T) e_w(T) + sum_l (+-) t_l Delta(T_l u {1}) e_w(T_l u {1}) f^l."""
-    T = _free_points(pair)
-    N = len(T)
-    total = vandermonde(T) * esym(T, weight_index)
-    for l in range(N):
-        repl = _t_replaced(T, l)
-        sgn = (-1) ** (N + l)        # list index l is one below the label
-        total += sgn * T[l] * vandermonde(repl) * esym(repl, weight_index) * \
-            to_mpc(f[l])
+def _evaluate(entry, f) -> mpc:
+    """a + sum_l c_l f^l for one entry (a, c) of the inversion table."""
+    total, coeffs = entry
+    for c, fl in zip(coeffs, f):
+        total += c * to_mpc(fl)
     return total
 
 
@@ -125,7 +120,7 @@ def dg_from_spectral(ws: SpectralWorkspace, n: int) -> DGState:
     m = pair.m_mpc()
     th1 = sd.at("theta", mpc(1))
     if abs(th1) < ws.plan.denominator_floor * max(abs(c) for c in sd.theta):
-        raise ThetaVanishesAtOne(f"coordinate polynomial vanished at 1, n={n}")
+        raise Degenerate(f"coordinate polynomial vanished at 1, n={n}")
     f = []
     for t in _free_points(pair):
         f.append(sd.at("theta", t) / (t * th1))
@@ -147,7 +142,7 @@ def dg_initial(moments: MomentSequence) -> DGState:
     minus = psub(V2, pscale(U, k02))          # 2V - k0^2 U
     den = peval(minus, mpc(1))
     if abs(den) < moments.plan.denominator_floor:
-        raise ZeroDenominator("2V(1) = k0^2 U(1): initial f undefined")
+        raise Degenerate("2V(1) = k0^2 U(1): initial f undefined")
     f = [peval(minus, t) / (t * den) for t in _free_points(pair)]
     sign = mpf((-1) ** N)
     omega = []
@@ -225,19 +220,20 @@ def dg_step(state: DGState, pair: PolyPair) -> DGState:
     m = pair.m_mpc()
     rho0 = pair.weight.residues_mpc()[0]
     m0 = m[0]
-    TU = T + [mpc(1)]
     np1 = n + 1
-    num_plain, den_t = _inversion_sums(pair, f_next)
+    sums, e_TU = pair.memo("dg", lambda: _inversion_table(pair))
+    num_plain = _evaluate(sums[None], f_next)
+    den_t = _evaluate(sums[0], f_next)
     if abs(den_t) < floor * max(abs(num_plain), mpf(1)):
         raise SingularStep(f"inversion denominator vanished at n={np1}",
                            index=np1, factor="den_t", value=den_t)
     omega_next = []
     for j in range(1, N + 1):
         # both numerators carry the t_l weights; only the second denominator does
-        s1 = _weighted_sum(pair, f_next, N - j) / num_plain
-        s2 = _weighted_sum(pair, f_next, N + 1 - j) / den_t
+        s1 = _evaluate(sums[N - j], f_next) / num_plain
+        s2 = _evaluate(sums[N + 1 - j], f_next) / den_t
         sgn = mpf((-1) ** j)
-        rhs = sgn * mpf(np1 - 1) * esym(TU, N + 1 - j) \
+        rhs = sgn * mpf(np1 - 1) * e_TU[N + 1 - j] \
             + sgn * (np1 - rho0) * s1 \
             - sgn * (np1 + 1 + m0) * s2
         omega_next.append(rhs - state.omega[j - 1] - sgn * m[N + 1 - j])
@@ -253,14 +249,16 @@ def dg_invert(state: DGState, pair: PolyPair):
     n = state.n
     N = pair.N
     m0 = pair.m_mpc()[0]
-    num_plain, den_t = _inversion_sums(pair, state.f)
+    sums = pair.memo("dg", lambda: _inversion_table(pair))[0]
+    num_plain = _evaluate(sums[None], state.f)
+    den_t = _evaluate(sums[0], state.f)
     if abs(den_t) < Plan.of(mp.prec).denominator_floor * \
             max(abs(num_plain), mpf(1)):
-        raise ZeroDenominator("inversion denominator vanished")
+        raise Degenerate("inversion denominator vanished")
     scaled_ratio = (n + 1 + m0) * num_plain / den_t
     vartheta = []
     for j in range(1, N):
-        numj = _weighted_sum(pair, state.f, N - j)
+        numj = _evaluate(sums[N - j], state.f)
         vartheta.append((-1) ** (N + j) * (n + 1 + m0) * numj / den_t)
     return scaled_ratio, vartheta
 
@@ -312,7 +310,7 @@ def tau_recovery(states: list, moments: MomentSequence) -> dict:
     for st in states:
         ratio, vartheta = dg_invert(st, pair)
         if abs(ratio) == 0:
-            raise ZeroRNRatio(f"reflection ratio vanished at n={st.n}")
+            raise Degenerate(f"reflection ratio vanished at n={st.n}")
         # (n - rho0) r_n / r_{n+1} = ratio
         r.append((st.n - rho0) * r[-1] / ratio)
         varthetas.append(vartheta)
@@ -345,7 +343,7 @@ def tau_recovery(states: list, moments: MomentSequence) -> dict:
     rbar = [mpc(1)]
     for k in range(1, npts - 1):
         if abs(r[k + 1]) == 0:
-            raise ZeroRNRatio(f"r_{k + 1} = 0 during recovery")
+            raise Degenerate(f"r_{k + 1} = 0 during recovery")
         rbar.append((lam[k + 1] - lam[k]) / r[k + 1])
     rbar0_defect = abs((lam[1] - lam[0]) / r[1] - 1)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpf, mpc
 
-from .errors import (CoordinateOnSingularity, MultipleRoot, SingularTransform)
+from .errors import Degenerate
 from .mputil import to_mpc
 from .polys import pdiff, peval, ptrim, pmax_abs, pdiv_exact_linear
 from .record import Record
@@ -108,16 +108,16 @@ def _garnier_point(ws: SpectralWorkspace, n: int) -> GarnierPoint:
     N = ws.pair.N
     roots = _sorted_roots(polynomial_roots(theta))
     if len(roots) != N:
-        raise MultipleRoot(f"degree of the coordinate polynomial dropped "
-                           f"below {N} at level {n}")
+        raise Degenerate(f"degree of the coordinate polynomial dropped "
+                         f"below {N} at level {n}")
     unit = ws.plan.degeneracy_floor
     floor = unit * pmax_abs(theta)
     zs = ws.singularities()
     for qr in roots:
         if abs(sd.at("dtheta", qr)) < floor:
-            raise MultipleRoot(f"near-multiple root at {mpmath.nstr(qr, 8)}")
+            raise Degenerate(f"near-multiple root at {mpmath.nstr(qr, 8)}")
         if min(abs(qr - z) for z in zs) < unit:
-            raise CoordinateOnSingularity(
+            raise Degenerate(
                 f"coordinate {mpmath.nstr(qr, 8)} hit a singularity")
     p = [-(sd.at("omega", qr) + ws.at("V", qr)) / ws.at("W", qr)
          for qr in roots]
@@ -342,7 +342,7 @@ def canonical_transform(ws: SpectralWorkspace, n: int, point: GarnierPoint):
     out = []
     for zj in ws.singularities()[1:-1]:
         if zj == 1:
-            raise SingularTransform("free singularity at 1")
+            raise Degenerate("free singularity at 1")
         tj = zj / (zj - 1)
         Qj = zj * sd.at("theta", zj) / (theta_inf * ws.wprime_at(zj))
         Pj = mpc(0)

@@ -44,8 +44,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
-from .errors import (NonConvergent, SingularStep, WindowTooSmall,
-                     NotSingleValued)
+from .errors import ConfigInvalid, NonConvergent, SingularStep
 from .exact import QC, round_rational
 from .mputil import to_mpc
 from .plan import Plan
@@ -91,6 +90,13 @@ def recurrence_row(pair: PolyPair, j, exact: bool = False):
     row = [QC(Fraction(x - j * u, D), Fraction(y - j * v, D))
            for x, y, u, v in zip(ar, ai, br, bi)]
     return row if exact else [to_mpc(g) for g in row]
+
+
+def free_moments(singularities) -> int:
+    """How many consecutive moments the difference equation leaves free:
+    M - 1 when the origin is among the (exact) singularities, M otherwise."""
+    M = len(singularities)
+    return M - 1 if any(z.is_zero() for z in singularities) else M
 
 
 def _is_canonical_origin(pair: PolyPair) -> bool:
@@ -166,9 +172,9 @@ class MomentSequence(Record):
     def from_seeds(cls, pair: PolyPair, start: int, seeds,
                    exact: bool = False) -> "MomentSequence":
         conv = (lambda v: v) if exact else to_mpc
-        order = pair.M - 1 if _is_canonical_origin(pair) else pair.M
+        order = free_moments(pair.weight.singularities)
         if len(seeds) != order:
-            raise WindowTooSmall(
+            raise ValueError(
                 f"the difference equation leaves exactly {order} consecutive "
                 f"moments free, got {len(seeds)} seeds")
         values = {start + i: conv(v) for i, v in enumerate(seeds)}
@@ -229,7 +235,7 @@ class MomentSequence(Record):
             if k == pivot or not (x or y):
                 continue
             if j - k not in self.values:
-                raise WindowTooSmall(f"moment {j - k} unavailable for step")
+                raise ValueError(f"moment {j - k} unavailable for step")
             terms.append((x, y, self.values[j - k]))
         if self.exact:
             acc = sum((v * QC(x, y) for x, y, v in terms), QC(0))
@@ -247,7 +253,7 @@ class MomentSequence(Record):
                 continue
             idx = j - k
             if idx not in self.values:
-                raise WindowTooSmall(f"moment {idx} not in window")
+                raise ValueError(f"moment {idx} not in window")
             terms.append(g * to_mpc(self.values[idx]))
         return rel_residual(terms)
 
@@ -313,7 +319,7 @@ def moment_quadrature(weight: WeightData, k: int, max_level: int = 16) -> mpc:
     if not seam_shielded(weight):
         defect = single_valuedness_defect(weight)
         if defect > plan.closure_tolerance:
-            raise NotSingleValued(
+            raise ConfigInvalid(
                 f"weight not single-valued (defect {mpmath.nstr(defect, 6)})")
 
     circle_angles = sorted(

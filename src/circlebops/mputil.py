@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_int
 
-from .errors import DegenerateDeterminant, RootMatchingAmbiguous
+from .errors import Degenerate
 from .exact import QC
 from .plan import GUARD_BITS
 
@@ -139,7 +139,7 @@ def lu_solve(rows, rhs):
             if m > pval:
                 piv, pval = i, m
         if pval == 0:
-            raise DegenerateDeterminant("singular linear system")
+            raise Degenerate("singular linear system")
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
         inv = 1 / a[k][k]
@@ -191,7 +191,7 @@ def match_roots(reference, perturbed):
     nearest partner is more than a quarter as far as the second nearest.
     """
     if len(reference) != len(perturbed):
-        raise RootMatchingAmbiguous("root sets differ in size")
+        raise Degenerate("root sets differ in size")
     remaining = list(range(len(perturbed)))
     out = []
     for q in reference:
@@ -201,7 +201,7 @@ def match_roots(reference, perturbed):
             d0 = abs(perturbed[best] - q)
             d1 = abs(perturbed[dists[1]] - q)
             if d1 > 0 and d0 / d1 > 0.25 and d0 > 0:
-                raise RootMatchingAmbiguous(
+                raise Degenerate(
                     f"ambiguous pairing near {q}: {d0} vs {d1}")
         out.append(perturbed[best])
         remaining.remove(best)

@@ -47,8 +47,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from .bops import BopsLevel, ToeplitzOracle
-from .errors import (DegreeBoundViolated, EvaluationAtRootOfTheta,
-                     SamplePointOnSingularity, SingularityCollision)
+from .errors import Degenerate
 from .mputil import sample_points, to_mpc
 from .polys import (padd, pdiff, peval_grid, pmul, pscale, pshift, psub,
                     ptrim, pdeg, pmax_abs)
@@ -187,7 +186,7 @@ def _spectral_from_oracle_impl(oracle, n):
 
     band = max(r1, r2, r3, r4)
     if band > oracle.moments.plan.band_alarm:
-        raise DegreeBoundViolated(
+        raise Degenerate(
             f"out-of-band mass {mpmath.nstr(band, 6)} at level {n}")
     return SpectralData(n=n, theta=theta, omega=omega, thetastar=thetastar,
                         omegastar=omegastar, band_residual=band)
@@ -236,7 +235,7 @@ class SpectralWorkspace(_PointTable):
     def wprime_at(self, z) -> mpc:
         v = self.at("dW", z)
         if v == 0:
-            raise SingularityCollision("W' vanished at a singularity")
+            raise Degenerate("W' vanished at a singularity")
         return v
 
     def singularities(self):
@@ -277,7 +276,7 @@ def a_matrix(ws: SpectralWorkspace, n: int, z) -> list:
     floor = ws.memo("W floor", lambda: ws.plan.w_floor_unit *
                     pmax_abs(W)) * max(abs(z), mpf(1)) ** len(W)
     if abs(Wz) <= floor:
-        raise SamplePointOnSingularity("A_n evaluated at a zero of W")
+        raise Degenerate("A_n evaluated at a zero of W")
     return _a_entries(ws, n, [(z, 1 / Wz)])[0]
 
 
@@ -836,13 +835,13 @@ def scalar_ode_data(ws: SpectralWorkspace, n: int, z):
     kr = lv["kr"]
     Wz = ws.at("W", z)
     if Wz == 0 or z == 0:
-        raise SamplePointOnSingularity("ODE coefficients at a singular point")
+        raise Degenerate("ODE coefficients at a singular point")
     th = sd.at("theta", z)
     ts = sd.at("thetastar", z)
     zfac = max(abs(z), mpf(1)) ** len(sd.theta)
     if abs(th) <= lv["theta_floor"] * zfac or \
        abs(ts) <= lv["thetastar_floor"] * zfac:
-        raise EvaluationAtRootOfTheta("z is a root of a spectral polynomial")
+        raise Degenerate("z is a root of a spectral polynomial")
     thp = sd.at("dtheta", z)
     tsp = sd.at("dthetastar", z)
     om, os_ = sd.at("omega", z), sd.at("omegastar", z)
@@ -929,6 +928,6 @@ def p2_asymptotic_constant(ws: SpectralWorkspace, n: int) -> mpc:
     if pdeg(num) > pdeg(den) - 2:
         extra = ratio(pmax_abs(num[pdeg(den) - 1:]), pmax_abs(num))
         if extra > ws.plan.band_alarm:
-            raise DegreeBoundViolated("p2 does not decay like z^-2")
+            raise Degenerate("p2 does not decay like z^-2")
         num = num[:pdeg(den) - 1]
     return num[-1] / den[-1] if pdeg(num) == pdeg(den) - 2 else mpc(0)

@@ -23,8 +23,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from .errors import (DuplicateSingularity, MissingCanonicalPoint,
-                     NonnegativeIntegerResidue, NotSingleValued)
+from .errors import ConfigInvalid
 from .exact import QC
 from .mputil import parse_exact
 from .polys import pdiff, peval
@@ -85,9 +84,10 @@ class PolyPair(FrozenRecord):
     signs, and ``m[l]`` are the coefficients of 2V in the matching
     convention:  [z^(M-l)] W = (-1)^l e_l,  [z^(M-1-l)] 2V = (-1)^l m_l.
 
-    The mpc images (``W_mpc`` ...) are converted once per working precision
-    and kept in ``_images``, which takes no part in equality or hashing;
-    each call returns a fresh list.
+    The mpc images (``W_mpc`` ...) and any other data derived from the pair
+    (``memo``) are formed once per working precision and kept in
+    ``_images``, which takes no part in equality or hashing; each image
+    call returns a fresh list.
     """
 
     _fields = ("weight", "W", "V2", "e", "m")
@@ -99,7 +99,7 @@ class PolyPair(FrozenRecord):
                    V2=V2,      # exact QC coefficients of 2V, degree <= M-1
                    e=e,        # e_0..e_M
                    m=m,        # m_0..m_{M-1}
-                   _images={})  # mp.prec -> (W, V2, e, m) as mpc
+                   _images={})  # (what, mp.prec) -> derived data
 
     @property
     def M(self) -> int:
@@ -109,13 +109,18 @@ class PolyPair(FrozenRecord):
     def N(self) -> int:
         return self.weight.N
 
-    def _mpc(self) -> tuple:
-        got = self._images.get(mp.prec)
+    def memo(self, what, make):
+        """make(), computed once per key and working precision."""
+        key = (what, mp.prec)
+        got = self._images.get(key)
         if got is None:
-            got = tuple(tuple(c.to_mpc() for c in vec)
-                        for vec in (self.W, self.V2, self.e, self.m))
-            self._images[mp.prec] = got
+            got = self._images[key] = make()
         return got
+
+    def _mpc(self) -> tuple:
+        return self.memo("mpc", lambda: tuple(
+            tuple(c.to_mpc() for c in vec)
+            for vec in (self.W, self.V2, self.e, self.m)))
 
     def W_mpc(self):
         return list(self._mpc()[0])
@@ -160,19 +165,19 @@ def build_weight(singularities, residues, placement: str = "canonical",
     for i in range(w.M):
         for j in range(i + 1, w.M):
             if zs[i] == zs[j]:
-                raise DuplicateSingularity(
+                raise ConfigInvalid(
                     f"singularities {i} and {j} coincide")
     for j, rho in enumerate(rs):
         if _is_nonneg_int(rho):
-            raise NonnegativeIntegerResidue(
+            raise ConfigInvalid(
                 f"residue {j} = {rho.re} is a nonnegative integer")
     if placement == "canonical":
         if zs[0] != QC(0):
-            raise MissingCanonicalPoint("canonical placement needs z_0 = 0")
+            raise ConfigInvalid("canonical placement needs z_0 = 0")
         if zs[-1] != QC(1):
-            raise MissingCanonicalPoint("canonical placement needs z_last = 1")
+            raise ConfigInvalid("canonical placement needs z_last = 1")
         if rs[0] == QC(0):
-            raise MissingCanonicalPoint("canonical placement needs rho_0 != 0")
+            raise ConfigInvalid("canonical placement needs rho_0 != 0")
     return w
 
 
@@ -272,7 +277,7 @@ def weight_on_circle(weight: WeightData, theta) -> mpc:
             # sitting exactly on the singular point
             if mpmath.re(rho) > 0:
                 return mpc(0)
-            raise NotSingleValued("evaluation at a non-integrable circle point")
+            raise ConfigInvalid("evaluation at a non-integrable circle point")
         p0 = mpmath.arg(1 - z) if abs(z) != 1 else mpf(0)
         total += rho * _factor_log(z, theta, p0)
     return mpmath.exp(total)
@@ -314,6 +319,6 @@ def eval_weight_on_circle(weight: WeightData, theta) -> mpc:
     """
     for z, rho in zip(weight.singularities_mpc(), weight.residues_mpc()):
         if abs(z) == 1 and mpmath.re(rho) <= -1:
-            raise NotSingleValued(
+            raise ConfigInvalid(
                 "circle singularity with Re rho <= -1 is not integrable")
     return weight_on_circle(weight, theta)

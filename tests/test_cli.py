@@ -410,6 +410,25 @@ def test_malformed_weight_scalars_exit_config_code(tmp_path, capsys, base,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, key, value, message", [
+    ("formal", "singularities", [[0, 0], [1, 0], [1, 0]],
+     "singularities 1 and 2 coincide"),
+    ("formal", "residues", [["1/3", 0], [2, 0], ["1/4", 0]],
+     "residue 1 = 2 is a nonnegative integer"),
+    ("quadrature", "residues", [["1/3", 0], ["-1/2", 0], ["-3/2", 0]],
+     "circle singularity with Re rho <= -1 is not integrable"),
+], ids=["coinciding", "residue-2", "non-integrable"])
+def test_bad_weight_data_exits_config_code(tmp_path, capsys, mode, key,
+                                           value, message):
+    """Weight data outside the regular class is bad input, not a
+    degeneracy of the system."""
+    path = write_config(tmp_path, mode=mode, weight={key: value})
+    out = tmp_path / "v.json"
+    assert main(["--config", path, "verify", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_bops_truncation_exits_degenerate_code(tmp_path, capsys):
     """The rational M=3 system truncates at level 6: exit 3, named level."""
     path = tmp_path / "r.yaml"

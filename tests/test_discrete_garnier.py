@@ -18,6 +18,7 @@ from circlebops.discrete_garnier import (DGState, dg_from_spectral,
 from circlebops.errors import SingularStep
 from circlebops.exact import QC
 from circlebops.moments import MomentSequence
+from circlebops.mputil import working_precision
 from circlebops.spectral import SpectralWorkspace
 from circlebops.suites import state_delta
 from circlebops.weights import build_poly_pair, build_weight
@@ -251,6 +252,32 @@ def test_vandermonde_column_identity(vals):
         e = elementary_symmetric(T)
         want = e[N - j] * base
         assert dj == want
+
+
+def test_inversion_data_is_formed_once_per_pair_and_precision(monkeypatch):
+    """The Vandermonde data of the inversion depends on neither the level
+    nor f: a 20-level trajectory and its inversions form it once, N + 1
+    Vandermonde products, and another precision forms it once more."""
+    from circlebops import discrete_garnier
+    ws = make_workspace(*standard_case_m4())
+    pair = ws.pair
+    calls = []
+    vandermonde = discrete_garnier.vandermonde
+
+    def counted(values):
+        calls.append(len(values))
+        return vandermonde(values)
+
+    monkeypatch.setattr(discrete_garnier, "vandermonde", counted)
+    traj = dg_trajectory(dg_initial(ws.oracle.moments), pair, 20)
+    for state in traj:
+        dg_invert(state, pair)
+    assert calls == [pair.N] * (pair.N + 1)
+    with working_precision(192):
+        dg_step(traj[-1], pair)
+        dg_step(traj[-1], pair)
+    dg_step(traj[-1], pair)
+    assert calls == [pair.N] * (2 * pair.N + 2)
 
 
 # -- tau recovery ---------------------------------------------------------------

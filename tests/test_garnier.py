@@ -6,7 +6,7 @@ from mpmath import mpc, mpf
 
 from conftest import make_workspace, standard_case_m3, standard_case_m4
 from circlebops.deform import hamilton_equations_check
-from circlebops.errors import MultipleRoot, RootMatchingAmbiguous
+from circlebops.errors import Degenerate
 from circlebops.garnier import (GarnierPoint, canonical_transform,
                                 coordinates_from_spectral,
                                 hamiltonian_from_residues, omega_rep_residual,
@@ -143,7 +143,7 @@ def test_deterministic_ordering_and_matching():
     matched = match_roots(a.q, perturbed)
     for qm, q in zip(matched, a.q):
         assert abs(qm - q) < mpf("1e-19")
-    with pytest.raises(RootMatchingAmbiguous):
+    with pytest.raises(Degenerate, match="ambiguous pairing near "):
         match_roots([mpc(0), mpc(1)], [mpc("0.5"), mpc("0.5001")])
 
 
@@ -158,6 +158,6 @@ def test_multiple_root_guard():
             return SpectralData(n, theta, [mpc(0)] * 4, theta, [mpc(0)] * 4,
                                 mpf(0))
 
-    with pytest.raises(MultipleRoot):
+    with pytest.raises(Degenerate, match="near-multiple root at "):
         coordinates_from_spectral(Stub(ws.oracle), 1,
                                   with_hamiltonians=False)

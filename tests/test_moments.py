@@ -8,7 +8,7 @@ from mpmath import fsum, log, mpc, mpf
 from conftest import (RESIDUE_CASES, rational_case_m4, standard_case_m3,
                       standard_case_m4)
 from circlebops.deform import rational_workspace
-from circlebops.errors import SingularStep, WindowTooSmall
+from circlebops.errors import SingularStep
 from circlebops.exact import QC
 from circlebops.moments import (BACKWARD_PIVOT_FLOOR, MomentSequence,
                                 build_U,
@@ -93,9 +93,11 @@ def test_every_emitted_moment_satisfies_equation():
 
 def test_seed_count_enforced():
     pair, _ = _pair_m3()
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(ValueError, match="exactly 2 consecutive moments "
+                       "free, got 1 seeds"):
         MomentSequence.from_seeds(pair, -1, [mpc(1)])
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(ValueError, match="exactly 2 consecutive moments "
+                       "free, got 3 seeds"):
         MomentSequence.from_seeds(pair, -1, [mpc(1), mpc(2), mpc(3)])
 
 

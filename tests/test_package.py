@@ -1,6 +1,7 @@
 """The package's public surface and the hygiene of its modules."""
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import circlebops
+from circlebops import errors
 from circlebops import (BopsLevel, DGState, GarnierPoint, MomentSequence,
                         PolyPair, SpectralData, UPoly, WeightData,
                         build_poly_pair, build_weight)
@@ -157,6 +159,40 @@ def test_every_check_is_judged_by_check_result_make():
                     isinstance(node.func, ast.Name) and \
                     node.func.id == "CheckResult":
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+# one class per cause of an abort, base class first
+CAUSES = ("CircleBopsError", "ConfigInvalid", "Degenerate", "SingularStep",
+          "NonConvergent")
+
+
+def test_errors_are_raised_by_cause():
+    """``errors`` defines one class per cause, and every ``raise`` in the
+    package names one of them or a builtin exception."""
+    src = Path(circlebops.__file__).parent
+    tree = ast.parse((src / "errors.py").read_text())
+    assert [node.name for node in tree.body
+            if isinstance(node, ast.ClassDef)] == list(CAUSES)
+    assert issubclass(errors.SingularStep, errors.Degenerate)
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        from_errors = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and
+                       node.module == "errors" for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else ast.dump(exc)
+            builtin = getattr(builtins, name, None)
+            if name in from_errors and name in CAUSES or \
+                    name not in from_errors and isinstance(builtin, type) \
+                    and issubclass(builtin, Exception):
+                continue
+            found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, found
 
 

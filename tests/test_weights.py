@@ -11,8 +11,7 @@ from mpmath import mp, mpc, mpf
 from conftest import (RESIDUE_CASES, rational_case_m4, standard_case_m4,
                       standard_case_m5)
 from circlebops.deform import shifted_weight
-from circlebops.errors import (DuplicateSingularity, MissingCanonicalPoint,
-                               NonnegativeIntegerResidue, NotSingleValued)
+from circlebops.errors import ConfigInvalid
 from circlebops.exact import QC
 from circlebops.plan import Plan
 from circlebops.polys import pdiff, peval, pmul
@@ -30,21 +29,23 @@ def test_valid_m3_case():
 
 
 def test_duplicate_singularity_rejected():
-    with pytest.raises(DuplicateSingularity):
+    with pytest.raises(ConfigInvalid, match="singularities 1 and 2 coincide"):
         build_weight([0, "1/2", "1/2"], ["1/3", "-1/2", "1/4"])
 
 
 def test_nonnegative_integer_residue_rejected():
-    with pytest.raises(NonnegativeIntegerResidue):
+    with pytest.raises(ConfigInvalid,
+                       match="residue 0 = 2 is a nonnegative integer"):
         build_weight([0, "1/3", 1], [2, "-1/2", "1/4"])
-    with pytest.raises(NonnegativeIntegerResidue):
+    with pytest.raises(ConfigInvalid,
+                       match="residue 1 = 0 is a nonnegative integer"):
         build_weight([0, "1/3", 1], ["1/2", 0, "1/4"])
 
 
 def test_canonical_placement_enforced():
-    with pytest.raises(MissingCanonicalPoint):
+    with pytest.raises(ConfigInvalid, match="needs z_0 = 0"):
         build_weight(["1/9", "1/3", 1], ["1/2", "-1/2", "1/4"])
-    with pytest.raises(MissingCanonicalPoint):
+    with pytest.raises(ConfigInvalid, match="needs z_last = 1"):
         build_weight([0, "1/3", "7/8"], ["1/2", "-1/2", "1/4"])
     # fine in general placement
     build_weight(["1/9", "1/3", "7/8"], ["1/2", "-1/2", "1/4"],
@@ -258,5 +259,6 @@ def test_single_valued_family_accepted():
 def test_non_integrable_circle_residue_rejected():
     w = build_weight([0, ["1/2", 0], 1], ["-7/12", "1/3", ["-3/2", 0]],
                      validate=False)
-    with pytest.raises(NotSingleValued):
+    with pytest.raises(ConfigInvalid, match="circle singularity with Re rho "
+                       "<= -1 is not integrable"):
         eval_weight_on_circle(w, mpf("0.5"))
