@@ -152,9 +152,7 @@ def _check(r: CheckResult, indent, tols) -> str:
         tol = tols[r.tol._mpf_, inner] = _real(r.tol, inner)
     n = f'"n": {int.__repr__(r.n)},{inner}' if r.n is not None else ""
     note = f'"note": {_quote(r.note)},{inner}' if r.note else ""
-    return (f'{{{inner}"gauge_invariant": '
-            f'{"true" if r.gauge_invariant else "false"},{inner}'
-            f'"id": {_quote(r.label)},{inner}{n}{note}'
+    return (f'{{{inner}"id": {_quote(r.label)},{inner}{n}{note}'
             f'"passed": {"true" if r.passed else "false"},{inner}'
             f'"residual": {_real(r.residual, inner)},{inner}'
             f'"tol": {tol}{indent}}}')

@@ -71,27 +71,23 @@ from .record import Record
 
 
 class CheckResult(Record):
-    _fields = ("label", "residual", "tol", "n", "passed", "gauge_invariant",
-               "note")
+    _fields = ("label", "residual", "tol", "n", "passed", "note")
 
     def __init__(self, label: str, residual: mpf, tol: mpf,
-                 n: int | None = None, passed: bool = True,
-                 gauge_invariant: bool = True, note: str = ""):
+                 n: int | None = None, passed: bool = True, note: str = ""):
         self.label = label          # identity code, e.g. "rrCf:a"
         self.residual = residual
         self.tol = tol
         self.n = n
         self.passed = passed
-        self.gauge_invariant = gauge_invariant
         self.note = note
 
     @classmethod
-    def make(cls, label, residual, tol, n=None, gauge_invariant=True, note=""):
+    def make(cls, label, residual, tol, n=None, note=""):
         residual = mpf(residual)
         tol = mpf(tol)
         return cls(label=label, residual=residual, tol=tol, n=n,
-                   passed=bool(residual < tol),
-                   gauge_invariant=gauge_invariant, note=note)
+                   passed=bool(residual < tol), note=note)
 
 
 def worst(results) -> mpf:

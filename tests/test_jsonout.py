@@ -27,8 +27,7 @@ def reference_check(r):
     """The JSON object of a check, as the CLI built it before the writer
     rendered checks itself."""
     out = {"id": r.label, "residual": reference_real(r.residual),
-           "tol": reference_real(r.tol), "passed": r.passed,
-           "gauge_invariant": r.gauge_invariant}
+           "tol": reference_real(r.tol), "passed": r.passed}
     if r.n is not None:
         out["n"] = r.n
     if r.note:
@@ -61,7 +60,6 @@ def checks(draw):
         draw(st.one_of(st.sampled_from(("rrCf:a", "Ham:dK/dq")), TEXT)),
         draw(values()), draw(values()),
         n=draw(st.one_of(st.none(), st.integers(-3, 10 ** 20))),
-        gauge_invariant=draw(st.booleans()),
         note=draw(st.one_of(st.just(""), TEXT)))
 
 

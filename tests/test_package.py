@@ -226,8 +226,7 @@ def _samples():
                          dict(provenance="seeded", exact=False)),
         UPoly: (dict(u=(mpc(1), mpc(2))), {}),
         CheckResult: (dict(label="rrCf:a", residual=mpf(1), tol=mpf(2)),
-                      dict(n=None, passed=True, gauge_invariant=True,
-                           note="")),
+                      dict(n=None, passed=True, note="")),
         SpectralData: (dict(n=1, theta=ones, omega=ones, thetastar=ones,
                             omegastar=ones, band_residual=mpf(0)), {}),
         WeightData: (dict(singularities=weight.singularities,
