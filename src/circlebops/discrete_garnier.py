@@ -58,12 +58,11 @@ class DGState(Record):
 # ---------------------------------------------------------------------------
 
 def vandermonde(values) -> mpc:
-    """prod_{i<j} (v_j - v_i) in the given order; empty/singleton give 1."""
+    """prod_{i<j} (v_j - v_i) of mpc values; empty/singleton give 1."""
     out = mpc(1)
-    vals = [to_mpc(v) for v in values]
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            out *= vals[j] - vals[i]
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            out *= values[j] - values[i]
     return out
 
 
@@ -74,14 +73,13 @@ def _free_points(pair: PolyPair):
 
 
 def _inversion_table(pair: PolyPair) -> tuple:
-    """The inversion data that depends on neither the level nor f.
+    """(sums, e_TU): the inversion data that depends on neither n nor f.
 
-    Returns (sums, e_TU).  Each entry of ``sums`` is a pair (a, c) whose
-    sum is a + sum_l c_l f^l: ``sums[None]`` is the plain sum, a = Delta(T)
-    and c_l = (+-) Delta(T_l u {1}); ``sums[w]``, w = 0..N, is the weighted
-    one, a = Delta(T) e_w(T) and c_l = (+-) t_l Delta(T_l u {1})
-    e_w(T_l u {1}).  T_l is T without t_l, and the list index l is one
-    below the label.  ``e_TU`` is e_0..e_{N+1} of T u {1}.
+    An entry (a, c) of ``sums`` stands for a + sum_l c_l f^l: the plain sum
+    ``sums[None]`` has a = Delta(T), c_l = (+-) Delta(T_l u {1}), and the
+    weighted ``sums[w]``, w = 0..N, a = Delta(T) e_w(T), c_l = (+-) t_l
+    Delta(T_l u {1}) e_w(T_l u {1}), where T_l is T without t_l (the list
+    index l is one below the label).  ``e_TU`` is e_0..e_{N+1} of T u {1}.
     """
     T = _free_points(pair)
     N = len(T)
@@ -102,10 +100,7 @@ def _inversion_table(pair: PolyPair) -> tuple:
 
 def _evaluate(entry, f) -> mpc:
     """a + sum_l c_l f^l for one entry (a, c) of the inversion table."""
-    total, coeffs = entry
-    for c, fl in zip(coeffs, f):
-        total += c * to_mpc(fl)
-    return total
+    return sum((c * to_mpc(fl) for c, fl in zip(entry[1], f)), entry[0])
 
 
 # ---------------------------------------------------------------------------

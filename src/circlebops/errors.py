@@ -1,10 +1,5 @@
 """Exception types, one class per cause of an abort; the message names the
-site.  Bad input (a configuration, a command argument or weight data outside
-the regular class) is :class:`ConfigInvalid`.  A system that degenerates at
-a level is :class:`Degenerate`, and a degenerate recurrence step, with a
-structured report, is its subclass :class:`SingularStep`.  A stalled
-quadrature is :class:`NonConvergent`.  Argument errors of the library's
-functions are ``ValueError``.
+site.  Argument errors of the library's functions are ``ValueError``.
 """
 
 
@@ -13,11 +8,13 @@ class CircleBopsError(Exception):
 
 
 class ConfigInvalid(CircleBopsError):
-    """Bad input: a configuration, a command argument or weight data."""
+    """Bad input: a configuration, a command argument, or weight data
+    outside the regular class."""
 
 
 class Degenerate(CircleBopsError):
-    """The system degenerates at a level."""
+    """The system degenerates at a level (a vanishing determinant or
+    denominator, a multiple root, ...)."""
 
 
 class SingularStep(Degenerate):

@@ -99,10 +99,6 @@ def free_moments(singularities) -> int:
     return M - 1 if any(z.is_zero() for z in singularities) else M
 
 
-def _is_canonical_origin(pair: PolyPair) -> bool:
-    return not pair.W[0]
-
-
 def _rounded_quotient(terms, pr: int, pi: int) -> mpc:
     """-(sum_k g_k v_k) / (pr + i pi) for Gaussian-integer g_k and mpc v_k.
 
@@ -198,10 +194,8 @@ class MomentSequence(Record):
 
     def _step_forward(self) -> None:
         top = self.k_max + 1
-        canonical = _is_canonical_origin(self.pair)
-        j = top + 1 if canonical else top
-        self.values[top] = self._solve(j, 1 if canonical else 0,
-                                       FORWARD_PIVOT_FLOOR)
+        pivot = self.pair.M - free_moments(self.pair.weight.singularities)
+        self.values[top] = self._solve(top + pivot, pivot, FORWARD_PIVOT_FLOOR)
 
     def _step_backward(self) -> None:
         bot = self.k_min - 1
@@ -517,7 +511,7 @@ def build_U(moments: MomentSequence) -> UPoly:
     weights.
     """
     pair = moments.pair
-    if not _is_canonical_origin(pair):
+    if free_moments(pair.weight.singularities) == pair.M:
         raise ValueError("closed-form U needs the origin among singularities")
     N = pair.N
     e = pair.e_mpc()
