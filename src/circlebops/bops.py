@@ -274,11 +274,13 @@ class ToeplitzOracle:
     The oracle adopts the precision ``prec`` of its moment sequence.  Every
     value it caches is computed there, inside the one context that each
     public query enters (a cached ``det`` or ``level`` is returned without
-    it), so no value depends on which query reached it first.  A query at a
-    working precision other than the sequence's plan's ``working`` raises
-    ``ValueError``, cached or not; the oracle's own calls, already at
-    ``prec``, pass.  A determinant ratio below the plan's ``lu_floor``
-    times its neighbour counts as vanishing (zero computes as noise).
+    it), so no value depends on the precision of the query that reached it
+    first; the eps-series keep the longest series formed so far, so their
+    values depend on query order.  A query at a working precision other
+    than the sequence's plan's ``working`` raises ``ValueError``, cached or
+    not; the oracle's own calls, already at ``prec``, pass.  A determinant
+    ratio below the plan's ``lu_floor`` times its neighbour counts as
+    vanishing (zero computes as noise).
 
     ``gauge`` maps level -> +-1 and fixes the kappa_n sign; the default is
     the principal branch everywhere.

@@ -26,14 +26,13 @@ from mpmath.libmp import to_str
 from . import jsonout
 from .config import (RunConfig, as_dict, build_weight_from_config,
                      build_workspace, config_from_dict, load_config)
-from .discrete_garnier import dg_from_spectral, dg_run, tau_recovery
+from .discrete_garnier import dg_run
 from .errors import CircleBopsError, ConfigInvalid, SingularStep
 from .garnier import coordinates_from_spectral, riemann_exponents
 from .mputil import working_precision
-from .report import CheckResult, failures
+from .report import failures
 from .spectral import residue_matrices, a_infinity
-from .suites import (run_verification, state_delta, tau_delta,
-                     toeplitz_suite)
+from .suites import run_verification, tau_levels, toeplitz_suite
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -171,9 +170,6 @@ def check_line(r, tol_text: str) -> str:
 def _cmd_verify(cfg: RunConfig, started: float) -> int:
     if not cfg.checks:
         raise ConfigInvalid("verify needs a nonempty checks list")
-    if "flow" in cfg.checks and cfg.mode != "rational":
-        raise ConfigInvalid("flow checks need mode: rational "
-                            "(a closed-form deformation family)")
     ws = build_workspace(cfg)
     tol = cfg.tolerance_mpf()
     results = run_verification(ws, cfg.checks, cfg.n_max, tol, seed=cfg.seed)
@@ -258,7 +254,6 @@ def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
     ws = build_workspace(cfg)
     tol = cfg.tolerance_mpf()
     records = []
-    results = []
     for n in range(cfg.n_max + 1):
         sd = ws.data(n)
         mats = residue_matrices(ws, n)
@@ -273,19 +268,17 @@ def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
             "residue_infinity": jsonout.matrix_field(a_infinity(mats)),
         }
         records.append(rec)
-    if args.checks == "all":
-        results = run_verification(ws, ["identities", "bilinear", "summation"],
-                                   cfg.n_max, tol, seed=cfg.seed)
-    payload = {"levels": records,
-               "residuals": results}
-    _emit(payload, _out_path(cfg, "spectral.json"), started)
+    results = [] if args.checks == "none" else run_verification(
+        ws, ["identities", "bilinear", "summation"], cfg.n_max, tol,
+        seed=cfg.seed)
+    _emit({"levels": records, "residuals": results},
+          _out_path(cfg, "spectral.json"), started)
     return _verdict(results)
 
 
 def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
     ws = build_workspace(cfg)
     recs = []
-    flow_results = []
     for n in range(cfg.n_max + 1):
         pt = coordinates_from_spectral(ws, n)
         info = riemann_exponents(ws, n)
@@ -304,64 +297,48 @@ def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
             },
             "accessory": jsonout.complex_field(info["accessory"]),
         })
-    if args.flow_check:
-        if cfg.mode != "rational":
-            raise ConfigInvalid("--flow-check needs mode: rational")
-        flow_results = run_verification(ws, ["flow"], cfg.n_max,
-                                        cfg.tolerance_mpf())
-    payload = {"levels": recs,
-               "flow": flow_results}
-    _emit(payload, _out_path(cfg, "garnier.json"), started)
+    flow_results = run_verification(ws, ["flow"] if args.flow_check else [],
+                                    cfg.n_max, cfg.tolerance_mpf())
+    _emit({"levels": recs, "flow": flow_results},
+          _out_path(cfg, "garnier.json"), started)
     return _verdict(flow_results)
 
 
 def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
     ws = build_workspace(cfg)
-    tol = cfg.tolerance_mpf()
-    singular_report = None
+    suites = [name for name, on in (("oracle", args.compare_oracle),
+                                    ("tau", args.tau)) if on]
+    singular, traj, checks = None, [], []
     try:
-        traj = dg_run(ws, cfg.n_max)
+        # the tau suite recovers from the trajectory to n_max + 2
+        dg_run(ws, cfg.n_max + (2 if args.tau else 0))
     except SingularStep as exc:
-        singular_report = {"index": exc.index, "factor": exc.factor,
-                           "message": str(exc)}
-        traj = []
-    recs = []
-    worst = mpf(0)
-    for st in traj:
-        rec = {"n": st.n,
-               "f": jsonout.complex_list(st.f),
-               "omega": jsonout.complex_list(st.omega)}
-        if args.compare_oracle:
-            delta = state_delta(st, dg_from_spectral(ws, st.n))
-            rec["oracle_delta"] = jsonout.real_field(delta)
-            worst = max(worst, delta)
-        recs.append(rec)
-    payload = {"levels": recs, "singular": singular_report}
-    judged = []                 # the checks the exit code is judged on
+        singular = {"index": exc.index, "factor": exc.factor,
+                    "message": str(exc)}
+    else:
+        traj = dg_run(ws, cfg.n_max)
+        checks = run_verification(ws, suites, cfg.n_max, cfg.tolerance_mpf())
+    deltas = [c.residual for c in checks
+              if c.label in ("dGarnier:init", "dGarnier:ab")]
+    levels = [{"n": st.n, "f": jsonout.complex_list(st.f),
+               "omega": jsonout.complex_list(st.omega)} for st in traj]
+    payload = {"levels": levels, "singular": singular, "checks": checks}
     if args.compare_oracle:
-        payload["max_oracle_delta"] = jsonout.real_field(worst)
-        judged.append(CheckResult.make("dGarnier:ab", worst, tol))
+        for level, delta in zip(levels, deltas):
+            level["oracle_delta"] = jsonout.real_field(delta)
+        payload["max_oracle_delta"] = jsonout.real_field(
+            max(deltas, default=mpf(0)))
     if args.tau and traj:
-        rec = tau_recovery(traj, ws.oracle.moments)
-        tau_rows = []
-        worst_tau = mpf(0)
-        for n in range(min(cfg.n_max, len(rec["I"]) - 1) + 1):
-            delta = tau_delta(ws, rec, n)
-            worst_tau = max(worst_tau, delta)
-            row = {"n": n, "delta": jsonout.real_field(delta)}
-            row.update(jsonout.complex_field(rec["I"][n]))
-            tau_rows.append(row)
-        payload["tau"] = {"I": tau_rows,
-                          "lambda_paths": jsonout.real_field(
-                              rec["lambda_delta"]),
-                          "max_delta": jsonout.real_field(worst_tau)}
-        judged += [CheckResult.make("tau:I", worst_tau, tol),
-                   CheckResult.make("tau:lambda-paths", rec["lambda_delta"],
-                                    tol)]
+        recovered, tau_deltas = tau_levels(ws, cfg.n_max)
+        judged = {c.label: c.residual for c in checks}
+        payload["tau"] = {
+            "I": [{"n": n, "delta": jsonout.real_field(delta),
+                   **jsonout.complex_field(recovered["I"][n])}
+                  for n, delta in enumerate(tau_deltas)],
+            "lambda_paths": jsonout.real_field(judged["tau:lambda-paths"]),
+            "max_delta": jsonout.real_field(judged["tau:I"])}
     _emit(payload, _out_path(cfg, "dg.json"), started)
-    if singular_report is not None:
-        return EXIT_SINGULAR
-    return _verdict(judged)
+    return EXIT_SINGULAR if singular else _verdict(checks)
 
 
 def _parse_param(param: str, weight):
@@ -393,7 +370,9 @@ def _cmd_sweep(cfg: RunConfig, args, started: float) -> int:
         val = a + (b - a) * i / max(count - 1, 1)
         raw = as_dict(cfg)
         raw["weight"][key][idx] = [repr(val), "0"]
-        points.append((val, config_from_dict(raw)))
+        point = config_from_dict(raw)
+        build_weight_from_config(point)     # bad weight data exits 2 here
+        points.append((val, point))
     rows = []
     for val, point in points:
         try:

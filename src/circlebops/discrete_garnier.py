@@ -31,7 +31,7 @@ from __future__ import annotations
 from mpmath import mp, mpf, mpc
 
 from .errors import Degenerate, SingularStep
-from .garnier import coordinates_from_spectral
+from .garnier import coordinates_from_spectral, momentum
 from .moments import MomentSequence, build_U
 from .mputil import to_mpc
 from .plan import Plan
@@ -364,17 +364,13 @@ def dg_hamiltonian_residuals(ws: SpectralWorkspace, n: int) -> dict:
     lagging-level reading is reported alongside for the record.
     """
     sd_n, sd_n1 = ws.data(n), ws.data(n + 1)
-
-    def p_fun(sd, z):
-        return -(sd.at("omega", z) + ws.at("V", z)) / ws.at("W", z)
-
     out = {}
     for tag, level in (("advanced", n + 1), ("lagging", n)):
         roots = coordinates_from_spectral(ws, level,
                                           with_hamiltonians=False).q
         worst = mpf(0)
         for q in roots:
-            lhs = p_fun(sd_n1, q) + p_fun(sd_n, q)
+            lhs = momentum(ws, sd_n1, q) + momentum(ws, sd_n, q)
             rhs = mpf(n) / q - ws.at("V2", q) / ws.at("W", q)
             worst = max(worst, rel_residual([lhs, -rhs], 1))
         out[tag] = worst

@@ -119,9 +119,13 @@ def _garnier_point(ws: SpectralWorkspace, n: int) -> GarnierPoint:
         if min(abs(qr - z) for z in zs) < unit:
             raise Degenerate(
                 f"coordinate {mpmath.nstr(qr, 8)} hit a singularity")
-    p = [-(sd.at("omega", qr) + ws.at("V", qr)) / ws.at("W", qr)
-         for qr in roots]
+    p = [momentum(ws, sd, qr) for qr in roots]
     return GarnierPoint(n=n, q=roots, p=p, K=[], theta_inf=sd.theta[-1])
+
+
+def momentum(ws: SpectralWorkspace, sd, z) -> mpc:
+    """p(z) = -(Omega_n(z) + V(z))/W(z) for the spectral data sd of level n."""
+    return -(sd.at("omega", z) + ws.at("V", z)) / ws.at("W", z)
 
 
 def hamiltonian(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> list:

@@ -99,13 +99,13 @@ def exceeds(x: tuple, y: tuple) -> bool:
 # dense complex linear algebra (lists of lists of mpc)
 # ---------------------------------------------------------------------------
 
-def lu_det(rows) -> mpc:
-    """Determinant via LU with partial pivoting.  Empty matrix gives 1."""
-    n = len(rows)
-    if n == 0:
-        return mpc(1)
-    a = [[to_mpc(v) for v in r] for r in rows]
-    det = mpc(1)
+def _eliminate(a, width: int):
+    """Forward elimination with partial pivoting, in place, on the n rows
+    of ``a`` over their first ``width`` columns (n, or n + 1 with a
+    right-hand side); the pivots end on the diagonal.  Returns the number
+    of row swaps, or None when a pivot vanishes outright."""
+    n = len(a)
+    swaps = 0
     for k in range(n):
         piv, pval = k, abs(a[k][k])
         for i in range(k + 1, n):
@@ -113,18 +113,30 @@ def lu_det(rows) -> mpc:
             if m > pval:
                 piv, pval = i, m
         if pval == 0:
-            return mpc(0)
+            return None
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
+            swaps += 1
         inv = 1 / a[k][k]
         for i in range(k + 1, n):
             f = a[i][k] * inv
             if f != 0:
                 row_i, row_k = a[i], a[k]
-                for j in range(k + 1, n):
+                for j in range(k + 1, width):
                     row_i[j] -= f * row_k[j]
+    return swaps
+
+
+def lu_det(rows) -> mpc:
+    """Determinant via LU with partial pivoting.  Empty matrix gives 1."""
+    a = [[to_mpc(v) for v in r] for r in rows]
+    swaps = _eliminate(a, len(a))
+    if swaps is None:
+        return mpc(0)
+    # a sign flip is exact, so the product may take all of them up front
+    det = mpc(-1 if swaps % 2 else 1)
+    for k in range(len(a)):
+        det *= a[k][k]
     return det
 
 
@@ -132,22 +144,8 @@ def lu_solve(rows, rhs):
     """Solve a dense complex system; raises if a pivot vanishes outright."""
     n = len(rows)
     a = [[to_mpc(v) for v in r] + [to_mpc(rhs[i])] for i, r in enumerate(rows)]
-    for k in range(n):
-        piv, pval = k, abs(a[k][k])
-        for i in range(k + 1, n):
-            m = abs(a[i][k])
-            if m > pval:
-                piv, pval = i, m
-        if pval == 0:
-            raise Degenerate("singular linear system")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f != 0:
-                for j in range(k + 1, n + 1):
-                    a[i][j] -= f * a[k][j]
+    if _eliminate(a, n + 1) is None:
+        raise Degenerate("singular linear system")
     x = [mpc(0)] * n
     for i in range(n - 1, -1, -1):
         s = a[i][n]

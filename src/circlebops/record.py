@@ -7,8 +7,23 @@ the ``.pyc`` files cache none of that, so every process would pay about
 25 ms for it.  The record classes are plain classes with an explicit
 ``__init__`` instead, and these two bases give them the one rule for
 equality and repr: over the fields named in ``_fields``, in order.  A cache
-kept on a record is not a field and takes no part in either.
+kept on a record is not a field and takes no part in either; ``Memo`` holds
+the one rule for such caches.
 """
+
+from mpmath import mp
+
+
+class Memo:
+    """Derived values in the dict ``_memo``, keyed by what each is and by
+    mp.prec: a value cached at one precision never serves another."""
+
+    def memo(self, what, make):
+        key = (what, mp.prec)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = make()
+        return got
 
 
 class Record:

@@ -43,15 +43,17 @@ as factor tuples, which it forms exactly.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import mpmath
-from mpmath import mp, mpf, mpc
+from mpmath import mpf, mpc
 
 from .bops import BopsLevel, ToeplitzOracle
 from .errors import Degenerate
 from .mputil import sample_points, to_mpc
 from .polys import (padd, pdiff, peval_grid, pmul, pscale, pshift, psub,
                     ptrim, pdeg, pmax_abs)
-from .record import Record
+from .record import Memo, Record
 from .report import (CheckResult, Grid, largest_abs, ratio, rel_error,
                      rel_residual, sqrt_ratio, vector_residual)
 
@@ -60,18 +62,10 @@ from .report import (CheckResult, Grid, largest_abs, ratio, rel_error,
 SERIES_BUFFER = 6
 
 
-class _PointTable:
+class _PointTable(Memo):
     """Named polynomials, their exact grids ("ddW" is the grid of W'') and
     their values at points, each formed or evaluated once per working
-    precision: keys carry mp.prec."""
-
-    def memo(self, what, make):
-        """make(), computed once per key and working precision."""
-        key = (what, mp.prec)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = make()
-        return got
+    precision (``Memo``)."""
 
     def poly(self, name: str) -> list:
         return self.memo(name, lambda: self._base(name))
@@ -667,8 +661,10 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
     V2q = [ws.at("V2", qr) for qr in q]
     zq = [[z - qr for qr in q] for z in zs]
     den1 = [[w * d[r] for w, d in zip(wp, zq)] for r in range(N)]
-    den2 = [[[d1 * d[s] for d1, d in zip(den1[r], zq)] for s in range(N)]
-            for r in range(N)]
+    # Ssum:f and Ssum:g are symmetric in their root indices, so each loops
+    # over sorted index tuples
+    den2 = {(r, s): [d1 * d[s] for d1, d in zip(den1[r], zq)]
+            for r, s in combinations_with_replacement(range(N), 2)}
 
     # Ssum:e
     worst = mpf(0)
@@ -684,45 +680,39 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
             worst = max(worst, _sum_residual(lhs, want))
     out.append(CheckResult.make("Ssum:e", worst, tol, n))
 
-    # Ssum:f over index pairs
+    # Ssum:f over index pairs r <= s
     worst = mpf(0)
-    for r in range(N):
-        for s in range(N):
-            for sigma in range(5):
-                lhs = [tz[sigma] / d for tz, d in zip(thz, den2[r][s])]
-                want = mpc(0)
-                if r == s:
-                    want -= q[r] ** sigma * thq[r] / Wq[r]
-                if sigma == 3:
-                    want += theta_inf
-                elif sigma == 4:
-                    want += theta_inf * (1 + zsum - qsum + q[r] + q[s])
-                worst = max(worst, _sum_residual(lhs, want))
+    for r, s in combinations_with_replacement(range(N), 2):
+        for sigma in range(5):
+            lhs = [tz[sigma] / d for tz, d in zip(thz, den2[r, s])]
+            want = mpc(0)
+            if r == s:
+                want -= q[r] ** sigma * thq[r] / Wq[r]
+            if sigma == 3:
+                want += theta_inf
+            elif sigma == 4:
+                want += theta_inf * (1 + zsum - qsum + q[r] + q[s])
+            worst = max(worst, _sum_residual(lhs, want))
     out.append(CheckResult.make("Ssum:f", worst, tol, n))
 
-    # Ssum:g over index triples, sigma <= 3
+    # Ssum:g over sorted index triples r <= s <= t, sigma <= 3
     worst = mpf(0)
-    for r in range(N):
-        for s in range(N):
-            for t in range(N):
-                den3 = [d2 * d[t] for d2, d in zip(den2[r][s], zq)]
-                for sigma in range(4):
-                    lhs = [tz[sigma] / d for tz, d in zip(thz, den3)]
-                    want = mpc(0)
-                    if r == s and s != t:
-                        want -= q[s] ** sigma * thq[s] / \
-                            ((q[r] - q[t]) * Wq[s])
-                    if t == r and s != r:
-                        want -= q[r] ** sigma * thq[r] / \
-                            ((q[t] - q[s]) * Wq[r])
-                    if s == t and r != t:
-                        want -= q[t] ** sigma * thq[t] / \
-                            ((q[s] - q[r]) * Wq[t])
-                    if r == s and s == t:
-                        want += q[r] ** sigma * thq[r] / Wq[r] * \
-                            (dWq[r] / Wq[r] - thppq[r] / (2 * thq[r]) -
-                             sigma / q[r])
-                    worst = max(worst, _sum_residual(lhs, want))
+    for r, s, t in combinations_with_replacement(range(N), 3):
+        den3 = [d2 * d[t] for d2, d in zip(den2[r, s], zq)]
+        for sigma in range(4):
+            lhs = [tz[sigma] / d for tz, d in zip(thz, den3)]
+            want = mpc(0)
+            if r == s and s != t:
+                want -= q[s] ** sigma * thq[s] / \
+                    ((q[r] - q[t]) * Wq[s])
+            if s == t and r != t:
+                want -= q[t] ** sigma * thq[t] / \
+                    ((q[s] - q[r]) * Wq[t])
+            if r == s and s == t:
+                want += q[r] ** sigma * thq[r] / Wq[r] * \
+                    (dWq[r] / Wq[r] - thppq[r] / (2 * thq[r]) -
+                     sigma / q[r])
+            worst = max(worst, _sum_residual(lhs, want))
     out.append(CheckResult.make("Ssum:g", worst, tol, n))
 
     # Tsum family

@@ -15,6 +15,7 @@ from .deform import (deformation_residuals, flow_stencil,
                      hamilton_equations_check, hamilton_flow_pipeline_check)
 from .discrete_garnier import (dg_from_spectral, dg_hamiltonian_residuals,
                                dg_run, tau_recovery)
+from .errors import ConfigInvalid
 from .exact import QC
 from .garnier import (coordinates_from_spectral, hamiltonian_from_residues,
                       omega_rep_residual, v2_rep_residual, w_rep_residual)
@@ -150,17 +151,14 @@ def garnier_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
 
 def oracle_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     """Trajectory of the coupled recurrences against spectral values."""
-    traj = dg_run(ws, n_max)
-    d0 = state_delta(traj[0], dg_from_spectral(ws, 0))
-    out = [CheckResult.make("dGarnier:init", d0, tol, 0)]
-    for st in traj[1:]:
-        oracle_state = dg_from_spectral(ws, st.n)
-        out.append(CheckResult.make("dGarnier:ab", state_delta(st, oracle_state),
-                                    tol, st.n))
-    hres = dg_hamiltonian_residuals(ws, max(1, n_max // 2))
-    out.append(CheckResult.make("dGarnier:ham", hres["advanced"], tol,
-                                max(1, n_max // 2),
-                                note="advanced-level roots"))
+    out = [CheckResult.make("dGarnier:ab" if st.n else "dGarnier:init",
+                            state_delta(st, dg_from_spectral(ws, st.n)),
+                            tol, st.n)
+           for st in dg_run(ws, n_max)]
+    n = max(1, n_max // 2)
+    out.append(CheckResult.make("dGarnier:ham",
+                                dg_hamiltonian_residuals(ws, n)["advanced"],
+                                tol, n, note="advanced-level roots"))
     return out
 
 
@@ -169,23 +167,26 @@ def state_delta(a, b) -> mpf:
     return rel_error(a.f + a.omega, b.f + b.omega, 1)
 
 
-def tau_delta(ws: SpectralWorkspace, rec: dict, n: int) -> mpf:
-    """Relative distance of the recovered I_n from the oracle determinant."""
-    return rel_error(rec["I"][n], ws.oracle.det(n), 1e-30)
+def tau_levels(ws: SpectralWorkspace, n_max: int) -> tuple:
+    """(rec, deltas): ``tau_recovery`` on the trajectory to n_max + 2, and
+    the relative distance of each recovered I_n, n <= n_max, from the
+    oracle determinant; formed once per workspace and trajectory length."""
+    def recover():
+        rec = tau_recovery(dg_run(ws, n_max + 2), ws.oracle.moments)
+        top = min(n_max, len(rec["I"]) - 1)
+        return rec, [rel_error(rec["I"][n], ws.oracle.det(n), 1e-30)
+                     for n in range(top + 1)]
+    return ws.memo(("tau", n_max + 2), recover)
 
 
 def tau_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    traj = dg_run(ws, n_max + 2)
-    rec = tau_recovery(traj, ws.oracle.moments)
-    out = [CheckResult.make("tau:lambda-paths", rec["lambda_delta"], tol,
-                            note="two recovery recurrences"),
-           CheckResult.make("tau:rbar0", rec["rbar0_defect"], tol)]
-    top = min(n_max, len(rec["I"]) - 1)
-    worst = max((tau_delta(ws, rec, n) for n in range(top + 1)),
-                default=mpf(0))
-    out.append(CheckResult.make("tau:I", worst, tol, top,
-                                note=f"levels 0..{top}"))
-    return out
+    rec, deltas = tau_levels(ws, n_max)
+    top = len(deltas) - 1
+    return [CheckResult.make("tau:lambda-paths", rec["lambda_delta"], tol,
+                             note="two recovery recurrences"),
+            CheckResult.make("tau:rbar0", rec["rbar0_defect"], tol),
+            CheckResult.make("tau:I", max(deltas), tol, top,
+                             note=f"levels 0..{top}")]
 
 
 def flow_suite(ws: SpectralWorkspace, n: int, tol) -> list:
@@ -224,6 +225,9 @@ SUITE_BUILDERS = {
 
 def run_verification(ws: SpectralWorkspace, checks, n_max: int, tol,
                      seed: int = 1) -> list:
+    if "flow" in checks and ws.oracle.moments.provenance != "rational":
+        raise ConfigInvalid("flow checks need mode: rational "
+                            "(a closed-form deformation family)")
     results = []
     for name in checks:
         if name == "flow":

@@ -27,15 +27,12 @@ from .errors import ConfigInvalid
 from .exact import QC
 from .mputil import parse_exact
 from .polys import pdiff, peval
-from .record import FrozenRecord
+from .record import FrozenRecord, Memo
 
 
-class WeightData(FrozenRecord):
-    """Validated singularity/residue data.  Immutable after construction.
-
-    The mpc images are converted once per working precision and kept in
-    ``_images``, which takes no part in equality or hashing.
-    """
+class WeightData(Memo, FrozenRecord):
+    """Validated singularity/residue data, immutable after construction;
+    its mpc images are formed once per working precision (``memo``)."""
 
     _fields = ("singularities", "residues", "placement")
 
@@ -44,7 +41,7 @@ class WeightData(FrozenRecord):
         self._init(singularities=singularities,     # QC values, ordered
                    residues=residues,      # QC values, aligned with them
                    placement=placement,    # 'canonical' | 'general'
-                   _images={})             # mp.prec -> (zs, rhos) as mpc
+                   _memo={})
 
     @property
     def M(self) -> int:
@@ -62,12 +59,9 @@ class WeightData(FrozenRecord):
         return self.singularities[1:-1]
 
     def _mpc(self) -> tuple:
-        got = self._images.get(mp.prec)
-        if got is None:
-            got = (tuple(s.to_mpc() for s in self.singularities),
-                   tuple(r.to_mpc() for r in self.residues))
-            self._images[mp.prec] = got
-        return got
+        return self.memo("mpc", lambda: (
+            tuple(s.to_mpc() for s in self.singularities),
+            tuple(r.to_mpc() for r in self.residues)))
 
     def singularities_mpc(self):
         return list(self._mpc()[0])
@@ -76,7 +70,7 @@ class WeightData(FrozenRecord):
         return list(self._mpc()[1])
 
 
-class PolyPair(FrozenRecord):
+class PolyPair(Memo, FrozenRecord):
     """Coefficient data of W and 2V plus their symmetric-function vectors.
 
     ``e[l]`` are the elementary symmetric functions of all singularities
@@ -85,9 +79,8 @@ class PolyPair(FrozenRecord):
     convention:  [z^(M-l)] W = (-1)^l e_l,  [z^(M-1-l)] 2V = (-1)^l m_l.
 
     The mpc images (``W_mpc`` ...) and any other data derived from the pair
-    (``memo``) are formed once per working precision and kept in
-    ``_images``, which takes no part in equality or hashing; each image
-    call returns a fresh list.
+    are formed once per working precision (``memo``); each image call
+    returns a fresh list.
     """
 
     _fields = ("weight", "W", "V2", "e", "m")
@@ -99,7 +92,7 @@ class PolyPair(FrozenRecord):
                    V2=V2,      # exact QC coefficients of 2V, degree <= M-1
                    e=e,        # e_0..e_M
                    m=m,        # m_0..m_{M-1}
-                   _images={})  # (what, mp.prec) -> derived data
+                   _memo={})
 
     @property
     def M(self) -> int:
@@ -108,14 +101,6 @@ class PolyPair(FrozenRecord):
     @property
     def N(self) -> int:
         return self.weight.N
-
-    def memo(self, what, make):
-        """make(), computed once per key and working precision."""
-        key = (what, mp.prec)
-        got = self._images.get(key)
-        if got is None:
-            got = self._images[key] = make()
-        return got
 
     def _mpc(self) -> tuple:
         return self.memo("mpc", lambda: tuple(

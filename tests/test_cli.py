@@ -118,9 +118,14 @@ def test_verify_rejects_empty_checks(tmp_path):
     assert main(["--config", path, "verify"]) == 2
 
 
-def test_flow_requires_rational_mode(tmp_path):
+def test_flow_requires_rational_mode(tmp_path, capsys):
+    """One precondition, one message, for both commands."""
     path = write_config(tmp_path, checks=["flow"])
-    assert main(["--config", path, "verify"]) == 2
+    for argv in (["verify"], ["garnier", "--flow-check"]):
+        assert main(["--config", path, *argv,
+                     "--out", str(tmp_path / "out.json")]) == 2
+        assert "flow checks need mode: rational" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("values, message", [
@@ -275,6 +280,47 @@ def test_dgarnier_tau_residuals_set_the_exit_code(tmp_path):
     assert json.loads(out.read_text())["tau"]["max_delta"]["f"] > 0
 
 
+def test_dgarnier_judges_the_checks_verify_reports(tmp_path):
+    """dgarnier --compare-oracle --tau writes the checks of the oracle and
+    tau suites, exactly as verify reports them, and reads its per-level
+    deltas off them."""
+    path = write_config(tmp_path, n_max=10, checks=["oracle", "tau"])
+    dg, report = tmp_path / "dg.json", tmp_path / "verify.json"
+    assert main(["--config", path, "dgarnier", "--compare-oracle", "--tau",
+                 "--out", str(dg)]) == 0
+    assert main(["--config", path, "verify", "--out", str(report)]) == 0
+    data = json.loads(dg.read_text())
+    checks = json.loads(report.read_text())["checks"]
+    assert data["checks"] == checks
+    by_level = {c["n"]: c["residual"] for c in checks
+                if c["id"] in ("dGarnier:init", "dGarnier:ab")}
+    assert [lev["oracle_delta"] for lev in data["levels"]] == \
+        [by_level[n] for n in range(11)]
+    (tau_i,) = [c for c in checks if c["id"] == "tau:I"]
+    assert data["tau"]["max_delta"] == tau_i["residual"]
+    assert len(data["tau"]["I"]) == len(data["levels"]) == 11
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["dgarnier", "--compare-oracle"]],
+                         ids=["verify", "dgarnier"])
+def test_a_wrong_momentum_fails_the_hamiltonian_level_check(
+        tmp_path, monkeypatch, argv):
+    """A planted error in the momenta of ``dg_hamiltonian_residuals`` fails
+    dGarnier:ham under both commands."""
+    from circlebops import discrete_garnier
+
+    momentum = discrete_garnier.momentum
+    monkeypatch.setattr(discrete_garnier, "momentum",
+                        lambda ws, sd, z: momentum(ws, sd, z)
+                        * (1 + mpf(10) ** -12))
+    path = write_config(tmp_path, n_max=6, checks=["oracle"])
+    out = tmp_path / "out.json"
+    assert main(["--config", path] + argv + ["--out", str(out)]) == 1
+    (ham,) = [c for c in json.loads(out.read_text())["checks"]
+              if c["id"] == "dGarnier:ham"]
+    assert not ham["passed"] and ham["residual"]["f"] > 1e-14
+
+
 def _perturbed_f1_at_level_7(monkeypatch):
     """Scale f^1_7 of every trajectory by 1 + 1e-12, so that the two
     lambda recurrences of tau recovery disagree at about 2e-13."""
@@ -370,6 +416,20 @@ def test_rational_sweep_rejects_residues_that_are_not_negative_integers(
                  "--grid=-4.5:-3.5:3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "negative integer" in err
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_grid_point_outside_the_weight_class(
+        tmp_path, capsys):
+    """t1 = 0 and t1 = 1 coincide with a fixed singularity: bad input, so
+    exit 2 before any point runs, and no CSV; -2 is left to a point that
+    degenerates."""
+    path = write_config(tmp_path)
+    out = tmp_path / "s.csv"
+    assert main(["--config", path, "sweep", "--param", "t1",
+                 "--grid", "0:1:3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: singularities 0 and 1 coincide" in err
     assert not out.exists()
 
 

@@ -13,6 +13,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import circlebops
+import circlebops.cli
 from circlebops import errors
 from circlebops import (BopsLevel, DGState, GarnierPoint, MomentSequence,
                         PolyPair, SpectralData, UPoly, WeightData,
@@ -160,6 +161,25 @@ def test_every_check_is_judged_by_check_result_make():
                     node.func.id == "CheckResult":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+# the residual measures of ``report`` and the suites
+RESIDUAL_HELPERS = {"state_delta", "tau_delta", "rel_residual", "rel_error",
+                    "vector_residual"}
+
+
+def test_the_cli_judges_only_the_suites_checks():
+    """Each residual is formed once, in the suites: ``cli`` builds no
+    ``CheckResult`` and imports no residual measure."""
+    tree = ast.parse(Path(circlebops.cli.__file__).read_text())
+    made = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "make"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "CheckResult"]
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names if alias.name in RESIDUAL_HELPERS]
+    assert not made and not imported, (made, imported)
 
 
 # one class per cause of an abort, base class first
@@ -315,7 +335,7 @@ def test_record_equality_ignores_the_caches():
     with working_precision(200):
         p.W_mpc()
         p.weight.residues_mpc()
-    assert p._images and not q._images
+    assert p._memo and not q._memo
     assert p == q and hash(p) == hash(q)
     assert p.weight == q.weight and hash(p.weight) == hash(q.weight)
     sd, other = _build(SpectralData), _build(SpectralData)
@@ -326,7 +346,7 @@ def test_record_equality_ignores_the_caches():
 def test_frozen_records_refuse_assignment():
     pair = _pair()
     u = UPoly((mpc(1),))
-    for obj, name in ((pair.weight, "placement"), (pair.weight, "_images"),
+    for obj, name in ((pair.weight, "placement"), (pair.weight, "_memo"),
                       (pair, "W"), (u, "u")):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
