@@ -14,8 +14,7 @@ from .discrete_garnier import (DGState, dg_from_spectral, dg_initial,
                                dg_invert, dg_step, dg_trajectory, tau_recovery)
 from .garnier import (GarnierPoint, canonical_transform,
                       coordinates_from_spectral, hamiltonian)
-from .moments import (MomentSequence, UPoly, build_U, caratheodory,
-                      moment_quadrature, moment_step)
+from .moments import MomentSequence, UPoly, build_U, moment_quadrature
 from .spectral import SpectralData, SpectralWorkspace, spectral_from_oracle
 from .weights import (PolyPair, WeightData, build_poly_pair, build_weight,
                       eval_weight_on_circle)
@@ -24,11 +23,11 @@ __all__ = [
     "BopsLevel", "DGState", "GarnierPoint", "MomentSequence", "PolyPair",
     "SpectralData", "SpectralWorkspace", "ToeplitzOracle", "UPoly",
     "WeightData", "build_U", "build_poly_pair", "build_weight",
-    "canonical_transform", "caratheodory", "coordinates_from_spectral",
+    "canonical_transform", "coordinates_from_spectral",
     "deformation_residuals", "dg_from_spectral", "dg_initial", "dg_invert",
     "dg_step", "dg_trajectory", "eval_weight_on_circle", "hamiltonian",
-    "moment_quadrature", "moment_step", "rational_workspace",
-    "spectral_from_oracle", "tau_recovery", "toeplitz_det",
+    "moment_quadrature", "rational_workspace", "spectral_from_oracle",
+    "tau_recovery", "toeplitz_det",
 ]
 
 __version__ = "0.1.0"

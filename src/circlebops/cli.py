@@ -3,10 +3,14 @@
     circlebops --config run.yaml verify
     circlebops --config run.yaml moments --range -8:8 --out moments.json
     circlebops --config run.yaml bops --nmax 6 --out levels.json
-    circlebops --config run.yaml spectral --nmax 6 [--checks none] --out spectral.json
-    circlebops --config run.yaml garnier --nmax 4 [--flow-check] --out garnier.json
-    circlebops --config run.yaml dgarnier --nmax 8 --compare-oracle --tau --out dg.json
+    circlebops --config run.yaml spectral --nmax 6 --out spectral.json
+    circlebops --config run.yaml garnier --nmax 4 --out garnier.json
+    circlebops --config run.yaml dgarnier --nmax 8 --out dg.json
     circlebops --config run.yaml sweep --param t1 --grid 0.2:0.8:13 --out sweep.csv
+
+The configuration's ``checks`` list names the suites that ``verify``,
+``spectral``, ``garnier`` and ``dgarnier`` judge; each writes their checks
+under ``checks``, and an empty list judges none (``verify`` refuses it).
 
 Exit codes: 0 all residuals below tolerance, 1 residual failure, 2 config
 error (``ConfigInvalid``: bad configuration, argument or weight data), 3
@@ -72,21 +76,16 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=None)
 
     p = sub.add_parser("spectral", parents=[common],
-                       help="emit spectral data and residuals")
+                       help="emit spectral data and the configured checks")
     p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--checks", choices=("all", "none"), default="all",
-                   help="run the identity, bilinear and summation suites")
 
     p = sub.add_parser("garnier", parents=[common],
                        help="emit canonical coordinates")
     p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--flow-check", action="store_true")
 
     p = sub.add_parser("dgarnier", parents=[common],
                        help="iterate the coupled recurrences")
     p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--compare-oracle", action="store_true")
-    p.add_argument("--tau", action="store_true")
 
     p = sub.add_parser("sweep", parents=[common],
                        help="vary one parameter, record first singular level")
@@ -149,11 +148,11 @@ def _dispatch(args, cfg: RunConfig) -> int:
     if cmd == "bops":
         return _cmd_bops(cfg, started)
     if cmd == "spectral":
-        return _cmd_spectral(cfg, args, started)
+        return _cmd_spectral(cfg, started)
     if cmd == "garnier":
-        return _cmd_garnier(cfg, args, started)
+        return _cmd_garnier(cfg, started)
     if cmd == "dgarnier":
-        return _cmd_dgarnier(cfg, args, started)
+        return _cmd_dgarnier(cfg, started)
     if cmd == "sweep":
         return _cmd_sweep(cfg, args, started)
     raise ConfigInvalid(f"unknown command {cmd!r}")
@@ -167,12 +166,16 @@ def check_line(r, tol_text: str) -> str:
             f" < {tol_text}")
 
 
+def _judge(ws, cfg: RunConfig) -> list:
+    """The checks of the suites that the configuration's ``checks`` names."""
+    return run_verification(ws, cfg.checks, cfg.n_max, cfg.tolerance_mpf(),
+                            seed=cfg.seed)
+
+
 def _cmd_verify(cfg: RunConfig, started: float) -> int:
     if not cfg.checks:
         raise ConfigInvalid("verify needs a nonempty checks list")
-    ws = build_workspace(cfg)
-    tol = cfg.tolerance_mpf()
-    results = run_verification(ws, cfg.checks, cfg.n_max, tol, seed=cfg.seed)
+    results = _judge(build_workspace(cfg), cfg)
     tols = {}                   # tolerance -> its text, made once
     for r in results:
         tol_text = tols.get(r.tol._mpf_)
@@ -183,7 +186,7 @@ def _cmd_verify(cfg: RunConfig, started: float) -> int:
     payload = {
         "checks": results,
         "summary": {"total": len(results), "failed": len(bad),
-                    "tolerance": jsonout.real_field(tol),
+                    "tolerance": cfg.tolerance_mpf(),
                     "n_max": cfg.n_max, "mode": cfg.mode,
                     "precision_bits": cfg.precision_bits},
     }
@@ -208,8 +211,8 @@ def _cmd_moments(cfg: RunConfig, args, started: float) -> int:
         entry = {"k": k}
         entry.update(jsonout.complex_field(ms.w(k)))
         in_window = k - ms.pair.M >= ms.k_min and k <= ms.k_max
-        entry["residual"] = (jsonout.real_field(ms.equation_residual(k))
-                             if in_window else jsonout.real_field(0))
+        entry["residual"] = (ms.equation_residual(k) if in_window
+                             else mpf(0))
         rows.append(entry)
     _emit({"moments": rows, "provenance": ms.provenance},
           _out_path(cfg, "moments.json"), started)
@@ -226,117 +229,84 @@ def _cmd_bops(cfg: RunConfig, started: float) -> int:
     for n in range(cfg.n_max + 1):
         lev = o.level(n)
         rec = {
-            "n": n, "I": jsonout.complex_field(lev.I),
-            "kappa": jsonout.complex_field(lev.kappa),
-            "gauge": lev.gauge,
-            "r": jsonout.complex_field(lev.r),
-            "rbar": jsonout.complex_field(lev.rbar),
-            "lambda": jsonout.complex_field(lev.lam),
-            "lambdabar": jsonout.complex_field(lev.lambar),
-            "mu": jsonout.complex_field(lev.mu),
-            "mubar": jsonout.complex_field(lev.mubar),
-            "nu": jsonout.complex_field(lev.nu),
-            "nubar": jsonout.complex_field(lev.nubar),
-            "phi": jsonout.complex_list(lev.phi),
-            "phibar": jsonout.complex_list(lev.phibar),
+            "n": n, "I": lev.I, "kappa": lev.kappa, "gauge": lev.gauge,
+            "r": lev.r, "rbar": lev.rbar,
+            "lambda": lev.lam, "lambdabar": lev.lambar,
+            "mu": lev.mu, "mubar": lev.mubar, "nu": lev.nu, "nubar": lev.nubar,
+            "phi": lev.phi, "phibar": lev.phibar,
             "gauge_dependent_fields": list(GAUGE_DEPENDENT),
         }
         if n >= 1:
-            rec["residual_I0"] = jsonout.real_field(residuals["I0", n])
-            rec["residual_l"] = jsonout.real_field(residuals["l:kappa", n])
+            rec["residual_I0"] = residuals["I0", n]
+            rec["residual_l"] = residuals["l:kappa", n]
         levels.append(rec)
-    _emit({"levels": levels, "tolerance": jsonout.real_field(tol)},
+    _emit({"levels": levels, "tolerance": tol},
           _out_path(cfg, "levels.json"), started)
     return _verdict(results)
 
 
-def _cmd_spectral(cfg: RunConfig, args, started: float) -> int:
+def _cmd_spectral(cfg: RunConfig, started: float) -> int:
     ws = build_workspace(cfg)
-    tol = cfg.tolerance_mpf()
     records = []
     for n in range(cfg.n_max + 1):
         sd = ws.data(n)
         mats = residue_matrices(ws, n)
-        rec = {
-            "n": n,
-            "theta": jsonout.complex_list(sd.theta),
-            "omega": jsonout.complex_list(sd.omega),
-            "thetastar": jsonout.complex_list(sd.thetastar),
-            "omegastar": jsonout.complex_list(sd.omegastar),
-            "band_residual": jsonout.real_field(sd.band_residual),
-            "residues": [jsonout.matrix_field(m) for m in mats],
-            "residue_infinity": jsonout.matrix_field(a_infinity(mats)),
-        }
-        records.append(rec)
-    results = [] if args.checks == "none" else run_verification(
-        ws, ["identities", "bilinear", "summation"], cfg.n_max, tol,
-        seed=cfg.seed)
-    _emit({"levels": records, "residuals": results},
+        records.append({
+            "n": n, "theta": sd.theta, "omega": sd.omega,
+            "thetastar": sd.thetastar, "omegastar": sd.omegastar,
+            "band_residual": sd.band_residual,
+            "residues": mats, "residue_infinity": a_infinity(mats),
+        })
+    results = _judge(ws, cfg)
+    _emit({"levels": records, "checks": results},
           _out_path(cfg, "spectral.json"), started)
     return _verdict(results)
 
 
-def _cmd_garnier(cfg: RunConfig, args, started: float) -> int:
+def _cmd_garnier(cfg: RunConfig, started: float) -> int:
     ws = build_workspace(cfg)
     recs = []
     for n in range(cfg.n_max + 1):
         pt = coordinates_from_spectral(ws, n)
         info = riemann_exponents(ws, n)
-        recs.append({
-            "n": n,
-            "q": jsonout.complex_list(pt.q),
-            "p": jsonout.complex_list(pt.p),
-            "K": jsonout.complex_list(pt.K),
-            "theta_inf": jsonout.complex_field(pt.theta_inf),
-            "exponents": {
-                "origin": jsonout.complex_field(info["exponents"]["origin"]),
-                "one": jsonout.complex_field(info["exponents"]["one"]),
-                "free": jsonout.complex_list(info["exponents"]["free"]),
-                "infinity": jsonout.complex_field(
-                    info["exponents"]["infinity"]),
-            },
-            "accessory": jsonout.complex_field(info["accessory"]),
-        })
-    flow_results = run_verification(ws, ["flow"] if args.flow_check else [],
-                                    cfg.n_max, cfg.tolerance_mpf())
-    _emit({"levels": recs, "flow": flow_results},
+        recs.append({"n": n, "q": pt.q, "p": pt.p, "K": pt.K,
+                     "theta_inf": pt.theta_inf, **info})
+    results = _judge(ws, cfg)
+    _emit({"levels": recs, "checks": results},
           _out_path(cfg, "garnier.json"), started)
-    return _verdict(flow_results)
+    return _verdict(results)
 
 
-def _cmd_dgarnier(cfg: RunConfig, args, started: float) -> int:
+def _cmd_dgarnier(cfg: RunConfig, started: float) -> int:
     ws = build_workspace(cfg)
-    suites = [name for name, on in (("oracle", args.compare_oracle),
-                                    ("tau", args.tau)) if on]
+    tau = "tau" in cfg.checks
     singular, traj, checks = None, [], []
     try:
         # the tau suite recovers from the trajectory to n_max + 2
-        dg_run(ws, cfg.n_max + (2 if args.tau else 0))
+        dg_run(ws, cfg.n_max + (2 if tau else 0))
     except SingularStep as exc:
         singular = {"index": exc.index, "factor": exc.factor,
                     "message": str(exc)}
     else:
         traj = dg_run(ws, cfg.n_max)
-        checks = run_verification(ws, suites, cfg.n_max, cfg.tolerance_mpf())
+        checks = _judge(ws, cfg)
     deltas = [c.residual for c in checks
               if c.label in ("dGarnier:init", "dGarnier:ab")]
-    levels = [{"n": st.n, "f": jsonout.complex_list(st.f),
-               "omega": jsonout.complex_list(st.omega)} for st in traj]
+    levels = [{"n": st.n, "f": st.f, "omega": st.omega} for st in traj]
     payload = {"levels": levels, "singular": singular, "checks": checks}
-    if args.compare_oracle:
+    if "oracle" in cfg.checks:
         for level, delta in zip(levels, deltas):
-            level["oracle_delta"] = jsonout.real_field(delta)
-        payload["max_oracle_delta"] = jsonout.real_field(
-            max(deltas, default=mpf(0)))
-    if args.tau and traj:
+            level["oracle_delta"] = delta
+        payload["max_oracle_delta"] = max(deltas, default=mpf(0))
+    if tau and traj:
         recovered, tau_deltas = tau_levels(ws, cfg.n_max)
         judged = {c.label: c.residual for c in checks}
         payload["tau"] = {
-            "I": [{"n": n, "delta": jsonout.real_field(delta),
+            "I": [{"n": n, "delta": delta,
                    **jsonout.complex_field(recovered["I"][n])}
                   for n, delta in enumerate(tau_deltas)],
-            "lambda_paths": jsonout.real_field(judged["tau:lambda-paths"]),
-            "max_delta": jsonout.real_field(judged["tau:I"])}
+            "lambda_paths": judged["tau:lambda-paths"],
+            "max_delta": judged["tau:I"]}
     _emit(payload, _out_path(cfg, "dg.json"), started)
     return EXIT_SINGULAR if singular else _verdict(checks)
 

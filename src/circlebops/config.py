@@ -86,16 +86,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     if mode not in MODES:
         raise ConfigInvalid(f"mode must be one of {MODES}, got {mode!r}")
     bits = raw.get("precision_bits", 128)
-    if not isinstance(bits, int) or bits < 53:
+    if not _is_number(bits, int) or bits < 53:
         raise ConfigInvalid("precision_bits must be an integer >= 53")
     tol = raw.get("tolerance", 1e-20)
-    if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol < 0:
+    if not _is_number(tol, (int, float)) or not math.isfinite(tol) or tol < 0:
         raise ConfigInvalid("tolerance must be a finite nonnegative number")
     n_max = raw.get("n_max", 8)
-    if not isinstance(n_max, int) or n_max < 1:
+    if not _is_number(n_max, int) or n_max < 1:
         raise ConfigInvalid("n_max must be an integer >= 1")
     seed = raw.get("seed", 1)
-    if not isinstance(seed, int):
+    if not _is_number(seed, int):
         raise ConfigInvalid("seed must be an integer")
     checks = raw.get("checks", ["identities", "bilinear", "summation",
                                 "oracle", "tau"])
@@ -126,7 +126,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigInvalid("seeds must be a mapping")
     seed_start = sblock.get("start", -1)
     seed_values = sblock.get("values", [])
-    if not isinstance(seed_start, int) or not isinstance(seed_values, list):
+    if not _is_number(seed_start, int) or not isinstance(seed_values, list):
         raise ConfigInvalid("seeds need an integer start and a values list")
     if mode == "formal":
         _exact_values("seed", seed_values)
@@ -142,11 +142,21 @@ def config_from_dict(raw: dict) -> RunConfig:
                      out=str(raw.get("out", "")))
 
 
+def _is_number(x, kinds) -> bool:
+    """x is of the given kinds and not a bool: Python counts a bool as an
+    int, and YAML reads true, false, yes, no, on and off as bools."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def _exact_values(name: str, values: list) -> list:
     """Each scalar as an exact rational, or ConfigInvalid naming it; a
-    non-finite float has no exact value."""
+    non-finite float or a bool has no exact value."""
     out = []
     for raw_value in values:
+        parts = raw_value if isinstance(raw_value, (list, tuple)) \
+            else [raw_value]
+        if any(isinstance(x, bool) for x in parts):
+            raise ConfigInvalid(f"bad {name} {raw_value!r}: not a number")
         try:
             out.append(parse_exact(raw_value))
         except (TypeError, ValueError, ZeroDivisionError,

@@ -15,7 +15,10 @@ re-serialised that way compares equal.  It does not call ``json.dump``:
 json's C encoder makes only compact text, held whole in memory, so json
 runs its pure-Python encoder whenever it streams or indents, and on a
 verify report that encoder took about half of the output stage.
-``dump`` is a small writer instead.  A ``report.CheckResult`` anywhere in a
+``dump`` is a small writer instead, and it alone renders high-precision
+numbers.  An ``mpf`` leaf is written as the object ``{"f", "s"}`` and an
+``mpc`` leaf as ``complex_field`` of it, so a payload holds the values
+themselves, in lists and matrices too.  A ``report.CheckResult`` anywhere in a
 payload is rendered straight to the text of its JSON object: the residual
 with one decimal conversion, each distinct tolerance once per dump, the id
 and note escaped by json's own C ``encode_basestring_ascii``, ``n`` only
@@ -45,24 +48,11 @@ def _scalar(x):
             f if math.isfinite(f) else None)
 
 
-def real_field(x):
-    s, f = _scalar(x)
-    return {"s": s, "f": f}
-
-
 def complex_field(z):
+    """The fields of z, to merge with other keys in one JSON object."""
     z = mpc(z)
     (re, re_f), (im, im_f) = _scalar(z.real), _scalar(z.imag)
     return {"re": re, "im": im, "re_f": re_f, "im_f": im_f}
-
-
-def complex_list(vals):
-    return [complex_field(v) for v in vals]
-
-
-def matrix_field(m):
-    return [[complex_field(m[i][j]) for j in range(len(m[i]))]
-            for i in range(len(m))]
 
 
 def dump(payload, path: str) -> None:
@@ -120,6 +110,10 @@ def _text(value, indent) -> str:
             _text(v, inner) for v in value) + indent + "]"
     if isinstance(value, str):
         return _quote(value)
+    if isinstance(value, mpf):
+        return _real(value, indent)
+    if isinstance(value, mpc):
+        return _text(complex_field(value), indent)
     if value is None:
         return "null"
     if value is True:
@@ -138,7 +132,7 @@ def _text(value, indent) -> str:
 
 
 def _real(x, indent) -> str:
-    """The text of ``real_field(x)``."""
+    """The text of the object ``{"f", "s"}`` of x."""
     s, f = _scalar(x)
     inner = indent + " "
     return (f'{{{inner}"f": {"null" if f is None else float.__repr__(f)},'

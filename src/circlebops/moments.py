@@ -276,25 +276,6 @@ class ReflectedMoments:
         self.moments.extend(-kmax, -kmin)
 
 
-def moment_step(moments: MomentSequence, j: int, direction: str = "forward"):
-    """One recurrence step producing the moment at index j.
-
-    Forward solves for w_j from the window below it, backward from the window
-    above, at the sequence's precision; the sequence itself is not modified.
-    """
-    if direction == "forward":
-        window = {k: v for k, v in moments.values.items() if k < j}
-    elif direction == "backward":
-        window = {k: v for k, v in moments.values.items() if k > j}
-    else:
-        raise ValueError("direction must be 'forward' or 'backward'")
-    probe = MomentSequence(moments.pair, window, moments.seed_lo,
-                           moments.seed_hi, moments.provenance, moments.exact)
-    probe.plan = moments.plan
-    probe.extend(j, j)
-    return probe.values[j]
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -499,9 +480,6 @@ class UPoly(FrozenRecord):
     def __init__(self, u: tuple):
         self._init(u=u)
 
-    def coeffs(self):
-        return list(self.u)
-
 
 def build_U(moments: MomentSequence) -> UPoly:
     """U from the seed window, canonical placement.
@@ -557,23 +535,6 @@ def caratheodory_series(moments: MomentSequence, nterms: int):
     for k in range(1, nterms):
         out.append(2 * to_mpc(moments.w(k)))
     return out
-
-
-def caratheodory(moments: MomentSequence, z, truncation: int):
-    """Truncated F(z) for |z| < 1, plus a geometric tail estimate."""
-    z = to_mpc(z)
-    if abs(z) >= 1:
-        raise ValueError("series evaluation needs |z| < 1")
-    coeffs = caratheodory_series(moments, truncation + 1)
-    val = peval(coeffs, z)
-    last = abs(coeffs[-1] * z ** truncation)
-    prev = abs(coeffs[-2] * z ** (truncation - 1)) if truncation >= 2 else last
-    ratio = last / prev if prev > 0 else abs(z)
-    if ratio >= 1:
-        tail = mpf("inf")
-    else:
-        tail = last * ratio / (1 - ratio)
-    return val, tail
 
 
 def caratheodory_ode_residual(moments: MomentSequence, upoly: UPoly,

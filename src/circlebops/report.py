@@ -90,10 +90,6 @@ class CheckResult(Record):
                    passed=bool(residual < tol), note=note)
 
 
-def worst(results) -> mpf:
-    return max((r.residual for r in results), default=mpf(0))
-
-
 def all_passed(results) -> bool:
     return all(r.passed for r in results)
 

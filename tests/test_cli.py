@@ -113,6 +113,24 @@ def test_invalid_values_exit_config_code(tmp_path, capsys, yaml_overrides,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("precision_bits", True), ("tolerance", True), ("n_max", True),
+    ("seed", False), ("seeds", {"start": True}),
+    ("weight", {"residues": [["1/3", True], ["-1/2", 0], ["1/4", 0]]}),
+    ("weight", {"singularities": [[0, 0], [True, "1/5"], [1, 0]]}),
+    ("seeds", {"values": [[0.31, 0.17], [True, 0]]}),
+], ids=["precision_bits", "tolerance", "n_max", "seed", "seeds.start",
+        "residue", "singularity", "seed-value"])
+def test_a_yaml_boolean_is_not_a_number(tmp_path, capsys, key, value):
+    """Python counts a bool as an int, and YAML reads true, yes and on as
+    one: each number of a configuration refuses it."""
+    out = tmp_path / "v.json"
+    path = write_config(tmp_path, out=str(out), **{key: value})
+    assert main(["--config", path, "verify"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_rejects_empty_checks(tmp_path):
     path = write_config(tmp_path, checks=[])
     assert main(["--config", path, "verify"]) == 2
@@ -121,7 +139,7 @@ def test_verify_rejects_empty_checks(tmp_path):
 def test_flow_requires_rational_mode(tmp_path, capsys):
     """One precondition, one message, for both commands."""
     path = write_config(tmp_path, checks=["flow"])
-    for argv in (["verify"], ["garnier", "--flow-check"]):
+    for argv in (["verify"], ["garnier"]):
         assert main(["--config", path, *argv,
                      "--out", str(tmp_path / "out.json")]) == 2
         assert "flow checks need mode: rational" in capsys.readouterr().err
@@ -228,7 +246,7 @@ def test_bops_output_marks_gauge_dependence(tmp_path):
 
 def test_bops_residuals_set_the_exit_code(tmp_path):
     """bops judges the Toeplitz residuals it writes against the tolerance,
-    as spectral judges its checks."""
+    as spectral judges the configured checks."""
     path = write_config(tmp_path)
     for command in ("bops", "spectral"):
         out = tmp_path / f"{command}.json"
@@ -245,7 +263,7 @@ def test_spectral_output(tmp_path):
     lev = data["levels"][2]
     assert len(lev["theta"]) == 2 and len(lev["omega"]) == 3
     assert len(lev["residues"]) == 3
-    assert any(r["id"] == "OTeq:a" for r in data["residuals"])
+    assert any(r["id"] == "Cas:a" for r in data["checks"])
 
 
 def test_garnier_output(tmp_path):
@@ -260,10 +278,10 @@ def test_garnier_output(tmp_path):
 
 
 def test_dgarnier_compare_and_tau(tmp_path):
-    path = write_config(tmp_path)
+    path = write_config(tmp_path, checks=["oracle", "tau"])
     out = tmp_path / "dg.json"
     assert main(["--config", path, "dgarnier", "--nmax", "6",
-                 "--compare-oracle", "--tau", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["max_oracle_delta"]["f"] < 1e-25
     assert data["tau"]["max_delta"]["f"] < 1e-25
@@ -271,23 +289,22 @@ def test_dgarnier_compare_and_tau(tmp_path):
 
 
 def test_dgarnier_tau_residuals_set_the_exit_code(tmp_path):
-    """--tau judges tau.max_delta and tau.lambda_paths against the
-    tolerance, as --compare-oracle judges its deltas."""
-    path = write_config(tmp_path)
+    """The tau suite judges tau.max_delta and tau.lambda_paths against the
+    tolerance, as the oracle suite judges the deltas."""
+    path = write_config(tmp_path, checks=["tau"])
     out = tmp_path / "dg.json"
     assert main(["--config", path, "--tol", "0", "dgarnier", "--nmax", "6",
-                 "--tau", "--out", str(out)]) == 1
+                 "--out", str(out)]) == 1
     assert json.loads(out.read_text())["tau"]["max_delta"]["f"] > 0
 
 
 def test_dgarnier_judges_the_checks_verify_reports(tmp_path):
-    """dgarnier --compare-oracle --tau writes the checks of the oracle and
-    tau suites, exactly as verify reports them, and reads its per-level
-    deltas off them."""
+    """dgarnier with checks [oracle, tau] writes the checks of the oracle
+    and tau suites, exactly as verify reports them, and reads its
+    per-level deltas off them."""
     path = write_config(tmp_path, n_max=10, checks=["oracle", "tau"])
     dg, report = tmp_path / "dg.json", tmp_path / "verify.json"
-    assert main(["--config", path, "dgarnier", "--compare-oracle", "--tau",
-                 "--out", str(dg)]) == 0
+    assert main(["--config", path, "dgarnier", "--out", str(dg)]) == 0
     assert main(["--config", path, "verify", "--out", str(report)]) == 0
     data = json.loads(dg.read_text())
     checks = json.loads(report.read_text())["checks"]
@@ -301,7 +318,7 @@ def test_dgarnier_judges_the_checks_verify_reports(tmp_path):
     assert len(data["tau"]["I"]) == len(data["levels"]) == 11
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["dgarnier", "--compare-oracle"]],
+@pytest.mark.parametrize("argv", [["verify"], ["dgarnier"]],
                          ids=["verify", "dgarnier"])
 def test_a_wrong_momentum_fails_the_hamiltonian_level_check(
         tmp_path, monkeypatch, argv):
@@ -336,7 +353,7 @@ def _perturbed_f1_at_level_7(monkeypatch):
     monkeypatch.setattr(discrete_garnier, "dg_step", perturbed)
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["dgarnier", "--tau"]],
+@pytest.mark.parametrize("argv", [["verify"], ["dgarnier"]],
                          ids=["verify", "dgarnier"])
 def test_disagreeing_lambda_paths_fail_a_check(tmp_path, monkeypatch, argv):
     """Two recovery routes that disagree are a failed check (exit 1),
@@ -558,12 +575,12 @@ def test_module_entry_point_help():
 
 def test_garnier_flow_check_cli(tmp_path):
     path = tmp_path / "r.yaml"
-    path.write_text(yaml.safe_dump(RATIONAL_M3))
+    path.write_text(yaml.safe_dump({**RATIONAL_M3, "checks": ["flow"]}))
     out = tmp_path / "g.json"
     assert main(["--config", str(path), "garnier", "--nmax", "2",
-                 "--flow-check", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert data["flow"] and all(c["passed"] for c in data["flow"])
+    assert data["checks"] and all(c["passed"] for c in data["checks"])
 
 
 def test_quadrature_mode_pipeline(tmp_path):
@@ -584,14 +601,32 @@ def test_quadrature_mode_pipeline(tmp_path):
     assert data["levels"][2]["residual_I0"]["f"] < 1e-20
 
 
-def test_spectral_checks_accepts_all_or_none(tmp_path):
-    path = write_config(tmp_path)
-    out = tmp_path / "s.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", path, "spectral", "--nmax", "2",
-              "--checks", "nonsense", "--out", str(out)])
-    assert exc.value.code == 2
-    assert not out.exists()
-    assert main(["--config", path, "spectral", "--nmax", "2",
-                 "--checks", "none", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["residuals"] == []
+def test_an_empty_checks_list_judges_nothing(tmp_path):
+    """checks: [] writes the data of spectral, garnier and dgarnier with
+    no checks and exits 0, even at tolerance 0."""
+    path = write_config(tmp_path, checks=[])
+    out = tmp_path / "out.json"
+    for command in ("spectral", "garnier", "dgarnier"):
+        assert main(["--config", path, "--tol", "0", command, "--nmax", "2",
+                     "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["checks"] == [] and len(data["levels"]) == 3
+
+
+@pytest.mark.parametrize("command", ["spectral", "garnier", "dgarnier"])
+def test_every_command_judges_the_configured_checks_as_verify(tmp_path,
+                                                              command):
+    """The config's checks list picks the suites of every command that
+    judges checks, and each writes them under checks as verify reports
+    them.  The identity suite is left out: its Casoratian checks form
+    longer series, so whether they run before or after a command's data
+    moves digits (ROADMAP item 2)."""
+    path = write_config(tmp_path, n_max=6,
+                        checks=["bilinear", "summation", "oracle", "tau"])
+    out, report = tmp_path / "out.json", tmp_path / "verify.json"
+    assert main(["--config", path, command, "--out", str(out)]) == 0
+    assert main(["--config", path, "verify", "--out", str(report)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert checks == json.loads(report.read_text())["checks"]
+    assert {c["id"] for c in checks} >= {"OTeq:a", "Ssum:d", "dGarnier:ab",
+                                          "tau:I"}

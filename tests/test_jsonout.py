@@ -1,5 +1,5 @@
-"""The report writer: a check rendered straight to text is the text
-``json.dump`` makes of the check's JSON object."""
+"""The report writer: a check, an mpf or an mpc rendered straight to text
+is the text ``json.dump`` makes of its JSON object."""
 
 import json
 import math
@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from circlebops import jsonout
 from circlebops.cli import check_line
@@ -21,6 +21,12 @@ def reference_real(x):
     f = float(x)
     return {"s": mpmath.nstr(x, mp.dps + 4, strip_zeros=True),
             "f": f if math.isfinite(f) else None}
+
+
+def reference_complex(z):
+    """The JSON object of an mpc: the fields of ``jsonout.complex_field``."""
+    re, im = reference_real(z.real), reference_real(z.imag)
+    return {"re": re["s"], "im": im["s"], "re_f": re["f"], "im_f": im["f"]}
 
 
 def reference_check(r):
@@ -63,12 +69,27 @@ def checks(draw):
         note=draw(st.one_of(st.just(""), TEXT)))
 
 
-# where a command puts its checks: verify, spectral, garnier --flow-check
-def payloads(checks):
-    return [{"checks": checks, "summary": {"total": len(checks)}},
-            {"levels": [{"n": 0}], "residuals": checks},
-            {"levels": [], "flow": checks},
-            {"deeper": [{"a": checks, "b": checks[:1]}]}]
+def reference(value):
+    if isinstance(value, CheckResult):
+        return reference_check(value)
+    if isinstance(value, mpc):
+        return reference_complex(value)
+    return reference_real(value)
+
+
+# where a command puts its checks and numbers: every command that judges
+# checks writes them under "checks", verify beside its summary and the
+# others beside their levels of bare mpf and mpc values, in lists and
+# 2x2 matrices
+def payloads(checks, x, z):
+    return [{"checks": checks, "summary": {"total": len(checks),
+                                           "tolerance": x}},
+            {"levels": [{"n": 0, "I": z, "phi": [z, z], "delta": x,
+                         "residues": [[[z, z], [z, z]]]}],
+             "checks": checks},
+            {"levels": [], "checks": checks, "max_delta": x},
+            {"deeper": [{"a": checks, "b": checks[:1], "c": [x, z]}]},
+            [x, [z], [[z, x]]]]
 
 
 @pytest.fixture(scope="module")
@@ -77,21 +98,24 @@ def out_path(tmp_path_factory):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(checks(), max_size=4), st.sampled_from((53, 128, 256)),
-       st.floats(0, 1e6))
-def test_checks_render_as_json_dumps_of_their_objects(out_path, results,
-                                                      bits, timing):
-    """Every payload shape a command writes, plus a bare check and a
-    deeper nesting; repeated tolerances exercise the writer's cache."""
+@given(st.lists(checks(), max_size=4), values(), values(), values(),
+       st.sampled_from((53, 128, 256)), st.floats(0, 1e6))
+def test_checks_render_as_json_dumps_of_their_objects(out_path, results, x,
+                                                      re, im, bits, timing):
+    """Every payload shape a command writes, plus a bare check, a bare mpf,
+    a bare mpc and a deeper nesting; repeated tolerances exercise the
+    writer's cache."""
     results += results[:2]
     with working_precision(bits):
-        shapes = payloads(results) + ([results[0]] if results else [])
+        z = mpc(re, im)
+        shapes = payloads(results, x, z) + [x, z] + (
+            [results[0]] if results else [])
         for payload in shapes:
             if isinstance(payload, dict):
                 payload["timing_s"] = timing
             jsonout.dump(payload, str(out_path))
             assert out_path.read_text() == json.dumps(
-                payload, default=reference_check, indent=1, sort_keys=True,
+                payload, default=reference, indent=1, sort_keys=True,
                 allow_nan=False) + "\n"
 
 
@@ -111,7 +135,7 @@ def test_the_writer_refuses_what_json_refuses(out_path):
         with pytest.raises(ValueError, match="not JSON compliant"):
             jsonout.dump({"timing_s": bad}, str(out_path))
     with pytest.raises(TypeError, match="not JSON serializable"):
-        jsonout.dump({"x": [mpf(1)]}, str(out_path))
+        jsonout.dump({"x": [object()]}, str(out_path))
 
 
 def test_empty_and_scalar_payloads(out_path):

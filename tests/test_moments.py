@@ -11,12 +11,10 @@ from circlebops.deform import rational_workspace
 from circlebops.errors import SingularStep
 from circlebops.exact import QC
 from circlebops.moments import (BACKWARD_PIVOT_FLOOR, MomentSequence,
-                                build_U,
-                                caratheodory,
-                                caratheodory_ode_residual,
+                                build_U, caratheodory_ode_residual,
                                 caratheodory_series, moment_quadrature,
-                                moment_step, rational_weight_moments,
-                                recurrence_row, u_from_series)
+                                rational_weight_moments, recurrence_row,
+                                u_from_series)
 from circlebops.mputil import working_precision
 from circlebops.polys import padd, pmul
 from circlebops.weights import build_poly_pair, build_weight
@@ -99,29 +97,6 @@ def test_seed_count_enforced():
     with pytest.raises(ValueError, match="exactly 2 consecutive moments "
                        "free, got 3 seeds"):
         MomentSequence.from_seeds(pair, -1, [mpc(1), mpc(2), mpc(3)])
-
-
-def test_moment_step_directions():
-    pair, seeds = _pair_m3()
-    ms = MomentSequence.from_seeds(pair, -1, seeds)
-    ms.extend(-5, 5)
-    fwd = moment_step(ms, 6, "forward")
-    bwd = moment_step(ms, -6, "backward")
-    ms.extend(-6, 6)
-    assert abs(fwd - ms.w(6)) < mpf(1e-30)
-    assert abs(bwd - ms.w(-6)) < mpf(1e-30)
-
-
-def test_moment_step_is_the_sequence_step_bit_for_bit():
-    """The probe steps at the sequence's precision, as the sequence does,
-    not at the caller's."""
-    pair, seeds = _pair_m3()
-    with working_precision(128):
-        ms = MomentSequence.from_seeds(pair, -1, seeds)
-        ms.extend(-8, 8)
-        for j, direction in ((6, "forward"), (9, "forward"),
-                             (-6, "backward"), (-9, "backward")):
-            assert moment_step(ms, j, direction) == ms.w(j), j
 
 
 def test_backward_resonance_raises():
@@ -395,19 +370,6 @@ def test_u_closed_form_vs_series():
     U2 = u_from_series(ms)
     for a, b in zip(U1.u, U2.u):
         assert abs(a - b) < mpf(1e-35)
-
-
-def test_caratheodory_basics():
-    w = build_weight([0, "1/3", 1], [0, 0, 0], validate=False)
-    pair = build_poly_pair(w)
-    ms = MomentSequence.from_seeds(pair, -1, [mpc(0), mpc(1)])
-    val, tail = caratheodory(ms, mpc("0.3", "0.2"), 40)
-    assert abs(val - 1) < mpf(1e-30)
-
-    pair2, seeds = _pair_m3()
-    ms2 = MomentSequence.from_seeds(pair2, -1, seeds)
-    v0, _ = caratheodory(ms2, mpc(0), 10)
-    assert abs(v0 - ms2.w(0)) == 0
 
 
 def test_caratheodory_ode_residual():

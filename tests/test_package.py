@@ -182,6 +182,20 @@ def test_the_cli_judges_only_the_suites_checks():
     assert not made and not imported, (made, imported)
 
 
+def test_every_cli_judgement_runs_the_configured_checks():
+    """The config's checks list picks the suites of every command: each
+    ``run_verification`` call in ``cli`` passes ``cfg.checks``, so no
+    command chooses suites of its own."""
+    tree = ast.parse(Path(circlebops.cli.__file__).read_text())
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "run_verification"]
+    passed = [ast.unparse(node.args[1]) if len(node.args) > 1 else None
+              for node in calls]
+    assert passed and set(passed) == {"cfg.checks"}, passed
+
+
 # one class per cause of an abort, base class first
 CAUSES = ("CircleBopsError", "ConfigInvalid", "Degenerate", "SingularStep",
           "NonConvergent")
