@@ -102,6 +102,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(checks, list) or \
             any(c not in KNOWN_CHECKS for c in checks):
         raise ConfigInvalid(f"checks must be a subset of {KNOWN_CHECKS}")
+    if len(set(checks)) != len(checks):
+        raise ConfigInvalid("checks must name each suite at most once")
     wblock = raw.get("weight")
     if not isinstance(wblock, dict):
         raise ConfigInvalid("missing weight block")

@@ -38,8 +38,7 @@ class Plan(FrozenRecord):
     computed at p; the comment beside each names its reader."""
 
     _fields = ("working", "sequence", "lu_floor", "denominator_floor",
-               "degeneracy_floor", "band_alarm", "ode_skip",
-               "root_floor_unit", "w_floor_unit", "flow_radius",
+               "degeneracy_floor", "band_alarm", "flow_radius",
                "flow_tolerance", "quadrature_tolerance",
                "quadrature_acceptance", "closure_tolerance")
 
@@ -52,9 +51,6 @@ class Plan(FrozenRecord):
                 denominator_floor=ten ** (-(p // 2)),   # discrete_garnier
                 degeneracy_floor=ten ** (-(p // 3)),    # Garnier coordinates
                 band_alarm=ten ** (-(p // 4) + 2),      # spectral bands
-                ode_skip=ten ** (-p // 4),              # ODE sample points
-                root_floor_unit=two ** (-p + 12),       # roots of Theta_n
-                w_floor_unit=two ** (-p + 8),           # roots of W
                 # deform: the circle radius r (exact); the four-point rule
                 # errs near r^4 = 2^-(3p/4), roundoff near 2^-p / r
                 flow_radius=Fraction(1, 2 ** (3 * p // 16)),

@@ -40,13 +40,6 @@ def ptrim(p):
     return list(p[:k])
 
 
-def pdeg(p) -> int:
-    p = ptrim(p)
-    if len(p) == 1 and not p[0]:
-        return -1
-    return len(p) - 1
-
-
 def padd(a, b):
     n = max(len(a), len(b))
     out = []

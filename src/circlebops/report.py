@@ -7,7 +7,8 @@ evaluated at, the relative residual and the tolerance it was judged against.
 
 The relative residuals of the checks are measured by three helpers:
 ``rel_residual`` (|sum of terms| / max |term|), ``vector_residual`` (the
-same, coefficient-wise over vectors) and ``rel_error`` (|got - want| /
+same, coefficient-wise over vectors: the coefficient lattice and the
+polynomial identities An:pf and 2ODE:a/b) and ``rel_error`` (|got - want| /
 |want|).  Each takes a floor under its scale, which keeps a tiny scale from
 inflating the measure but makes the check absolute for any quantity below
 the floor.  Floors in use: 1 (I0, l:lambda, the endpoint checks,

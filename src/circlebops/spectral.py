@@ -29,16 +29,19 @@ correctness alarm for the whole pipeline (it is the degree-bound check),
 judged against the plan's ``band_alarm``.
 
 The rest of the module turns the coupled recurrences, transition identities,
-bilinear evaluations, summation identities, scalar ODE data and deformation
-(Schlesinger) equations into residual reports.  The checks read point values
-from tables: ``SpectralData`` (per level) and ``SpectralWorkspace`` (for W,
-V and their derivatives) put each polynomial on its exact grid
-(``Grid.of``, derivatives taken on the grid) once and evaluate it once
-per point by ``polys.peval_grid``, Horner's rule in integers with one
-rounding per part.  Every entry is keyed by the working precision, so a
-value cached at one precision never serves another.  The coefficient
-identities (rrCf:a-k) hand their multiplier products to ``vector_residual``
-as factor tuples, which it forms exactly.
+bilinear evaluations, summation identities, the partial fractions of A_n and
+the scalar ODEs into residual reports.  ``SpectralData`` (per level) and
+``SpectralWorkspace`` (for W, V and their derivatives) put each polynomial
+on its exact grid (``Grid.of``, derivatives taken on the grid) once; the
+checks at points evaluate it once per point by ``polys.peval_grid``,
+Horner's rule in integers with one rounding per part.  Every entry is keyed
+by the working precision, so a value cached at one precision never serves
+another.  The coefficient identities (rrCf:a-k) hand their multiplier
+products to ``vector_residual`` as factor tuples, which it forms exactly.
+So do An:pf and 2ODE:a/b: with the denominators cleared, the partial
+fractions of A_n and the scalar ODEs of phi_n and phistar_n are polynomial
+identities, checked coefficient by coefficient with each additive piece a
+vector of its own, and no sample point.
 """
 
 from __future__ import annotations
@@ -51,10 +54,9 @@ from mpmath import mpf, mpc
 from .bops import BopsLevel, ToeplitzOracle
 from .errors import Degenerate
 from .mputil import sample_points, to_mpc
-from .polys import (padd, pdiff, peval_grid, pmul, pscale, pshift, psub,
-                    ptrim, pdeg, pmax_abs)
+from .polys import pdiv_exact_linear, peval_grid, pscale
 from .record import Memo, Record
-from .report import (CheckResult, Grid, largest_abs, ratio, rel_error,
+from .report import (CheckResult, Grid, add_grids, largest_abs, ratio,
                      rel_residual, sqrt_ratio, vector_residual)
 
 # series terms read past the top of the band, z^(n+N+2): the out-of-band
@@ -63,12 +65,9 @@ SERIES_BUFFER = 6
 
 
 class _PointTable(Memo):
-    """Named polynomials, their exact grids ("ddW" is the grid of W'') and
+    """The exact grids of named polynomials ("ddW" is the grid of W'') and
     their values at points, each formed or evaluated once per working
     precision (``Memo``)."""
-
-    def poly(self, name: str) -> list:
-        return self.memo(name, lambda: self._base(name))
 
     def grid(self, name: str) -> Grid:
         """The coefficients of ``name`` as an exact ``Grid``; a derivative
@@ -243,47 +242,52 @@ class SpectralWorkspace(_PointTable):
 # the spectral matrix and its residue matrices
 # ---------------------------------------------------------------------------
 
-def _a_entries(ws: SpectralWorkspace, n: int, points) -> list:
-    """A_n at each (z, inv) of points: the four entry numerators of the
-    spectral parameterisation, each times inv (1/W(z), or 1/W'(z_j) for
-    the residue matrix at z_j)."""
-    sd = ws.data(n)
-    lev_n, lev_n1 = ws.level(n), ws.level(n + 1)
-    kr = ws.kappa_ratio(n)
-    out = []
-    for z, inv in points:
-        Vz = ws.at("V", z)
-        th, om = sd.at("theta", z), sd.at("omega", z)
-        ts, os_ = sd.at("thetastar", z), sd.at("omegastar", z)
-        out.append([[-(om + Vz - kr * z * th) * inv,
-                     (lev_n1.phi0 / lev_n.kappa) * th * inv],
-                    [-(lev_n1.phibar0 / lev_n.kappa) * z * ts * inv,
-                     (os_ - Vz - kr * ts) * inv]])
-    return out
-
-
-def a_matrix(ws: SpectralWorkspace, n: int, z) -> list:
-    """A_n(z) entries from the spectral parameterisation."""
-    z = to_mpc(z)
-    W = ws.poly("W")
-    Wz = ws.at("W", z)
-    floor = ws.memo("W floor", lambda: ws.plan.w_floor_unit *
-                    pmax_abs(W)) * max(abs(z), mpf(1)) ** len(W)
-    if abs(Wz) <= floor:
-        raise Degenerate("A_n evaluated at a zero of W")
-    return _a_entries(ws, n, [(z, 1 / Wz)])[0]
-
-
 def residue_matrices(ws: SpectralWorkspace, n: int) -> list:
-    """A_{n,j} for every finite singularity, in weight order.
+    """A_{n,j} for every finite singularity, in weight order: the four
+    entry numerators of the spectral parameterisation at z_j over W'(z_j).
 
     The origin entry is computed from the same generic formula with the
     z*Theta terms dropping out; its displayed special form and the explicit
     infinity matrix are verified separately by `residue_structure_checks`.
     The workspace keeps them per level and precision.
     """
-    return ws.memo(("residues", n), lambda: _a_entries(
-        ws, n, [(z, 1 / ws.wprime_at(z)) for z in ws.singularities()]))
+    def make():
+        sd = ws.data(n)
+        lev_n, lev_n1 = ws.level(n), ws.level(n + 1)
+        kr = ws.kappa_ratio(n)
+        out = []
+        for z in ws.singularities():
+            inv = 1 / ws.wprime_at(z)
+            Vz = ws.at("V", z)
+            th, om = sd.at("theta", z), sd.at("omega", z)
+            ts, os_ = sd.at("thetastar", z), sd.at("omegastar", z)
+            out.append([[-(om + Vz - kr * z * th) * inv,
+                         (lev_n1.phi0 / lev_n.kappa) * th * inv],
+                        [-(lev_n1.phibar0 / lev_n.kappa) * z * ts * inv,
+                         (os_ - Vz - kr * ts) * inv]])
+        return out
+    return ws.memo(("residues", n), make)
+
+
+def _a_numerators(ws: SpectralWorkspace, n: int) -> list:
+    """The entry numerators of W A_n, each a list of its additive pieces
+    as ``vector_residual`` vectors."""
+    sd = ws.data(n)
+    lev_n, lev_n1 = ws.level(n), ws.level(n + 1)
+    kr = ws.kappa_ratio(n)
+    V, th, ts = ws.grid("V"), sd.grid("theta"), sd.grid("thetastar")
+    return [[[-sd.grid("omega"), -V, (kr, th.shift(1))],
+             [(lev_n1.phi0 / lev_n.kappa, th)]],
+            [[(-(lev_n1.phibar0 / lev_n.kappa), ts.shift(1))],
+             [sd.grid("omegastar"), -V, (-kr, ts)]]]
+
+
+def _w_quotients(ws: SpectralWorkspace) -> list:
+    """W/(z - z_j) for every finite singularity, divided exactly over the
+    weight's rationals and put on grids once per precision."""
+    W = list(ws.pair.W)
+    return ws.memo("W_j", lambda: [Grid.of(pdiv_exact_linear(W, z))
+                                   for z in ws.weight.singularities])
 
 
 def a_infinity(residues: list) -> list:
@@ -300,11 +304,9 @@ def _mat_scale(mats) -> mpf:
     return largest_abs([x for m in mats for row in m for x in row])
 
 
-def residue_structure_checks(ws: SpectralWorkspace, n: int, tol,
-                             seed: int) -> list:
+def residue_structure_checks(ws: SpectralWorkspace, n: int, tol) -> list:
     """Displayed forms of A_{n,0} and A_{n,infinity}, trace values, and the
-    partial-fraction reconstruction of A_n at three sample points drawn
-    from ``seed + n``."""
+    partial fractions of A_n as a polynomial identity."""
     lev = ws.level(n)
     mats = residue_matrices(ws, n)
     ainf = a_infinity(mats)
@@ -333,19 +335,13 @@ def residue_structure_checks(ws: SpectralWorkspace, n: int, tol,
     out.append(CheckResult.make("An:trace", ratio(worst_tr, *scale), tol, n,
                                 note="Tr A_{n,j} = -rho_j at nonzero points"))
 
-    pts = sample_points(3, avoid=zs, seed=seed + n)
-    worst_pf = mpf(0)
-    for z in pts:
-        direct = a_matrix(ws, n, z)
-        rec = [[mpc(0), mpc(0)], [mpc(0), mpc(0)]]
-        for zj, m in zip(zs, mats):
-            f = 1 / (z - zj)
-            for i in range(2):
-                for k in range(2):
-                    rec[i][k] += m[i][k] * f
-        worst_pf = max(worst_pf, rel_error(
-            [rec[i][k] for i in range(2) for k in range(2)],
-            [direct[i][k] for i in range(2) for k in range(2)], 1e-30))
+    # each entry numerator of W A_n against sum_j A_{n,j} W/(z - z_j), as
+    # polynomials
+    wq = _w_quotients(ws)
+    worst_pf = max(vector_residual(
+        pieces + [(-m[a][b], w) for m, w in zip(mats, wq)], 1e-30)
+        for a, row in enumerate(_a_numerators(ws, n))
+        for b, pieces in enumerate(row))
     out.append(CheckResult.make("An:pf", worst_pf, tol, n,
                                 note="partial-fraction reconstruction"))
     return out
@@ -793,131 +789,74 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
 
 
 # ---------------------------------------------------------------------------
-# scalar ODE data
+# the scalar ODEs
 # ---------------------------------------------------------------------------
 
-def _ode_level(ws: SpectralWorkspace, n: int) -> dict:
-    """The per-level constants of the scalar ODE, once per precision: the
-    kappa ratio, the coupling and the root floors of Theta_n and
-    Thetastar_n (before their |z| factor)."""
+def _ode_pieces(ws: SpectralWorkspace, n: int) -> dict:
+    """The scalar ODEs of phi_n and psi = phistar_n with the denominators
+    cleared, once per level and precision.
+
+    phi'' + p1 phi' + p2 phi = 0 times z W^2 Theta, and the starred
+    equation times z W^2 Thetastar, are polynomial identities; "a" and "b"
+    hold the coefficient of the second derivative, that of the first, and
+    the four additive pieces of the p2-coefficient, each an exact grid.  The
+    pieces stay apart because p2 can cancel completely (it vanishes
+    identically at level zero), so a residual is judged against them, not
+    their sum.  "den" is W^2 Theta, the denominator of p2.
+    """
     sd = ws.data(n)
 
     def make():
         l0, l1 = ws.level(n), ws.level(n + 1)
-        unit = ws.plan.root_floor_unit
-        return {"kr": ws.kappa_ratio(n),
-                "coupling": l1.phi0 * l1.phibar0 / l0.kappa ** 2,
-                "theta_floor": unit * pmax_abs(sd.theta),
-                "thetastar_floor": unit * pmax_abs(sd.thetastar)}
+        kr = Grid.of([ws.kappa_ratio(n)])
+        c = Grid.of([l1.phi0 * l1.phibar0 / l0.kappa ** 2])
+        W, dW, V2, V, dV = (ws.grid(k) for k in ("W", "dW", "V2", "V", "dV"))
+        th, dth, om, dom = (sd.grid(k) for k in
+                            ("theta", "dtheta", "omega", "domega"))
+        ts, dts, os_, dos = (sd.grid(k) for k in
+                             ("thetastar", "dthetastar", "omegastar",
+                              "domegastar"))
+        zth, zts, W2 = th.shift(1), ts.shift(1), W * W
+        Wp = W * (dW + V2)
+        omV, osV = om + V, os_ - V
+        cross = (omV - kr * zth) * (osV - kr * ts)
+        den = W2 * th
+        a = [den.shift(1), (Wp * th - W2 * dth).shift(1) - Grid.of([n]) * den,
+             (W * (th * (dom + dV) - dth * omV)).shift(1),
+             -(kr * W * th * th).shift(1), -(zth * cross),
+             c * zth * zth * ts]
+        b = [(W2 * ts).shift(1),
+             (Wp * ts - W2 * dts).shift(1) - Grid.of([n + 1]) * W2 * ts,
+             W * ((ts + dts.shift(1)) * osV - zts * (dos - dV)),
+             -(kr * W * ts * ts), -(zts * cross), c * zth * zts * ts]
+        return {"a": a, "b": b, "den": den}
     return sd.memo("ode", make)
 
 
-def scalar_ode_data(ws: SpectralWorkspace, n: int, z):
-    """ODE coefficients plus the magnitude scales of their additive pieces.
-
-    The second coefficients are alternating sums that can cancel completely
-    (they vanish identically at level zero), so residuals must be judged
-    against the pieces, not the sum.
-    """
-    z = to_mpc(z)
-    sd = ws.data(n)
-    lv = _ode_level(ws, n)
-    kr = lv["kr"]
-    Wz = ws.at("W", z)
-    if Wz == 0 or z == 0:
-        raise Degenerate("ODE coefficients at a singular point")
-    th = sd.at("theta", z)
-    ts = sd.at("thetastar", z)
-    zfac = max(abs(z), mpf(1)) ** len(sd.theta)
-    if abs(th) <= lv["theta_floor"] * zfac or \
-       abs(ts) <= lv["thetastar_floor"] * zfac:
-        raise Degenerate("z is a root of a spectral polynomial")
-    thp = sd.at("dtheta", z)
-    tsp = sd.at("dthetastar", z)
-    om, os_ = sd.at("omega", z), sd.at("omegastar", z)
-    omp = sd.at("domega", z)
-    osp = sd.at("domegastar", z)
-    Vz = ws.at("V2", z) / 2
-    Vp = ws.at("dV2", z) / 2
-    Wp = ws.at("dW", z)
-    inv = 1 / Wz
-    inv2 = inv * inv
-
-    p1 = (Wp + 2 * Vz) * inv - thp / th - mpf(n) / z
-    cross = ((om + Vz - kr * z * th) * (os_ - Vz - kr * ts)) * inv2
-    tail = lv["coupling"] * z * th * ts * inv2
-    p2_parts = [(th * (omp + Vp) - thp * (om + Vz)) * inv / th,
-                -kr * th * inv, -cross, tail]
-    p2 = sum(p2_parts)
-    p1s = (Wp + 2 * Vz) * inv - tsp / ts - mpf(n + 1) / z
-    p2s_parts = [((ts / z + tsp) * (os_ - Vz) - ts * (osp - Vp)) * inv / ts,
-                 -kr * ts * inv / z, -cross, tail]
-    p2s = sum(p2s_parts)
-    return {"p1": p1, "p2": p2, "p1s": p1s, "p2s": p2s,
-            "p2_scale": largest_abs(p2_parts),
-            "p2s_scale": largest_abs(p2s_parts)}
-
-
-def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol,
-                         seed: int) -> list:
-    """|phi'' + p1 phi' + p2 phi| (and starred) at ten sample points drawn
-    from ``seed + n``, relative."""
-    l0 = ws.level(n)
-    sd = ws.data(n)
-    skip = ws.plan.ode_skip
-    avoid = list(ws.singularities())
-    pts = sample_points(10, avoid=avoid, seed=seed + n)
-    fam = [Grid.of(l0.phi), Grid.of(l0.phistar)]
-    fam += [g.diff() for g in fam]
-    fam += [g.diff() for g in fam[2:]]
-    # each distinct grid once per point: at level 0 phi = phistar, and the
-    # derivatives of constants vanish
-    keys = [(tuple(g.re), tuple(g.im), g.exp) for g in fam]
-    first = [keys.index(k) for k in keys]
-    worst = mpf(0)
-    worst_s = mpf(0)
-    for z in pts:
-        if abs(sd.at("theta", z)) < skip or abs(sd.at("thetastar", z)) < skip:
-            continue
-        d = scalar_ode_data(ws, n, z)
-        vals = [peval_grid(g, z) if i == k else None
-                for i, (g, k) in enumerate(zip(fam, first))]
-        v, vs, dv, dvs, ddv, ddvs = (vals[k] for k in first)
-        # custom scale: p2 judged against its pieces, not their sum
-        terms = [ddv, d["p1"] * dv, d["p2"] * v]
-        worst = max(worst, ratio(abs(sum(terms)), largest_abs(terms[:2]),
-                                 d["p2_scale"] * abs(v)))
-        terms = [ddvs, d["p1s"] * dvs, d["p2s"] * vs]
-        worst_s = max(worst_s, ratio(abs(sum(terms)), largest_abs(terms[:2]),
-                                     d["p2s_scale"] * abs(vs)))
-    return [CheckResult.make("2ODE:a", worst, tol, n),
-            CheckResult.make("2ODE:b", worst_s, tol, n)]
+def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol) -> list:
+    """phi'' + p1 phi' + p2 phi = 0 (and starred), with the denominators
+    cleared (``_ode_pieces``), coefficient by coefficient."""
+    pieces, lev = _ode_pieces(ws, n), ws.level(n)
+    out = []
+    for label, key, phi in (("2ODE:a", "a", lev.phi),
+                            ("2ODE:b", "b", lev.phistar)):
+        v = Grid.of(phi)
+        dv = v.diff()
+        vectors = list(zip(pieces[key], [dv.diff(), dv] + [v] * 4))
+        out.append(CheckResult.make(label, vector_residual(vectors), tol, n))
+    return out
 
 
 def p2_asymptotic_constant(ws: SpectralWorkspace, n: int) -> mpc:
-    """Exact limit of z(z-1) p_2 as z -> infinity, by polynomial algebra."""
-    sd = ws.data(n)
-    l0, l1 = ws.level(n), ws.level(n + 1)
-    kr = ws.kappa_ratio(n)
-    W, V2 = ws.poly("W"), ws.poly("V2")
-    V = pscale(V2, mpf("0.5"))
-    th, om = sd.theta, sd.omega
-    ts, os_ = sd.thetastar, sd.omegastar
-    omV = padd(om, V)
-    osV = psub(os_, V)
-    # common denominator W^2 * Theta
-    num = pmul(psub(pmul(th, pdiff(omV)), pmul(pdiff(th), omV)), W)
-    num = psub(num, pscale(pmul(pmul(th, th), W), kr))
-    num = psub(num, pmul(psub(omV, pscale(pshift(th, 1), kr)),
-                         pmul(psub(osV, pscale(ts, kr)), th)))
-    num = padd(num, pscale(pmul(pshift(pmul(th, ts), 1), th),
-                           l1.phi0 * l1.phibar0 / l0.kappa ** 2))
-    den = pmul(pmul(W, W), th)
-    num = ptrim(num)
-    den = ptrim(den)
-    if pdeg(num) > pdeg(den) - 2:
-        extra = ratio(pmax_abs(num[pdeg(den) - 1:]), pmax_abs(num))
-        if extra > ws.plan.band_alarm:
-            raise Degenerate("p2 does not decay like z^-2")
-        num = num[:pdeg(den) - 1]
-    return num[-1] / den[-1] if pdeg(num) == pdeg(den) - 2 else mpc(0)
+    """Exact limit of z(z-1) p_2 as z -> infinity: p2 = num/den with z num
+    the exact sum of the p2-pieces of 2ODE:a and den = W^2 Theta, so the
+    limit is num's coefficient of z^(deg den - 2) over den's leading one.
+    Mass of num at higher powers would mean p2 does not decay like z^-2."""
+    pieces = _ode_pieces(ws, n)
+    znum, den = add_grids(pieces["a"][2:]), pieces["den"]
+    d = len(den) - 1
+    sq = [x * x + y * y for x, y in zip(znum.re, znum.im)]
+    if sqrt_ratio(max(sq[d:], default=0), max(sq, default=0),
+                  2 * znum.exp) > ws.plan.band_alarm:
+        raise Degenerate("p2 does not decay like z^-2")
+    return znum.coeff(d - 1) / den.coeff(d)

@@ -146,6 +146,27 @@ def test_flow_requires_rational_mode(tmp_path, capsys):
         assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("checks", [["summation"], ["identities", "tau"]])
+def test_checks_that_need_a_free_singularity_refuse_m2(tmp_path, capsys,
+                                                       checks):
+    """With M = 2 there is no Garnier coordinate: the summation and tau
+    suites exit 2, with the reason, instead of raising an IndexError."""
+    path = write_config(tmp_path, checks=checks, seeds={"values": [[1, 0]]},
+                        weight={"singularities": [[0, 0], [1, 0]],
+                                "residues": [["1/3", 0], ["1/4", 0]]},
+                        out=str(tmp_path / "out.json"))
+    assert main(["--config", path, "verify"]) == 2
+    assert "need a free singularity" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_repeated_check_name_exits_config_code(tmp_path, capsys):
+    """A suite named twice would be judged twice."""
+    path = write_config(tmp_path, checks=["bilinear", "bilinear"])
+    assert main(["--config", path, "verify"]) == 2
+    assert "at most once" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("values, message", [
     ([float("inf"), 0.17], "bad seed inf"),
     ([[0.31, float("nan")], [1, 0]], "bad seed"),

@@ -302,9 +302,6 @@ def _parent_rules() -> dict:
         denominator_floor=mpf(10) ** (-(mp.prec // 2)),
         degeneracy_floor=mpf(10) ** (-(mp.prec // 3)),
         band_alarm=mpf(10) ** (-(mp.prec // 4) + 2),
-        ode_skip=mpf(10) ** (-mp.prec // 4),
-        root_floor_unit=mpf(2) ** (-mp.prec + 12),
-        w_floor_unit=mpf(2) ** (-mp.prec + 8),
         flow_radius=Fraction(1, 2 ** (3 * mp.prec // 16)),
         flow_tolerance=mpf(2) ** (-(3 * mp.prec // 4) + 32),
         quadrature_tolerance=mpf(2) ** (-mp.prec + 12),
@@ -326,6 +323,18 @@ def test_a_plan_holds_each_rule_at_its_working_precision(bits):
         assert {name: getattr(plan, name) for name in want} == want
     assert Plan.of(bits) is Plan.of(bits) and Plan.of(bits) == fresh
     assert isinstance(fresh.flow_radius, Fraction)
+
+
+def test_every_plan_field_has_a_reader():
+    """Each threshold of the plan is read, as an attribute, by some module
+    other than ``plan``: a threshold nothing reads is dead and goes."""
+    read = set()
+    for path in Path(circlebops.__file__).parent.glob("*.py"):
+        if path.name != "plan.py":
+            read.update(node.attr for node in ast.walk(ast.parse(
+                path.read_text())) if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load))
+    assert not set(Plan._fields) - read, set(Plan._fields) - read
 
 
 def test_a_sequence_carries_the_plan_of_the_precision_it_was_built_at():

@@ -286,18 +286,21 @@ def test_non_finite_terms_fail_their_check(monkeypatch):
                           ratio(abs(bad), mpf(1))):
                 assert resid == mpf("inf")
                 assert not CheckResult.make("x", resid, 1e-20).passed
-        # checks with a custom scale: an infinite term makes the scale
+        # a non-finite piece of a polynomial identity (2ODE:a) gives an
+        # infinite residual; under a custom scale (Tform:b) the scale is
         # infinite too, and inf/inf = nan must not pass as a residual
         ws = make_workspace(*standard_case_m3())
-        data, at = spectral.scalar_ode_data, spectral.SpectralWorkspace.at
-        monkeypatch.setattr(spectral, "scalar_ode_data", lambda *a: {
-            **data(*a), "p1": mpf("inf")})
-        monkeypatch.setattr(spectral.SpectralWorkspace, "at", lambda ws, f, z:
+        table = spectral.SpectralWorkspace
+        grid, at = table.grid, table.at
+        # V' makes one p2-piece of each scalar ODE non-finite
+        monkeypatch.setattr(table, "grid", lambda ws, f:
+                            Grid.nonfinite(2) if f == "dV" else grid(ws, f))
+        monkeypatch.setattr(table, "at", lambda ws, f, z:
                             mpf("inf") if f == "V" else at(ws, f, z))
-        for check, label, seed in (
-                (spectral.scalar_ode_residuals, "2ODE:a", 41),
-                (spectral.check_transitions, "Tform:b", 23)):
-            got, = [r for r in check(ws, 2, 1e-25, seed) if r.label == label]
+        for checks, label in (
+                (spectral.scalar_ode_residuals(ws, 2, 1e-25), "2ODE:a"),
+                (spectral.check_transitions(ws, 2, 1e-25, 23), "Tform:b")):
+            got, = [r for r in checks if r.label == label]
             assert got.residual == mpf("inf")
             assert not got.passed
 

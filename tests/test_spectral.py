@@ -17,12 +17,13 @@ from circlebops.moments import MomentSequence, ReflectedMoments, build_U
 from circlebops.mputil import working_precision
 from circlebops.polys import (padd, pdiff, peval, pmax_abs, pscale, pshift,
                              psub)
-from circlebops.report import all_passed, failures, rel_error
-from circlebops.spectral import (SERIES_BUFFER, SpectralWorkspace, a_matrix,
+from circlebops.report import Grid, add_grids, all_passed, failures, rel_error
+from circlebops import spectral
+from circlebops.spectral import (SERIES_BUFFER, SpectralWorkspace,
                                  check_bilinear, check_linear_recurrences,
                                  check_summation_identities, check_transitions,
-                                 p2_asymptotic_constant,
-                                 residue_structure_checks, scalar_ode_data,
+                                 p2_asymptotic_constant, residue_matrices,
+                                 residue_structure_checks,
                                  scalar_ode_residuals)
 from circlebops.suites import run_verification
 from circlebops.weights import build_poly_pair, build_weight
@@ -191,45 +192,90 @@ def test_summation_identities_with_coordinates():
 def test_residue_matrices_structure():
     ws = _ws(standard_case_m4)
     for n in (0, 2):
-        res = residue_structure_checks(ws, n, TOL, 17)
+        res = residue_structure_checks(ws, n, TOL)
         assert all_passed(res)
-    from circlebops.spectral import residue_matrices
     mats0 = residue_matrices(ws, 1)
     # upper-triangular origin residue: second row identically zero
     assert abs(mats0[0][1][0]) < TOL and abs(mats0[0][1][1]) < TOL
 
 
-def test_partial_fraction_points_follow_the_run_seed():
-    """An:pf draws its points from the run's seed, as rrCf:j@pts and the
-    scalar ODE checks do."""
-    def an_pf(seed):
+def test_identity_checks_do_not_depend_on_the_run_seed():
+    """An:pf and the scalar ODEs are polynomial identities: the run's seed
+    picks no points for them, only for rrCf:j@pts."""
+    def checks(seed):
         ws = _ws(standard_case_m4)
-        return [r.residual for r in
-                run_verification(ws, ["identities"], 2, TOL, seed=seed)
-                if r.label == "An:pf"]
-    one, two = an_pf(1), an_pf(2)
-    assert len(one) == len(two) == 3
-    assert all(a != b for a, b in zip(one, two))
+        return {label: [r.residual for r in
+                        run_verification(ws, ["identities"], 2, TOL, seed=seed)
+                        if r.label == label]
+                for label in ("An:pf", "2ODE:a", "2ODE:b", "rrCf:j@pts")}
+    one, two = checks(1), checks(2)
+    for label in ("An:pf", "2ODE:a", "2ODE:b"):
+        assert len(one[label]) == 3 and one[label] == two[label], label
+    assert one["rrCf:j@pts"] != two["rrCf:j@pts"]
 
 
-def test_a_matrix_rejects_singularities():
+def _perturbed(x):
+    return x * (1 + mpf("1e-18"))
+
+
+def test_partial_fractions_catch_a_perturbed_residue_matrix():
+    """A relative error of 1e-18 in one entry of one residue matrix fails
+    An:pf at tolerance 1e-20."""
     ws = _ws()
-    with pytest.raises(Degenerate, match="A_n evaluated at a zero of W"):
-        a_matrix(ws, 1, mpc(1))
+    assert all_passed(residue_structure_checks(ws, 4, mpf(1e-20)))
+    mats = residue_matrices(ws, 4)
+    mats[1][0][1] = _perturbed(mats[1][0][1])
+    got, = [r for r in residue_structure_checks(ws, 4, mpf(1e-20))
+            if r.label == "An:pf"]
+    assert not got.passed and got.residual > mpf(1e-19)
+
+
+def test_scalar_ode_catches_a_perturbed_leading_coefficient():
+    """A relative error of 1e-18 in the leading coefficient of phi_n fails
+    2ODE:a at tolerance 1e-20, and leaves 2ODE:b alone."""
+    ws = _ws()
+    assert all_passed(scalar_ode_residuals(ws, 4, mpf(1e-20)))
+    phi = ws.level(4).phi
+    phi[-1] = _perturbed(phi[-1])
+    a, b = scalar_ode_residuals(ws, 4, mpf(1e-20))
+    assert (a.label, b.label) == ("2ODE:a", "2ODE:b")
+    assert not a.passed and a.residual > mpf(1e-20) and b.passed
+
+
+def test_a_planted_top_coefficient_raises_the_p2_decay_alarm(monkeypatch):
+    """p2 = num / (W^2 Theta) must decay like z^-2; a coefficient of num at
+    the power deg den - 1 trips the alarm."""
+    ws = _ws()
+    pieces = spectral._ode_pieces(ws, 3)
+    d = len(pieces["den"]) - 1
+    znum = add_grids(pieces["a"][2:])
+    # z num at z^d: num at z^(deg den - 1), as large as its top term
+    planted = dict(pieces, a=pieces["a"] + [
+        Grid.of([0] * d + [znum.coeff(d - 1)])])
+    monkeypatch.setattr(spectral, "_ode_pieces", lambda ws, n: planted)
+    with pytest.raises(Degenerate, match="p2 does not decay like z"):
+        p2_asymptotic_constant(ws, 3)
+
+
+def p1_at(ws, n, z):
+    """p1 = (W' + 2V)/W - Theta'/Theta - n/z from the point tables."""
+    sd = ws.data(n)
+    return ((ws.at("dW", z) + ws.at("V2", z)) / ws.at("W", z)
+            - sd.at("dtheta", z) / sd.at("theta", z) - mpf(n) / z)
 
 
 def test_scalar_ode_residuals_and_structure():
     ws = _ws(standard_case_m4)
     from circlebops.garnier import coordinates_from_spectral
     for n in (1, 4):
-        res = scalar_ode_residuals(ws, n, mpf(1e-22), 41)
+        res = scalar_ode_residuals(ws, n, mpf(1e-22))
         assert all_passed(res)
         # first coefficient has the displayed partial-fraction structure
         pt = coordinates_from_spectral(ws, n, with_hamiltonians=False)
         zs = ws.singularities()
         rhos = ws.residues()
         for z in (mpc("1.37", "0.41"), mpc("-0.9", "1.1")):
-            p1 = scalar_ode_data(ws, n, z)["p1"]
+            p1 = p1_at(ws, n, z)
             want = (rhos[0] + 1 - n) / z + (rhos[-1] + 1) / (z - 1)
             for zj, rj in zip(zs[1:-1], rhos[1:-1]):
                 want += (rj + 1) / (z - zj)
@@ -259,15 +305,6 @@ def test_pipeline_runs_at_minimum_precision():
         assert all_passed(check_linear_recurrences(ws, 2, mpf(1e-9)))
         assert all_passed(check_bilinear(ws, 2, mpf(1e-9)))
         assert ws.data(3).band_residual < mpf(1e-11)
-
-
-def test_ode_coeffs_refuse_coordinate_roots():
-    from circlebops.garnier import coordinates_from_spectral
-    ws = make_workspace(*standard_case_m3())
-    pt = coordinates_from_spectral(ws, 2, with_hamiltonians=False)
-    with pytest.raises(Degenerate,
-                       match="z is a root of a spectral polynomial"):
-        scalar_ode_data(ws, 2, pt.q[0])
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +444,7 @@ def test_point_tables_keep_one_entry_per_precision():
             got[bits] = [sd.at("theta", z), sd.at("dtheta", z),
                          ws.at("dW", z)]
             polys = [(False, sd.theta), (True, sd.theta),
-                     (True, ws.poly("W"))]
+                     (True, ws.pair.W_mpc())]
         want[bits] = [_rounded_once(p, z, bits) for p in polys]
         assert [g._mpc_ for g in got[bits]] == \
             [w._mpc_ for w in want[bits]], bits
