@@ -3,10 +3,6 @@
 Everything at level n is derived from the Toeplitz data of the moment
 sequence w_k.  Two routes are kept side by side:
 
-* determinants by one unpivoted LU factorisation of the leading Toeplitz
-  block [w_{i-j}], grown by one border per level in O(n^2): I_{n+1} = I_n d_n
-  with d_n the new pivot, the normalisation kappa_n = sqrt(I_n / I_{n+1}) up
-  to a recorded sign gauge, and the degeneracy test of each level;
 * the monic families P_n = phi_n / kappa_n and Q_n = phibar_n / kappa_n by
   Baxter's bi-orthogonal Szego step (J. Math. Anal. Appl. 2 (1961)),
 
@@ -14,48 +10,57 @@ sequence w_k.  Two routes are kept side by side:
 
   with Q*_k, P*_k the reversed coefficient lists, h_k = <P_k, k>
   (= I_{k+1} / I_k), a_k = -<P_k, -1> / h_k and b_k = -sum_j Q_j w_{1+j} / h_k.
-  Each step costs O(k) moment products, against O(k^3) for a Toeplitz solve.
+  Each step pairs its polynomials with one grid of the moment window: the
+  dot products are formed exactly in integers and rounded once per part
+  (``report.Grid.dot``), which is ``mpmath.fdot``'s value, O(k) products
+  a step.
+* the determinants and the associated functions by Schur's algorithm in
+  its non-Hermitian form (I. Schur, J. Reine Angew. Math. 147 (1917);
+  E. H. Bareiss, Numer. Math. 13 (1969)).  It carries the pairings
+  alpha_k(m) = <P_k, m> = sum_j P_k[j] w_{m-j} and
+  beta_k(s) = <s, Q_k> = sum_l Q_k[l] w_{l-s} from level to level, and
+  forms no polynomial: the Szego step gives
 
-Both routes form every dot product exactly in integers and round it once
-per part (``report.Grid.dot``): the factor keeps each row of L and column
-of U as Gaussian-int mantissas on one exponent, and each Szego step pairs
-its polynomials with one grid of the moment window.  That is the value
-``mpmath.fdot`` gives, which forms the products exactly and sums them with
-``mpf_sum``, dropping only terms more than 2 prec bits below its running
-sum, before its one rounding.  The subtractions and divisions around the
-dot products are mpc operations.
+      alpha_{k+1}(m) = alpha_k(m-1) + a_k beta_k(k-m),
+      beta_{k+1}(s)  = beta_k(s-1)  + b_k alpha_k(k-s),
+
+  with h_k = alpha_k(k), a_k = -alpha_k(-1) / h_k and
+  b_k = -beta_k(-1) / h_k, from alpha_0(m) = w_m and beta_0(s) = w_{-s}.
+  Then I_{k+1} = I_k h_k, kappa_n = sqrt(I_n / I_{n+1}) up to a recorded
+  sign gauge, and the truncated interior expansions of the associated
+  functions are
+
+      eps_n(z)     =  2 kappa_n sum_{m>=0} alpha_n(m) z^m,
+      epsstar_n(z) = -2 kappa_n sum_{m>=1} beta_n(-m) z^{n+m}.
+
+  alpha_n(m) vanishes for 0 <= m < n by orthogonality; those coefficients
+  are kept, and they double as a consistency alarm.  At level zero the
+  expansions reduce to the normalisations kappa_0 [w_0 +- F], which pins
+  the index conventions.
+
+The generator takes no coefficient from the Szego step, so the identities
+that tie the determinants to the families (I0, l:kappa, tau:I) and the
+products of series with polynomials (the Casoratians, the spectral bands)
+compare two independent computations.  Its entries are plain mpc at the
+oracle's precision: each is the exact value of alpha_k(m-1) +
+a_k beta_k(k-m) (or its mirror), summed in integers and rounded once per
+part (``_axpy``).  Each entry is formed once, from level k - 1's entries
+alone, so its value depends only on (k, m), never on how far the windows
+reach or on the order of the queries.  A reader's series is the entries
+times 2 kappa_n, formed exactly and rounded once onto the spectral grid of
+the oracle's precision (``Grid.from_poly``).
 
 The system is symmetric under reflection of the weight, w_k -> w_{-k}: the
 second family is the first family of the reflected moments
 (``ReflectedMoments``), and the second-kind pairing <m, g> = sum_j g_j w_{j-m}
 is the first-kind pairing over them.  So each route below is written once,
-for the first family.  The tests compare the factor with ``toeplitz_det``, a
-fresh pivoted LU determinant for each n, and the step with the
-bordered-determinant form ``phi_from_determinant``, realised as an LU Toeplitz
-solve and run on the moments or on their reflection.  The factor is generic
-elimination and uses no Szego coefficient, so the identities that tie the
-determinants to the families (I0, l:kappa, tau:I) compare two independent
-computations.
-
-The associated functions are truncated interior expansions
-
-    eps_n(z)     =  2 sum_{m>=0} <phi_n, m> z^m,
-    epsstar_n(z) = -2 sum_{m>=1} <m-bar, phibar_n> z^{n+m},
-
-where <phi_n, m> = sum_j c_j w_{m-j} is the moment pairing that also drives
-the orthogonality relations.  All pairings of one series are one convolution
-of the coefficients with the moment window w_{-n} .. w_T (of the reflected
-window for epsstar_n) by ``polys.conv_fixed``, on the one integer-mantissa
-product kernel ``report.Grid.conv``.  The series stays in integers (the
-factor +-2 is a sign and an exponent shift) on the spectral grid of the
-oracle's precision.  A coefficient is accurate to 2^-(prec+16) of
-max|c_j| max|w_k| over the window, not of itself, and rounds once, at its
-reader's precision.  ``pairing_first``
-computes one pairing by an mpmath sum; it is the orthogonality residual and
-the tests' reference for the series.  At level zero these expansions reduce
-to the defining normalisations kappa_0 [w_0 +- F], which pins the index
-conventions; the test suite verifies the leading coefficients against the
-closed forms.
+for the first family; the generator's step is applied with (alpha, a) and
+(beta, b) swapped, on the moments and on their reflection.  The tests'
+references are ``toeplitz_det``, a fresh pivoted LU determinant for each n;
+the bordered-determinant form ``phi_from_determinant``, realised as an LU
+Toeplitz solve and run on the moments or on their reflection; and
+``pairing_first``, one pairing by an mpmath sum, which is also the
+orthogonality residual.
 """
 
 from __future__ import annotations
@@ -64,11 +69,11 @@ import functools
 
 import mpmath
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import Degenerate
 from .moments import MomentSequence, ReflectedMoments
 from .mputil import guarded, lu_det, lu_solve, to_mpc
-from .polys import conv_fixed
 from .record import Record
 from .report import Grid, largest_abs, ratio
 
@@ -174,7 +179,7 @@ def phi_from_determinant(moments, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# pairings and associated-function expansions
+# the reference pairing
 # ---------------------------------------------------------------------------
 
 def pairing_first(moments, coeffs, m: int) -> mpc:
@@ -189,50 +194,36 @@ def pairing_first(moments, coeffs, m: int) -> mpc:
              for j, c in enumerate(coeffs)), absolute=False)
 
 
-def _pairings(moments, coeffs, lo: int, hi: int) -> Grid:
-    """<f, lo + k> as coefficient k of a series, for lo + k <= hi.
-
-    One convolution of f with the window w_{lo-n} .. w_hi (n = deg f) by
-    ``conv_fixed``; its exact sums (from z^n) are renumbered from k = 0
-    and rounded once onto the spectral grid, mp.prec + 16 bits below the
-    largest (``Grid.from_poly``).
-    """
-    n = len(coeffs) - 1
-    moments.extend(lo - n, hi)
-    window = [moments.w(k) for k in range(lo - n, hi + 1)]
-    sums = conv_fixed(coeffs, window, n, n + hi - lo + 1)
-    return Grid.from_poly(Grid(sums.re, sums.im, sums.exp))
-
-
-def epsilon_from_determinant(moments: MomentSequence, phi_coeffs,
-                             truncation: int) -> Grid:
-    """Interior expansion of eps_n up to z^truncation.
-
-    For n >= 1 the coefficients below z^n vanish by orthogonality (kept: they
-    double as a consistency alarm); the m = 0 term carries the level-zero
-    normalisation.
-    """
-    s = _pairings(moments, phi_coeffs, 0, truncation)
-    return Grid(s.re, s.im, s.exp + 1)                 # 2 <phi_n, m>
-
-
-def epsilonstar_from_determinant(moments: MomentSequence, phibar_coeffs,
-                                 truncation: int) -> Grid:
-    """Interior expansion of epsstar_n (starts at z^{n+1}) up to
-    z^truncation."""
-    n = len(phibar_coeffs) - 1
-    nterms = truncation - n
-    if nterms < 1:
-        return Grid([], [], 0, n + 1)
-    s = _pairings(ReflectedMoments(moments), phibar_coeffs, -nterms, -1)
-    # -2 <m-bar, phibar_n> for m = nterms .. 1, reversed to ascending powers
-    return Grid([-v for v in reversed(s.re)], [-v for v in reversed(s.im)],
-                s.exp + 1, n + 1)
-
-
 # ---------------------------------------------------------------------------
 # the cached oracle
 # ---------------------------------------------------------------------------
+
+_EMPTY = (0, -1)        # a window of the Schur generator that holds nothing
+
+
+def _ints(z: mpc) -> tuple:
+    """The finite mpc z as (re, re exponent, im, im exponent), exactly."""
+    (s1, m1, e1, _), (s2, m2, e2, _) = z._mpc_
+    return -m1 if s1 else m1, e1, -m2 if s2 else m2, e2
+
+
+def _axpy(c: mpc, xs, ys) -> list:
+    """y + c x for each x of xs and y of ys, each part summed exactly in
+    integers and rounded once, to nearest at mp.prec."""
+    cr, ce, ci, cf = _ints(c)
+    prec, out = mp.prec, []
+    for x, y in zip(xs, ys):
+        xr, xe, xi, xf = _ints(x)
+        yr, ye, yi, yf = _ints(y)
+        e = min(ye, yf, ce + xe, cf + xf, ce + xf, cf + xe)
+        re = (yr << (ye - e)) + (cr * xr << (ce + xe - e)) \
+            - (ci * xi << (cf + xf - e))
+        im = (yi << (yf - e)) + (cr * xi << (ce + xf - e)) \
+            + (ci * xr << (cf + xe - e))
+        out.append(mp.make_mpc((from_man_exp(re, e, prec, round_nearest),
+                                from_man_exp(im, e, prec, round_nearest))))
+    return out
+
 
 def _query(method):
     """A public oracle query: one ``precision()`` context around it."""
@@ -263,24 +254,22 @@ def _cached_query(cache: str):
 class ToeplitzOracle:
     """Caches determinants, levels and expansions over one moment sequence.
 
-    ``det(n)`` reads I_n off the LU factor of the leading Toeplitz block,
-    which ``_grow_factor`` borders upward from the largest cached size.
-    ``level(n)`` takes I_n, I_{n+1} and kappa_n from ``det`` and scales the
-    monic pair of ``monic_pair(n)``, which the Szego step grows upward from
-    the highest cached level.  Both routes form their dot products exactly
-    in integers and round each once (``report.Grid.dot``), which gives
-    ``mpmath.fdot``'s value.
+    ``det(n)`` is the product of the Schur generator's h_0 .. h_(n-1), and
+    ``eps_series``/``epsstar_series`` read its pairings at level n;
+    ``_reach`` grows the generator.  ``level(n)`` takes I_n, I_{n+1} and
+    kappa_n from ``det`` and scales the monic pair of ``monic_pair(n)``,
+    which the Szego step grows upward from the highest cached level.
 
     The oracle adopts the precision ``prec`` of its moment sequence.  Every
     value it caches is computed there, inside the one context that each
     public query enters (a cached ``det`` or ``level`` is returned without
-    it), so no value depends on the precision of the query that reached it
-    first; the eps-series keep the longest series formed so far, so their
-    values depend on query order.  A query at a working precision other
+    it), and each generator entry is formed once, from level k - 1's
+    entries alone, so no value depends on the precision or the order of
+    the queries that reached it.  A query at a working precision other
     than the sequence's plan's ``working`` raises ``ValueError``, cached or
-    not; the oracle's own calls, already at ``prec``, pass.  A determinant
-    ratio below the plan's ``lu_floor`` times its neighbour counts as
-    vanishing (zero computes as noise).
+    not; the oracle's own calls, already at ``prec``, pass.  An h_k below
+    the plan's ``lu_floor`` times h_(k-1) counts as vanishing (zero
+    computes as noise), in both routes.
 
     ``gauge`` maps level -> +-1 and fixes the kappa_n sign; the default is
     the principal branch everywhere.
@@ -291,16 +280,15 @@ class ToeplitzOracle:
         self.prec = moments.prec
         self._gauge = dict(gauge) if gauge else {}
         self._dets = {0: mpc(1)}                # I_n, n = 0, 1, ...
-        # the LU factor: row m of L and column m of U above the diagonal as
-        # grids, and the pivot d_m = U_{m,m}, m = 0, 1, ...
-        self._lower = []
-        self._upper = []
-        self._pivots = []
         self._levels = {}
         self._monic = [([mpc(1)], [mpc(1)])]    # (P_k, Q_k), k = 0, 1, ...
-        self._h = []                            # h_k = I_{k+1} / I_k
-        self._eps = {}
-        self._epsstar = {}
+        self._h = []                            # h_k of the Szego step
+        # the Schur generator: level k -> its sides (alpha_k, beta_k), each
+        # [lo, hi, {m: entry}] over its window lo..hi; and the step out of
+        # level k, (h_k, a_k, b_k)
+        self._gen = []
+        self._steps = []
+        self._series = {}               # (side, n, truncation) -> Grid
 
     def check_precision(self) -> None:
         """Refuse a caller at a precision other than the working one (or
@@ -321,45 +309,74 @@ class ToeplitzOracle:
 
     @_cached_query("_dets")
     def det(self, n: int) -> mpc:
-        """I_n = I_{n-1} d_{n-1}, from the LU factor grown to size n."""
-        self._grow_factor(n)
+        """I_n = I_{n-1} h_{n-1}, from the generator grown to level n - 1."""
+        self._reach(n - 1, _EMPTY, _EMPTY)
         return self._dets[n]
 
-    def _grow_factor(self, n: int) -> None:
-        """Border the unpivoted LU factor of [w_{i-j}] up to size n.
+    def _reach(self, n: int, alpha: tuple, beta: tuple) -> None:
+        """Grow the Schur generator until level n holds alpha_n(m) for m in
+        the range ``alpha`` = (lo, hi) and alpha_n(n), and beta_n over the
+        range ``beta``; a range with lo > hi is empty.
 
-        Leading minors nest only without row swaps, so no pivoting.  Size
-        m + 1 adds the column U_{k,m} (forward substitution against L), the
-        row L_{m,k} (against U) and the pivot d_m = U_{m,m}, in O(m^2).
-        The row and the column under construction grow entry by entry on
-        their grids, and each entry takes its dot product from the grids
-        exactly, rounded once (``Grid.dot``).  Before stepping past d_k it
-        applies the floor test of ``monic_pair``: d_0 == 0, or
-        |d_k| < floor |d_{k-1}|.
+        Level k + 1's entry m of one side reads entry m - 1 of that side and
+        entry k - m of the other side at level k, so the windows each level
+        needs follow from the top down, as far as the first level that
+        already holds them; below level n both also hold -1 .. k, for h_k,
+        a_k and b_k.  They are then filled from the bottom up, each new
+        entry once, and before level k + 1 is formed, h_k passes the floor
+        test of ``monic_pair``: h_0 == 0, or |h_k| < floor |h_{k-1}|.
         """
-        rows, cols, pivots = self._lower, self._upper, self._pivots
-        floor = self.moments.plan.lu_floor
-        self.moments.extend(-(n - 1), n - 1)
-        w = {k: to_mpc(self.moments.w(k)) for k in range(1 - n, n)}
-        for m in range(len(cols), n):
-            if m:
-                d = pivots[m - 1]
-                if d == 0 or (m > 1 and
-                              abs(d) < floor * abs(pivots[m - 2])):
+        gen, steps = self._gen, self._steps
+
+        def held(k):
+            return [tuple(side[:2]) for side in gen[k]] if k < len(gen) \
+                else [_EMPTY, _EMPTY]
+
+        def hull(*ranges):
+            ranges = [r for r in ranges if r[0] <= r[1]]
+            return (min(r[0] for r in ranges),
+                    max(r[1] for r in ranges)) if ranges else _EMPTY
+
+        top = held(n)
+        want, wants = [hull(top[0], alpha, (n, n)), hull(top[1], beta)], []
+        for k in range(n, -1, -1):
+            if want == held(k):
+                break
+            wants.append((k, want))
+            if k:
+                below, j = held(k - 1), k - 1
+                want = [hull(below[s], (-1, j),
+                             (want[s][0] - 1, want[s][1] - 1),
+                             (j - want[1 - s][1], j - want[1 - s][0]))
+                        for s in (0, 1)]
+        sources = (self.moments, ReflectedMoments(self.moments))
+        for k, want in reversed(wants):
+            if k == len(gen):
+                gen.append(([0, -1, {}], [0, -1, {}]))
+            if k and len(steps) < k:
+                h = gen[k - 1][0][2][k - 1]
+                if h == 0 or (k > 1 and abs(h) < self.moments.plan.lu_floor
+                              * abs(steps[-1][0])):
                     raise Degenerate(
-                        f"determinant at level {m} vanishes to working "
-                        f"precision; the LU factor stops here")
-            col = Grid([], [], 0)
-            for k in range(m):
-                col.append(w[k - m] - rows[k].dot(col))
-            row = Grid([], [], 0)
-            for k in range(m):
-                row.append((w[m - k] - row.dot(cols[k])) / pivots[k])
-            d = w[0] - row.dot(col)
-            rows.append(row)
-            cols.append(col)
-            pivots.append(d)
-            self._dets[m + 1] = self._dets[m] * d
+                        f"determinant at level {k} vanishes to working "
+                        f"precision; the Schur recursion stops here")
+                steps.append((h, *(-gen[k - 1][s][2][-1] / h
+                                   for s in (0, 1))))
+            for s, (lo, hi) in enumerate(want):
+                side = gen[k][s]
+                held_lo, held_hi, entries = side
+                new = range(lo, hi + 1) if held_lo > held_hi else \
+                    [*range(lo, held_lo), *range(held_hi + 1, hi + 1)]
+                if k:
+                    own, other = gen[k - 1][s][2], gen[k - 1][1 - s][2]
+                    entries.update(zip(new, _axpy(
+                        steps[k - 1][1 + s], [other[k - 1 - m] for m in new],
+                        [own[m - 1] for m in new])))
+                else:
+                    entries.update((m, to_mpc(sources[s].w(m))) for m in new)
+                side[0], side[1] = lo, hi
+            if k + 1 not in self._dets:
+                self._dets[k + 1] = self._dets[k] * gen[k][0][2][k]
 
     @_query
     def monic_pair(self, n: int):
@@ -418,21 +435,29 @@ class ToeplitzOracle:
 
     @_query
     def eps_series(self, n: int, truncation: int) -> Grid:
-        got = self._eps.get(n)
-        if got is None or got.top < truncation:
-            got = epsilon_from_determinant(self.moments, self.level(n).phi,
-                                           truncation)
-            self._eps[n] = got
-        return got
+        """eps_n up to z^truncation: 2 kappa_n alpha_n(m) at z^m."""
+        return self._series_of(0, n, truncation, range(truncation + 1), 0)
 
     @_query
     def epsstar_series(self, n: int, truncation: int) -> Grid:
-        got = self._epsstar.get(n)
-        if got is None or got.top < truncation:
-            got = epsilonstar_from_determinant(
-                self.moments, self.level(n).phibar, truncation)
-            self._epsstar[n] = got
-        return got
+        """epsstar_n up to z^truncation, from z^(n+1): -2 kappa_n
+        beta_n(-m) at z^(n+m)."""
+        return self._series_of(1, n, truncation,
+                               range(-1, n - truncation - 1, -1), n + 1)
+
+    def _series_of(self, side: int, n: int, truncation: int, entries,
+                   offset: int) -> Grid:
+        """The ``entries`` of one side of level n, in that order, times
+        +-2 kappa_n exactly, on the spectral grid (``Grid.from_poly``)
+        from z^offset; formed once per (side, n, truncation)."""
+        key = (side, n, truncation)
+        if key not in self._series:
+            scale = Grid.of([(-2 if side else 2) * self.level(n).kappa])
+            self._reach(n, (0, truncation), (n - truncation, -1))
+            window = self._gen[n][side][2]
+            g = Grid.from_poly(scale * Grid.of([window[m] for m in entries]))
+            self._series[key] = Grid(g.re, g.im, g.exp, offset)
+        return self._series[key]
 
     # -- residual diagnostics ------------------------------------------------
 
@@ -477,8 +502,8 @@ def casoratian_residuals(oracle: ToeplitzOracle, n: int) -> dict:
         lev_n = oracle.level(n)
         lev_n1 = oracle.level(n + 1)
         top = 2 * n + 10
-        # level n+1's series at that level's truncation, as the extraction
-        # asks for them: one formation per level
+        # level n+1's series at the truncation its own Casoratian asks for,
+        # so that each series is formed once
         eps_n = oracle.eps_series(n, top)
         eps_n1 = oracle.eps_series(n + 1, top + 2)
         est_n = oracle.epsstar_series(n, top)

@@ -47,7 +47,7 @@ class Plan(FrozenRecord):
         with mp.workprec(p):
             self._init(
                 working=p, sequence=p + 2 * GUARD_BITS,
-                lu_floor=two ** (-(3 * p // 4)),        # oracle pivots
+                lu_floor=two ** (-(3 * p // 4)),        # oracle h_k
                 denominator_floor=ten ** (-(p // 2)),   # discrete_garnier
                 degeneracy_floor=ten ** (-(p // 3)),    # Garnier coordinates
                 band_alarm=ten ** (-(p // 4) + 2),      # spectral bands

@@ -8,8 +8,7 @@ exact Gaussian rationals and over mpc.
 under the name the spectral path gives a truncated expansion
 sum_k c[k] z^(offset+k) (the associated functions start at a
 level-dependent power); ``report`` states its spectral policy and accuracy
-rule.  ``conv_fixed`` is a window of the product of two vectors, each on
-its spectral grid (``Grid.from_poly``).
+rule.
 
 ``peval_grid`` evaluates a polynomial held exactly on a ``Grid`` at a point
 by Horner's rule in integers, and rounds the real and imaginary parts of
@@ -162,12 +161,3 @@ def pmax_abs(p) -> mpf:
 # perfbench/layers.py wraps (``mul_poly``) and reads under this name.
 OffsetSeries = Grid
 
-
-def conv_fixed(a, b, lo: int, hi: int) -> Grid:
-    """c_t = sum_i a_i b_{t-i} for lo <= t < hi, as the series
-    sum_t c_t z^t from z^lo.
-
-    Both vectors go onto their spectral grids, mp.prec + 16 bits below
-    their largest coefficient (``Grid.from_poly``); the sums are exact.
-    """
-    return Grid.from_poly(a).conv(Grid.from_poly(b), lo, hi)

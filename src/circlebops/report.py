@@ -22,22 +22,21 @@ a check's terms, a polynomial or a truncated series (``polys.OffsetSeries``
 is this class).  Sums (aligned in offset and exponent), the product (one
 kernel, ``Grid.conv``), derivatives, negation and shifts are exact, and
 ``coeff``, ``window`` and ``coeffs`` round a coefficient to mpc once, to
-nearest at the reader's mp.prec.  ``append`` extends a vector under
-construction by one mpc, exactly, and ``dot`` is an exact dot product
-rounded once per part (the Toeplitz oracle's).  Two policies put a vector
-on a grid:
+nearest at the reader's mp.prec, and ``dot`` is an exact dot product
+rounded once per part (the Szego step's).  Two policies put a vector on a
+grid:
 
 - the checks' path, ``Grid.of``, is exact up to the cap: a part more than
   ``plan.grid_cap()`` bits below the largest goes onto that coarser grid
   first (in a sum, so does an addend wholly that far below), so a grid
   cannot blow up; a non-finite term gives a grid whose ``exp`` is None,
   and the measures give it an infinite residual.
-- the spectral path, ``Grid.from_poly`` (``from_poly``, both vectors of
-  ``polys.conv_fixed`` and the polynomial of ``mul_poly``), puts the vector
-  ``plan.spectral_depth()`` bits below its largest coefficient (a grid
-  already coarser is kept as it is) and refuses a non-finite coefficient
-  with ``ValueError``.  Accuracy rule: one gridded product is off by at most
-  about len 2^-(prec+16) max|a| max|b| (prec of the call that gridded it);
+- the spectral path, ``Grid.from_poly`` (the oracle's series and the
+  polynomial of ``mul_poly``), puts the vector ``plan.spectral_depth()``
+  bits below its largest coefficient (a grid already coarser is kept as
+  it is) and refuses a non-finite coefficient with ``ValueError``.
+  Accuracy rule: one gridded product is off by at most about
+  len 2^-(prec+16) max|a| max|b| (prec of the call that gridded it);
   sums, derivatives and negation add nothing, and a read adds one rounding
   at the reader's precision.  A coefficient far below its vector's largest
   keeps only the digits above that grid.
@@ -243,26 +242,6 @@ class Grid:
             im.append(ss - rr - ii)
         return Grid(re, im, self.exp + other.exp,
                     self.offset + other.offset + lo)
-
-    def append(self, z: mpc) -> None:
-        """Extend the grid by the finite mpc z as its next coefficient,
-        exactly: the grid moves to z's exponent if that is finer."""
-        (s1, m1, e1, _), (s2, m2, e2, _) = z._mpc_
-        if (not m1 and e1) or (not m2 and e2):
-            raise ValueError("non-finite value on an exact grid")
-        if m1 or m2:
-            lo = min(e for e, m in ((e1, m1), (e2, m2)) if m)
-            if not self.re:
-                self.exp = lo
-            elif lo < self.exp:
-                s = self.exp - lo
-                self.re = [v << s for v in self.re]
-                self.im = [v << s for v in self.im]
-                self.exp = lo
-        x = m1 << (e1 - self.exp) if m1 else 0
-        y = m2 << (e2 - self.exp) if m2 else 0
-        self.re.append(-x if s1 else x)
-        self.im.append(-y if s2 else y)
 
     def dot(self, other: "Grid", start: int = 0) -> mpc:
         """sum_k a_k b_(start+k) over the coefficients both grids hold

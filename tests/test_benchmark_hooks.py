@@ -75,7 +75,7 @@ def test_layer_tracer_reaches_spectral_polys_and_eps(tmp_path):
     metrics = _traced_verify(tmp_path, CONFIG)
     assert metrics["spectral.extract.calls"] == 6
     assert metrics["polys.mul_poly.calls"] == 150
-    assert metrics["polys.mul_poly.mults"] == 5169
+    assert metrics["polys.mul_poly.mults"] == 5145
     assert metrics["bops.eps.s"] > 0
 
 
@@ -112,29 +112,32 @@ def _verify(tmp_path, config_data) -> None:
 
 
 def test_each_eps_series_is_formed_once_per_level(tmp_path, monkeypatch):
-    """The Casoratian checks and the extraction ask for level n+1's series
-    at that level's truncation, so no series is formed twice: CONFIG forms
-    eps_n and epsstar_n once each for n = 0 .. n_max + 2."""
-    from collections import Counter
+    """The Schur generator forms each (level, entry) once: every call that
+    grows it keeps each entry formed before as the same object.  Over
+    CONFIG its windows reach level n_max + 2 and hold 308 entries."""
+    from circlebops.bops import ToeplitzOracle
 
-    from circlebops import bops
+    reach, oracles = ToeplitzOracle._reach, []
 
-    formed = {"eps": Counter(), "epsstar": Counter()}
+    def entries(oracle):
+        return {(k, s, m): v for k, sides in enumerate(oracle._gen)
+                for s, side in enumerate(sides) for m, v in side[2].items()}
 
-    def counting(original, key):
-        def run(moments, coeffs, truncation):
-            formed[key][len(coeffs) - 1] += 1
-            return original(moments, coeffs, truncation)
-        return run
+    def checked_reach(oracle, *args):
+        if oracle not in oracles:
+            oracles.append(oracle)
+        before = entries(oracle)
+        try:
+            return reach(oracle, *args)
+        finally:
+            after = entries(oracle)
+            assert all(after[key] is v for key, v in before.items())
 
-    _wrap_everywhere(monkeypatch, {
-        bops.epsilon_from_determinant:
-            counting(bops.epsilon_from_determinant, "eps"),
-        bops.epsilonstar_from_determinant:
-            counting(bops.epsilonstar_from_determinant, "epsstar")})
+    monkeypatch.setattr(ToeplitzOracle, "_reach", checked_reach)
     _verify(tmp_path, CONFIG)
-    levels = dict.fromkeys(range(CONFIG["n_max"] + 3), 1)
-    assert formed == {"eps": levels, "epsstar": levels}
+    (oracle,) = oracles
+    assert len(oracle._gen) == CONFIG["n_max"] + 3
+    assert len(entries(oracle)) == 308
 
 
 def _point_evaluations(tmp_path, monkeypatch, config_data):

@@ -134,8 +134,8 @@ def test_degenerate_determinant_raises():
     o = ToeplitzOracle(ms)    # w_0 = 0 kills I_1
     with pytest.raises(Degenerate, match="level 1 vanishes"):
         o.level(1)
-    # I_3, I_4 are healthy, but the LU factor and the Szego step to level 3
-    # both pass level 1
+    # I_3, I_4 are healthy, but the Schur recursion and the Szego step to
+    # level 3 both pass level 1
     assert o.det(1) == 0
     with pytest.raises(Degenerate, match="level 1 "):
         o.det(3)
@@ -264,28 +264,6 @@ def test_level_needs_no_lu_solve(monkeypatch):
 
 # -- the exact dot products against the fdot references ----------------------
 
-def _fdot_dets(moments, n):
-    """I_0..I_n by the unpivoted LU border with ``mpmath.fdot`` dot
-    products, each entry of L and U held as mpc, at the sequence's
-    precision: the reference for ``ToeplitzOracle.det``."""
-    with mp.workprec(moments.prec):
-        w = {k: moments.w(k) for k in range(-n, n + 1)}
-        rows, cols, dets = [], [], [mpc(1)]
-        for m in range(n):
-            col = []
-            for k in range(m):
-                col.append(w[k - m] - mpmath.fdot(rows[k], col))
-            row = []
-            for k in range(m):
-                row.append((w[m - k] - mpmath.fdot(row, cols[k][:k]))
-                           / cols[k][k])
-            col.append(w[0] - mpmath.fdot(row, col))
-            rows.append(row)
-            cols.append(col)
-            dets.append(dets[-1] * col[m])
-        return dets
-
-
 def _fdot_monic_pairs(moments, n):
     """(P_k, Q_k), k = 0..n, by the bi-orthogonal Szego step with
     ``mpmath.fdot`` pairings: the reference for
@@ -331,15 +309,12 @@ def _bits(z):
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_exact_dots_equal_the_fdot_references_bit_for_bit(case, bits):
-    """det(n) and monic_pair(n), n <= 30, equal the fdot border and the
-    fdot Szego step exactly; a truncating weight stops where it did."""
+    """monic_pair(n), n <= 30, equals the fdot Szego step exactly; a
+    truncating weight stops where it did, in both routes."""
     with working_precision(bits):
         oracle = ORACLE_CASES[case]()
         stop = TRUNCATES_AT.get(case, 31)
-        dets = _fdot_dets(oracle.moments, min(stop, 30))
         pairs = _fdot_monic_pairs(oracle.moments, min(stop, 31) - 1)
-        for n in range(min(stop, 30) + 1):
-            assert _bits(oracle.det(n)) == _bits(dets[n]), n
         for n in range(min(stop, 31)):
             P, Q = oracle.monic_pair(n)
             assert [_bits(c) for c in P] == [_bits(c) for c in pairs[n][0]]
@@ -359,7 +334,7 @@ def test_rational_m3_truncates_at_level_six_with_the_same_messages():
     w = build_weight([0, ["2/5", "1/5"], 1], [-3, -4, -5])
     with working_precision(256):
         for query, last, route in (
-                ("det", 6, "the LU factor stops here"),
+                ("det", 6, "the Schur recursion stops here"),
                 ("monic_pair", 5, "the Szego step stops here"),
                 ("level", 4, "the system truncates here")):
             oracle = rational_workspace(w).oracle

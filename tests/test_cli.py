@@ -639,9 +639,7 @@ def test_every_command_judges_the_configured_checks_as_verify(tmp_path,
                                                               command):
     """The config's checks list picks the suites of every command that
     judges checks, and each writes them under checks as verify reports
-    them.  The identity suite is left out: its Casoratian checks form
-    longer series, so whether they run before or after a command's data
-    moves digits (ROADMAP item 2)."""
+    them."""
     path = write_config(tmp_path, n_max=6,
                         checks=["bilinear", "summation", "oracle", "tau"])
     out, report = tmp_path / "out.json", tmp_path / "verify.json"
@@ -651,3 +649,36 @@ def test_every_command_judges_the_configured_checks_as_verify(tmp_path,
     assert checks == json.loads(report.read_text())["checks"]
     assert {c["id"] for c in checks} >= {"OTeq:a", "Ssum:d", "dGarnier:ab",
                                           "tau:I"}
+
+
+def test_spectral_and_verify_report_the_same_residuals(tmp_path):
+    """spectral forms its data before it judges the identity suite, verify
+    judges it first; the check residuals agree string for string, and each
+    level's band_residual is verify's degree residual."""
+    path = write_config(tmp_path, n_max=6,
+                        checks=["identities", "bilinear", "summation"])
+    out, report = tmp_path / "spectral.json", tmp_path / "verify.json"
+    assert main(["--config", path, "spectral", "--out", str(out)]) == 0
+    assert main(["--config", path, "verify", "--out", str(report)]) == 0
+    spectral = json.loads(out.read_text())
+    checks = json.loads(report.read_text())["checks"]
+    assert spectral["checks"] == checks
+    degree = {c["n"]: c["residual"] for c in checks if c["id"] == "degree"}
+    assert {lev["n"]: lev["band_residual"]
+            for lev in spectral["levels"]} == degree
+
+
+def test_suite_order_moves_no_residual(tmp_path):
+    """The benchmark's verify-deep configuration (seed 0: the README
+    weight, all five formal suites to n_max 24) with its suites in two
+    orders: every residual string is the same."""
+    checks = ["identities", "bilinear", "summation", "oracle", "tau"]
+    reports = []
+    for order in (checks, checks[::-1]):
+        path = write_config(tmp_path, n_max=24, checks=order)
+        out = tmp_path / "verify.json"
+        assert main(["--config", path, "verify", "--out", str(out)]) == 0
+        reports.append({(c["id"], c.get("n")): c["residual"]["s"]
+                        for c in json.loads(out.read_text())["checks"]})
+    assert len(reports[0]) == 1513
+    assert reports[0] == reports[1]

@@ -157,3 +157,25 @@ def test_flow_suite_builds_one_stencil_per_free_singularity(monkeypatch):
         res = run_verification(ws, ["flow"], 2, ws.plan.flow_tolerance)
         assert len(built) == 4 * ws.pair.N == 8
         assert all_passed(res), [(c.label, c.note) for c in failures(res)]
+
+
+def test_the_circle_rule_beats_a_central_difference_by_2_to_the_40():
+    """d r_2 / d z_1 on the rational M = 4 weight at 256 bits: the
+    four-point circle rule errs at least 2^40 less than a central
+    difference at h = 2^-64, both against a central difference at
+    h = 2^-120 taken at 512 bits."""
+    w, n = rational_case_m4(), 2
+
+    def r_slope(bits):
+        h = Fraction(1, 2 ** bits)
+        r = [rational_workspace(shifted_weight(w, {1: QC(s)})).level(n).r
+             for s in (h, -h)]
+        return (r[0] - r[1]) * 2 ** (bits - 1)
+
+    with working_precision(512):
+        ref = r_slope(120)
+    with working_precision(256):
+        stencil = flow_stencil(w, [QC(0), QC(1), QC(0), QC(0)])
+        circle = deform._derivative(lambda t: stencil[t].level(n).r)
+        central = r_slope(64)
+        assert abs(circle - ref) * 2 ** 40 < abs(central - ref)

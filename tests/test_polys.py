@@ -17,7 +17,8 @@ from circlebops.bops import ToeplitzOracle, pairing_first
 from circlebops.exact import QC
 from circlebops.moments import MomentSequence, ReflectedMoments
 from circlebops.mputil import guarded, to_mpc, working_precision
-from circlebops.polys import OffsetSeries, conv_fixed, peval_grid, pmul
+from circlebops.polys import OffsetSeries, peval_grid, pmul
+from circlebops.report import Grid
 from circlebops.weights import build_poly_pair
 
 
@@ -84,6 +85,12 @@ def _want(offset: int, vec, top: int) -> dict:
     """power -> exact (re, im) of sum_k vec[k] z^(offset + k), up to top."""
     return {p: _parts(vec[p - offset]) if p - offset < len(vec)
             else (Fraction(0), Fraction(0)) for p in range(offset, top + 1)}
+
+
+def conv_fixed(a, b, lo: int, hi: int) -> Grid:
+    """The product terms lo <= t < hi of a and b, each on its spectral
+    grid: the gridded product whose accuracy rule ``mul_poly`` relies on."""
+    return Grid.from_poly(a).conv(Grid.from_poly(b), lo, hi)
 
 
 def _assert_within_rule(a, b, lo, hi):

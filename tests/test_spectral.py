@@ -17,15 +17,14 @@ from circlebops.moments import MomentSequence, ReflectedMoments, build_U
 from circlebops.mputil import working_precision
 from circlebops.polys import (padd, pdiff, peval, pmax_abs, pscale, pshift,
                              psub)
-from circlebops.report import Grid, add_grids, all_passed, failures, rel_error
-from circlebops import spectral
+from circlebops.report import all_passed, failures, rel_error
 from circlebops.spectral import (SERIES_BUFFER, SpectralWorkspace,
                                  check_bilinear, check_linear_recurrences,
                                  check_summation_identities, check_transitions,
                                  p2_asymptotic_constant, residue_matrices,
                                  residue_structure_checks,
                                  scalar_ode_residuals)
-from circlebops.suites import run_verification
+from circlebops.suites import casoratian_suite, run_verification
 from circlebops.weights import build_poly_pair, build_weight
 
 TOL = mpf(1e-25)
@@ -242,21 +241,6 @@ def test_scalar_ode_catches_a_perturbed_leading_coefficient():
     assert not a.passed and a.residual > mpf(1e-20) and b.passed
 
 
-def test_a_planted_top_coefficient_raises_the_p2_decay_alarm(monkeypatch):
-    """p2 = num / (W^2 Theta) must decay like z^-2; a coefficient of num at
-    the power deg den - 1 trips the alarm."""
-    ws = _ws()
-    pieces = spectral._ode_pieces(ws, 3)
-    d = len(pieces["den"]) - 1
-    znum = add_grids(pieces["a"][2:])
-    # z num at z^d: num at z^(deg den - 1), as large as its top term
-    planted = dict(pieces, a=pieces["a"] + [
-        Grid.of([0] * d + [znum.coeff(d - 1)])])
-    monkeypatch.setattr(spectral, "_ode_pieces", lambda ws, n: planted)
-    with pytest.raises(Degenerate, match="p2 does not decay like z"):
-        p2_asymptotic_constant(ws, 3)
-
-
 def p1_at(ws, n, z):
     """p1 = (W' + 2V)/W - Theta'/Theta - n/z from the point tables."""
     sd = ws.data(n)
@@ -451,3 +435,33 @@ def test_point_tables_keep_one_entry_per_precision():
     assert all(a._mpc_ != g._mpc_ for a, g in zip(got[128], got[192]))
     assert sd.at("theta", z) is got[128][0] and \
         ws.at("dW", z) is got[128][2]
+
+
+def test_depth_near_the_origin_matches_a_640_bit_run():
+    """The README weight with z_1 = 1/10 in formal mode: the spectral data
+    of level 30 at 128 bits agree with a 640-bit run of the same seeds to
+    2^-(128+16) of each polynomial's largest coefficient."""
+    weight = build_weight([0, "1/10", 1], ["1/3", "-1/2", "1/4"])
+    _, seeds = standard_case_m3()
+    got = make_workspace(weight, seeds).data(30)
+    with working_precision(640):
+        want = make_workspace(weight, seeds).data(30)
+        for name in ("theta", "omega", "thetastar", "omegastar"):
+            assert rel_error(getattr(got, name), getattr(want, name)) < \
+                mpf(2) ** -144, name
+
+
+def test_a_planted_error_in_one_schur_entry_fails_a_check():
+    """A relative error of 1e-30 in the one generator entry alpha_4(6),
+    planted before anything reads it, fails the Casoratian checks of level
+    3 at tolerance 1e-40, which pass without it."""
+    tol = mpf("1e-40")
+    assert all_passed(casoratian_suite(_ws(), 3, tol))
+    ws = _ws()
+    oracle = ws.oracle
+    with oracle.precision():
+        oracle._reach(4, (0, 18), (-14, -1))
+        alpha = oracle._gen[4][0][2]
+        alpha[6] *= 1 + mpf("1e-30")
+    failed = failures(casoratian_suite(ws, 3, tol))
+    assert [(r.label, r.n) for r in failed] == [("Cas:a", 3)]
