@@ -309,11 +309,16 @@ def _bits(z):
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_exact_dots_equal_the_fdot_references_bit_for_bit(case, bits):
-    """monic_pair(n), n <= 30, equals the fdot Szego step exactly; a
-    truncating weight stops where it did, in both routes."""
+    """monic_pair(n), n <= 30, equals the fdot Szego step exactly, det(n),
+    n <= 12, agrees with a fresh pivoted LU, and a truncating weight stops
+    where it did, in both routes."""
     with working_precision(bits):
         oracle = ORACLE_CASES[case]()
         stop = TRUNCATES_AT.get(case, 31)
+        for n in range(min(stop, 13)):
+            want = toeplitz_det(oracle.moments, n)
+            assert abs(oracle.det(n) - want) < \
+                mpf(2) ** -(bits + 16) * abs(want), n
         pairs = _fdot_monic_pairs(oracle.moments, min(stop, 31) - 1)
         for n in range(min(stop, 31)):
             P, Q = oracle.monic_pair(n)
