@@ -131,6 +131,9 @@ def dg_initial(moments: MomentSequence) -> DGState:
     N = pair.N
     w0 = to_mpc(moments.w(0))
     wm1 = to_mpc(moments.w(-1))
+    if w0 == 0 or wm1 == 0:
+        raise Degenerate("w_0 or w_-1 vanishes: the level-zero state "
+                         "divides by both")
     k02 = 1 / w0
     V2 = pair.V2_mpc()
     U = [to_mpc(u) for u in build_U(moments).u]

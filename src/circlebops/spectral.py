@@ -170,6 +170,9 @@ def _spectral_from_oracle_impl(oracle, n):
     # 2 (phibar0_{n+1}/kappa_n) z^{n+1} (Thetastar_n, Omegastar_n)
     #   = -forms(epsstar_n, epsstar_{n+1}, phistar_n, phistar_{n+1})
     r_ts, r_os = forms(est_n, est_n1, lev_n.phistar, lev_n1.phistar)
+    if lev_n1.phi0 == 0 or lev_n1.phibar0 == 0:
+        raise Degenerate(f"a reflection coefficient of level {n + 1} "
+                         f"vanishes: the spectral forms divide by it")
     fac = 2 * lev_n1.phi0 / lev_n.kappa
     theta, r1 = _extract_band(r_theta, n, N, fac)
     omega, r2 = _extract_band(r_omega, n, N + 1, fac)

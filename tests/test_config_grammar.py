@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlebops.cli import main
@@ -27,7 +27,7 @@ COMMANDS = {
 POINTS = [["2/5", 0], ["-1/3", "1/2"], ["1/4", "-1/5"], ["3/2", "1/3"],
           [0, "-5/2"], ["-2", "1/7"]]
 FORMAL_RESIDUES = ["1/3", "-1/2", "1/4", "2/5", "-3/7", "5/8"]
-SEEDS = [[0.31, 0.17], [1, 0], [0.2, -0.11], [-0.15, 0.4], [0.4, 0.33]]
+SEEDS = [[0.31, 0.17], [1, 0], [0.2, -0.11], [-0.15, 0.4], [0, 0]]
 
 
 @st.composite
@@ -45,6 +45,7 @@ def configs(draw):
     else:
         res = [[draw(st.sampled_from(FORMAL_RESIDUES)), 0] for _ in sing]
     free = M - 1 if [0, 0] in sing else M
+    seeds = [draw(st.sampled_from(SEEDS)) for _ in range(free)]
     checks = draw(st.permutations(KNOWN_CHECKS))
     return {
         "mode": mode, "precision_bits": 128, "tolerance": 1e-20,
@@ -52,11 +53,31 @@ def configs(draw):
         "checks": checks[:draw(st.integers(0, len(checks)))],
         "weight": {"placement": placement, "singularities": sing,
                    "residues": res},
-        "seeds": {"start": -1, "values": (SEEDS * 2)[:free]},
+        "seeds": {"start": -1, "values": seeds},
     }
 
 
+def _formal(singularities, residues, seeds):
+    """A canonical formal-mode config at n_max 1 that judges no checks."""
+    return {"mode": "formal", "precision_bits": 128, "tolerance": 1e-20,
+            "n_max": 1, "seed": 1, "checks": [],
+            "weight": {"placement": "canonical",
+                       "singularities": singularities, "residues": residues},
+            "seeds": {"start": -1, "values": seeds}}
+
+
+# the moment recurrence of this M = 2 weight gives w_0 = 0 from any seed
+VANISHING_W0 = _formal([[0, 0], [1, 0]], [["-1/2", 0], ["-1/2", 0]],
+                       [[0.31, 0.17]])
+# w_-1 = 0 makes phi_1(0) = 0, which the spectral forms divide by
+VANISHING_R1 = _formal([[0, 0], ["2/5", 0], [1, 0]],
+                       [["1/3", 0], ["1/3", 0], ["1/3", 0]],
+                       [[0, 0], [0.31, 0.17]])
+
+
 @given(configs(), st.sampled_from(sorted(COMMANDS)))
+@example(VANISHING_W0, "dgarnier")
+@example(VANISHING_R1, "garnier")
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_every_accepted_config_reaches_a_verdict(config, command):
     with tempfile.TemporaryDirectory() as tmp:
