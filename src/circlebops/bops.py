@@ -46,9 +46,13 @@ oracle's precision: each is the exact value of alpha_k(m-1) +
 a_k beta_k(k-m) (or its mirror), summed in integers and rounded once per
 part (``_axpy``).  Each entry is formed once, from level k - 1's entries
 alone, so its value depends only on (k, m), never on how far the windows
-reach or on the order of the queries.  A reader's series is the entries
-times 2 kappa_n, formed exactly and rounded once onto the spectral grid of
-the oracle's precision (``Grid.from_poly``).
+reach or on the order of the queries.  The windows follow from two bounds,
+the highest level asked for (top) and the furthest entry (reach >= top):
+level k holds alpha_k(m) for k - top <= m <= reach and beta_k(s) for
+k - reach <= s <= top, a trapezoid that holds what the level above reads.
+A reader's series is the entries times 2 kappa_n, formed exactly and
+rounded once onto the spectral grid of the oracle's precision
+(``Grid.from_poly``).
 
 The system is symmetric under reflection of the weight, w_k -> w_{-k}: the
 second family is the first family of the reflected moments
@@ -198,9 +202,6 @@ def pairing_first(moments, coeffs, m: int) -> mpc:
 # the cached oracle
 # ---------------------------------------------------------------------------
 
-_EMPTY = (0, -1)        # a window of the Schur generator that holds nothing
-
-
 def _ints(z: mpc) -> tuple:
     """The finite mpc z as (re, re exponent, im, im exponent), exactly."""
     (s1, m1, e1, _), (s2, m2, e2, _) = z._mpc_
@@ -256,9 +257,12 @@ class ToeplitzOracle:
 
     ``det(n)`` is the product of the Schur generator's h_0 .. h_(n-1), and
     ``eps_series``/``epsstar_series`` read its pairings at level n;
-    ``_reach`` grows the generator.  ``level(n)`` takes I_n, I_{n+1} and
-    kappa_n from ``det`` and scales the monic pair of ``monic_pair(n)``,
-    which the Szego step grows upward from the highest cached level.
+    ``_reach(top, reach)`` grows the generator to the windows of those two
+    bounds, which only grow: ``det(n)`` asks for (n - 1, n - 1) and a
+    series of level n to z^T for (n, max(n, T)).  ``level(n)`` takes I_n,
+    I_{n+1} and kappa_n from ``det`` and scales the monic pair of
+    ``monic_pair(n)``, which the Szego step grows upward from the highest
+    cached level.
 
     The oracle adopts the precision ``prec`` of its moment sequence.  Every
     value it caches is computed there, inside the one context that each
@@ -269,7 +273,9 @@ class ToeplitzOracle:
     than the sequence's plan's ``working`` raises ``ValueError``, cached or
     not; the oracle's own calls, already at ``prec``, pass.  An h_k below
     the plan's ``lu_floor`` times h_(k-1) counts as vanishing (zero
-    computes as noise), in both routes.
+    computes as noise): ``_vanishes`` is the one test, which the generator
+    and ``level`` apply to the generator's h_k and the Szego step to its
+    own.
 
     ``gauge`` maps level -> +-1 and fixes the kappa_n sign; the default is
     the principal branch everywhere.
@@ -284,9 +290,10 @@ class ToeplitzOracle:
         self._monic = [([mpc(1)], [mpc(1)])]    # (P_k, Q_k), k = 0, 1, ...
         self._h = []                            # h_k of the Szego step
         # the Schur generator: level k -> its sides (alpha_k, beta_k), each
-        # [lo, hi, {m: entry}] over its window lo..hi; and the step out of
-        # level k, (h_k, a_k, b_k)
+        # {m: entry} over the window of the bounds (top, reach); and the
+        # step out of level k, (h_k, a_k, b_k)
         self._gen = []
+        self._bounds = (-1, -1)
         self._steps = []
         self._series = {}               # (side, n, truncation) -> Grid
 
@@ -310,73 +317,60 @@ class ToeplitzOracle:
     @_cached_query("_dets")
     def det(self, n: int) -> mpc:
         """I_n = I_{n-1} h_{n-1}, from the generator grown to level n - 1."""
-        self._reach(n - 1, _EMPTY, _EMPTY)
+        self._reach(n - 1, n - 1)
         return self._dets[n]
 
-    def _reach(self, n: int, alpha: tuple, beta: tuple) -> None:
-        """Grow the Schur generator until level n holds alpha_n(m) for m in
-        the range ``alpha`` = (lo, hi) and alpha_n(n), and beta_n over the
-        range ``beta``; a range with lo > hi is empty.
+    def _vanishes(self, h: mpc, below) -> bool:
+        """Whether h_k vanishes to working precision: h_k == 0, or |h_k|
+        below the plan's ``lu_floor`` times |h_(k-1)| = |below| (0 at
+        k = 0)."""
+        return h == 0 or abs(h) < self.moments.plan.lu_floor * abs(below)
+
+    def _reach(self, top: int, reach: int) -> None:
+        """Grow the Schur generator to the bounds (top, reach), each the
+        larger of the one asked for and the one held.  Every level k <= top
+        then holds alpha_k(m) for k - top <= m <= reach and beta_k(s) for
+        k - reach <= s <= top.
 
         Level k + 1's entry m of one side reads entry m - 1 of that side and
-        entry k - m of the other side at level k, so the windows each level
-        needs follow from the top down, as far as the first level that
-        already holds them; below level n both also hold -1 .. k, for h_k,
-        a_k and b_k.  They are then filled from the bottom up, each new
-        entry once, and before level k + 1 is formed, h_k passes the floor
-        test of ``monic_pair``: h_0 == 0, or |h_k| < floor |h_{k-1}|.
+        entry k - m of the other side at level k, which lie in level k's
+        window; so do h_k = alpha_k(k), alpha_k(-1) and beta_k(-1) for
+        k < top, as every caller asks for reach >= top.  The entries a
+        level lacks are formed from the bottom up, each once, and before
+        level k is formed h_(k-1) passes the floor test (``_vanishes``).
+        The bounds are recorded when the fill completes: after a
+        ``Degenerate`` abort they are those held before it, and a later
+        fill skips the entries that the aborted one formed.
         """
         gen, steps = self._gen, self._steps
-
-        def held(k):
-            return [tuple(side[:2]) for side in gen[k]] if k < len(gen) \
-                else [_EMPTY, _EMPTY]
-
-        def hull(*ranges):
-            ranges = [r for r in ranges if r[0] <= r[1]]
-            return (min(r[0] for r in ranges),
-                    max(r[1] for r in ranges)) if ranges else _EMPTY
-
-        top = held(n)
-        want, wants = [hull(top[0], alpha, (n, n)), hull(top[1], beta)], []
-        for k in range(n, -1, -1):
-            if want == held(k):
-                break
-            wants.append((k, want))
-            if k:
-                below, j = held(k - 1), k - 1
-                want = [hull(below[s], (-1, j),
-                             (want[s][0] - 1, want[s][1] - 1),
-                             (j - want[1 - s][1], j - want[1 - s][0]))
-                        for s in (0, 1)]
+        bounds = max(top, self._bounds[0]), max(reach, self._bounds[1])
+        if bounds == self._bounds:
+            return
         sources = (self.moments, ReflectedMoments(self.moments))
-        for k, want in reversed(wants):
+        for k in range(bounds[0] + 1):
             if k == len(gen):
-                gen.append(([0, -1, {}], [0, -1, {}]))
-            if k and len(steps) < k:
-                h = gen[k - 1][0][2][k - 1]
-                if h == 0 or (k > 1 and abs(h) < self.moments.plan.lu_floor
-                              * abs(steps[-1][0])):
-                    raise Degenerate(
-                        f"determinant at level {k} vanishes to working "
-                        f"precision; the Schur recursion stops here")
-                steps.append((h, *(-gen[k - 1][s][2][-1] / h
-                                   for s in (0, 1))))
-            for s, (lo, hi) in enumerate(want):
-                side = gen[k][s]
-                held_lo, held_hi, entries = side
-                new = range(lo, hi + 1) if held_lo > held_hi else \
-                    [*range(lo, held_lo), *range(held_hi + 1, hi + 1)]
                 if k:
-                    own, other = gen[k - 1][s][2], gen[k - 1][1 - s][2]
+                    h = gen[k - 1][0][k - 1]
+                    if self._vanishes(h, steps[-1][0] if steps else 0):
+                        raise Degenerate(
+                            f"determinant at level {k} vanishes to working "
+                            f"precision; the Schur recursion stops here")
+                    steps.append((h, *(-gen[k - 1][s][-1] / h
+                                       for s in (0, 1))))
+                gen.append(({}, {}))
+            for s, entries in enumerate(gen[k]):
+                new = [m for m in range(k - bounds[s], bounds[1 - s] + 1)
+                       if m not in entries]
+                if k:
+                    own, other = gen[k - 1][s], gen[k - 1][1 - s]
                     entries.update(zip(new, _axpy(
                         steps[k - 1][1 + s], [other[k - 1 - m] for m in new],
                         [own[m - 1] for m in new])))
                 else:
                     entries.update((m, to_mpc(sources[s].w(m))) for m in new)
-                side[0], side[1] = lo, hi
             if k + 1 not in self._dets:
-                self._dets[k + 1] = self._dets[k] * gen[k][0][2][k]
+                self._dets[k + 1] = self._dets[k] * gen[k][0][k]
+        self._bounds = bounds
 
     @_query
     def monic_pair(self, n: int):
@@ -385,15 +379,12 @@ class ToeplitzOracle:
         The three pairings of a step are dot products (``Grid.dot``) with
         one grid of the moment window w_{-n} .. w_n, formed once per call
         by ``Grid.of`` (exact up to its cap), and with its reversal.
-        Raises ``Degenerate`` at the first h_k that vanishes to
-        working precision: h_0 == 0, or
-        |h_k| < floor |h_{k-1}|, the same test ``level`` applies to
-        I_{k+1} I_{k-1} / I_k^2.
+        Raises ``Degenerate`` at the first of its own h_k that vanishes to
+        working precision (``_vanishes``).
         """
         pairs, hs = self._monic, self._h
         if n < len(pairs):
             return pairs[n]
-        floor = self.moments.plan.lu_floor
         self.moments.extend(-n, n)
         window = Grid.of([self.moments.w(k) for k in range(-n, n + 1)])
         rev = Grid(window.re[::-1], window.im[::-1], window.exp)
@@ -401,7 +392,7 @@ class ToeplitzOracle:
             P, Q = pairs[k]
             Pg, Qg = Grid.of(P), Grid.of(Q)
             h = Pg.dot(rev, n - k)                  # w_{k-j}: rev[n-k+j]
-            if h == 0 or (k and abs(h) < floor * abs(hs[k - 1])):
+            if self._vanishes(h, hs[k - 1] if k else 0):
                 raise Degenerate(
                     f"determinant at level {k + 1} vanishes to working "
                     f"precision; the Szego step stops here")
@@ -418,14 +409,11 @@ class ToeplitzOracle:
     @_cached_query("_levels")
     def level(self, n: int) -> BopsLevel:
         In, In1 = self.det(n), self.det(n + 1)
-        if In == 0 or In1 == 0:
-            raise Degenerate(f"vanishing determinant at level {n}")
-        if n >= 1:
-            ref = abs(In) ** 2 / max(abs(self.det(n - 1)), mpf(1e-300))
-            if abs(In1) < self.moments.plan.lu_floor * ref:
-                raise Degenerate(
-                    f"determinant at level {n + 1} vanishes to working "
-                    f"precision; the system truncates here")
+        if self._vanishes(self._gen[n][0][n],
+                          self._steps[n - 1][0] if n else 0):
+            raise Degenerate(
+                f"determinant at level {n + 1} vanishes to working "
+                f"precision; the system truncates here")
         kap = self.gauge(n) * mpmath.sqrt(In / In1)
         P, Q = self.monic_pair(n)
         lev = BopsLevel(n=n, I=In, I_next=In1, kappa=kap, gauge=self.gauge(n),
@@ -453,8 +441,8 @@ class ToeplitzOracle:
         key = (side, n, truncation)
         if key not in self._series:
             scale = Grid.of([(-2 if side else 2) * self.level(n).kappa])
-            self._reach(n, (0, truncation), (n - truncation, -1))
-            window = self._gen[n][side][2]
+            self._reach(n, max(n, truncation))
+            window = self._gen[n][side]
             g = Grid.from_poly(scale * Grid.of([window[m] for m in entries]))
             self._series[key] = Grid(g.re, g.im, g.exp, offset)
         return self._series[key]

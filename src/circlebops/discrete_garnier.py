@@ -292,8 +292,9 @@ def tau_recovery(states: list, moments: MomentSequence) -> dict:
     disagreement is returned as ``lambda_delta``, for the caller to judge),
     the second-family reflections via the difference identity, and the
     determinants from the product identity.  Needs the
-    trajectory of the moments' weight up to some n_max; returns determinants
-    up to index n_max - 1.
+    trajectory of the moments' weight up to some n_max; returns the
+    determinants up to index n_max - 1 as ``I``, with ``lambda_delta`` and
+    ``rbar0_defect``, |rbar_0 - 1| by the difference identity.
     """
     pair = moments.pair
     N = pair.N
@@ -349,8 +350,7 @@ def tau_recovery(states: list, moments: MomentSequence) -> dict:
     dets = [mpc(1), w0]
     for n in range(1, len(rbar)):
         dets.append(dets[n] ** 2 * (1 - r[n] * rbar[n]) / dets[n - 1])
-    return {"I": dets, "r": r, "rbar": rbar, "lam": lam, "lam_alt": lam_alt,
-            "lambda_delta": delta, "rbar0_defect": rbar0_defect}
+    return {"I": dets, "lambda_delta": delta, "rbar0_defect": rbar0_defect}
 
 
 # ---------------------------------------------------------------------------

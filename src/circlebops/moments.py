@@ -80,16 +80,12 @@ def integer_rows(pair: PolyPair) -> tuple:
             [k * b + v for k, (b, v) in enumerate(zip(bi, vi))], br, bi)
 
 
-def recurrence_row(pair: PolyPair, j, exact: bool = False):
-    """Coefficients g_0..g_M of the difference equation at index j, from
-    the integer rows.
-
-    Works over mpc (default) or exactly over Gaussian rationals.
-    """
+def recurrence_row(pair: PolyPair, j) -> list:
+    """Coefficients g_0..g_M of the difference equation at index j, exactly
+    over Gaussian rationals, from the integer rows."""
     D, ar, ai, br, bi = integer_rows(pair)
-    row = [QC(Fraction(x - j * u, D), Fraction(y - j * v, D))
-           for x, y, u, v in zip(ar, ai, br, bi)]
-    return row if exact else [to_mpc(g) for g in row]
+    return [QC(Fraction(x - j * u, D), Fraction(y - j * v, D))
+            for x, y, u, v in zip(ar, ai, br, bi)]
 
 
 def free_moments(singularities) -> int:
@@ -248,7 +244,7 @@ class MomentSequence(Record):
             idx = j - k
             if idx not in self.values:
                 raise ValueError(f"moment {idx} not in window")
-            terms.append(g * to_mpc(self.values[idx]))
+            terms.append(to_mpc(g) * to_mpc(self.values[idx]))
         return rel_residual(terms)
 
     def max_residual(self) -> mpf:

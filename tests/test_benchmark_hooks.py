@@ -114,14 +114,14 @@ def _verify(tmp_path, config_data) -> None:
 def test_each_eps_series_is_formed_once_per_level(tmp_path, monkeypatch):
     """The Schur generator forms each (level, entry) once: every call that
     grows it keeps each entry formed before as the same object.  Over
-    CONFIG its windows reach level n_max + 2 and hold 308 entries."""
+    CONFIG its windows reach level n_max + 2 and hold 336 entries."""
     from circlebops.bops import ToeplitzOracle
 
     reach, oracles = ToeplitzOracle._reach, []
 
     def entries(oracle):
         return {(k, s, m): v for k, sides in enumerate(oracle._gen)
-                for s, side in enumerate(sides) for m, v in side[2].items()}
+                for s, side in enumerate(sides) for m, v in side.items()}
 
     def checked_reach(oracle, *args):
         if oracle not in oracles:
@@ -137,7 +137,7 @@ def test_each_eps_series_is_formed_once_per_level(tmp_path, monkeypatch):
     _verify(tmp_path, CONFIG)
     (oracle,) = oracles
     assert len(oracle._gen) == CONFIG["n_max"] + 3
-    assert len(entries(oracle)) == 308
+    assert len(entries(oracle)) == 336
 
 
 def _point_evaluations(tmp_path, monkeypatch, config_data):

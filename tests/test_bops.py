@@ -18,6 +18,7 @@ from circlebops.exact import QC, det_cofactor
 from circlebops.moments import MomentSequence, ReflectedMoments
 from circlebops.mputil import working_precision
 from circlebops.polys import pmax_abs, psub
+from circlebops.spectral import spectral_from_oracle
 from circlebops.weights import build_poly_pair, build_weight
 
 
@@ -350,6 +351,79 @@ def test_rational_m3_truncates_at_level_six_with_the_same_messages():
             assert str(err.value) == (
                 "determinant at level 6 vanishes to working precision; "
                 + route)
+
+
+def _entries(oracle) -> dict:
+    """The Schur generator's entries, by (level, side, index)."""
+    return {(k, s, m): v for k, sides in enumerate(oracle._gen)
+            for s, side in enumerate(sides) for m, v in side.items()}
+
+
+def test_the_windows_follow_the_bounds_in_any_query_order():
+    """Three oracles over one sequence run the same queries in three
+    orders: determinants to I_25 first, the Casoratians first, and the
+    spectral data first.  Each ends with the same bounds (top, reach), its
+    level k holding alpha_k over k - top .. reach and beta_k over
+    k - reach .. top, and the three hold equal entries at every key.  A
+    request inside the held bounds then forms nothing."""
+    _, ms, _ = _oracle_m3()
+
+    def dets(o):
+        for n in range(26):
+            o.det(n)
+
+    def casoratians(o):
+        casoratian_residuals(o, 5)
+
+    def spectral(o):
+        for n in range(6):
+            spectral_from_oracle(o, n)
+
+    held = []
+    for order in ((dets, spectral, casoratians),
+                  (casoratians, spectral, dets),
+                  (spectral, dets, casoratians)):
+        oracle = ToeplitzOracle(ms)
+        for query in order:
+            query(oracle)
+        top, reach = oracle._bounds
+        assert len(oracle._gen) == top + 1 and reach >= top
+        for k, (alpha, beta) in enumerate(oracle._gen):
+            assert sorted(alpha) == list(range(k - top, reach + 1))
+            assert sorted(beta) == list(range(k - reach, top + 1))
+        held.append((oracle._bounds, _entries(oracle)))
+    assert held[0] == held[1] == held[2]
+
+    before = _entries(oracle)
+    oracle.eps_series(3, reach - 1)
+    oracle.epsstar_series(top, top)
+    with oracle.precision():
+        oracle._reach(top - 2, reach)
+    after = _entries(oracle)
+    assert after.keys() == before.keys()
+    assert all(after[key] is v for key, v in before.items())
+
+
+def test_a_degenerate_abort_forms_no_entry_twice():
+    """After the Schur recursion stops at level 6 of the rational M = 3
+    weight, asking again raises again and forms nothing, and the levels
+    below still answer, each new entry formed once."""
+    w = build_weight([0, ["2/5", "1/5"], 1], [-3, -4, -5])
+    with working_precision(256):
+        oracle = rational_workspace(w).oracle
+        oracle.det(6)
+        with pytest.raises(Degenerate, match="level 6 vanishes"):
+            oracle.det(9)
+        assert len(oracle._gen) == 6 and oracle._bounds == (5, 5)
+        before = _entries(oracle)
+        with pytest.raises(Degenerate, match="level 6 vanishes"):
+            oracle.det(9)
+        again = _entries(oracle)
+        assert again.keys() == before.keys()
+        oracle.eps_series(4, 12)
+        after = _entries(oracle)
+        assert all(after[key] is v for key, v in before.items())
+        assert oracle._bounds == (5, 12)
 
 
 def test_cached_queries_refuse_another_precision():

@@ -34,7 +34,7 @@ def test_m4_recurrence_matches_displayed_equation():
                      [str(r0), str(rs), str(rt), str(r1)])
     pair = build_poly_pair(w)
     for j in (-2, 1, 5):
-        row = recurrence_row(pair, j + 1, exact=True)   # pivot on w_j
+        row = recurrence_row(pair, j + 1)   # pivot on w_j
         assert row[0].is_zero()
         disp = [
             (j - r0) * s * t,
@@ -153,7 +153,7 @@ def test_pivot_floor_is_an_exact_comparison():
                          (floor, False),
                          (floor - Fraction(1, 2 ** 80), False)):
         pair = _floor_pair(delta)
-        row = recurrence_row(pair, 4, exact=True)
+        row = recurrence_row(pair, 4)
         assert row == [QC(1), QC(0), QC(delta)]
         ms = MomentSequence.from_seeds(pair, 3, [mpc("0.3", "0.1"), mpc(1)])
         if steps:

@@ -117,6 +117,51 @@ def test_no_src_function_takes_a_parameter_it_never_reads():
     assert not unread, unread
 
 
+# Defined in src/ and read only by the tests: the second routes and test
+# helpers of ROADMAP item 5, which a reference suite would give a caller.
+READ_ONLY_BY_TESTS = {
+    "MomentSequence.max_residual", "QC.conjugate",
+    "ToeplitzOracle.orthonormality_residual",
+    "WeightData.free_singularities", "all_passed", "canonical_transform",
+    "caratheodory_ode_residual", "orthogonality_residual",
+    "phi_from_determinant", "residue_identity_defect", "toeplitz_det",
+    "u_from_series"}
+
+
+def test_every_src_function_has_a_reader_in_src():
+    """Every module-level function or class and every method that a src
+    module defines is read by name in some src module other than
+    ``__init__``, whose re-exports do not count.
+
+    A name is read where it is loaded or taken as an attribute, by name
+    alone, so a method shares its readers with every method of its name;
+    dunder methods, which their protocols call, are exempt.  The names
+    only the tests read are listed in ``READ_ONLY_BY_TESTS``, and the list
+    must stay exact: a name that gains a reader leaves it.
+    """
+    defined, read = set(), set()
+    for path in sorted(Path(circlebops.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not
+                    (item.name.startswith("__") and item.name.endswith("__")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {name for name in defined
+              if name.rpartition(".")[2] not in read}
+    assert unread == READ_ONLY_BY_TESTS, sorted(unread ^ READ_ONLY_BY_TESTS)
+
+
 def _is_mp_prec(node) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "prec" and \
         isinstance(node.value, ast.Name) and node.value.id == "mp"
