@@ -85,13 +85,12 @@ from .report import Grid, largest_abs, ratio
 class BopsLevel(Record):
     """All scalar and polynomial data of one level of the system."""
 
-    _fields = ("n", "I", "I_next", "kappa", "gauge", "phi", "phibar")
+    _fields = ("n", "I", "kappa", "gauge", "phi", "phibar")
 
-    def __init__(self, n: int, I: mpc, I_next: mpc, kappa: mpc, gauge: int,
-                 phi: list, phibar: list):
+    def __init__(self, n: int, I: mpc, kappa: mpc, gauge: int, phi: list,
+                 phibar: list):
         self.n = n
         self.I = I                  # Toeplitz determinant at this level
-        self.I_next = I_next
         self.kappa = kappa          # gauge * sqrt(I_n / I_{n+1})
         self.gauge = gauge
         self.phi = phi              # phi_n, ascending, length n+1
@@ -416,7 +415,7 @@ class ToeplitzOracle:
                 f"precision; the system truncates here")
         kap = self.gauge(n) * mpmath.sqrt(In / In1)
         P, Q = self.monic_pair(n)
-        lev = BopsLevel(n=n, I=In, I_next=In1, kappa=kap, gauge=self.gauge(n),
+        lev = BopsLevel(n=n, I=In, kappa=kap, gauge=self.gauge(n),
                         phi=[kap * c for c in P], phibar=[kap * c for c in Q])
         self._levels[n] = lev
         return lev

@@ -351,6 +351,8 @@ def _cmd_sweep(cfg: RunConfig, args, started: float) -> int:
             first_singular = -1
         except SingularStep as exc:
             first_singular = exc.index if exc.index is not None else -2
+        except ConfigInvalid:
+            raise               # bad input exits 2 and writes no CSV
         except CircleBopsError:
             first_singular = -2
         rows.append((val, first_singular))

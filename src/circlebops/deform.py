@@ -28,8 +28,9 @@ for the Cauchy integral on the circle |t| = r = ``Plan.flow_radius``,
     f'(0) ~ [f(r) - f(-r) - i (f(ir) - f(-ir))] / (4 r),
 
 which is accurate to O(r^4) (J. N. Lyness and C. B. Moler, SIAM J. Numer.
-Anal. 4 (1967) 202-210).  Each check passes when its residual is below the
-plan's ``flow_tolerance`` (``CheckResult.make``), like every other check.
+Anal. 4 (1967) 202-210).  The checks return (label, residual) evaluations
+and take no tolerance: the flow suite judges them (``report.judge``)
+against the plan's ``flow_tolerance``, like every other check.
 
 The pipeline checks build no workspace themselves.  The caller passes the
 base workspace and a stencil (``flow_stencil``): the four workspaces of the
@@ -50,8 +51,8 @@ from .moments import (MomentSequence, free_moments,
                       rational_weight_moments)
 from .mputil import match_roots, to_mpc
 from .plan import Plan
-from .report import (CheckResult, Grid, add_grids, product, rel_error,
-                     rel_residual, vector_residual)
+from .report import (Grid, add_grids, product, rel_error, rel_residual,
+                     vector_residual)
 from .spectral import SpectralWorkspace, residue_matrices
 from .weights import WeightData, build_poly_pair, build_weight
 
@@ -101,8 +102,9 @@ def flow_stencil(weight: WeightData, zdot: list) -> dict:
 
 
 def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
-                          n: int, tol) -> list:
-    """All deformation-derivative checks at level n along direction zdot.
+                          n: int) -> list:
+    """All deformation-derivative evaluations at level n along direction
+    zdot.
 
     ws0 is the workspace of the base weight and stencil is
     ``flow_stencil(ws0.weight, zdot)``.  zdot lists one velocity per finite
@@ -185,23 +187,23 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
     # infinity residue matrix (and matching the component forms)
     binf = [[kd / lev_n.kappa, mpc(0)],
             [pbcombo / lev_n.kappa ** 2, -kd / lev_n.kappa]]
-    worst_a, worst_b, worst_s = [], [], []
+    out = []
     for j in range(M):
         # component form of the 12 derivative
         rhs = sum(sum_a[j], 2 * (kd / lev_n.kappa) * theta[j])
-        worst_a.append(rel_residual([lead_a[j] * adot[j][0][1], -rhs], 1))
+        out.append(("AnSE:a",
+                    rel_residual([lead_a[j] * adot[j][0][1], -rhs], 1)))
         # component form of the 11 derivative
         rhs = sum(sum_b[j], -(lev_n1.phi0 / lev_n.kappa) *
                   (pbcombo / lev_n.kappa ** 2) * theta[j])
-        worst_b.append(rel_residual([wp[j] * adot[j][0][0], -rhs], 1))
+        out.append(("AnSE:b", rel_residual([wp[j] * adot[j][0][0], -rhs], 1)))
         # full matrix Schlesinger equation
         comm = Grid.of(_commutator(binf, mats0[j])) + sch[j]
-        worst_s.append(vector_residual([adot[j][0] + adot[j][1], -comm], 1))
-    return [CheckResult.make(label, residual, tol, n) for label, residual in (
-        ("rdot", rel_error(rate(lambda w: w.level(n).r), want_r, 1)),
-        ("rCdot", rel_error(rate(lambda w: w.level(n).rbar), want_rbar, 1)),
-        ("AnSE:a", max(worst_a)), ("AnSE:b", max(worst_b)),
-        ("SchlesingerEqn", max(worst_s)))]
+        out.append(("SchlesingerEqn",
+                    vector_residual([adot[j][0] + adot[j][1], -comm], 1)))
+    return [("rdot", rel_error(rate(lambda w: w.level(n).r), want_r, 1)),
+            ("rCdot", rel_error(rate(lambda w: w.level(n).rbar), want_rbar,
+                                1))] + out
 
 
 def _commutator(a, b):
@@ -217,7 +219,7 @@ def _commutator(a, b):
 
 
 def hamilton_flow_pipeline_check(ws0: SpectralWorkspace, stencil: dict,
-                                 n: int, j: int, tol) -> list:
+                                 n: int, j: int) -> list:
     """dq_r/dz_j and dp_r/dz_j by recomputing the pipeline on the circle
     about z_j.
 
@@ -230,7 +232,6 @@ def hamilton_flow_pipeline_check(ws0: SpectralWorkspace, stencil: dict,
     if not 1 <= j <= N:
         raise ValueError("j indexes a free singularity")
     point = coordinates_from_spectral(ws0, n, with_hamiltonians=False)
-    out = []
     qp = {}
     for tt, wsd in stencil.items():
         pt = coordinates_from_spectral(wsd, n, with_hamiltonians=False)
@@ -238,19 +239,15 @@ def hamilton_flow_pipeline_check(ws0: SpectralWorkspace, stencil: dict,
         perm = [pt.q.index(qm) for qm in matched_q]
         qp[tt] = (matched_q, [pt.p[i] for i in perm])
 
-    for r in range(N):
-        dq = _derivative(lambda t: qp[t][0][r])
-        dp = _derivative(lambda t: qp[t][1][r])
-        out.append(CheckResult.make(
-            f"Ham:qDer@z{j},q{r}",
-            rel_error(dq, flow_q_closed(ws0, n, j, r), 1), tol, n))
-        out.append(CheckResult.make(
-            f"Ham:pDer@z{j},q{r}",
-            rel_error(dp, flow_p_closed(ws0, n, j, r), 1), tol, n))
-    return out
+    return [(f"Ham:{x}Der@z{j},q{r}",
+             rel_error(_derivative(lambda t: qp[t][k][r]),
+                       closed(ws0, n, j, r), 1))
+            for r in range(N)
+            for k, x, closed in ((0, "q", flow_q_closed),
+                                 (1, "p", flow_p_closed))]
 
 
-def hamilton_equations_check(ws: SpectralWorkspace, n: int, tol) -> list:
+def hamilton_equations_check(ws: SpectralWorkspace, n: int):
     """The partial derivatives of K_j in (q, p) at the level-n point against
     the flow closed forms.
 
@@ -262,7 +259,6 @@ def hamilton_equations_check(ws: SpectralWorkspace, n: int, tol) -> list:
     N = ws.pair.N
     point = coordinates_from_spectral(ws, n, with_hamiltonians=False)
     p = [to_mpc(pr) for pr in point.p]
-    out = []
     for j in range(1, N + 1):
         lead, terms = k_form(ws, point.q, n, j)
         for r, (c, b, _) in enumerate(terms):
@@ -271,12 +267,7 @@ def hamilton_equations_check(ws: SpectralWorkspace, n: int, tol) -> list:
                 q[r] = to_mpc(q[r]) + t.to_mpc()
                 return k_value(ws, q, p, n, j)
 
-            out.append(CheckResult.make(
-                f"Ham:dK/dp@z{j},q{r}",
-                rel_error(lead * c * (2 * p[r] + b),
-                          flow_q_closed(ws, n, j, r), 1), tol, n))
-            out.append(CheckResult.make(
-                f"Ham:dK/dq@z{j},q{r}",
-                rel_error(-_derivative(moved), flow_p_closed(ws, n, j, r), 1),
-                tol, n))
-    return out
+            yield f"Ham:dK/dp@z{j},q{r}", rel_error(
+                lead * c * (2 * p[r] + b), flow_q_closed(ws, n, j, r), 1)
+            yield f"Ham:dK/dq@z{j},q{r}", rel_error(
+                -_derivative(moved), flow_p_closed(ws, n, j, r), 1)

@@ -131,16 +131,12 @@ class MomentSequence(Record):
     oracle over the sequence adopts it.
     """
 
-    _fields = ("pair", "values", "seed_lo", "seed_hi", "provenance", "exact",
-               "plan")
+    _fields = ("pair", "values", "provenance", "exact", "plan")
 
-    def __init__(self, pair: PolyPair, values: dict, seed_lo: int,
-                 seed_hi: int, provenance: str = "seeded",
-                 exact: bool = False):
+    def __init__(self, pair: PolyPair, values: dict,
+                 provenance: str = "seeded", exact: bool = False):
         self.pair = pair
         self.values = values
-        self.seed_lo = seed_lo
-        self.seed_hi = seed_hi
         self.provenance = provenance
         self.exact = exact
         self.plan = Plan.of(mp.prec)
@@ -170,8 +166,7 @@ class MomentSequence(Record):
                 f"the difference equation leaves exactly {order} consecutive "
                 f"moments free, got {len(seeds)} seeds")
         values = {start + i: conv(v) for i, v in enumerate(seeds)}
-        return cls(pair, values, start, start + len(seeds) - 1,
-                   provenance="seeded", exact=exact)
+        return cls(pair, values, provenance="seeded", exact=exact)
 
     # -- access / extension --------------------------------------------------
 

@@ -1,9 +1,12 @@
 """Residual bookkeeping for the identity suite, and the one exact grid that
 its measures and the spectral series share.
 
-Each verified identity yields a ``CheckResult`` carrying a short code (the
-same code the CLI report and the acceptance suite print), the level it was
-evaluated at, the relative residual and the tolerance it was judged against.
+A check family yields (label, residual) evaluations and takes no
+tolerance.  ``judge`` alone turns them into ``CheckResult``s: one per label
+(the short code the CLI report and the acceptance suite print), carrying
+the largest residual of the label's evaluations, the level they were made
+at, the tolerance it was judged against and the label's note from the one
+table ``NOTES``.
 
 The relative residuals of the checks are measured by three helpers:
 ``rel_residual`` (|sum of terms| / max |term|), ``vector_residual`` (the
@@ -88,6 +91,31 @@ class CheckResult(Record):
         tol = mpf(tol)
         return cls(label=label, residual=residual, tol=tol, n=n,
                    passed=bool(residual < tol), note=note)
+
+
+# the note a check carries in the reports, by label
+NOTES = {
+    "degree": "out-of-band series mass",
+    "An:trace": "Tr A_{n,j} = -rho_j at nonzero points",
+    "An:pf": "partial-fraction reconstruction",
+    "sum2:b": "with z_j weight",
+    "Tsum:d": "constant term uses 2V(0), from the residue computation",
+    "dGarnier:ham": "advanced-level roots",
+    "tau:lambda-paths": "two recovery recurrences",
+}
+
+
+def judge(evaluations, tol, n=None) -> list:
+    """The checks of a family's (label, residual) evaluations at level n:
+    one per label, in the order the labels first appear, carrying the
+    largest residual of its evaluations (folded from the first, so a lone
+    evaluation keeps its value) and its note from ``NOTES``."""
+    worst = {}
+    for label, residual in evaluations:
+        if label not in worst or residual > worst[label]:
+            worst[label] = residual
+    return [CheckResult.make(label, residual, tol, n, NOTES.get(label, ""))
+            for label, residual in worst.items()]
 
 
 def all_passed(results) -> bool:

@@ -30,7 +30,9 @@ judged against the plan's ``band_alarm``.
 
 The rest of the module turns the coupled recurrences, transition identities,
 bilinear evaluations, summation identities, the partial fractions of A_n and
-the scalar ODEs into residual reports.  ``SpectralData`` (per level) and
+the scalar ODEs into check families: generators of (label, residual)
+evaluations at one level that take no tolerance, which ``report.judge``
+folds, label by label, into checks.  ``SpectralData`` (per level) and
 ``SpectralWorkspace`` (for W, V and their derivatives) put each polynomial
 on its exact grid (``Grid.of``, derivatives taken on the grid) once; the
 checks at points evaluate it once per point by ``polys.peval_grid``,
@@ -56,8 +58,8 @@ from .errors import Degenerate
 from .mputil import sample_points, to_mpc
 from .polys import pdiv_exact_linear, peval_grid, pscale
 from .record import Memo, Record
-from .report import (CheckResult, Grid, add_grids, largest_abs, ratio,
-                     rel_residual, sqrt_ratio, vector_residual)
+from .report import (Grid, add_grids, largest_abs, ratio, rel_residual,
+                     sqrt_ratio, vector_residual)
 
 # series terms read past the top of the band, z^(n+N+2): the out-of-band
 # mass they carry is the degree-bound check
@@ -307,7 +309,7 @@ def _mat_scale(mats) -> mpf:
     return largest_abs([x for m in mats for row in m for x in row])
 
 
-def residue_structure_checks(ws: SpectralWorkspace, n: int, tol) -> list:
+def residue_structure_checks(ws: SpectralWorkspace, n: int):
     """Displayed forms of A_{n,0} and A_{n,infinity}, trace values, and the
     partial fractions of A_n as a polynomial identity."""
     lev = ws.level(n)
@@ -318,43 +320,38 @@ def residue_structure_checks(ws: SpectralWorkspace, n: int, tol) -> list:
     # custom scale for An:res0, An:resInfty and An:trace: the largest entry
     # of all the level's residue matrices, at least 1
     scale = (_mat_scale(mats), mpf(1))
-    out = []
 
     rho0 = rhos[0]
     want0 = [[(n - rho0), -(n - rho0) * lev.r], [mpc(0), mpc(0)]]
     d0 = largest_abs([mats[0][i][j] - want0[i][j]
                       for i in range(2) for j in range(2)])
-    out.append(CheckResult.make("An:res0", ratio(d0, *scale), tol, n))
+    yield "An:res0", ratio(d0, *scale)
 
     rho_sum = sum(rhos)
     wantinf = [[mpc(-n), mpc(0)],
                [-(n + rho_sum) * lev.rbar, rho_sum]]
     dinf = largest_abs([ainf[i][j] - wantinf[i][j]
                         for i in range(2) for j in range(2)])
-    out.append(CheckResult.make("An:resInfty", ratio(dinf, *scale), tol, n))
+    yield "An:resInfty", ratio(dinf, *scale)
 
     worst_tr = largest_abs([mats[j][0][0] + mats[j][1][1] + rhos[j]
                             for j in range(1, len(zs))])
-    out.append(CheckResult.make("An:trace", ratio(worst_tr, *scale), tol, n,
-                                note="Tr A_{n,j} = -rho_j at nonzero points"))
+    yield "An:trace", ratio(worst_tr, *scale)
 
     # each entry numerator of W A_n against sum_j A_{n,j} W/(z - z_j), as
     # polynomials
     wq = _w_quotients(ws)
-    worst_pf = max(vector_residual(
-        pieces + [(-m[a][b], w) for m, w in zip(mats, wq)], 1e-30)
-        for a, row in enumerate(_a_numerators(ws, n))
-        for b, pieces in enumerate(row))
-    out.append(CheckResult.make("An:pf", worst_pf, tol, n,
-                                note="partial-fraction reconstruction"))
-    return out
+    for a, row in enumerate(_a_numerators(ws, n)):
+        for b, pieces in enumerate(row):
+            yield "An:pf", vector_residual(
+                pieces + [(-m[a][b], w) for m, w in zip(mats, wq)], 1e-30)
 
 
 # ---------------------------------------------------------------------------
 # linear recurrences, transitions, bilinear evaluations
 # ---------------------------------------------------------------------------
 
-def check_linear_recurrences(ws: SpectralWorkspace, n: int, tol) -> list:
+def check_linear_recurrences(ws: SpectralWorkspace, n: int):
     """Residuals of the eight coupled recurrences centred at level n (n >= 1).
 
     Each vector is a spectral polynomial's exact grid, or a tuple of
@@ -375,111 +372,101 @@ def check_linear_recurrences(ws: SpectralWorkspace, n: int, tol) -> list:
     th0, th1, thm1 = s0.grid("theta"), s1.grid("theta"), sm1.grid("theta")
     ts0, ts1, tsm1 = (s0.grid("thetastar"), s1.grid("thetastar"),
                       sm1.grid("thetastar"))
-    out = []
-
-    def rescheck(label, vectors):
-        out.append(CheckResult.make(label, vector_residual(vectors), tol, n))
-
     # a
     aa = l1.phi0 / l0.phi0
-    rescheck("rrCf:a", [om0, omm1, (-1, [aa, kr], th0), (n - 1, Woz)])
+    yield "rrCf:a", vector_residual([om0, omm1, (-1, [aa, kr], th0),
+                                     (n - 1, Woz)])
     # b
-    rescheck("rrCf:b", [([aa, kr], omm1 - om0),
-                        (l0.kappa * l2.phi0 / (l1.kappa * l1.phi0),
-                         th1.shift(1)),
-                        (-(lm1.kappa * l1.phi0 / (l0.kappa * l0.phi0)),
-                         thm1.shift(1)),
-                        (-aa, Woz)])
+    yield "rrCf:b", vector_residual([
+        ([aa, kr], omm1 - om0),
+        (l0.kappa * l2.phi0 / (l1.kappa * l1.phi0), th1.shift(1)),
+        (-(lm1.kappa * l1.phi0 / (l0.kappa * l0.phi0)), thm1.shift(1)),
+        (-aa, Woz)])
     # c
     bb = l1.phibar0 / l0.phibar0
-    rescheck("rrCf:c", [os0, osm1, (-1, [kr, bb], ts0), (-n, Woz)])
+    yield "rrCf:c", vector_residual([os0, osm1, (-1, [kr, bb], ts0),
+                                     (-n, Woz)])
     # d
-    rescheck("rrCf:d", [([kr, bb], osm1 - os0),
-                        (l0.kappa * l2.phibar0 / (l1.kappa * l1.phibar0),
-                         ts1.shift(1)),
-                        (-(lm1.kappa * l1.phibar0 /
-                           (l0.kappa * l0.phibar0)),
-                         tsm1.shift(1)),
-                        (kr, Woz)])
+    yield "rrCf:d", vector_residual([
+        ([kr, bb], osm1 - os0),
+        (l0.kappa * l2.phibar0 / (l1.kappa * l1.phibar0), ts1.shift(1)),
+        (-(lm1.kappa * l1.phibar0 / (l0.kappa * l0.phibar0)),
+         tsm1.shift(1)),
+        (kr, Woz)])
     # e
     aa2 = l2.phi0 / l1.phi0
-    rescheck("rrCf:e", [om1, os0, (-1, [aa2, kr2], th1),
-                        (kr, th0.shift(1) - ts0)])
+    yield "rrCf:e", vector_residual([om1, os0, (-1, [aa2, kr2], th1),
+                                     (kr, th0.shift(1) - ts0)])
     # f
-    rescheck("rrCf:f", [om0, -om1,
-                        (kr2, [l1.phibar0 * l2.phi0 / (l1.kappa * l2.kappa),
-                               1], th1),
-                        (l1.phi0 * l1.phibar0 / (l1.kappa * l0.kappa), ts0),
-                        (-kr, th0.shift(1)),
-                        -Woz])
+    yield "rrCf:f", vector_residual([
+        om0, -om1,
+        (kr2, [l1.phibar0 * l2.phi0 / (l1.kappa * l2.kappa), 1], th1),
+        (l1.phi0 * l1.phibar0 / (l1.kappa * l0.kappa), ts0),
+        (-kr, th0.shift(1)), -Woz])
     # g
     bb2 = l2.phibar0 / l1.phibar0
-    rescheck("rrCf:g", [os1, om0, (-1, [kr2, bb2], ts1),
-                        (-kr, th0.shift(1) - ts0), -Woz])
+    yield "rrCf:g", vector_residual([os1, om0, (-1, [kr2, bb2], ts1),
+                                     (-kr, th0.shift(1) - ts0), -Woz])
     # h
-    rescheck("rrCf:h", [os0, -os1,
-                        (kr2, [1, l1.phi0 * l2.phibar0 /
-                               (l1.kappa * l2.kappa)], ts1),
-                        (l1.phi0 * l1.phibar0 / (l1.kappa * l0.kappa),
-                         th0.shift(1)),
-                        (-kr, ts0)])
-    return out
+    yield "rrCf:h", vector_residual([
+        os0, -os1,
+        (kr2, [1, l1.phi0 * l2.phibar0 / (l1.kappa * l2.kappa)], ts1),
+        (l1.phi0 * l1.phibar0 / (l1.kappa * l0.kappa), th0.shift(1)),
+        (-kr, ts0)])
 
 
-def check_transitions(ws: SpectralWorkspace, n: int, tol, seed: int) -> list:
+def _j_terms(ws: SpectralWorkspace, n: int, z) -> list:
+    """The five terms of rrCf:j at the point z: Omegastar_n - kr Thetastar_n
+    - Omega_n + kr z Theta_n - n W/z, with kr = kappa_{n+1}/kappa_n."""
+    s0, kr = ws.data(n), ws.kappa_ratio(n)
+    return [s0.at("omegastar", z), -kr * s0.at("thetastar", z),
+            -s0.at("omega", z), kr * z * s0.at("theta", z),
+            -n * ws.at("Woz", z)]
+
+
+def check_transitions(ws: SpectralWorkspace, n: int, seed: int):
     """The three transition identities, as coefficient vectors and at five
-    points drawn from ``seed + n``."""
+    points drawn from ``seed + n``; rrCf:j at the singularities is Tform:a."""
     s0 = ws.data(n)
     l0, l1 = ws.level(n), ws.level(n + 1)
     kr = ws.kappa_ratio(n)
     Woz = ws.grid("Woz")
     th0, ts0 = s0.grid("theta"), s0.grid("thetastar")
-    out = []
 
     if n >= 1:
         sm1 = ws.data(n - 1)
         krm1 = ws.kappa_ratio(n - 1)
-        vecs_i = [(l1.phibar0 / l0.phibar0, ts0.shift(1)),
-                  (-krm1, sm1.grid("thetastar")),
-                  (-(l1.phi0 / l0.phi0), th0),
-                  (krm1, sm1.grid("theta").shift(1))]
-        out.append(CheckResult.make("rrCf:i", vector_residual(vecs_i), tol, n))
+        yield "rrCf:i", vector_residual([
+            (l1.phibar0 / l0.phibar0, ts0.shift(1)),
+            (-krm1, sm1.grid("thetastar")), (-(l1.phi0 / l0.phi0), th0),
+            (krm1, sm1.grid("theta").shift(1))])
 
-    vecs_j = [s0.grid("omegastar"), (-kr, ts0), -s0.grid("omega"),
-              (kr, th0.shift(1)), (-n, Woz)]
-    out.append(CheckResult.make("rrCf:j", vector_residual(vecs_j), tol, n))
+    yield "rrCf:j", vector_residual([s0.grid("omegastar"), (-kr, ts0),
+                                     -s0.grid("omega"), (kr, th0.shift(1)),
+                                     (-n, Woz)])
 
     s1 = ws.data(n + 1)
     l2 = ws.level(n + 2)
-    vecs_k = [s0.grid("omegastar"), s0.grid("omega"),
-              (-(l0.kappa ** 2 / l1.kappa ** 2) * (l2.phi0 / l1.phi0),
-               s1.grid("theta")),
-              (-(l0.kappa / l1.kappa), ts0), -Woz]
-    out.append(CheckResult.make("rrCf:k", vector_residual(vecs_k), tol, n))
+    yield "rrCf:k", vector_residual([
+        s0.grid("omegastar"), s0.grid("omega"),
+        (-(l0.kappa ** 2 / l1.kappa ** 2) * (l2.phi0 / l1.phi0),
+         s1.grid("theta")),
+        (-(l0.kappa / l1.kappa), ts0), -Woz])
 
     # pointwise spot checks of rrCf:j on the sample circle
-    pts = sample_points(5, avoid=ws.singularities(), seed=seed + n)
-    worst = mpf(0)
-    for z in pts:
-        terms = [s0.at("omegastar", z), -kr * s0.at("thetastar", z),
-                 -s0.at("omega", z), kr * z * s0.at("theta", z),
-                 -n * ws.at("Woz", z)]
-        worst = max(worst, rel_residual(terms))
-    out.append(CheckResult.make("rrCf:j@pts", worst, tol, n))
+    for z in sample_points(5, avoid=ws.singularities(), seed=seed + n):
+        yield "rrCf:j@pts", rel_residual(_j_terms(ws, n, z))
 
     # Tform:a / Tform:b at every finite singularity (origin uses W'(0) as the
     # limit of W(z)/z)
-    worst_a = mpf(0)
-    worst_b = mpf(0)
     coupling = l1.phi0 * l1.phibar0 / l0.kappa ** 2
     for zj in ws.singularities():
+        yield "Tform:a", rel_residual(_j_terms(ws, n, zj))
         woz = ws.at("Woz", zj)
         Vz = ws.at("V", zj)
         th, om = s0.at("theta", zj), s0.at("omega", zj)
-        ts, os_ = s0.at("thetastar", zj), s0.at("omegastar", zj)
+        ts = s0.at("thetastar", zj)
         kzth = kr * zj * th
-        worst_a = max(worst_a, rel_residual(
-            [os_, -kr * ts, -om, kzth, -n * woz]))
         lhs = coupling * zj * ts
         b1 = om + Vz - kzth
         b2 = om - Vz - kzth + n * woz
@@ -489,40 +476,32 @@ def check_transitions(ws: SpectralWorkspace, n: int, tol, seed: int) -> list:
         s1 = largest_abs([om, Vz, kzth])
         s2 = max(s1, abs(n * woz))
         sb = (abs(lhs), s1 * s2 / abs(th)) if th != 0 else (abs(lhs),)
-        worst_b = max(worst_b, ratio(abs(lhs - rhs), *sb))
-    out.append(CheckResult.make("Tform:a", worst_a, tol, n))
-    out.append(CheckResult.make("Tform:b", worst_b, tol, n))
-    return out
+        yield "Tform:b", ratio(abs(lhs - rhs), *sb)
 
 
-def check_bilinear(ws: SpectralWorkspace, n: int, tol) -> list:
+def check_bilinear(ws: SpectralWorkspace, n: int):
     """The five bilinear evaluations at every nonzero finite singularity."""
     s0, s1 = ws.data(n), ws.data(n + 1)
     l0, l1, l2 = ws.level(n), ws.level(n + 1), ws.level(n + 2)
     kr = ws.kappa_ratio(n)
-    out = []
     zs = ws.singularities()[1:]
 
-    def addcheck(label, pairs):
-        worst = max((rel_residual([lhs, -rhs], 1e-40) for lhs, rhs in pairs),
-                    default=mpf(0))
-        out.append(CheckResult.make(label, worst, tol, n))
+    def pair(label, lhs, rhs):
+        return label, rel_residual([lhs, -rhs], 1e-40)
+
+    def values(zj):
+        """V, Theta_n, Omega_n, Thetastar_n and Omegastar_n at zj."""
+        return (ws.at("V", zj), s0.at("theta", zj), s0.at("omega", zj),
+                s0.at("thetastar", zj), s0.at("omegastar", zj))
 
     ca = l0.kappa * l2.phi0 / (l1.kappa * l1.phi0)
     cb = l0.kappa * l2.phibar0 / (l1.kappa * l1.phibar0)
-    ce = l1.phi0 * l1.phibar0 / l0.kappa ** 2
-    pairs_a, pairs_b, pairs_e = [], [], []
     for zj in zs:
-        Vz = ws.at("V", zj)
-        th, om = s0.at("theta", zj), s0.at("omega", zj)
-        ts, os_ = s0.at("thetastar", zj), s0.at("omegastar", zj)
-        pairs_a.append((om ** 2, ca * zj * th * s1.at("theta", zj) + Vz ** 2))
-        pairs_b.append((os_ ** 2,
-                        cb * zj * ts * s1.at("thetastar", zj) + Vz ** 2))
-        pairs_e.append((ce * zj * th * ts,
-                        (om + Vz - kr * zj * th) * (os_ - Vz - kr * ts)))
-    addcheck("OTeq:a", pairs_a)
-    addcheck("OTeq:b", pairs_b)
+        Vz, th, om, ts, os_ = values(zj)
+        yield pair("OTeq:a", om ** 2,
+                   ca * zj * th * s1.at("theta", zj) + Vz ** 2)
+        yield pair("OTeq:b", os_ ** 2,
+                   cb * zj * ts * s1.at("thetastar", zj) + Vz ** 2)
 
     if n >= 1:
         sm1 = ws.data(n - 1)
@@ -533,18 +512,17 @@ def check_bilinear(ws: SpectralWorkspace, n: int, tol) -> list:
         cd = (lm1.kappa ** 2 / l0.kappa ** 2) * (l1.phibar0 / l0.phibar0)
         rc = lm1.kappa * l1.phi0 * l0.phibar0 / l0.kappa ** 3
         rd = lm1.kappa * l1.phibar0 * l0.phi0 / l0.kappa ** 3
-        pairs_c, pairs_d = [], []
         for zj in zs:
-            Vz = ws.at("V", zj)
-            th, ts = s0.at("theta", zj), s0.at("thetastar", zj)
-            pairs_c.append(((sm1.at("omega", zj) - cc * th) ** 2,
-                            rc * th * sm1.at("thetastar", zj) + Vz ** 2))
-            pairs_d.append(((sm1.at("omegastar", zj) - cd * zj * ts) ** 2,
-                            rd * zj ** 2 * ts * sm1.at("theta", zj) + Vz ** 2))
-        addcheck("OTeq:c", pairs_c)
-        addcheck("OTeq:d", pairs_d)
-    addcheck("OTeq:e", pairs_e)
-    return out
+            Vz, th, _, ts, _ = values(zj)
+            yield pair("OTeq:c", (sm1.at("omega", zj) - cc * th) ** 2,
+                       rc * th * sm1.at("thetastar", zj) + Vz ** 2)
+            yield pair("OTeq:d", (sm1.at("omegastar", zj) - cd * zj * ts) ** 2,
+                       rd * zj ** 2 * ts * sm1.at("theta", zj) + Vz ** 2)
+    ce = l1.phi0 * l1.phibar0 / l0.kappa ** 2
+    for zj in zs:
+        Vz, th, om, ts, os_ = values(zj)
+        yield pair("OTeq:e", ce * zj * th * ts,
+                   (om + Vz - kr * zj * th) * (os_ - Vz - kr * ts))
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +540,8 @@ def _sum_residual(lhs_terms, rhs) -> mpf:
     return rel_residual(list(lhs_terms) + [-p for p in rhs_parts])
 
 
-def check_summation_identities(ws: SpectralWorkspace, n: int, tol,
-                               garnier_point=None) -> list:
+def check_summation_identities(ws: SpectralWorkspace, n: int,
+                               garnier_point=None):
     """All summation identities available at this level.
 
     Without canonical coordinates only the singularity sums are checked; when
@@ -576,49 +554,36 @@ def check_summation_identities(ws: SpectralWorkspace, n: int, tol,
     zs = ws.singularities()
     rhos = ws.residues()
     rho_sum = sum(rhos)
-    out = []
 
     wp = [ws.wprime_at(z) for z in zs]
     th = [sd.at("theta", z) for z in zs]
     th_w = [t / w for t, w in zip(th, wp)]
     Vz = [ws.at("V", z) for z in zs]
 
-    out.append(CheckResult.make("sum2:a", _sum_residual(th_w, 0), tol, n))
+    yield "sum2:a", _sum_residual(th_w, 0)
     # leading coefficient of Thetastar via the residue sum; the z_j weight
     # restores consistency with the infinity residue matrix
-    out.append(CheckResult.make(
-        "sum2:b",
-        _sum_residual([z * sd.at("thetastar", z) / w for z, w in zip(zs, wp)],
-                      -(n + rho_sum) * l0.phibar0 / l1.phibar0),
-        tol, n, note="with z_j weight"))
-    out.append(CheckResult.make(
-        "sum2:c",
-        _sum_residual([(sd.at("omega", z) - v - kr * z * t) / w
-                       for z, t, v, w in zip(zs, th, Vz, wp)], -(n + rho_sum)),
-        tol, n))
-    out.append(CheckResult.make(
-        "sum2:d",
-        _sum_residual([(sd.at("omegastar", z) - v - kr * sd.at("thetastar", z))
-                       / w for z, v, w in zip(zs, Vz, wp)], -rho_sum),
-        tol, n))
+    yield "sum2:b", _sum_residual(
+        [z * sd.at("thetastar", z) / w for z, w in zip(zs, wp)],
+        -(n + rho_sum) * l0.phibar0 / l1.phibar0)
+    yield "sum2:c", _sum_residual(
+        [(sd.at("omega", z) - v - kr * z * t) / w
+         for z, t, v, w in zip(zs, th, Vz, wp)], -(n + rho_sum))
+    yield "sum2:d", _sum_residual(
+        [(sd.at("omegastar", z) - v - kr * sd.at("thetastar", z)) / w
+         for z, v, w in zip(zs, Vz, wp)], -rho_sum)
 
     # singularity-only sums
-    worst_a = worst_b = worst_c = mpf(0)
     for j in range(1, len(zs) - 1):
         zj = zs[j]
         dz = [(k, zj - zk) for k, zk in enumerate(zs) if k != j]
         wpp = ws.at("ddW", zj)
-        worst_a = max(worst_a, _sum_residual(
-            [1 / d for _, d in dz], wpp / (2 * wp[j])))
+        yield "Ssum:a", _sum_residual([1 / d for _, d in dz],
+                                      wpp / (2 * wp[j]))
         rhs = ws.at("dV2", zj) / wp[j] - Vz[j] * wpp / wp[j] ** 2
-        worst_b = max(worst_b, _sum_residual(
-            [rhos[k] / d for k, d in dz], rhs))
+        yield "Ssum:b", _sum_residual([rhos[k] / d for k, d in dz], rhs)
         rhs = sd.at("dtheta", zj) / wp[j] - th[j] * wpp / (2 * wp[j] ** 2)
-        worst_c = max(worst_c, _sum_residual(
-            [th_w[k] / d for k, d in dz], rhs))
-    out.append(CheckResult.make("Ssum:a", worst_a, tol, n))
-    out.append(CheckResult.make("Ssum:b", worst_b, tol, n))
-    out.append(CheckResult.make("Ssum:c", worst_c, tol, n))
+        yield "Ssum:c", _sum_residual([th_w[k] / d for k, d in dz], rhs)
 
     # theta(z_k) z_k^sigma, the numerators of every Ssum:d-g term
     thz = [[t * z ** sigma for sigma in range(5)] for z, t in zip(zs, th)]
@@ -627,19 +592,15 @@ def check_summation_identities(ws: SpectralWorkspace, n: int, tol,
     qsum_coeff = -(sd.theta[-2] / sd.theta[-1])
     vals = {0: mpc(0), 1: theta_inf,
             2: theta_inf * (1 + zsum - qsum_coeff)}
-    worst = mpf(0)
     for sigma, want in vals.items():
-        worst = max(worst, _sum_residual(
-            [tz[sigma] / w for tz, w in zip(thz, wp)], want))
-    out.append(CheckResult.make("Ssum:d", worst, tol, n))
+        yield "Ssum:d", _sum_residual(
+            [tz[sigma] / w for tz, w in zip(thz, wp)], want)
 
     if garnier_point is not None:
-        out.extend(_coordinate_sums(ws, n, tol, garnier_point, wp, thz))
-    return out
+        yield from _coordinate_sums(ws, n, garnier_point, wp, thz)
 
 
-def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
-                     thz) -> list:
+def _coordinate_sums(ws: SpectralWorkspace, n: int, point, wp, thz):
     """The coordinate-sum families needing the roots of Theta_n; wp and thz
     are W'(z_k) and the Ssum numerators of ``check_summation_identities``."""
     sd = ws.data(n)
@@ -651,7 +612,6 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
     rho1 = ws.residues()[-1]
     zsum = sum(zs[1:-1])
     qsum = sum(q)
-    out = []
     # values at the roots, and the denominators shared by the Ssum families
     thq = [sd.at("dtheta", qr) for qr in q]
     thppq = [sd.at("ddtheta", qr) for qr in q]
@@ -666,7 +626,6 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
             for r, s in combinations_with_replacement(range(N), 2)}
 
     # Ssum:e
-    worst = mpf(0)
     for r in range(N):
         for sigma in range(4):
             lhs = [tz[sigma] / d for tz, d in zip(thz, den1[r])]
@@ -676,11 +635,9 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
                 want = theta_inf
             else:
                 want = theta_inf * (1 + zsum - (qsum - q[r]))
-            worst = max(worst, _sum_residual(lhs, want))
-    out.append(CheckResult.make("Ssum:e", worst, tol, n))
+            yield "Ssum:e", _sum_residual(lhs, want)
 
     # Ssum:f over index pairs r <= s
-    worst = mpf(0)
     for r, s in combinations_with_replacement(range(N), 2):
         for sigma in range(5):
             lhs = [tz[sigma] / d for tz, d in zip(thz, den2[r, s])]
@@ -691,11 +648,9 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
                 want += theta_inf
             elif sigma == 4:
                 want += theta_inf * (1 + zsum - qsum + q[r] + q[s])
-            worst = max(worst, _sum_residual(lhs, want))
-    out.append(CheckResult.make("Ssum:f", worst, tol, n))
+            yield "Ssum:f", _sum_residual(lhs, want)
 
     # Ssum:g over sorted index triples r <= s <= t, sigma <= 3
-    worst = mpf(0)
     for r, s, t in combinations_with_replacement(range(N), 3):
         den3 = [d2 * d[t] for d2, d in zip(den2[r, s], zq)]
         for sigma in range(4):
@@ -711,8 +666,7 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
                 want += q[r] ** sigma * thq[r] / Wq[r] * \
                     (dWq[r] / Wq[r] - thppq[r] / (2 * thq[r]) -
                      sigma / q[r])
-            worst = max(worst, _sum_residual(lhs, want))
-    out.append(CheckResult.make("Ssum:g", worst, tol, n))
+            yield "Ssum:g", _sum_residual(lhs, want)
 
     # Tsum family
     th0 = sd.at("theta", mpc(0))
@@ -723,18 +677,14 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
     qq1 = [qr * (qr - 1) for qr in q]
     qq1t = [a * tq for a, tq in zip(qq1, thq)]
 
-    worst = mpf(0)
     for r in range(N):
         lhs = [1 / (q[r] - q[s]) for s in range(N) if s != r]
-        worst = max(worst, _sum_residual(lhs, thppq[r] / (2 * thq[r])))
-    out.append(CheckResult.make("Tsum:a", worst, tol, n))
+        yield "Tsum:a", _sum_residual(lhs, thppq[r] / (2 * thq[r]))
 
-    res = _sum_residual(
+    yield "Tsum:b", _sum_residual(
         [v / d for v, d in zip(V2q, qq1t)],
         [m0 / theta_inf, rho0 * wp0 / th0, -rho1 * wp1 / th1])
-    out.append(CheckResult.make("Tsum:b", res, tol, n))
 
-    worst_c = worst_d = worst_h = mpf(0)
     for j in range(1, len(zs) - 1):
         zj = zs[j]
         thzj = sd.at("theta", zj)
@@ -742,23 +692,17 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
         lhs = [v / ((zj - qr) ** 2 * tq) for qr, v, tq in zip(q, V2q, thq)]
         rhs = [m0 / theta_inf, -ws.at("dV2", zj) / thzj,
                v2zj * sd.at("dtheta", zj) / thzj ** 2]
-        worst_c = max(worst_c, _sum_residual(lhs, rhs))
+        yield "Tsum:c", _sum_residual(lhs, rhs)
         lhs = [v / ((zj - qr) * qr * tq) for qr, v, tq in zip(q, V2q, thq)]
         rhs = [-m0 / theta_inf, -ws.at("V2", mpc(0)) / (zj * th0),
                v2zj / (zj * thzj)]
-        worst_d = max(worst_d, _sum_residual(lhs, rhs))
+        yield "Tsum:d", _sum_residual(lhs, rhs)
         lhs = [zj * (zj - 1) * v / (d * (zj - qr))
                for qr, v, d in zip(q, V2q, qq1t)]
         rhs = [rho0 * (wp0 / th0) * (zj - 1), -rho1 * (wp1 / th1) * zj,
                v2zj / thzj]
-        worst_h = max(worst_h, _sum_residual(lhs, rhs))
-    out.append(CheckResult.make("Tsum:c", worst_c, tol, n))
-    out.append(CheckResult.make(
-        "Tsum:d", worst_d, tol, n,
-        note="constant term uses 2V(0), from the residue computation"))
-    out.append(CheckResult.make("Tsum:h", worst_h, tol, n))
+        yield "Tsum:h", _sum_residual(lhs, rhs)
 
-    worst = mpf(0)
     for r in range(N):
         qr = q[r]
         lhs = [qq1[r] * V2q[s] / (qq1t[s] * (qr - q[s]))
@@ -767,18 +711,14 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
                ws.at("dV2", qr) / thq[r],
                -V2q[r] * thppq[r] / (2 * thq[r] ** 2),
                -V2q[r] * (2 * qr - 1) / qq1t[r]]
-        worst = max(worst, _sum_residual(lhs, rhs))
-    out.append(CheckResult.make("Tsum:e", worst, tol, n))
+        yield "Tsum:e", _sum_residual(lhs, rhs)
 
-    worst = mpf(0)
     for j in range(1, len(zs) - 1):
         zj = zs[j]
         lhs = [w / ((zj - qr) * qr * (qr - 1) * tq)
                for qr, w, tq in zip(q, Wq, thq)]
-        worst = max(worst, _sum_residual(lhs, -1 / theta_inf))
-    out.append(CheckResult.make("Tsum:f", worst, tol, n))
+        yield "Tsum:f", _sum_residual(lhs, -1 / theta_inf)
 
-    worst = mpf(0)
     for r in range(N):
         qr = q[r]
         lhs = [Wq[s] / (qq1t[s] * (qr - q[s])) for s in range(N) if s != r]
@@ -786,9 +726,7 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, tol, point, wp,
         rhs = [-1 / theta_inf, cr * dWq[r] / Wq[r],
                -cr * thppq[r] / (2 * thq[r]),
                -cr * (2 * qr - 1) / qq1[r]]
-        worst = max(worst, _sum_residual(lhs, rhs))
-    out.append(CheckResult.make("Tsum:g", worst, tol, n))
-    return out
+        yield "Tsum:g", _sum_residual(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -836,18 +774,16 @@ def _ode_pieces(ws: SpectralWorkspace, n: int) -> dict:
     return sd.memo("ode", make)
 
 
-def scalar_ode_residuals(ws: SpectralWorkspace, n: int, tol) -> list:
+def scalar_ode_residuals(ws: SpectralWorkspace, n: int):
     """phi'' + p1 phi' + p2 phi = 0 (and starred), with the denominators
     cleared (``_ode_pieces``), coefficient by coefficient."""
     pieces, lev = _ode_pieces(ws, n), ws.level(n)
-    out = []
     for label, key, phi in (("2ODE:a", "a", lev.phi),
                             ("2ODE:b", "b", lev.phistar)):
         v = Grid.of(phi)
         dv = v.diff()
-        vectors = list(zip(pieces[key], [dv.diff(), dv] + [v] * 4))
-        out.append(CheckResult.make(label, vector_residual(vectors), tol, n))
-    return out
+        yield label, vector_residual(list(zip(pieces[key],
+                                              [dv.diff(), dv] + [v] * 4)))
 
 
 def p2_asymptotic_constant(ws: SpectralWorkspace, n: int) -> mpc:

@@ -1,10 +1,13 @@
 """Named verification suites over one workspace.
 
-Each suite walks a level range and returns CheckResults tagged with the
-identity codes the CLI report and the acceptance tests print.  Level ranges
-are chosen so that nothing above ``n_max + 2`` determinant levels is ever
-required.  The run's seed picks the sample points of ``rrCf:j@pts`` alone;
-every other check is a polynomial identity or sits at fixed points.
+Each suite walks a level range and judges the (label, residual) evaluations
+of its check families at each level (``_levels``, through ``report.judge``)
+into CheckResults tagged with the identity codes the CLI report and the
+acceptance tests print.  Only ``tau:I``, whose note names its level range,
+is made here.  Level ranges are chosen so that nothing above ``n_max + 2``
+determinant levels is ever required.  The run's seed picks the sample
+points of ``rrCf:j@pts`` alone; every other check is a polynomial identity
+or sits at fixed points.
 """
 
 from __future__ import annotations
@@ -20,148 +23,141 @@ from .errors import ConfigInvalid
 from .exact import QC
 from .garnier import (coordinates_from_spectral, hamiltonian_from_residues,
                       omega_rep_residual, v2_rep_residual, w_rep_residual)
-from .report import CheckResult, rel_error, rel_residual
+from .report import CheckResult, judge, rel_error, rel_residual
 from .spectral import (SpectralWorkspace, check_bilinear,
                        check_linear_recurrences, check_summation_identities,
                        check_transitions, p2_asymptotic_constant,
                        residue_structure_checks, scalar_ode_residuals)
 
 
+def _levels(family, ws: SpectralWorkspace, levels, tol, *extra) -> list:
+    """The checks of family(ws, n, *extra) judged at each level n in turn."""
+    return [c for n in levels for c in judge(family(ws, n, *extra), tol, n)]
+
+
+def _toeplitz(ws: SpectralWorkspace, n: int):
+    o = ws.oracle
+    lev, prev = o.level(n), o.level(n - 1)
+    lhs = o.det(n + 1) * o.det(n - 1) / o.det(n) ** 2
+    yield "I0", rel_residual([lhs, -(1 - lev.r * lev.rbar)], 1)
+    yield "l:kappa", rel_residual([lev.kappa ** 2, -prev.kappa ** 2,
+                                   -(lev.phi0 * lev.phibar0)])
+    yield "l:lambda", rel_residual([lev.lam, -prev.lam, -lev.r * prev.rbar],
+                                   1)
+
+
+def _casoratians(ws: SpectralWorkspace, n: int):
+    return casoratian_residuals(ws.oracle, n).items()
+
+
+def _degree(ws: SpectralWorkspace, n: int):
+    yield "degree", ws.data(n).band_residual
+
+
+def _endpoints(ws: SpectralWorkspace, n: int):
+    pair = ws.pair
+    N = pair.N
+    e, m = pair.e_mpc(), pair.m_mpc()
+    m0, rho0 = m[0], ws.residues()[0]
+    sgn = mpf((-1) ** N)
+    sd = ws.data(n)
+    l0, l1 = ws.level(n), ws.level(n + 1)
+    kk = l0.kappa / l1.kappa
+    pairs = [
+        ("Thexp:lead", sd.theta[-1], (n + 1 + m0) * kk),
+        ("Thexp:trail", sd.theta[0],
+         sgn * e[N + 1] * (n - rho0) * (l0.r / l1.r) * kk),
+        ("ThSexp:lead", sd.thetastar[-1],
+         -(n + m0) * (l0.rbar / l1.rbar) * kk),
+        ("ThSexp:trail", sd.thetastar[0],
+         -sgn * e[N + 1] * (n + 1 - rho0) * kk),
+        ("Omexp:lead", sd.omega[-1], 1 + m0 / 2),
+        ("Omexp:trail", sd.omega[0], sgn * (n * e[N + 1] - m[N + 1] / 2)),
+        ("OmSexp:lead", sd.omegastar[-1], -m0 / 2),
+        ("OmSexp:trail", sd.omegastar[0],
+         -sgn * (m[N + 1] / 2 + (n + 1 - rho0) * e[N + 1])),
+    ]
+    for label, got, want in pairs:
+        yield label, rel_residual([got, -want], 1)
+
+
+def _summation(ws: SpectralWorkspace, n: int):
+    point = coordinates_from_spectral(ws, n, with_hamiltonians=False)
+    return check_summation_identities(ws, n, garnier_point=point)
+
+
+def _ode(ws: SpectralWorkspace, n: int):
+    yield from scalar_ode_residuals(ws, n)
+    got = p2_asymptotic_constant(ws, n)
+    want = -mpf(n) * (1 + ws.pair.m_mpc()[0])
+    yield "2ODE:p2asym", rel_error(got, want, 1)
+
+
+def _garnier(ws: SpectralWorkspace, n: int):
+    point = coordinates_from_spectral(ws, n)
+    yield "OmegaRep", omega_rep_residual(ws, n, point)
+    yield "2VRep", v2_rep_residual(ws, n, point)
+    yield "WRep", w_rep_residual(ws, n, point)
+    for a, b in zip(point.K, hamiltonian_from_residues(ws, n, point)):
+        yield "Ham:dual", rel_residual([a, -b], 1)
+
+
+def _dg_state(ws: SpectralWorkspace, n: int, states: list):
+    yield ("dGarnier:ab" if n else "dGarnier:init",
+           state_delta(states[n], dg_from_spectral(ws, n)))
+
+
 def toeplitz_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     """Determinant-ratio and coefficient-difference identities, level by level."""
-    out = []
-    o = ws.oracle
-    for n in range(1, n_max + 1):
-        lev, prev = o.level(n), o.level(n - 1)
-        lhs = o.det(n + 1) * o.det(n - 1) / o.det(n) ** 2
-        rhs = 1 - lev.r * lev.rbar
-        out.append(CheckResult.make("I0", rel_residual([lhs, -rhs], 1), tol, n))
-        terms = [lev.kappa ** 2, -prev.kappa ** 2, -(lev.phi0 * lev.phibar0)]
-        out.append(CheckResult.make("l:kappa", rel_residual(terms), tol, n))
-        terms = [lev.lam, -prev.lam, -lev.r * prev.rbar]
-        out.append(CheckResult.make("l:lambda", rel_residual(terms, 1), tol, n))
-    return out
+    return _levels(_toeplitz, ws, range(1, n_max + 1), tol)
 
 
 def casoratian_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    out = []
-    for n in range(0, n_max + 1):
-        for label, resid in casoratian_residuals(ws.oracle, n).items():
-            out.append(CheckResult.make(label, resid, tol, n))
-    return out
+    return _levels(_casoratians, ws, range(n_max + 1), tol)
 
 
 def degree_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     """The out-of-band series mass of every extraction (degree bounds)."""
-    return [CheckResult.make("degree", ws.data(n).band_residual, tol, n,
-                             note="out-of-band series mass")
-            for n in range(0, n_max + 1)]
+    return _levels(_degree, ws, range(n_max + 1), tol)
 
 
 def endpoint_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     """Leading and trailing coefficients of all four spectral polynomials
     against their closed forms in the canonical placement."""
-    out = []
-    pair = ws.pair
-    N = pair.N
-    e = pair.e_mpc()
-    m = pair.m_mpc()
-    m0 = m[0]
-    rho0 = ws.residues()[0]
-    sgn = mpf((-1) ** N)
-    for n in range(0, n_max + 1):
-        sd = ws.data(n)
-        l0, l1 = ws.level(n), ws.level(n + 1)
-        kk = l0.kappa / l1.kappa
-        pairs = [
-            ("Thexp:lead", sd.theta[-1], (n + 1 + m0) * kk),
-            ("Thexp:trail", sd.theta[0],
-             sgn * e[N + 1] * (n - rho0) * (l0.r / l1.r) * kk),
-            ("ThSexp:lead", sd.thetastar[-1],
-             -(n + m0) * (l0.rbar / l1.rbar) * kk),
-            ("ThSexp:trail", sd.thetastar[0],
-             -sgn * e[N + 1] * (n + 1 - rho0) * kk),
-            ("Omexp:lead", sd.omega[-1], 1 + m0 / 2),
-            ("Omexp:trail", sd.omega[0], sgn * (n * e[N + 1] - m[N + 1] / 2)),
-            ("OmSexp:lead", sd.omegastar[-1], -m0 / 2),
-            ("OmSexp:trail", sd.omegastar[0],
-             -sgn * (m[N + 1] / 2 + (n + 1 - rho0) * e[N + 1])),
-        ]
-        for label, got, want in pairs:
-            out.append(CheckResult.make(label, rel_residual([got, -want], 1),
-                                        tol, n))
-    return out
+    return _levels(_endpoints, ws, range(n_max + 1), tol)
 
 
 def lattice_suite(ws: SpectralWorkspace, n_max: int, tol, seed: int) -> list:
     """Linear recurrences and transition identities."""
-    out = []
-    for n in range(1, n_max + 1):
-        out.extend(check_linear_recurrences(ws, n, tol))
-    for n in range(0, n_max + 1):
-        out.extend(check_transitions(ws, n, tol, seed))
-    for n in range(0, n_max + 1):
-        out.extend(residue_structure_checks(ws, n, tol))
-    return out
+    return (_levels(check_linear_recurrences, ws, range(1, n_max + 1), tol)
+            + _levels(check_transitions, ws, range(n_max + 1), tol, seed)
+            + _levels(residue_structure_checks, ws, range(n_max + 1), tol))
 
 
 def bilinear_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    out = []
-    for n in range(0, n_max + 1):
-        out.extend(check_bilinear(ws, n, tol))
-    return out
+    return _levels(check_bilinear, ws, range(n_max + 1), tol)
 
 
 def summation_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    out = []
-    for n in range(0, n_max + 1):
-        point = coordinates_from_spectral(ws, n, with_hamiltonians=False)
-        out.extend(check_summation_identities(ws, n, tol, garnier_point=point))
-    return out
+    return _levels(_summation, ws, range(n_max + 1), tol)
 
 
 def ode_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     """The scalar ODEs and the decay of p2, level by level."""
-    out = []
-    m0 = ws.pair.m_mpc()[0]
-    for n in range(0, n_max + 1):
-        out.extend(scalar_ode_residuals(ws, n, tol))
-        got = p2_asymptotic_constant(ws, n)
-        want = -mpf(n) * (1 + m0)
-        out.append(CheckResult.make("2ODE:p2asym", rel_error(got, want, 1),
-                                    tol, n))
-    return out
+    return _levels(_ode, ws, range(n_max + 1), tol)
 
 
 def garnier_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     """Coordinate extraction, reconstructions, Hamiltonian dual route."""
-    out = []
-    for n in range(0, n_max + 1):
-        point = coordinates_from_spectral(ws, n)
-        out.append(CheckResult.make("OmegaRep", omega_rep_residual(ws, n, point),
-                                    tol, n))
-        out.append(CheckResult.make("2VRep", v2_rep_residual(ws, n, point),
-                                    tol, n))
-        out.append(CheckResult.make("WRep", w_rep_residual(ws, n, point),
-                                    tol, n))
-        dual = hamiltonian_from_residues(ws, n, point)
-        worst = max((rel_residual([a, -b], 1) for a, b in zip(point.K, dual)),
-                    default=mpf(0))
-        out.append(CheckResult.make("Ham:dual", worst, tol, n))
-    return out
+    return _levels(_garnier, ws, range(n_max + 1), tol)
 
 
 def oracle_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     """Trajectory of the coupled recurrences against spectral values."""
-    out = [CheckResult.make("dGarnier:ab" if st.n else "dGarnier:init",
-                            state_delta(st, dg_from_spectral(ws, st.n)),
-                            tol, st.n)
-           for st in dg_run(ws, n_max)]
     n = max(1, n_max // 2)
-    out.append(CheckResult.make("dGarnier:ham",
-                                dg_hamiltonian_residuals(ws, n)["advanced"],
-                                tol, n, note="advanced-level roots"))
-    return out
+    return (_levels(_dg_state, ws, range(n_max + 1), tol, dg_run(ws, n_max))
+            + judge([("dGarnier:ham",
+                      dg_hamiltonian_residuals(ws, n)["advanced"])], tol, n))
 
 
 def state_delta(a, b) -> mpf:
@@ -184,11 +180,10 @@ def tau_levels(ws: SpectralWorkspace, n_max: int) -> tuple:
 def tau_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     rec, deltas = tau_levels(ws, n_max)
     top = len(deltas) - 1
-    return [CheckResult.make("tau:lambda-paths", rec["lambda_delta"], tol,
-                             note="two recovery recurrences"),
-            CheckResult.make("tau:rbar0", rec["rbar0_defect"], tol),
-            CheckResult.make("tau:I", max(deltas), tol, top,
-                             note=f"levels 0..{top}")]
+    return judge([("tau:lambda-paths", rec["lambda_delta"]),
+                  ("tau:rbar0", rec["rbar0_defect"])], tol) + \
+        [CheckResult.make("tau:I", max(deltas), tol, top,
+                          note=f"levels 0..{top}")]
 
 
 def flow_suite(ws: SpectralWorkspace, n: int, tol) -> list:
@@ -206,10 +201,10 @@ def flow_suite(ws: SpectralWorkspace, n: int, tol) -> list:
         zdot[j] = QC(1)
         stencil = flow_stencil(ws.weight, zdot)
         if j == 1:
-            out.extend(deformation_residuals(ws, stencil, zdot, n, tol))
-        out.extend(hamilton_flow_pipeline_check(ws, stencil, n, j, tol))
-    out.extend(hamilton_equations_check(ws, n, tol))
-    return out
+            out += deformation_residuals(ws, stencil, zdot, n)
+        out += hamilton_flow_pipeline_check(ws, stencil, n, j)
+    out += hamilton_equations_check(ws, n)
+    return judge(out, tol, n)
 
 
 SUITE_BUILDERS = {

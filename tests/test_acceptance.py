@@ -20,7 +20,7 @@ from circlebops.discrete_garnier import (DGState, dg_from_spectral,
                                          tau_recovery)
 from circlebops.garnier import coordinates_from_spectral
 from circlebops.mputil import working_precision
-from circlebops.report import failures
+from circlebops.report import failures, judge
 from circlebops.suites import (bilinear_suite, casoratian_suite, degree_suite,
                                endpoint_suite, lattice_suite, ode_suite,
                                toeplitz_suite)
@@ -132,11 +132,11 @@ def test_criterion_07_hamiltonian_flow():
             for j in js:
                 zdot = [QC(0)] * weight.M
                 zdot[j] = QC(1)
-                results.extend(hamilton_flow_pipeline_check(
-                    ws, flow_stencil(weight, zdot), n, j,
-                    ws.plan.flow_tolerance))
-            results.extend(hamilton_equations_check(ws, n,
-                                                    ws.plan.flow_tolerance))
+                results.extend(judge(hamilton_flow_pipeline_check(
+                    ws, flow_stencil(weight, zdot), n, j),
+                    ws.plan.flow_tolerance, n))
+            results.extend(judge(hamilton_equations_check(ws, n),
+                                 ws.plan.flow_tolerance, n))
     # each check is judged by residual < flow_tolerance = 2^-(3p/4 - 32);
     # the four-point circle errs near 2^-(3p/4), so that tolerance also
     # refuses a closed form wrong by more than it, which "order >= 1.9"
@@ -231,8 +231,8 @@ def test_criterion_10_deformation_derivatives():
         weight = rational_case_m3()
         zdot = [QC(0), QC(1), QC(0)]
         ws = rational_workspace(weight)
-        results = deformation_residuals(
-            ws, flow_stencil(weight, zdot), zdot, 3, ws.plan.flow_tolerance)
+        results = judge(deformation_residuals(
+            ws, flow_stencil(weight, zdot), zdot, 3), ws.plan.flow_tolerance, 3)
     # judged by residual < flow_tolerance, as criterion 7 says
     _report(10, "deformation derivatives of reflections and residues",
             results)

@@ -471,6 +471,22 @@ def test_sweep_rejects_a_grid_point_outside_the_weight_class(
     assert not out.exists()
 
 
+def test_sweep_exits_config_code_on_bad_input_found_at_a_grid_point(
+        tmp_path, capsys):
+    """Bad input found while a grid point's workspace is built, here a
+    circle singularity that quadrature cannot integrate, exits 2 and
+    writes no CSV, as ``moments`` does on that weight; it is not a
+    degenerate data point."""
+    path = write_config(tmp_path, mode="quadrature")
+    out = tmp_path / "s.csv"
+    assert main(["--config", path, "sweep", "--param", "rho2",
+                 "--grid=-1.5:-1.5:1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("config error: circle singularity "
+                                       "with Re rho <= -1 is not "
+                                       "integrable\n")
+    assert not out.exists()
+
+
 QUADRATURE_M3 = {
     "mode": "quadrature", "precision_bits": 128, "tolerance": 1.0e-18,
     "n_max": 2, "seed": 1, "checks": ["identities"],

@@ -15,14 +15,14 @@ from circlebops.deform import (deformation_residuals, flow_stencil,
 from circlebops.exact import QC
 from circlebops.moments import rational_weight_moments
 from circlebops.mputil import working_precision
-from circlebops.report import all_passed, failures
+from circlebops.report import all_passed, failures, judge
 from circlebops.suites import run_verification
 
 
 def _deformation(w, zdot, n):
     ws = rational_workspace(w)
-    return deformation_residuals(ws, flow_stencil(w, zdot), zdot, n,
-                                 ws.plan.flow_tolerance)
+    return judge(deformation_residuals(ws, flow_stencil(w, zdot), zdot, n),
+                 ws.plan.flow_tolerance, n)
 
 
 def test_closed_form_agrees_with_recurrence_extension():
@@ -76,8 +76,8 @@ def test_flow_pipeline_matches_closed_forms():
             for j in js:
                 zdot = [QC(0)] * w.M
                 zdot[j] = QC(1)
-                res = hamilton_flow_pipeline_check(
-                    ws, flow_stencil(w, zdot), n, j, ws.plan.flow_tolerance)
+                res = judge(hamilton_flow_pipeline_check(
+                    ws, flow_stencil(w, zdot), n, j), ws.plan.flow_tolerance, n)
                 assert all_passed(res), [(c.label, c.note)
                                          for c in failures(res)]
 
@@ -104,7 +104,7 @@ def test_a_non_finite_residual_fails_a_flow_check(monkeypatch):
     ws = make_workspace(*standard_case_m4())
     for bad in (mpc("nan"), mpc("inf")):
         monkeypatch.setattr(deform, "flow_q_closed", lambda *args: bad)
-        res = hamilton_equations_check(ws, 2, ws.plan.flow_tolerance)
+        res = judge(hamilton_equations_check(ws, 2), ws.plan.flow_tolerance, 2)
         _caught(res, "Ham:dK/dp")
 
 
@@ -117,14 +117,14 @@ def test_a_planted_error_in_a_closed_form_fails_its_checks(monkeypatch):
         w = rational_case_m3()
         zdot = [QC(0), QC(1), QC(0)]
         ws = rational_workspace(w)
-        res = hamilton_flow_pipeline_check(
-            ws, flow_stencil(w, zdot), 3, 1, ws.plan.flow_tolerance)
+        res = judge(hamilton_flow_pipeline_check(
+            ws, flow_stencil(w, zdot), 3, 1), ws.plan.flow_tolerance, 3)
     _caught(res, "Ham:qDer")
     assert all_passed(c for c in res if c.label.startswith("Ham:pDer"))
     monkeypatch.undo()
     _off_by(monkeypatch, "1e-15")
     ws = make_workspace(*standard_case_m4())
-    res = hamilton_equations_check(ws, 2, ws.plan.flow_tolerance)
+    res = judge(hamilton_equations_check(ws, 2), ws.plan.flow_tolerance, 2)
     _caught(res, "Ham:dK/dp")
     assert all_passed(c for c in res if c.label.startswith("Ham:dK/dq"))
 

@@ -13,7 +13,7 @@ from circlebops.garnier import (GarnierPoint, canonical_transform,
                                 polynomial_roots, riemann_exponents,
                                 v2_rep_residual, w_rep_residual)
 from circlebops.mputil import match_roots
-from circlebops.report import all_passed, failures
+from circlebops.report import all_passed, failures, judge
 from circlebops.spectral import (SpectralData, SpectralWorkspace,
                                  residue_matrices)
 
@@ -97,14 +97,14 @@ def test_exponent_table_and_accessory():
 
 def test_hamilton_equations_fd():
     ws = make_workspace(*standard_case_m4())
-    res = hamilton_equations_check(ws, 2, ws.plan.flow_tolerance)
+    res = judge(hamilton_equations_check(ws, 2), ws.plan.flow_tolerance, 2)
     assert all_passed(res), [(r.label, r.note) for r in failures(res)]
 
 
 def test_hamilton_equations_fd_three_coordinates():
     from conftest import standard_case_m5
     ws = make_workspace(*standard_case_m5())
-    res = hamilton_equations_check(ws, 2, ws.plan.flow_tolerance)
+    res = judge(hamilton_equations_check(ws, 2), ws.plan.flow_tolerance, 2)
     assert all_passed(res), [(r.label, r.note) for r in failures(res)]
 
 

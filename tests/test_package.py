@@ -192,20 +192,29 @@ def test_no_src_module_but_the_plan_does_arithmetic_on_mp_prec():
     assert not found, found
 
 
-def test_every_check_is_judged_by_check_result_make():
-    """One judgement rule: a check passes when its residual is below its
-    tolerance.  Only ``report`` may build a ``CheckResult`` directly; every
-    other module goes through ``CheckResult.make``."""
+def _makes_a_check_result(node) -> bool:
+    """A call of ``CheckResult`` or of ``CheckResult.make``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "make":
+        func = func.value
+    return isinstance(func, ast.Name) and func.id == "CheckResult"
+
+
+def test_every_check_is_judged_in_report():
+    """One judgement rule: a check family yields (label, residual)
+    evaluations, and ``report.judge`` folds, judges and annotates them.
+    No module but ``report`` makes a ``CheckResult``, except the suites'
+    one ``tau:I``, whose note names its level range."""
     found = []
     for path in sorted(Path(circlebops.__file__).parent.glob("*.py")):
         if path.name == "report.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Name) and \
-                    node.func.id == "CheckResult":
-                found.append(f"{path.name}:{node.lineno}")
-    assert not found, found
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if _makes_a_check_result(node)]
+    assert [site.partition(":")[0] for site in found] == ["suites.py"], found
 
 
 # the residual measures of ``report`` and the suites
@@ -289,8 +298,8 @@ def _samples():
     weight = pair.weight
     ones = [mpc(1), mpc(2)]
     return {
-        BopsLevel: (dict(n=1, I=mpc(2), I_next=mpc(3), kappa=mpc(1),
-                         gauge=1, phi=ones, phibar=ones), {}),
+        BopsLevel: (dict(n=1, I=mpc(2), kappa=mpc(1), gauge=1, phi=ones,
+                         phibar=ones), {}),
         RunConfig: (dict(mode="formal", precision_bits=128, tolerance=1e-20,
                          n_max=4, seed=1, checks=["identities"],
                          weight_placement="canonical",
@@ -300,8 +309,7 @@ def _samples():
         DGState: (dict(n=2, f=[mpc(1)], omega=[mpc(2)]), {}),
         GarnierPoint: (dict(n=1, q=[mpc(1)], p=[mpc(2)], K=[],
                             theta_inf=mpc(3)), {}),
-        MomentSequence: (dict(pair=pair, values={-1: mpc(1), 0: mpc(2)},
-                              seed_lo=-1, seed_hi=0),
+        MomentSequence: (dict(pair=pair, values={-1: mpc(1), 0: mpc(2)}),
                          dict(provenance="seeded", exact=False)),
         UPoly: (dict(u=(mpc(1), mpc(2))), {}),
         CheckResult: (dict(label="rrCf:a", residual=mpf(1), tol=mpf(2)),
@@ -370,24 +378,34 @@ def test_a_plan_holds_each_rule_at_its_working_precision(bits):
     assert isinstance(fresh.flow_radius, Fraction)
 
 
-def test_every_plan_field_has_a_reader():
-    """Each threshold of the plan is read, as an attribute, by some module
-    other than ``plan``: a threshold nothing reads is dead and goes."""
-    read = set()
-    for path in Path(circlebops.__file__).parent.glob("*.py"):
-        if path.name != "plan.py":
-            read.update(node.attr for node in ast.walk(ast.parse(
-                path.read_text())) if isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load))
-    assert not set(Plan._fields) - read, set(Plan._fields) - read
+def test_every_record_field_has_a_reader():
+    """Each field a src record names in ``_fields`` is read, as an
+    attribute, by some src module, and each threshold of the plan by a
+    module other than ``plan``: a field nothing reads is dead and goes."""
+    read, fields = {}, []
+    for path in sorted(Path(circlebops.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read[path.name] = {node.attr for node in ast.walk(tree)
+                           if isinstance(node, ast.Attribute)
+                           and isinstance(node.ctx, ast.Load)}
+        fields += [(node.name, name) for node in tree.body
+                   if isinstance(node, ast.ClassDef) for item in node.body
+                   if isinstance(item, ast.Assign)
+                   and [ast.unparse(t) for t in item.targets] == ["_fields"]
+                   for name in ast.literal_eval(item.value)]
+    assert {cls for cls, _ in fields} >= {"Plan", "BopsLevel", "CheckResult"}
+    unread = [f"{cls}.{name}" for cls, name in fields
+              if not any(name in attrs for module, attrs in read.items()
+                         if cls != "Plan" or module != "plan.py")]
+    assert not unread, unread
 
 
 def test_a_sequence_carries_the_plan_of_the_precision_it_was_built_at():
     pair = _pair()
     with working_precision(200):
-        ms = MomentSequence(pair, {0: mpc(1)}, 0, 0)
+        ms = MomentSequence(pair, {0: mpc(1)})
     assert ms.plan == Plan.of(200) and ms.prec == 200 + 2 * GUARD_BITS
-    ms = MomentSequence(pair, {0: mpc(1)}, 0, 0)
+    ms = MomentSequence(pair, {0: mpc(1)})
     assert ms.plan == Plan.of(128) and ms.prec == 128 + 2 * GUARD_BITS
 
 

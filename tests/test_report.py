@@ -11,8 +11,9 @@ from mpmath.libmp import from_float, from_int
 from conftest import make_workspace, standard_case_m3
 from circlebops import spectral
 from circlebops.mputil import working_precision
-from circlebops.report import (CheckResult, Grid, largest_abs, ratio,
-                               rel_error, rel_residual, vector_residual)
+from circlebops.report import (NOTES, CheckResult, Grid, judge, largest_abs,
+                               ratio, rel_error, rel_residual, vector_residual)
+from circlebops.suites import summation_suite
 
 
 def test_first_term_is_not_rounded():
@@ -298,11 +299,75 @@ def test_non_finite_terms_fail_their_check(monkeypatch):
         monkeypatch.setattr(table, "at", lambda ws, f, z:
                             mpf("inf") if f == "V" else at(ws, f, z))
         for checks, label in (
-                (spectral.scalar_ode_residuals(ws, 2, 1e-25), "2ODE:a"),
-                (spectral.check_transitions(ws, 2, 1e-25, 23), "Tform:b")):
+                (judge(spectral.scalar_ode_residuals(ws, 2), 1e-25, 2),
+                 "2ODE:a"),
+                (judge(spectral.check_transitions(ws, 2, 23), 1e-25, 2),
+                 "Tform:b")):
             got, = [r for r in checks if r.label == label]
             assert got.residual == mpf("inf")
             assert not got.passed
+
+
+def test_judge_keeps_the_order_in_which_labels_first_appear():
+    got = judge([("b", mpf(1)), ("a", mpf(3)), ("b", mpf(5)), ("c", mpf(0)),
+                 ("a", mpf(2))], mpf(4), 7)
+    assert [c.label for c in got] == ["b", "a", "c"]
+    assert all(c.n == 7 and c.tol == 4 for c in got)
+
+
+def test_judge_gives_each_check_the_largest_residual_of_its_family():
+    got = judge([("b", mpf(1)), ("a", mpf(3)), ("b", mpf(5)), ("c", mpf(0)),
+                 ("a", mpf(2)), ("b", mpf(2))], mpf(4))
+    assert [(c.residual, c.passed) for c in got] == [
+        (5, False), (3, True), (0, True)]
+    assert all(c.n is None for c in got)
+
+
+def test_judge_attaches_the_note_of_the_label():
+    pf, other = judge([("An:pf", mpf(0)), ("rrCf:a", mpf(0))], mpf(1), 2)
+    assert pf.note == NOTES["An:pf"] == "partial-fraction reconstruction"
+    assert other.note == ""
+
+
+@pytest.mark.parametrize("first", [mpf("inf"), mpf("nan")])
+def test_a_family_whose_first_evaluation_is_not_finite_fails(first):
+    """The fold starts from the first evaluation, not from 0, so a lone
+    non-finite residual, or one that a later finite one follows, fails."""
+    for rest in ([], [mpf(0)], [mpf(1e-30), mpf(0)]):
+        got, = judge([("x", first)] + [("x", r) for r in rest], mpf(1e-20))
+        assert not got.passed and not got.residual < got.tol
+
+
+def test_one_planted_evaluation_fails_its_family_through_the_suite(
+        monkeypatch):
+    """A single Ssum:e evaluation in the middle of its family, made wrong,
+    fails that family's check at every level with exactly the planted
+    residual, and moves no other check."""
+    ws = make_workspace(*standard_case_m3())
+    clean = summation_suite(ws, 2, mpf(1e-25))
+    coordinate_sums = spectral._coordinate_sums
+    planted = mpf(1e-20)
+    positions = []
+
+    def plant(*args):
+        evals = list(coordinate_sums(*args))
+        family = [k for k, (label, _) in enumerate(evals)
+                  if label == "Ssum:e"]
+        k = family[len(family) // 2]
+        positions.append((k - family[0], len(family)))
+        evals[k] = ("Ssum:e", planted)
+        return iter(evals)
+
+    monkeypatch.setattr(spectral, "_coordinate_sums", plant)
+    got = summation_suite(ws, 2, mpf(1e-25))
+    assert positions == [(2, 4)] * 3
+    assert [(c.label, c.n) for c in got] == [(c.label, c.n) for c in clean]
+    for before, after in zip(clean, got):
+        assert before.passed
+        if after.label == "Ssum:e":
+            assert after.residual == planted and not after.passed
+        else:
+            assert after == before
 
 
 def test_a_grid_is_capped_below_its_largest_term():

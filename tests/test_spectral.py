@@ -17,7 +17,7 @@ from circlebops.moments import MomentSequence, ReflectedMoments, build_U
 from circlebops.mputil import working_precision
 from circlebops.polys import (padd, pdiff, peval, pmax_abs, pscale, pshift,
                              psub)
-from circlebops.report import all_passed, failures, rel_error
+from circlebops.report import all_passed, failures, judge, rel_error
 from circlebops.spectral import (SERIES_BUFFER, SpectralWorkspace,
                                  check_bilinear, check_linear_recurrences,
                                  check_summation_identities, check_transitions,
@@ -148,8 +148,8 @@ def test_parameterisation_endpoints():
 def test_linear_recurrences_and_transitions():
     ws = _ws()
     for n in (1, 3, 5):
-        assert all_passed(check_linear_recurrences(ws, n, TOL))
-        assert all_passed(check_transitions(ws, n, TOL, 23))
+        assert all_passed(judge(check_linear_recurrences(ws, n), TOL, n))
+        assert all_passed(judge(check_transitions(ws, n, 23), TOL, n))
 
 
 def test_recurrence_residual_gauge_invariant():
@@ -159,7 +159,7 @@ def test_recurrence_residual_gauge_invariant():
     base = SpectralWorkspace(ToeplitzOracle(ms))
     flip = SpectralWorkspace(ToeplitzOracle(ms, gauge={2: -1, 4: -1}))
     for wsx in (base, flip):
-        res = check_linear_recurrences(wsx, 3, TOL)
+        res = judge(check_linear_recurrences(wsx, 3), TOL, 3)
         assert all_passed(res), failures(res)
 
 
@@ -173,7 +173,7 @@ def test_bilinear_relations():
     for case in (standard_case_m3, standard_case_m4):
         ws = _ws(case)
         for n in (0, 1, 3):
-            res = check_bilinear(ws, n, TOL)
+            res = judge(check_bilinear(ws, n), TOL, n)
             assert all_passed(res), [(r.label, r.residual) for r in
                                      failures(res)]
 
@@ -183,7 +183,8 @@ def test_summation_identities_with_coordinates():
     ws = _ws(standard_case_m4)
     for n in (1, 3):
         pt = coordinates_from_spectral(ws, n, with_hamiltonians=False)
-        res = check_summation_identities(ws, n, TOL, garnier_point=pt)
+        res = judge(check_summation_identities(ws, n, garnier_point=pt), TOL,
+                    n)
         assert all_passed(res), [(r.label, r.residual) for r in
                                  failures(res)]
 
@@ -191,7 +192,7 @@ def test_summation_identities_with_coordinates():
 def test_residue_matrices_structure():
     ws = _ws(standard_case_m4)
     for n in (0, 2):
-        res = residue_structure_checks(ws, n, TOL)
+        res = judge(residue_structure_checks(ws, n), TOL, n)
         assert all_passed(res)
     mats0 = residue_matrices(ws, 1)
     # upper-triangular origin residue: second row identically zero
@@ -221,10 +222,10 @@ def test_partial_fractions_catch_a_perturbed_residue_matrix():
     """A relative error of 1e-18 in one entry of one residue matrix fails
     An:pf at tolerance 1e-20."""
     ws = _ws()
-    assert all_passed(residue_structure_checks(ws, 4, mpf(1e-20)))
+    assert all_passed(judge(residue_structure_checks(ws, 4), mpf(1e-20), 4))
     mats = residue_matrices(ws, 4)
     mats[1][0][1] = _perturbed(mats[1][0][1])
-    got, = [r for r in residue_structure_checks(ws, 4, mpf(1e-20))
+    got, = [r for r in judge(residue_structure_checks(ws, 4), mpf(1e-20), 4)
             if r.label == "An:pf"]
     assert not got.passed and got.residual > mpf(1e-19)
 
@@ -233,10 +234,10 @@ def test_scalar_ode_catches_a_perturbed_leading_coefficient():
     """A relative error of 1e-18 in the leading coefficient of phi_n fails
     2ODE:a at tolerance 1e-20, and leaves 2ODE:b alone."""
     ws = _ws()
-    assert all_passed(scalar_ode_residuals(ws, 4, mpf(1e-20)))
+    assert all_passed(judge(scalar_ode_residuals(ws, 4), mpf(1e-20), 4))
     phi = ws.level(4).phi
     phi[-1] = _perturbed(phi[-1])
-    a, b = scalar_ode_residuals(ws, 4, mpf(1e-20))
+    a, b = judge(scalar_ode_residuals(ws, 4), mpf(1e-20), 4)
     assert (a.label, b.label) == ("2ODE:a", "2ODE:b")
     assert not a.passed and a.residual > mpf(1e-20) and b.passed
 
@@ -252,7 +253,7 @@ def test_scalar_ode_residuals_and_structure():
     ws = _ws(standard_case_m4)
     from circlebops.garnier import coordinates_from_spectral
     for n in (1, 4):
-        res = scalar_ode_residuals(ws, n, mpf(1e-22))
+        res = judge(scalar_ode_residuals(ws, n), mpf(1e-22), n)
         assert all_passed(res)
         # first coefficient has the displayed partial-fraction structure
         pt = coordinates_from_spectral(ws, n, with_hamiltonians=False)
@@ -277,8 +278,9 @@ def test_lattice_on_random_weights():
         weight, seeds = random_canonical_case(seed, N)
         ws = make_workspace(weight, seeds)
         for n in (1, 2):
-            assert all_passed(check_linear_recurrences(ws, n, mpf(1e-22)))
-            assert all_passed(check_bilinear(ws, n, mpf(1e-22)))
+            assert all_passed(judge(check_linear_recurrences(ws, n),
+                                    mpf(1e-22), n))
+            assert all_passed(judge(check_bilinear(ws, n), mpf(1e-22), n))
 
 
 def test_pipeline_runs_at_minimum_precision():
@@ -286,8 +288,9 @@ def test_pipeline_runs_at_minimum_precision():
     from circlebops.mputil import working_precision
     with working_precision(53):
         ws = make_workspace(*standard_case_m3())
-        assert all_passed(check_linear_recurrences(ws, 2, mpf(1e-9)))
-        assert all_passed(check_bilinear(ws, 2, mpf(1e-9)))
+        assert all_passed(judge(check_linear_recurrences(ws, 2), mpf(1e-9),
+                                2))
+        assert all_passed(judge(check_bilinear(ws, 2), mpf(1e-9), 2))
         assert ws.data(3).band_residual < mpf(1e-11)
 
 
