@@ -44,12 +44,13 @@ products of series with polynomials (the Casoratians, the spectral bands)
 compare two independent computations.  Its entries are plain mpc at the
 oracle's precision: each is the exact value of alpha_k(m-1) +
 a_k beta_k(k-m) (or its mirror), summed in integers and rounded once per
-part (``_axpy``).  Each entry is formed once, from level k - 1's entries
-alone, so its value depends only on (k, m), never on how far the windows
-reach or on the order of the queries.  The windows follow from two bounds,
-the highest level asked for (top) and the furthest entry (reach >= top):
-level k holds alpha_k(m) for k - top <= m <= reach and beta_k(s) for
-k - reach <= s <= top, a trapezoid that holds what the level above reads.
+part (``_axpy``, by ``exact.round_mantissa``).  Each entry is formed once,
+from level k - 1's entries alone, so its value depends only on (k, m),
+never on how far the windows reach or on the order of the queries.  The
+windows follow from two bounds, the highest level asked for (top) and the
+furthest entry (reach >= top): level k holds alpha_k(m) for
+k - top <= m <= reach and beta_k(s) for k - reach <= s <= top, a
+trapezoid that holds what the level above reads.
 A reader's series is the entries times 2 kappa_n, formed exactly and
 rounded once onto the spectral grid of the oracle's precision
 (``Grid.from_poly``).
@@ -73,17 +74,18 @@ import functools
 
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import Degenerate
+from .exact import round_mpc
 from .moments import MomentSequence, ReflectedMoments
-from .mputil import guarded, lu_det, lu_solve, to_mpc
-from .record import Record
+from .mputil import abs_square, exceeds, guarded, lu_det, lu_solve, to_mpc
+from .record import Memo, Record
 from .report import Grid, largest_abs, ratio
 
 
-class BopsLevel(Record):
-    """All scalar and polynomial data of one level of the system."""
+class BopsLevel(Memo, Record):
+    """All scalar and polynomial data of one level of the system; r and
+    rbar are formed once per precision (``Memo``)."""
 
     _fields = ("n", "I", "kappa", "gauge", "phi", "phibar")
 
@@ -95,6 +97,7 @@ class BopsLevel(Record):
         self.gauge = gauge
         self.phi = phi              # phi_n, ascending, length n+1
         self.phibar = phibar        # phibar_n, ascending
+        self._memo = {}
 
     @property
     def phistar(self) -> list:
@@ -111,11 +114,11 @@ class BopsLevel(Record):
 
     @property
     def r(self) -> mpc:
-        return self.phi[0] / self.kappa
+        return self.memo("r", lambda: self.phi[0] / self.kappa)
 
     @property
     def rbar(self) -> mpc:
-        return self.phibar[0] / self.kappa
+        return self.memo("rbar", lambda: self.phibar[0] / self.kappa)
 
     def _monic_coeff(self, coeffs, back: int) -> mpc:
         idx = self.n - back
@@ -201,27 +204,23 @@ def pairing_first(moments, coeffs, m: int) -> mpc:
 # the cached oracle
 # ---------------------------------------------------------------------------
 
-def _ints(z: mpc) -> tuple:
-    """The finite mpc z as (re, re exponent, im, im exponent), exactly."""
-    (s1, m1, e1, _), (s2, m2, e2, _) = z._mpc_
-    return -m1 if s1 else m1, e1, -m2 if s2 else m2, e2
-
-
 def _axpy(c: mpc, xs, ys) -> list:
     """y + c x for each x of xs and y of ys, each part summed exactly in
-    integers and rounded once, to nearest at mp.prec."""
-    cr, ce, ci, cf = _ints(c)
+    integers and rounded once, to nearest at mp.prec (``round_mpc``)."""
+    (s, cr, ce, _), (t, ci, cf, _) = c._mpc_
+    cr, ci = -cr if s else cr, -ci if t else ci
     prec, out = mp.prec, []
     for x, y in zip(xs, ys):
-        xr, xe, xi, xf = _ints(x)
-        yr, ye, yi, yf = _ints(y)
+        (s, xr, xe, _), (t, xi, xf, _) = x._mpc_
+        xr, xi = -xr if s else xr, -xi if t else xi
+        (s, yr, ye, _), (t, yi, yf, _) = y._mpc_
+        yr, yi = -yr if s else yr, -yi if t else yi
         e = min(ye, yf, ce + xe, cf + xf, ce + xf, cf + xe)
         re = (yr << (ye - e)) + (cr * xr << (ce + xe - e)) \
             - (ci * xi << (cf + xf - e))
         im = (yi << (yf - e)) + (cr * xi << (ce + xf - e)) \
             + (ci * xr << (cf + xe - e))
-        out.append(mp.make_mpc((from_man_exp(re, e, prec, round_nearest),
-                                from_man_exp(im, e, prec, round_nearest))))
+        out.append(round_mpc(re, im, e, prec))
     return out
 
 
@@ -322,8 +321,10 @@ class ToeplitzOracle:
     def _vanishes(self, h: mpc, below) -> bool:
         """Whether h_k vanishes to working precision: h_k == 0, or |h_k|
         below the plan's ``lu_floor`` times |h_(k-1)| = |below| (0 at
-        k = 0)."""
-        return h == 0 or abs(h) < self.moments.plan.lu_floor * abs(below)
+        k = 0), decided on exact squares (``abs_square``)."""
+        (fm, fe), (bm, be) = abs_square(self.moments.plan.lu_floor), \
+            abs_square(below)
+        return h == 0 or exceeds((fm * bm, fe + be), abs_square(h))
 
     def _reach(self, top: int, reach: int) -> None:
         """Grow the Schur generator to the bounds (top, reach), each the

@@ -72,20 +72,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default="-8:8",
                    help="kmin:kmax (use --range=-8:8 for negative bounds)")
 
-    p = sub.add_parser("bops", parents=[common], help="emit level data")
-    p.add_argument("--nmax", type=int, default=None)
-
-    p = sub.add_parser("spectral", parents=[common],
-                       help="emit spectral data and the configured checks")
-    p.add_argument("--nmax", type=int, default=None)
-
-    p = sub.add_parser("garnier", parents=[common],
-                       help="emit canonical coordinates")
-    p.add_argument("--nmax", type=int, default=None)
-
-    p = sub.add_parser("dgarnier", parents=[common],
-                       help="iterate the coupled recurrences")
-    p.add_argument("--nmax", type=int, default=None)
+    for name, text in (
+            ("bops", "emit level data"),
+            ("spectral", "emit spectral data and the configured checks"),
+            ("garnier", "emit canonical coordinates"),
+            ("dgarnier", "iterate the coupled recurrences")):
+        sub.add_parser(name, parents=[common], help=text).add_argument(
+            "--nmax", type=int, default=None)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="vary one parameter, record first singular level")

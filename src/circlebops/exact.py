@@ -7,6 +7,9 @@ against cofactor expansion at small sizes.  ``QC`` is a minimal field element
 ``re + im*i`` over :class:`fractions.Fraction` supporting exactly the
 operations the polynomial and recurrence code uses, so that code can run
 unchanged over exact or floating scalars.
+
+``round_mantissa`` is the one rounding of an exact binary value onto an mpf,
+for every exact-to-mpc read of the package (``round_rational`` divides).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import from_man_exp, fzero, round_nearest
+from mpmath.libmp import fzero
 
 
 class QC:
@@ -110,15 +113,40 @@ class QC:
         return f"QC({self.re!r}, {self.im!r})"
 
 
-def round_rational(p: int, q: int, prec: int) -> tuple:
-    """p / q for q > 0 as a raw mpf, correctly rounded to nearest at prec:
-    the value of ``libmp.from_rational``.
+def round_mantissa(v: int, e: int, prec: int) -> tuple:
+    """v 2^e for an exact int v as a raw mpf, rounded to nearest with ties
+    to even at prec bits: bit for bit ``libmp.from_man_exp(v, e, prec,
+    round_nearest)``, with the bit counts taken in C (``int.bit_length``,
+    ``v & -v``) where mpmath's pure-Python normalisation bisects for them.
+    """
+    if not v:
+        return fzero
+    sign, v = (1, -v) if v < 0 else (0, v)
+    n = v.bit_length() - prec
+    if n > 0:
+        # t ends in the half bit: round up past it, and a tie to even
+        t, e = v >> (n - 1), e + n
+        v = (t >> 1) + (1 if t & 1 and (
+            t & 2 or (v & -v).bit_length() < n) else 0)
+    z = (v & -v).bit_length() - 1
+    return sign, v >> z, e + z, v.bit_length() - z
+
+
+def round_mpc(re: int, im: int, e: int, prec: int) -> mpmath.mpc:
+    """(re + i im) 2^e as an mpc, each part rounded once to nearest at
+    prec (``round_mantissa``)."""
+    return mp.make_mpc((round_mantissa(re, e, prec),
+                        round_mantissa(im, e, prec)))
+
+
+def round_rational(p: int, q: int, prec: int, exp: int = 0) -> tuple:
+    """p 2^exp / q for q > 0 as a raw mpf, correctly rounded to nearest at
+    prec: the value of ``libmp.from_rational`` (exp = 0) and of
+    ``mpf_div(from_man_exp(p, exp), from_int(q), prec, round_nearest)``.
 
     The quotient is taken to prec + 2 bits or more, with a sticky bit for
     a nonzero remainder, which decides every rounding as the exact value
-    would.  (``from_rational`` strips the trailing zero bits of p and q
-    eight at a time first, and exact sums over a power-of-two denominator
-    carry thousands of them.)
+    would.
     """
     if not p:
         return fzero
@@ -128,8 +156,7 @@ def round_rational(p: int, q: int, prec: int) -> tuple:
     else:
         quo, rem = divmod(abs(p), q << -shift)
     man = 2 * quo + (1 if rem else 0)
-    return from_man_exp(-man if p < 0 else man, -shift - 1, prec,
-                        round_nearest)
+    return round_mantissa(-man if p < 0 else man, exp - shift - 1, prec)
 
 
 def _coerce(x) -> QC:

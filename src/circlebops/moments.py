@@ -17,8 +17,8 @@ step.  A step then refuses a pivot at or below its relative floor,
 |g_pivot| <= floor max_k |g_k|, compared as exact integer squares, forms
 the sum of the row against the window as one exact dot product in
 integers, and divides once, rounding each part of the quotient once at the
-sequence's precision.  The exact (Gaussian-rational) path uses the same
-integer rows.
+sequence's precision (``exact.round_rational``).  The exact
+(Gaussian-rational) path uses the same integer rows.
 
 ``from_seeds`` populates a sequence from M - 1 (or M) consecutive seed
 values and runs the recurrence in both directions.  In formal mode the
@@ -29,7 +29,8 @@ Weights whose residues are all negative integers have moments that are
 finite residue sums, ``rational_weight_moments``;
 ``deform.rational_workspace`` seeds a sequence from them, evaluated at the
 sequence's precision, for the deformation checks.  The
-sums are exact in Gaussian integers, and each moment is rounded once.  Per
+sums are exact in Gaussian integers, and each moment is rounded once
+(``exact.round_rational``).  Per
 pole on or outside the circle, the constant and the local Taylor series of
 the other factors do not depend on k and are formed once; each k then
 costs O(q) with an exact integer binomial.
@@ -42,7 +43,6 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .errors import ConfigInvalid, NonConvergent, SingularStep
 from .exact import QC, round_rational
@@ -100,7 +100,8 @@ def _rounded_quotient(terms, pr: int, pi: int) -> mpc:
 
     The sum is exact in integers, on the finest binary exponent of the
     v_k; the quotient N / p = N conj(p) / |p|^2 is then rounded once per
-    part, to nearest at mp.prec.  A non-finite v_k raises ``ValueError``.
+    part, to nearest at mp.prec (``round_rational``).  A non-finite v_k
+    raises ``ValueError``.
     """
     parts = [(gr, gi, *v._mpc_) for gr, gi, v in terms]
     fields = [f for *_, x, y in parts for f in (x, y)]
@@ -113,13 +114,9 @@ def _rounded_quotient(terms, pr: int, pi: int) -> mpc:
         y = (-m2 if s2 else m2) << (e2 - lo) if m2 else 0
         sr += gr * x - gi * y
         si += gr * y + gi * x
-    den = from_int(pr * pr + pi * pi)
-    prec = mp.prec
-    return mp.make_mpc((
-        mpf_div(from_man_exp(-(sr * pr + si * pi), lo), den, prec,
-                round_nearest),
-        mpf_div(from_man_exp(sr * pi - si * pr, lo), den, prec,
-                round_nearest)))
+    den, prec = pr * pr + pi * pi, mp.prec
+    return mp.make_mpc((round_rational(-(sr * pr + si * pi), den, prec, lo),
+                        round_rational(sr * pi - si * pr, den, prec, lo)))
 
 
 class MomentSequence(Record):
@@ -141,6 +138,7 @@ class MomentSequence(Record):
         self.exact = exact
         self.plan = Plan.of(mp.prec)
         self._rows = integer_rows(pair)
+        self._forward_pivot = pair.M - free_moments(pair.weight.singularities)
 
     @property
     def prec(self) -> int:
@@ -184,8 +182,7 @@ class MomentSequence(Record):
                 self._step_backward()
 
     def _step_forward(self) -> None:
-        top = self.k_max + 1
-        pivot = self.pair.M - free_moments(self.pair.weight.singularities)
+        top, pivot = self.k_max + 1, self._forward_pivot
         self.values[top] = self._solve(top + pivot, pivot, FORWARD_PIVOT_FLOOR)
 
     def _step_backward(self) -> None:

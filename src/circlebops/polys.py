@@ -20,8 +20,8 @@ Gaussian rationals).
 from __future__ import annotations
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, round_nearest
 
+from .exact import round_mpc
 from .mputil import to_mpc
 from .plan import grid_cap
 from .report import Grid, largest_abs
@@ -115,25 +115,17 @@ def peval_grid(g: Grid, z) -> mpc:
         s = (d - k) * -ez
         re, im = (re * zr - im * zi + (g.re[k] << s),
                   re * zi + im * zr + (g.im[k] << s))
-    exp, prec = g.exp + d * ez, mp.prec
-    return mp.make_mpc((from_man_exp(re, exp, prec, round_nearest),
-                        from_man_exp(im, exp, prec, round_nearest)))
+    return round_mpc(re, im, g.exp + d * ez, mp.prec)
 
 
-def pdivmod_linear(a, root):
-    """Divide by the monic linear factor (z - root); returns (quotient, rem)."""
+def pdiv_exact_linear(a, root):
+    """The quotient of the synthetic division by (z - root), for a remainder
+    known to vanish up to rounding."""
     q = [0] * (len(a) - 1)
     acc = a[-1]
     for k in range(len(a) - 2, -1, -1):
         q[k] = acc
         acc = a[k] + acc * root
-    return q, acc
-
-
-def pdiv_exact_linear(a, root):
-    """Synthetic division by (z - root) where the remainder is known to vanish
-    up to rounding; the remainder is discarded."""
-    q, _ = pdivmod_linear(a, root)
     return q
 
 

@@ -26,8 +26,9 @@ is this class).  Sums (aligned in offset and exponent), the product (one
 kernel, ``Grid.conv``), derivatives, negation and shifts are exact, and
 ``coeff``, ``window`` and ``coeffs`` round a coefficient to mpc once, to
 nearest at the reader's mp.prec, and ``dot`` is an exact dot product
-rounded once per part (the Szego step's).  Two policies put a vector on a
-grid:
+rounded once per part (the Szego step's); every such rounding, and
+``sqrt_ratio``'s, is ``exact.round_mantissa``.  Two policies put a vector
+on a grid:
 
 - the checks' path, ``Grid.of``, is exact up to the cap: a part more than
   ``plan.grid_cap()`` bits below the largest goes onto that coarser grid
@@ -66,9 +67,10 @@ from collections.abc import Sequence
 from operator import add, mul, sub
 
 from mpmath import isfinite, mp, mpc, mpf
-from mpmath.libmp import from_int, from_man_exp, fzero, round_nearest
+from mpmath.libmp import from_int, fzero
 
-from .mputil import exceeds, to_mpc
+from .exact import round_mantissa, round_mpc
+from .mputil import abs_square, exceeds, to_mpc
 from .plan import grid_cap, spectral_depth
 from .record import Record
 
@@ -282,15 +284,10 @@ class Grid:
         """
         if self.exp is None or other.exp is None:
             raise ValueError("non-finite value on an exact grid")
-        br, bi = other.re, other.im
-        if start:
-            br, bi = br[start:], bi[start:]
-        ar, ai = self.re, self.im
+        ar, ai, br, bi = self.re, self.im, other.re[start:], other.im[start:]
         rr, ii = sum(map(mul, ar, br)), sum(map(mul, ai, bi))
         ri, ir = sum(map(mul, ar, bi)), sum(map(mul, ai, br))
-        exp, prec = self.exp + other.exp, mp.prec
-        return mp.make_mpc((from_man_exp(rr - ii, exp, prec, round_nearest),
-                            from_man_exp(ri + ir, exp, prec, round_nearest)))
+        return round_mpc(rr - ii, ri + ir, self.exp + other.exp, mp.prec)
 
     def mul_poly(self, p, top: int) -> "Grid":
         """Multiply by the polynomial p (``from_poly``), truncating above
@@ -316,10 +313,7 @@ class Grid:
         k = power - self.offset
         if not 0 <= k < len(self.re):
             return mpc(0)
-        prec = mp.prec
-        return mp.make_mpc((
-            from_man_exp(self.re[k], self.exp, prec, round_nearest),
-            from_man_exp(self.im[k], self.exp, prec, round_nearest)))
+        return round_mpc(self.re[k], self.im[k], self.exp, mp.prec)
 
     def window(self, lo: int, hi: int) -> list:
         """Coefficients of z^lo .. z^hi as mpc, each rounded once."""
@@ -432,16 +426,9 @@ def _sq(x: int, y: int) -> int:
 def sqrt_ratio(err: int, scale: int, exp: int, floor=0) -> mpf:
     """sqrt(err / max(scale, floor^2)), for the exact squares err and scale
     on the grid 2^exp, rounded once, to nearest at mp.prec."""
-    if isinstance(floor, mpf):
-        _, fman, fexp, _ = floor._mpf_
-    elif isinstance(floor, int):
-        _, fman, fexp, _ = from_int(floor)
-    else:
-        _, fman, fexp, _ = to_mpc(floor)._mpc_[0]
-    if exceeds((fman * fman, 2 * fexp), (scale, exp)):
-        scale, sexp = fman * fman, 2 * fexp
-    else:
-        sexp = exp
+    floor = abs_square(floor if isinstance(floor, (int, mpf))
+                       else to_mpc(floor))
+    scale, sexp = floor if exceeds(floor, (scale, exp)) else (scale, exp)
     if not err:
         return mpf(0)
     if not scale:
@@ -455,8 +442,8 @@ def sqrt_ratio(err: int, scale: int, exp: int, floor=0) -> mpf:
     q, rest = divmod(err << a, scale)
     r = math.isqrt(q)
     sticky = 1 if rest or r * r != q else 0
-    return mp.make_mpf(from_man_exp(2 * r + sticky, (exp - sexp - a) // 2 - 1,
-                                    prec, round_nearest))
+    return mp.make_mpf(round_mantissa(2 * r + sticky,
+                                      (exp - sexp - a) // 2 - 1, prec))
 
 
 def rel_residual(terms, floor=0) -> mpf:

@@ -218,8 +218,9 @@ class SpectralWorkspace(_PointTable):
         return self.oracle.level(n)
 
     def kappa_ratio(self, n: int) -> mpc:
-        """kappa_{n+1}/kappa_n."""
-        return self.level(n + 1).kappa / self.level(n).kappa
+        """kappa_{n+1}/kappa_n, formed once per level and precision."""
+        return self.memo(("kappa_ratio", n),
+                         lambda: self.level(n + 1).kappa / self.level(n).kappa)
 
     # -- W, 2V, V, W/z and their derivatives, by name -------------------------
 

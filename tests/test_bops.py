@@ -438,3 +438,19 @@ def test_cached_queries_refuse_another_precision():
                                    f"queried at {bits} bits"):
                     query(5)
     assert o.level(5) is lev and o.det(5) == d
+
+
+def test_an_h_k_one_ulp_below_the_floor_vanishes():
+    """The floor test compares exact squares: with |h_(k-1)| = sqrt 2 and
+    h_k = lu_floor (1 + i), h_k sits exactly on the floor and passes; one
+    ulp lower in its imaginary part it vanishes, one ulp higher it passes.
+    A nonzero h_0 (nothing below) always passes, and zero never does."""
+    o, ms, _ = _oracle_m3()
+    with o.precision():
+        floor, ulp = ms.plan.lu_floor, mpf(2) ** -mp.prec
+        below = mpc(1, 1)
+        assert not o._vanishes(mpc(floor, floor), below)
+        assert o._vanishes(mpc(floor, floor - floor * ulp), below)
+        assert not o._vanishes(mpc(floor, floor + 2 * floor * ulp), below)
+        assert not o._vanishes(mpc(floor * ulp), 0)
+        assert o._vanishes(mpc(0), 0) and o._vanishes(mpc(0), below)

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_div,
+                          round_nearest)
 
-from circlebops.exact import QC, det_cofactor, round_rational
+from circlebops.exact import QC, det_cofactor, round_mantissa, round_rational
 from circlebops.mputil import lu_det, working_precision
 
 small = st.integers(min_value=-6, max_value=6)
@@ -93,3 +94,58 @@ def test_to_mpc_is_correctly_rounded(p1, q1, p2, q2, prec):
                                                prec, round_nearest)
             if abs(v.numerator).bit_length() <= prec:
                 assert part == mpf(v.numerator) / v.denominator
+
+
+@st.composite
+def mantissas(draw):
+    """(v, prec): zero, mantissas of at most prec bits and of up to four
+    times prec, exact ties at every shift (the half bit of the rounding
+    position set, every bit below it clear) and values one set bit above a
+    tie, with trailing zeros and a sign; prec from 53 to 1024."""
+    prec = draw(st.integers(53, 1024))
+    kind = draw(st.sampled_from(["zero", "short", "long", "tie", "above"]))
+    if kind == "zero":
+        return 0, prec
+    if kind == "short":
+        v = draw(st.integers(1, 2 ** prec - 1))
+    elif kind == "long":
+        v = draw(st.integers(2 ** prec, 2 ** (4 * prec + 64)))
+    else:
+        shift = draw(st.integers(2, 3 * prec))
+        v = draw(st.integers(2 ** (prec - 1), 2 ** prec - 1)) << shift | \
+            1 << (shift - 1)
+        if kind == "above":         # one set bit below the half bit
+            v |= 1 << draw(st.integers(0, shift - 2))
+    v <<= draw(st.integers(0, 80))
+    return draw(st.sampled_from([-1, 1])) * v, prec
+
+
+@given(mantissas(), st.integers(-4000, 4000))
+@example((2 ** 54 - 1, 53), 0)          # rounds up to a power of two
+@example((1 << 55 | 1 << 1, 53), 0)     # a tie at shift 2
+@example((3 << 52 | 1, 53), -7)         # a tie below an odd mantissa
+@example((-(2 << 52 | 1), 53), 5)       # a tie below an even one
+@settings(max_examples=1000, deadline=None)
+def test_round_mantissa_is_from_man_exp_bit_for_bit(case, e):
+    """The one rounding helper returns the raw mpf of
+    ``from_man_exp(v, e, prec, round_nearest)``, sign, mantissa, exponent
+    and bit count."""
+    v, prec = case
+    assert round_mantissa(v, e, prec) == \
+        from_man_exp(v, e, prec, round_nearest)
+
+
+@given(mantissas(), st.integers(1, 2 ** 400) |
+       st.builds(lambda k: 2 ** k, st.integers(0, 400)),
+       st.integers(-4000, 4000), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_round_rational_is_the_quotient_of_mpf_div_bit_for_bit(
+        case, den, lo, exact):
+    """The moment recurrence's once-rounded quotient N 2^lo / den equals
+    ``mpf_div(from_man_exp(N, lo), from_int(den), prec, round_nearest)``;
+    with N a multiple of den the quotient is exact, ties included."""
+    num, prec = case
+    if exact:
+        num *= den
+    assert round_rational(num, den, prec, lo) == \
+        mpf_div(from_man_exp(num, lo), from_int(den), prec, round_nearest)

@@ -192,6 +192,37 @@ def test_no_src_module_but_the_plan_does_arithmetic_on_mp_prec():
     assert not found, found
 
 
+# mpmath's pure-Python normalisation, which ``exact.round_mantissa`` does
+# bit for bit with C-level bit counts
+NORMALISING = {"mpf_div", "normalize", "normalize1"}
+
+
+def _rounds_in_mpmath(node) -> bool:
+    """A call of mpmath's normalisation, or of ``from_man_exp`` with a
+    precision (its third argument or ``prec=``)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else \
+        func.id if isinstance(func, ast.Name) else None
+    return name in NORMALISING or name == "from_man_exp" and (
+        len(node.args) > 2 or any(k.arg == "prec" for k in node.keywords))
+
+
+def test_no_src_module_but_exact_rounds_through_mpmath():
+    """Every exact-to-mpf rounding is written once, in ``exact``: no other
+    module calls ``from_man_exp`` with a precision, ``mpf_div`` or
+    ``normalize``."""
+    found = []
+    for path in sorted(Path(circlebops.__file__).parent.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if _rounds_in_mpmath(node)]
+    assert not found, found
+
+
 def _makes_a_check_result(node) -> bool:
     """A call of ``CheckResult`` or of ``CheckResult.make``."""
     if not isinstance(node, ast.Call):
