@@ -71,7 +71,7 @@ def load_config(path: str, overrides: dict) -> RunConfig:
     """Read the YAML mapping at path, apply overrides, then validate."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:

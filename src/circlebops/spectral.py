@@ -28,6 +28,11 @@ form and rounded once (``report.sqrt_ratio``), is recorded and doubles as a
 correctness alarm for the whole pipeline (it is the degree-bound check),
 judged against the plan's ``band_alarm``.
 
+Each of the two symmetric halves, the pair from (eps, phi) and the starred
+pair, has its own band read, alarm and reflection-coefficient test, and the
+starred half is formed when first read (``SpectralData``): a half's alarm
+fires when that half is formed, so it guards every value a check reads.
+
 The rest of the module turns the coupled recurrences, transition identities,
 bilinear evaluations, summation identities, the partial fractions of A_n and
 the scalar ODEs into check families: generators of (label, residual)
@@ -51,7 +56,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 import mpmath
-from mpmath import mpf, mpc
+from mpmath import mp, mpf, mpc
 
 from .bops import BopsLevel, ToeplitzOracle
 from .errors import Degenerate
@@ -85,11 +90,29 @@ class _PointTable(Memo):
                          lambda: peval_grid(self.grid(name), z))
 
 
+class _Starred:
+    """A field of the starred half of a ``spectral_from_oracle`` record: its
+    first read forms the half, whose values then shadow these fields."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, sd, owner):
+        vars(sd).update(zip(owner._fields[3:], sd._starred()))
+        return vars(sd)[self.name]
+
+
 class SpectralData(_PointTable, Record):
-    """Coefficient vectors of the four spectral polynomials at one level."""
+    """Coefficient vectors of the four spectral polynomials at one level.
+
+    A record of ``spectral_from_oracle`` forms its starred half (thetastar,
+    omegastar, and band_residual, the larger of the halves') on the first
+    read of one of them or of their grids or point values, which raises
+    that half's ``Degenerate``; after it, each is a plain attribute."""
 
     _fields = ("n", "theta", "omega", "thetastar", "omegastar",
                "band_residual")
+    thetastar, omegastar, band_residual = _Starred(), _Starred(), _Starred()
 
     def __init__(self, n: int, theta: list, omega: list, thetastar: list,
                  omegastar: list, band_residual: mpf):
@@ -120,74 +143,72 @@ def _extract_band(series: Grid, lo: int, deg: int, factor: mpc):
 
 def spectral_from_oracle(oracle: ToeplitzOracle, n: int) -> SpectralData:
     """Spectral polynomials at level n from oracle data at levels n, n+1,
-    for the weight of the oracle's moments."""
-    if oracle.moments.pair.weight.placement != "canonical":
+    for the weight of the oracle's moments: the unstarred half now, the
+    starred half when first read (``SpectralData``)."""
+    pair = oracle.moments.pair
+    if pair.weight.placement != "canonical":
         raise ValueError("spectral extraction assumes canonical placement")
     with oracle.precision():
-        return _spectral_from_oracle_impl(oracle, n)
+        V2 = pair.V2_mpc()
+        Wg, Vg = (Grid.from_poly(p) for p in
+                  (pair.W_mpc(), pscale(V2, mpf("0.5"))))
+        grids = Wg, Vg, Grid.from_poly(V2) - Wg.diff()
+        unstarred = _half(oracle, n, 0, *grids)
+
+    def starred():      # its reader was admitted with the unstarred half
+        with mp.workprec(oracle.prec):
+            return _half(oracle, n, 1, *grids, unstarred[2])
+    sd = SpectralData.__new__(SpectralData)
+    sd.n, sd.theta, sd.omega = n, *unstarred[:2]
+    sd._starred, sd._memo = starred, {}
+    return sd
 
 
-def _spectral_from_oracle_impl(oracle, n):
-    pair = oracle.moments.pair
-    N = pair.N
-    lev_n = oracle.level(n)
-    lev_n1 = oracle.level(n + 1)
+def _half(oracle, n, side, Wg, Vg, Dg, band=0):
+    """Side 0's (Theta_n, Omega_n) or side 1's starred pair, and the larger
+    of band and their band residual; W, V and D = 2V - W' on their grids."""
+    N = oracle.moments.pair.N
+    lev_n, lev_n1 = oracle.level(n), oracle.level(n + 1)
     top = n + N + 2 + SERIES_BUFFER
+
+    def times(a, b):
+        return a.mul_poly(b, len(a) + len(b) - 2)
 
     # every series is read up to z^top: the term z^(top+1) of an eps-series
     # enters only through its derivative, times the constant term of W p,
     # which is zero (W(0) = 0).  Level n+1's series are asked for at that
     # level's truncation, top + 1, so that the extraction there finds them
     # cached: one formation per level, and no moment beyond w_(top+1).
-    eps_n = oracle.eps_series(n, top)
-    eps_n1 = oracle.eps_series(n + 1, top + 1)
-    est_n = oracle.epsstar_series(n, top)
-    est_n1 = oracle.epsstar_series(n + 1, top + 1)
-
+    series = oracle.epsstar_series if side else oracle.eps_series
+    e0, e1 = series(n, top), series(n + 1, top + 1)
+    p0, p1 = (Grid.from_poly(lev.phistar if side else lev.phi)
+              for lev in (lev_n, lev_n1))
     # 2 (phi0_{n+1}/kappa_n) z^n (Theta_n, Omega_n) = forms(eps, phi) with
     # W[e0 p0' - e0' p0] + 2V e0 p0 and W[e1 p0' - e0' p1] + V[e1 p0 + e0 p1],
     # grouped so that each eps-series meets one polynomial, formed exactly
     # from W, V and the family on their grids: with D = 2V - W',
-    # W p0' + 2V p0 = (W p0)' + D p0 and W p0' + V p0 = that - V p0
-    def forms(e0, e1, p0, p1):
-        de0 = e0.diff()
-        p0, p1 = Grid.from_poly(p0), Grid.from_poly(p1)
-        Wp0 = times(Wg, p0)
-        f_theta = Wp0.diff() + times(Dg, p0)
-        f_omega = f_theta - times(Vg, p0)
-        theta = e0.mul_poly(f_theta, top) - de0.mul_poly(Wp0, top)
-        omega = e1.mul_poly(f_omega, top) - \
-            de0.mul_poly(times(Wg, p1), top) + e0.mul_poly(times(Vg, p1), top)
-        return theta, omega
-
-    def times(a, b):
-        return a.mul_poly(b, len(a) + len(b) - 2)
-
-    V2 = pair.V2_mpc()
-    Wg, Vg = (Grid.from_poly(p) for p in
-              (pair.W_mpc(), pscale(V2, mpf("0.5"))))
-    Dg = Grid.from_poly(V2) - Wg.diff()
-    r_theta, r_omega = forms(eps_n, eps_n1, lev_n.phi, lev_n1.phi)
-    # the starred pair is the negated pair of forms in (epsstar, phistar):
+    # W p0' + 2V p0 = (W p0)' + D p0 and W p0' + V p0 = that - V p0.
+    # The starred pair is the negated pair of forms in (epsstar, phistar):
     # 2 (phibar0_{n+1}/kappa_n) z^{n+1} (Thetastar_n, Omegastar_n)
     #   = -forms(epsstar_n, epsstar_{n+1}, phistar_n, phistar_{n+1})
-    r_ts, r_os = forms(est_n, est_n1, lev_n.phistar, lev_n1.phistar)
-    if lev_n1.phi0 == 0 or lev_n1.phibar0 == 0:
-        raise Degenerate(f"a reflection coefficient of level {n + 1} "
+    de0 = e0.diff()
+    Wp0 = times(Wg, p0)
+    f_theta = Wp0.diff() + times(Dg, p0)
+    f_omega = f_theta - times(Vg, p0)
+    theta = e0.mul_poly(f_theta, top) - de0.mul_poly(Wp0, top)
+    omega = e1.mul_poly(f_omega, top) - \
+        de0.mul_poly(times(Wg, p1), top) + e0.mul_poly(times(Vg, p1), top)
+    fac = (-2 * lev_n1.phibar0 if side else 2 * lev_n1.phi0) / lev_n.kappa
+    if fac == 0:
+        raise Degenerate(f"{'phibar' if side else 'phi'}_{n + 1}(0) "
                          f"vanishes: the spectral forms divide by it")
-    fac = 2 * lev_n1.phi0 / lev_n.kappa
-    theta, r1 = _extract_band(r_theta, n, N, fac)
-    omega, r2 = _extract_band(r_omega, n, N + 1, fac)
-    fac_s = -2 * lev_n1.phibar0 / lev_n.kappa
-    thetastar, r3 = _extract_band(r_ts, n + 1, N, fac_s)
-    omegastar, r4 = _extract_band(r_os, n + 1, N + 1, fac_s)
-
-    band = max(r1, r2, r3, r4)
+    theta, r1 = _extract_band(theta, n + side, N, fac)
+    omega, r2 = _extract_band(omega, n + side, N + 1, fac)
+    band = max(r1, r2, band)
     if band > oracle.moments.plan.band_alarm:
         raise Degenerate(
             f"out-of-band mass {mpmath.nstr(band, 6)} at level {n}")
-    return SpectralData(n=n, theta=theta, omega=omega, thetastar=thetastar,
-                        omegastar=omegastar, band_residual=band)
+    return theta, omega, band
 
 
 class SpectralWorkspace(_PointTable):
@@ -298,16 +319,8 @@ def _w_quotients(ws: SpectralWorkspace) -> list:
 
 def a_infinity(residues: list) -> list:
     """A_{n,infinity} = - sum of finite residue matrices."""
-    out = [[mpc(0), mpc(0)], [mpc(0), mpc(0)]]
-    for m in residues:
-        for i in range(2):
-            for j in range(2):
-                out[i][j] -= m[i][j]
-    return out
-
-
-def _mat_scale(mats) -> mpf:
-    return largest_abs([x for m in mats for row in m for x in row])
+    return [[-sum(m[i][j] for m in residues) for j in range(2)]
+            for i in range(2)]
 
 
 def residue_structure_checks(ws: SpectralWorkspace, n: int):
@@ -320,7 +333,7 @@ def residue_structure_checks(ws: SpectralWorkspace, n: int):
     rhos = ws.residues()
     # custom scale for An:res0, An:resInfty and An:trace: the largest entry
     # of all the level's residue matrices, at least 1
-    scale = (_mat_scale(mats), mpf(1))
+    scale = (largest_abs([x for m in mats for row in m for x in row]), mpf(1))
 
     rho0 = rhos[0]
     want0 = [[(n - rho0), -(n - rho0) * lev.r], [mpc(0), mpc(0)]]

@@ -140,6 +140,32 @@ def test_each_eps_series_is_formed_once_per_level(tmp_path, monkeypatch):
     assert len(entries(oracle)) == 336
 
 
+def test_flow_forms_the_starred_half_only_where_a_check_reads_it(
+        tmp_path, monkeypatch):
+    """Of the nine oracles of RATIONAL_M4_FLOW, the base and the four of
+    the z_1 stencil, whose residue matrices the deformation checks read,
+    form an epsstar-series; the four of the z_2 stencil feed only the
+    coordinates and momenta and form none."""
+    from circlebops.bops import ToeplitzOracle
+
+    init, epsstar = ToeplitzOracle.__init__, ToeplitzOracle.epsstar_series
+    oracles, starred = [], []
+
+    def counted_init(oracle, *args, **kwargs):
+        oracles.append(oracle)
+        init(oracle, *args, **kwargs)
+
+    def counted_epsstar(oracle, *args):
+        starred.append(oracle)
+        return epsstar(oracle, *args)
+
+    monkeypatch.setattr(ToeplitzOracle, "__init__", counted_init)
+    monkeypatch.setattr(ToeplitzOracle, "epsstar_series", counted_epsstar)
+    _verify(tmp_path, RATIONAL_M4_FLOW)
+    assert [any(o is s for s in starred) for o in oracles] == \
+        [True] * 5 + [False] * 4
+
+
 def _point_evaluations(tmp_path, monkeypatch, config_data):
     """The (coefficients, point, precision) triples that one ``verify`` run
     of config_data evaluates, counted, and the number of root findings.

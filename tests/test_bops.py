@@ -1,5 +1,7 @@
 """Determinant oracle: existence, identities, expansions, Szego step."""
 
+import random
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -454,3 +456,41 @@ def test_an_h_k_one_ulp_below_the_floor_vanishes():
         assert not o._vanishes(mpc(floor, floor + 2 * floor * ulp), below)
         assert not o._vanishes(mpc(floor * ulp), 0)
         assert o._vanishes(mpc(0), 0) and o._vanishes(mpc(0), below)
+
+
+def _exact_values(grid, exp):
+    g = grid.to(exp)
+    return g.re, g.im
+
+
+@pytest.mark.parametrize("step", [-300, -128, 0, 40, 300])
+def test_the_held_window_holds_the_values_of_one_grid_of_it(step):
+    """The oracle's moment window, grown one level at a time, holds at
+    every size the values of ``Grid.of`` over the whole window, cap
+    included.  The moments are 200-bit mantissas 2^(step |k|) apart; the
+    cap is 2 prec + 64 = 512 bits.  At step -300 the terms below the cap
+    round to zero, at -128 w_4 lies at the cap and rounds to a nonzero
+    value, at 300 each new level raises the top bit past the terms held,
+    and at 0 and 40 every term stays exact and each moment is read once."""
+    _, ms, _ = _oracle_m3()
+    rng = random.Random(step)
+
+    def moment(k):
+        return [mpf((1 << 199) | rng.getrandbits(199)) * 2 ** (step * abs(k))
+                for _ in "ri"]
+
+    with mp.workprec(ms.prec):
+        values = {k: mpc(*moment(k)) for k in range(-8, 9)}
+    oracle = ToeplitzOracle(MomentSequence(ms.pair, values))
+    reads, read = [], oracle.moments.w
+    oracle.moments.w = lambda k: reads.append(k) or read(k)
+    with oracle.precision():
+        for n in range(1, 9):
+            got = oracle._window(n)
+            want = bops.Grid.of([values[k] for k in range(-n, n + 1)])
+            exp = min(got.exp, want.exp)
+            assert got.offset == -n
+            assert _exact_values(got, exp) == _exact_values(want, exp), n
+        assert oracle._window(3) is got
+    if step in (0, 40):
+        assert sorted(reads) == list(range(-8, 9))

@@ -9,7 +9,7 @@ import yaml
 from mpmath import mpf
 
 from circlebops.cli import main
-from circlebops.config import config_from_dict
+from circlebops.config import config_from_dict, load_config
 from circlebops.errors import ConfigInvalid
 
 BASE = {
@@ -698,3 +698,26 @@ def test_suite_order_moves_no_residual(tmp_path):
                         for c in json.loads(out.read_text())["checks"]})
     assert len(reports[0]) == 1513
     assert reports[0] == reports[1]
+
+
+def test_malformed_yaml_exits_config_code(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("mode: formal\nchecks: [identities\nn_max: 3\n")
+    with pytest.raises(ConfigInvalid, match="^malformed config: "):
+        load_config(str(path), {})
+    assert main(["--config", str(path), "verify"]) == 2
+    assert "config error: malformed config: " in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_read_equal_configs():
+    """The loader ``load_config`` takes where libyaml exists reads the
+    configs of the golden cases and of these tests as the pure-Python
+    ``SafeLoader`` does."""
+    from test_golden import CASES
+
+    for cfg in [BASE, *CASES.values()]:
+        text = yaml.safe_dump(cfg)
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == \
+            yaml.load(text, Loader=yaml.SafeLoader) == cfg

@@ -100,6 +100,25 @@ def test_degree_alarm_on_corrupted_moments():
         ws.data(3)
 
 
+@pytest.mark.parametrize("starred", ["thetastar", "band_residual"])
+def test_a_planted_starred_band_error_fires_when_the_starred_half_is_read(
+        starred):
+    """A coefficient planted at z^top of epsstar_3, as large as the
+    series' largest, puts out-of-band mass into the starred forms of level
+    3 alone: reading theta, omega and their point values passes, and the
+    first read of the starred half raises, as does the next."""
+    ws, n = _ws(), 3
+    top = n + ws.pair.N + 2 + SERIES_BUFFER
+    series = ws.oracle.epsstar_series(n, top)
+    series.re[-1] += max(map(abs, series.re))
+    sd = ws.data(n)
+    sd.theta, sd.omega, sd.at("theta", mpc("0.5")), sd.grid("omega")
+    for _ in range(2):
+        with pytest.raises(Degenerate,
+                           match=f"out-of-band mass .* at level {n}$"):
+            getattr(sd, starred)
+
+
 def test_initial_spectral_data_closed_forms():
     """Level-zero spectral polynomials against the generating polynomial."""
     ws = _ws()
