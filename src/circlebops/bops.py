@@ -79,7 +79,6 @@ from .errors import Degenerate
 from .exact import round_mpc
 from .moments import MomentSequence, ReflectedMoments
 from .mputil import abs_square, exceeds, guarded, lu_det, lu_solve, to_mpc
-from .plan import grid_cap
 from .record import Memo, Record
 from .report import Grid, largest_abs, ratio
 
@@ -288,7 +287,7 @@ class ToeplitzOracle:
         self._levels = {}
         self._monic = [([mpc(1)], [mpc(1)])]    # (P_k, Q_k), k = 0, 1, ...
         self._h = []                            # h_k of the Szego step
-        self._win = Grid([], [], 0, 1)          # the window of _window
+        self._wvals = {}                        # k -> w_k read by _window
         # the Schur generator: level k -> its sides (alpha_k, beta_k), each
         # {m: entry} over the window of the bounds (top, reach); and the
         # step out of level k, (h_k, a_k, b_k)
@@ -378,26 +377,27 @@ class ToeplitzOracle:
     def monic_pair(self, n: int):
         """(phi_n, phibar_n) / kappa_n, ascending, by the bi-orthogonal step.
 
-        Its pairings are dot products (``Grid.dot``) with the moment window
-        (``_window``) and its reversal.  Raises ``Degenerate`` at the first
-        of its own h_k that vanishes to working precision (``_vanishes``).
+        The three pairings of a step are dot products (``Grid.dot``) with
+        one grid of the moment window w_{-n} .. w_n, formed once per call
+        (``_window``, exact up to its cap), and with its reversal.
+        Raises ``Degenerate`` at the first of its own h_k that vanishes to
+        working precision (``_vanishes``).
         """
         pairs, hs = self._monic, self._h
         if n < len(pairs):
             return pairs[n]
         window = self._window(n)
-        m = -window.offset                          # window[i] = w_(i-m)
         rev = Grid(window.re[::-1], window.im[::-1], window.exp)
         for k in range(len(pairs) - 1, n):
             P, Q = pairs[k]
             Pg, Qg = Grid.of(P), Grid.of(Q)
-            h = Pg.dot(rev, m - k)                  # w_{k-j}: rev[m-k+j]
+            h = Pg.dot(rev, n - k)                  # w_{k-j}: rev[n-k+j]
             if self._vanishes(h, hs[k - 1] if k else 0):
                 raise Degenerate(
                     f"determinant at level {k + 1} vanishes to working "
                     f"precision; the Szego step stops here")
-            a = -Pg.dot(rev, m + 1) / h             # w_{-1-j}: rev[m+1+j]
-            b = -Qg.dot(window, m + 1) / h          # w_{1+j}: window[m+1+j]
+            a = -Pg.dot(rev, n + 1) / h             # w_{-1-j}: rev[n+1+j]
+            b = -Qg.dot(window, n + 1) / h          # w_{1+j}: window[n+1+j]
             P_next, Q_next = [mpc(0)] + P, [mpc(0)] + Q
             for i in range(k + 1):
                 P_next[i] += a * Q[k - i]
@@ -407,24 +407,14 @@ class ToeplitzOracle:
         return pairs[n]
 
     def _window(self, n: int) -> Grid:
-        """w_{-m} .. w_m from z^-m, m the largest n asked, with ``Grid.of``'s
-        values: new moments join it unless a part lies within a bit of the
-        cap below the top bit, when the whole window is gridded anew."""
-        held, w, m = self._win, self.moments.w, -self._win.offset
-        if n <= m:
-            return held
+        """``Grid.of`` over the moment window w_{-n} .. w_n; each moment is
+        read from ``moments`` once and held."""
+        vals = self._wvals
         self.moments.extend(-n, n)
-        new = Grid.of([w(k) for k in range(-n, n + 1) if abs(k) > m])
-        tops = [g.exp + abs(v).bit_length() for g in (held, new)
-                for v in g.re + g.im if v]
-        if not tops or min(tops) <= max(tops) - grid_cap() + 1:
-            held, new = Grid([], [], 0), Grid.of(
-                [w(k) for k in range(-n, n + 1)])
-        e, k = min(held.exp, new.exp), n - m
-        held, new = held.to(e), new.to(e)
-        self._win = Grid(new.re[:k] + held.re + new.re[k:],
-                         new.im[:k] + held.im + new.im[k:], e, -n)
-        return self._win
+        for k in range(-n, n + 1):
+            if k not in vals:
+                vals[k] = self.moments.w(k)
+        return Grid.of([vals[k] for k in range(-n, n + 1)])
 
     @_cached_query("_levels")
     def level(self, n: int) -> BopsLevel:

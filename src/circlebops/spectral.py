@@ -98,6 +98,8 @@ class _Starred:
         self.name = name
 
     def __get__(self, sd, owner):
+        if sd is None:
+            return self
         vars(sd).update(zip(owner._fields[3:], sd._starred()))
         return vars(sd)[self.name]
 
@@ -319,8 +321,16 @@ def _w_quotients(ws: SpectralWorkspace) -> list:
 
 def a_infinity(residues: list) -> list:
     """A_{n,infinity} = - sum of finite residue matrices."""
-    return [[-sum(m[i][j] for m in residues) for j in range(2)]
-            for i in range(2)]
+    out = [[mpc(0), mpc(0)], [mpc(0), mpc(0)]]
+    for m in residues:
+        for i in range(2):
+            for j in range(2):
+                out[i][j] -= m[i][j]
+    return out
+
+
+def _mat_scale(mats) -> mpf:
+    return largest_abs([x for m in mats for row in m for x in row])
 
 
 def residue_structure_checks(ws: SpectralWorkspace, n: int):
@@ -333,7 +343,7 @@ def residue_structure_checks(ws: SpectralWorkspace, n: int):
     rhos = ws.residues()
     # custom scale for An:res0, An:resInfty and An:trace: the largest entry
     # of all the level's residue matrices, at least 1
-    scale = (largest_abs([x for m in mats for row in m for x in row]), mpf(1))
+    scale = (_mat_scale(mats), mpf(1))
 
     rho0 = rhos[0]
     want0 = [[(n - rho0), -(n - rho0) * lev.r], [mpc(0), mpc(0)]]

@@ -700,7 +700,19 @@ def test_suite_order_moves_no_residual(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_malformed_yaml_exits_config_code(tmp_path, capsys):
+def _libyaml(monkeypatch, libyaml):
+    """Leave ``yaml.CSafeLoader`` as it is, or take it away so that
+    ``load_config`` falls back on the pure-Python ``SafeLoader``."""
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+
+
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_malformed_yaml_exits_config_code(tmp_path, capsys, monkeypatch,
+                                          libyaml):
+    _libyaml(monkeypatch, libyaml)
     path = tmp_path / "bad.yaml"
     path.write_text("mode: formal\nchecks: [identities\nn_max: 3\n")
     with pytest.raises(ConfigInvalid, match="^malformed config: "):
@@ -709,15 +721,15 @@ def test_malformed_yaml_exits_config_code(tmp_path, capsys):
     assert "config error: malformed config: " in capsys.readouterr().err
 
 
-@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
-                    reason="PyYAML built without libyaml")
-def test_libyaml_and_python_loaders_read_equal_configs():
-    """The loader ``load_config`` takes where libyaml exists reads the
-    configs of the golden cases and of these tests as the pure-Python
-    ``SafeLoader`` does."""
+@pytest.mark.parametrize("libyaml", [True, False])
+def test_either_loader_reads_the_golden_configs(tmp_path, monkeypatch,
+                                                libyaml):
+    """``load_config`` reads the configs of the golden cases and of these
+    tests to the same ``RunConfig`` with libyaml's loader and without it."""
     from test_golden import CASES
 
+    _libyaml(monkeypatch, libyaml)
+    path = tmp_path / "cfg.yaml"
     for cfg in [BASE, *CASES.values()]:
-        text = yaml.safe_dump(cfg)
-        assert yaml.load(text, Loader=yaml.CSafeLoader) == \
-            yaml.load(text, Loader=yaml.SafeLoader) == cfg
+        path.write_text(yaml.safe_dump(cfg))
+        assert load_config(str(path), {}) == config_from_dict(dict(cfg))

@@ -18,7 +18,8 @@ from circlebops.mputil import working_precision
 from circlebops.polys import (padd, pdiff, peval, pmax_abs, pscale, pshift,
                              psub)
 from circlebops.report import all_passed, failures, judge, rel_error
-from circlebops.spectral import (SERIES_BUFFER, SpectralWorkspace,
+from circlebops.spectral import (SERIES_BUFFER, SpectralData,
+                                 SpectralWorkspace,
                                  check_bilinear, check_linear_recurrences,
                                  check_summation_identities, check_transitions,
                                  p2_asymptotic_constant, residue_matrices,
@@ -106,7 +107,8 @@ def test_a_planted_starred_band_error_fires_when_the_starred_half_is_read(
     """A coefficient planted at z^top of epsstar_3, as large as the
     series' largest, puts out-of-band mass into the starred forms of level
     3 alone: reading theta, omega and their point values passes, and the
-    first read of the starred half raises, as does the next."""
+    first read of the starred half raises, as does the next.  Read on the
+    class, the field is its descriptor."""
     ws, n = _ws(), 3
     top = n + ws.pair.N + 2 + SERIES_BUFFER
     series = ws.oracle.epsstar_series(n, top)
@@ -117,6 +119,7 @@ def test_a_planted_starred_band_error_fires_when_the_starred_half_is_read(
         with pytest.raises(Degenerate,
                            match=f"out-of-band mass .* at level {n}$"):
             getattr(sd, starred)
+    assert getattr(SpectralData, starred).name == starred
 
 
 def test_initial_spectral_data_closed_forms():
