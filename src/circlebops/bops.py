@@ -488,8 +488,9 @@ def orthogonality_residual(moments, coeffs) -> mpf:
     return worst / scale if scale > 0 else worst
 
 
-def casoratian_residuals(oracle: ToeplitzOracle, n: int) -> dict:
-    """Relative residuals of the three cross-product identities at level n.
+def casoratian_residuals(oracle: ToeplitzOracle, n: int) -> list:
+    """Relative residuals of the three cross-product identities at level n,
+    as (label, residual) pairs ``Cas:a``, ``Cas:b`` and ``Cas:c``.
 
     Each combination of polynomial and associated-function series collapses
     to a single monomial; every other coefficient up to the truncation,
@@ -507,26 +508,20 @@ def casoratian_residuals(oracle: ToeplitzOracle, n: int) -> dict:
         est_n = oracle.epsstar_series(n, top)
         est_n1 = oracle.epsstar_series(n + 1, top + 2)
 
-        out = {}
-
         def finish(label, built, mono_pow, mono_coeff):
             lo, hi = min(built.offset, mono_pow), max(built.top, mono_pow)
             got = built.window(lo, hi)
             # custom scale: the largest built coefficient or the monomial
             scale = largest_abs(got)
             got[mono_pow - lo] -= mono_coeff
-            out[label] = ratio(largest_abs(got), scale, abs(mono_coeff))
+            return label, ratio(largest_abs(got), scale, abs(mono_coeff))
 
         a = eps_n.mul_poly(lev_n1.phi, top) - \
             eps_n1.mul_poly(lev_n.phi, top)
-        finish("Cas:a", a, n, 2 * lev_n1.phi0 / lev_n.kappa)
-
         b = est_n.mul_poly(lev_n1.phistar, top) - \
             est_n1.mul_poly(lev_n.phistar, top)
-        finish("Cas:b", b, n + 1, 2 * lev_n1.phibar0 / lev_n.kappa)
-
         c = est_n.mul_poly(lev_n.phi, top) + \
             eps_n.mul_poly(lev_n.phistar, top)
-        finish("Cas:c", c, n, mpc(2))
-
-        return out
+        return [finish("Cas:a", a, n, 2 * lev_n1.phi0 / lev_n.kappa),
+                finish("Cas:b", b, n + 1, 2 * lev_n1.phibar0 / lev_n.kappa),
+                finish("Cas:c", c, n, mpc(2))]

@@ -13,7 +13,8 @@ The configuration's ``checks`` list names the suites that ``verify``,
 under ``checks``, and an empty list judges none (``verify`` refuses it).
 
 Exit codes: 0 all residuals below tolerance, 1 residual failure, 2 config
-error (``ConfigInvalid``: bad configuration, argument or weight data), 3
+error (``ConfigInvalid``: bad configuration, argument or weight data, or an
+output path that cannot be written), 3
 singular or degenerate abort (any other ``CircleBopsError``).
 """
 
@@ -32,7 +33,8 @@ from .config import (RunConfig, as_dict, build_weight_from_config,
                      build_workspace, config_from_dict, load_config)
 from .discrete_garnier import dg_run
 from .errors import CircleBopsError, ConfigInvalid, SingularStep
-from .garnier import coordinates_from_spectral, riemann_exponents
+from .garnier import (coordinates_from_spectral, hamiltonian,
+                      riemann_exponents)
 from .mputil import working_precision
 from .report import failures
 from .spectral import residue_matrices, a_infinity
@@ -124,7 +126,10 @@ def _emit(payload: dict, path: str, started: float) -> None:
     # timing lives beside the numeric payload; comparisons strip it
     payload = dict(payload)
     payload["timing_s"] = round(time.time() - started, 6)
-    jsonout.dump(payload, path)
+    try:
+        jsonout.dump(payload, path)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path} ({payload['timing_s']:.2f}s)")
 
 
@@ -262,7 +267,7 @@ def _cmd_garnier(cfg: RunConfig, started: float) -> int:
     for n in range(cfg.n_max + 1):
         pt = coordinates_from_spectral(ws, n)
         info = riemann_exponents(ws, n)
-        recs.append({"n": n, "q": pt.q, "p": pt.p, "K": pt.K,
+        recs.append({"n": n, "q": pt.q, "p": pt.p, "K": hamiltonian(ws, n),
                      "theta_inf": pt.theta_inf, **info})
     results = _judge(ws, cfg)
     _emit({"levels": recs, "checks": results},
@@ -350,10 +355,13 @@ def _cmd_sweep(cfg: RunConfig, args, started: float) -> int:
             first_singular = -2
         rows.append((val, first_singular))
     path = _out_path(cfg, "sweep.csv")
-    with open(path, "w") as fh:
-        fh.write(f"{args.param}, first_singular_n\n")
-        for val, fs in rows:
-            fh.write(f"{val!r}, {fs}\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(f"{args.param}, first_singular_n\n")
+            for val, fs in rows:
+                fh.write(f"{val!r}, {fs}\n")
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path} ({time.time() - started:.2f}s)")
     return EXIT_OK
 

@@ -17,6 +17,8 @@ into the weight data.  A minimal example:
     seeds:
       start: -1
       values: [[0.31, 0.17], [1, 0]]
+
+These keys and ``out`` are all there are: any other key is refused.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ def load_config(path: str, overrides: dict) -> RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
+    _known_keys(raw, "mode precision_bits tolerance n_max seed checks weight "
+                     "seeds out")
     mode = raw.get("mode", "formal")
     if mode not in MODES:
         raise ConfigInvalid(f"mode must be one of {MODES}, got {mode!r}")
@@ -107,6 +111,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     wblock = raw.get("weight")
     if not isinstance(wblock, dict):
         raise ConfigInvalid("missing weight block")
+    _known_keys(wblock, "placement singularities residues", " in weight")
     placement = wblock.get("placement", "canonical")
     if placement not in PLACEMENTS:
         raise ConfigInvalid(f"placement must be one of {PLACEMENTS}, "
@@ -126,6 +131,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     sblock = raw.get("seeds") or {}
     if not isinstance(sblock, dict):
         raise ConfigInvalid("seeds must be a mapping")
+    _known_keys(sblock, "start values", " in seeds")
     seed_start = sblock.get("start", -1)
     seed_values = sblock.get("values", [])
     if not _is_number(seed_start, int) or not isinstance(seed_values, list):
@@ -142,6 +148,13 @@ def config_from_dict(raw: dict) -> RunConfig:
                      weight_singularities=sing, weight_residues=res,
                      seed_start=seed_start, seed_values=seed_values,
                      out=str(raw.get("out", "")))
+
+
+def _known_keys(block: dict, known: str, where: str = "") -> None:
+    """Refuse the first key of block that ``known`` does not name."""
+    for key in block:
+        if key not in known.split():
+            raise ConfigInvalid(f"unknown config key {key!r}{where}")
 
 
 def _is_number(x, kinds) -> bool:

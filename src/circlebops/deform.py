@@ -231,10 +231,10 @@ def hamilton_flow_pipeline_check(ws0: SpectralWorkspace, stencil: dict,
     N = ws0.pair.N
     if not 1 <= j <= N:
         raise ValueError("j indexes a free singularity")
-    point = coordinates_from_spectral(ws0, n, with_hamiltonians=False)
+    point = coordinates_from_spectral(ws0, n)
     qp = {}
     for tt, wsd in stencil.items():
-        pt = coordinates_from_spectral(wsd, n, with_hamiltonians=False)
+        pt = coordinates_from_spectral(wsd, n)
         matched_q = match_roots(point.q, pt.q)
         perm = [pt.q.index(qm) for qm in matched_q]
         qp[tt] = (matched_q, [pt.p[i] for i in perm])
@@ -257,7 +257,7 @@ def hamilton_equations_check(ws: SpectralWorkspace, n: int):
     q-derivative forms K_j anew at each moved coordinate set.
     """
     N = ws.pair.N
-    point = coordinates_from_spectral(ws, n, with_hamiltonians=False)
+    point = coordinates_from_spectral(ws, n)
     p = [to_mpc(pr) for pr in point.p]
     for j in range(1, N + 1):
         lead, terms = k_form(ws, point.q, n, j)

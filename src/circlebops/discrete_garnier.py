@@ -8,8 +8,9 @@ State at level n is the pair of N-vectors
 built on the canonical placement {0, t_1..t_N, 1}.  The f-update is a ratio
 of four bracket evaluations of Omega_n +- V at t_j and 1; the omega-update
 inverts the coordinate-polynomial parameterisation through Vandermonde data
-of the deformation variables.  The update order (f first, then omega at the
-advanced level) is what the equations determine; it is validated against the
+of the deformation variables, which ``dg_invert`` reads too; a vanishing
+denominator aborts either with ``SingularStep``.  The update order (f first,
+then omega at the advanced level) is what the equations determine; it is validated against the
 determinant oracle by the trajectory-equivalence tests.
 
 Initial data at n = 0 comes from the generating-function polynomial U.  The
@@ -103,6 +104,19 @@ def _evaluate(entry, f) -> mpc:
     return sum((c * to_mpc(fl) for c, fl in zip(entry[1], f)), entry[0])
 
 
+def _inversion(pair: PolyPair, f, n: int) -> tuple:
+    """(sums, e_TU, plain, den_t): the inversion table, and its plain sum
+    and its divisor sums[0] at f of level n, checked against the floor."""
+    sums, e_TU = pair.memo("dg", lambda: _inversion_table(pair))
+    plain = _evaluate(sums[None], f)
+    den_t = _evaluate(sums[0], f)
+    if abs(den_t) < Plan.of(mp.prec).denominator_floor * \
+            max(abs(plain), mpf(1)):
+        raise SingularStep(f"inversion denominator vanished at n={n}",
+                           index=n, factor="den_t", value=den_t)
+    return sums, e_TU, plain, den_t
+
+
 # ---------------------------------------------------------------------------
 # state constructors
 # ---------------------------------------------------------------------------
@@ -156,33 +170,25 @@ def dg_initial(moments: MomentSequence) -> DGState:
 # ---------------------------------------------------------------------------
 
 def _omega_brackets(pair: PolyPair, state: DGState, n: int):
-    """Evaluations of the two Omega_n -+ V bracket families at t_j and at 1."""
+    """Evaluations of the two Omega_n -+ V bracket families at t_j and at 1,
+    each c prod(T)/x + sum_l x^(l-1) w_l + top x^N; the minus family shifts
+    w_l = omega^l by (-1)^l m_{N+1-l}."""
     N = pair.N
     m = pair.m_mpc()
     rho0 = pair.weight.residues_mpc()[0]
-    m0 = m[0]
-    T = _free_points(pair)
     prod_all = mpc(1)
-    for t in T:
+    for t in _free_points(pair):
         prod_all *= t
     sgn = mpf((-1) ** N)
 
-    def bracket_plus(x):
-        base = (n - rho0) * (prod_all / x)
-        s = mpc(0)
-        for l in range(1, N + 1):
-            s += x ** (l - 1) * state.omega[l - 1]
-        return base + s + sgn * (1 + m0) * x ** N
+    def bracket(c, w, top):
+        return lambda x: (c * (prod_all / x) + sum(
+            (x ** l * wl for l, wl in enumerate(w)), mpc(0)) + top * x ** N)
 
-    def bracket_minus(x):
-        base = mpf(n) * (prod_all / x)
-        s = mpc(0)
-        for l in range(1, N + 1):
-            wl = state.omega[l - 1] + (-1) ** l * m[N + 1 - l]
-            s += x ** (l - 1) * wl
-        return base + s + sgn * x ** N
-
-    return bracket_plus, bracket_minus
+    shifted = [w + (-1) ** l * m[N + 1 - l]
+               for l, w in enumerate(state.omega, 1)]
+    return (bracket(n - rho0, state.omega, sgn * (1 + m[0])),
+            bracket(mpf(n), shifted, sgn))
 
 
 def dg_step(state: DGState, pair: PolyPair) -> DGState:
@@ -219,12 +225,7 @@ def dg_step(state: DGState, pair: PolyPair) -> DGState:
     rho0 = pair.weight.residues_mpc()[0]
     m0 = m[0]
     np1 = n + 1
-    sums, e_TU = pair.memo("dg", lambda: _inversion_table(pair))
-    num_plain = _evaluate(sums[None], f_next)
-    den_t = _evaluate(sums[0], f_next)
-    if abs(den_t) < floor * max(abs(num_plain), mpf(1)):
-        raise SingularStep(f"inversion denominator vanished at n={np1}",
-                           index=np1, factor="den_t", value=den_t)
+    sums, e_TU, num_plain, den_t = _inversion(pair, f_next, np1)
     omega_next = []
     for j in range(1, N + 1):
         # both numerators carry the t_l weights; only the second denominator does
@@ -247,12 +248,7 @@ def dg_invert(state: DGState, pair: PolyPair):
     n = state.n
     N = pair.N
     m0 = pair.m_mpc()[0]
-    sums = pair.memo("dg", lambda: _inversion_table(pair))[0]
-    num_plain = _evaluate(sums[None], state.f)
-    den_t = _evaluate(sums[0], state.f)
-    if abs(den_t) < Plan.of(mp.prec).denominator_floor * \
-            max(abs(num_plain), mpf(1)):
-        raise Degenerate("inversion denominator vanished")
+    sums, _, num_plain, den_t = _inversion(pair, state.f, n)
     scaled_ratio = (n + 1 + m0) * num_plain / den_t
     vartheta = []
     for j in range(1, N):
@@ -357,24 +353,17 @@ def tau_recovery(states: list, moments: MomentSequence) -> dict:
 # Hamiltonian-coordinate form of the level recurrence
 # ---------------------------------------------------------------------------
 
-def dg_hamiltonian_residuals(ws: SpectralWorkspace, n: int) -> dict:
-    """Residual of p_{n+1} + p_n = n/q - 2V(q)/W(q) under both level readings.
+def dg_hamiltonian_residuals(ws: SpectralWorkspace, n: int):
+    """Residuals ``dGarnier:ham`` of p_{n+1} + p_n = n/q - 2V(q)/W(q), one
+    per root q of the advanced level's coordinate polynomial.
 
     The momentum functions p_m(z) = -(Omega_m(z) + V(z))/W(z) of levels n and
-    n+1 are summed at the roots of either level's coordinate polynomial, the
-    coordinates of ``coordinates_from_spectral``.  The advanced-level roots
-    satisfy the identity (this follows from the coupled recurrences); the
-    lagging-level reading is reported alongside for the record.
+    n+1 are summed at the coordinates of level n + 1
+    (``coordinates_from_spectral``), where the identity follows from the
+    coupled recurrences; at the lagging level's roots it does not hold.
     """
     sd_n, sd_n1 = ws.data(n), ws.data(n + 1)
-    out = {}
-    for tag, level in (("advanced", n + 1), ("lagging", n)):
-        roots = coordinates_from_spectral(ws, level,
-                                          with_hamiltonians=False).q
-        worst = mpf(0)
-        for q in roots:
-            lhs = momentum(ws, sd_n1, q) + momentum(ws, sd_n, q)
-            rhs = mpf(n) / q - ws.at("V2", q) / ws.at("W", q)
-            worst = max(worst, rel_residual([lhs, -rhs], 1))
-        out[tag] = worst
-    return out
+    for q in coordinates_from_spectral(ws, n + 1).q:
+        lhs = momentum(ws, sd_n1, q) + momentum(ws, sd_n, q)
+        rhs = mpf(n) / q - ws.at("V2", q) / ws.at("W", q)
+        yield "dGarnier:ham", rel_residual([lhs, -rhs], 1)

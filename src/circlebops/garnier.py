@@ -8,14 +8,14 @@ roots,
 
 and each free singularity z_j carries a Hamiltonian K_j rational in (q, p).
 This module holds closed forms only: it extracts the coordinates
-(companion-matrix eigenvalues plus one Newton polish, deterministically
-ordered), evaluates K_j both from its closed form and from the
-residue-matrix trace formula, gives the closed forms of dq_r/dz_j and
-dp_r/dz_j, and the canonical transformation to the polynomial chart.  The
-closed form of K_j is quadratic in the momenta with coefficients that
-depend on q alone: ``k_form`` builds them once per coordinate set.  The
-workspace keeps each flow closed form per (level, j, r).  The derivatives
-that check the flow against them live in ``deform``.
+(``mpmath.polyroots`` plus one Newton polish, deterministically ordered),
+evaluates K_j both from its closed form and from the residue-matrix trace
+formula, gives the closed forms of dq_r/dz_j and dp_r/dz_j, and the
+canonical transformation to the polynomial chart.  The closed form of K_j
+is quadratic in the momenta with coefficients that depend on q alone:
+``k_form`` builds them once per coordinate set.  The workspace keeps the
+point (q, p) and K per level, and each flow closed form per (level, j, r).
+The derivatives that check the flow against them live in ``deform``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import mpmath
 from mpmath import mpf, mpc
 
-from .errors import Degenerate
+from .errors import Degenerate, NonConvergent
 from .mputil import to_mpc
 from .polys import pdiff, peval, ptrim, pmax_abs, pdiv_exact_linear
 from .record import Record
@@ -32,10 +32,11 @@ from .spectral import SpectralWorkspace, residue_matrices
 
 
 def polynomial_roots(coeffs):
-    """Roots by companion-matrix eigenvalues with one Newton polish.
+    """Roots of the polynomial with ascending coefficients ``coeffs``.
 
-    Deterministic ordering is left to the caller; the eigensolver output
-    order is already deterministic for fixed input but not meaningful.
+    Closed forms up to degree 2; above, ``mpmath.polyroots`` (Durand-Kerner)
+    with one Newton polish per root.  Its output order is deterministic for
+    fixed input but not meaningful: ordering is left to the caller.
     """
     coeffs = ptrim([to_mpc(c) for c in coeffs])
     deg = len(coeffs) - 1
@@ -51,17 +52,15 @@ def polynomial_roots(coeffs):
         r1 = (-b + disc) / (2 * a)        # the larger root, stably
         r2 = c / (a * r1)
         return [r1, r2]
-    monic = [c / coeffs[-1] for c in coeffs]
-    A = mpmath.zeros(deg, deg)
-    for i in range(deg):
-        A[i, deg - 1] = -monic[i]
-        if i + 1 < deg:
-            A[i + 1, i] = mpc(1)
-    eigvals, _ = mpmath.eig(mpmath.matrix(A))
+    try:
+        found = mpmath.polyroots(coeffs[::-1])
+    except mpmath.libmp.NoConvergence as exc:
+        raise NonConvergent(f"root finder stalled on a degree-{deg} "
+                            f"polynomial") from exc
     dp = pdiff(coeffs)
     out = []
-    for ev in eigvals:
-        z = mpc(ev)
+    for z in found:
+        z = mpc(z)
         dz = peval(dp, z)
         if dz != 0:
             z = z - peval(coeffs, z) / dz
@@ -74,32 +73,21 @@ def _sorted_roots(roots):
 
 
 class GarnierPoint(Record):
-    """Coordinates, momenta and Hamiltonian values at one level."""
+    """Coordinates and momenta at one level."""
 
-    _fields = ("n", "q", "p", "K", "theta_inf")
+    _fields = ("n", "q", "p", "theta_inf")
 
-    def __init__(self, n: int, q: list, p: list, K: list, theta_inf: mpc):
+    def __init__(self, n: int, q: list, p: list, theta_inf: mpc):
         self.n = n
         self.q = q
         self.p = p
-        self.K = K
         self.theta_inf = theta_inf
 
 
-def coordinates_from_spectral(ws: SpectralWorkspace, n: int,
-                              with_hamiltonians: bool = True) -> GarnierPoint:
-    """Extract (q, p, K) from the spectral data at level n.
-
-    The workspace keeps the point per level and precision, without K, and K
-    beside it when first asked for.  A point with K is a new record, so no
-    caller's point ever changes.
-    """
-    point = ws.memo(("garnier", n), lambda: _garnier_point(ws, n))
-    if not with_hamiltonians:
-        return point
-    K = ws.memo(("garnier K", n), lambda: hamiltonian(ws, n, point))
-    return GarnierPoint(n=n, q=point.q, p=point.p, K=K,
-                        theta_inf=point.theta_inf)
+def coordinates_from_spectral(ws: SpectralWorkspace, n: int) -> GarnierPoint:
+    """Extract (q, p) from the spectral data at level n; the workspace
+    keeps the point per level and precision."""
+    return ws.memo(("garnier", n), lambda: _garnier_point(ws, n))
 
 
 def _garnier_point(ws: SpectralWorkspace, n: int) -> GarnierPoint:
@@ -120,7 +108,7 @@ def _garnier_point(ws: SpectralWorkspace, n: int) -> GarnierPoint:
             raise Degenerate(
                 f"coordinate {mpmath.nstr(qr, 8)} hit a singularity")
     p = [momentum(ws, sd, qr) for qr in roots]
-    return GarnierPoint(n=n, q=roots, p=p, K=[], theta_inf=sd.theta[-1])
+    return GarnierPoint(n=n, q=roots, p=p, theta_inf=sd.theta[-1])
 
 
 def momentum(ws: SpectralWorkspace, sd, z) -> mpc:
@@ -128,10 +116,12 @@ def momentum(ws: SpectralWorkspace, sd, z) -> mpc:
     return -(sd.at("omega", z) + ws.at("V", z)) / ws.at("W", z)
 
 
-def hamiltonian(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> list:
-    """K_j for each free singularity, from the closed form ``k_value``."""
-    return [k_value(ws, point.q, point.p, n, j)
-            for j in range(1, len(ws.singularities()) - 1)]
+def hamiltonian(ws: SpectralWorkspace, n: int) -> list:
+    """K_j for each free singularity at the level-n point, from the closed
+    form ``k_value``; the workspace keeps them per level and precision."""
+    point = coordinates_from_spectral(ws, n)
+    return ws.memo(("garnier K", n), lambda: [
+        k_value(ws, point.q, point.p, n, j) for j in range(1, ws.pair.N + 1)])
 
 
 def hamiltonian_from_residues(ws: SpectralWorkspace, n: int,
@@ -177,9 +167,11 @@ def riemann_exponents(ws: SpectralWorkspace, n: int) -> dict:
 # reconstruction residuals (the Lagrange representations)
 # ---------------------------------------------------------------------------
 
-def omega_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
-    """Coefficient-wise residual of the interpolation representation of
-    Omega_n + V - (kappa ratio) z Theta_n in terms of (q, p).
+def representation_residuals(ws: SpectralWorkspace, n: int,
+                             point: GarnierPoint):
+    """The interpolation representations in terms of (q, p), as
+    coefficient-wise residuals: ``OmegaRep`` for Omega_n + V - (kappa
+    ratio) z Theta_n, ``2VRep`` for 2V and ``WRep`` for W.
 
     Each side is summed exactly on a grid and enters the measure as one
     vector.
@@ -189,18 +181,26 @@ def omega_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mp
     theta, ztheta = sd.grid("theta"), sd.grid("theta").shift(1)
     e = ws.pair.e_mpc()
     N = ws.pair.N
-    rho0 = ws.residues()[0]
+    rho0, rho1 = ws.residues()[0], ws.residues()[-1]
     theta_inf = sd.theta[-1]
+    th0 = sd.at("theta", mpc(0))
     # target polynomial
     lhs = sd.grid("omega") + ws.grid("V") - product(kr, ztheta)
     # bracket: -n z / theta_inf + const - sum_r z/(z-q_r) * w_r
-    const = (-1) ** N * (mpf(n) - rho0) * e[N + 1] / sd.at("theta", mpc(0))
+    const = (-1) ** N * (mpf(n) - rho0) * e[N + 1] / th0
     rhs = [product(-mpf(n) / theta_inf, ztheta), product(const, theta)]
     for qr, pr in zip(point.q, point.p):
         wr = pr * ws.at("W", qr) / (qr * sd.at("dtheta", qr))
         quot = pdiv_exact_linear(sd.theta, qr)       # theta/(z - q_r)
         rhs.append(product(-wr, Grid.of(quot).shift(1)))
-    return vector_residual([lhs, -add_grids(rhs)])
+    yield "OmegaRep", vector_residual([lhs, -add_grids(rhs)])
+    wp0, wp1 = ws.at("dW", mpc(0)), ws.at("dW", mpc(1))
+    yield "2VRep", _rep_residual(
+        ws, n, point, "V2",
+        [product(-rho0 * wp0 / th0, [-1, 1], theta),
+         product(rho1 * wp1 / sd.at("theta", mpc(1)), ztheta)])
+    yield "WRep", _rep_residual(
+        ws, n, point, "W", [product(1 / theta_inf, [0, -1, 1], theta)])
 
 
 def _rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint,
@@ -216,29 +216,6 @@ def _rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint,
         quot = pdiv_exact_linear(sd.theta, qr)
         rhs.append(product(cr, [0, -1, 1], quot))
     return vector_residual([ws.grid(target), -add_grids(rhs)])
-
-
-def v2_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
-    """Residual of the interpolation representation of 2V at the nodes
-    {0, q_r, 1}."""
-    sd = ws.data(n)
-    theta = sd.grid("theta")
-    rho0, rho1 = ws.residues()[0], ws.residues()[-1]
-    wp0 = ws.at("dW", mpc(0))
-    wp1 = ws.at("dW", mpc(1))
-    th0 = sd.at("theta", mpc(0))
-    th1 = sd.at("theta", mpc(1))
-    return _rep_residual(ws, n, point, "V2",
-                         [product(-rho0 * wp0 / th0, [-1, 1], theta),
-                          product(rho1 * wp1 / th1, theta.shift(1))])
-
-
-def w_rep_residual(ws: SpectralWorkspace, n: int, point: GarnierPoint) -> mpf:
-    """Residual of the interpolation representation of W."""
-    sd = ws.data(n)
-    return _rep_residual(ws, n, point, "W",
-                         [product(1 / sd.theta[-1], [0, -1, 1],
-                                  sd.grid("theta"))])
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +267,7 @@ def flow_q_closed(ws: SpectralWorkspace, n: int, j: int, r: int) -> mpc:
 
 
 def _flow_q(ws: SpectralWorkspace, n: int, j: int, r: int) -> mpc:
-    point = coordinates_from_spectral(ws, n, with_hamiltonians=False)
+    point = coordinates_from_spectral(ws, n)
     sd = ws.data(n)
     zj = ws.singularities()[j]
     qr, pr = point.q[r], point.p[r]
@@ -307,7 +284,7 @@ def flow_p_closed(ws: SpectralWorkspace, n: int, j: int, r: int) -> mpc:
 
 
 def _flow_p(ws: SpectralWorkspace, n: int, j: int, r: int) -> mpc:
-    point = coordinates_from_spectral(ws, n, with_hamiltonians=False)
+    point = coordinates_from_spectral(ws, n)
     sd = ws.data(n)
     zj = ws.singularities()[j]
     m0 = ws.pair.m_mpc()[0]

@@ -21,8 +21,8 @@ from .discrete_garnier import (dg_from_spectral, dg_hamiltonian_residuals,
                                dg_run, tau_recovery)
 from .errors import ConfigInvalid
 from .exact import QC
-from .garnier import (coordinates_from_spectral, hamiltonian_from_residues,
-                      omega_rep_residual, v2_rep_residual, w_rep_residual)
+from .garnier import (coordinates_from_spectral, hamiltonian,
+                      hamiltonian_from_residues, representation_residuals)
 from .report import CheckResult, judge, rel_error, rel_residual
 from .spectral import (SpectralWorkspace, check_bilinear,
                        check_linear_recurrences, check_summation_identities,
@@ -44,10 +44,6 @@ def _toeplitz(ws: SpectralWorkspace, n: int):
                                    -(lev.phi0 * lev.phibar0)])
     yield "l:lambda", rel_residual([lev.lam, -prev.lam, -lev.r * prev.rbar],
                                    1)
-
-
-def _casoratians(ws: SpectralWorkspace, n: int):
-    return casoratian_residuals(ws.oracle, n).items()
 
 
 def _degree(ws: SpectralWorkspace, n: int):
@@ -82,7 +78,7 @@ def _endpoints(ws: SpectralWorkspace, n: int):
 
 
 def _summation(ws: SpectralWorkspace, n: int):
-    point = coordinates_from_spectral(ws, n, with_hamiltonians=False)
+    point = coordinates_from_spectral(ws, n)
     return check_summation_identities(ws, n, garnier_point=point)
 
 
@@ -95,10 +91,9 @@ def _ode(ws: SpectralWorkspace, n: int):
 
 def _garnier(ws: SpectralWorkspace, n: int):
     point = coordinates_from_spectral(ws, n)
-    yield "OmegaRep", omega_rep_residual(ws, n, point)
-    yield "2VRep", v2_rep_residual(ws, n, point)
-    yield "WRep", w_rep_residual(ws, n, point)
-    for a, b in zip(point.K, hamiltonian_from_residues(ws, n, point)):
+    yield from representation_residuals(ws, n, point)
+    for a, b in zip(hamiltonian(ws, n),
+                    hamiltonian_from_residues(ws, n, point)):
         yield "Ham:dual", rel_residual([a, -b], 1)
 
 
@@ -113,7 +108,8 @@ def toeplitz_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
 
 
 def casoratian_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    return _levels(_casoratians, ws, range(n_max + 1), tol)
+    return _levels(lambda ws, n: casoratian_residuals(ws.oracle, n), ws,
+                   range(n_max + 1), tol)
 
 
 def degree_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
@@ -156,8 +152,7 @@ def oracle_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     """Trajectory of the coupled recurrences against spectral values."""
     n = max(1, n_max // 2)
     return (_levels(_dg_state, ws, range(n_max + 1), tol, dg_run(ws, n_max))
-            + judge([("dGarnier:ham",
-                      dg_hamiltonian_residuals(ws, n)["advanced"])], tol, n))
+            + judge(dg_hamiltonian_residuals(ws, n), tol, n))
 
 
 def state_delta(a, b) -> mpf:

@@ -100,7 +100,7 @@ def test_criterion_06_scalar_ode():
         rhos = ws.residues()
         zs = ws.singularities()
         for n in (2, 5):
-            pt = coordinates_from_spectral(ws, n, with_hamiltonians=False)
+            pt = coordinates_from_spectral(ws, n)
             sd = ws.data(n)
             for z in (mpc("1.37", "0.53"), mpc("-1.21", "0.64")):
                 # p1 = (W' + 2V)/W - Theta'/Theta - n/z

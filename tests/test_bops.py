@@ -188,7 +188,8 @@ def test_polynomial_interior_coefficients_couple_levels():
 def test_casoratian_residuals_small():
     o, _, _ = _oracle_m3()
     for n in range(0, 8):
-        res = casoratian_residuals(o, n)
+        res = dict(casoratian_residuals(o, n))
+        assert list(res) == ["Cas:a", "Cas:b", "Cas:c"]
         for label in ("Cas:a", "Cas:b", "Cas:c"):
             assert res[label] < mpf(1e-25), (label, n)
 

@@ -131,6 +131,37 @@ def test_a_yaml_boolean_is_not_a_number(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n_mx", 30, "unknown config key 'n_mx'"),
+    ("weight", {"residue": [["1/3", 0]]}, "unknown config key 'residue' in "
+                                          "weight"),
+    ("seeds", {"begin": -1}, "unknown config key 'begin' in seeds"),
+], ids=["top", "weight", "seeds"])
+def test_an_unknown_key_exits_config_code(tmp_path, capsys, key, value,
+                                          message):
+    """A misspelt key is refused, not ignored: each block names the keys
+    it knows, and a run never falls back to a default for a key it did
+    not read."""
+    out = tmp_path / "v.json"
+    path = write_config(tmp_path, out=str(out), **{key: value})
+    assert main(["--config", path, "verify"]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["sweep", "--param", "t1", "--grid", "0.25:0.75:2"]],
+    ids=["verify", "sweep"])
+def test_an_unwritable_out_path_exits_config_code(tmp_path, capsys, argv):
+    """An output path in a missing directory is bad input (exit 2), not a
+    traceback."""
+    out = tmp_path / "missing" / "report.out"
+    path = write_config(tmp_path)
+    assert main(["--config", path, *argv, "--out", str(out)]) == 2
+    assert f"config error: cannot write {out}" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_verify_rejects_empty_checks(tmp_path):
     path = write_config(tmp_path, checks=[])
     assert main(["--config", path, "verify"]) == 2

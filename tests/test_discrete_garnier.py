@@ -17,8 +17,10 @@ from circlebops.discrete_garnier import (DGState, dg_from_spectral,
                                          dg_trajectory, tau_recovery)
 from circlebops.errors import SingularStep
 from circlebops.exact import QC
+from circlebops.garnier import coordinates_from_spectral, momentum
 from circlebops.moments import MomentSequence
 from circlebops.mputil import working_precision
+from circlebops.report import rel_residual
 from circlebops.spectral import SpectralWorkspace
 from circlebops.suites import state_delta
 from circlebops.weights import build_poly_pair, build_weight
@@ -330,14 +332,28 @@ def test_m4_subleading_coefficient_relation():
 
 # -- the Hamiltonian-coordinate form of the recurrence ---------------------------
 
+def _lagging_residual(ws, n):
+    """The largest residual of p_{n+1} + p_n = n/q - 2V(q)/W(q) at the
+    roots q of level n, the reading under which it does not hold."""
+    sd_n, sd_n1 = ws.data(n), ws.data(n + 1)
+    worst = mpf(0)
+    for q in coordinates_from_spectral(ws, n).q:
+        lhs = momentum(ws, sd_n1, q) + momentum(ws, sd_n, q)
+        rhs = mpf(n) / q - ws.at("V2", q) / ws.at("W", q)
+        worst = max(worst, rel_residual([lhs, -rhs], 1))
+    return worst
+
+
 def test_hamiltonian_form_uses_advanced_level_roots():
     for case in (standard_case_m3, standard_case_m4):
         ws = make_workspace(*case())
         for n in (0, 2, 4):
-            res = dg_hamiltonian_residuals(ws, n)
-            assert res["advanced"] < mpf(1e-28), n
+            res = list(dg_hamiltonian_residuals(ws, n))
+            assert len(res) == ws.pair.N
+            assert all(label == "dGarnier:ham" for label, _ in res)
+            assert max(r for _, r in res) < mpf(1e-28), n
             if n > 0:
-                assert res["lagging"] > mpf(1e-6), n
+                assert _lagging_residual(ws, n) > mpf(1e-6), n
 
 
 def test_hamiltonian_form_gauge_invariant():
@@ -346,10 +362,22 @@ def test_hamiltonian_form_gauge_invariant():
     ms = MomentSequence.from_seeds(pair, -1, seeds)
     flip = SpectralWorkspace(ToeplitzOracle(ms, gauge={2: -1}))
     res = dg_hamiltonian_residuals(flip, 2)
-    assert res["advanced"] < mpf(1e-28)
+    assert max(r for _, r in res) < mpf(1e-28)
 
 
 # -- aborts -------------------------------------------------------------------
+
+def test_a_vanishing_inversion_denominator_is_a_singular_step():
+    """``dg_invert`` aborts as the step does: at M = 3 the divisor of the
+    inversion is a multiple of 1 - t f, which vanishes at f = 1/t."""
+    ws = make_workspace(*standard_case_m3())
+    t = ws.weight.free_singularities[0].to_mpc()
+    state = DGState(n=4, f=[1 / t], omega=[mpc("0.3", "0.1")])
+    with pytest.raises(SingularStep,
+                       match="inversion denominator vanished at n=4") as err:
+        dg_invert(state, ws.pair)
+    assert err.value.factor == "den_t" and err.value.index == 4
+
 
 def test_singular_step_reports_factor():
     ws = make_workspace(*standard_case_m3())

@@ -6,13 +6,13 @@ from mpmath import mpc, mpf
 
 from conftest import make_workspace, standard_case_m3, standard_case_m4
 from circlebops.deform import hamilton_equations_check
-from circlebops.errors import Degenerate
+from circlebops.errors import Degenerate, NonConvergent
 from circlebops.garnier import (GarnierPoint, canonical_transform,
-                                coordinates_from_spectral,
-                                hamiltonian_from_residues, omega_rep_residual,
-                                polynomial_roots, riemann_exponents,
-                                v2_rep_residual, w_rep_residual)
+                                coordinates_from_spectral, hamiltonian,
+                                hamiltonian_from_residues, polynomial_roots,
+                                representation_residuals, riemann_exponents)
 from circlebops.mputil import match_roots
+from circlebops.polys import pmul
 from circlebops.report import all_passed, failures, judge
 from circlebops.spectral import (SpectralData, SpectralWorkspace,
                                  residue_matrices)
@@ -30,6 +30,25 @@ def test_polynomial_roots_small_degrees():
     assert min(abs(x - 1) for x in r) < mpf(1e-30)
 
 
+def test_polynomial_roots_at_degree_five_and_a_stalled_search(monkeypatch):
+    """Above degree 2 the roots come from ``mpmath.polyroots`` and one
+    Newton step; a search that does not converge is ``NonConvergent``."""
+    want = [mpc(1), mpc(-2), mpc("0.5", "0.25"), mpc(0, 3), mpc("-0.75")]
+    coeffs = [mpc(1)]
+    for z in want:
+        coeffs = pmul(coeffs, [-z, mpc(1)])
+    got = polynomial_roots(coeffs)
+    assert len(got) == 5
+    for z in want:
+        assert min(abs(x - z) for x in got) < mpf(1e-35)
+
+    def stalled(*args, **kwargs):
+        raise mpmath.libmp.NoConvergence("stalled")
+    monkeypatch.setattr(mpmath, "polyroots", stalled)
+    with pytest.raises(NonConvergent, match="degree-5"):
+        polynomial_roots(coeffs)
+
+
 def test_linear_coordinate_case():
     ws = make_workspace(*standard_case_m3())
     pt = coordinates_from_spectral(ws, 2)
@@ -41,16 +60,17 @@ def test_linear_coordinate_case():
 def test_reconstruction_representations():
     ws = make_workspace(*standard_case_m4())
     for n in (0, 2, 4):
-        pt = coordinates_from_spectral(ws, n, with_hamiltonians=False)
-        assert omega_rep_residual(ws, n, pt) < TOL
-        assert v2_rep_residual(ws, n, pt) < TOL
-        assert w_rep_residual(ws, n, pt) < TOL
+        pt = coordinates_from_spectral(ws, n)
+        res = dict(representation_residuals(ws, n, pt))
+        assert res["OmegaRep"] < TOL
+        assert res["2VRep"] < TOL
+        assert res["WRep"] < TOL
 
 
 def test_momentum_equals_matrix_entry_at_roots():
     ws = make_workspace(*standard_case_m4())
     n = 2
-    pt = coordinates_from_spectral(ws, n, with_hamiltonians=False)
+    pt = coordinates_from_spectral(ws, n)
     mats = residue_matrices(ws, n)
     zs = ws.singularities()
     for qr, pr in zip(pt.q, pt.p):
@@ -64,22 +84,21 @@ def test_hamiltonian_dual_formula():
         for n in (1, 3):
             pt = coordinates_from_spectral(ws, n)
             dual = hamiltonian_from_residues(ws, n, pt)
-            for a, b in zip(pt.K, dual):
+            for a, b in zip(hamiltonian(ws, n), dual):
                 assert abs(a - b) < TOL * max(abs(a), mpf(1))
 
 
 def test_hamiltonians_leave_the_cached_point_alone():
-    """Asking for K returns a new point: one a caller already holds does
-    not change."""
+    """Asking for K leaves the point a caller already holds unchanged, and
+    the workspace keeps K per level."""
     ws = make_workspace(*standard_case_m4())
-    p = coordinates_from_spectral(ws, 2, with_hamiltonians=False)
-    copy = GarnierPoint(n=p.n, q=list(p.q), p=list(p.p), K=list(p.K),
+    p = coordinates_from_spectral(ws, 2)
+    copy = GarnierPoint(n=p.n, q=list(p.q), p=list(p.p),
                         theta_inf=p.theta_inf)
     assert p == copy
-    with_k = coordinates_from_spectral(ws, 2)
-    assert p == copy and not p.K
-    assert with_k.K and with_k.q == p.q and with_k.p == p.p
-    assert coordinates_from_spectral(ws, 2).K is with_k.K
+    K = hamiltonian(ws, 2)
+    assert p == copy and coordinates_from_spectral(ws, 2) is p
+    assert len(K) == ws.pair.N and hamiltonian(ws, 2) is K
 
 
 def test_exponent_table_and_accessory():
@@ -112,7 +131,7 @@ def test_canonical_transform_roundtrip_and_gauge():
     weight, seeds = standard_case_m4()
     ws = make_workspace(weight, seeds)
     n = 2
-    pt = coordinates_from_spectral(ws, n, with_hamiltonians=False)
+    pt = coordinates_from_spectral(ws, n)
     triples = canonical_transform(ws, n, pt)
     for (tj, Qj, Pj), zj in zip(triples, ws.singularities()[1:-1]):
         # Moebius inverse recovers the singularity
@@ -125,7 +144,7 @@ def test_canonical_transform_roundtrip_and_gauge():
     pair = build_poly_pair(weight)
     ms = MomentSequence.from_seeds(pair, -1, seeds)
     flip = SpectralWorkspace(ToeplitzOracle(ms, gauge={2: -1}))
-    pt2 = coordinates_from_spectral(flip, n, with_hamiltonians=False)
+    pt2 = coordinates_from_spectral(flip, n)
     triples2 = canonical_transform(flip, n, pt2)
     for (a, b, c), (a2, b2, c2) in zip(triples, triples2):
         assert abs(a - a2) < mpf(1e-30)
@@ -135,8 +154,8 @@ def test_canonical_transform_roundtrip_and_gauge():
 
 def test_deterministic_ordering_and_matching():
     ws = make_workspace(*standard_case_m4())
-    a = coordinates_from_spectral(ws, 3, with_hamiltonians=False)
-    b = coordinates_from_spectral(ws, 3, with_hamiltonians=False)
+    a = coordinates_from_spectral(ws, 3)
+    b = coordinates_from_spectral(ws, 3)
     assert all(abs(x - y) == 0 for x, y in zip(a.q, b.q))
     # nearest-neighbour matching keeps labels under tiny perturbations
     perturbed = [q + mpf("1e-20") for q in reversed(a.q)]
@@ -159,5 +178,4 @@ def test_multiple_root_guard():
                                 mpf(0))
 
     with pytest.raises(Degenerate, match="near-multiple root at "):
-        coordinates_from_spectral(Stub(ws.oracle), 1,
-                                  with_hamiltonians=False)
+        coordinates_from_spectral(Stub(ws.oracle), 1)

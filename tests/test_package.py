@@ -315,6 +315,44 @@ def test_errors_are_raised_by_cause():
     assert not found, found
 
 
+# Every src parameter with a bool default, and why it is there.  A switch
+# keeps two forms of what it switches, so a new one is named here.
+BOOL_KNOBS = {
+    "MomentSequence.__init__ exact": "the tests' exact reference path",
+    "MomentSequence.from_seeds exact": "the tests' exact reference path",
+    "build_weight validate": "a test seam: weight data past the checks",
+    "CheckResult.__init__ passed": "the record's own field",
+}
+
+
+def _functions(body, owner=""):
+    """(qualified name, node) of each function in body, nested ones too."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{owner}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{owner}{node.name}", node
+            yield from _functions(node.body, f"{owner}{node.name}.")
+
+
+def test_every_bool_default_is_a_named_knob():
+    """The src parameters whose default is True or False are exactly
+    ``BOOL_KNOBS``."""
+    found = set()
+    for path in sorted(Path(circlebops.__file__).parent.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text()).body):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaults = list(zip(positional[len(positional) -
+                                           len(args.defaults):],
+                                args.defaults))
+            defaults += zip(args.kwonlyargs, args.kw_defaults)
+            found.update(f"{name} {arg.arg}" for arg, value in defaults
+                         if isinstance(value, ast.Constant)
+                         and isinstance(value.value, bool))
+    assert found == set(BOOL_KNOBS), sorted(found ^ set(BOOL_KNOBS))
+
+
 # -- record classes ------------------------------------------------------------
 
 def _pair():
@@ -338,8 +376,8 @@ def _samples():
                          weight_residues=[["1/3", 0], ["1/4", 0]]),
                     dict(seed_start=-1, seed_values=[], out="")),
         DGState: (dict(n=2, f=[mpc(1)], omega=[mpc(2)]), {}),
-        GarnierPoint: (dict(n=1, q=[mpc(1)], p=[mpc(2)], K=[],
-                            theta_inf=mpc(3)), {}),
+        GarnierPoint: (dict(n=1, q=[mpc(1)], p=[mpc(2)], theta_inf=mpc(3)),
+                       {}),
         MomentSequence: (dict(pair=pair, values={-1: mpc(1), 0: mpc(2)}),
                          dict(provenance="seeded", exact=False)),
         UPoly: (dict(u=(mpc(1), mpc(2))), {}),
@@ -475,9 +513,9 @@ def test_frozen_records_refuse_assignment():
 def test_mutable_records_take_assignment_and_are_unhashable():
     records = {cls: _build(cls) for cls in MUTABLE}
     records[CheckResult].passed = False
-    records[GarnierPoint].K = [mpc(4)]
+    records[GarnierPoint].q = [mpc(4)]
     assert not records[CheckResult].passed
-    assert records[GarnierPoint].K == [mpc(4)]
+    assert records[GarnierPoint].q == [mpc(4)]
     for cls in MUTABLE:
         with pytest.raises(TypeError):
             hash(records[cls])

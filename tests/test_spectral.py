@@ -204,7 +204,7 @@ def test_summation_identities_with_coordinates():
     from circlebops.garnier import coordinates_from_spectral
     ws = _ws(standard_case_m4)
     for n in (1, 3):
-        pt = coordinates_from_spectral(ws, n, with_hamiltonians=False)
+        pt = coordinates_from_spectral(ws, n)
         res = judge(check_summation_identities(ws, n, garnier_point=pt), TOL,
                     n)
         assert all_passed(res), [(r.label, r.residual) for r in
@@ -278,7 +278,7 @@ def test_scalar_ode_residuals_and_structure():
         res = judge(scalar_ode_residuals(ws, n), mpf(1e-22), n)
         assert all_passed(res)
         # first coefficient has the displayed partial-fraction structure
-        pt = coordinates_from_spectral(ws, n, with_hamiltonians=False)
+        pt = coordinates_from_spectral(ws, n)
         zs = ws.singularities()
         rhos = ws.residues()
         for z in (mpc("1.37", "0.41"), mpc("-0.9", "1.1")):
