@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -38,7 +39,8 @@ from .garnier import (coordinates_from_spectral, hamiltonian,
 from .mputil import working_precision
 from .report import failures
 from .spectral import residue_matrices, a_infinity
-from .suites import run_verification, tau_levels, toeplitz_suite
+from .suites import (judge_rows, run_verification, tau_levels,
+                     toeplitz_checks)
 
 EXIT_OK = 0
 EXIT_RESIDUAL = 1
@@ -51,6 +53,12 @@ GAUGE_DEPENDENT = ("kappa", "phi", "phibar", "theta", "thetastar", "eps")
 # commands that read the spectral data or the level recurrences, both built
 # on the canonical placement {0, t_1..t_N, 1}
 CANONICAL_ONLY = ("verify", "spectral", "garnier", "dgarnier", "sweep")
+
+# the file each command writes when neither --out nor the config names one
+OUT_NAMES = {"verify": "verify.json", "moments": "moments.json",
+             "bops": "levels.json", "spectral": "spectral.json",
+             "garnier": "garnier.json", "dgarnier": "dg.json",
+             "sweep": "sweep.csv"}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -118,8 +126,16 @@ def _verdict(results) -> int:
     return EXIT_RESIDUAL if failures(results) else EXIT_OK
 
 
-def _out_path(cfg: RunConfig, default: str) -> str:
-    return cfg.out if cfg.out else default
+def _out_path(cfg: RunConfig, cmd: str) -> str:
+    """The command's output path; ConfigInvalid, before any work, if it is
+    a directory or its parent is not one."""
+    path = cfg.out or OUT_NAMES[cmd]
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ConfigInvalid(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise ConfigInvalid(f"cannot write {path}: no directory {parent}")
+    return path
 
 
 def _emit(payload: dict, path: str, started: float) -> None:
@@ -139,21 +155,20 @@ def _dispatch(args, cfg: RunConfig) -> int:
     if cmd in CANONICAL_ONLY and cfg.weight_placement != "canonical":
         raise ConfigInvalid(f"{cmd} needs placement: canonical; moments and "
                             "bops take any placement")
+    path = _out_path(cfg, cmd)
     if cmd == "verify":
-        return _cmd_verify(cfg, started)
+        return _cmd_verify(cfg, path, started)
     if cmd == "moments":
-        return _cmd_moments(cfg, args, started)
+        return _cmd_moments(cfg, args, path, started)
     if cmd == "bops":
-        return _cmd_bops(cfg, started)
+        return _cmd_bops(cfg, path, started)
     if cmd == "spectral":
-        return _cmd_spectral(cfg, started)
+        return _cmd_spectral(cfg, path, started)
     if cmd == "garnier":
-        return _cmd_garnier(cfg, started)
+        return _cmd_garnier(cfg, path, started)
     if cmd == "dgarnier":
-        return _cmd_dgarnier(cfg, started)
-    if cmd == "sweep":
-        return _cmd_sweep(cfg, args, started)
-    raise ConfigInvalid(f"unknown command {cmd!r}")
+        return _cmd_dgarnier(cfg, path, started)
+    return _cmd_sweep(cfg, args, path, started)     # argparse admits no other
 
 
 def check_line(r, tol_text: str) -> str:
@@ -170,7 +185,7 @@ def _judge(ws, cfg: RunConfig) -> list:
                             seed=cfg.seed)
 
 
-def _cmd_verify(cfg: RunConfig, started: float) -> int:
+def _cmd_verify(cfg: RunConfig, path: str, started: float) -> int:
     if not cfg.checks:
         raise ConfigInvalid("verify needs a nonempty checks list")
     results = _judge(build_workspace(cfg), cfg)
@@ -188,13 +203,12 @@ def _cmd_verify(cfg: RunConfig, started: float) -> int:
                     "n_max": cfg.n_max, "mode": cfg.mode,
                     "precision_bits": cfg.precision_bits},
     }
-    path = _out_path(cfg, "verify.json")
     _emit(payload, path, started)
     print(f"{len(results) - len(bad)}/{len(results)} checks passed")
     return _verdict(results)
 
 
-def _cmd_moments(cfg: RunConfig, args, started: float) -> int:
+def _cmd_moments(cfg: RunConfig, args, path: str, started: float) -> int:
     try:
         lo, hi = (int(x) for x in args.range.split(":"))
     except ValueError as exc:
@@ -212,16 +226,16 @@ def _cmd_moments(cfg: RunConfig, args, started: float) -> int:
         entry["residual"] = (ms.equation_residual(k) if in_window
                              else mpf(0))
         rows.append(entry)
-    _emit({"moments": rows, "provenance": ms.provenance},
-          _out_path(cfg, "moments.json"), started)
+    _emit({"moments": rows, "provenance": ms.provenance}, path, started)
     return EXIT_OK
 
 
-def _cmd_bops(cfg: RunConfig, started: float) -> int:
+def _cmd_bops(cfg: RunConfig, path: str, started: float) -> int:
     ws = build_workspace(cfg)
     o = ws.oracle
     tol = cfg.tolerance_mpf()
-    results = toeplitz_suite(ws, cfg.n_max, tol)
+    results = judge_rows(ws, tol, [(toeplitz_checks,
+                                     range(1, cfg.n_max + 1))])
     residuals = {(r.label, r.n): r.residual for r in results}
     levels = []
     for n in range(cfg.n_max + 1):
@@ -238,12 +252,11 @@ def _cmd_bops(cfg: RunConfig, started: float) -> int:
             rec["residual_I0"] = residuals["I0", n]
             rec["residual_l"] = residuals["l:kappa", n]
         levels.append(rec)
-    _emit({"levels": levels, "tolerance": tol},
-          _out_path(cfg, "levels.json"), started)
+    _emit({"levels": levels, "tolerance": tol}, path, started)
     return _verdict(results)
 
 
-def _cmd_spectral(cfg: RunConfig, started: float) -> int:
+def _cmd_spectral(cfg: RunConfig, path: str, started: float) -> int:
     ws = build_workspace(cfg)
     records = []
     for n in range(cfg.n_max + 1):
@@ -256,12 +269,11 @@ def _cmd_spectral(cfg: RunConfig, started: float) -> int:
             "residues": mats, "residue_infinity": a_infinity(mats),
         })
     results = _judge(ws, cfg)
-    _emit({"levels": records, "checks": results},
-          _out_path(cfg, "spectral.json"), started)
+    _emit({"levels": records, "checks": results}, path, started)
     return _verdict(results)
 
 
-def _cmd_garnier(cfg: RunConfig, started: float) -> int:
+def _cmd_garnier(cfg: RunConfig, path: str, started: float) -> int:
     ws = build_workspace(cfg)
     recs = []
     for n in range(cfg.n_max + 1):
@@ -270,12 +282,11 @@ def _cmd_garnier(cfg: RunConfig, started: float) -> int:
         recs.append({"n": n, "q": pt.q, "p": pt.p, "K": hamiltonian(ws, n),
                      "theta_inf": pt.theta_inf, **info})
     results = _judge(ws, cfg)
-    _emit({"levels": recs, "checks": results},
-          _out_path(cfg, "garnier.json"), started)
+    _emit({"levels": recs, "checks": results}, path, started)
     return _verdict(results)
 
 
-def _cmd_dgarnier(cfg: RunConfig, started: float) -> int:
+def _cmd_dgarnier(cfg: RunConfig, path: str, started: float) -> int:
     ws = build_workspace(cfg)
     tau = "tau" in cfg.checks
     singular, traj, checks = None, [], []
@@ -305,7 +316,7 @@ def _cmd_dgarnier(cfg: RunConfig, started: float) -> int:
                   for n, delta in enumerate(tau_deltas)],
             "lambda_paths": judged["tau:lambda-paths"],
             "max_delta": judged["tau:I"]}
-    _emit(payload, _out_path(cfg, "dg.json"), started)
+    _emit(payload, path, started)
     return EXIT_SINGULAR if singular else _verdict(checks)
 
 
@@ -321,7 +332,7 @@ def _parse_param(param: str, weight):
     raise ConfigInvalid(f"cannot parse sweep parameter {param!r}")
 
 
-def _cmd_sweep(cfg: RunConfig, args, started: float) -> int:
+def _cmd_sweep(cfg: RunConfig, args, path: str, started: float) -> int:
     try:
         a, b, count = args.grid.split(":")
         a, b, count = float(a), float(b), int(count)
@@ -354,7 +365,6 @@ def _cmd_sweep(cfg: RunConfig, args, started: float) -> int:
         except CircleBopsError:
             first_singular = -2
         rows.append((val, first_singular))
-    path = _out_path(cfg, "sweep.csv")
     try:
         with open(path, "w") as fh:
             fh.write(f"{args.param}, first_singular_n\n")

@@ -34,10 +34,10 @@ from .moments import MomentSequence, free_moments, moment_quadrature
 from .mputil import parse_exact, to_mpc
 from .record import Record
 from .spectral import SpectralWorkspace
+from .suites import SUITE_BUILDERS, SUITE_NAMES
 from .weights import WeightData, build_poly_pair, build_weight, \
     is_negative_int
 
-KNOWN_CHECKS = ("identities", "bilinear", "summation", "flow", "oracle", "tau")
 MODES = ("formal", "quadrature", "rational")
 PLACEMENTS = ("canonical", "general")
 
@@ -101,11 +101,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     seed = raw.get("seed", 1)
     if not _is_number(seed, int):
         raise ConfigInvalid("seed must be an integer")
-    checks = raw.get("checks", ["identities", "bilinear", "summation",
-                                "oracle", "tau"])
+    checks = raw.get("checks", list(SUITE_BUILDERS))
     if not isinstance(checks, list) or \
-            any(c not in KNOWN_CHECKS for c in checks):
-        raise ConfigInvalid(f"checks must be a subset of {KNOWN_CHECKS}")
+            any(c not in SUITE_NAMES for c in checks):
+        raise ConfigInvalid(f"checks must be a subset of {SUITE_NAMES}")
     if len(set(checks)) != len(checks):
         raise ConfigInvalid("checks must name each suite at most once")
     wblock = raw.get("weight")

@@ -78,21 +78,15 @@ from .record import Record
 class CheckResult(Record):
     _fields = ("label", "residual", "tol", "n", "passed", "note")
 
-    def __init__(self, label: str, residual: mpf, tol: mpf,
-                 n: int | None = None, passed: bool = True, note: str = ""):
+    def __init__(self, label: str, residual, tol, n: int | None = None,
+                 note: str = ""):
         self.label = label          # identity code, e.g. "rrCf:a"
-        self.residual = residual
-        self.tol = tol
+        self.residual = mpf(residual)
+        self.tol = mpf(tol)
         self.n = n
-        self.passed = passed
+        # judged once here: reports read it several times per check
+        self.passed = self.residual < self.tol
         self.note = note
-
-    @classmethod
-    def make(cls, label, residual, tol, n=None, note=""):
-        residual = mpf(residual)
-        tol = mpf(tol)
-        return cls(label=label, residual=residual, tol=tol, n=n,
-                   passed=bool(residual < tol), note=note)
 
 
 # the note a check carries in the reports, by label
@@ -116,7 +110,7 @@ def judge(evaluations, tol, n=None) -> list:
     for label, residual in evaluations:
         if label not in worst or residual > worst[label]:
             worst[label] = residual
-    return [CheckResult.make(label, residual, tol, n, NOTES.get(label, ""))
+    return [CheckResult(label, residual, tol, n, NOTES.get(label, ""))
             for label, residual in worst.items()]
 
 

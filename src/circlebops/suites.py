@@ -1,13 +1,14 @@
 """Named verification suites over one workspace.
 
-Each suite walks a level range and judges the (label, residual) evaluations
-of its check families at each level (``_levels``, through ``report.judge``)
-into CheckResults tagged with the identity codes the CLI report and the
-acceptance tests print.  Only ``tau:I``, whose note names its level range,
-is made here.  Level ranges are chosen so that nothing above ``n_max + 2``
-determinant levels is ever required.  The run's seed picks the sample
-points of ``rrCf:j@pts`` alone; every other check is a polynomial identity
-or sits at fixed points.
+``SUITE_BUILDERS`` is the one table of suites.  Each entry lists its check
+families as rows (family, levels[, extra]), in report order, so each level
+range and cap is written once; ``judge_rows`` judges the (label, residual)
+evaluations family(ws, n[, extra]) at each level n (``report.judge``).
+``flow`` runs apart, at one level (``run_verification``), and only
+``tau:I``, whose note names its level range, is made here.  No range needs
+more than ``n_max + 2`` determinant levels.  The run's seed picks the
+sample points of ``rrCf:j@pts`` alone; every other check is a polynomial
+identity or sits at fixed points.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ from .spectral import (SpectralWorkspace, check_bilinear,
                        residue_structure_checks, scalar_ode_residuals)
 
 
-def _levels(family, ws: SpectralWorkspace, levels, tol, *extra) -> list:
-    """The checks of family(ws, n, *extra) judged at each level n in turn."""
-    return [c for n in levels for c in judge(family(ws, n, *extra), tol, n)]
+def judge_rows(ws: SpectralWorkspace, tol, rows) -> list:
+    """The checks of each row (family, levels[, extra]) in turn: the
+    evaluations family(ws, n[, extra]) judged at each of its levels n."""
+    return [c for family, levels, *extra in rows for n in levels
+            for c in judge(family(ws, n, *extra), tol, n)]
 
 
-def _toeplitz(ws: SpectralWorkspace, n: int):
+def toeplitz_checks(ws: SpectralWorkspace, n: int):
     o = ws.oracle
     lev, prev = o.level(n), o.level(n - 1)
     lhs = o.det(n + 1) * o.det(n - 1) / o.det(n) ** 2
@@ -46,11 +49,17 @@ def _toeplitz(ws: SpectralWorkspace, n: int):
                                    1)
 
 
-def _degree(ws: SpectralWorkspace, n: int):
+def casoratian_checks(ws: SpectralWorkspace, n: int):
+    return casoratian_residuals(ws.oracle, n)
+
+
+def degree_checks(ws: SpectralWorkspace, n: int):
     yield "degree", ws.data(n).band_residual
 
 
-def _endpoints(ws: SpectralWorkspace, n: int):
+def endpoint_checks(ws: SpectralWorkspace, n: int):
+    """Leading and trailing coefficients of all four spectral polynomials
+    against their closed forms in the canonical placement."""
     pair = ws.pair
     N = pair.N
     e, m = pair.e_mpc(), pair.m_mpc()
@@ -77,12 +86,12 @@ def _endpoints(ws: SpectralWorkspace, n: int):
         yield label, rel_residual([got, -want], 1)
 
 
-def _summation(ws: SpectralWorkspace, n: int):
+def summation_checks(ws: SpectralWorkspace, n: int):
     point = coordinates_from_spectral(ws, n)
     return check_summation_identities(ws, n, garnier_point=point)
 
 
-def _ode(ws: SpectralWorkspace, n: int):
+def ode_checks(ws: SpectralWorkspace, n: int):
     yield from scalar_ode_residuals(ws, n)
     got = p2_asymptotic_constant(ws, n)
     want = -mpf(n) * (1 + ws.pair.m_mpc()[0])
@@ -100,59 +109,6 @@ def _garnier(ws: SpectralWorkspace, n: int):
 def _dg_state(ws: SpectralWorkspace, n: int, states: list):
     yield ("dGarnier:ab" if n else "dGarnier:init",
            state_delta(states[n], dg_from_spectral(ws, n)))
-
-
-def toeplitz_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    """Determinant-ratio and coefficient-difference identities, level by level."""
-    return _levels(_toeplitz, ws, range(1, n_max + 1), tol)
-
-
-def casoratian_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    return _levels(lambda ws, n: casoratian_residuals(ws.oracle, n), ws,
-                   range(n_max + 1), tol)
-
-
-def degree_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    """The out-of-band series mass of every extraction (degree bounds)."""
-    return _levels(_degree, ws, range(n_max + 1), tol)
-
-
-def endpoint_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    """Leading and trailing coefficients of all four spectral polynomials
-    against their closed forms in the canonical placement."""
-    return _levels(_endpoints, ws, range(n_max + 1), tol)
-
-
-def lattice_suite(ws: SpectralWorkspace, n_max: int, tol, seed: int) -> list:
-    """Linear recurrences and transition identities."""
-    return (_levels(check_linear_recurrences, ws, range(1, n_max + 1), tol)
-            + _levels(check_transitions, ws, range(n_max + 1), tol, seed)
-            + _levels(residue_structure_checks, ws, range(n_max + 1), tol))
-
-
-def bilinear_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    return _levels(check_bilinear, ws, range(n_max + 1), tol)
-
-
-def summation_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    return _levels(_summation, ws, range(n_max + 1), tol)
-
-
-def ode_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    """The scalar ODEs and the decay of p2, level by level."""
-    return _levels(_ode, ws, range(n_max + 1), tol)
-
-
-def garnier_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    """Coordinate extraction, reconstructions, Hamiltonian dual route."""
-    return _levels(_garnier, ws, range(n_max + 1), tol)
-
-
-def oracle_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
-    """Trajectory of the coupled recurrences against spectral values."""
-    n = max(1, n_max // 2)
-    return (_levels(_dg_state, ws, range(n_max + 1), tol, dg_run(ws, n_max))
-            + judge(dg_hamiltonian_residuals(ws, n), tol, n))
 
 
 def state_delta(a, b) -> mpf:
@@ -177,8 +133,8 @@ def tau_suite(ws: SpectralWorkspace, n_max: int, tol) -> list:
     top = len(deltas) - 1
     return judge([("tau:lambda-paths", rec["lambda_delta"]),
                   ("tau:rbar0", rec["rbar0_defect"])], tol) + \
-        [CheckResult.make("tau:I", max(deltas), tol, top,
-                          note=f"levels 0..{top}")]
+        [CheckResult("tau:I", max(deltas), tol, top,
+                     note=f"levels 0..{top}")]
 
 
 def flow_suite(ws: SpectralWorkspace, n: int, tol) -> list:
@@ -202,18 +158,28 @@ def flow_suite(ws: SpectralWorkspace, n: int, tol) -> list:
     return judge(out, tol, n)
 
 
+# name -> builder(ws, n_max, tol, seed); the flow suite is ``flow_suite``
 SUITE_BUILDERS = {
-    "identities": lambda ws, nmax, tol, seed: (
-        toeplitz_suite(ws, nmax, tol) + casoratian_suite(ws, min(nmax, 8), tol)
-        + degree_suite(ws, nmax, tol) + endpoint_suite(ws, nmax, tol)
-        + lattice_suite(ws, nmax, tol, seed)
-        + ode_suite(ws, min(nmax, 6), tol)),
-    "bilinear": lambda ws, nmax, tol, seed: bilinear_suite(ws, nmax, tol),
-    "summation": lambda ws, nmax, tol, seed: (
-        summation_suite(ws, nmax, tol) + garnier_suite(ws, nmax, tol)),
-    "oracle": lambda ws, nmax, tol, seed: oracle_suite(ws, nmax, tol),
-    "tau": lambda ws, nmax, tol, seed: tau_suite(ws, nmax, tol),
+    "identities": lambda ws, n, tol, seed: judge_rows(ws, tol, [
+        (toeplitz_checks, range(1, n + 1)),
+        (casoratian_checks, range(min(n, 8) + 1)),
+        (degree_checks, range(n + 1)),
+        (endpoint_checks, range(n + 1)),
+        (check_linear_recurrences, range(1, n + 1)),
+        (check_transitions, range(n + 1), seed),
+        (residue_structure_checks, range(n + 1)),
+        (ode_checks, range(min(n, 6) + 1))]),
+    "bilinear": lambda ws, n, tol, seed: judge_rows(ws, tol, [
+        (check_bilinear, range(n + 1))]),
+    "summation": lambda ws, n, tol, seed: judge_rows(ws, tol, [
+        (summation_checks, range(n + 1)),
+        (_garnier, range(n + 1))]),
+    "oracle": lambda ws, n, tol, seed: judge_rows(ws, tol, [
+        (_dg_state, range(n + 1), dg_run(ws, n)),
+        (dg_hamiltonian_residuals, [max(1, n // 2)])]),
+    "tau": lambda ws, n, tol, seed: tau_suite(ws, n, tol),
 }
+SUITE_NAMES = (*SUITE_BUILDERS, "flow")
 
 
 def run_verification(ws: SpectralWorkspace, checks, n_max: int, tol,
@@ -229,7 +195,6 @@ def run_verification(ws: SpectralWorkspace, checks, n_max: int, tol,
         if name == "flow":
             results.extend(flow_suite(ws, max(1, min(n_max, 3)),
                                       ws.plan.flow_tolerance))
-            continue
-        builder = SUITE_BUILDERS[name]
-        results.extend(builder(ws, n_max, tol, seed))
+        else:
+            results.extend(SUITE_BUILDERS[name](ws, n_max, tol, seed))
     return results

@@ -21,9 +21,11 @@ from circlebops.discrete_garnier import (DGState, dg_from_spectral,
 from circlebops.garnier import coordinates_from_spectral
 from circlebops.mputil import working_precision
 from circlebops.report import failures, judge
-from circlebops.suites import (bilinear_suite, casoratian_suite, degree_suite,
-                               endpoint_suite, lattice_suite, ode_suite,
-                               toeplitz_suite)
+from circlebops.spectral import (check_bilinear, check_linear_recurrences,
+                                 check_transitions, residue_structure_checks)
+from circlebops.suites import (casoratian_checks, degree_checks,
+                               endpoint_checks, judge_rows, ode_checks,
+                               toeplitz_checks)
 from circlebops.weights import build_poly_pair, build_weight
 
 TOL = mpf(1e-20)
@@ -58,36 +60,41 @@ def _report(num, name, results):
 def test_criterion_01_toeplitz_identity_suite():
     results = []
     for ws in cases().values():
-        results.extend(toeplitz_suite(ws, N_MAX, TOL))
+        results.extend(judge_rows(ws, TOL, [
+            (toeplitz_checks, range(1, N_MAX + 1))]))
     _report(1, "determinant ratio and difference identities", results)
 
 
 def test_criterion_02_casoratian_suite():
     results = []
     for ws in cases().values():
-        results.extend(casoratian_suite(ws, 8, TOL))
+        results.extend(judge_rows(ws, TOL, [(casoratian_checks, range(9))]))
     _report(2, "cross-product identities", results)
 
 
 def test_criterion_03_degree_bounds():
     results = []
     for ws in cases().values():
-        results.extend(degree_suite(ws, N_MAX, mpf(1e-30)))
+        results.extend(judge_rows(ws, mpf(1e-30), [
+            (degree_checks, range(N_MAX + 1))]))
     _report(3, "spectral degree bounds", results)
 
 
 def test_criterion_04_linear_transition_bilinear_lattice():
     results = []
     for ws in cases().values():
-        results.extend(lattice_suite(ws, 8, TOL, 23))
-        results.extend(bilinear_suite(ws, 8, TOL))
+        results.extend(judge_rows(ws, TOL, [
+            (check_linear_recurrences, range(1, 9)),
+            (check_transitions, range(9), 23),
+            (residue_structure_checks, range(9)),
+            (check_bilinear, range(9))]))
     _report(4, "recurrence / transition / bilinear lattice", results)
 
 
 def test_criterion_05_endpoint_expansions():
     results = []
     for ws in cases().values():
-        results.extend(endpoint_suite(ws, 8, TOL))
+        results.extend(judge_rows(ws, TOL, [(endpoint_checks, range(9))]))
     _report(5, "endpoint coefficients of the spectral polynomials", results)
 
 
@@ -95,7 +102,7 @@ def test_criterion_06_scalar_ode():
     results = []
     worst_struct = mpf(0)
     for ws in cases().values():
-        results.extend(ode_suite(ws, 6, mpf(1e-18)))
+        results.extend(judge_rows(ws, mpf(1e-18), [(ode_checks, range(7))]))
         # first-coefficient structure against the exponent table
         rhos = ws.residues()
         zs = ws.singularities()

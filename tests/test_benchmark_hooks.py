@@ -12,9 +12,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 import circlebops
+from circlebops.suites import SUITE_BUILDERS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,7 +29,9 @@ tracer = Tracer()
 install(tracer)
 code = cli.main(["--config", sys.argv[2], "verify", "--out", sys.argv[3]])
 with open(sys.argv[4], "w") as fh:
-    json.dump({"exit": code, "metrics": tracer.metrics()}, fh)
+    json.dump({"exit": code, "metrics": tracer.metrics(),
+               "spans": [[name, parent] for name, _, _, parent
+                         in tracer.spans]}, fh)
 """
 
 CONFIG = {
@@ -51,7 +55,9 @@ RATIONAL_M4_FLOW = {
 
 
 def _traced_verify(tmp_path, config_data) -> dict:
-    """Layer metrics of one traced ``verify`` run in a fresh interpreter."""
+    """The layer metrics (``metrics``) and the spans as [name, parent
+    index] (``spans``) of one traced ``verify`` run in a fresh
+    interpreter."""
     config = tmp_path / "run.yaml"
     config.write_text(yaml.safe_dump(config_data))
     result = tmp_path / "metrics.json"
@@ -65,14 +71,14 @@ def _traced_verify(tmp_path, config_data) -> dict:
     assert proc.returncode == 0, proc.stderr
     got = json.loads(result.read_text())
     assert got["exit"] == 0
-    return got["metrics"]
+    return got
 
 
 def test_layer_tracer_reaches_spectral_polys_and_eps(tmp_path):
     """The spectral work of CONFIG, counted exactly: the extraction's and
     the Casoratian checks' series products, and the products that
     ``_mul_poly_mults`` reads from the lengths of their operands."""
-    metrics = _traced_verify(tmp_path, CONFIG)
+    metrics = _traced_verify(tmp_path, CONFIG)["metrics"]
     assert metrics["spectral.extract.calls"] == 6
     assert metrics["polys.mul_poly.calls"] == 150
     assert metrics["polys.mul_poly.mults"] == 5145
@@ -83,12 +89,33 @@ def test_layer_tracer_times_rational_moments_per_workspace(tmp_path):
     """Every rational workspace takes its seeds from one closed-form call,
     and every recurrence step is one wrapped ``_step_forward`` or
     ``_step_backward`` call: the counts of RATIONAL_M4_FLOW, exactly."""
-    metrics = _traced_verify(tmp_path, RATIONAL_M4_FLOW)
+    metrics = _traced_verify(tmp_path, RATIONAL_M4_FLOW)["metrics"]
     assert metrics["deform.workspaces"] == 9
     assert metrics["moments.rational.calls"] == metrics["deform.workspaces"]
     assert metrics["moments.rational.s"] > 0
     assert metrics["moments.steps"] == 126
     assert metrics["moments.window"] == 17
+
+
+@pytest.mark.parametrize("config, suites", [
+    ({**CONFIG, "n_max": 3, "checks": list(SUITE_BUILDERS)}, SUITE_BUILDERS),
+    (RATIONAL_M4_FLOW, ["flow"])], ids=["formal", "flow"])
+def test_each_suite_runs_in_one_span_that_no_suite_span_holds(
+        tmp_path, config, suites):
+    """The inclusive ``suite.<name>`` metrics count each suite's time once:
+    a traced run opens one span per configured suite, and none inside
+    another suite's span (a builder of ``SUITE_BUILDERS`` that called the
+    wrapped ``flow_suite`` would nest two ``suite.flow`` spans)."""
+    spans = _traced_verify(tmp_path, config)["spans"]
+    opened = [i for i, (name, _) in enumerate(spans)
+              if name.startswith("suite.")]
+    assert sorted(spans[i][0] for i in opened) == \
+        sorted(f"suite.{name}" for name in suites)
+    for i in opened:
+        parent = spans[i][1]
+        while parent is not None:
+            assert not spans[parent][0].startswith("suite."), spans[i][0]
+            parent = spans[parent][1]
 
 
 def _wrap_everywhere(monkeypatch, wrap: dict) -> None:

@@ -8,6 +8,7 @@ import pytest
 import yaml
 from mpmath import mpf
 
+import circlebops.cli
 from circlebops.cli import main
 from circlebops.config import config_from_dict, load_config
 from circlebops.errors import ConfigInvalid
@@ -150,16 +151,29 @@ def test_an_unknown_key_exits_config_code(tmp_path, capsys, key, value,
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify"], ["sweep", "--param", "t1", "--grid", "0.25:0.75:2"]],
-    ids=["verify", "sweep"])
-def test_an_unwritable_out_path_exits_config_code(tmp_path, capsys, argv):
-    """An output path in a missing directory is bad input (exit 2), not a
-    traceback."""
-    out = tmp_path / "missing" / "report.out"
+    ["verify"], ["sweep", "--param", "t1", "--grid", "0.25:0.75:2"],
+    ["moments"], ["bops"], ["spectral"], ["garnier"], ["dgarnier"]],
+    ids=lambda argv: argv[0])
+def test_an_unwritable_out_path_exits_config_code(tmp_path, capsys,
+                                                  monkeypatch, argv):
+    """An output path in a missing directory or under a file, or one that
+    names a directory, is bad input (exit 2), not a traceback.  Every
+    command refuses it before it builds a workspace, and creates
+    nothing."""
+    def unreachable(cfg):
+        raise AssertionError("the workspace was built")
+
+    monkeypatch.setattr(circlebops.cli, "build_workspace", unreachable)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
     path = write_config(tmp_path)
-    assert main(["--config", path, *argv, "--out", str(out)]) == 2
-    assert f"config error: cannot write {out}" in capsys.readouterr().err
-    assert not out.parent.exists()
+    before = sorted(tmp_path.rglob("*"))
+    for out in (tmp_path / "missing" / "report.out",
+                tmp_path / "file" / "report.out", tmp_path / "dir"):
+        assert main(["--config", path, *argv, "--out", str(out)]) == 2
+        assert f"config error: cannot write {out}" in \
+            capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_verify_rejects_empty_checks(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlebops.cli import main
-from circlebops.config import KNOWN_CHECKS
+from circlebops.suites import SUITE_NAMES
 
 COMMANDS = {
     "verify": [], "moments": ["--range=-3:3"], "bops": [], "spectral": [],
@@ -46,7 +46,7 @@ def configs(draw):
         res = [[draw(st.sampled_from(FORMAL_RESIDUES)), 0] for _ in sing]
     free = M - 1 if [0, 0] in sing else M
     seeds = [draw(st.sampled_from(SEEDS)) for _ in range(free)]
-    checks = draw(st.permutations(KNOWN_CHECKS))
+    checks = draw(st.permutations(SUITE_NAMES))
     return {
         "mode": mode, "precision_bits": 128, "tolerance": 1e-20,
         "n_max": draw(st.integers(1, 3)), "seed": 1,

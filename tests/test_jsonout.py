@@ -62,7 +62,7 @@ TEXT = st.text(st.sampled_from('ab "\\/\n\t\x00\x7fé∂😀'), max_size=12)
 
 @st.composite
 def checks(draw):
-    return CheckResult.make(
+    return CheckResult(
         draw(st.one_of(st.sampled_from(("rrCf:a", "Ham:dK/dq")), TEXT)),
         draw(values()), draw(values()),
         n=draw(st.one_of(st.none(), st.integers(-3, 10 ** 20))),

@@ -224,13 +224,9 @@ def test_no_src_module_but_exact_rounds_through_mpmath():
 
 
 def _makes_a_check_result(node) -> bool:
-    """A call of ``CheckResult`` or of ``CheckResult.make``."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    if isinstance(func, ast.Attribute) and func.attr == "make":
-        func = func.value
-    return isinstance(func, ast.Name) and func.id == "CheckResult"
+    """A call of ``CheckResult``."""
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == "CheckResult"
 
 
 def test_every_check_is_judged_in_report():
@@ -249,7 +245,7 @@ def test_every_check_is_judged_in_report():
 
 
 # the residual measures of ``report`` and the suites
-RESIDUAL_HELPERS = {"state_delta", "tau_delta", "rel_residual", "rel_error",
+RESIDUAL_HELPERS = {"state_delta", "rel_residual", "rel_error",
                     "vector_residual"}
 
 
@@ -258,9 +254,7 @@ def test_the_cli_judges_only_the_suites_checks():
     ``CheckResult`` and imports no residual measure."""
     tree = ast.parse(Path(circlebops.cli.__file__).read_text())
     made = [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "make"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "CheckResult"]
+            if _makes_a_check_result(node)]
     imported = [alias.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names if alias.name in RESIDUAL_HELPERS]
@@ -321,7 +315,6 @@ BOOL_KNOBS = {
     "MomentSequence.__init__ exact": "the tests' exact reference path",
     "MomentSequence.from_seeds exact": "the tests' exact reference path",
     "build_weight validate": "a test seam: weight data past the checks",
-    "CheckResult.__init__ passed": "the record's own field",
 }
 
 
@@ -382,7 +375,7 @@ def _samples():
                          dict(provenance="seeded", exact=False)),
         UPoly: (dict(u=(mpc(1), mpc(2))), {}),
         CheckResult: (dict(label="rrCf:a", residual=mpf(1), tol=mpf(2)),
-                      dict(n=None, passed=True, note="")),
+                      dict(n=None, note="")),
         SpectralData: (dict(n=1, theta=ones, omega=ones, thetastar=ones,
                             omegastar=ones, band_residual=mpf(0)), {}),
         WeightData: (dict(singularities=weight.singularities,

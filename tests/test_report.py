@@ -13,7 +13,7 @@ from circlebops import spectral
 from circlebops.mputil import working_precision
 from circlebops.report import (NOTES, CheckResult, Grid, judge, largest_abs,
                                ratio, rel_error, rel_residual, vector_residual)
-from circlebops.suites import summation_suite
+from circlebops.suites import judge_rows, summation_checks
 
 
 def test_first_term_is_not_rounded():
@@ -286,7 +286,7 @@ def test_non_finite_terms_fail_their_check(monkeypatch):
                           ratio(mpf(1), largest_abs([mpc(1), bad])),
                           ratio(abs(bad), mpf(1))):
                 assert resid == mpf("inf")
-                assert not CheckResult.make("x", resid, 1e-20).passed
+                assert not CheckResult("x", resid, 1e-20).passed
         # a non-finite piece of a polynomial identity (2ODE:a) gives an
         # infinite residual; under a custom scale (Tform:b) the scale is
         # infinite too, and inf/inf = nan must not pass as a residual
@@ -344,7 +344,7 @@ def test_one_planted_evaluation_fails_its_family_through_the_suite(
     fails that family's check at every level with exactly the planted
     residual, and moves no other check."""
     ws = make_workspace(*standard_case_m3())
-    clean = summation_suite(ws, 2, mpf(1e-25))
+    clean = judge_rows(ws, mpf(1e-25), [(summation_checks, range(3))])
     coordinate_sums = spectral._coordinate_sums
     planted = mpf(1e-20)
     positions = []
@@ -359,7 +359,7 @@ def test_one_planted_evaluation_fails_its_family_through_the_suite(
         return iter(evals)
 
     monkeypatch.setattr(spectral, "_coordinate_sums", plant)
-    got = summation_suite(ws, 2, mpf(1e-25))
+    got = judge_rows(ws, mpf(1e-25), [(summation_checks, range(3))])
     assert positions == [(2, 4)] * 3
     assert [(c.label, c.n) for c in got] == [(c.label, c.n) for c in clean]
     for before, after in zip(clean, got):

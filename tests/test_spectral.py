@@ -25,7 +25,7 @@ from circlebops.spectral import (SERIES_BUFFER, SpectralData,
                                  p2_asymptotic_constant, residue_matrices,
                                  residue_structure_checks,
                                  scalar_ode_residuals)
-from circlebops.suites import casoratian_suite, run_verification
+from circlebops.suites import casoratian_checks, judge_rows, run_verification
 from circlebops.weights import build_poly_pair, build_weight
 
 TOL = mpf(1e-25)
@@ -481,12 +481,12 @@ def test_a_planted_error_in_one_schur_entry_fails_a_check():
     planted before anything reads it, fails the Casoratian checks of level
     3 at tolerance 1e-40, which pass without it."""
     tol = mpf("1e-40")
-    assert all_passed(casoratian_suite(_ws(), 3, tol))
+    assert all_passed(judge_rows(_ws(), tol, [(casoratian_checks, range(4))]))
     ws = _ws()
     oracle = ws.oracle
     with oracle.precision():
         oracle._reach(4, 18)
         alpha = oracle._gen[4][0]
         alpha[6] *= 1 + mpf("1e-30")
-    failed = failures(casoratian_suite(ws, 3, tol))
+    failed = failures(judge_rows(ws, tol, [(casoratian_checks, range(4))]))
     assert [(r.label, r.n) for r in failed] == [("Cas:a", 3)]
