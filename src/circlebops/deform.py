@@ -1,11 +1,15 @@
 """Verification of the deformation dynamics by derivatives on a circle.
 
 Moving a singularity moves every moment, so a deformation family needs
-moments that are explicit functions of the singularity positions.  Arbitrary
-seed values do not give that (they pin one solution at one position only);
-weights whose residues are all negative integers do: they are rational
-functions whose annulus Laurent coefficients are closed forms in the
-positions.  The pipeline checks therefore run on that family.
+moments that the code can move with the singularity positions z_j.
+Rational mode is the one mode that has them: a weight whose residues are
+all negative integers is a rational function whose annulus Laurent
+coefficients are closed forms in the positions.  Formal seeds and
+quadrature moments fix one cycle of the weight, and that cycle moves with
+z_j by a first-order connection on the moments, but the code does not
+build that connection yet, so ``run_verification`` refuses the flow checks
+outside rational mode.  The pipeline checks therefore run on the rational
+family.
 
 Verified against derivatives of the recomputed pipeline:
 

@@ -22,13 +22,23 @@ rest pass none.  Checks whose scale is none of these say why at their site.
 ``Grid`` is the one exact integer-mantissa type: sum_k (re[k] + i im[k])
 2^exp z^(offset + k) with Python-int mantissas on one binary exponent, for
 a check's terms, a polynomial or a truncated series (``polys.OffsetSeries``
-is this class).  Sums (aligned in offset and exponent), the product (one
-kernel, ``Grid.conv``), derivatives, negation and shifts are exact, and
+is this class).  Sums (aligned in offset and exponent), the product
+(``Grid.conv``), derivatives, negation and shifts are exact, and
 ``coeff``, ``window`` and ``coeffs`` round a coefficient to mpc once, to
 nearest at the reader's mp.prec, and ``dot`` is an exact dot product
 rounded once per part (the Szego step's); every such rounding, and
-``sqrt_ratio``'s, is ``exact.round_mantissa``.  Two policies put a vector
-on a grid:
+``sqrt_ratio``'s, is ``exact.round_mantissa``.
+
+The product has two exact integer paths, chosen by the operand lengths
+alone, so both give the same integers.  Most of the checks' products have
+a factor of at most ``SHORT_FACTOR`` (4) coefficients: a scalar or short
+multiplier times a vector.  For those, each coefficient of the short
+factor adds its multiple of the other factor to the output in one slice,
+an overhead per short coefficient.  Longer products sum each output term
+on its own with Gauss's three real sums, an overhead per output term but
+fewer products.
+
+Two policies put a vector on a grid:
 
 - the checks' path, ``Grid.of``, is exact up to the cap: a part more than
   ``plan.grid_cap()`` bits below the largest goes onto that coarser grid
@@ -48,9 +58,9 @@ on a grid:
 The three measures put their terms on one grid (``Grid.of``); their sums
 (and, for ``vector_residual``, the products of multiplier polynomials and
 vectors) are exact, the error and the scale are compared as exact squared
-magnitudes, the floor as an exact square, and the residual sqrt(err^2 /
-max(scale^2, floor^2)) is rounded once, to nearest at mp.prec
-(``sqrt_ratio``).
+magnitudes (``squares``), the floor as an exact square, and the residual
+sqrt(err^2 / max(scale^2, floor^2)) is rounded once, to nearest at
+mp.prec (``sqrt_ratio``).
 
 Custom scales are mostly a ``largest_abs``: exact squared magnitudes on one
 grid find the largest term, and abs() is taken only of that term and its
@@ -64,6 +74,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import count
 from operator import add, mul, sub
 
 from mpmath import isfinite, mp, mpc, mpf
@@ -132,6 +143,62 @@ def _round_shift(v: int, shift: int) -> int:
     return (v + half) >> shift if v >= 0 else -((half - v) >> shift)
 
 
+# A factor of at most this many coefficients is multiplied by the short
+# path of ``Grid.conv``.  The checks' products are mostly scalar or
+# two-to-four-term multipliers times a vector; past this length the Gauss
+# path's fewer products outweigh its per-output-term slicing.
+SHORT_FACTOR = 4
+
+
+def _conv_short(ar, ai, br, bi, lo: int, hi: int):
+    """Terms lo..hi-1 of the product of a (short) and b: each nonzero
+    coefficient x of a adds x b to its window of the output in one slice,
+    with 4 real products per term for a complex x and 2 for a real one.
+    The first writes its window, which is still zero, without the add."""
+    n, lb = hi - lo, len(br)
+    re, im = [0] * n, [0] * n
+    fresh = True
+    for i, xr, xi in zip(count(-lo), ar, ai):
+        j0 = -i if i < 0 else 0
+        j1 = n - i if n - i < lb else lb
+        if j0 >= j1 or not (xr or xi):
+            continue
+        u, v = (br, bi) if j1 - j0 == lb else (br[j0:j1], bi[j0:j1])
+        if xi:
+            pr = map(sub, map(xr.__mul__, u), map(xi.__mul__, v))
+            pi = map(add, map(xr.__mul__, v), map(xi.__mul__, u))
+        else:
+            pr, pi = map(xr.__mul__, u), map(xr.__mul__, v)
+        o0, o1 = i + j0, i + j1
+        if fresh:
+            re[o0:o1], im[o0:o1] = pr, pi
+            fresh = False
+        else:
+            re[o0:o1] = map(add, re[o0:o1], pr)
+            im[o0:o1] = map(add, im[o0:o1], pi)
+    return re, im
+
+
+def _conv_gauss(ar, ai, br, bi, lo: int, hi: int):
+    """Terms lo..hi-1 of the product of a and b, each summed on its own
+    from three real sums (Gauss)."""
+    asum = list(map(add, ar, ai))
+    # b reversed, so that b_{t-i} over ascending i is a forward slice;
+    # each sum stops where the shorter of its two slices ends
+    br, bi = br[::-1], bi[::-1]
+    bsum = list(map(add, br, bi))
+    lb = len(br)
+    re, im = [], []
+    for t in range(lo, hi):
+        i0, j0 = (t - lb + 1, 0) if t >= lb else (0, lb - 1 - t)
+        rr = sum(map(mul, ar[i0:t + 1], br[j0:]))
+        ii = sum(map(mul, ai[i0:t + 1], bi[j0:]))
+        ss = sum(map(mul, asum[i0:t + 1], bsum[j0:]))
+        re.append(rr - ii)
+        im.append(ss - rr - ii)
+    return re, im
+
+
 class Grid:
     """sum_k (re[k] + i im[k]) 2^exp z^(offset + k), held exactly with
     Python-int mantissas on one binary exponent; the module docstring gives
@@ -150,7 +217,12 @@ class Grid:
     @classmethod
     def of(cls, terms) -> "Grid":
         """mpc, mpf and int terms exactly; anything else (QC, Fraction,
-        float) through its ``to_mpc`` image."""
+        float) through its ``to_mpc`` image.
+
+        One pass finds the top bit and the lowest exponent; when every part
+        lies within the cap of the top, the mantissas go onto the lowest
+        exponent as they are, and only otherwise does the cap's rounding
+        pass run."""
         parts = []
         for t in terms:
             if isinstance(t, mpc):
@@ -161,14 +233,21 @@ class Grid:
                 parts.extend((from_int(t), fzero))
             else:
                 parts.extend(to_mpc(t)._mpc_)
-        top = None
+        top = lo = None
         for _, man, e, bc in parts:
             if man:
-                top = e + bc if top is None else max(top, e + bc)
+                if top is None or e + bc > top:
+                    top = e + bc
+                if lo is None or e < lo:
+                    lo = e
             elif e:
                 return cls.nonfinite(len(parts) // 2)
         if top is None:
             return cls([0] * (len(parts) // 2), [0] * (len(parts) // 2), 0)
+        if top - lo <= grid_cap():
+            ints = [(-man if sign else man) << (e - lo) if man else 0
+                    for sign, man, e, _ in parts]
+            return cls(ints[0::2], ints[1::2], lo)
         coarse = top - grid_cap()
         lo = min(e if e + bc > coarse else coarse
                  for _, man, e, bc in parts if man)
@@ -244,26 +323,18 @@ class Grid:
         """The terms c_t z^(offset + t), lo <= t < hi, of the product, with
         offset the sum of the two and c_t = sum_i a_i b_{t-i} in ints.
 
-        Three real sums per complex product (Gauss), each output summed on
-        its own.
+        Two exact paths, chosen by the operand lengths alone.  When a factor
+        has at most ``SHORT_FACTOR`` coefficients, each of its coefficients
+        x adds x b to the output window in one slice (``_conv_short``): the
+        overhead is per short coefficient.  Otherwise each output term is
+        summed on its own from three real sums per complex product (Gauss):
+        the overhead is per output term, and the products are fewer.
         """
         if self.exp is None or other.exp is None:
             return Grid.nonfinite(max(hi - lo, 0))
-        ar, ai = self.re, self.im
-        asum = list(map(add, ar, ai))
-        # b reversed, so that b_{t-i} over ascending i is a forward slice;
-        # each sum stops where the shorter of its two slices ends
-        br, bi = other.re[::-1], other.im[::-1]
-        bsum = list(map(add, br, bi))
-        lb = len(br)
-        re, im = [], []
-        for t in range(lo, hi):
-            i0, j0 = (t - lb + 1, 0) if t >= lb else (0, lb - 1 - t)
-            rr = sum(map(mul, ar[i0:t + 1], br[j0:]))
-            ii = sum(map(mul, ai[i0:t + 1], bi[j0:]))
-            ss = sum(map(mul, asum[i0:t + 1], bsum[j0:]))
-            re.append(rr - ii)
-            im.append(ss - rr - ii)
+        a, b = (self, other) if len(self) <= len(other) else (other, self)
+        kernel = _conv_short if len(a) <= SHORT_FACTOR else _conv_gauss
+        re, im = kernel(a.re, a.im, b.re, b.im, lo, hi)
         return Grid(re, im, self.exp + other.exp,
                     self.offset + other.offset + lo)
 
@@ -394,7 +465,7 @@ def largest_abs(terms) -> mpf:
     g = Grid.of(terms)
     if g.exp is None:
         return mpf("inf")
-    sq = list(map(_sq, g.re, g.im))
+    sq = list(squares(g.re, g.im))
     top, prec = max(sq, default=0), mp.prec
     return max((abs(t) for t, s in zip(terms, sq) if (top - s) << prec <= top),
                default=mpf(0))
@@ -413,8 +484,10 @@ def ratio(x, *scales) -> mpf:
     return x / scale if scale > 0 else mpf(0)
 
 
-def _sq(x: int, y: int) -> int:
-    return x * x + y * y
+def squares(re: list, im: list):
+    """The exact squared magnitudes re[k]^2 + im[k]^2, formed in C; re and
+    im are read twice each, so they are sequences, not iterators."""
+    return map(add, map(mul, re, re), map(mul, im, im))
 
 
 def sqrt_ratio(err: int, scale: int, exp: int, floor=0) -> mpf:
@@ -447,8 +520,9 @@ def rel_residual(terms, floor=0) -> mpf:
     g = Grid.of(terms)
     if g.exp is None:
         return mpf("inf")
-    return sqrt_ratio(_sq(sum(g.re), sum(g.im)),
-                      max(map(_sq, g.re, g.im)), 2 * g.exp, floor)
+    re, im = sum(g.re), sum(g.im)
+    return sqrt_ratio(re * re + im * im, max(squares(g.re, g.im)),
+                      2 * g.exp, floor)
 
 
 def vector_residual(vectors, floor=0) -> mpf:
@@ -467,8 +541,8 @@ def vector_residual(vectors, floor=0) -> mpf:
     if grids is None:
         return mpf("inf")
     total = add_grids(grids)
-    scale = max(max(map(_sq, g.re, g.im), default=0) for g in grids)
-    return sqrt_ratio(max(map(_sq, total.re, total.im), default=0), scale,
+    scale = max(max(squares(g.re, g.im), default=0) for g in grids)
+    return sqrt_ratio(max(squares(total.re, total.im), default=0), scale,
                       2 * total.exp, floor)
 
 
@@ -486,7 +560,7 @@ def rel_error(got, want, floor=0) -> mpf:
     g = Grid.of(list(got) + list(want))
     if g.exp is None:
         return mpf("inf")
-    err = max(map(_sq, map(sub, g.re[:n], g.re[n:]),
-                  map(sub, g.im[:n], g.im[n:])))
-    return sqrt_ratio(err, max(map(_sq, g.re[n:], g.im[n:])), 2 * g.exp,
+    err = max(squares(list(map(sub, g.re[:n], g.re[n:])),
+                      list(map(sub, g.im[:n], g.im[n:]))))
+    return sqrt_ratio(err, max(squares(g.re[n:], g.im[n:])), 2 * g.exp,
                       floor)

@@ -64,7 +64,7 @@ from .mputil import sample_points, to_mpc
 from .polys import pdiv_exact_linear, peval_grid, pscale
 from .record import Memo, Record
 from .report import (Grid, add_grids, largest_abs, ratio, rel_residual,
-                     sqrt_ratio, vector_residual)
+                     sqrt_ratio, squares, vector_residual)
 
 # series terms read past the top of the band, z^(n+N+2): the out-of-band
 # mass they carry is the degree-bound check
@@ -137,7 +137,7 @@ def _extract_band(series: Grid, lo: int, deg: int, factor: mpc):
     # custom scale: the out-of-band mass against the whole series' largest,
     # compared as exact squared magnitudes on the series' grid and rounded
     # once
-    sq = [x * x + y * y for x, y in zip(series.re, series.im)]
+    sq = list(squares(series.re, series.im))
     band = range(lo - series.offset, lo + deg - series.offset + 1)
     worst = max((v for k, v in enumerate(sq) if k not in band), default=0)
     return coeffs, sqrt_ratio(worst, max(sq, default=0), 0)

@@ -10,13 +10,28 @@ files with
     PYTHONPATH=src python tests/test_golden.py
 
 and says which digits moved and why.
+
+Regenerating the files lets any loss of accuracy pass, so a second file,
+``tests/golden/headroom.json``, is a ledger: for each case, the least
+headroom log2(tol / residual) of each check family (check id), null for a
+family whose every residual is exactly zero.  A family may not fall more
+than ``HEADROOM_SLACK`` bits below its entry, and no family may appear or
+disappear, without the ledger being rewritten with
+
+    PYTHONPATH=src python tests/test_golden.py --headroom
+
+and the loss named, with its cause, in ``CHANGES.md``.
 """
 
 import contextlib
+import functools
 import io
 import json
+import math
 import re
 import sys
+import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -80,10 +95,18 @@ def report_text(name: str, workdir: Path) -> str:
     return text
 
 
+@functools.cache
+def fresh_report(name: str) -> str:
+    """``report_text`` of case ``name``, run once per pytest run: the golden
+    and the headroom tests read the same run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return report_text(name, Path(tmp))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden_file(name, tmp_path):
+def test_report_matches_golden_file(name):
     want = (GOLDEN / f"{name}.json").read_text()
-    assert report_text(name, tmp_path) == want, (
+    assert fresh_report(name) == want, (
         f"the {name} report moved; if that is intended, regenerate the "
         f"golden files (see this module's docstring)")
 
@@ -129,9 +152,51 @@ def test_the_sweep_csv_is_its_rows_rendered(tmp_path):
         assert row == f"{float(val)!r}, {int(fs)}\n"
 
 
+HEADROOM = GOLDEN / "headroom.json"
+HEADROOM_SLACK = 1.0        # bits a family may lose against its entry
+
+
+def family_headroom(text: str) -> dict:
+    """check id -> least headroom log2(tol / residual) in bits over the
+    report's checks of that id, rounded to 0.01 bit; None (infinite) when
+    every residual of the id is exactly zero."""
+    least = {}
+    for check in json.loads(text)["checks"]:
+        resid = Decimal(check["residual"]["s"])
+        head = (math.inf if resid == 0 else
+                float((Decimal(check["tol"]["s"]) / resid).ln()
+                      / Decimal(2).ln()))
+        least[check["id"]] = min(least.get(check["id"], math.inf), head)
+    return {cid: None if h == math.inf else round(h, 2)
+            for cid, h in least.items()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_family_loses_headroom_against_the_ledger(name):
+    ledger = json.loads(HEADROOM.read_text())[name]
+    got = family_headroom(fresh_report(name))
+    assert sorted(got) == sorted(ledger), (
+        f"{name}: families appeared {sorted(set(got) - set(ledger))} or "
+        f"disappeared {sorted(set(ledger) - set(got))}; rewrite the ledger "
+        f"(see this module's docstring)")
+
+    def bits(h):
+        return math.inf if h is None else h
+    lost = {cid: (ledger[cid], got[cid]) for cid in ledger
+            if bits(got[cid]) < bits(ledger[cid]) - HEADROOM_SLACK}
+    assert not lost, (
+        f"{name}: families lost more than {HEADROOM_SLACK} bit of headroom "
+        f"(ledger, now): {lost}; name each loss and its cause in CHANGES.md "
+        f"and rewrite the ledger (see this module's docstring)")
+
+
 if __name__ == "__main__":
-    import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
+    if sys.argv[1:] == ["--headroom"]:
+        HEADROOM.write_text(json.dumps(
+            {name: family_headroom(fresh_report(name))
+             for name in sorted(CASES)}, indent=1) + "\n")
+        print(f"wrote {HEADROOM}", file=sys.stderr)
+    else:
         for name in sorted(CASES):
-            (GOLDEN / f"{name}.json").write_text(report_text(name, Path(tmp)))
+            (GOLDEN / f"{name}.json").write_text(fresh_report(name))
             print(f"wrote {GOLDEN / name}.json", file=sys.stderr)

@@ -1,5 +1,5 @@
 """The integer-mantissa series (``polys.OffsetSeries``, which is
-``report.Grid``), its convolution kernel and the eps-series."""
+``report.Grid``), its product and gridding kernels and the eps-series."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero
+from mpmath.libmp import from_int, fzero
 
 from conftest import (random_canonical_case, standard_case_m3,
                       standard_case_m4, standard_case_m5)
@@ -152,6 +152,150 @@ def test_conv_fixed_zero_and_empty_vectors():
     assert conv([mpc(1)], [mpc(1)], 3, 1) == []
     with pytest.raises(ValueError):
         conv_fixed([mpc(mp.inf)], [mpc(1)], 0, 1)
+
+
+# -- the product and gridding kernels against plain references ----------------
+
+def _conv_reference(a: Grid, b: Grid, lo: int, hi: int) -> tuple:
+    """(re, im, exp, offset) of terms lo <= t < hi of the product by the
+    plain double loop; a non-finite factor gives zeros on exp None."""
+    n = max(hi - lo, 0)
+    re, im = [0] * n, [0] * n
+    if a.exp is None or b.exp is None:
+        return re, im, None, 0
+    for i, (x, y) in enumerate(zip(a.re, a.im)):
+        for j, (u, v) in enumerate(zip(b.re, b.im)):
+            if 0 <= i + j - lo < n:
+                re[i + j - lo] += x * u - y * v
+                im[i + j - lo] += x * v + y * u
+    return re, im, a.exp + b.exp, a.offset + b.offset + lo
+
+
+@st.composite
+def _kernel_grids(draw):
+    """A grid of 0..12 coefficients, on either side of ``SHORT_FACTOR``:
+    zero, real-only or mixed-sign complex 240-bit mantissas, at an offset
+    0..5; now and then non-finite."""
+    size = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(("zero", "real", "complex", "complex")))
+    big = st.integers(-2 ** 240, 2 ** 240)
+    part = st.one_of(st.just(0), big) if kind != "zero" else st.just(0)
+    re = draw(st.lists(part, min_size=size, max_size=size))
+    im = (draw(st.lists(part, min_size=size, max_size=size))
+          if kind == "complex" else [0] * size)
+    exp = None if draw(st.integers(0, 15)) == 0 else \
+        draw(st.integers(-400, 100))
+    return Grid(re, im, exp, draw(st.integers(0, 5)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_grids(), _kernel_grids(), st.integers(-4, 28),
+       st.integers(-4, 28))
+def test_conv_equals_the_double_loop(a, b, lo, hi):
+    """Both exact paths of ``Grid.conv``, short x long and long x long, give
+    the double loop's integers, for windows inside, beyond and outside the
+    product, empty and reversed ones included."""
+    got = a.conv(b, lo, hi)
+    assert (got.re, got.im, got.exp, got.offset) == \
+        _conv_reference(a, b, lo, hi)
+
+
+def _old_grid_of(terms) -> tuple:
+    """Frozen reference: the former two-pass ``Grid.of``, as (re, im, exp);
+    exp None for a non-finite term."""
+    parts = []
+    for t in terms:
+        if isinstance(t, mpc):
+            parts.extend(t._mpc_)
+        elif isinstance(t, mpf):
+            parts.extend((t._mpf_, fzero))
+        elif isinstance(t, int):
+            parts.extend((from_int(t), fzero))
+        else:
+            parts.extend(to_mpc(t)._mpc_)
+    size = len(parts) // 2
+    top = None
+    for _, man, e, bc in parts:
+        if man:
+            top = e + bc if top is None else max(top, e + bc)
+        elif e:
+            return [0] * size, [0] * size, None
+    if top is None:
+        return [0] * size, [0] * size, 0
+    coarse = top - (2 * mp.prec + 64)
+    lo = min(e if e + bc > coarse else coarse
+             for _, man, e, bc in parts if man)
+    ints = []
+    for sign, man, e, bc in parts:
+        if not man:
+            v = 0
+        elif e + bc > coarse:
+            v = man << (e - lo)
+        else:
+            shift = coarse - e
+            half = 1 << (shift - 1)
+            v = ((man + half) >> shift) << (coarse - lo)
+        ints.append(-v if sign else v)
+    return ints[0::2], ints[1::2], lo
+
+
+@st.composite
+def _capped_terms(draw):
+    """A precision and int, mpf, mpc and QC terms whose parts have their
+    top bits near the largest's, or at, just above or just below the cap
+    2 prec + 64 bits under it; short mantissas put a part's lowest bit, not
+    only its top, next to the cap."""
+    prec = draw(st.sampled_from((53, 128, 192)))
+    top = draw(st.integers(-300, 300))
+    cap = top - (2 * prec + 64)
+
+    def part():
+        where = draw(st.sampled_from(("top", "near", "cap", "cap", "deep")))
+        if where == "top":
+            bit = top
+        elif where == "near":
+            bit = draw(st.integers(cap + 2, top))
+        elif where == "cap":
+            bit = cap + draw(st.sampled_from((-1, 0, 1)))
+        else:
+            bit = draw(st.integers(cap - 300, cap - 2))
+        man = draw(st.one_of(st.integers(1, 3), st.integers(1, 2 ** 200)))
+        man *= draw(st.sampled_from((1, -1)))
+        with working_precision(256):
+            return mpmath.ldexp(mpf(man), bit - abs(man).bit_length())
+
+    terms = [mpc(mpmath.ldexp(mpf(3), top - 2), 0)]       # the top bit
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("mpc", "mpc", "mpf", "int", "qc",
+                                     "zero", "inf")))
+        if kind == "mpc":
+            terms.append(mpc(part(), part()))
+        elif kind == "mpf":
+            terms.append(part())
+        elif kind == "int":             # at most the top bit
+            bound = 2 ** min(top - 1, 80) if top > 1 else 0
+            terms.append(draw(st.integers(-bound, bound)))
+        elif kind == "qc":
+            terms.append(QC(_frac(part()), _frac(part())))
+        elif kind == "zero":
+            terms.append(draw(st.sampled_from((0, mpf(0), mpc(0)))))
+        elif draw(st.integers(0, 4)) == 0:
+            terms.append(mpc(mp.inf, 1))
+    draw(st.randoms()).shuffle(terms)
+    return prec, terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(_capped_terms())
+def test_grid_of_equals_the_two_pass_rule(case):
+    """``Grid.of``'s one pass, and its cap pass, give the former two-pass
+    rule's integers bit for bit, with parts exactly at the cap (rounded
+    onto it), one bit above (kept exact) and one bit below."""
+    prec, terms = case
+    with working_precision(prec):
+        got = Grid.of(terms)
+        want = _old_grid_of(terms)
+    assert (got.re, got.im, got.exp, got.offset) == want + (0,)
 
 
 def test_mul_poly_truncation():
