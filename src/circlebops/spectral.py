@@ -53,8 +53,6 @@ vector of its own, and no sample point.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-
 import mpmath
 from mpmath import mp, mpf, mpc
 
@@ -564,14 +562,9 @@ def _sum_residual(lhs_terms, rhs) -> mpf:
     return rel_residual(list(lhs_terms) + [-p for p in rhs_parts])
 
 
-def check_summation_identities(ws: SpectralWorkspace, n: int,
-                               garnier_point=None):
-    """All summation identities available at this level.
-
-    Without canonical coordinates only the singularity sums are checked; when
-    a coordinate set is supplied the coordinate-sum families (including the
-    logarithmic-derivative identity at the roots) are added.
-    """
+def check_summation_identities(ws: SpectralWorkspace, n: int, garnier_point):
+    """All summation identities at this level: the singularity sums, then
+    the coordinate-sum families at the roots q of ``garnier_point``."""
     sd = ws.data(n)
     l0, l1 = ws.level(n), ws.level(n + 1)
     kr = ws.kappa_ratio(n)
@@ -620,13 +613,22 @@ def check_summation_identities(ws: SpectralWorkspace, n: int,
         yield "Ssum:d", _sum_residual(
             [tz[sigma] / w for tz, w in zip(thz, wp)], want)
 
-    if garnier_point is not None:
-        yield from _coordinate_sums(ws, n, garnier_point, wp, thz)
+    yield from _coordinate_sums(ws, n, garnier_point, wp, thz)
 
 
 def _coordinate_sums(ws: SpectralWorkspace, n: int, point, wp, thz):
     """The coordinate-sum families needing the roots of Theta_n; wp and thz
-    are W'(z_k) and the Ssum numerators of ``check_summation_identities``."""
+    are W'(z_k) and the Ssum numerators of ``check_summation_identities``.
+
+    Ssum:e, Ssum:f and Ssum:g are the single-root sums of pole order 1, 2
+    and 3: sum_k theta(z_k) z_k^sigma / (W'(z_k) (z_k - q_r)^order) over the
+    singularities, for each root q_r.  A sum over two or three distinct
+    roots is no new identity.  By 1/((z - q_r)(z - q_s)) = [1/(z - q_r) -
+    1/(z - q_s)] / (q_r - q_s), term by term, it is a combination of
+    single-root sums, and its closed form the same combination of theirs,
+    so it holds whenever they do, up to rounding amplified by
+    1/|q_r - q_s|.
+    """
     sd = ws.data(n)
     zs = ws.singularities()
     q = list(point.q)
@@ -636,61 +638,32 @@ def _coordinate_sums(ws: SpectralWorkspace, n: int, point, wp, thz):
     rho1 = ws.residues()[-1]
     zsum = sum(zs[1:-1])
     qsum = sum(q)
-    # values at the roots, and the denominators shared by the Ssum families
+    # values at the roots
     thq = [sd.at("dtheta", qr) for qr in q]
     thppq = [sd.at("ddtheta", qr) for qr in q]
     Wq = [ws.at("W", qr) for qr in q]
     dWq = [ws.at("dW", qr) for qr in q]
     V2q = [ws.at("V2", qr) for qr in q]
-    zq = [[z - qr for qr in q] for z in zs]
-    den1 = [[w * d[r] for w, d in zip(wp, zq)] for r in range(N)]
-    # Ssum:f and Ssum:g are symmetric in their root indices, so each loops
-    # over sorted index tuples
-    den2 = {(r, s): [d1 * d[s] for d1, d in zip(den1[r], zq)]
-            for r, s in combinations_with_replacement(range(N), 2)}
 
-    # Ssum:e
-    for r in range(N):
-        for sigma in range(4):
-            lhs = [tz[sigma] / d for tz, d in zip(thz, den1[r])]
-            if sigma <= 1:
-                want = mpc(0)
-            elif sigma == 2:
-                want = theta_inf
-            else:
-                want = theta_inf * (1 + zsum - (qsum - q[r]))
-            yield "Ssum:e", _sum_residual(lhs, want)
-
-    # Ssum:f over index pairs r <= s
-    for r, s in combinations_with_replacement(range(N), 2):
-        for sigma in range(5):
-            lhs = [tz[sigma] / d for tz, d in zip(thz, den2[r, s])]
-            want = mpc(0)
-            if r == s:
-                want -= q[r] ** sigma * thq[r] / Wq[r]
-            if sigma == 3:
-                want += theta_inf
-            elif sigma == 4:
-                want += theta_inf * (1 + zsum - qsum + q[r] + q[s])
-            yield "Ssum:f", _sum_residual(lhs, want)
-
-    # Ssum:g over sorted index triples r <= s <= t, sigma <= 3
-    for r, s, t in combinations_with_replacement(range(N), 3):
-        den3 = [d2 * d[t] for d2, d in zip(den2[r, s], zq)]
-        for sigma in range(4):
-            lhs = [tz[sigma] / d for tz, d in zip(thz, den3)]
-            want = mpc(0)
-            if r == s and s != t:
-                want -= q[s] ** sigma * thq[s] / \
-                    ((q[r] - q[t]) * Wq[s])
-            if s == t and r != t:
-                want -= q[t] ** sigma * thq[t] / \
-                    ((q[s] - q[r]) * Wq[t])
-            if r == s and s == t:
-                want += q[r] ** sigma * thq[r] / Wq[r] * \
-                    (dWq[r] / Wq[r] - thppq[r] / (2 * thq[r]) -
-                     sigma / q[r])
-            yield "Ssum:g", _sum_residual(lhs, want)
+    # Ssum:e, f and g: each order's denominator is the previous one times
+    # (z_k - q_r).  On the right, at_q[sigma] = q_r^sigma Theta'(q_r)/W(q_r)
+    # comes from the pole at q_r and the theta_inf terms from infinity.
+    for r, qr in enumerate(q):
+        at_q = [qr ** sigma * thq[r] / Wq[r] for sigma in range(5)]
+        dlog = dWq[r] / Wq[r] - thppq[r] / (2 * thq[r])
+        wants = (
+            ("Ssum:e", [0, 0, theta_inf,
+                        theta_inf * (1 + zsum - (qsum - qr))]),
+            ("Ssum:f", [-at_q[0], -at_q[1], -at_q[2], theta_inf - at_q[3],
+                        theta_inf * (1 + zsum - qsum + qr + qr) - at_q[4]]),
+            ("Ssum:g", [a * (dlog - sigma / qr)
+                        for sigma, a in enumerate(at_q[:4])]))
+        den = wp
+        for label, want in wants:
+            den = [d0 * (z - qr) for d0, z in zip(den, zs)]
+            for sigma, rhs in enumerate(want):
+                yield label, _sum_residual(
+                    [tz[sigma] / d for tz, d in zip(thz, den)], rhs)
 
     # Tsum family
     th0 = sd.at("theta", mpc(0))

@@ -20,7 +20,8 @@ disappear, without the ledger being rewritten with
 
     PYTHONPATH=src python tests/test_golden.py --headroom
 
-and the loss named, with its cause, in ``CHANGES.md``.
+and the loss named, with its cause, in ``CHANGES.md``.  The ledger also
+holds the cases of ``LEDGER_CASES``, which have no golden file.
 """
 
 import contextlib
@@ -72,6 +73,25 @@ CASES = {
     },
 }
 
+# cases kept in the headroom ledger only
+LEDGER_CASES = {
+    # tests/conftest.standard_case_m5: N = 3, so the coordinate sums
+    # (Ssum:e/f/g, Tsum:*) run over three roots
+    "m5-formal": {
+        "mode": "formal", "precision_bits": 128, "tolerance": 1.0e-20,
+        "n_max": 12, "seed": 1,
+        "checks": ["identities", "bilinear", "summation", "oracle", "tau"],
+        "weight": {"placement": "canonical",
+                   "singularities": [[0, 0], ["1/3", 0], ["-2/5", "1/4"],
+                                     ["1/2", "1/2"], [1, 0]],
+                   "residues": [["2/5", 0], ["-3/7", 0], ["1/6", 0],
+                                ["1/5", "1/3"], ["-5/8", 0]]},
+        "seeds": {"start": -1, "values": [[0.12, 0.07], [1, 0], [0.3, -0.2],
+                                          [-0.15, 0.4]]},
+    },
+}
+LEDGER = {**CASES, **LEDGER_CASES}
+
 
 # the last top-level key of every report, after its predecessor's comma
 TIMING_LINE = re.compile(r',\n "timing_s": [^\n]*(?=\n\}\n\Z)')
@@ -89,7 +109,7 @@ def run_command(config: dict, argv: list, out: Path) -> str:
 
 def report_text(name: str, workdir: Path) -> str:
     """The `verify` report of case ``name`` without its `timing_s` line."""
-    text = run_command(CASES[name], ["verify"], workdir / f"{name}.json")
+    text = run_command(LEDGER[name], ["verify"], workdir / f"{name}.json")
     text, cut = TIMING_LINE.subn("", text)
     assert cut == 1
     return text
@@ -171,7 +191,7 @@ def family_headroom(text: str) -> dict:
             for cid, h in least.items()}
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(LEDGER))
 def test_no_family_loses_headroom_against_the_ledger(name):
     ledger = json.loads(HEADROOM.read_text())[name]
     got = family_headroom(fresh_report(name))
@@ -194,7 +214,7 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--headroom"]:
         HEADROOM.write_text(json.dumps(
             {name: family_headroom(fresh_report(name))
-             for name in sorted(CASES)}, indent=1) + "\n")
+             for name in sorted(LEDGER)}, indent=1) + "\n")
         print(f"wrote {HEADROOM}", file=sys.stderr)
     else:
         for name in sorted(CASES):

@@ -1,18 +1,22 @@
 """Spectral extraction and the identity lattice."""
 
 import functools
+import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpc, mpf
+from mpmath import fsum, mp, mpc, mpf
 
 from conftest import (make_workspace, random_canonical_case,
                       rational_case_m4, standard_case_m3, standard_case_m4,
                       standard_case_m5)
 from circlebops.bops import ToeplitzOracle, pairing_first
 from circlebops.deform import rational_workspace
+from circlebops import spectral
 from circlebops.errors import ConfigInvalid, Degenerate
+from circlebops.garnier import GarnierPoint, coordinates_from_spectral
 from circlebops.moments import MomentSequence, ReflectedMoments, build_U
 from circlebops.mputil import working_precision
 from circlebops.polys import (padd, pdiff, peval, pmax_abs, pscale, pshift,
@@ -201,7 +205,6 @@ def test_bilinear_relations():
 
 
 def test_summation_identities_with_coordinates():
-    from circlebops.garnier import coordinates_from_spectral
     ws = _ws(standard_case_m4)
     for n in (1, 3):
         pt = coordinates_from_spectral(ws, n)
@@ -209,6 +212,125 @@ def test_summation_identities_with_coordinates():
                     n)
         assert all_passed(res), [(r.label, r.residual) for r in
                                  failures(res)]
+
+
+ROOT_SUMS = ("Ssum:e", "Ssum:f", "Ssum:g")
+
+
+def test_summation_evaluates_thirteen_sums_per_root():
+    """Ssum:e, Ssum:f and Ssum:g are evaluated at single roots only: 4 + 5
+    + 4 sums per root, 39 a level at N = 3 (82 with every pair and triple
+    of roots)."""
+    ws = _ws(standard_case_m5)
+    for n in (1, 2):
+        pt = coordinates_from_spectral(ws, n)
+        assert len(pt.q) == 3
+        labels = [label for label, _ in
+                  check_summation_identities(ws, n, garnier_point=pt)]
+        assert sum(label in ROOT_SUMS for label in labels) == 13 * 3
+
+
+def _multi_root_want(roots, sigma, q, thq, Wq, theta_inf, zsum):
+    """The closed form of the Ssum:f (two roots) or Ssum:g (three roots)
+    sum over distinct roots: its residues at the double root, if any, and
+    at infinity."""
+    qsum = sum(q)
+    if len(roots) == 2:
+        r, s = roots
+        return {3: theta_inf,
+                4: theta_inf * (1 + zsum - qsum + q[r] + q[s])}.get(
+                    sigma, mpc(0))
+    r, s, t = roots
+    if r == s:
+        return -q[s] ** sigma * thq[s] / ((q[r] - q[t]) * Wq[s])
+    if s == t:
+        return -q[t] ** sigma * thq[t] / ((q[s] - q[r]) * Wq[t])
+    return mpc(0)
+
+
+def _partial_fractions(roots, sigma, q):
+    """The sum over distinct roots as {(label, r, sigma): coefficient} of
+    single-root sums, by 1/((z - a)(z - b)) = [1/(z - a) - 1/(z - b)] /
+    (a - b); at sigma = 4 the pair sheds one power of z, and its common
+    sum of theta z^3 / W' cancels."""
+    if len(roots) == 2:
+        r, s = roots
+        if sigma == 4:
+            return {("Ssum:e", r, 3): q[r] / (q[r] - q[s]),
+                    ("Ssum:e", s, 3): -q[s] / (q[r] - q[s])}
+        return {("Ssum:e", r, sigma): 1 / (q[r] - q[s]),
+                ("Ssum:e", s, sigma): -1 / (q[r] - q[s])}
+    if len(set(roots)) == 2:
+        a = max(set(roots), key=roots.count)        # the double root
+        b, = set(roots) - {a}
+        return {("Ssum:f", a, sigma): 1 / (q[a] - q[b]),
+                ("Ssum:e", a, sigma): -1 / (q[a] - q[b]) ** 2,
+                ("Ssum:e", b, sigma): 1 / (q[a] - q[b]) ** 2}
+    return {("Ssum:e", a, sigma): 1 / ((q[a] - q[b]) * (q[a] - q[c]))
+            for a, b, c in (roots, roots[1:] + roots[:1],
+                            roots[2:] + roots[:2])}
+
+
+def test_multi_root_sums_follow_from_single_root_sums(monkeypatch):
+    """Only single-root Ssum:e/f/g sums are evaluated.  At points q that are
+    not roots, each sum over two or three distinct roots equals its
+    partial-fraction combination of the evaluated Ssum:e and diagonal
+    Ssum:f sums, and its closed form (``_multi_root_want``) equals the same
+    combination of their closed forms: to rounding, scaled by the
+    combination's 1/|q_r - q_s| factors.  So whenever the evaluated
+    identities hold at the roots, the others hold too."""
+    ws = _ws(standard_case_m5)
+    n = 3
+    sd = ws.data(n)
+    zs = ws.singularities()
+    wp = [ws.wprime_at(z) for z in zs]
+    thz = [[sd.at("theta", z) * z ** sigma for sigma in range(5)]
+           for z in zs]
+    rng = random.Random(36)
+    q = [mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+    assert min(abs(a - b) for a, b in combinations(q + zs, 2)) > 0.05
+    theta_inf = sd.theta[-1]
+
+    def value(terms):
+        return fsum(terms), fsum(abs(t) for t in terms)
+
+    # the evaluated sums as (label, r, sigma) -> (value, scale, want)
+    monkeypatch.setattr(spectral, "_sum_residual", lambda lhs, rhs:
+                        (value(lhs), rhs))
+    kept, seen = {}, {label: 0 for label in ROOT_SUMS}
+    for label, ((val, scale), want) in spectral._coordinate_sums(
+            ws, n, GarnierPoint(n, q, [], theta_inf), wp, thz):
+        if label in ROOT_SUMS:
+            r, sigma = divmod(seen[label], 5 if label == "Ssum:f" else 4)
+            seen[label] += 1
+            kept[label, r, sigma] = (val, scale, want)
+    assert seen == {"Ssum:e": 12, "Ssum:f": 15, "Ssum:g": 12}
+
+    thq = [sd.at("dtheta", qr) for qr in q]
+    Wq = [ws.at("W", qr) for qr in q]
+    zsum = sum(zs[1:-1])
+    eps = mpf(2) ** (8 - mp.prec)
+    dropped = [(roots, sigma) for k, sigmas in ((2, 5), (3, 4))
+               for roots in combinations_with_replacement(range(3), k)
+               if len(set(roots)) > 1 for sigma in range(sigmas)]
+    assert len(dropped) == 82 - 39
+    for roots, sigma in dropped:
+        terms = []
+        for z, w, tz in zip(zs, wp, thz):
+            den = w
+            for r in roots:
+                den *= z - q[r]
+            terms.append(tz[sigma] / den)
+        got, scale = value(terms)
+        coeffs = _partial_fractions(roots, sigma, q)
+        combo = fsum(c * kept[key][0] for key, c in coeffs.items())
+        scale += fsum(abs(c) * kept[key][1] for key, c in coeffs.items())
+        assert abs(got - combo) <= eps * scale, (roots, sigma)
+        want = _multi_root_want(roots, sigma, q, thq, Wq, theta_inf, zsum)
+        combo = fsum(c * kept[key][2] for key, c in coeffs.items())
+        scale = abs(want) + fsum(abs(c * kept[key][2])
+                                 for key, c in coeffs.items())
+        assert abs(want - combo) <= eps * scale, (roots, sigma)
 
 
 def test_residue_matrices_structure():
@@ -273,7 +395,6 @@ def p1_at(ws, n, z):
 
 def test_scalar_ode_residuals_and_structure():
     ws = _ws(standard_case_m4)
-    from circlebops.garnier import coordinates_from_spectral
     for n in (1, 4):
         res = judge(scalar_ode_residuals(ws, n), mpf(1e-22), n)
         assert all_passed(res)
