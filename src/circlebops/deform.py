@@ -118,7 +118,7 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
     zdot = [QC(z) if not isinstance(z, QC) else z for z in zdot]
     if len(zdot) != ws0.weight.M:
         raise ValueError("need one velocity per finite singularity")
-    if not zdot[0].is_zero():
+    if zdot[0]:
         raise ValueError("the origin cannot move")
     zd = [z.to_mpc() for z in zdot]
 

@@ -25,16 +25,26 @@ with k0^2 = 1/w_0.
 Tau recovery walks the reflection-coefficient ratio out of the inversion,
 reconstructs the sub-leading polynomial coefficients along two independent
 recurrences (cross-checked), and rebuilds the determinant sequence.
+
+The maps (``dg_initial``, ``dg_step``, ``dg_invert``, ``tau_recovery``) are
+rational and written once, in field operations with int literals: they run
+over mpc and exact ``QC`` alike, in the kind of the values they are given
+(``PolyPair.data_like``); an M = 2 state holds none, reads mpc, and steps
+to the same empty state in every kind.  Their one zero test, ``_vanishes``,
+is exact over QC.  The oracle routes read spectral data and stay mpc.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpf, mpc
+import math
+
+from mpmath import mp, mpc, mpf
 
 from .errors import Degenerate, SingularStep
+from .exact import QC
 from .garnier import coordinates_from_spectral, momentum
 from .moments import MomentSequence, build_U
-from .mputil import to_mpc
+from .mputil import abs_square, exceeds
 from .plan import Plan
 from .polys import elementary_symmetric, peval, pscale, psub
 from .record import Record
@@ -54,27 +64,33 @@ class DGState(Record):
         self.omega = omega
 
 
+def _vanishes(x, *scales) -> bool:
+    """The maps' one zero test: x == 0 for a QC; for an mpc, |x| below the
+    plan's ``denominator_floor`` times max(|scales|.., 1), compared as
+    exact squares."""
+    if isinstance(x, QC):
+        return not x
+    top = (1, 0)
+    for s in scales:
+        if exceeds(abs_square(s), top):
+            top = abs_square(s)
+    fm, fe = abs_square(Plan.of(mp.prec).denominator_floor)
+    return exceeds((fm * top[0], fe + top[1]), abs_square(x))
+
+
 # ---------------------------------------------------------------------------
 # Vandermonde data of the inversion
 # ---------------------------------------------------------------------------
 
-def vandermonde(values) -> mpc:
-    """prod_{i<j} (v_j - v_i) of mpc values; empty/singleton give 1."""
-    out = mpc(1)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            out *= values[j] - values[i]
-    return out
+def vandermonde(values):
+    """prod_{i<j} (v_j - v_i); empty/singleton give 1."""
+    return math.prod(values[j] - values[i] for i in range(len(values))
+                     for j in range(i + 1, len(values)))
 
 
-def _free_points(pair: PolyPair):
-    if pair.weight.placement != "canonical":
-        raise ValueError("the recurrences assume canonical placement")
-    return pair.weight.singularities_mpc()[1:-1]
-
-
-def _inversion_table(pair: PolyPair) -> tuple:
-    """(sums, e_TU): the inversion data that depends on neither n nor f.
+def _inversion_table(T: tuple) -> tuple:
+    """(sums, e_TU): the inversion data of the free points T, which
+    depends on neither n nor f.
 
     An entry (a, c) of ``sums`` stands for a + sum_l c_l f^l: the plain sum
     ``sums[None]`` has a = Delta(T), c_l = (+-) Delta(T_l u {1}), and the
@@ -82,36 +98,34 @@ def _inversion_table(pair: PolyPair) -> tuple:
     Delta(T_l u {1}) e_w(T_l u {1}), where T_l is T without t_l (the list
     index l is one below the label).  ``e_TU`` is e_0..e_{N+1} of T u {1}.
     """
-    T = _free_points(pair)
     N = len(T)
     base = vandermonde(T)
     e_T = elementary_symmetric(T)
     sides = []
     for l in range(N):
-        repl = T[:l] + T[l + 1:] + [mpc(1)]
+        repl = T[:l] + T[l + 1:] + (1,)
         sides.append(((-1) ** (N + l), vandermonde(repl),
                       elementary_symmetric(repl)))
     sums = {None: (base, [sgn * v for sgn, v, _ in sides])}
     for w in range(N + 1):
-        sums[w] = (base * to_mpc(e_T[w]),
-                   [sgn * t * v * to_mpc(e[w])
-                    for t, (sgn, v, e) in zip(T, sides)])
-    return sums, [to_mpc(e) for e in elementary_symmetric(T + [mpc(1)])]
+        sums[w] = (base * e_T[w],
+                   [sgn * t * v * e[w] for t, (sgn, v, e) in zip(T, sides)])
+    return sums, elementary_symmetric(T + (1,))
 
 
-def _evaluate(entry, f) -> mpc:
+def _evaluate(entry, f):
     """a + sum_l c_l f^l for one entry (a, c) of the inversion table."""
-    return sum((c * to_mpc(fl) for c, fl in zip(entry[1], f)), entry[0])
+    return sum((c * fl for c, fl in zip(entry[1], f)), entry[0])
 
 
-def _inversion(pair: PolyPair, f, n: int) -> tuple:
-    """(sums, e_TU, plain, den_t): the inversion table, and its plain sum
-    and its divisor sums[0] at f of level n, checked against the floor."""
-    sums, e_TU = pair.memo("dg", lambda: _inversion_table(pair))
+def _inversion(pair: PolyPair, T: tuple, f, n: int) -> tuple:
+    """(sums, e_TU, plain, den_t): the inversion table, formed once per
+    kind of T and precision, and its plain sum and its divisor sums[0] at
+    f of level n, given the zero test."""
+    sums, e_TU = pair.memo(("dg", T), lambda: _inversion_table(T))
     plain = _evaluate(sums[None], f)
     den_t = _evaluate(sums[0], f)
-    if abs(den_t) < Plan.of(mp.prec).denominator_floor * \
-            max(abs(plain), mpf(1)):
+    if _vanishes(den_t, plain):
         raise SingularStep(f"inversion denominator vanished at n={n}",
                            index=n, factor="den_t", value=den_t)
     return sums, e_TU, plain, den_t
@@ -130,9 +144,8 @@ def dg_from_spectral(ws: SpectralWorkspace, n: int) -> DGState:
     th1 = sd.at("theta", mpc(1))
     if abs(th1) < ws.plan.denominator_floor * max(abs(c) for c in sd.theta):
         raise Degenerate(f"coordinate polynomial vanished at 1, n={n}")
-    f = []
-    for t in _free_points(pair):
-        f.append(sd.at("theta", t) / (t * th1))
+    f = [sd.at("theta", t) / (t * th1)
+         for t in pair.weight.singularities_mpc()[1:-1]]
     omega = [(-1) ** N * sd.omega[j] - (-1) ** j * m[N + 1 - j] / 2
              for j in range(1, N + 1)]
     return DGState(n=n, f=f, omega=omega)
@@ -140,28 +153,21 @@ def dg_from_spectral(ws: SpectralWorkspace, n: int) -> DGState:
 
 def dg_initial(moments: MomentSequence) -> DGState:
     """Level-zero state from the generating-function polynomial U of the
-    moments (``build_U``)."""
+    moments (``build_U``), in the kind of the moments."""
     pair = moments.pair
     N = pair.N
-    w0 = to_mpc(moments.w(0))
-    wm1 = to_mpc(moments.w(-1))
-    if w0 == 0 or wm1 == 0:
+    w0, wm1 = moments.w(0), moments.w(-1)
+    if not w0 or not wm1:
         raise Degenerate("w_0 or w_-1 vanishes: the level-zero state "
                          "divides by both")
-    k02 = 1 / w0
-    V2 = pair.V2_mpc()
-    U = [to_mpc(u) for u in build_U(moments).u]
-    minus = psub(V2, pscale(U, k02))          # 2V - k0^2 U
-    den = peval(minus, mpc(1))
-    if abs(den) < moments.plan.denominator_floor:
+    T, _, _, _, V2 = pair.data_like([w0])
+    minus = psub(V2, pscale(build_U(moments).u, 1 / w0))   # 2V - k0^2 U
+    den = peval(minus, 1)
+    if _vanishes(den):
         raise Degenerate("2V(1) = k0^2 U(1): initial f undefined")
-    f = [peval(minus, t) / (t * den) for t in _free_points(pair)]
-    sign = mpf((-1) ** N)
-    omega = []
-    for j in range(1, N + 1):
-        mj = minus[j] if j < len(minus) else mpc(0)
-        mjm1 = minus[j - 1]
-        omega.append(sign * (mj / 2 - w0 / (2 * wm1) * mjm1))
+    f = [peval(minus, t) / (t * den) for t in T]
+    omega = [(-1) ** N * (minus[j] / 2 - w0 / (2 * wm1) * minus[j - 1])
+             for j in range(1, N + 1)]
     return DGState(n=0, f=f, omega=omega)
 
 
@@ -169,70 +175,55 @@ def dg_initial(moments: MomentSequence) -> DGState:
 # the coupled step
 # ---------------------------------------------------------------------------
 
-def _omega_brackets(pair: PolyPair, state: DGState, n: int):
+def _omega_brackets(state: DGState, T, rho0, m):
     """Evaluations of the two Omega_n -+ V bracket families at t_j and at 1,
     each c prod(T)/x + sum_l x^(l-1) w_l + top x^N; the minus family shifts
     w_l = omega^l by (-1)^l m_{N+1-l}."""
-    N = pair.N
-    m = pair.m_mpc()
-    rho0 = pair.weight.residues_mpc()[0]
-    prod_all = mpc(1)
-    for t in _free_points(pair):
-        prod_all *= t
-    sgn = mpf((-1) ** N)
+    n, N, prod_all = state.n, len(T), math.prod(T)
 
     def bracket(c, w, top):
         return lambda x: (c * (prod_all / x) + sum(
-            (x ** l * wl for l, wl in enumerate(w)), mpc(0)) + top * x ** N)
+            (x ** l * wl for l, wl in enumerate(w)), 0) + top * x ** N)
 
     shifted = [w + (-1) ** l * m[N + 1 - l]
                for l, w in enumerate(state.omega, 1)]
-    return (bracket(n - rho0, state.omega, sgn * (1 + m[0])),
-            bracket(mpf(n), shifted, sgn))
+    return (bracket(n - rho0, state.omega, (-1) ** N * (1 + m[0])),
+            bracket(n, shifted, (-1) ** N))
 
 
 def dg_step(state: DGState, pair: PolyPair) -> DGState:
-    """Advance (f, omega) one level.
+    """Advance (f, omega) one level, in the kind of f.
 
     f first: t_j f^j_n f^j_{n+1} equals the bracket ratio at level n; then
     omega at level n+1 from the inverted coordinate-polynomial sums.  A
     vanishing denominator is a movable singularity of the trajectory and
     aborts with a structured report naming the factor.
     """
-    n = state.n
-    N = pair.N
-    T = _free_points(pair)
-    floor = Plan.of(mp.prec).denominator_floor
-    bplus, bminus = _omega_brackets(pair, state, n)
-    A1 = bplus(mpc(1))
-    B1 = bminus(mpc(1))
-    scale = max(abs(A1), abs(B1), mpf(1))
+    n, N = state.n, pair.N
+    T, rhos, _, m, _ = pair.data_like(state.f)
+    bplus, bminus = _omega_brackets(state, T, rhos[0], m)
+    A1, B1 = bplus(1), bminus(1)
     for label, val in (("bracket_plus@1", A1), ("bracket_minus@1", B1)):
-        if abs(val) < floor * scale:
+        if _vanishes(val, A1, B1):
             raise SingularStep(f"movable singularity at n={n}: {label} vanished",
                                index=n, factor=label, value=val)
     f_next = []
     for j, t in enumerate(T):
-        Aj = bplus(t)
-        Bj = bminus(t)
-        fj = to_mpc(state.f[j])
-        if abs(fj) < floor:
+        fj = state.f[j]
+        if _vanishes(fj):
             raise SingularStep(f"movable singularity at n={n}: f^{j + 1} = 0",
                                index=n, factor=f"f^{j + 1}", value=fj)
-        f_next.append(Aj * Bj / (A1 * B1 * t * fj))
+        f_next.append(bplus(t) * bminus(t) / (A1 * B1 * t * fj))
 
-    m = pair.m_mpc()
-    rho0 = pair.weight.residues_mpc()[0]
-    m0 = m[0]
-    np1 = n + 1
-    sums, e_TU, num_plain, den_t = _inversion(pair, f_next, np1)
+    m0, rho0, np1 = m[0], rhos[0], n + 1
+    sums, e_TU, num_plain, den_t = _inversion(pair, T, f_next, np1)
     omega_next = []
     for j in range(1, N + 1):
         # both numerators carry the t_l weights; only the second denominator does
         s1 = _evaluate(sums[N - j], f_next) / num_plain
         s2 = _evaluate(sums[N + 1 - j], f_next) / den_t
-        sgn = mpf((-1) ** j)
-        rhs = sgn * mpf(np1 - 1) * e_TU[N + 1 - j] \
+        sgn = (-1) ** j
+        rhs = sgn * (np1 - 1) * e_TU[N + 1 - j] \
             + sgn * (np1 - rho0) * s1 \
             - sgn * (np1 + 1 + m0) * s2
         omega_next.append(rhs - state.omega[j - 1] - sgn * m[N + 1 - j])
@@ -241,19 +232,18 @@ def dg_step(state: DGState, pair: PolyPair) -> DGState:
 
 def dg_invert(state: DGState, pair: PolyPair):
     """Reflection-ratio and interior coordinate coefficients from (f, omega)
-    at the state's level n.
+    at the state's level n, in the kind of f.
 
     Returns ((n - rho_0) r_n/r_{n+1}, [vartheta^1 .. vartheta^{N-1}]).
     """
-    n = state.n
-    N = pair.N
-    m0 = pair.m_mpc()[0]
-    sums, _, num_plain, den_t = _inversion(pair, state.f, n)
-    scaled_ratio = (n + 1 + m0) * num_plain / den_t
+    n, N = state.n, pair.N
+    T, _, _, m, _ = pair.data_like(state.f)
+    sums, _, num_plain, den_t = _inversion(pair, T, state.f, n)
+    scaled_ratio = (n + 1 + m[0]) * num_plain / den_t
     vartheta = []
     for j in range(1, N):
         numj = _evaluate(sums[N - j], state.f)
-        vartheta.append((-1) ** (N + j) * (n + 1 + m0) * numj / den_t)
+        vartheta.append((-1) ** (N + j) * (n + 1 + m[0]) * numj / den_t)
     return scaled_ratio, vartheta
 
 
@@ -287,31 +277,29 @@ def tau_recovery(states: list, moments: MomentSequence) -> dict:
     coefficients along two independent recurrences (their relative
     disagreement is returned as ``lambda_delta``, for the caller to judge),
     the second-family reflections via the difference identity, and the
-    determinants from the product identity.  Needs the
-    trajectory of the moments' weight up to some n_max; returns the
-    determinants up to index n_max - 1 as ``I``, with ``lambda_delta`` and
+    determinants from the product identity, in the kind of the moments.
+    Needs the trajectory of the moments' weight up to some n_max; returns
+    the determinants up to index n_max + 1 as ``I``, with ``lambda_delta`` and
     ``rbar0_defect``, |rbar_0 - 1| by the difference identity.
     """
     pair = moments.pair
     N = pair.N
-    m = pair.m_mpc()
-    m0, m1 = m[0], m[1]
-    e = pair.e_mpc()
-    e1 = e[1]
-    rho0 = pair.weight.residues_mpc()[0]
+    w0 = moments.w(0)
+    _, rhos, e, m, _ = pair.data_like([w0])
+    m0, m1, e1, rho0 = m[0], m[1], e[1], rhos[0]
 
-    r = [mpc(1)]
+    r = [1]
     varthetas = []
     for st in states:
         ratio, vartheta = dg_invert(st, pair)
-        if abs(ratio) == 0:
+        if not ratio:
             raise Degenerate(f"reflection ratio vanished at n={st.n}")
         # (n - rho0) r_n / r_{n+1} = ratio
         r.append((st.n - rho0) * r[-1] / ratio)
         varthetas.append(vartheta)
 
-    lam = [mpc(0), r[1]]            # lambda_0, lambda_1
-    lam_alt = [mpc(0), r[1]]
+    lam = [0, r[1]]            # lambda_0, lambda_1
+    lam_alt = [0, r[1]]
     for st, vartheta in zip(states, varthetas):
         n = st.n
         if n + 2 >= len(r):
@@ -335,15 +323,14 @@ def tau_recovery(states: list, moments: MomentSequence) -> dict:
     delta = rel_error(lam_alt[:npts], lam[:npts], 1)
 
     # lambda_{k+1} - lambda_k = r_{k+1} rbar_k
-    rbar = [mpc(1)]
+    rbar = [1]
     for k in range(1, npts - 1):
-        if abs(r[k + 1]) == 0:
+        if not r[k + 1]:
             raise Degenerate(f"r_{k + 1} = 0 during recovery")
         rbar.append((lam[k + 1] - lam[k]) / r[k + 1])
     rbar0_defect = abs((lam[1] - lam[0]) / r[1] - 1)
 
-    w0 = to_mpc(moments.w(0))
-    dets = [mpc(1), w0]
+    dets = [1, w0]
     for n in range(1, len(rbar)):
         dets.append(dets[n] ** 2 * (1 - r[n] * rbar[n]) / dets[n - 1])
     return {"I": dets, "lambda_delta": delta, "rbar0_defect": rbar0_defect}

@@ -93,11 +93,9 @@ class QC:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def is_zero(self) -> bool:
-        return not self
-
-    def conjugate(self):
-        return QC(self.re, -self.im)
+    def __abs__(self):
+        """|x|, rounded through the mpc image at mp.prec."""
+        return abs(self.to_mpc())
 
     def to_mpc(self) -> mpmath.mpc:
         """The value with each part correctly rounded, to nearest at

@@ -57,6 +57,8 @@ from .weights import PolyPair, WeightData, eval_weight_on_circle, \
 # relative pivot floors for recurrence steps
 BACKWARD_PIVOT_FLOOR = 1e-3
 FORWARD_PIVOT_FLOOR = 1e-12
+# grid doublings of the trapezoid rule before a moment is given up
+QUADRATURE_MAX_LEVEL = 16
 
 
 def integer_rows(pair: PolyPair) -> tuple:
@@ -92,7 +94,7 @@ def free_moments(singularities) -> int:
     """How many consecutive moments the difference equation leaves free:
     M - 1 when the origin is among the (exact) singularities, M otherwise."""
     M = len(singularities)
-    return M - 1 if any(z.is_zero() for z in singularities) else M
+    return M if all(singularities) else M - 1
 
 
 def _rounded_quotient(terms, pr: int, pi: int) -> mpc:
@@ -125,17 +127,17 @@ class MomentSequence(Record):
     The precision ``plan`` is fixed when the sequence is built, from the
     working precision then in force.  Every moment the recurrence adds is
     computed at its sequence precision ``prec``, whoever asks, and the
-    oracle over the sequence adopts it.
+    oracle over the sequence adopts it.  A sequence whose values are QC is
+    exact: its recurrence runs with no rounding.
     """
 
-    _fields = ("pair", "values", "provenance", "exact", "plan")
+    _fields = ("pair", "values", "provenance", "plan")
 
     def __init__(self, pair: PolyPair, values: dict,
-                 provenance: str = "seeded", exact: bool = False):
+                 provenance: str = "seeded"):
         self.pair = pair
         self.values = values
         self.provenance = provenance
-        self.exact = exact
         self.plan = Plan.of(mp.prec)
         self._rows = integer_rows(pair)
         self._forward_pivot = pair.M - free_moments(pair.weight.singularities)
@@ -155,16 +157,14 @@ class MomentSequence(Record):
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_seeds(cls, pair: PolyPair, start: int, seeds,
-                   exact: bool = False) -> "MomentSequence":
-        conv = (lambda v: v) if exact else to_mpc
+    def from_seeds(cls, pair: PolyPair, start: int, seeds) -> "MomentSequence":
         order = free_moments(pair.weight.singularities)
         if len(seeds) != order:
             raise ValueError(
                 f"the difference equation leaves exactly {order} consecutive "
                 f"moments free, got {len(seeds)} seeds")
-        values = {start + i: conv(v) for i, v in enumerate(seeds)}
-        return cls(pair, values, provenance="seeded", exact=exact)
+        values = {start + i: v for i, v in enumerate(seeds)}
+        return cls(pair, values, provenance="seeded")
 
     # -- access / extension --------------------------------------------------
 
@@ -195,12 +195,14 @@ class MomentSequence(Record):
         integer row D g_k(j) = a_k - j b_k.
 
         A float sequence refuses a pivot with |g_pivot| <= floor max_k |g_k|,
-        compared as exact squares; an exact one refuses only a zero pivot.
+        compared as exact squares; an exact one (QC values) refuses only a
+        zero pivot.
         """
         D, ar, ai, br, bi = self._rows
         row = [(x - j * u, y - j * v) for x, y, u, v in zip(ar, ai, br, bi)]
         pr, pi = row[pivot]
-        if self.exact:
+        exact = isinstance(next(iter(self.values.values())), QC)
+        if exact:
             if not (pr or pi):
                 raise SingularStep("exact resonance: pivot vanished",
                                    index=j, factor=f"g_{pivot}", value=0)
@@ -219,7 +221,7 @@ class MomentSequence(Record):
             if j - k not in self.values:
                 raise ValueError(f"moment {j - k} unavailable for step")
             terms.append((x, y, self.values[j - k]))
-        if self.exact:
+        if exact:
             acc = sum((v * QC(x, y) for x, y, v in terms), QC(0))
             return -acc / QC(pr, pi)
         return _rounded_quotient(terms, pr, pi)
@@ -268,7 +270,7 @@ class ReflectedMoments:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def moment_quadrature(weight: WeightData, k: int, max_level: int = 16) -> mpc:
+def moment_quadrature(weight: WeightData, k: int) -> mpc:
     """w_k by contour quadrature of a single-valued weight.
 
     Smooth weights (no singularity on the circle) use the periodic trapezoid
@@ -296,7 +298,7 @@ def moment_quadrature(weight: WeightData, k: int, max_level: int = 16) -> mpc:
     if not circle_angles:
         prev = None
         npts = 16
-        for _ in range(max_level):
+        for _ in range(QUADRATURE_MAX_LEVEL):
             h = 2 * mp.pi / npts
             total = mpc(0)
             for i in range(npts):
@@ -474,16 +476,15 @@ def build_U(moments: MomentSequence) -> UPoly:
 
     The endpoints collapse to u_0 = (-1)^N w_0 m_{N+1} and u_{N+1} = w_0 m_0;
     interior coefficients combine the seed moments with the recurrence
-    weights.
+    weights, in the kind of the moments.
     """
     pair = moments.pair
     if free_moments(pair.weight.singularities) == pair.M:
         raise ValueError("closed-form U needs the origin among singularities")
     N = pair.N
-    e = pair.e_mpc()
-    m = pair.m_mpc()
-    w = [to_mpc(moments.w(k)) for k in range(0, N + 1)]
-    u = [mpc(0)] * (N + 2)
+    w = [moments.w(k) for k in range(0, N + 1)]
+    _, _, e, m, _ = pair.data_like(w)
+    u = [0] * (N + 2)
     u[0] = (-1) ** N * w[0] * m[N + 1]
     u[N + 1] = w[0] * m[0]
     for j in range(1, N + 1):

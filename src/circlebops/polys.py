@@ -1,8 +1,9 @@
 """Dense polynomial and truncated-series arithmetic.
 
 Coefficient lists are ascending in the variable.  The polynomial helpers are
-written against bare field operations (+, -, *, /) so the same code runs over
-exact Gaussian rationals and over mpc.
+written against bare field operations (+, -, *, /) with int literals, so the
+same code runs over exact Gaussian rationals and over mpc, as the level maps
+of ``discrete_garnier`` do.
 
 ``OffsetSeries`` is ``report.Grid``, the one exact integer-mantissa type,
 under the name the spectral path gives a truncated expansion

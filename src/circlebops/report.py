@@ -125,10 +125,6 @@ def judge(evaluations, tol, n=None) -> list:
             for label, residual in worst.items()]
 
 
-def all_passed(results) -> bool:
-    return all(r.passed for r in results)
-
-
 def failures(results):
     return [r for r in results if not r.passed]
 

@@ -119,6 +119,18 @@ class PolyPair(Memo, FrozenRecord):
     def m_mpc(self):
         return list(self._mpc()[3])
 
+    def data_like(self, values) -> tuple:
+        """(t_1..t_N, residues, e, m, V2) of a canonical pair in the kind
+        of ``values``, a field-generic map's input: the exact QC data when
+        they are QC, else (also for no values) the mpc images."""
+        if self.weight.placement != "canonical":
+            raise ValueError("the level maps assume canonical placement")
+        if values and isinstance(values[0], QC):
+            return (self.weight.free_singularities, self.weight.residues,
+                    self.e, self.m, self.V2)
+        (zs, rhos), (_, V2, e, m) = self.weight._mpc(), self._mpc()
+        return zs[1:-1], rhos, e, m, V2
+
 
 def _is_nonneg_int(rho: QC) -> bool:
     return rho.im == 0 and rho.re.denominator == 1 and rho.re >= 0

@@ -65,7 +65,7 @@ def test_lu_determinant_vs_exact_cofactor_n6():
     weight, _ = standard_case_m3()
     pair = build_poly_pair(weight)
     seeds = [QC("31/100", "17/100"), QC(1)]
-    msx = MomentSequence.from_seeds(pair, -1, seeds, exact=True)
+    msx = MomentSequence.from_seeds(pair, -1, seeds)
     msx.extend(-5, 5)
     n = 6
     exact = det_cofactor([[msx.values[i - j] for j in range(n)]

@@ -19,8 +19,8 @@ from circlebops.errors import SingularStep
 from circlebops.exact import QC
 from circlebops.garnier import coordinates_from_spectral, momentum
 from circlebops.moments import MomentSequence
-from circlebops.mputil import working_precision
-from circlebops.report import rel_residual
+from circlebops.mputil import parse_exact, working_precision
+from circlebops.report import rel_error, rel_residual
 from circlebops.spectral import SpectralWorkspace
 from circlebops.suites import state_delta
 from circlebops.weights import build_poly_pair, build_weight
@@ -111,6 +111,30 @@ def test_m3_specialisation_at_random_points():
                                                           mpf(1))
 
 
+def _exact_point(rng):
+    """A random QC with small numerators and denominators."""
+    return QC(Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+              Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+
+
+def test_m3_literal_forms_hold_exactly():
+    """At exact points the step runs over QC, with no rounding, and equals
+    the literal one-variable pair: the f-update and the omega sum rule."""
+    rng = random.Random(7)
+    t = QC("37/100", "21/100")
+    rho0, rho_t, rho1 = QC("1/3"), QC("-1/2"), QC("1/4")
+    pair = build_poly_pair(build_weight([0, ["37/100", "21/100"], 1],
+                                        ["1/3", "-1/2", "1/4"]))
+    for n in rng.sample(range(10), 5):
+        f, om = _exact_point(rng), _exact_point(rng)
+        stepped = dg_step(DGState(n=n, f=[f], omega=[om]), pair)
+        assert all(isinstance(x, QC) for x in stepped.f + stepped.omega)
+        assert stepped.f[0] == _m3_literal_step(f, om, t, rho0, rho_t,
+                                                rho1, n)
+        assert stepped.omega[0] + om == _m3_literal_omega_sum(
+            stepped.f[0], t, rho0, rho_t, rho1, n + 1)
+
+
 def _m4_literal_f_updates(f, g, om, vp, s, t, rho0, rho_s, rho_t, rho1, n):
     m0 = rho0 + rho_s + rho_t + rho1
     den = (om + vp + 1 + m0 + (n - rho0) * s * t + rho1 * (1 - s) * (t - 1)) * \
@@ -159,6 +183,19 @@ def test_m4_specialisation_at_random_points():
                    (n + 2 + m0) * num1 / den2)
         got_vp = stepped.omega[1] + vp
         assert abs(got_vp - want_vp) < mpf(1e-24) * max(abs(want_vp), mpf(1))
+
+
+def test_m4_literal_f_updates_hold_exactly():
+    rng = random.Random(19)
+    s, t = QC("1/4", "1/3"), QC("-3/5")
+    pair = build_poly_pair(build_weight([0, ["1/4", "1/3"], ["-3/5", 0], 1],
+                                        ["-2/7", "1/5", "2/9", "1/2"]))
+    rho0, rho_s, rho_t, rho1 = pair.weight.residues
+    for n in rng.sample(range(10), 5):
+        f, g, om, vp = (_exact_point(rng) for _ in range(4))
+        stepped = dg_step(DGState(n=n, f=[f, g], omega=[om, vp]), pair)
+        assert stepped.f == list(_m4_literal_f_updates(
+            f, g, om, vp, s, t, rho0, rho_s, rho_t, rho1, n))
 
 
 def test_m4_displayed_initial_conditions():
@@ -296,6 +333,27 @@ def test_tau_recovery_matches_determinants():
         for n in range(11):
             In = ws.oracle.det(n)
             assert abs(rec["I"][n] - In) < mpf(1e-25) * max(abs(In), mpf(1))
+
+
+def test_exact_trajectory_of_the_readme_weight():
+    """The maps over QC, from the exact binary values of the README run's
+    seeds: every f and omega to n = 12 is a QC within 2^-120 of the
+    128-bit trajectory, and exact tau recovery gives each I_n within
+    2^-120 of the oracle determinant."""
+    weight, _ = standard_case_m3()
+    seeds = [parse_exact([0.31, 0.17]), QC(1)]
+    ws = make_workspace(weight, [x.to_mpc() for x in seeds])
+    moments = MomentSequence.from_seeds(ws.pair, -1, seeds)
+    traj = dg_trajectory(dg_initial(moments), ws.pair, 12)
+    floats = dg_run(ws, 12)
+    tol = mpf(2) ** -120
+    for state, ref in zip(traj, floats):
+        for x, y in zip(state.f + state.omega, ref.f + ref.omega):
+            assert isinstance(x, QC) and rel_error(x, y) < tol, state.n
+    rec = tau_recovery(traj, moments)
+    assert rec["lambda_delta"] == 0 and rec["rbar0_defect"] == 0
+    for n, In in enumerate(rec["I"]):
+        assert rel_error(In, ws.oracle.det(n)) < tol, n
 
 
 def test_inversion_leaves_the_state_unchanged():

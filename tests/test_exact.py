@@ -28,8 +28,7 @@ def test_field_operations():
     assert (a / b) * b == a
     assert a ** 3 == a * a * a
     assert a ** -2 == QC(1) / (a * a)
-    assert (a - a).is_zero()
-    assert a.conjugate().im == Fraction(1, 2)
+    assert not a - a
 
 
 def test_to_mpc_matches_parts():
@@ -49,7 +48,7 @@ def test_exact_determinant_vs_lu(vals):
 
 def test_singular_matrix_detected():
     row = [QC(1), QC(2)]
-    assert det_cofactor([row, row]).is_zero()
+    assert not det_cofactor([row, row])
 
 
 def _exact(x: mpf) -> Fraction:

@@ -120,12 +120,10 @@ def test_no_src_function_takes_a_parameter_it_never_reads():
 # Defined in src/ and read only by the tests: the second routes and test
 # helpers of ROADMAP item 5, which a reference suite would give a caller.
 READ_ONLY_BY_TESTS = {
-    "MomentSequence.max_residual", "QC.conjugate",
-    "ToeplitzOracle.orthonormality_residual",
-    "WeightData.free_singularities", "all_passed", "canonical_transform",
-    "caratheodory_ode_residual", "orthogonality_residual",
-    "phi_from_determinant", "residue_identity_defect", "toeplitz_det",
-    "u_from_series"}
+    "MomentSequence.max_residual", "ToeplitzOracle.orthonormality_residual",
+    "canonical_transform", "caratheodory_ode_residual",
+    "orthogonality_residual", "phi_from_determinant",
+    "residue_identity_defect", "toeplitz_det", "u_from_series"}
 
 
 def test_every_src_function_has_a_reader_in_src():
@@ -189,6 +187,43 @@ def test_no_src_module_but_the_plan_does_arithmetic_on_mp_prec():
                 continue
             if any(map(_is_mp_prec, operands)):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+# The field-generic maps, by module.  They run over mpc and over exact QC
+# alike, and read the pair's data in the kind of their input
+# (``PolyPair.data_like``).
+GENERIC_MAPS = {
+    "discrete_garnier.py": {
+        "_vanishes", "vandermonde", "_inversion_table", "_evaluate",
+        "_inversion", "dg_initial", "_omega_brackets", "dg_step",
+        "dg_invert", "tau_recovery"},
+    "moments.py": {"build_U"},
+}
+FLOAT_BOUND = {"mpc", "mpf", "to_mpc"}
+
+
+def _binds_a_float_kind(node) -> bool:
+    """A name of ``FLOAT_BOUND`` or an ``*_mpc`` attribute."""
+    if isinstance(node, ast.Name):
+        return node.id in FLOAT_BOUND
+    return isinstance(node, ast.Attribute) and (
+        node.attr in FLOAT_BOUND or node.attr.endswith("_mpc"))
+
+
+def test_the_generic_maps_are_tied_to_no_float_kind():
+    """The maps of ``GENERIC_MAPS`` construct no mpc or mpf, call no
+    ``to_mpc`` and read no ``*_mpc()`` image of the pair: its data reaches
+    them through ``PolyPair.data_like`` alone."""
+    src = Path(circlebops.__file__).parent
+    found = []
+    for module, names in GENERIC_MAPS.items():
+        tree = ast.parse((src / module).read_text())
+        fns = {node.name: node for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+        assert names <= set(fns), sorted(names - set(fns))
+        found += [f"{module}:{node.lineno} {name}" for name in sorted(names)
+                  for node in ast.walk(fns[name]) if _binds_a_float_kind(node)]
     assert not found, found
 
 
@@ -312,8 +347,6 @@ def test_errors_are_raised_by_cause():
 # Every src parameter with a bool default, and why it is there.  A switch
 # keeps two forms of what it switches, so a new one is named here.
 BOOL_KNOBS = {
-    "MomentSequence.__init__ exact": "the tests' exact reference path",
-    "MomentSequence.from_seeds exact": "the tests' exact reference path",
     "build_weight validate": "a test seam: weight data past the checks",
 }
 
@@ -372,7 +405,7 @@ def _samples():
         GarnierPoint: (dict(n=1, q=[mpc(1)], p=[mpc(2)], theta_inf=mpc(3)),
                        {}),
         MomentSequence: (dict(pair=pair, values={-1: mpc(1), 0: mpc(2)}),
-                         dict(provenance="seeded", exact=False)),
+                         dict(provenance="seeded")),
         UPoly: (dict(u=(mpc(1), mpc(2))), {}),
         CheckResult: (dict(label="rrCf:a", residual=mpf(1), tol=mpf(2)),
                       dict(n=None, note="")),

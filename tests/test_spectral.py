@@ -21,7 +21,7 @@ from circlebops.moments import MomentSequence, ReflectedMoments, build_U
 from circlebops.mputil import working_precision
 from circlebops.polys import (padd, pdiff, peval, pmax_abs, pscale, pshift,
                              psub)
-from circlebops.report import all_passed, failures, judge, rel_error
+from circlebops.report import failures, judge, rel_error
 from circlebops.spectral import (SERIES_BUFFER, SpectralData,
                                  SpectralWorkspace,
                                  check_bilinear, check_linear_recurrences,
@@ -174,8 +174,8 @@ def test_parameterisation_endpoints():
 def test_linear_recurrences_and_transitions():
     ws = _ws()
     for n in (1, 3, 5):
-        assert all_passed(judge(check_linear_recurrences(ws, n), TOL, n))
-        assert all_passed(judge(check_transitions(ws, n, 23), TOL, n))
+        assert not failures(judge(check_linear_recurrences(ws, n), TOL, n))
+        assert not failures(judge(check_transitions(ws, n, 23), TOL, n))
 
 
 def test_recurrence_residual_gauge_invariant():
@@ -186,7 +186,7 @@ def test_recurrence_residual_gauge_invariant():
     flip = SpectralWorkspace(ToeplitzOracle(ms, gauge={2: -1, 4: -1}))
     for wsx in (base, flip):
         res = judge(check_linear_recurrences(wsx, 3), TOL, 3)
-        assert all_passed(res), failures(res)
+        assert not failures(res), failures(res)
 
 
 def test_zero_residue_weight_is_excluded_input():
@@ -200,7 +200,7 @@ def test_bilinear_relations():
         ws = _ws(case)
         for n in (0, 1, 3):
             res = judge(check_bilinear(ws, n), TOL, n)
-            assert all_passed(res), [(r.label, r.residual) for r in
+            assert not failures(res), [(r.label, r.residual) for r in
                                      failures(res)]
 
 
@@ -210,7 +210,7 @@ def test_summation_identities_with_coordinates():
         pt = coordinates_from_spectral(ws, n)
         res = judge(check_summation_identities(ws, n, garnier_point=pt), TOL,
                     n)
-        assert all_passed(res), [(r.label, r.residual) for r in
+        assert not failures(res), [(r.label, r.residual) for r in
                                  failures(res)]
 
 
@@ -337,7 +337,7 @@ def test_residue_matrices_structure():
     ws = _ws(standard_case_m4)
     for n in (0, 2):
         res = judge(residue_structure_checks(ws, n), TOL, n)
-        assert all_passed(res)
+        assert not failures(res)
     mats0 = residue_matrices(ws, 1)
     # upper-triangular origin residue: second row identically zero
     assert abs(mats0[0][1][0]) < TOL and abs(mats0[0][1][1]) < TOL
@@ -366,7 +366,7 @@ def test_partial_fractions_catch_a_perturbed_residue_matrix():
     """A relative error of 1e-18 in one entry of one residue matrix fails
     An:pf at tolerance 1e-20."""
     ws = _ws()
-    assert all_passed(judge(residue_structure_checks(ws, 4), mpf(1e-20), 4))
+    assert not failures(judge(residue_structure_checks(ws, 4), mpf(1e-20), 4))
     mats = residue_matrices(ws, 4)
     mats[1][0][1] = _perturbed(mats[1][0][1])
     got, = [r for r in judge(residue_structure_checks(ws, 4), mpf(1e-20), 4)
@@ -378,7 +378,7 @@ def test_scalar_ode_catches_a_perturbed_leading_coefficient():
     """A relative error of 1e-18 in the leading coefficient of phi_n fails
     2ODE:a at tolerance 1e-20, and leaves 2ODE:b alone."""
     ws = _ws()
-    assert all_passed(judge(scalar_ode_residuals(ws, 4), mpf(1e-20), 4))
+    assert not failures(judge(scalar_ode_residuals(ws, 4), mpf(1e-20), 4))
     phi = ws.level(4).phi
     phi[-1] = _perturbed(phi[-1])
     a, b = judge(scalar_ode_residuals(ws, 4), mpf(1e-20), 4)
@@ -397,7 +397,7 @@ def test_scalar_ode_residuals_and_structure():
     ws = _ws(standard_case_m4)
     for n in (1, 4):
         res = judge(scalar_ode_residuals(ws, n), mpf(1e-22), n)
-        assert all_passed(res)
+        assert not failures(res)
         # first coefficient has the displayed partial-fraction structure
         pt = coordinates_from_spectral(ws, n)
         zs = ws.singularities()
@@ -421,9 +421,9 @@ def test_lattice_on_random_weights():
         weight, seeds = random_canonical_case(seed, N)
         ws = make_workspace(weight, seeds)
         for n in (1, 2):
-            assert all_passed(judge(check_linear_recurrences(ws, n),
+            assert not failures(judge(check_linear_recurrences(ws, n),
                                     mpf(1e-22), n))
-            assert all_passed(judge(check_bilinear(ws, n), mpf(1e-22), n))
+            assert not failures(judge(check_bilinear(ws, n), mpf(1e-22), n))
 
 
 def test_pipeline_runs_at_minimum_precision():
@@ -431,9 +431,9 @@ def test_pipeline_runs_at_minimum_precision():
     from circlebops.mputil import working_precision
     with working_precision(53):
         ws = make_workspace(*standard_case_m3())
-        assert all_passed(judge(check_linear_recurrences(ws, 2), mpf(1e-9),
+        assert not failures(judge(check_linear_recurrences(ws, 2), mpf(1e-9),
                                 2))
-        assert all_passed(judge(check_bilinear(ws, 2), mpf(1e-9), 2))
+        assert not failures(judge(check_bilinear(ws, 2), mpf(1e-9), 2))
         assert ws.data(3).band_residual < mpf(1e-11)
 
 
@@ -602,7 +602,7 @@ def test_a_planted_error_in_one_schur_entry_fails_a_check():
     planted before anything reads it, fails the Casoratian checks of level
     3 at tolerance 1e-40, which pass without it."""
     tol = mpf("1e-40")
-    assert all_passed(judge_rows(_ws(), tol, [(casoratian_checks, range(4))]))
+    assert not failures(judge_rows(_ws(), tol, [(casoratian_checks, range(4))]))
     ws = _ws()
     oracle = ws.oracle
     with oracle.precision():
