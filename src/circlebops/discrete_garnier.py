@@ -64,17 +64,17 @@ class DGState(Record):
         self.omega = omega
 
 
-def _vanishes(x, *scales) -> bool:
+def _vanishes(x, *scales, plan=None) -> bool:
     """The maps' one zero test: x == 0 for a QC; for an mpc, |x| below the
-    plan's ``denominator_floor`` times max(|scales|.., 1), compared as
-    exact squares."""
+    ``denominator_floor`` of ``plan`` (by default the working precision's)
+    times max(|scales|.., 1), compared as exact squares."""
     if isinstance(x, QC):
         return not x
     top = (1, 0)
     for s in scales:
         if exceeds(abs_square(s), top):
             top = abs_square(s)
-    fm, fe = abs_square(Plan.of(mp.prec).denominator_floor)
+    fm, fe = abs_square((plan or Plan.of(mp.prec)).denominator_floor)
     return exceeds((fm * top[0], fe + top[1]), abs_square(x))
 
 
@@ -153,7 +153,8 @@ def dg_from_spectral(ws: SpectralWorkspace, n: int) -> DGState:
 
 def dg_initial(moments: MomentSequence) -> DGState:
     """Level-zero state from the generating-function polynomial U of the
-    moments (``build_U``), in the kind of the moments."""
+    moments (``build_U``), in the kind of the moments; an mpc 2V(1) - k0^2
+    U(1) vanishes below the floor of the moments' plan."""
     pair = moments.pair
     N = pair.N
     w0, wm1 = moments.w(0), moments.w(-1)
@@ -163,7 +164,7 @@ def dg_initial(moments: MomentSequence) -> DGState:
     T, _, _, _, V2 = pair.data_like([w0])
     minus = psub(V2, pscale(build_U(moments).u, 1 / w0))   # 2V - k0^2 U
     den = peval(minus, 1)
-    if _vanishes(den):
+    if _vanishes(den, plan=moments.plan):
         raise Degenerate("2V(1) = k0^2 U(1): initial f undefined")
     f = [peval(minus, t) / (t * den) for t in T]
     omega = [(-1) ** N * (minus[j] / 2 - w0 / (2 * wm1) * minus[j - 1])
@@ -328,7 +329,7 @@ def tau_recovery(states: list, moments: MomentSequence) -> dict:
         if not r[k + 1]:
             raise Degenerate(f"r_{k + 1} = 0 during recovery")
         rbar.append((lam[k + 1] - lam[k]) / r[k + 1])
-    rbar0_defect = abs((lam[1] - lam[0]) / r[1] - 1)
+    rbar0_defect = rel_error((lam[1] - lam[0]) / r[1], 1)
 
     dets = [1, w0]
     for n in range(1, len(rbar)):

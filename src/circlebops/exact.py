@@ -93,10 +93,6 @@ class QC:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def __abs__(self):
-        """|x|, rounded through the mpc image at mp.prec."""
-        return abs(self.to_mpc())
-
     def to_mpc(self) -> mpmath.mpc:
         """The value with each part correctly rounded, to nearest at
         mp.prec (``round_rational``): one rounding of the exact quotient,

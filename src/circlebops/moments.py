@@ -127,8 +127,9 @@ class MomentSequence(Record):
     The precision ``plan`` is fixed when the sequence is built, from the
     working precision then in force.  Every moment the recurrence adds is
     computed at its sequence precision ``prec``, whoever asks, and the
-    oracle over the sequence adopts it.  A sequence whose values are QC is
-    exact: its recurrence runs with no rounding.
+    oracle over the sequence adopts it.  A sequence whose values are all QC
+    is exact: its recurrence runs with no rounding.  The kind is read once,
+    from the values it is built with.
     """
 
     _fields = ("pair", "values", "provenance", "plan")
@@ -139,6 +140,8 @@ class MomentSequence(Record):
         self.values = values
         self.provenance = provenance
         self.plan = Plan.of(mp.prec)
+        self._exact = bool(values) and all(isinstance(v, QC)
+                                           for v in values.values())
         self._rows = integer_rows(pair)
         self._forward_pivot = pair.M - free_moments(pair.weight.singularities)
 
@@ -158,13 +161,16 @@ class MomentSequence(Record):
 
     @classmethod
     def from_seeds(cls, pair: PolyPair, start: int, seeds) -> "MomentSequence":
+        """The sequence with the seeds at start, start + 1, ..: exact when
+        every seed is a QC; otherwise each is coerced with ``to_mpc``."""
         order = free_moments(pair.weight.singularities)
         if len(seeds) != order:
             raise ValueError(
                 f"the difference equation leaves exactly {order} consecutive "
                 f"moments free, got {len(seeds)} seeds")
-        values = {start + i: v for i, v in enumerate(seeds)}
-        return cls(pair, values, provenance="seeded")
+        if not all(isinstance(v, QC) for v in seeds):
+            seeds = [to_mpc(v) for v in seeds]
+        return cls(pair, dict(enumerate(seeds, start)), provenance="seeded")
 
     # -- access / extension --------------------------------------------------
 
@@ -195,14 +201,12 @@ class MomentSequence(Record):
         integer row D g_k(j) = a_k - j b_k.
 
         A float sequence refuses a pivot with |g_pivot| <= floor max_k |g_k|,
-        compared as exact squares; an exact one (QC values) refuses only a
-        zero pivot.
+        compared as exact squares; an exact one refuses only a zero pivot.
         """
         D, ar, ai, br, bi = self._rows
         row = [(x - j * u, y - j * v) for x, y, u, v in zip(ar, ai, br, bi)]
         pr, pi = row[pivot]
-        exact = isinstance(next(iter(self.values.values())), QC)
-        if exact:
+        if self._exact:
             if not (pr or pi):
                 raise SingularStep("exact resonance: pivot vanished",
                                    index=j, factor=f"g_{pivot}", value=0)
@@ -221,7 +225,7 @@ class MomentSequence(Record):
             if j - k not in self.values:
                 raise ValueError(f"moment {j - k} unavailable for step")
             terms.append((x, y, self.values[j - k]))
-        if exact:
+        if self._exact:
             acc = sum((v * QC(x, y) for x, y, v in terms), QC(0))
             return -acc / QC(pr, pi)
         return _rounded_quotient(terms, pr, pi)

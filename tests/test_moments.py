@@ -71,6 +71,20 @@ def test_exact_round_trip():
     assert back.values[-10] == ms.values[-10]
 
 
+def test_seeds_of_mixed_kinds_take_the_rounded_step():
+    """Seeds that are not all QC (an int, a Fraction, a QC beside an mpc)
+    are coerced to mpc, and the sequence extends as from mpc seeds."""
+    pair, _ = _pair_m3()
+    want = MomentSequence.from_seeds(pair, -1, [mpc("0.25", "0.5"), mpc(1)])
+    want.extend(-6, 6)
+    for seeds in ([mpc("0.25", "0.5"), 1], [QC("1/4", "1/2"), mpc(1)],
+                  [mpc("0.25", "0.5"), Fraction(1)]):
+        ms = MomentSequence.from_seeds(pair, -1, seeds)
+        ms.extend(-6, 6)
+        assert all(isinstance(v, mpc) for v in ms.values.values())
+        assert ms.values == want.values
+
+
 def test_float_round_trip_tight():
     pair, seeds = _pair_m3()
     ms = MomentSequence.from_seeds(pair, -1, seeds)

@@ -200,7 +200,9 @@ GENERIC_MAPS = {
         "dg_invert", "tau_recovery"},
     "moments.py": {"build_U"},
 }
-FLOAT_BOUND = {"mpc", "mpf", "to_mpc"}
+# abs() stands for a float floor test, abs(x) < floor * scale: the maps'
+# one zero test is ``_vanishes``
+FLOAT_BOUND = {"mpc", "mpf", "to_mpc", "abs"}
 
 
 def _binds_a_float_kind(node) -> bool:
@@ -213,8 +215,9 @@ def _binds_a_float_kind(node) -> bool:
 
 def test_the_generic_maps_are_tied_to_no_float_kind():
     """The maps of ``GENERIC_MAPS`` construct no mpc or mpf, call no
-    ``to_mpc`` and read no ``*_mpc()`` image of the pair: its data reaches
-    them through ``PolyPair.data_like`` alone."""
+    ``to_mpc`` or ``abs`` and read no ``*_mpc()`` image of the pair: its
+    data reaches them through ``PolyPair.data_like`` alone, and a zero test
+    goes through ``_vanishes``."""
     src = Path(circlebops.__file__).parent
     found = []
     for module, names in GENERIC_MAPS.items():
