@@ -125,15 +125,13 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
     zs = ws0.singularities()
     M = len(zs)
     sd_nm1 = ws0.data(n - 1)
-    sd_n = ws0.data(n)
     lev_n = ws0.level(n)
     lev_n1 = ws0.level(n + 1)
     kr = ws0.kappa_ratio(n)
+    pts = ws0.points(n)
     wp = [ws0.wprime_at(z) for z in zs]
-    V = [ws0.at("V", z) for z in zs]
     woz = [ws0.at("Woz", z) for z in zs]
-    theta = [sd_n.at("theta", z) for z in zs]
-    omega = [sd_n.at("omega", z) for z in zs]
+    theta = [pt.theta for pt in pts]
 
     # -- reflection-coefficient dynamics --------------------------------------
     # carries a 1/z_j weight (derived from the deformation system at the
@@ -144,21 +142,19 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
     for j in range(M):
         if zd[j] == 0:
             continue
-        want_r += zd[j] * (sd_nm1.at("omega", zs[j]) - V[j]) / \
+        want_r += zd[j] * (sd_nm1.at("omega", zs[j]) - pts[j].V) / \
             (zs[j] * wp[j])
-        want_rbar += zd[j] * (sd_nm1.at("omegastar", zs[j]) + V[j]) / \
+        want_rbar += zd[j] * (sd_nm1.at("omegastar", zs[j]) + pts[j].V) / \
             (zs[j] * wp[j])
     want_r *= lev_n.r
     want_rbar *= lev_n.rbar
 
     # -- residue-matrix derivatives: the parts at the base point --------------
     mats0 = residue_matrices(ws0, n)
-    brace = [2 * omega[j] - 2 * kr * zs[j] * theta[j] + n * woz[j]
-             for j in range(M)]
-    # the two brackets of each 11 component form
-    p = [omega[j] + V[j] - kr * zs[j] * theta[j] for j in range(M)]
-    m = [omega[j] - V[j] - kr * zs[j] * theta[j] + n * woz[j]
-         for j in range(M)]
+    brace = [2 * pt.omega - 2 * kr * pt.z * pt.theta + n * w
+             for pt, w in zip(pts, woz)]
+    # the 11 component forms read the brackets plus and minus + n W/z
+    m = [pt.minus + n * w for pt, w in zip(pts, woz)]
     # the k-sums of the 12 and 11 component forms, term by term
     sum_a, sum_b = [], []
     for j in range(M):
@@ -169,8 +165,8 @@ def deformation_residuals(ws0: SpectralWorkspace, stencil: dict, zdot: list,
                 continue
             c = (1 / wp[k]) * ((zd[j] - zd[k]) / (zs[j] - zs[k]))
             sum_a[j].append(c * (theta[k] * brace[j] - theta[j] * brace[k]))
-            sum_b[j].append(c * ((theta[j] / theta[k]) * p[k] * m[k] -
-                                 (theta[k] / theta[j]) * p[j] * m[j]))
+            sum_b[j].append(c * ((theta[j] / theta[k]) * pts[k].plus * m[k] -
+                                 (theta[k] / theta[j]) * pts[j].plus * m[j]))
     # the base part of each Schlesinger right side,
     # sum_k (zdot_j - zdot_k)/(z_j - z_k) [A_k, A_j], formed exactly
     sch = [add_grids([product((zd[j] - zd[k]) / (zs[j] - zs[k]),

@@ -285,6 +285,8 @@ def tau_recovery(states: list, moments: MomentSequence) -> dict:
     """
     pair = moments.pair
     N = pair.N
+    if N == 0:
+        raise ValueError("tau recovery needs a free singularity (M >= 3)")
     w0 = moments.w(0)
     _, rhos, e, m, _ = pair.data_like([w0])
     m0, m1, e1, rho0 = m[0], m[1], e[1], rhos[0]

@@ -41,17 +41,24 @@ folds, label by label, into checks.  ``SpectralData`` (per level) and
 ``SpectralWorkspace`` (for W, V and their derivatives) put each polynomial
 on its exact grid (``Grid.of``, derivatives taken on the grid) once; the
 checks at points evaluate it once per point by ``polys.peval_grid``,
-Horner's rule in integers with one rounding per part.  Every entry is keyed
-by the working precision, so a value cached at one precision never serves
-another.  The coefficient identities (rrCf:a-k) hand their multiplier
-products to ``vector_residual`` as factor tuples, which it forms exactly.
-So do An:pf and 2ODE:a/b: with the denominators cleared, the partial
-fractions of A_n and the scalar ODEs of phi_n and phistar_n are polynomial
-identities, checked coefficient by coefficient with each additive piece a
-vector of its own, and no sample point.
+Horner's rule in integers with one rounding per part.  At the finite
+singularities the workspace keeps one table per level (``points``): the
+values there, kz = kr z Theta_n with kr = kappa_{n+1}/kappa_n, and the three
+brackets of A_n's entries, Omega_n + V - kz, Omega_n - V - kz and
+Omegastar_n - V - kr Thetastar_n, each formed once and read there by the
+residue matrices, Tform:b, OTeq:e, sum2:c/d and the deformation checks.
+Every entry is keyed by the working precision, so a value cached at one
+precision never serves another.  The coefficient identities (rrCf:a-k)
+hand their multiplier products to ``vector_residual`` as factor tuples,
+which it forms exactly.  So do An:pf and 2ODE:a/b: with the denominators
+cleared, the partial fractions of A_n and the scalar ODEs of phi_n and
+phistar_n are polynomial identities, checked coefficient by coefficient
+with each additive piece a vector of its own, and no sample point.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import mpmath
 from mpmath import mp, mpf, mpc
@@ -243,6 +250,24 @@ class SpectralWorkspace(_PointTable):
         return self.memo(("kappa_ratio", n),
                          lambda: self.level(n + 1).kappa / self.level(n).kappa)
 
+    def points(self, n: int) -> list:
+        """Level n's table at the finite singularities, in weight order: at
+        each z, V, the four spectral polynomials, kz = kr z Theta_n and the
+        three brackets of A_n's entries, plus = Omega_n + V - kz, minus =
+        Omega_n - V - kz and star = Omegastar_n - V - kr Thetastar_n, with
+        kr = kappa_{n+1}/kappa_n; formed once per level and precision."""
+        def point(sd, kr, z):
+            V, th, om = self.at("V", z), sd.at("theta", z), sd.at("omega", z)
+            ts, os_ = sd.at("thetastar", z), sd.at("omegastar", z)
+            kz = kr * z * th
+            return SimpleNamespace(
+                z=z, V=V, theta=th, omega=om, thetastar=ts, omegastar=os_,
+                kz=kz, plus=om + V - kz, minus=om - V - kz,
+                star=os_ - V - kr * ts)
+        return self.memo(("points", n), lambda: [
+            point(self.data(n), self.kappa_ratio(n), z)
+            for z in self.singularities()])
+
     # -- W, 2V, V, W/z and their derivatives, by name -------------------------
 
     def _base(self, name):
@@ -279,19 +304,14 @@ def residue_matrices(ws: SpectralWorkspace, n: int) -> list:
     The workspace keeps them per level and precision.
     """
     def make():
-        sd = ws.data(n)
         lev_n, lev_n1 = ws.level(n), ws.level(n + 1)
-        kr = ws.kappa_ratio(n)
         out = []
-        for z in ws.singularities():
-            inv = 1 / ws.wprime_at(z)
-            Vz = ws.at("V", z)
-            th, om = sd.at("theta", z), sd.at("omega", z)
-            ts, os_ = sd.at("thetastar", z), sd.at("omegastar", z)
-            out.append([[-(om + Vz - kr * z * th) * inv,
-                         (lev_n1.phi0 / lev_n.kappa) * th * inv],
-                        [-(lev_n1.phibar0 / lev_n.kappa) * z * ts * inv,
-                         (os_ - Vz - kr * ts) * inv]])
+        for pt in ws.points(n):
+            inv = 1 / ws.wprime_at(pt.z)
+            out.append([[-pt.plus * inv,
+                         (lev_n1.phi0 / lev_n.kappa) * pt.theta * inv],
+                        [-(lev_n1.phibar0 / lev_n.kappa) * pt.z *
+                         pt.thetastar * inv, pt.star * inv]])
         return out
     return ws.memo(("residues", n), make)
 
@@ -482,20 +502,15 @@ def check_transitions(ws: SpectralWorkspace, n: int, seed: int):
     # Tform:a / Tform:b at every finite singularity (origin uses W'(0) as the
     # limit of W(z)/z)
     coupling = l1.phi0 * l1.phibar0 / l0.kappa ** 2
-    for zj in ws.singularities():
-        yield "Tform:a", rel_residual(_j_terms(ws, n, zj))
-        woz = ws.at("Woz", zj)
-        Vz = ws.at("V", zj)
-        th, om = s0.at("theta", zj), s0.at("omega", zj)
-        ts = s0.at("thetastar", zj)
-        kzth = kr * zj * th
-        lhs = coupling * zj * ts
-        b1 = om + Vz - kzth
-        b2 = om - Vz - kzth + n * woz
-        rhs = b1 * b2 / th
+    for pt in ws.points(n):
+        yield "Tform:a", rel_residual(_j_terms(ws, n, pt.z))
+        woz, th = ws.at("Woz", pt.z), pt.theta
+        lhs = coupling * pt.z * pt.thetastar
+        rhs = pt.plus * (pt.minus + n * woz) / th
         # custom scale: at the origin both sides vanish by cancellation
-        # inside b2; measure against the pre-cancellation magnitudes
-        s1 = largest_abs([om, Vz, kzth])
+        # inside the second bracket; measure against the pre-cancellation
+        # magnitudes
+        s1 = largest_abs([pt.omega, pt.V, pt.kz])
         s2 = max(s1, abs(n * woz))
         sb = (abs(lhs), s1 * s2 / abs(th)) if th != 0 else (abs(lhs),)
         yield "Tform:b", ratio(abs(lhs - rhs), *sb)
@@ -503,27 +518,20 @@ def check_transitions(ws: SpectralWorkspace, n: int, seed: int):
 
 def check_bilinear(ws: SpectralWorkspace, n: int):
     """The five bilinear evaluations at every nonzero finite singularity."""
-    s0, s1 = ws.data(n), ws.data(n + 1)
+    pts, s1 = ws.points(n)[1:], ws.data(n + 1)
     l0, l1, l2 = ws.level(n), ws.level(n + 1), ws.level(n + 2)
-    kr = ws.kappa_ratio(n)
-    zs = ws.singularities()[1:]
 
     def pair(label, lhs, rhs):
         return label, rel_residual([lhs, -rhs], 1e-40)
 
-    def values(zj):
-        """V, Theta_n, Omega_n, Thetastar_n and Omegastar_n at zj."""
-        return (ws.at("V", zj), s0.at("theta", zj), s0.at("omega", zj),
-                s0.at("thetastar", zj), s0.at("omegastar", zj))
-
     ca = l0.kappa * l2.phi0 / (l1.kappa * l1.phi0)
     cb = l0.kappa * l2.phibar0 / (l1.kappa * l1.phibar0)
-    for zj in zs:
-        Vz, th, om, ts, os_ = values(zj)
-        yield pair("OTeq:a", om ** 2,
-                   ca * zj * th * s1.at("theta", zj) + Vz ** 2)
-        yield pair("OTeq:b", os_ ** 2,
-                   cb * zj * ts * s1.at("thetastar", zj) + Vz ** 2)
+    for pt in pts:
+        zj, th, ts = pt.z, pt.theta, pt.thetastar
+        yield pair("OTeq:a", pt.omega ** 2,
+                   ca * zj * th * s1.at("theta", zj) + pt.V ** 2)
+        yield pair("OTeq:b", pt.omegastar ** 2,
+                   cb * zj * ts * s1.at("thetastar", zj) + pt.V ** 2)
 
     if n >= 1:
         sm1 = ws.data(n - 1)
@@ -534,17 +542,16 @@ def check_bilinear(ws: SpectralWorkspace, n: int):
         cd = (lm1.kappa ** 2 / l0.kappa ** 2) * (l1.phibar0 / l0.phibar0)
         rc = lm1.kappa * l1.phi0 * l0.phibar0 / l0.kappa ** 3
         rd = lm1.kappa * l1.phibar0 * l0.phi0 / l0.kappa ** 3
-        for zj in zs:
-            Vz, th, _, ts, _ = values(zj)
+        for pt in pts:
+            zj, th, ts = pt.z, pt.theta, pt.thetastar
             yield pair("OTeq:c", (sm1.at("omega", zj) - cc * th) ** 2,
-                       rc * th * sm1.at("thetastar", zj) + Vz ** 2)
+                       rc * th * sm1.at("thetastar", zj) + pt.V ** 2)
             yield pair("OTeq:d", (sm1.at("omegastar", zj) - cd * zj * ts) ** 2,
-                       rd * zj ** 2 * ts * sm1.at("theta", zj) + Vz ** 2)
+                       rd * zj ** 2 * ts * sm1.at("theta", zj) + pt.V ** 2)
     ce = l1.phi0 * l1.phibar0 / l0.kappa ** 2
-    for zj in zs:
-        Vz, th, om, ts, os_ = values(zj)
-        yield pair("OTeq:e", ce * zj * th * ts,
-                   (om + Vz - kr * zj * th) * (os_ - Vz - kr * ts))
+    for pt in pts:
+        yield pair("OTeq:e", ce * pt.z * pt.theta * pt.thetastar,
+                   pt.plus * pt.star)
 
 
 # ---------------------------------------------------------------------------
@@ -567,28 +574,24 @@ def check_summation_identities(ws: SpectralWorkspace, n: int, garnier_point):
     the coordinate-sum families at the roots q of ``garnier_point``."""
     sd = ws.data(n)
     l0, l1 = ws.level(n), ws.level(n + 1)
-    kr = ws.kappa_ratio(n)
-    zs = ws.singularities()
+    zs, pts = ws.singularities(), ws.points(n)
     rhos = ws.residues()
     rho_sum = sum(rhos)
 
     wp = [ws.wprime_at(z) for z in zs]
-    th = [sd.at("theta", z) for z in zs]
+    th = [pt.theta for pt in pts]
     th_w = [t / w for t, w in zip(th, wp)]
-    Vz = [ws.at("V", z) for z in zs]
 
     yield "sum2:a", _sum_residual(th_w, 0)
     # leading coefficient of Thetastar via the residue sum; the z_j weight
     # restores consistency with the infinity residue matrix
     yield "sum2:b", _sum_residual(
-        [z * sd.at("thetastar", z) / w for z, w in zip(zs, wp)],
+        [pt.z * pt.thetastar / w for pt, w in zip(pts, wp)],
         -(n + rho_sum) * l0.phibar0 / l1.phibar0)
     yield "sum2:c", _sum_residual(
-        [(sd.at("omega", z) - v - kr * z * t) / w
-         for z, t, v, w in zip(zs, th, Vz, wp)], -(n + rho_sum))
+        [pt.minus / w for pt, w in zip(pts, wp)], -(n + rho_sum))
     yield "sum2:d", _sum_residual(
-        [(sd.at("omegastar", z) - v - kr * sd.at("thetastar", z)) / w
-         for z, v, w in zip(zs, Vz, wp)], -rho_sum)
+        [pt.star / w for pt, w in zip(pts, wp)], -rho_sum)
 
     # singularity-only sums
     for j in range(1, len(zs) - 1):
@@ -597,7 +600,7 @@ def check_summation_identities(ws: SpectralWorkspace, n: int, garnier_point):
         wpp = ws.at("ddW", zj)
         yield "Ssum:a", _sum_residual([1 / d for _, d in dz],
                                       wpp / (2 * wp[j]))
-        rhs = ws.at("dV2", zj) / wp[j] - Vz[j] * wpp / wp[j] ** 2
+        rhs = ws.at("dV2", zj) / wp[j] - pts[j].V * wpp / wp[j] ** 2
         yield "Ssum:b", _sum_residual([rhos[k] / d for k, d in dz], rhs)
         rhs = sd.at("dtheta", zj) / wp[j] - th[j] * wpp / (2 * wp[j] ** 2)
         yield "Ssum:c", _sum_residual([th_w[k] / d for k, d in dz], rhs)

@@ -1,9 +1,11 @@
-"""The benchmark's layer tracer still finds the functions it wraps.
+"""The benchmark's layer tracer still finds the functions it wraps, and
+the work counts that timings on a shared host cannot resolve.
 
 ``perfbench/layers.py`` patches circlebops by name from outside; a rename
 would silently zero its metrics.  The traced CLI run happens in a fresh
 interpreter, because ``install`` rebinds functions in every loaded
-circlebops module.
+circlebops module; so does the mpc operation count, whose caches a run in
+this process would have warmed.
 """
 
 import json
@@ -22,12 +24,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 SCRIPT = """
 import json, sys
-sys.path.insert(0, sys.argv[1])
+sys.path.insert(0, sys.argv[3])
 from layers import Tracer, install
 import circlebops.cli as cli
 tracer = Tracer()
 install(tracer)
-code = cli.main(["--config", sys.argv[2], "verify", "--out", sys.argv[3]])
+code = cli.main(["--config", sys.argv[1], "verify", "--out", sys.argv[2]])
 with open(sys.argv[4], "w") as fh:
     json.dump({"exit": code, "metrics": tracer.metrics(),
                "spans": [[name, parent] for name, _, _, parent
@@ -54,21 +56,28 @@ RATIONAL_M4_FLOW = {
 }
 
 
-def _traced_verify(tmp_path, config_data) -> dict:
-    """The layer metrics (``metrics``) and the spans as [name, parent
-    index] (``spans``) of one traced ``verify`` run in a fresh
-    interpreter."""
+def _fresh_verify(tmp_path, config_data, script, *args) -> str:
+    """The stdout of ``script`` run in a fresh interpreter with the paths
+    of a config file of config_data and of a report, then ``args``."""
     config = tmp_path / "run.yaml"
     config.write_text(yaml.safe_dump(config_data))
-    result = tmp_path / "metrics.json"
     src = str(Path(circlebops.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(PERFBENCH), str(config),
-         str(tmp_path / "report.json"), str(result)],
+        [sys.executable, "-c", script, str(config),
+         str(tmp_path / "report.json"), *args],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _traced_verify(tmp_path, config_data) -> dict:
+    """The layer metrics (``metrics``) and the spans as [name, parent
+    index] (``spans``) of one traced ``verify`` run in a fresh
+    interpreter."""
+    result = tmp_path / "metrics.json"
+    _fresh_verify(tmp_path, config_data, SCRIPT, str(PERFBENCH), str(result))
     got = json.loads(result.read_text())
     assert got["exit"] == 0
     return got
@@ -301,3 +310,46 @@ def test_one_discrete_garnier_trajectory_per_workspace(tmp_path,
     _wrap_everywhere(monkeypatch, {step: counted_step})
     _verify(tmp_path, {**CONFIG, "checks": ["oracle", "tau"]})
     assert steps == list(range(CONFIG["n_max"] + 2))
+
+
+# the mpc arithmetic of one `verify` of the README configuration
+MPC_OPS = 8138
+
+MPC_OPS_SCRIPT = """
+import sys
+from mpmath.ctx_mp_python import _mpc
+import circlebops.cli as cli
+count, inner = [0], [0]
+
+def counted(op):
+    def run(a, b):
+        count[0] += not inner[0]
+        inner[0] += 1
+        try:
+            return op(a, b)
+        finally:
+            inner[0] -= 1
+    return run
+
+for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv",
+             "rtruediv", "pow", "rpow"):
+    setattr(_mpc, f"__{name}__", counted(getattr(_mpc, f"__{name}__")))
+code = cli.main(["--config", sys.argv[1], "verify", "--out", sys.argv[2]])
+print(code, count[0])
+"""
+
+
+def test_verify_makes_no_more_mpc_arithmetic_than_pinned(tmp_path):
+    """A work count that does not wander with the speed of a shared host:
+    the calls of mpc's arithmetic operators (+, -, *, /, ** and their
+    reflected forms; a reflected form that calls the plain one counts once)
+    in one ``verify`` of the readme-formal golden case, at most MPC_OPS."""
+    from test_golden import CASES
+
+    out = _fresh_verify(tmp_path, CASES["readme-formal"], MPC_OPS_SCRIPT)
+    code, ops = map(int, out.splitlines()[-1].split())
+    assert code == 0
+    assert ops <= MPC_OPS, (
+        f"verify made {ops} mpc operations, more than the {MPC_OPS} "
+        f"pinned; a change that adds arithmetic on purpose raises MPC_OPS "
+        f"and says why in CHANGES.md")

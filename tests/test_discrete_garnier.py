@@ -335,6 +335,18 @@ def test_tau_recovery_matches_determinants():
             assert abs(rec["I"][n] - In) < mpf(1e-25) * max(abs(In), mpf(1))
 
 
+@pytest.mark.parametrize("seed", [mpc("0.31", "0.17"), QC(1)],
+                         ids=["mpc", "QC"])
+def test_tau_recovery_refuses_a_weight_without_free_singularity(seed):
+    """At M = 2 (N = 0) the recurrence has no variables to recover the
+    determinants from: tau recovery names the cause, in either kind."""
+    pair = build_poly_pair(build_weight([0, 1], ["1/3", "1/4"]))
+    moments = MomentSequence.from_seeds(pair, -1, [seed])
+    traj = dg_trajectory(dg_initial(moments), pair, 4)
+    with pytest.raises(ValueError, match=r"free singularity \(M >= 3\)"):
+        tau_recovery(traj, moments)
+
+
 def test_exact_trajectory_of_the_readme_weight():
     """The maps over QC, from the exact binary values of the README run's
     seeds: every f and omega to n = 12 is a QC within 2^-120 of the

@@ -71,10 +71,6 @@ CASES = {
                                      [1, 0]],
                    "residues": [[-3, 0], [-4, 0], [-4, 0], [-5, 0]]},
     },
-}
-
-# cases kept in the headroom ledger only
-LEDGER_CASES = {
     # tests/conftest.standard_case_m5: N = 3, so the coordinate sums
     # (Ssum:e/f/g, Tsum:*) run over three roots
     "m5-formal": {
@@ -88,6 +84,21 @@ LEDGER_CASES = {
                                 ["1/5", "1/3"], ["-5/8", 0]]},
         "seeds": {"start": -1, "values": [[0.12, 0.07], [1, 0], [0.3, -0.2],
                                           [-0.15, 0.4]]},
+    },
+}
+
+# cases kept in the headroom ledger only
+LEDGER_CASES = {
+    # the README weight by quadrature, all five formal suites to n_max 48:
+    # deep enough that the discrete-Garnier trajectory's loss of headroom
+    # shows (dGarnier:ab, tau:I)
+    "readme-deep": {
+        "mode": "quadrature", "precision_bits": 128, "tolerance": 1.0e-20,
+        "n_max": 48, "seed": 1,
+        "checks": ["identities", "bilinear", "summation", "oracle", "tau"],
+        "weight": {"placement": "canonical",
+                   "singularities": [[0, 0], ["2/5", 0], [1, 0]],
+                   "residues": [["1/3", 0], ["-1/2", 0], ["1/4", 0]]},
     },
 }
 LEDGER = {**CASES, **LEDGER_CASES}
